@@ -416,7 +416,8 @@ def main(argv=None) -> int:
     except StructureError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 3
-    except CrossCheckError as exc:
+    except (CrossCheckError, AssertionError) as exc:
+        # AssertionError is what the theorem and kernel cross-checks raise
         print(f"cross-check violation: {exc}", file=sys.stderr)
         return 4
 

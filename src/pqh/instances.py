@@ -26,7 +26,7 @@ class InstanceError(ValueError):
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise InstanceError(f"not an exact rational: {s!r}")
@@ -72,7 +72,7 @@ def parse_instance(text: str):
     if unknown:
         raise InstanceError(f"unknown fields: {sorted(unknown)}")
     n = data.get("n")
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise InstanceError("n must be a positive integer")
     omega = _parse_matrix(data.get("omega_E"), 2 * n, 2 * n, "omega_E")
     ms = ModelSpace(n, omega)  # StructureError if not symplectic

@@ -1,14 +1,20 @@
 """Exact dense linear algebra over Q.
 
 All matrices are immutable tuples of row tuples; entries are
-``fractions.Fraction`` by default, but any field element supporting
-arithmetic with int/Fraction (e.g. :class:`pqh.quadext.QuadExt`) works.
-There is no floating point anywhere.
+``fractions.Fraction`` by default.  Matrix products and ``charpoly`` take
+rational entries only: they clear denominators, run on plain Python
+integers and build each output ``Fraction`` once.  Matrices over
+Q(sqrt(c)) (:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale``
+and the elimination routines (``rref``, ``kernel``, ``det``, ...), which
+need only field arithmetic with int/Fraction.  There is no floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -32,6 +38,21 @@ def vec_is_zero(u):
 
 def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), F0)
+
+
+def _int_rows(rows):
+    """Clear the denominators of rational rows.
+
+    Returns ``(int_rows, d)`` with ``d`` the lcm of every denominator, so
+    that ``rows[i][j] == Fraction(int_rows[i][j], d)``.
+    """
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+def _int_matmul(A, Bcols):
+    """Product of plain-int matrices, ``A`` given by rows and ``B`` by columns."""
+    return [[sum(map(mul, r, c)) for c in Bcols] for r in A]
 
 
 def _entry(x):
@@ -146,19 +167,20 @@ class Mat:
     def __matmul__(self, other):
         if self._ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        out = []
-        brows = other.rows
-        width = other.ncols
-        for r in self.rows:
-            acc = [F0] * width
-            for a, brow in zip(r, brows):
-                if a == 0:
-                    continue
-                for j, b in enumerate(brow):
-                    if b != 0:
-                        acc[j] += a * b
-            out.append(tuple(acc))
-        return Mat(out, ncols=width)
+        # Each left row and each right column over its own denominator:
+        # entry (i, j) is P[i][j] / (d_i * e_j).  A common denominator for
+        # the right factor would do, but with many distinct large
+        # denominators its lcm makes the integers far longer.
+        left = [_int_rows((r,)) for r in self.rows]
+        right = [_int_rows((c,)) for c in other.cols]
+        P = _int_matmul([a for (a,), _ in left], [b for (b,), _ in right])
+        return Mat(
+            tuple(
+                tuple(Fraction(x, da * db) if x else F0 for x, (_, db) in zip(row, right))
+                for row, (_, da) in zip(P, left)
+            ),
+            ncols=other.ncols,
+        )
 
     def mul_vec(self, v):
         if len(v) != self._ncols:
@@ -185,12 +207,6 @@ class Mat:
         return Mat(
             tuple(a + b for a, b in zip(self.rows, other.rows)),
             ncols=self._ncols + other._ncols,
-        )
-
-    def submatrix(self, row_idx, col_idx):
-        return Mat(
-            tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx),
-            ncols=len(col_idx),
         )
 
     # -- elimination ------------------------------------------------------
@@ -299,34 +315,29 @@ class Mat:
     def charpoly(self):
         """Monic characteristic polynomial det(xI - A), coefficients low to high.
 
-        Faddeev-LeVerrier; exact, needs only division by small integers.
+        Rational entries only.  Faddeev-LeVerrier on the integer matrix
+        B = d*A, d the lcm of the denominators: B has the integer
+        characteristic polynomial sum c_k x^(n-k), each step divides by k
+        exactly, and the coefficient of x^(n-k) for A is c_k / d^k.
         """
         n = self.nrows
         if n != self._ncols:
             raise ValueError("charpoly of non-square matrix")
-        if n == 0:
-            return (F1,)
-        coeffs = [F1]  # leading coefficient of x^n
-        M = Mat.identity(n)
+        B, d = _int_rows(self.rows)
+        Bcols = list(zip(*B))
+        coeffs = [1]  # c_0, the leading coefficient of x^n
+        M = [[int(i == j) for j in range(n)] for i in range(n)]
         for k in range(1, n + 1):
-            AM = self @ M
-            c = -AM.trace() / k
+            # M is a polynomial in B, so B M = M B
+            M = _int_matmul(M, Bcols)
+            c, r = divmod(-sum(M[i][i] for i in range(n)), k)
+            if r:
+                raise AssertionError("inexact division in Faddeev-LeVerrier")
             coeffs.append(c)
-            M = AM + Mat.identity(n).scale(c)
-        # coeffs is [1, c1, ..., cn] from x^n downward; return low->high
-        return tuple(reversed(coeffs))
-
-    def power(self, k):
-        if self.nrows != self._ncols:
-            raise ValueError("power of non-square matrix")
-        result = Mat.identity(self.nrows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
+            for i in range(n):
+                M[i][i] += c
+        # coeffs is [c_0, ..., c_n] from x^n downward; return low->high
+        return tuple(Fraction(c, d**k) for k, c in enumerate(coeffs))[::-1]
 
 
 def symmetric_signature(M: Mat):

@@ -4,15 +4,15 @@ Polynomials are tuples of Fractions, coefficients from low to high
 degree, with no trailing zeros (the zero polynomial is ``()``).
 Degrees stay desk-scale (<= 4n) but coefficients coming out of echelon
 forms routinely reach dozens of digits, so irreducible factorization is
-delegated to sympy; everything else is hand-rolled.
+delegated to sympy; everything else is hand-rolled.  sympy is imported
+by :func:`factor` on first use, so importing this module (and ``pqh``)
+does not load it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-
-import sympy
+from math import isqrt
 
 from .linalg import F0, F1, Mat
 
@@ -29,27 +29,6 @@ def poly_trim(c):
 
 def poly_deg(p):
     return len(p) - 1
-
-
-def poly_add(p, q):
-    n = max(len(p), len(q))
-    p = p + (F0,) * (n - len(p))
-    q = q + (F0,) * (n - len(q))
-    return poly_trim(a + b for a, b in zip(p, q))
-
-
-def poly_neg(p):
-    return tuple(-a for a in p)
-
-
-def poly_sub(p, q):
-    return poly_add(p, poly_neg(q))
-
-
-def poly_scale(c, p):
-    if c == 0:
-        return ZERO
-    return tuple(c * a for a in p)
 
 
 def poly_mul(p, q):
@@ -98,13 +77,6 @@ def poly_derivative(p):
     return poly_trim(i * a for i, a in enumerate(p) if i > 0)
 
 
-def poly_eval(p, x):
-    acc = F0
-    for a in reversed(p):
-        acc = acc * x + a
-    return acc
-
-
 def poly_pow(p, k):
     out = ONE
     base = p
@@ -140,15 +112,14 @@ def rational_roots(p):
     return {-fac[0] for fac, _m in factors if poly_deg(fac) == 1}
 
 
-_X = sympy.Symbol("x")
-
-
 def factor(p):
     """Factor p over Q into monic irreducibles.
 
     Returns (leading_coefficient, [(irreducible monic poly, multiplicity)...]),
     factors sorted by (degree, coefficients) for determinism.
     """
+    import sympy
+
     p = poly_trim(p)
     if not p:
         raise ValueError("cannot factor the zero polynomial")
@@ -156,7 +127,7 @@ def factor(p):
         return p[0], []
     sp = sympy.Poly(
         [sympy.Rational(c.numerator, c.denominator) for c in reversed(p)],
-        _X,
+        sympy.Symbol("x"),
         domain="QQ",
     )
     lead_s, factors_s = sp.factor_list()
@@ -210,18 +181,3 @@ def is_rational_square(x: Fraction):
         return Fraction(rn, rd)
     return None
 
-
-def poly_str(p, var="x"):
-    if not p:
-        return "0"
-    parts = []
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        if i == 0:
-            parts.append(str(a))
-        elif i == 1:
-            parts.append(f"{a}*{var}" if a != 1 else var)
-        else:
-            parts.append(f"{a}*{var}^{i}" if a != 1 else f"{var}^{i}")
-    return " + ".join(parts).replace("+ -", "- ")

@@ -8,6 +8,7 @@ import pytest
 
 from pqh.cli import main
 from pqh.generate import KINDS
+from pqh.linalg import Mat
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -113,6 +114,30 @@ class TestParsing:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "classify", "/nonexistent/path.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", True),
+            ("omega_E", [["0", True], ["-1", "0"]]),
+            ("vectors", [[True, "0", "0", "0"]]),
+            ("vectors", [["1", "0", "0", False]]),
+        ],
+    )
+    def test_json_booleans_exit_2(self, tmp_path, capsys, field, value):
+        data = {
+            "n": 1,
+            "omega_E": [["0", "1"], ["-1", "0"]],
+            "vectors": [["1", "0", "0", "1"]],
+        }
+        data[field] = value
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data))
+        for command in ("signature", "classify"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error: ")
 
 
 class TestCommands:
@@ -252,6 +277,21 @@ class TestCommands:
         )
         assert code == 0
         assert "no violations" in out
+
+
+class TestInternalChecks:
+    def test_assertion_exit_4(self, capsys, monkeypatch):
+        # decompose --mode generic takes a characteristic polynomial here
+        def failing_check(self):
+            raise AssertionError("inexact division in Faddeev-LeVerrier")
+
+        monkeypatch.setattr(Mat, "charpoly", failing_check)
+        inst = str(DATA / "instance_mixed.json")
+        code, out, err = run_cli(capsys, "decompose", inst, "--mode", "generic")
+        assert code == 4
+        assert out == ""
+        assert err == "cross-check violation: inexact division in Faddeev-LeVerrier\n"
+        assert "Traceback" not in err
 
 
 class TestGolden:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pqh.linalg import Mat, symmetric_signature
+from pqh.linalg import F0, F1, Mat, symmetric_signature
 from pqh.polyq import (
     factor,
     is_rational_square,
@@ -19,6 +25,95 @@ from pqh.rng import Rng
 
 def rand_mat(rng, r, c):
     return Mat([rng.rationals(c) for _ in range(r)])
+
+
+# -- reference kernels: the Fraction implementations the integer ones replaced
+
+
+def ref_matmul(A, B):
+    out = []
+    brows = B.rows
+    width = B.ncols
+    for r in A.rows:
+        acc = [F0] * width
+        for a, brow in zip(r, brows):
+            if a == 0:
+                continue
+            for j, b in enumerate(brow):
+                if b != 0:
+                    acc[j] += a * b
+        out.append(tuple(acc))
+    return Mat(out, ncols=width)
+
+
+def ref_charpoly(A):
+    n = A.nrows
+    if n == 0:
+        return (F1,)
+    coeffs = [F1]
+    M = Mat.identity(n)
+    for k in range(1, n + 1):
+        AM = ref_matmul(A, M)
+        c = -AM.trace() / k
+        coeffs.append(c)
+        M = AM + Mat.identity(n).scale(c)
+    return tuple(reversed(coeffs))
+
+
+small_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+huge_entries = st.builds(
+    Fraction,
+    st.integers(-(10**100), 10**100),
+    st.integers(1, 10**100),
+)
+
+
+@st.composite
+def matrices(draw, nrows, ncols, entries):
+    """Dense, zero or rank-deficient rational matrices of the given shape."""
+    kind = draw(st.sampled_from(["dense", "zero", "low_rank"]))
+    if kind == "zero" or not nrows or not ncols:
+        return Mat.zeros(nrows, ncols)
+    if kind == "dense":
+        rows = draw(
+            st.lists(
+                st.lists(entries, min_size=ncols, max_size=ncols),
+                min_size=nrows,
+                max_size=nrows,
+            )
+        )
+        return Mat(rows, ncols=ncols)
+    rank = draw(st.integers(0, min(nrows, ncols) - 1))
+    left = draw(matrices(nrows, rank, entries))
+    right = draw(matrices(rank, ncols, entries))
+    return ref_matmul(left, right)
+
+
+@st.composite
+def products(draw):
+    m, k, n = (draw(st.integers(0, 12)) for _ in range(3))
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    return draw(matrices(m, k, entries)), draw(matrices(k, n, entries))
+
+
+@st.composite
+def square_matrices(draw):
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    # the Fraction reference charpoly takes about a minute on a dense 12 x 12
+    # matrix of distinct 100-digit denominators; the explicit example below
+    # covers 100-digit entries at 12 x 12
+    n = draw(st.integers(0, 12 if entries is small_entries else 8))
+    if n and draw(st.booleans()):
+        # nilpotent Jordan block, scaled and shifted: charpoly (x - s)^n
+        scale, shift = draw(entries), draw(entries)
+        return Mat(
+            tuple(
+                tuple(shift if j == i else scale if j == i + 1 else F0 for j in range(n))
+                for i in range(n)
+            ),
+            ncols=n,
+        )
+    return draw(matrices(n, n, entries))
 
 
 class TestMat:
@@ -65,6 +160,55 @@ class TestMat:
             assert cp[-1] == 1
             assert poly_eval_matrix(cp, m).is_zero()
             assert cp[0] == (-1) ** 3 * m.det()
+
+    @given(products())
+    @example((Mat((), ncols=3), Mat.zeros(3, 2)))
+    @example((Mat.zeros(2, 0), Mat((), ncols=4)))
+    @example((Mat.zeros(3, 2), Mat(((), ()), ncols=0)))
+    @settings(max_examples=80, deadline=None)
+    def test_matmul_matches_fraction_reference(self, ab):
+        a, b = ab
+        prod = a @ b
+        assert prod == ref_matmul(a, b)
+        assert prod.shape == (a.nrows, b.ncols)
+
+    @given(square_matrices())
+    @example(Mat((), ncols=0))
+    @example(Mat(((0, 1, 0), (0, 0, 1), (0, 0, 0))))
+    @example(Mat(((-3, 1), (0, -3))))
+    @example(
+        Mat(
+            [
+                [Fraction((-1) ** (i * j) * (10**99 + 7 * i + j), 10**99 + (i + j) % 3) for j in range(12)]
+                for i in range(12)
+            ]
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_charpoly_matches_fraction_reference(self, a):
+        cp = a.charpoly()
+        assert cp == ref_charpoly(a)
+        assert all(type(c) is Fraction for c in cp)
+        assert poly_eval_matrix(cp, a).is_zero()
+
+    def test_charpoly_nilpotent_jordan_block(self):
+        for n in range(1, 13):
+            j = Mat(tuple(tuple(int(c == r + 1) for c in range(n)) for r in range(n)))
+            assert j.charpoly() == (F0,) * n + (F1,)
+
+    def test_charpoly_inexact_division_raises(self, monkeypatch):
+        import pqh.linalg
+
+        good = pqh.linalg._int_matmul
+
+        def off_by_one(A, Bcols):
+            out = good(A, Bcols)
+            out[0][0] += 1
+            return out
+
+        monkeypatch.setattr(pqh.linalg, "_int_matmul", off_by_one)
+        with pytest.raises(AssertionError, match="inexact division"):
+            Mat.zeros(2, 2).charpoly()
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
@@ -147,6 +291,18 @@ class TestPoly:
         f = (Fraction(1), Fraction(2), Fraction(1))  # (x+1)^2
         q, r = poly_divmod(f, (Fraction(1), Fraction(1)))
         assert q == (Fraction(1), Fraction(1)) and r == ()
+
+    def test_import_leaves_sympy_unloaded(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, pqh; print('sympy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        ).stdout
+        assert out == "False\n"
 
     def test_is_rational_square(self):
         assert is_rational_square(Fraction(9, 4)) == Fraction(3, 2)
