@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .generate import random_sl2
 from .linalg import F0, F1, Mat, symmetric_signature
 from .model import (
     HBasisChange,
@@ -1250,7 +1251,7 @@ def oracle_check(
             ):
                 continue
             bu = image(b, u)
-            if not bu.intersect(u).is_zero():
+            if u.sum(bu).dim != u.dim + bu.dim:  # B U meets U
                 check("pure-complex-moves-off", False, f"B={b}")
                 break
         else:
@@ -1263,7 +1264,7 @@ def oracle_check(
         base = ms.hermitian_product(x, y).imag().norm()
         ok = True
         for _ in range(3):
-            s = _random_sl2(rng)
+            s = random_sl2(rng)
             val = ms.hermitian_product(x, y, s).imag().norm()
             if val != base:
                 ok = False
@@ -1276,12 +1277,3 @@ def oracle_check(
     check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)
     check("dim-bound-totally-real", not report.flags.totally_real or u.dim <= ms.n)
     return out
-
-
-def _random_sl2(rng) -> HBasisChange:
-    """A random determinant-one basis change with small rational entries."""
-    while True:
-        a, b, c = rng.rational(), rng.rational(), rng.rational()
-        if a != 0:
-            d = (1 + b * c) / a
-            return HBasisChange(Mat(((a, b), (c, d))))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 
 from .classify import ClassificationReport
@@ -30,10 +31,19 @@ def parse_rational(s) -> Fraction:
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL_RE.match(s):
         raise InstanceError(f"not an exact rational: {s!r}")
-    if "/" in s:
-        num, den = s.split("/")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    try:
+        return Fraction(*map(int, s.split("/")))
+    except ValueError:  # past the interpreter's limit on int-string conversion
+        raise InstanceError(
+            f"numeral longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or a numeral past the int-string limit
+        raise InstanceError(f"invalid JSON: {exc}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -62,10 +72,7 @@ def parse_instance(text: str):
     InstanceError for malformed input and StructureError when omega_E is
     not symplectic or h_basis is not unimodular.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise InstanceError("instance must be a JSON object")
     unknown = set(data) - {"n", "omega_E", "vectors", "h_basis"}
@@ -122,10 +129,7 @@ def canonical_json(data) -> str:
 
 def parse_structure_file(text: str):
     """Parse a standardization input: three square matrices I, J, K."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"invalid JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or set(data) - {"I", "J", "K"}:
         raise InstanceError("structure file needs exactly the fields I, J, K")
     mats = []
@@ -207,8 +211,3 @@ def report_to_dict(report: ClassificationReport):
             "nondegenerate_guaranteed": nr.nondegenerate_guaranteed,
         }
     return out
-
-
-def parse_report(text: str):
-    """Inverse of emitting report_to_dict through canonical_json."""
-    return json.loads(text)

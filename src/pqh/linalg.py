@@ -1,20 +1,22 @@
 """Exact dense linear algebra over Q.
 
 All matrices are immutable tuples of row tuples; entries are
-``fractions.Fraction`` by default.  Matrix products and ``charpoly`` take
-rational entries only: they clear denominators, run on plain Python
-integers and build each output ``Fraction`` once.  Matrices over
-Q(sqrt(c)) (:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale``
-and the elimination routines (``rref``, ``kernel``, ``det``, ...), which
-need only field arithmetic with int/Fraction.  There is no floating
-point anywhere.
+``fractions.Fraction`` by default.  Rational work runs on plain Python
+integers and builds each output ``Fraction`` once: products and
+``charpoly`` clear denominators, and every elimination (``rref`` and so
+``kernel``, ``rank``, ``inverse``, ``solve``; ``det``; the prefix-pivot
+echelon form of :mod:`pqh.uft`) is the one fraction-free Gauss-Jordan
+loop :func:`_eliminate`.  Matrices over Q(sqrt(c))
+(:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale`` and
+elimination, which runs the same loop with field division.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import floordiv, mul, truediv
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -40,12 +42,20 @@ def vec_dot(u, v):
     return sum((a * b for a, b in zip(u, v)), F0)
 
 
-def _int_rows(rows):
-    """Clear the denominators of rational rows.
+def _int_row(r):
+    """Clear the denominators of one rational (or int) row.
 
-    Returns ``(int_rows, d)`` with ``d`` the lcm of every denominator, so
-    that ``rows[i][j] == Fraction(int_rows[i][j], d)``.
+    Returns ``(ints, d)`` with ``d`` the lcm of the denominators, so that
+    ``r[j] == Fraction(ints[j], d)``.
     """
+    d = lcm(*[x.denominator for x in r])
+    if d == 1:
+        return [x.numerator for x in r], 1
+    return [x.numerator * (d // x.denominator) for x in r], d
+
+
+def _int_rows(rows):
+    """Clear the denominators of rational rows by one common lcm ``d``."""
     d = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
 
@@ -53,6 +63,81 @@ def _int_rows(rows):
 def _int_matmul(A, Bcols):
     """Product of plain-int matrices, ``A`` given by rows and ``B`` by columns."""
     return [[sum(map(mul, r, c)) for c in Bcols] for r in A]
+
+
+def _eliminate(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss), pivots in columns < width.
+
+    Returns ``(R, pivots, det)``: ``R`` holds the pivot rows of the reduced
+    row echelon form, and ``det`` is the signed product of the pivots that
+    dividing elimination would meet, so ``det(A)`` when A is square and
+    nonsingular.
+
+    Rational rows are scaled to ints, each by its own lcm of denominators.
+    A step with pivot ``p`` (the one before it ``prev``) takes every other
+    row with ``f != 0`` in the pivot column to ``(p*row - f*prow) / prev``;
+    the division is exact, since every entry stays a minor of the scaled
+    matrix.  Bareiss would also scale the rows with ``f == 0`` by
+    ``p / prev``; here they are left alone and each row keeps the pivot
+    ``D[i]`` it was last brought up to date at, so its Bareiss value is
+    ``row * prev / D[i]``, again exact.  A pivot row ends as ``row / D[i]``
+    of the reduced form, each entry built once as ``Fraction(x, D[i])``,
+    and the last pivot is ``+-det`` of the scaled rows.  Rows with entries
+    outside Q (``QuadExt``) run the same loop with field division and no
+    scaling.
+    """
+    field = not all(type(x) is Fraction for r in rows for x in r)
+    if field:
+        M = [list(r) for r in rows]
+        prev, scale = F1, F1
+    else:
+        M, scale = [], 1
+        for r in rows:
+            ints, d = _int_row(r)
+            M.append(ints)
+            scale *= d
+        prev = 1
+    div = truediv if field else floordiv
+    n = len(M)
+    D = [prev] * n
+    pivots = []
+    sign = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        sel = next((i for i in range(r, n) if M[i][c]), None)
+        if sel is None:
+            continue
+        if sel != r:
+            M[r], M[sel] = M[sel], M[r]
+            D[r], D[sel] = D[sel], D[r]
+            sign = -sign
+        prow = M[r]
+        if D[r] != prev:  # bring the row up to date
+            prow = [div(x * prev, D[r]) for x in prow]
+        p = prow[c]
+        for i, row in enumerate(M):
+            f = row[c]
+            if not f or i == r:
+                continue
+            if D[i] != prev:
+                row = [div(x * prev, D[i]) for x in row]
+                f = row[c]
+            if field:
+                M[i] = [(p * x - f * y) / prev for x, y in zip(row, prow)]
+            else:
+                M[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            D[i] = p
+        M[r], D[r] = prow, p
+        prev = p
+        pivots.append(c)
+    r = len(pivots)
+    if field:
+        R = [tuple(x / d for x in row) for row, d in zip(M, D[:r])]
+        return R, tuple(pivots), sign * prev / scale
+    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D[:r])]
+    return R, tuple(pivots), Fraction(sign * prev, scale)
 
 
 def _entry(x):
@@ -100,7 +185,7 @@ class Mat:
             if nrows is None:
                 raise ValueError("empty column list needs nrows")
             return cls(tuple(() for _ in range(nrows)), ncols=0)
-        return cls(tuple(zip(*cols)))
+        return cls(tuple(zip(*cols)), ncols=len(cols))
 
     @property
     def nrows(self):
@@ -171,9 +256,9 @@ class Mat:
         # entry (i, j) is P[i][j] / (d_i * e_j).  A common denominator for
         # the right factor would do, but with many distinct large
         # denominators its lcm makes the integers far longer.
-        left = [_int_rows((r,)) for r in self.rows]
-        right = [_int_rows((c,)) for c in other.cols]
-        P = _int_matmul([a for (a,), _ in left], [b for (b,), _ in right])
+        left = [_int_row(r) for r in self.rows]
+        right = [_int_row(c) for c in other.cols]
+        P = _int_matmul([a for a, _ in left], [b for b, _ in right])
         return Mat(
             tuple(
                 tuple(Fraction(x, da * db) if x else F0 for x, (_, db) in zip(row, right))
@@ -218,29 +303,8 @@ class Mat:
         pivots is the tuple of pivot column indices.  The result is the
         unique canonical basis of the row space.
         """
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self._ncols):
-            sel = None
-            for i in range(r, len(rows)):
-                if rows[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            inv = rows[r][c]
-            rows[r] = [x / inv for x in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][c] != 0:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == len(rows):
-                break
-        return Mat(rows[:r], ncols=self._ncols), tuple(pivots)
+        R, pivots, _ = _eliminate(self.rows, self._ncols)
+        return Mat(R, ncols=self._ncols), pivots
 
     def rank(self):
         return self.rref()[0].nrows
@@ -265,26 +329,8 @@ class Mat:
         n = self.nrows
         if n != self._ncols:
             raise ValueError("determinant of non-square matrix")
-        rows = [list(r) for r in self.rows]
-        det = F1
-        for c in range(n):
-            sel = None
-            for i in range(c, n):
-                if rows[i][c] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                return F0
-            if sel != c:
-                rows[c], rows[sel] = rows[sel], rows[c]
-                det = -det
-            det = det * rows[c][c]
-            inv = rows[c][c]
-            for i in range(c + 1, n):
-                if rows[i][c] != 0:
-                    f = rows[i][c] / inv
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-        return det
+        _, pivots, det = _eliminate(self.rows, n)
+        return det if len(pivots) == n else F0
 
     def inverse(self):
         n = self.nrows

@@ -43,6 +43,3 @@ class Rng:
 
     def rationals(self, count: int) -> tuple:
         return tuple(self.rational() for _ in range(count))
-
-    def choice(self, seq):
-        return seq[self.below(len(seq))]

@@ -9,9 +9,11 @@ computed with zero tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Mat, symmetric_signature, vec_is_zero
+from .linalg import F0, F1, Mat, _int_row, symmetric_signature, vec_is_zero
 from .model import HBasisChange, ModelSpace, Operator, Vector, tensor
 
 
@@ -38,12 +40,13 @@ class SignatureTriple:
 class Subspace:
     """A linear subspace of Q^d in canonical reduced-echelon form."""
 
-    __slots__ = ("mat", "pivots")
+    __slots__ = ("mat", "pivots", "_int_basis")
 
     def __init__(self, mat: Mat):
         mat, pivots = mat.rref()
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "_int_basis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -54,10 +57,6 @@ class Subspace:
         if any(len(r) != ambient for r in rows):
             raise ValueError("row length does not match ambient dimension")
         return cls(Mat(rows, ncols=ambient))
-
-    @classmethod
-    def span_vectors(cls, vectors: Iterable[Vector], ambient: int) -> "Subspace":
-        return cls.span([v.coords for v in vectors], ambient)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
@@ -98,14 +97,26 @@ class Subspace:
     # -- membership and coset reduction -----------------------------------
 
     def reduce(self, v: Sequence) -> tuple:
-        """Canonical coset representative of v modulo this subspace."""
-        v = list(v)
-        for row, p in zip(self.mat.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                for j in range(len(v)):
-                    v[j] -= c * row[j]
-        return tuple(v)
+        """Canonical coset representative of v modulo this subspace.
+
+        Runs in ints: with v = V/D and a basis row R/e (so R[p] = e at its
+        pivot p), v - v[p] * row = (e*V - V[p]*R) / (D*e).  Entries may be
+        ints or Fractions; the result is Fractions.
+        """
+        if self._int_basis is None:
+            object.__setattr__(self, "_int_basis", [_int_row(r) for r in self.mat.rows])
+        V, D = _int_row(v)
+        for (R, e), p in zip(self._int_basis, self.pivots):
+            c = V[p]
+            if c:
+                V = [e * x - c * y for x, y in zip(V, R)]
+                D *= e
+                if D > 1:
+                    g = gcd(D, *V)
+                    if g > 1:
+                        V = [x // g for x in V]
+                        D //= g
+        return tuple(Fraction(x, D) if x else F0 for x in V)
 
     def contains_vector(self, v: Sequence) -> bool:
         return vec_is_zero(self.reduce(v))
@@ -180,12 +191,6 @@ class Subspace:
                 rows.append(r)
                 taken = cand
         return Subspace.span(rows, self.ambient)
-
-    def map_by(self, m: Mat) -> "Subspace":
-        """Image subspace {m v : v in self} (m acts on column vectors)."""
-        if m.ncols != self.ambient:
-            raise ValueError("matrix/ambient mismatch")
-        return Subspace.span([m.mul_vec(r) for r in self.mat.rows], m.nrows)
 
     def preimage_by(self, m: Mat) -> "Subspace":
         """{x : m x in self}."""

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat
+from .linalg import F0, F1, Mat, _eliminate
 from .model import HBasisChange, ModelSpace, StructureError, tensor
 from .polyq import factor, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -103,28 +103,6 @@ def transversal_basis(h) -> HBasisChange:
     return HBasisChange.from_columns(k, (a, b))
 
 
-def _echelon_pairs(rows, prefix):
-    """RREF using pivots in the first `prefix` columns only; full rows keep
-    following along.  Returns (reduced rows, number of prefix pivots)."""
-    rows = [list(r) for r in rows]
-    r = 0
-    for c in range(prefix):
-        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return rows, r
-
-
 def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     """Present U as a graph over the h1 component of the given basis.
 
@@ -134,8 +112,9 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     dim_e = u.ambient // 2
     pairs = [basis.h_components(v) for v in u.basis_vectors]
     rows = [tuple(a) + tuple(b) for a, b in pairs]
-    reduced, npiv = _echelon_pairs(rows, dim_e)
-    if npiv != u.dim:
+    # pivots only among the F coordinates; the T columns follow along
+    reduced, pivots, _ = _eliminate(rows, dim_e)
+    if len(pivots) != u.dim:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
         )
@@ -167,8 +146,8 @@ def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
         new_f_rows.append(nf)
         new_images.append(ni)
     stacked = [nf + ni for nf, ni in zip(new_f_rows, new_images)]
-    reduced, npiv = _echelon_pairs(stacked, dim_e)
-    if npiv != f_space.dim:
+    reduced, pivots, _ = _eliminate(stacked, dim_e)
+    if len(pivots) != f_space.dim:
         raise ValueError("pencil value a Id + c T is not injective on F")
     f_new = Subspace.span([tuple(r[:dim_e]) for r in reduced], dim_e)
     t_new = Mat.from_cols([tuple(r[dim_e:]) for r in reduced], nrows=dim_e)

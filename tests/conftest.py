@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from pqh.linalg import Mat
-from pqh.model import HBasisChange, ModelSpace, tensor
-from pqh.rng import Rng
+from pqh.generate import random_sl2  # noqa: F401  (shared with the test modules)
+from pqh.model import ModelSpace, tensor
 from pqh.subspace import Subspace
 
 
@@ -33,10 +32,3 @@ def graph_subspace(n, pairs):
     """Span of h1 (x) f + h2 (x) g for the given (f, g) coordinate pairs."""
     rows = [(tensor((1, 0), f) + tensor((0, 1), g)).coords for f, g in pairs]
     return Subspace.span(rows, 4 * n)
-
-
-def random_sl2(rng: Rng) -> HBasisChange:
-    while True:
-        a, b, c = rng.rational(), rng.rational(), rng.rational()
-        if a != 0:
-            return HBasisChange(Mat(((a, b), (c, (1 + b * c) / a))))

@@ -139,6 +139,22 @@ class TestParsing:
             assert out == ""
             assert err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "entry",
+        ['"' + "1" * 5000 + '"', '"1/' + "1" * 5000 + '"', "1" * 5000],
+        ids=["numerator", "denominator", "json-number"],
+    )
+    def test_numeral_past_int_string_limit_exit_2(self, tmp_path, capsys, entry):
+        data = json.loads((DATA / "instance_mixed.json").read_text())
+        data["vectors"][0][0] = "@"
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data).replace('"@"', entry))
+        code, out, err = run_cli(capsys, "signature", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_classify_totally_real(self, totally_real_instance, capsys):

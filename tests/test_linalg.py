@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pqh.linalg import F0, F1, Mat, symmetric_signature
+from pqh.linalg import F0, F1, Mat, _eliminate, symmetric_signature
 from pqh.polyq import (
     factor,
     is_rational_square,
@@ -21,6 +21,7 @@ from pqh.polyq import (
 )
 from pqh.quadext import QuadExt, sqrt_of
 from pqh.rng import Rng
+from pqh.subspace import Subspace
 
 
 def rand_mat(rng, r, c):
@@ -58,6 +59,121 @@ def ref_charpoly(A):
         coeffs.append(c)
         M = AM + Mat.identity(n).scale(c)
     return tuple(reversed(coeffs))
+
+
+def ref_rref(A):
+    rows = [list(r) for r in A.rows]
+    pivots = []
+    r = 0
+    for c in range(A.ncols):
+        sel = None
+        for i in range(r, len(rows)):
+            if rows[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return Mat(rows[:r], ncols=A.ncols), tuple(pivots)
+
+
+def ref_det(A):
+    n = A.nrows
+    rows = [list(r) for r in A.rows]
+    det = F1
+    for c in range(n):
+        sel = None
+        for i in range(c, n):
+            if rows[i][c] != 0:
+                sel = i
+                break
+        if sel is None:
+            return F0
+        if sel != c:
+            rows[c], rows[sel] = rows[sel], rows[c]
+            det = -det
+        det = det * rows[c][c]
+        inv = rows[c][c]
+        for i in range(c + 1, n):
+            if rows[i][c] != 0:
+                f = rows[i][c] / inv
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return det
+
+
+def ref_echelon_pairs(rows, prefix):
+    rows = [list(r) for r in rows]
+    r = 0
+    for c in range(prefix):
+        sel = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        r += 1
+        if r == len(rows):
+            break
+    return rows, r
+
+
+def ref_reduce(u, v):
+    v = list(v)
+    for row, p in zip(u.mat.rows, u.pivots):
+        c = v[p]
+        if c != 0:
+            for j in range(len(v)):
+                v[j] -= c * row[j]
+    return tuple(v)
+
+
+# kernel, inverse and solve are unchanged code on top of rref; these are the
+# same code on top of ref_rref
+
+
+def ref_kernel(A):
+    R, pivots = ref_rref(A)
+    free = [j for j in range(A.ncols) if j not in pivots]
+    basis = []
+    for j in free:
+        v = [F0] * A.ncols
+        v[j] = F1
+        for i, p in enumerate(pivots):
+            v[p] = -R.rows[i][j]
+        basis.append(tuple(v))
+    return ref_rref(Mat(basis, ncols=A.ncols))[0]
+
+
+def ref_inverse(A):
+    n = A.nrows
+    R, pivots = ref_rref(A.hstack(Mat.identity(n)))
+    if pivots[:n] != tuple(range(n)):
+        return None
+    return Mat(tuple(r[n:] for r in R.rows), ncols=n)
+
+
+def ref_solve(A, b):
+    R, pivots = ref_rref(A.hstack(Mat.from_cols((b,), nrows=A.nrows)))
+    if A.ncols in pivots:
+        return None
+    x = [F0] * A.ncols
+    for i, p in enumerate(pivots):
+        x[p] = R.rows[i][A.ncols]
+    return tuple(x)
 
 
 small_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -114,6 +230,49 @@ def square_matrices(draw):
             ncols=n,
         )
     return draw(matrices(n, n, entries))
+
+
+@st.composite
+def systems(draw):
+    """(A, b): A of 0-10 rows by 0-12 columns, b consistent or random."""
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    a = draw(matrices(draw(st.integers(0, 10)), draw(st.integers(0, 12)), entries))
+    if draw(st.booleans()):
+        b = a.mul_vec(tuple(draw(st.lists(entries, min_size=a.ncols, max_size=a.ncols))))
+    else:
+        b = tuple(draw(st.lists(entries, min_size=a.nrows, max_size=a.nrows)))
+    return a, b
+
+
+@st.composite
+def reductions(draw):
+    """(U, v): v has int or Fraction entries, inside U or not."""
+    ambient = draw(st.integers(0, 12))
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    u = Subspace(draw(matrices(draw(st.integers(0, 10)), ambient, entries)))
+    ints = st.integers(-(10**100), 10**100) | st.integers(-9, 9)
+    v = draw(st.lists(ints | entries, min_size=ambient, max_size=ambient))
+    if u.dim and draw(st.booleans()):
+        # a combination of the basis rows plus an int vector
+        coeffs = draw(st.lists(entries, min_size=u.dim, max_size=u.dim))
+        comb = Mat((coeffs,), ncols=u.dim) @ u.mat
+        v = [x + y for x, y in zip(comb.rows[0], v)] if draw(st.booleans()) else comb.rows[0]
+    return u, tuple(v)
+
+
+quad_entries = small_entries | st.builds(
+    lambda a, b: QuadExt(a, b, Fraction(2)), small_entries, small_entries
+)
+
+
+@st.composite
+def quad_matrices(draw):
+    """Matrices mixing Fraction and QuadExt entries over Q(sqrt 2)."""
+    r, c = draw(st.integers(0, 4)), draw(st.integers(1, 5))
+    rows = draw(st.lists(st.lists(quad_entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r > 1 and draw(st.booleans()):
+        rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1])]  # rank-deficient
+    return Mat(rows, ncols=c)
 
 
 class TestMat:
@@ -209,6 +368,108 @@ class TestMat:
         monkeypatch.setattr(pqh.linalg, "_int_matmul", off_by_one)
         with pytest.raises(AssertionError, match="inexact division"):
             Mat.zeros(2, 2).charpoly()
+
+    @given(systems())
+    @example((Mat((), ncols=4), ()))
+    @example((Mat.zeros(3, 5), (F0, F1, F0)))
+    @example((Mat(((-(10**100), Fraction(1, 10**100)), (-1, Fraction(-1, 10**200)))), (1, 1)))
+    @settings(max_examples=80, deadline=None)
+    def test_rref_kernel_solve_match_fraction_reference(self, ab):
+        a, b = ab
+        R, pivots = a.rref()
+        assert (R, pivots) == ref_rref(a)
+        assert all(type(x) is Fraction for row in R.rows for x in row)
+        assert a.rank() == len(pivots)
+        assert a.kernel() == ref_kernel(a)
+        assert a.solve(b) == ref_solve(a, b)
+
+    @given(square_matrices())
+    @example(Mat((), ncols=0))
+    @example(Mat(((2, 1, 0), (1, 1, 0), (0, 0, 1))))  # pivot 1 after pivot 2
+    @example(Mat(((1, 2, 3), (4, 5, 6), (7, 8, 9))))  # singular
+    @settings(max_examples=80, deadline=None)
+    def test_det_inverse_match_fraction_reference(self, a):
+        det = a.det()
+        assert det == ref_det(a)
+        assert type(det) is Fraction
+        ref = ref_inverse(a)
+        if ref is None:
+            assert det == 0
+            with pytest.raises(ValueError, match="singular"):
+                a.inverse()
+        else:
+            assert a.inverse() == ref
+
+    @given(systems(), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_elimination_matches_fraction_reference(self, ab, prefix):
+        # uft.to_uft and uft.pencil_change take pivots among the first
+        # columns only, and read the rows only when the prefix has full rank
+        a, _ = ab
+        prefix = min(prefix, a.ncols)
+        rows, pivots, _ = _eliminate(a.rows, prefix)
+        ref_rows, ref_npiv = ref_echelon_pairs(a.rows, prefix)
+        assert len(pivots) == ref_npiv
+        if ref_npiv == a.nrows:
+            assert [list(r) for r in rows] == ref_rows
+
+    @given(reductions())
+    @example((Subspace(Mat((), ncols=3)), (1, -2, 3)))
+    @example((Subspace(Mat(((2, 4, 6),))), (10**100, 2 * 10**100, 3 * 10**100)))
+    @settings(max_examples=80, deadline=None)
+    def test_reduce_matches_fraction_reference(self, uv):
+        u, v = uv
+        red = u.reduce(v)
+        assert red == ref_reduce(u, v)
+        assert all(type(x) is Fraction for x in red)
+        assert all(red[p] == 0 for p in u.pivots)
+
+    @given(quad_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_elimination_over_quadext_matches_reference(self, a):
+        assert a.rref() == ref_rref(a)
+        assert a.kernel() == ref_kernel(a)
+        if a.nrows == a.ncols:
+            assert a.det() == ref_det(a)
+
+    def test_bareiss_divisions_are_exact(self, monkeypatch):
+        # run the integer elimination on ints whose // fails on a remainder
+        import pqh.linalg
+
+        divisors = []
+
+        class Exact(int):
+            def __mul__(self, other):
+                return Exact(int(self) * int(other))
+
+            __rmul__ = __mul__
+
+            def __sub__(self, other):
+                return Exact(int(self) - int(other))
+
+            def __floordiv__(self, other):
+                q, r = divmod(int(self), int(other))
+                assert r == 0, "inexact Bareiss division"
+                divisors.append(other)
+                return Exact(q)
+
+        int_row = pqh.linalg._int_row
+
+        def exact_row(r):
+            ints, d = int_row(r)
+            return [Exact(x) for x in ints], d
+
+        monkeypatch.setattr(pqh.linalg, "_int_row", exact_row)
+        rng = Rng(11)
+        for _ in range(60):
+            r, c = 1 + rng.below(7), 1 + rng.below(9)
+            a = rand_mat(rng, r, c)
+            if rng.below(2):
+                a = ref_matmul(rand_mat(rng, r, 1 + rng.below(r)), rand_mat(rng, a.nrows and r, c))
+            assert a.rref() == ref_rref(a)
+            if r == c:
+                assert a.det() == ref_det(a)
+        assert sum(abs(d) > 1 for d in divisors) > 1000
 
     def test_float_rejected(self):
         with pytest.raises(TypeError):
