@@ -40,7 +40,6 @@ from .model import (
     OP_K,
     StructureError,
     Vector,
-    apply_operator,
     change_admissible_basis,
     recover_omega_e,
     standard_symplectic,

@@ -34,7 +34,6 @@ from .subspace import (
     Subspace,
     decomposable_subspace,
     direct_sum_is,
-    gram,
     h_fiber,
     image,
     is_orthogonal,
@@ -49,13 +48,13 @@ from .uft import (
     DecomposablePiece,
     UFTForm,
     clean_complement,
-    find_transversal_direction,
+    graph_form,
+    graph_over,
     induced_g_f,
     injectivize,
     invariant_core,
     normalize_direction,
     to_uft,
-    transversal_basis,
 )
 
 
@@ -84,13 +83,8 @@ class Stabilizer:
     def q_matrix(self) -> Mat:
         """The bilinear form of q(A) = alpha^2 - beta^2 - gamma^2 restricted
         to the stabilizer basis."""
-        def polar(x, y):
-            return x[0] * y[0] - x[1] * y[1] - x[2] * y[2]
-
-        b = self.basis.rows
-        return Mat(
-            tuple(tuple(polar(x, y) for y in b) for x in b), ncols=self.dim
-        )
+        polar = Mat(((F1, F0, F0), (F0, -F1, F0), (F0, F0, -F1)))
+        return self.basis @ polar @ self.basis.T
 
 
 def stabilizer(u: Subspace) -> Stabilizer:
@@ -160,15 +154,9 @@ def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
         return KindWitnesses(Operator(1, 0, 0), Operator(0, 0, 1), Operator(1, 1, 0))
     qm = stab.q_matrix()
     a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
-    v1, v2 = ops
 
     def combine(pt):
-        s, t = pt
-        return Operator(
-            s * v1.alpha + t * v2.alpha,
-            s * v1.beta + t * v2.beta,
-            s * v1.gamma + t * v2.gamma,
-        )
+        return Operator(*(Mat((pt,), ncols=2) @ stab.basis).rows[0])
 
     pos = _positive_point(a, b, c)
     neg = _positive_point(-a, -b, -c)
@@ -222,20 +210,13 @@ def adapted_nilpotent_basis(a: Operator) -> HBasisChange:
     """A symplectic basis whose first vector spans ker A (A nilpotent)."""
     if a.q() != 0 or a.is_zero():
         raise ValueError("adapted nilpotent basis needs a nonzero null witness")
-    ker = a.mat2().kernel()
-    k = ker.rows[0]
-    if k[0] != 0:
-        w = (F0, 1 / k[0])
-    else:
-        w = (-1 / k[1], F0)
-    return HBasisChange.from_columns(k, w)
+    return _direction_completion(a.mat2().kernel().rows[0])
 
 
 def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
     """The operator with the given coordinates relative to the admissible
     triple attached to `basis`, expressed in standard coordinates."""
-    m = Operator(alpha, beta, gamma).mat2()
-    return operator_from_mat2(basis.mat @ m @ basis.mat.inverse())
+    return _conjugated_operator(basis, Operator(alpha, beta, gamma).mat2())
 
 
 def _conjugated_operator(basis: HBasisChange, mat2: Mat) -> Operator:
@@ -306,25 +287,17 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
         omega_r = restrict_omega(ms, e_prime)
         hermitian = omega_r.det() != 0
         k = e_prime.dim
-        split_rows = [tensor((1, 0), f).coords for f in e_prime.mat.rows]
-        split_rows += [tensor((0, 1), f).coords for f in e_prime.mat.rows]
-        vs = [ms.metric(x, y) for x in map(_vec, split_rows) for y in map(_vec, split_rows)]
-        g = Mat(
-            [tuple(vs[i * 2 * k : (i + 1) * 2 * k]) for i in range(2 * k)],
-            ncols=2 * k,
+        split = Mat(
+            [tensor(h, f).coords for h in ((1, 0), (0, 1)) for f in e_prime.mat.rows],
+            ncols=u.ambient,
         )
+        g = split @ ms.metric_matrix() @ split.T
         z = Mat.zeros(k, k)
         expected = (z.hstack(omega_r)).vstack(omega_r.T.hstack(z))
         gram_ok = g == expected
     elif is_pq:
         hermitian = True  # zero subspace, vacuously nondegenerate
     return PQReport(is_pq, e_prime, hermitian and is_pq, gram_ok)
-
-
-def _vec(coords):
-    from .model import Vector
-
-    return Vector.from_coords(coords)
 
 
 # -- complex witnesses --------------------------------------------------------
@@ -356,8 +329,7 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     qa = a.q()
     if qa <= 0:
         raise ValueError("complex check needs a witness with positive q")
-    stab = stabilizer(u)
-    if not stab.contains(a):
+    if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
     u0 = maximal_pq(u)
     comp = invariant_pure_complement(a, u, u0)
@@ -396,11 +368,8 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     w_f = b_mat.T @ ms.omega @ b_mat
     te = form.t_map
     w_t = te.T @ ms.omega @ te
-    vs = [form.h_basis.assemble(f, form.t_map.col(j)) for j, f in enumerate(form.f_space.mat.rows)]
-    k_amb = Mat(
-        tuple(tuple(ms.metric(a.apply(x), y) for y in vs) for x in vs),
-        ncols=form.dim,
-    )
+    vs = form.graph_basis()
+    k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
     k_gf = (g_f @ t_f).scale(qa / d_val)
     k_form = (w_f.scale(d_val) + w_t.scale(qa / d_val)).scale(-F1)
     kahler = k_amb == k_gf == k_form
@@ -466,8 +435,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
     qa = a.q()
     if qa >= 0:
         raise ValueError("para-complex check needs a witness with negative q")
-    stab = stabilizer(u)
-    if not stab.contains(a):
+    if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
     u0 = maximal_pq(u)
     comp = invariant_pure_complement(a, u, u0)
@@ -527,8 +495,8 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         lam_plus = d_val / rho
         e1 = poly_eval_matrix((-lam_plus, F1), t_f).kernel()
         e2 = poly_eval_matrix((lam_plus, F1), t_f).kernel()
-        lift1 = _lift_combos(e1, form.f_space)
-        lift2 = _lift_combos(e2, form.f_space)
+        lift1 = Subspace(e1 @ form.f_space.mat)
+        lift2 = Subspace(e2 @ form.f_space.mat)
         if lift1.dim != d_plus or lift2.dim != d_minus:
             raise AssertionError("rational eigenspace dimensions disagree with trace test")
         from .uft import _std_direction
@@ -543,14 +511,10 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         # cross-check m as the rank of the Gram pairing between eigenspaces
-        vs1 = [form.h_basis.assemble(f, form.apply_t(f)) for f in lift1.mat.rows]
-        vs2 = [form.h_basis.assemble(f, form.apply_t(f)) for f in lift2.mat.rows]
-        if vs1 and vs2:
-            cross = Mat(
-                tuple(tuple(ms.metric(x, y) for y in vs2) for x in vs1),
-                ncols=len(vs2),
-            )
-            if cross.rank() != m_value:
+        # (the rank does not depend on the bases of the two eigen-graphs)
+        if lift1.dim and lift2.dim:
+            vs1, vs2 = graph_over(form, lift1).mat, graph_over(form, lift2).mat
+            if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
@@ -640,18 +604,6 @@ def para_complex_eigenvectors(report: ParaComplexReport):
     return lam, plus.rows, minus.rows
 
 
-def _lift_combos(combos: Mat, space: Subspace) -> Subspace:
-    rows = []
-    for combo in combos.rows:
-        x = [F0] * space.ambient
-        for coef, row in zip(combo, space.mat.rows):
-            if coef != 0:
-                for j, val in enumerate(row):
-                    x[j] += coef * val
-        rows.append(tuple(x))
-    return Subspace.span(rows, space.ambient)
-
-
 # -- nilpotent witnesses -------------------------------------------------------
 
 
@@ -676,12 +628,8 @@ def _split_along(x, first: Subspace, second: Subspace):
     coeffs = Mat.from_cols(cols, nrows=len(x)).solve(x)
     if coeffs is None:
         raise ValueError("vector is outside the direct sum")
-    fpart = [F0] * len(x)
-    for c, row in zip(coeffs[: first.dim], first.mat.rows):
-        if c != 0:
-            for j, val in enumerate(row):
-                fpart[j] += c * val
-    return tuple(fpart), tuple(a - b for a, b in zip(x, fpart))
+    (fpart,) = (Mat((coeffs[: first.dim],), ncols=first.dim) @ first.mat).rows
+    return fpart, tuple(a - b for a, b in zip(x, fpart))
 
 
 def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport:
@@ -708,24 +656,17 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     if ebar1 is None:
         raise AssertionError("h1 fiber is not inside p1(U)")
     # canonical T~: E2 -> Ebar1 reading the graph part of U over h2
-    t_rows = []
+    half = u.ambient // 2
     u_h = [basis.h_components(v) for v in u.basis_vectors]
-    a_parts = Mat([p[0] for p in u_h], ncols=u.ambient // 2)
-    b_parts = Mat([p[1] for p in u_h], ncols=u.ambient // 2)
-    for e2 in e2_proj.mat.rows:
-        coeffs = b_parts.T.solve(e2)
-        if coeffs is None:
-            raise AssertionError("p2 component not reachable")
-        x = [F0] * (u.ambient // 2)
-        for c, arow in zip(coeffs, a_parts.rows):
-            if c != 0:
-                for j, val in enumerate(arow):
-                    x[j] += c * val
-        # push the E1' component away to land in Ebar1
-        x_in_fiber, x_bar = _split_along(tuple(x), e1p, ebar1)
-        t_rows.append(x_bar)
-    e0_combos = Mat(t_rows, ncols=u.ambient // 2).T.kernel() if t_rows else Mat((), ncols=0)
-    e0 = _lift_combos(e0_combos, e2_proj) if e2_proj.dim else Subspace.zero(u.ambient // 2)
+    a_parts = Mat([p[0] for p in u_h], ncols=half)
+    b_parts = Mat([p[1] for p in u_h], ncols=half)
+    coeffs = [b_parts.T.solve(e2) for e2 in e2_proj.mat.rows]
+    if None in coeffs:
+        raise AssertionError("p2 component not reachable")
+    xs = (Mat(coeffs, ncols=u.dim) @ a_parts).rows
+    # push the E1' component away to land in Ebar1
+    t_mat = Mat([_split_along(x, e1p, ebar1)[1] for x in xs], ncols=half)
+    e0 = Subspace(t_mat.T.kernel() @ e2_proj.mat)
     e2prime = e0.complement_in(e2_proj)
     base = e0.sum(e2prime)
     ext = base.complement_in(e1p)
@@ -734,15 +675,11 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     if pq_part != maximal_pq(u):
         raise AssertionError("nilpotent kernel part disagrees with the maximal part")
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
-    real_rows = []
-    for e2 in e2prime.mat.rows:
-        coeffs = e2_proj.coordinates_of(e2)
-        img = [F0] * (u.ambient // 2)
-        for c, trow in zip(coeffs, t_rows):
-            if c != 0:
-                for j, val in enumerate(trow):
-                    img[j] += c * val
-        real_rows.append(basis.assemble(img, e2).coords)
+    e2_coords = Mat([e2_proj.coordinates_of(e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
+    real_rows = [
+        basis.assemble(img, e2).coords
+        for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
+    ]
     real_part = Subspace.span(real_rows, u.ambient)
     if not direct_sum_is(u, [p for p in (pq_part, piece.span(), real_part) if p.dim]):
         raise AssertionError("nilpotent decomposition does not recompose")
@@ -767,16 +704,16 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
 def is_real(u: Subspace) -> bool:
     """AU ^ U = 0 for every structure operator A: pure, no decomposable
     vectors, and the invariant core W* of any graph presentation is zero."""
-    if u.dim == 0:
-        return True
-    if not maximal_pq(u).is_zero():
-        return False
-    h = find_transversal_direction(u)
-    if h is None:
-        return False  # pure but every direction carries decomposable vectors
-    form = injectivize(to_uft(u, transversal_basis(h)))
-    core, _ = invariant_core(form)
-    return core.is_zero()
+
+    def compute():
+        # U0 != 0 also leaves no transversal direction, but graph_form would
+        # find that only after trying dim U + 2 directions; U0 is memoized
+        if not maximal_pq(u).is_zero():
+            return False
+        form = graph_form(u)
+        return form is not None and invariant_core(injectivize(form))[0].is_zero()
+
+    return u.dim == 0 or u.memo("is_real", compute)
 
 
 @dataclass(frozen=True)
@@ -801,19 +738,12 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
         raise ValueError("totally-real check needs a nondegenerate subspace")
     if u.dim == 0:
         return TotallyRealReport(True, True, True, True, (True, True, True), True)
-    h = find_transversal_direction(u)
-    form = to_uft(u, transversal_basis(h))
+    form = graph_form(u)
     e1 = form.f_space
     e2 = form.t_image()
     o1 = restrict_omega(ms, e1).is_zero()
     o2 = restrict_omega(ms, e2).is_zero()
-    c = Mat(
-        tuple(
-            tuple(ms.omega_eval(f, form.t_map.col(j)) for j in range(form.dim))
-            for f in e1.mat.rows
-        ),
-        ncols=form.dim,
-    )
+    c = e1.mat @ ms.omega @ form.t_map
     skew = c.is_symmetric()  # omega(e, Te') = -omega(Te, e') for all pairs
     routes = tuple(
         is_orthogonal(ms, image(op, u), u) for op in (OP_I, OP_J, OP_K)
@@ -825,10 +755,8 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     if conditions:
         if not e1.intersect(e2).is_zero():
             raise AssertionError("totally real forces E1 ^ E2 = 0")
-        vs = [form.h_basis.assemble(f, form.t_map.col(j)) for j, f in enumerate(e1.mat.rows)]
-        gm = Mat(
-            tuple(tuple(ms.metric(x, y) for y in vs) for x in vs), ncols=form.dim
-        )
+        vs = form.graph_basis()
+        gm = vs @ ms.metric_matrix() @ vs.T
         metric_ok = gm == c.scale(2)
         if not metric_ok:
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
@@ -881,13 +809,6 @@ def _direction_completion(k) -> HBasisChange:
     return HBasisChange.from_columns((a, b), w)
 
 
-def _graph_over_sub(form: UFTForm, sub: Subspace) -> Subspace:
-    rows = []
-    for f in sub.mat.rows:
-        rows.append(form.h_basis.assemble(f, form.apply_t(f)).coords)
-    return Subspace.span(rows, 2 * form.dim_e)
-
-
 def _decompose_pure(u_pure: Subspace):
     """Pure-part decomposition: factor kernels of the core minimal
     polynomial become invariant addends; the residue is certified real or
@@ -900,8 +821,8 @@ def _decompose_pure(u_pure: Subspace):
 
     if u_pure.dim == 0:
         return [], Subspace.zero(u_pure.ambient)
-    h = find_transversal_direction(u_pure)
-    if h is None:
+    form = graph_form(u_pure)
+    if form is None:
         hmin, fib = minimal_fiber_direction(u_pure)
         piece = decomposable_subspace(hmin, fib)
         witness = operator_in_basis(
@@ -913,7 +834,7 @@ def _decompose_pure(u_pure: Subspace):
         rest = piece.complement_in(u_pure)
         sub_addends, sub_real = _decompose_pure(rest)
         return [addend] + sub_addends, sub_real
-    form = injectivize(to_uft(u_pure, transversal_basis(h)))
+    form = injectivize(form)
     core, t_core = invariant_core(form)
     if core.is_zero():
         return [], u_pure
@@ -924,9 +845,9 @@ def _decompose_pure(u_pure: Subspace):
     addends = []
     kernel_total = Subspace.zero(form.dim_e)
     for poly, _mult in factors:
-        ker = _lift_combos(poly_eval_matrix(poly, t_core).kernel(), core)
+        ker = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
         kernel_total = kernel_total.sum(ker)
-        graph = _graph_over_sub(form, ker)
+        graph = graph_over(form, ker)
         deg = poly_deg(poly)
         if deg == 1:
             lam = -poly[0]
@@ -945,7 +866,7 @@ def _decompose_pure(u_pure: Subspace):
             raise AssertionError("constructed addend witness fails invariance")
         addends.append(Addend(kind, graph, witness, tuple(poly)))
     residual_f = kernel_total.complement_in(form.f_space)
-    residue = _graph_over_sub(form, residual_f)
+    residue = graph_over(form, residual_f)
     if residue.dim == 0 or is_real(residue):
         return addends, residue
     sub_addends, sub_real = _decompose_pure(residue)
@@ -1088,11 +1009,7 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
     if real and hermitian:
         trrep = check_totally_real(ms, u)
         totally_real = trrep.totally_real
-    uft_form = None
-    if pure:
-        h = find_transversal_direction(u)
-        if h is not None:
-            uft_form = to_uft(u, transversal_basis(h))
+    uft_form = graph_form(u) if pure else None
     flags = Flags(
         para_quaternionic=pqr.is_pq,
         pure=pure,
@@ -1157,14 +1074,18 @@ def oracle_check(
         check("empty-subspace", True, "vacuous")
         return out
 
-    u0 = maximal_pq(u)
+    # U0 = H (x) E0 with E0 the common fiber of h1 and h2, and the signature
+    # from the metric pair by pair: neither shares a memo with classify
+    u0 = product_subspace(h_fiber(u, (1, 0)).intersect(h_fiber(u, (0, 1))))
     check("u0-matches", u0 == report.u0)
     check("pure-flag", report.flags.pure == u0.is_zero())
     check(
         "pq-flag",
         report.flags.para_quaternionic == (u == product_subspace(p1p2(u)[0])),
     )
-    sig = signature(ms, u)
+    vecs = u.basis_vectors
+    pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)
+    sig = SignatureTriple(*symmetric_signature(pairwise))
     check("signature", sig.as_tuple() == report.signature.as_tuple())
     check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
     dim_e = ms.dim_e
@@ -1196,15 +1117,10 @@ def oracle_check(
         a = Operator(rng.rational(), rng.rational(), rng.rational())
         if a.is_zero():
             continue
-        coeffs = rng.rationals(u.dim)
-        x = [F0] * u.ambient
-        for c, row in zip(coeffs, u.mat.rows):
-            if c != 0:
-                for j, v in enumerate(row):
-                    x[j] += c * v
-        ax = a.apply_coords(tuple(x))
+        (x,) = (Mat((rng.rationals(u.dim),), ncols=u.dim) @ u.mat).rows
+        ax = a.apply_coords(x)
         if any(v != 0 for v in ax) and u.contains_vector(ax):
-            violation = (a, tuple(x))
+            violation = (a, x)
             break
     if report.flags.real:
         check(
@@ -1251,13 +1167,14 @@ def oracle_check(
             ):
                 continue
             bu = image(b, u)
-            if u.sum(bu).dim != u.dim + bu.dim:  # B U meets U
+            # B U meets U iff its basis is dependent modulo U
+            residues = Mat([u.reduce(r) for r in bu.mat.rows], ncols=u.ambient)
+            if residues.rank() != bu.dim:
                 check("pure-complex-moves-off", False, f"B={b}")
                 break
         else:
             check("pure-complex-moves-off", True)
     # Hermitian product norm invariance under admissible basis changes
-    vecs = u.basis_vectors
     for _ in range(2):
         x = vecs[rng.below(len(vecs))]
         y = vecs[rng.below(len(vecs))]

@@ -26,7 +26,7 @@ from .instances import (
 from .model import StructureError, standardize
 from .rng import Rng
 from .subspace import signature
-from .uft import decompose_form1, decompose_form2, to_uft, transversal_basis
+from .uft import decompose_form1, decompose_form2, graph_form, to_uft
 
 
 class CrossCheckError(RuntimeError):
@@ -37,6 +37,19 @@ def _fmt_sig(sig):
     return f"({sig.p},{sig.s},{sig.q})"
 
 
+def _load(path):
+    """The instance at path, with its warnings printed to stderr."""
+    ms, u, h_basis, warnings = load_instance(path)
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
+    return ms, u, h_basis
+
+
+def _check_n(n):
+    if n < 1:
+        raise InstanceError("n must be a positive integer")
+
+
 def _print_subspace(label, u, out):
     out.append(f"{label}: dim {u.dim}")
     for row in u.mat.rows:
@@ -44,9 +57,7 @@ def _print_subspace(label, u, out):
 
 
 def cmd_classify(args) -> int:
-    ms, u, _h, warnings = load_instance(args.path)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ms, u, _h = _load(args.path)
     report = classify(ms, u)
     findings = oracle_check(ms, report, u, seed=0)
     bad = [f for f in findings if not f.ok]
@@ -85,9 +96,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_signature(args) -> int:
-    ms, u, _h, warnings = load_instance(args.path)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ms, u, _h = _load(args.path)
     sig = signature(ms, u)
     if args.json:
         sys.stdout.write(canonical_json({"signature": list(sig.as_tuple())}))
@@ -97,11 +106,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_uft(args) -> int:
-    from .uft import find_transversal_direction
-
-    ms, u, h_basis, warnings = load_instance(args.path)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ms, u, h_basis = _load(args.path)
     if h_basis is not None:
         try:
             form = to_uft(u, h_basis)
@@ -109,15 +114,14 @@ def cmd_uft(args) -> int:
             print(f"no graph form in the given basis: {exc}")
             return 0
     else:
-        h = find_transversal_direction(u)
-        if h is None:
+        form = graph_form(u)
+        if form is None:
             msg = "no transversal direction: the subspace meets h (x) E for every h"
             if args.json:
                 sys.stdout.write(canonical_json({"uft": None, "reason": msg}))
             else:
                 print(msg)
             return 0
-        form = to_uft(u, transversal_basis(h))
     data = {
         "h_basis": format_matrix(form.h_basis.mat),
         "F": subspace_dict(form.f_space),
@@ -135,9 +139,7 @@ def cmd_uft(args) -> int:
 
 
 def cmd_product(args) -> int:
-    ms, u, h_basis, warnings = load_instance(args.path)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ms, u, h_basis = _load(args.path)
     vs = u.basis_vectors
     if not (0 <= args.x < len(vs)) or not (0 <= args.y < len(vs)):
         raise InstanceError("vector indices out of range")
@@ -186,9 +188,7 @@ def cmd_standardize(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    ms, u, _h, warnings = load_instance(args.path)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ms, u, _h = _load(args.path)
     data = {"mode": args.mode}
     out = [f"mode: {args.mode}"]
     if args.mode == "form1":
@@ -302,6 +302,7 @@ def cmd_decompose(args) -> int:
 def cmd_gen(args) -> int:
     if args.kind not in KINDS:
         raise InstanceError(f"unknown kind {args.kind!r}; choose from {', '.join(KINDS)}")
+    _check_n(args.n)
     rng = Rng(args.seed)
     ms = standard_model(args.n)
     u = generate(rng, args.n, args.kind, args.dim)
@@ -310,6 +311,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _check_n(args.n)
+    if args.samples < 0:
+        raise InstanceError("samples must be a nonnegative integer")
     rng = Rng(args.seed)
     ms = standard_model(args.n)
     total = 0

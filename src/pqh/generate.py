@@ -12,6 +12,7 @@ from .linalg import F0, F1, Mat
 from .model import HBasisChange, ModelSpace, standard_symplectic, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
+from .uft import UFTForm
 
 KINDS = (
     "generic",
@@ -53,35 +54,15 @@ def random_sl2(rng: Rng) -> HBasisChange:
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
-    dim_e = u.ambient // 2
+    eye = Mat.identity(u.ambient // 2)
     (p, q), (r, t) = s.mat.rows
-    rows = []
-    for row in u.mat.rows:
-        e, ep = row[:dim_e], row[dim_e:]
-        new_e = tuple(p * x + q * y for x, y in zip(e, ep))
-        new_ep = tuple(r * x + t * y for x, y in zip(e, ep))
-        rows.append(new_e + new_ep)
-    return Subspace.span(rows, u.ambient)
+    blocks = eye.scale(p).hstack(eye.scale(r)).vstack(eye.scale(q).hstack(eye.scale(t)))
+    return Subspace(u.mat @ blocks)
 
 
 def _graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
-    rows = []
-    for j, f in enumerate(f_sub.mat.rows):
-        rows.append((tensor((1, 0), f) + tensor((0, 1), t_cols.col(j))).coords)
-    return Subspace.span(rows, 2 * f_sub.ambient)
-
-
-def _lift_t(f_sub: Subspace, t_local: Mat) -> Mat:
-    """Turn a matrix on the canonical basis of F into ambient image columns."""
-    cols = []
-    for j in range(f_sub.dim):
-        img = [F0] * f_sub.ambient
-        for i, c in enumerate(t_local.col(j)):
-            if c != 0:
-                for jj, val in enumerate(f_sub.mat.rows[i]):
-                    img[jj] += c * val
-        cols.append(tuple(img))
-    return Mat.from_cols(cols, nrows=f_sub.ambient)
+    """The graph of T over h1 = (1, 0); column j of t_cols is T of row j of F."""
+    return UFTForm(HBasisChange.identity(), f_sub, t_cols).span()
 
 
 def _block_rotation(k: int) -> Mat:
@@ -129,7 +110,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
                 plus = k  # force unequal eigenspace dimensions
             base = _reflection(k, min(plus, k))
         t_local = p @ base @ p.inverse()
-        u = _graph(f_sub, _lift_t(f_sub, t_local))
+        u = _graph(f_sub, f_sub.mat.T @ t_local)
         return twist_h(u, random_sl2(rng))
     if kind in ("totally_complex", "totally_para_complex"):
         m = (dim // 2) if dim else 1 + rng.below(n)
@@ -145,7 +126,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         f_sub = Subspace.span(rows, dim_e)
         k = 2 * m
         base = _block_rotation(k) if kind == "totally_complex" else _tpc_blocks(k)
-        u = _graph(f_sub, _lift_t(f_sub, base))
+        u = _graph(f_sub, f_sub.mat.T @ base)
         return twist_h(u, random_sl2(rng))
     if kind == "nilpotent":
         k1 = dim if dim is not None else 1 + rng.below(n)

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .classify import ClassificationReport
 from .linalg import Mat
-from .model import HBasisChange, ModelSpace, StructureError
+from .model import HBasisChange, ModelSpace
 from .subspace import Subspace
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9][0-9]*)?$")
@@ -44,6 +44,8 @@ def _load_json(text: str):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or a numeral past the int-string limit
         raise InstanceError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise InstanceError("invalid JSON: nesting too deep") from None
 
 
 def format_rational(x: Fraction) -> str:

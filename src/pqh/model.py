@@ -174,10 +174,6 @@ def operator_from_mat2(m: Mat) -> Operator:
     return Operator(q.q1, q.q2, q.q3)
 
 
-def apply_operator(a: Operator, x: Vector) -> Vector:
-    return a.apply(x)
-
-
 @dataclass(frozen=True)
 class HBasisChange:
     """A symplectic basis change of H; columns are the new basis vectors."""
@@ -228,16 +224,8 @@ class HBasisChange:
 
     def triple(self) -> tuple:
         """The admissible basis (I', J', K') attached to this H-basis."""
-        return _triple_of(self.mat)
-
-
-from functools import lru_cache
-
-
-@lru_cache(maxsize=1024)
-def _triple_of(s: Mat) -> tuple:
-    sinv = s.inverse()
-    return tuple(operator_from_mat2(s @ m @ sinv) for m in (MAT_I, MAT_J, MAT_K))
+        s, sinv = self.mat, self.mat.inverse()
+        return tuple(operator_from_mat2(s @ m @ sinv) for m in (MAT_I, MAT_J, MAT_K))
 
 
 def change_admissible_basis(s: HBasisChange, a: Operator) -> Operator:

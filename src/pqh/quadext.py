@@ -100,9 +100,6 @@ class QuadExt:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_rational(self):
-        return self.b == 0
-
     def conj(self):
         return QuadExt(self.a, -self.b, self.c)
 

@@ -3,7 +3,16 @@
 A subspace is held by the unique reduced-echelon basis of its row
 space, so equality of subspaces is equality of matrices.  Everything
 (sums, intersections, complements, Gram matrices, signatures) is
-computed with zero tolerance.
+computed with zero tolerance; combinations of basis rows and Gram
+matrices are integer matrix products (``Mat.__matmul__``).
+
+Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
+the facts every check reads are computed once per instance: the integer
+basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
+(keyed by the model space) and ``is_real``.  It holds only such small
+facts.  Graph forms are deliberately left out: callers keep many
+instances alive, and a graph form per instance costs more memory than
+rebuilding it saves.  There are no module-level caches.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from .linalg import F0, F1, Mat, _int_row, symmetric_signature, vec_is_zero
-from .model import HBasisChange, ModelSpace, Operator, Vector, tensor
+from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, tensor
 
 
 @dataclass(frozen=True)
@@ -40,16 +49,22 @@ class SignatureTriple:
 class Subspace:
     """A linear subspace of Q^d in canonical reduced-echelon form."""
 
-    __slots__ = ("mat", "pivots", "_int_basis")
+    __slots__ = ("mat", "pivots", "_memo")
 
     def __init__(self, mat: Mat):
         mat, pivots = mat.rref()
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "pivots", tuple(pivots))
-        object.__setattr__(self, "_int_basis", None)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
+
+    def memo(self, key, compute):
+        """The value of ``compute()`` for this instance, computed once per key."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     @classmethod
     def span(cls, rows: Iterable[Sequence], ambient: int) -> "Subspace":
@@ -103,10 +118,9 @@ class Subspace:
         pivot p), v - v[p] * row = (e*V - V[p]*R) / (D*e).  Entries may be
         ints or Fractions; the result is Fractions.
         """
-        if self._int_basis is None:
-            object.__setattr__(self, "_int_basis", [_int_row(r) for r in self.mat.rows])
+        basis = self.memo("int_basis", lambda: [_int_row(r) for r in self.mat.rows])
         V, D = _int_row(v)
-        for (R, e), p in zip(self._int_basis, self.pivots):
+        for (R, e), p in zip(basis, self.pivots):
             c = V[p]
             if c:
                 V = [e * x - c * y for x, y in zip(V, R)]
@@ -151,18 +165,9 @@ class Subspace:
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(self.ambient)
         # x = c . basis(self) = c' . basis(other); solve for (c, -c')
-        stacked = self.mat.vstack(other.mat).T
-        combos = stacked.kernel()
-        rows = []
-        for combo in combos.rows:
-            cself = combo[: self.dim]
-            x = [F0] * self.ambient
-            for coef, row in zip(cself, self.mat.rows):
-                if coef != 0:
-                    for j, val in enumerate(row):
-                        x[j] += coef * val
-            rows.append(tuple(x))
-        return Subspace.span(rows, self.ambient)
+        combos = self.mat.vstack(other.mat).T.kernel()
+        cself = Mat(tuple(c[: self.dim] for c in combos.rows), ncols=self.dim)
+        return Subspace(cself @ self.mat)
 
     def __and__(self, other):
         return self.intersect(other)
@@ -183,13 +188,10 @@ class Subspace:
         """Canonical complement of self inside larger (self must be inside)."""
         if not larger.contains(self):
             raise ValueError("complement_in needs a containing subspace")
-        taken = self
-        rows = []
-        for r in larger.mat.rows:
-            cand = taken.sum(Subspace.span((r,), self.ambient))
-            if cand.dim > taken.dim:
-                rows.append(r)
-                taken = cand
+        # the rows of larger, in order, that leave the span of self and the
+        # rows before them: the pivot columns of [self; larger]^T past self
+        _, pivots = self.mat.vstack(larger.mat).T.rref()
+        rows = [larger.mat.rows[p - self.dim] for p in pivots if p >= self.dim]
         return Subspace.span(rows, self.ambient)
 
     def preimage_by(self, m: Mat) -> "Subspace":
@@ -247,63 +249,47 @@ def p1p2(u: Subspace, basis: HBasisChange | None = None):
 
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     """{e in E : h (x) e in U}, the fiber of the direction h."""
-    half = u.ambient // 2
     a, b = h
     if a == 0 and b == 0:
         raise ValueError("direction must be nonzero")
-    pivset = set(u.pivots)
-    free = [j for j in range(u.ambient) if j not in pivset]
-    rows = []
-    for r in range(half):
-        e = [F0] * half
-        e[r] = F1
-        red = u.reduce(tensor((a, b), e).coords)
-        rows.append(tuple(red[j] for j in free))
-    qmat = Mat(rows, ncols=len(free))
-    return Subspace(qmat.T.kernel())
+    eye = Mat.identity(u.ambient // 2)
+    return u.preimage_by(eye.scale(a).vstack(eye.scale(b)))
 
 
 def gram(ms: ModelSpace, u: Subspace) -> Mat:
     """Gram matrix of the metric on the canonical basis of U."""
-    vs = u.basis_vectors
-    return Mat(
-        tuple(tuple(ms.metric(x, y) for y in vs) for x in vs), ncols=u.dim
-    )
+    return u.mat @ ms.metric_matrix() @ u.mat.T
 
 
 def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
-    return SignatureTriple(*symmetric_signature(gram(ms, u)))
+    return u.memo(
+        ("signature", ms), lambda: SignatureTriple(*symmetric_signature(gram(ms, u)))
+    )
 
 
 def ortho_complement(ms: ModelSpace, u: Subspace) -> Subspace:
     """{y : g(x, y) = 0 for all x in U}; dimension 4n - dim U."""
-    g = ms.metric_matrix()
-    rows = [g.mul_vec(r) for r in u.mat.rows]
-    if not rows:
+    if u.dim == 0:
         return Subspace.full(u.ambient)
-    return Subspace(Mat(rows, ncols=u.ambient).kernel())
+    return Subspace((u.mat @ ms.metric_matrix()).kernel())
 
 
 def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
-    return all(
-        ms.metric(x, y) == 0 for x in u.basis_vectors for y in w.basis_vectors
-    )
+    return (u.mat @ ms.metric_matrix() @ w.mat.T).is_zero()
 
 
-from functools import lru_cache
-
-
-@lru_cache(maxsize=4096)
 def maximal_pq(u: Subspace) -> Subspace:
     """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace."""
-    from .model import OP_I, OP_J, OP_K
 
-    u0 = u
-    for op in (OP_I, OP_J, OP_K):
-        u0 = u0.intersect(image(op, u))
-        if u0.is_zero():
-            return u0
-    return u0
+    def compute():
+        u0 = u
+        for op in (OP_I, OP_J, OP_K):
+            u0 = u0.intersect(image(op, u))
+            if u0.is_zero():
+                break
+        return u0
+
+    return u.memo("u0", compute)
 
 
 def is_pure(u: Subspace) -> bool:
@@ -330,18 +316,11 @@ def decomposable_subspace(h: Sequence, e_sub: Subspace) -> Subspace:
 def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspace:
     """ker omega^E(A x B) taken inside B: the b with omega(a, b) = 0 for all
     a in A.  (The convention is deliberately asymmetric.)"""
-    rows = []
-    for a in a_sub.mat.rows:
-        rows.append(ms.omega.T.mul_vec(a))
-    if not rows:
+    if a_sub.dim == 0:
         return b_sub
-    constraints = Mat(rows, ncols=ms.dim_e)
-    return b_sub.intersect(Subspace(constraints.kernel()))
+    return b_sub.intersect(Subspace((a_sub.mat @ ms.omega).kernel()))
 
 
 def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:
     """Matrix of omega^E restricted to the canonical basis of a subspace of E."""
-    b = e_sub.mat.rows
-    return Mat(
-        tuple(tuple(ms.omega_eval(x, y) for y in b) for x in b), ncols=e_sub.dim
-    )
+    return e_sub.mat @ ms.omega @ e_sub.mat.T

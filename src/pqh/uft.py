@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .linalg import F0, F1, Mat, _eliminate
-from .model import HBasisChange, ModelSpace, StructureError, tensor
+from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import factor, poly_deg, poly_eval_matrix
 from .subspace import (
     Subspace,
@@ -51,10 +51,17 @@ class UFTForm:
         return self.f_space.ambient
 
     def span(self) -> Subspace:
-        rows = []
-        for j, f in enumerate(self.f_space.mat.rows):
-            rows.append(self.h_basis.assemble(f, self.t_map.col(j)).coords)
-        return Subspace.span(rows, 2 * self.dim_e)
+        return Subspace(self.graph_basis())
+
+    def graph_basis(self) -> Mat:
+        """The graph vectors over the canonical basis of F, in its order."""
+        return Mat(
+            [
+                self.h_basis.assemble(f, tf).coords
+                for f, tf in zip(self.f_space.mat.rows, self.t_map.cols)
+            ],
+            ncols=2 * self.dim_e,
+        )
 
     def apply_t(self, f) -> tuple:
         """Image under T of a vector of F (given in E coordinates)."""
@@ -91,6 +98,12 @@ def find_transversal_direction(u: Subspace):
     if h_fiber(u, h).is_zero():
         return h
     return None
+
+
+def graph_form(u: Subspace) -> UFTForm | None:
+    """U as a graph over the first transversal direction, or None."""
+    h = find_transversal_direction(u)
+    return None if h is None else to_uft(u, transversal_basis(h))
 
 
 def transversal_basis(h) -> HBasisChange:
@@ -230,16 +243,7 @@ def invariant_core(u: UFTForm):
         pivset = set(w.pivots)
         free = [j for j in range(w.ambient) if j not in pivset]
         qrows = [tuple(w.reduce(img)[j] for j in free) for img in images]
-        combos = Mat(qrows, ncols=len(free)).T.kernel()
-        rows = []
-        for combo in combos.rows:
-            x = [F0] * w.ambient
-            for coef, row in zip(combo, w.mat.rows):
-                if coef != 0:
-                    for j, val in enumerate(row):
-                        x[j] += coef * val
-            rows.append(tuple(x))
-        w_new = Subspace.span(rows, w.ambient)
+        w_new = Subspace(Mat(qrows, ncols=len(free)).T.kernel() @ w.mat)
         if w_new == w:
             break
         w = w_new
@@ -276,33 +280,25 @@ class PencilSpectrum:
 def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
     """All rational decomposable directions of a pure subspace with their
     fibers, plus the irreducible (degree >= 2) part of the core spectrum."""
-    if not maximal_pq(u).is_zero():
-        raise StructureError("spectrum needs a pure subspace; strip U0 first")
     if u.dim == 0:
         return PencilSpectrum((), ())
-    h = find_transversal_direction(u)
-    if h is None:
+    form = graph_form(u)
+    if form is None:
+        # U0 != 0 puts h (x) E0 inside U for every h, so no direction is transversal
+        if not maximal_pq(u).is_zero():
+            raise StructureError("spectrum needs a pure subspace; strip U0 first")
         raise StructureError(
             "not a graph subspace: every direction has a nonzero fiber, "
             "so the decomposable spectrum is not a finite list"
         )
-    form = injectivize(to_uft(u, transversal_basis(h)))
+    form = injectivize(form)
     core, t_core = invariant_core(form)
     lines = []
     blocks = []
     if core.dim:
         _, factors = factor(t_core.charpoly())
         for poly, _mult in factors:
-            ker = poly_eval_matrix(poly, t_core).kernel()
-            fiber_rows = []
-            for combo in ker.rows:
-                x = [F0] * core.ambient
-                for coef, row in zip(combo, core.mat.rows):
-                    if coef != 0:
-                        for j, val in enumerate(row):
-                            x[j] += coef * val
-                fiber_rows.append(tuple(x))
-            fiber = Subspace.span(fiber_rows, core.ambient)
+            fiber = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
             if poly_deg(poly) == 1:
                 lam = -poly[0]
                 direction = normalize_direction(
@@ -468,24 +464,10 @@ def _no_rational_eigenvalue_map(dim: int) -> Mat:
     return Mat(rows)
 
 
-def _graph_over(form: UFTForm, sub: Subspace) -> Subspace:
+def graph_over(form: UFTForm, sub: Subspace) -> Subspace:
     """The part of the graph lying over a subspace of F."""
-    rows = []
-    for f in sub.mat.rows:
-        rows.append(form.h_basis.assemble(f, form.apply_t(f)).coords)
+    rows = [form.h_basis.assemble(f, form.apply_t(f)).coords for f in sub.mat.rows]
     return Subspace.span(rows, 2 * form.dim_e)
-
-
-def _lift_combo_rows(combos: Mat, space: Subspace) -> Subspace:
-    rows = []
-    for combo in combos.rows:
-        x = [F0] * space.ambient
-        for coef, row in zip(combo, space.mat.rows):
-            if coef != 0:
-                for j, val in enumerate(row):
-                    x[j] += coef * val
-        rows.append(tuple(x))
-    return Subspace.span(rows, space.ambient)
 
 
 def _form2_graph(form: UFTForm):
@@ -506,7 +488,7 @@ def _form2_graph(form: UFTForm):
         if poly_deg(poly) != 1:
             continue
         lam = -poly[0]
-        fiber = _lift_combo_rows(poly_eval_matrix(poly, t_core).kernel(), core)
+        fiber = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
         direction = normalize_direction(_std_direction(inj.h_basis, (F1, lam)))
         eigens.append((fiber, direction))
     if not eigens:
@@ -520,7 +502,7 @@ def _form2_graph(form: UFTForm):
         all_eigen = all_eigen.sum(g)
     rest = all_eigen.complement_in(inj.f_space)
     s_space = free_part.sum(rest)
-    return [DecomposablePiece(top_dir, top_fiber)], _graph_over(inj, s_space)
+    return [DecomposablePiece(top_dir, top_fiber)], graph_over(inj, s_space)
 
 
 def _form2_pure(x: Subspace):
@@ -546,10 +528,7 @@ def decompose_form2(u: Subspace) -> Form2:
     dim_e = dim_v // 2
     u0 = maximal_pq(u)
     e0 = p1p2(u0)[0]
-    if u0.is_zero():
-        u_prime = u
-    else:
-        u_prime = clean_complement(u, u0, e0)
+    u_prime = u if u0.is_zero() else clean_complement(u, u0, e0)
     pieces, tilde = _form2_pure(u_prime)
     used_dirs = [p.direction for p in pieces]
     graph_parts = [tilde] if tilde.dim else []
@@ -570,30 +549,16 @@ def decompose_form2(u: Subspace) -> Form2:
         used_dirs.extend(fresh)
         if e0.dim > 1:
             t0 = _no_rational_eigenvalue_map(e0.dim)
-            rows = []
-            for i, f in enumerate(e0.mat.rows):
-                img = [F0] * dim_e
-                for jj, coef in enumerate(t0.col(i)):
-                    if coef != 0:
-                        for jdx, val in enumerate(e0.mat.rows[jj]):
-                            img[jdx] += coef * val
-                vec = tensor((1, 0), f) + tensor((0, 1), img)
-                rows.append(vec.coords)
-            graph_parts.append(Subspace.span(rows, dim_v))
+            graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
     tilde = Subspace.zero(dim_v)
     for g in graph_parts:
         tilde = tilde.sum(g)
     if tilde.is_zero():
-        graph = UFTForm(
-            HBasisChange.identity(),
-            Subspace.zero(dim_e),
-            Mat(tuple(() for _ in range(dim_e)), ncols=0),
-        )
+        graph = _empty_form(dim_e)
     else:
-        ht = find_transversal_direction(tilde)
-        if ht is None:
+        graph = graph_form(tilde)
+        if graph is None:
             raise AssertionError("form 2 residue is not a graph subspace")
-        graph = to_uft(tilde, transversal_basis(ht))
     parts = [p.span() for p in pieces] + ([tilde] if not tilde.is_zero() else [])
     if not direct_sum_is(u, parts):
         raise AssertionError("form 2 does not recompose")

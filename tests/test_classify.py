@@ -588,6 +588,36 @@ class TestOracle:
                 findings = oracle_check(ms2, rep, u, seed=seed)
                 assert not [f.name for f in findings if not f.ok]
 
+    # H (x) span(e1) plus one more vector: U0 has dimension 2, the stabilizer
+    # is zero, so classify runs no witness check that would notice a wrong
+    # U0 or signature by itself
+    MIXED = [(1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 0), (0, 1, 10, -14, 0, 0, 8, 8)]
+
+    def _failed_with_patch(self, monkeypatch, ms, name, fake):
+        """Oracle findings that fail after classify ran with a wrong ``name``."""
+        import sys
+
+        module = sys.modules["pqh.classify"]  # ``pqh.classify`` is the function
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: fake(real(*args)))
+        u = Subspace.span(self.MIXED, 8)
+        findings = oracle_check(ms, classify(ms, u), u)
+        return {f.name for f in findings if not f.ok}
+
+    def test_oracle_u0_independent_of_classify(self, ms2, monkeypatch):
+        bad = self._failed_with_patch(
+            monkeypatch, ms2, "maximal_pq", lambda u0: Subspace.zero(8)
+        )
+        assert {"u0-matches", "pure-flag"} <= bad
+
+    def test_oracle_signature_independent_of_classify(self, ms2, monkeypatch):
+        from pqh.subspace import SignatureTriple
+
+        bad = self._failed_with_patch(
+            monkeypatch, ms2, "signature", lambda s: SignatureTriple(s.p + 1, s.s, s.q)
+        )
+        assert "signature" in bad
+
 
 class TestFlagConsistency:
     def test_consistency_random(self, ms2):

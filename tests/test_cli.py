@@ -156,6 +156,40 @@ class TestParsing:
         assert "Traceback" not in err
 
 
+class TestContract:
+    """Bad arguments and hostile files exit 2 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("gen", "--n", "0"),
+            ("gen", "--n", "-3"),
+            ("oracle", "--n", "0"),
+            ("oracle", "--n", "-3"),
+            ("oracle", "--samples", "-5"),
+        ],
+    )
+    def test_bad_sizes_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["classify", "signature", "standardize"])
+    def test_deep_nesting_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_zero_samples_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--samples", "0", "--n", "1")
+        assert code == 0
+        assert out == "ran 0 checks over 0 generated instances\nno violations\n"
+
+
 class TestCommands:
     def test_classify_totally_real(self, totally_real_instance, capsys):
         code, out, _ = run_cli(capsys, "classify", totally_real_instance)

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_subspace, random_sl2, unit
 from pqh.linalg import Mat
-from pqh.model import OP_I, OP_J, OP_K, Operator, tensor
+from pqh.model import OP_I, OP_J, OP_K, ModelSpace, Operator, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -12,6 +15,7 @@ from pqh.subspace import (
     gram,
     h_fiber,
     image,
+    is_orthogonal,
     is_pure,
     maximal_pq,
     omega_kernel_in,
@@ -213,3 +217,186 @@ class TestFibersAndKernels:
     def test_restrict_omega(self, ms2):
         ep = Subspace.span([unit(4, 0), unit(4, 1)], 4)
         assert restrict_omega(ms2, ep) == Mat(((0, 1), (-1, 0)))
+
+
+# -- the replaced loop versions, kept as references -------------------------
+
+
+def ref_intersect(u, w):
+    if u.dim == 0 or w.dim == 0:
+        return Subspace.zero(u.ambient)
+    combos = u.mat.vstack(w.mat).T.kernel()
+    rows = []
+    for combo in combos.rows:
+        x = [Fraction(0)] * u.ambient
+        for coef, row in zip(combo[: u.dim], u.mat.rows):
+            if coef != 0:
+                for j, val in enumerate(row):
+                    x[j] += coef * val
+        rows.append(tuple(x))
+    return Subspace.span(rows, u.ambient)
+
+
+def ref_complement_in(small, larger):
+    taken = small
+    rows = []
+    for r in larger.mat.rows:
+        cand = taken.sum(Subspace.span((r,), small.ambient))
+        if cand.dim > taken.dim:
+            rows.append(r)
+            taken = cand
+    return Subspace.span(rows, small.ambient)
+
+
+def ref_h_fiber(u, h):
+    half = u.ambient // 2
+    a, b = h
+    pivset = set(u.pivots)
+    free = [j for j in range(u.ambient) if j not in pivset]
+    rows = []
+    for r in range(half):
+        e = [Fraction(0)] * half
+        e[r] = Fraction(1)
+        red = u.reduce(tensor((a, b), e).coords)
+        rows.append(tuple(red[j] for j in free))
+    return Subspace(Mat(rows, ncols=len(free)).T.kernel())
+
+
+def ref_gram(ms, u):
+    vs = u.basis_vectors
+    return Mat(tuple(tuple(ms.metric(x, y) for y in vs) for x in vs), ncols=u.dim)
+
+
+def ref_is_orthogonal(ms, u, w):
+    return all(ms.metric(x, y) == 0 for x in u.basis_vectors for y in w.basis_vectors)
+
+
+def ref_restrict_omega(ms, e_sub):
+    b = e_sub.mat.rows
+    return Mat(tuple(tuple(ms.omega_eval(x, y) for y in b) for x in b), ncols=e_sub.dim)
+
+
+small_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+huge_entries = st.builds(Fraction, st.integers(-(10**100), 10**100), st.integers(1, 10**100))
+
+
+def combine(coeffs, rows, ambient):
+    x = [Fraction(0)] * ambient
+    for c, row in zip(coeffs, rows):
+        for j, val in enumerate(row):
+            x[j] += c * val
+    return tuple(x)
+
+
+@st.composite
+def subspaces(draw, ambient, entries=None, inside=None):
+    """Zero, full, spanning or rank-deficient subspaces of Q^ambient, or
+    of the given subspace ``inside`` (there also spans of some of its
+    canonical basis rows)."""
+    if entries is None:
+        entries = draw(st.sampled_from([small_entries, huge_entries]))
+    outer = inside if inside is not None else Subspace.full(ambient)
+    kind = draw(st.sampled_from(["zero", "full", "dense", "rank_deficient", "basis_rows"]))
+    if kind == "zero" or outer.dim == 0:
+        return Subspace.zero(ambient)
+    if kind == "full":
+        return outer
+    if kind == "basis_rows":
+        keep = draw(st.lists(st.booleans(), min_size=outer.dim, max_size=outer.dim))
+        return Subspace.span([r for r, k in zip(outer.mat.rows, keep) if k], ambient)
+    gens = draw(st.integers(1, outer.dim))
+    if kind == "rank_deficient":
+        gens = draw(st.integers(0, gens - 1))
+    vector = st.lists(entries, min_size=outer.dim, max_size=outer.dim)
+    base = [combine(c, outer.mat.rows, ambient) for c in draw(st.lists(vector, min_size=gens, max_size=gens))]
+    nrows = draw(st.integers(gens, gens + 3))
+    coeffs = st.lists(entries, min_size=gens, max_size=gens)
+    rows = [combine(c, base, ambient) for c in draw(st.lists(coeffs, min_size=nrows, max_size=nrows))]
+    return Subspace.span(rows, ambient)
+
+
+@st.composite
+def model_spaces(draw):
+    """The standard model or a congruent symplectic form P^T omega P, with
+    P unit upper triangular."""
+    n = draw(st.integers(1, 3))
+    ms = ModelSpace.standard(n)
+    d = 2 * n
+    upper = draw(st.lists(small_entries, min_size=d * d, max_size=d * d))
+    p = Mat([[1 if i == j else upper[i * d + j] if j > i else 0 for j in range(d)] for i in range(d)])
+    return ModelSpace(n, p.T @ ms.omega @ p)
+
+
+SLOW = settings(max_examples=60, deadline=None)
+
+
+class TestAgainstLoopReferences:
+    @SLOW
+    @given(st.data())
+    def test_intersect(self, data):
+        ambient = data.draw(st.integers(1, 12))
+        u, w = data.draw(subspaces(ambient)), data.draw(subspaces(ambient))
+        assert u.intersect(w) == ref_intersect(u, w)
+
+    @SLOW
+    @given(st.data())
+    def test_complement_in(self, data):
+        ambient = data.draw(st.integers(1, 12))
+        larger = data.draw(subspaces(ambient))
+        small = data.draw(subspaces(ambient, inside=larger))
+        comp = small.complement_in(larger)
+        assert comp == ref_complement_in(small, larger)
+        assert comp.dim == larger.dim - small.dim
+
+    @SLOW
+    @given(st.data())
+    def test_h_fiber(self, data):
+        n = data.draw(st.integers(1, 3))
+        u = data.draw(subspaces(4 * n))
+        entries = data.draw(st.sampled_from([small_entries, huge_entries]))
+        h = data.draw(st.tuples(entries, entries).filter(lambda h: h != (0, 0)))
+        assert h_fiber(u, h) == ref_h_fiber(u, h)
+
+    @SLOW
+    @given(st.data())
+    def test_gram_and_is_orthogonal(self, data):
+        ms = data.draw(model_spaces())
+        u = data.draw(subspaces(ms.dim_v))
+        assert gram(ms, u) == ref_gram(ms, u)
+        # w inside the orthogonal complement of U, or anywhere
+        inside = ortho_complement(ms, u) if data.draw(st.booleans()) else None
+        w = data.draw(subspaces(ms.dim_v, inside=inside))
+        assert is_orthogonal(ms, u, w) == ref_is_orthogonal(ms, u, w)
+        assert is_orthogonal(ms, w, u) == ref_is_orthogonal(ms, w, u)
+
+    @SLOW
+    @given(st.data())
+    def test_restrict_omega(self, data):
+        ms = data.draw(model_spaces())
+        e_sub = data.draw(subspaces(ms.dim_e))
+        assert restrict_omega(ms, e_sub) == ref_restrict_omega(ms, e_sub)
+
+
+def test_no_module_level_caches():
+    """Facts about a subspace live in its own memo, never in a process-wide cache."""
+    src = Path(__file__).resolve().parent.parent / "src" / "pqh"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "lru_cache" not in text and "functools.cache" not in text, path.name
+
+
+class TestMemo:
+    def test_computed_once_per_key(self):
+        u = Subspace.full(4)
+        calls = []
+        assert u.memo("k", lambda: calls.append(1) or 7) == 7
+        assert u.memo("k", lambda: calls.append(1) or 8) == 7
+        assert calls == [1]
+
+    def test_signature_keyed_by_model_space(self, ms1):
+        # g(x, x) = 2 omega(e1, e2) for x = h1 (x) e1 + h2 (x) e2
+        u = Subspace.span([(tensor((1, 0), (1, 0)) + tensor((0, 1), (0, 1))).coords], 4)
+        flipped = ModelSpace(1, ms1.omega.scale(-1))
+        assert signature(ms1, u).as_tuple() == (1, 0, 0)
+        assert signature(flipped, u).as_tuple() == (0, 0, 1)
+        assert signature(ms1, u).as_tuple() == (1, 0, 0)
