@@ -1166,10 +1166,16 @@ def oracle_check(
                 and b.beta * wit.gamma == b.gamma * wit.beta
             ):
                 continue
-            bu = image(b, u)
+            if b.q() != 0:
+                # B^2 = -q(B) Id, so B is invertible and maps a basis of U
+                # to a basis of B U
+                rows, dim = [b.apply_coords(x) for x in u.mat.rows], u.dim
+            else:
+                bu = image(b, u)
+                rows, dim = bu.mat.rows, bu.dim
             # B U meets U iff its basis is dependent modulo U
-            residues = Mat([u.reduce(r) for r in bu.mat.rows], ncols=u.ambient)
-            if residues.rank() != bu.dim:
+            residues = Mat([u.reduce(r) for r in rows], ncols=u.ambient)
+            if residues.rank() != dim:
                 check("pure-complex-moves-off", False, f"B={b}")
                 break
         else:

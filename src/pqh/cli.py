@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .classify import classify, generic_decompose, is_real, oracle_check
-from .generate import KINDS, generate, standard_model
+from .generate import KINDS, check_dim, generate, standard_model
 from .instances import (
     InstanceError,
     canonical_json,
@@ -303,6 +303,11 @@ def cmd_gen(args) -> int:
     if args.kind not in KINDS:
         raise InstanceError(f"unknown kind {args.kind!r}; choose from {', '.join(KINDS)}")
     _check_n(args.n)
+    if args.dim is not None:
+        try:
+            check_dim(args.n, args.kind, args.dim)
+        except ValueError as exc:
+            raise InstanceError(str(exc)) from None
     rng = Rng(args.seed)
     ms = standard_model(args.n)
     u = generate(rng, args.n, args.kind, args.dim)

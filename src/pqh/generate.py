@@ -80,10 +80,39 @@ def _reflection(k: int, plus: int) -> Mat:
     return Mat(rows)
 
 
+def check_dim(n: int, kind: str, dim: int) -> None:
+    """Raise ``ValueError`` unless :func:`generate` can build ``kind`` with ``dim``.
+
+    Graph and decomposable kinds are at most 2n-dimensional; a complex
+    graph has even dimension, the other graphs at least 1, and the totally
+    complex and para-complex kinds are built from whole 2-planes.  The
+    para-quaternionic kind takes half of ``dim``; the nilpotent and
+    (totally) real kinds clip it to what they can build.
+    """
+    if kind == "complex":
+        dims = range(2, 2 * n + 1, 2)
+    elif kind in ("totally_complex", "totally_para_complex"):
+        dims = range(2, 2 * n + 1)
+    elif kind in ("para_complex", "weakly_para_complex"):
+        dims = range(1, 2 * n + 1)
+    elif kind == "decomposable":
+        dims = range(2 * n + 1)
+    else:
+        dims = range(4 * n + 1)
+    if dim not in dims:
+        even = " (even)" if dims.step == 2 else ""
+        raise ValueError(
+            f"dim {dim} is out of range for kind {kind} at n = {n}: "
+            f"{dims.start}..{dims[-1]}{even}"
+        )
+
+
 def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
     """One instance of the requested kind in the standard model of size n."""
     dim_e = 2 * n
     dim_v = 4 * n
+    if dim is not None:
+        check_dim(n, kind, dim)
     if kind == "generic":
         d = dim if dim is not None else 1 + rng.below(dim_v)
         return random_subspace(rng, dim_v, d)
@@ -96,8 +125,6 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         return decomposable_subspace(h, random_subspace(rng, dim_e, k))
     if kind in ("complex", "para_complex", "weakly_para_complex"):
         k = dim if dim is not None else 2 * (1 + rng.below(n))
-        if kind == "complex" and k % 2:
-            raise ValueError("complex instances need even dimension")
         f_sub = random_subspace(rng, dim_e, k)
         p = random_invertible(rng, k)
         if kind == "complex":

@@ -2,14 +2,20 @@
 
 All matrices are immutable tuples of row tuples; entries are
 ``fractions.Fraction`` by default.  Rational work runs on plain Python
-integers and builds each output ``Fraction`` once: products and
-``charpoly`` clear denominators, and every elimination (``rref`` and so
-``kernel``, ``rank``, ``inverse``, ``solve``; ``det``; the prefix-pivot
-echelon form of :mod:`pqh.uft`) is the one fraction-free Gauss-Jordan
-loop :func:`_eliminate`.  Matrices over Q(sqrt(c))
-(:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale`` and
-elimination, which runs the same loop with field division.  There is no
-floating point anywhere.
+integers and builds each output ``Fraction`` once: products (and so
+``mul_vec`` on rational entries) and ``charpoly`` clear denominators, and
+every elimination (``rref`` and so ``kernel``, ``rank``, ``inverse``,
+``solve``; ``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is
+the one fraction-free Gauss-Jordan loop :func:`_eliminate`.  Matrices
+over Q(sqrt(c)) (:class:`pqh.quadext.QuadExt`) support ``+``, ``-``,
+``scale``, ``mul_vec`` and elimination, which runs the same loop with
+field division.
+
+``Mat(rows)`` checks every entry and turns ints into ``Fraction`` values; a
+float raises ``TypeError``, so there is no floating point anywhere.  The
+results of ``@``, ``rref``, ``T``, ``vstack`` and ``hstack`` hold only
+entries of checked matrices or ``Fraction`` values built from their integers,
+and skip the check through the trusted constructor ``Mat._of``.
 """
 
 from __future__ import annotations
@@ -168,6 +174,15 @@ class Mat:
             self._ncols = ncols
 
     @classmethod
+    def _of(cls, rows, ncols):
+        """Trusted constructor, no checks: ``rows`` is a tuple of
+        ``ncols``-long tuples whose entries are entries of ``Mat`` operands
+        or ``Fraction`` values built from their integers."""
+        m = cls.__new__(cls)
+        m.rows, m._ncols, m._hash = rows, ncols, None
+        return m
+
+    @classmethod
     def identity(cls, n):
         return cls(
             tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)),
@@ -208,9 +223,9 @@ class Mat:
 
     @property
     def T(self):
-        return Mat(tuple(zip(*self.rows)), ncols=len(self.rows)) if self.rows else Mat(
-            tuple(() for _ in range(self._ncols)), ncols=0
-        )
+        if not self.rows:
+            return Mat._of(((),) * self._ncols, 0)
+        return Mat._of(tuple(zip(*self.rows)), len(self.rows))
 
     def __eq__(self, other):
         return (
@@ -259,17 +274,21 @@ class Mat:
         left = [_int_row(r) for r in self.rows]
         right = [_int_row(c) for c in other.cols]
         P = _int_matmul([a for a, _ in left], [b for b, _ in right])
-        return Mat(
+        return Mat._of(
             tuple(
                 tuple(Fraction(x, da * db) if x else F0 for x, (_, db) in zip(row, right))
                 for row, (_, da) in zip(P, left)
             ),
-            ncols=other.ncols,
+            other.ncols,
         )
 
     def mul_vec(self, v):
         if len(v) != self._ncols:
             raise ValueError("vector length mismatch")
+        col = Mat.from_cols((v,), nrows=len(v))
+        if all(type(x) is Fraction for r in self.rows + col.rows for x in r):
+            return (self @ col).col(0)
+        v = col.col(0)
         return tuple(vec_dot(r, v) for r in self.rows)
 
     def is_zero(self):
@@ -284,14 +303,14 @@ class Mat:
     def vstack(self, other):
         if self._ncols != other._ncols:
             raise ValueError("column mismatch")
-        return Mat(self.rows + other.rows, ncols=self._ncols)
+        return Mat._of(self.rows + other.rows, self._ncols)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch")
-        return Mat(
+        return Mat._of(
             tuple(a + b for a, b in zip(self.rows, other.rows)),
-            ncols=self._ncols + other._ncols,
+            self._ncols + other._ncols,
         )
 
     # -- elimination ------------------------------------------------------
@@ -304,7 +323,7 @@ class Mat:
         unique canonical basis of the row space.
         """
         R, pivots, _ = _eliminate(self.rows, self._ncols)
-        return Mat(R, ncols=self._ncols), pivots
+        return Mat._of(tuple(R), self._ncols), pivots
 
     def rank(self):
         return self.rref()[0].nrows

@@ -6,16 +6,24 @@ Coordinates on V are fixed once and for all in the order
 pair of its two E-components.  Operators a*I + b*J + c*K are stored by
 their coordinates relative to the standard admissible basis; basis
 changes are explicit values, never hidden state.
+
+The arithmetic runs on plain integers, as in :mod:`pqh.linalg`: an
+operator and an H-basis change both act as a 2x2 matrix on the pair
+(e, e') of E-components (:func:`_h_act`), and the metric is one bilinear
+form, so each clears the denominators of a coordinate row once and
+builds each output ``Fraction`` once.  A :class:`ModelSpace` keeps the
+integer rows of its omega^E and its 4n x 4n metric matrix, built once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Sequence
 
 from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, phi_from_mat2
-from .linalg import F0, F1, Mat, vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import F0, F1, Mat, _int_row, _int_rows, vec_add, vec_is_zero, vec_scale, vec_sub
 
 
 class StructureError(ValueError):
@@ -28,6 +36,28 @@ def _frac(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected a rational, got {type(x).__name__}")
+
+
+def _h_act(m, coords) -> tuple:
+    """The coordinates of (m0*e + m1*e', m2*e + m3*e') for the vector with
+    coordinates ``coords`` = (e, e') and a 2x2 rational m read row-wise."""
+    if len(coords) % 2:
+        raise ValueError("coordinate length must be even")
+    (m0, m1, m2, m3), dm = _int_row(m)
+    try:
+        xs, dx = _int_row(coords)
+    except AttributeError:
+        raise TypeError("expected rational coordinates") from None
+    half = len(xs) // 2
+    pairs = list(zip(xs[:half], xs[half:]))
+    out = [m0 * e + m1 * ep for e, ep in pairs] + [m2 * e + m3 * ep for e, ep in pairs]
+    d = dm * dx
+    return tuple(Fraction(x, d) if x else F0 for x in out)
+
+
+def _pairing(w, a, b) -> int:
+    """a^T w b for integer rows ``a``, ``b`` and integer matrix rows ``w``."""
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, w) if x)
 
 
 def standard_symplectic(dim: int) -> Mat:
@@ -127,15 +157,11 @@ class Operator:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
 
     def apply(self, x: Vector) -> Vector:
-        a, b, g = self.alpha, self.beta, self.gamma
-        e, ep = x.e_part, x.eprime_part
-        return Vector(
-            vec_add(vec_scale(-g, e), vec_scale(b - a, ep)),
-            vec_add(vec_scale(a + b, e), vec_scale(g, ep)),
-        )
+        return Vector.from_coords(self.apply_coords(x.coords))
 
     def apply_coords(self, coords: tuple) -> tuple:
-        return self.apply(Vector.from_coords(coords)).coords
+        a, b, g = self.alpha, self.beta, self.gamma
+        return _h_act((-g, b - a, a + b, g), coords)
 
     def as_matrix(self, dim_e: int) -> Mat:
         m = self.mat2()
@@ -203,34 +229,37 @@ class HBasisChange:
         return self.mat.col(1)
 
     def inverse(self) -> "HBasisChange":
-        return HBasisChange(self.mat.inverse())
+        return HBasisChange(self._adjugate())
+
+    def _adjugate(self) -> Mat:
+        """The inverse matrix, which is the adjugate since the determinant is 1."""
+        (a, b), (c, d) = self.mat.rows
+        return Mat(((d, -b), (-c, a)))
 
     def compose(self, other: "HBasisChange") -> "HBasisChange":
         return HBasisChange(self.mat @ other.mat)
 
     def h_components(self, x: Vector) -> tuple:
         """The two E-components of x relative to this basis of H."""
-        inv = self.mat.inverse()
-        (p, q), (r, s) = inv.rows
-        e, ep = x.e_part, x.eprime_part
-        return (
-            vec_add(vec_scale(p, e), vec_scale(q, ep)),
-            vec_add(vec_scale(r, e), vec_scale(s, ep)),
-        )
+        (a, b), (c, d) = self.mat.rows
+        out = _h_act((d, -b, -c, a), x.coords)
+        return out[: x.dim_e], out[x.dim_e :]
 
     def assemble(self, comp1: Sequence, comp2: Sequence) -> Vector:
         """The vector h1'(x)comp1 + h2'(x)comp2 in standard coordinates."""
-        return tensor(self.h1, comp1) + tensor(self.h2, comp2)
+        if len(comp1) != len(comp2):
+            raise ValueError("component length mismatch")
+        return Vector.from_coords(_h_act(sum(self.mat.rows, ()), (*comp1, *comp2)))
 
     def triple(self) -> tuple:
         """The admissible basis (I', J', K') attached to this H-basis."""
-        s, sinv = self.mat, self.mat.inverse()
+        s, sinv = self.mat, self._adjugate()
         return tuple(operator_from_mat2(s @ m @ sinv) for m in (MAT_I, MAT_J, MAT_K))
 
 
 def change_admissible_basis(s: HBasisChange, a: Operator) -> Operator:
     """Coordinates of the endomorphism a relative to the new basis."""
-    return operator_from_mat2(s.mat.inverse() @ a.mat2() @ s.mat)
+    return operator_from_mat2(s._adjugate() @ a.mat2() @ s.mat)
 
 
 def is_admissible_triple(i: Operator, j: Operator, k: Operator) -> bool:
@@ -249,7 +278,12 @@ def is_admissible_triple(i: Operator, j: Operator, k: Operator) -> bool:
 
 @dataclass(frozen=True)
 class ModelSpace:
-    """Dimension parameter n and a symplectic form on E = Q^{2n}."""
+    """Dimension parameter n and a symplectic form on E = Q^{2n}.
+
+    The integer rows of omega^E (with their common denominator) and the
+    metric matrix are built once; they are attributes, not fields, so
+    equality and hashing see only n and omega.
+    """
 
     n: int
     omega: Mat
@@ -263,6 +297,10 @@ class ModelSpace:
             raise StructureError("omega_E must be skew-symmetric")
         if self.omega.det() == 0:
             raise StructureError("omega_E must be invertible")
+        object.__setattr__(self, "_omega_int", _int_rows(self.omega.rows))
+        z = Mat.zeros(self.dim_e, self.dim_e)
+        metric = z.hstack(self.omega).vstack((-self.omega).hstack(z))
+        object.__setattr__(self, "_metric", metric)
 
     @classmethod
     def standard(cls, n: int) -> "ModelSpace":
@@ -277,22 +315,24 @@ class ModelSpace:
         return 4 * self.n
 
     def omega_eval(self, e: Sequence, ep: Sequence) -> Fraction:
-        return vec_dot_omega(self.omega, e, ep)
+        w, dw = self._omega_int
+        (a, da), (b, db) = _int_row(e), _int_row(ep)
+        return Fraction(_pairing(w, a, b), dw * da * db)
 
     def metric(self, x: Vector, y: Vector) -> Fraction:
         """g = omega^H (x) omega^E; on decomposables
         g(h(x)e, h'(x)e') = omega^H(h,h') omega^E(e,e')."""
-        if x.dim_e != self.dim_e or y.dim_e != self.dim_e:
+        half = self.dim_e
+        if x.dim_e != half or y.dim_e != half:
             raise ValueError("vector does not live in this model space")
-        return self.omega_eval(x.e_part, y.eprime_part) - self.omega_eval(
-            x.eprime_part, y.e_part
-        )
+        w, dw = self._omega_int
+        (xs, dx), (ys, dy) = _int_row(x.coords), _int_row(y.coords)
+        num = _pairing(w, xs[:half], ys[half:]) - _pairing(w, xs[half:], ys[:half])
+        return Fraction(num, dw * dx * dy)
 
     def metric_matrix(self) -> Mat:
-        z = Mat.zeros(self.dim_e, self.dim_e)
-        top = z.hstack(self.omega)
-        bottom = (-self.omega).hstack(z)
-        return top.vstack(bottom)
+        """[[0, omega], [-omega, 0]], the Gram matrix of g on the coordinates."""
+        return self._metric
 
     def hermitian_product(
         self, x: Vector, y: Vector, basis=None
@@ -313,18 +353,6 @@ class ModelSpace:
             -self.metric(x, j.apply(y)),
             -self.metric(x, k.apply(y)),
         )
-
-
-def vec_dot_omega(omega: Mat, e: Sequence, ep: Sequence) -> Fraction:
-    acc = F0
-    for i, a in enumerate(e):
-        if a == 0:
-            continue
-        row = omega.rows[i]
-        for j, b in enumerate(ep):
-            if b != 0 and row[j] != 0:
-                acc += a * row[j] * b
-    return acc
 
 
 # -- standardization of abstract para-hypercomplex structures -------------

@@ -162,6 +162,20 @@ class TestContract:
     @pytest.mark.parametrize(
         "argv",
         [
+            ("gen", "--kind", "generic", "--dim", "-1"),
+            ("gen", "--kind", "complex", "--dim", "3"),
+            ("gen", "--kind", "generic", "--dim", "99"),
+        ],
+    )
+    def test_bad_dim_exit_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ("gen", "--n", "0"),
             ("gen", "--n", "-3"),
             ("oracle", "--n", "0"),

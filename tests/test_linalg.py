@@ -276,6 +276,15 @@ def quad_matrices(draw):
 
 
 class TestMat:
+    def test_floats_rejected(self):
+        one = Mat.identity(2)
+        with pytest.raises(TypeError):
+            one.scale(0.5)
+        with pytest.raises(TypeError):
+            one.mul_vec((0.5, 1))
+        with pytest.raises(TypeError):
+            one @ Mat(((0.5,), (1,)))
+
     def test_rref_canonical(self):
         rng = Rng(5)
         for _ in range(50):

@@ -1,10 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sl2, unit
-from pqh.algebra import ParaQuaternion
-from pqh.linalg import Mat, symmetric_signature
+from pqh.algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion
+from pqh.linalg import F0, Mat, symmetric_signature, vec_add, vec_dot, vec_scale
 from pqh.model import (
     HBasisChange,
     ModelSpace,
@@ -233,3 +235,181 @@ def test_operator_from_mat2_round_trip():
     for _ in range(50):
         a = Operator(rng.rational(), rng.rational(), rng.rational())
         assert operator_from_mat2(a.mat2()) == a
+
+
+# -- the replaced Fraction code, kept as references -------------------------
+
+
+def ref_apply(a, x):
+    al, b, g = a.alpha, a.beta, a.gamma
+    e, ep = x.e_part, x.eprime_part
+    return Vector(
+        vec_add(vec_scale(-g, e), vec_scale(b - al, ep)),
+        vec_add(vec_scale(al + b, e), vec_scale(g, ep)),
+    )
+
+
+def ref_h_components(s, x):
+    (p, q), (r, t) = s.mat.inverse().rows
+    e, ep = x.e_part, x.eprime_part
+    return (
+        vec_add(vec_scale(p, e), vec_scale(q, ep)),
+        vec_add(vec_scale(r, e), vec_scale(t, ep)),
+    )
+
+
+def ref_assemble(s, comp1, comp2):
+    return tensor(s.h1, comp1) + tensor(s.h2, comp2)
+
+
+def ref_omega_eval(omega, e, ep):
+    acc = F0
+    for i, a in enumerate(e):
+        if a == 0:
+            continue
+        row = omega.rows[i]
+        for j, b in enumerate(ep):
+            if b != 0 and row[j] != 0:
+                acc += a * row[j] * b
+    return acc
+
+
+def ref_metric(ms, x, y):
+    return ref_omega_eval(ms.omega, x.e_part, y.eprime_part) - ref_omega_eval(
+        ms.omega, x.eprime_part, y.e_part
+    )
+
+
+def ref_mul_vec(m, v):
+    return tuple(vec_dot(r, v) for r in m.rows)
+
+
+small_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+huge_entries = st.builds(Fraction, st.integers(-(10**100), 10**100), st.integers(1, 10**100))
+any_entries = small_entries | huge_entries | st.integers(-(10**100), 10**100)
+
+
+@st.composite
+def vectors(draw, dim_e):
+    """Zero vectors or vectors of small, 100-digit or int entries."""
+    if draw(st.booleans()) and draw(st.booleans()):
+        return Vector.from_coords((0,) * (2 * dim_e))
+    entries = draw(st.sampled_from([small_entries, huge_entries, any_entries]))
+    return Vector.from_coords(draw(st.lists(entries, min_size=2 * dim_e, max_size=2 * dim_e)))
+
+
+@st.composite
+def operators(draw):
+    """Zero, nilpotent (q = 0) or arbitrary operators."""
+    kind = draw(st.sampled_from(["zero", "nilpotent", "any"]))
+    if kind == "zero":
+        return Operator(0, 0, 0)
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    if kind == "nilpotent":
+        # (u^2 + v^2)^2 = (u^2 - v^2)^2 + (2uv)^2
+        u, v, c = draw(entries), draw(entries), draw(entries)
+        return Operator(c * (u * u + v * v), c * (u * u - v * v), 2 * c * u * v)
+    return Operator(draw(entries), draw(entries), draw(entries))
+
+
+@st.composite
+def h_basis_changes(draw):
+    """random_sl2 bases, or unimodular bases with 100-digit entries."""
+    if draw(st.booleans()):
+        return random_sl2(Rng(draw(st.integers(0, 10**6))))
+    a = draw(huge_entries.filter(bool))
+    b, c = draw(huge_entries), draw(huge_entries)
+    return HBasisChange(Mat(((a, b), (c, (1 + b * c) / a))))
+
+
+@st.composite
+def model_spaces(draw):
+    """The standard model or a congruent symplectic form P^T omega P with
+    denominators, P unit upper triangular."""
+    n = draw(st.integers(1, 3))
+    ms = ModelSpace.standard(n)
+    if draw(st.booleans()):
+        return ms
+    d = 2 * n
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    upper = draw(st.lists(entries, min_size=d * d, max_size=d * d))
+    p = Mat([[1 if i == j else upper[i * d + j] if j > i else 0 for j in range(d)] for i in range(d)])
+    return ModelSpace(n, p.T @ ms.omega @ p)
+
+
+REF = settings(max_examples=80, deadline=None)
+
+
+class TestAgainstFractionReferences:
+    @REF
+    @given(st.data())
+    def test_apply(self, data):
+        a = data.draw(operators())
+        x = data.draw(vectors(data.draw(st.integers(0, 6))))
+        ref = ref_apply(a, x)
+        assert a.apply(x) == ref
+        out = a.apply_coords(x.coords)
+        assert out == ref.coords
+        assert all(type(v) is Fraction for v in out)
+
+    @REF
+    @given(st.data())
+    def test_h_components_and_assemble(self, data):
+        s = data.draw(h_basis_changes())
+        dim_e = data.draw(st.integers(0, 6))
+        x = data.draw(vectors(dim_e))
+        assert s.h_components(x) == ref_h_components(s, x)
+        c1, c2 = x.e_part, x.eprime_part
+        assert s.assemble(c1, c2) == ref_assemble(s, c1, c2)
+        assert s.assemble(*s.h_components(x)) == x
+        assert s.inverse().mat == s.mat.inverse()
+
+    @REF
+    @given(h_basis_changes(), operators())
+    def test_triple_and_change_of_basis(self, s, a):
+        sinv = s.mat.inverse()
+        assert s.triple() == tuple(
+            operator_from_mat2(s.mat @ m @ sinv) for m in (MAT_I, MAT_J, MAT_K)
+        )
+        assert change_admissible_basis(s, a) == operator_from_mat2(sinv @ a.mat2() @ s.mat)
+
+    @REF
+    @given(st.data())
+    def test_metric_and_omega_eval(self, data):
+        ms = data.draw(model_spaces())
+        x, y = data.draw(vectors(ms.dim_e)), data.draw(vectors(ms.dim_e))
+        assert ms.metric(x, y) == ref_metric(ms, x, y)
+        assert ms.omega_eval(x.e_part, y.e_part) == ref_omega_eval(ms.omega, x.e_part, y.e_part)
+        assert type(ms.metric(x, y)) is Fraction
+
+    @REF
+    @given(st.data())
+    def test_mul_vec(self, data):
+        r, c = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+        entries = data.draw(st.sampled_from([small_entries, huge_entries]))
+        m = Mat(data.draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r)), ncols=c)
+        v = tuple(data.draw(st.lists(any_entries, min_size=c, max_size=c)))
+        out = m.mul_vec(v)
+        assert out == ref_mul_vec(m, tuple(map(Fraction, v)))
+        assert all(type(x) is Fraction for x in out)
+
+    @REF
+    @given(model_spaces())
+    def test_metric_matrix_is_block_formula(self, ms):
+        d = ms.dim_e
+        w = ms.omega.rows
+        block = Mat(
+            [[F0] * d + list(w[i]) for i in range(d)]
+            + [[-x for x in w[i]] + [F0] * d for i in range(d)]
+        )
+        assert ms.metric_matrix() == block
+
+
+class TestRejectsFloats:
+    def test_apply_coords(self):
+        with pytest.raises(TypeError):
+            OP_I.apply_coords((0.5, 1.0))
+
+    def test_assemble(self):
+        with pytest.raises(TypeError):
+            HBasisChange.identity().assemble((0.5,), (1,))
