@@ -6,6 +6,13 @@ Everything is scale-invariant: witnesses stay unnormalized (their q-value
 is not scaled to +-1, which would need square roots), and every theorem
 identity is checked in the form T^2 = -q_scale * Id with q_scale * q(A)
 a rational square.
+
+A complex (q > 0) and a para-complex (q < 0) witness obey one structure
+theorem in which only the sign of q differs, so both checks run one
+shared pass over the pure part (:func:`_pure_part`): the graph form in
+the adapted basis, the T^2 identity, the pullback metric and its
+signature, and the omega and Gram routes to totality.  Each check then
+adds only what is particular to its sign.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .subspace import (
     product_subspace,
     restrict_omega,
     signature,
+    span_of,
 )
 from .uft import (
     DecomposablePiece,
@@ -53,7 +61,9 @@ from .uft import (
     induced_g_f,
     injectivize,
     invariant_core,
+    line_direction,
     normalize_direction,
+    poly_fiber,
     to_uft,
 )
 
@@ -300,7 +310,74 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
     return PQReport(is_pq, e_prime, hermitian and is_pq, gram_ok)
 
 
-# -- complex witnesses --------------------------------------------------------
+# -- complex and para-complex witnesses ----------------------------------------
+
+
+@dataclass(frozen=True)
+class _PurePart:
+    """The structure-theorem pass that a complex (q > 0) and a para-complex
+    (q < 0) witness share; only the sign of q tells them apart.
+
+    With D = det[h1', A h1'] of the adapted basis and ``scale`` = D^2 / q,
+    the graph map of the pure part satisfies T^2 = -scale Id, and T is
+    omega-conformal (omega(T., T.) = scale omega on F) exactly when U is
+    orthogonal to its image under the anticommuting partner
+    (0, q/D^2; 1, 0) and under K^ = diag(1, -1) of the adapted basis.
+    ``form`` is None when U is para-quaternionic (no pure part).
+    """
+
+    scale: Fraction
+    basis: HBasisChange
+    d_val: Fraction
+    comp: Subspace
+    form: UFTForm | None = None
+    t_f: Mat | None = None  # T on the canonical basis of F
+    g_f: Mat | None = None
+    sig: SignatureTriple = SignatureTriple(0, 0, 0)
+    w_f: Mat | None = None  # omega on F
+    w_t: Mat | None = None  # omega(T., T.) on F
+    omega_route: bool = False
+    gram_partner: bool = False
+    totally: bool = False  # Hermitian, pure and omega-conformal
+
+
+def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
+    qa = a.q()
+    kind = "complex" if qa > 0 else "para-complex"
+    if not operator_preserves(a, u):
+        raise ValueError("witness does not stabilize the subspace")
+    u0 = maximal_pq(u)
+    comp = invariant_pure_complement(a, u, u0)
+    basis, d_val = adapted_basis(a)
+    scale = d_val * d_val / qa
+    if comp.dim == 0:
+        return _PurePart(scale, basis, d_val, comp)
+    form = to_uft(comp, basis)
+    if not all(form.f_space.contains_vector(tf) for tf in form.t_map.cols):
+        raise AssertionError(f"T does not preserve F for a {kind} witness")
+    t_f = form.t_on_subspace(form.f_space)
+    if t_f @ t_f != Mat.identity(form.dim).scale(-scale):
+        raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
+    g_f = induced_g_f(ms, form)
+    sig = SignatureTriple(*symmetric_signature(g_f))
+    if sig.as_tuple() != signature(ms, comp).as_tuple():
+        raise AssertionError("pullback metric has wrong signature")
+    w_f = restrict_omega(ms, form.f_space)
+    w_t = form.t_map.T @ ms.omega @ form.t_map
+    omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
+    partner = _conjugated_operator(basis, Mat(((F0, 1 / scale), (F1, F0))))
+    k_hat = _conjugated_operator(basis, Mat(((F1, F0), (F0, -F1))))
+    gram_partner = is_orthogonal(ms, image(partner, u), u)
+    gram_k = is_orthogonal(ms, image(k_hat, u), u)
+    hermitian_full = signature(ms, u).s == 0
+    if u0.is_zero() and hermitian_full:
+        if not (omega_route == gram_partner == gram_k):
+            raise AssertionError(f"totally-{kind} routes disagree")
+    totally = hermitian_full and u0.is_zero() and omega_route
+    return _PurePart(
+        scale, basis, d_val, comp, form, t_f, g_f, sig, w_f, w_t,
+        omega_route, gram_partner, totally,
+    )
 
 
 @dataclass(frozen=True)
@@ -322,89 +399,27 @@ class ComplexReport:
 def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     """Verify the structure theorem for a complex-type witness.
 
-    On the pure part, in the basis adapted to A, the graph map satisfies
-    T^2 = -(D^2/q) Id; the signature has type (2p, 2s, 2q); the scaled
-    Kaehler identity and the two totally-complex routes are cross-checked.
+    On top of the shared pure-part pass (:func:`_pure_part`): the signature
+    has type (2p, 2s, 2q), and the scaled Kaehler identity agrees along
+    three routes.
     """
     qa = a.q()
     if qa <= 0:
         raise ValueError("complex check needs a witness with positive q")
-    if not operator_preserves(a, u):
-        raise ValueError("witness does not stabilize the subspace")
-    u0 = maximal_pq(u)
-    comp = invariant_pure_complement(a, u, u0)
-    basis, d_val = adapted_basis(a)
-    mu = d_val * d_val / qa
-    if comp.dim == 0:
-        sig0 = SignatureTriple(0, 0, 0)
-        return ComplexReport(
-            a, qa, mu, basis, None, True, True, sig0, True, False, False, False
-        )
-    form = to_uft(comp, basis)
-    ok = True
-    tf_cols = []
-    for j, f in enumerate(form.f_space.mat.rows):
-        tf = form.t_map.col(j)
-        if not form.f_space.contains_vector(tf):
-            ok = False
-            break
-        ttf = form.apply_t(tf)
-        if ttf != tuple(-mu * x for x in f):
-            ok = False
-            break
-        tf_cols.append(form.f_space.coordinates_of(tf))
-    if not ok:
-        raise AssertionError("complex structure identity T^2 = -mu Id failed")
-    t_f = Mat.from_cols(tf_cols, nrows=form.dim)
-    g_f = induced_g_f(ms, form)
-    sig_pure = SignatureTriple(*symmetric_signature(g_f))
-    if sig_pure.as_tuple() != signature(ms, comp).as_tuple():
-        raise AssertionError("pullback metric has wrong signature")
-    if any(x % 2 for x in sig_pure.as_tuple()):
-        raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
-    hermitian_pure = sig_pure.s == 0
-    # scaled Kaehler identity, three routes
-    b_mat = form.f_space.mat.T
-    w_f = b_mat.T @ ms.omega @ b_mat
-    te = form.t_map
-    w_t = te.T @ ms.omega @ te
-    vs = form.graph_basis()
-    k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
-    k_gf = (g_f @ t_f).scale(qa / d_val)
-    k_form = (w_f.scale(d_val) + w_t.scale(qa / d_val)).scale(-F1)
-    kahler = k_amb == k_gf == k_form
-    # totally complex: omega route and two Gram routes must agree
-    omega_pres = (
-        restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(mu)
-    )
-    j_hat = _conjugated_operator(
-        basis, Mat(((F0, qa / (d_val * d_val)), (F1, F0)))
-    )
-    k_hat = _conjugated_operator(basis, Mat(((F1, F0), (F0, -F1))))
-    gram_j = is_orthogonal(ms, image(j_hat, u), u)
-    gram_k = is_orthogonal(ms, image(k_hat, u), u)
-    hermitian_full = signature(ms, u).s == 0
-    totally = hermitian_full and u0.is_zero() and omega_pres
-    if u0.is_zero() and hermitian_full:
-        if not (omega_pres == gram_j == gram_k):
-            raise AssertionError("totally-complex routes disagree")
+    pp = _pure_part(ms, u, a)
+    kahler = True
+    if pp.form is not None:
+        if any(x % 2 for x in pp.sig.as_tuple()):
+            raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
+        vs = pp.form.graph_basis()
+        k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
+        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
+        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
+        kahler = k_amb == k_gf == k_form
     return ComplexReport(
-        a,
-        qa,
-        mu,
-        basis,
-        form,
-        True,
-        hermitian_pure,
-        sig_pure,
-        kahler,
-        omega_pres,
-        gram_j,
-        totally,
+        a, qa, pp.scale, pp.basis, pp.form, True, pp.sig.s == 0, pp.sig, kahler,
+        pp.omega_route, pp.gram_partner, pp.totally,
     )
-
-
-# -- para-complex witnesses ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -429,34 +444,21 @@ class ParaComplexReport:
 
 def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexReport:
     """Verify the weakly para-complex structure theorem for a witness with
-    q(A) < 0: eigenspace dimensions by the exact trace test, the neutral
-    signature claim, the eigenspace presentation when |q| is a square, and
-    the two totally-para-complex routes."""
+    q(A) < 0.  On top of the shared pure-part pass (:func:`_pure_part`):
+    eigenspace dimensions by the exact trace test, the neutral signature
+    claim, and the eigenspace presentation and witness family when |q| is
+    a square."""
     qa = a.q()
     if qa >= 0:
         raise ValueError("para-complex check needs a witness with negative q")
-    if not operator_preserves(a, u):
-        raise ValueError("witness does not stabilize the subspace")
-    u0 = maximal_pq(u)
-    comp = invariant_pure_complement(a, u, u0)
-    basis, d_val = adapted_basis(a)
-    nu = d_val * d_val / (-qa)
-    if comp.dim == 0:
-        sig0 = SignatureTriple(0, 0, 0)
+    pp = _pure_part(ms, u, a)
+    nu = -pp.scale
+    form, t_f, d_val, sig = pp.form, pp.t_f, pp.d_val, pp.sig
+    if form is None:
         return ParaComplexReport(
-            a, qa, nu, basis, None, 0, 0, True, True, sig0, 0, None, None,
+            a, qa, nu, pp.basis, None, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
-    form = to_uft(comp, basis)
-    tf_cols = []
-    for j, f in enumerate(form.f_space.mat.rows):
-        tf = form.t_map.col(j)
-        if not form.f_space.contains_vector(tf):
-            raise AssertionError("T does not preserve F for a para-complex witness")
-        if form.apply_t(tf) != tuple(nu * x for x in f):
-            raise AssertionError("para-complex identity T^2 = nu Id failed")
-        tf_cols.append(form.f_space.coordinates_of(tf))
-    t_f = Mat.from_cols(tf_cols, nrows=form.dim)
     k = form.dim
     tr = t_f.trace()
     if tr == 0:
@@ -475,17 +477,12 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         d_plus = (k + r_signed) // 2
         d_minus = (k - r_signed) // 2
     strict = d_plus == d_minus
-    g_f = induced_g_f(ms, form)
-    sig_pure = SignatureTriple(*symmetric_signature(g_f))
-    if sig_pure.as_tuple() != signature(ms, comp).as_tuple():
-        raise AssertionError("pullback metric has wrong signature")
-    if sig_pure.p != sig_pure.q:
+    if sig.p != sig.q:
         raise AssertionError("para-complex signature is not of type (m, k-2m, m)")
-    m_value = sig_pure.p
-    hermitian_pure = sig_pure.s == 0
+    hermitian_pure = sig.s == 0
     if not strict and hermitian_pure:
         raise AssertionError("weakly-not-para-complex part must be degenerate")
-    if hermitian_pure and sig_pure.as_tuple() != (k // 2, 0, k // 2):
+    if hermitian_pure and sig.as_tuple() != (k // 2, 0, k // 2):
         raise AssertionError("Hermitian para-complex part must be neutral")
     # eigenspace data over Q when sqrt(|q|) is rational
     rho = is_rational_square(-qa)
@@ -493,77 +490,42 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
     family = None
     if rho is not None:
         lam_plus = d_val / rho
-        e1 = poly_eval_matrix((-lam_plus, F1), t_f).kernel()
-        e2 = poly_eval_matrix((lam_plus, F1), t_f).kernel()
-        lift1 = Subspace(e1 @ form.f_space.mat)
-        lift2 = Subspace(e2 @ form.f_space.mat)
+        lift1 = poly_fiber(form.f_space, t_f, (-lam_plus, F1))
+        lift2 = poly_fiber(form.f_space, t_f, (lam_plus, F1))
         if lift1.dim != d_plus or lift2.dim != d_minus:
             raise AssertionError("rational eigenspace dimensions disagree with trace test")
-        from .uft import _std_direction
-
-        dir1 = normalize_direction(_std_direction(form.h_basis, (F1, lam_plus)))
-        dir2 = normalize_direction(_std_direction(form.h_basis, (F1, -lam_plus)))
+        dir1 = line_direction(form.h_basis, lam_plus)
+        dir2 = line_direction(form.h_basis, -lam_plus)
         pres_parts = [
             decomposable_subspace(dir1, lift1),
             decomposable_subspace(dir2, lift2),
         ]
-        if not direct_sum_is(comp, [p for p in pres_parts if p.dim]):
+        if not direct_sum_is(pp.comp, [p for p in pres_parts if p.dim]):
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         # cross-check m as the rank of the Gram pairing between eigenspaces
         # (the rank does not depend on the bases of the two eigen-graphs)
         if lift1.dim and lift2.dim:
             vs1, vs2 = graph_over(form, lift1).mat, graph_over(form, lift2).mat
-            if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != m_value:
+            if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != sig.p:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
-        elif m_value != 0:
+        elif sig.p != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
         # the witness family a I + a J +- K when the pure part sits in one eigenspace
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.identity(k).scale(lam):
                 n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = _conjugated_operator(basis, n_ad)
+                n_op = _conjugated_operator(pp.basis, n_ad)
                 for t in (0, 1, 2):
                     member = a + n_op.scale(t)
-                    if not operator_preserves(member, comp):
+                    if not operator_preserves(member, pp.comp):
                         raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
                 break
-    # totally para-complex: omega route against the two Gram routes
-    b_mat = form.f_space.mat.T
-    w_f = b_mat.T @ ms.omega @ b_mat
-    w_t = form.t_map.T @ ms.omega @ form.t_map
-    omega_skew = (
-        restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(-nu)
-    )
-    i_hat = _conjugated_operator(
-        basis, Mat(((F0, qa / (d_val * d_val)), (F1, F0)))
-    )
-    k_hat = _conjugated_operator(basis, Mat(((F1, F0), (F0, -F1))))
-    gram_i = is_orthogonal(ms, image(i_hat, u), u)
-    gram_k = is_orthogonal(ms, image(k_hat, u), u)
-    hermitian_full = signature(ms, u).s == 0
-    totally = hermitian_full and u0.is_zero() and strict and omega_skew
-    if u0.is_zero() and hermitian_full:
-        if not (omega_skew == gram_i == gram_k):
-            raise AssertionError("totally-para-complex routes disagree")
     return ParaComplexReport(
-        a,
-        qa,
-        nu,
-        basis,
-        form,
-        d_plus,
-        d_minus,
-        strict,
-        hermitian_pure,
-        sig_pure,
-        m_value,
-        eigen_pres,
-        family,
-        omega_skew,
-        gram_i,
-        totally,
+        a, qa, nu, pp.basis, form, d_plus, d_minus, strict, hermitian_pure, sig,
+        sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
+        pp.totally and strict,
     )
 
 
@@ -838,20 +800,16 @@ def _decompose_pure(u_pure: Subspace):
     core, t_core = invariant_core(form)
     if core.is_zero():
         return [], u_pure
-    from .uft import _std_direction
-
-    minp = minimal_polynomial(t_core)
-    _, factors = factor(minp)
+    _, factors = factor(minimal_polynomial(t_core))
     addends = []
-    kernel_total = Subspace.zero(form.dim_e)
+    kernels = []
     for poly, _mult in factors:
-        ker = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
-        kernel_total = kernel_total.sum(ker)
+        ker = poly_fiber(core, t_core, poly)
+        kernels.append(ker)
         graph = graph_over(form, ker)
         deg = poly_deg(poly)
         if deg == 1:
-            lam = -poly[0]
-            direction = normalize_direction(_std_direction(form.h_basis, (F1, lam)))
+            direction = line_direction(form.h_basis, -poly[0])
             witness = operator_in_basis(_direction_completion(direction), 0, 0, 1)
             kind = "weakly_para_complex"
         elif deg == 2:
@@ -865,7 +823,7 @@ def _decompose_pure(u_pure: Subspace):
         if witness is not None and not operator_preserves(witness, graph):
             raise AssertionError("constructed addend witness fails invariance")
         addends.append(Addend(kind, graph, witness, tuple(poly)))
-    residual_f = kernel_total.complement_in(form.f_space)
+    residual_f = span_of(kernels, form.dim_e).complement_in(form.f_space)
     residue = graph_over(form, residual_f)
     if residue.dim == 0 or is_real(residue):
         return addends, residue

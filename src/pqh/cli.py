@@ -16,11 +16,13 @@ from .instances import (
     InstanceError,
     canonical_json,
     emit_instance,
+    format_matrix,
     format_rational,
+    graph_dict,
     load_instance,
     parse_structure_file,
+    piece_dict,
     report_to_dict,
-    format_matrix,
     subspace_dict,
 )
 from .model import StructureError, standardize
@@ -107,26 +109,23 @@ def cmd_signature(args) -> int:
 
 def cmd_uft(args) -> int:
     ms, u, h_basis = _load(args.path)
+    reason = None
     if h_basis is not None:
         try:
             form = to_uft(u, h_basis)
         except StructureError as exc:
-            print(f"no graph form in the given basis: {exc}")
-            return 0
+            reason = f"no graph form in the given basis: {exc}"
     else:
         form = graph_form(u)
         if form is None:
-            msg = "no transversal direction: the subspace meets h (x) E for every h"
-            if args.json:
-                sys.stdout.write(canonical_json({"uft": None, "reason": msg}))
-            else:
-                print(msg)
-            return 0
-    data = {
-        "h_basis": format_matrix(form.h_basis.mat),
-        "F": subspace_dict(form.f_space),
-        "T": format_matrix(form.t_map),
-    }
+            reason = "no transversal direction: the subspace meets h (x) E for every h"
+    if reason is not None:
+        if args.json:
+            sys.stdout.write(canonical_json({"uft": None, "reason": reason}))
+        else:
+            print(reason)
+        return 0
+    data = graph_dict(form)
     if args.json:
         sys.stdout.write(canonical_json({"uft": data}))
     else:
@@ -197,30 +196,17 @@ def cmd_decompose(args) -> int:
             data["piece"] = None
             out.append("decomposable piece: none (the subspace is a graph)")
         else:
-            data["piece"] = {
-                "direction": [format_rational(x) for x in res.piece.direction],
-                "F": subspace_dict(res.piece.e_space),
-            }
+            data["piece"] = piece_dict(res.piece)
             out.append(
                 "decomposable piece: direction ["
                 + ", ".join(data["piece"]["direction"])
                 + f"], dim {res.piece.e_space.dim}"
             )
-        data["graph"] = {
-            "h_basis": format_matrix(res.graph.h_basis.mat),
-            "F": subspace_dict(res.graph.f_space),
-            "T": format_matrix(res.graph.t_map),
-        }
+        data["graph"] = graph_dict(res.graph)
         out.append(f"graph part: dim {res.graph.dim}")
     elif args.mode == "form2":
         res = decompose_form2(u)
-        data["pieces"] = [
-            {
-                "direction": [format_rational(x) for x in p.direction],
-                "F": subspace_dict(p.e_space),
-            }
-            for p in res.pieces
-        ]
+        data["pieces"] = [piece_dict(p) for p in res.pieces]
         for p in res.pieces:
             out.append(
                 "decomposable piece: direction ["
@@ -229,11 +215,7 @@ def cmd_decompose(args) -> int:
             )
         if not res.pieces:
             out.append("decomposable pieces: none")
-        data["graph"] = {
-            "h_basis": format_matrix(res.graph.h_basis.mat),
-            "F": subspace_dict(res.graph.f_space),
-            "T": format_matrix(res.graph.t_map),
-        }
+        data["graph"] = graph_dict(res.graph)
         out.append(f"graph part without decomposable vectors: dim {res.graph.dim}")
     elif args.mode == "nilpotent":
         report = classify(ms, u)
@@ -245,10 +227,7 @@ def cmd_decompose(args) -> int:
             data["nilpotent"] = {
                 "degree": nr.degree,
                 "pq_part": subspace_dict(nr.pq_part),
-                "decomposable": {
-                    "direction": [format_rational(x) for x in nr.decomposable_piece.direction],
-                    "F": subspace_dict(nr.decomposable_piece.e_space),
-                },
+                "decomposable": piece_dict(nr.decomposable_piece),
                 "real_part": subspace_dict(nr.real_part),
                 "p2_symplectic": nr.p2_symplectic,
                 "nondegenerate_guaranteed": nr.nondegenerate_guaranteed,

@@ -157,6 +157,23 @@ def subspace_dict(u: Subspace):
     }
 
 
+def graph_dict(form):
+    """The graph data {h_basis, F, T} of a ``UFTForm``."""
+    return {
+        "h_basis": format_matrix(form.h_basis.mat),
+        "F": subspace_dict(form.f_space),
+        "T": format_matrix(form.t_map),
+    }
+
+
+def piece_dict(piece):
+    """The direction and space of a ``DecomposablePiece``."""
+    return {
+        "direction": [format_rational(x) for x in piece.direction],
+        "F": subspace_dict(piece.e_space),
+    }
+
+
 def _operator_dict(op):
     return {
         "alpha": format_rational(op.alpha),
@@ -187,14 +204,7 @@ def report_to_dict(report: ClassificationReport):
             )
         },
     }
-    if report.uft is not None:
-        out["uft"] = {
-            "h_basis": format_matrix(report.uft.h_basis.mat),
-            "F": subspace_dict(report.uft.f_space),
-            "T": format_matrix(report.uft.t_map),
-        }
-    else:
-        out["uft"] = None
+    out["uft"] = graph_dict(report.uft) if report.uft is not None else None
     if report.para_complex_report is not None:
         pc = report.para_complex_report
         out["para_complex_detail"] = {

@@ -43,40 +43,6 @@ def poly_mul(p, q):
     return poly_trim(out)
 
 
-def poly_divmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [F0] * max(0, len(p) - len(q) + 1)
-    dq = len(q) - 1
-    lead = q[-1]
-    for i in range(len(rem) - 1, dq - 1, -1):
-        if rem[i] == 0:
-            continue
-        f = rem[i] / lead
-        quo[i - dq] = f
-        for j in range(dq + 1):
-            rem[i - dq + j] -= f * q[j]
-    return poly_trim(quo), poly_trim(rem)
-
-
-def poly_monic(p):
-    if not p:
-        return ZERO
-    return tuple(a / p[-1] for a in p)
-
-
-def poly_gcd(p, q):
-    a, b = p, q
-    while b:
-        a, b = b, poly_divmod(a, b)[1]
-    return poly_monic(a)
-
-
-def poly_derivative(p):
-    return poly_trim(i * a for i, a in enumerate(p) if i > 0)
-
-
 def poly_pow(p, k):
     out = ONE
     base = p
@@ -94,22 +60,6 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     for a in reversed(p):
         acc = (acc @ A) + Mat.identity(n).scale(a)
     return acc
-
-
-def squarefree_part(p):
-    if poly_deg(p) < 1:
-        return poly_monic(p)
-    g = poly_gcd(p, poly_derivative(p))
-    return poly_monic(poly_divmod(p, g)[0])
-
-
-def rational_roots(p):
-    """All rational roots of p (multiplicities stripped)."""
-    p = poly_trim(p)
-    if not p:
-        raise ValueError("zero polynomial has every root")
-    _, factors = factor(p)
-    return {-fac[0] for fac, _m in factors if poly_deg(fac) == 1}
 
 
 def factor(p):

@@ -4,7 +4,9 @@ A subspace is held by the unique reduced-echelon basis of its row
 space, so equality of subspaces is equality of matrices.  Everything
 (sums, intersections, complements, Gram matrices, signatures) is
 computed with zero tolerance; combinations of basis rows and Gram
-matrices are integer matrix products (``Mat.__matmul__``).
+matrices are integer matrix products (``Mat.__matmul__``).  The sum of
+several subspaces is one elimination of all their rows (:func:`span_of`),
+which also serves the direct-sum test.
 
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
 the facts every check reads are computed once per instance: the integer
@@ -140,9 +142,6 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return all(self.contains_vector(r) for r in other.mat.rows)
 
-    def __le__(self, other: "Subspace") -> bool:
-        return other.contains(self)
-
     def coordinates_of(self, v: Sequence) -> tuple:
         """Coefficients of v in the canonical basis; error if v is outside."""
         coeffs = tuple(v[p] for p in self.pivots)
@@ -168,9 +167,6 @@ class Subspace:
         combos = self.mat.vstack(other.mat).T.kernel()
         cself = Mat(tuple(c[: self.dim] for c in combos.rows), ncols=self.dim)
         return Subspace(cself @ self.mat)
-
-    def __and__(self, other):
-        return self.intersect(other)
 
     def complement(self) -> "Subspace":
         """Canonical complement spanned by the coordinate vectors at the
@@ -212,14 +208,16 @@ class Subspace:
         return Subspace(qmat.kernel())
 
 
+def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
+    """The sum of several subspaces, by one elimination of all their rows."""
+    if any(p.ambient != ambient for p in parts):
+        raise ValueError("ambient mismatch")
+    return Subspace(Mat._of(tuple(r for p in parts for r in p.mat.rows), ambient))
+
+
 def direct_sum_is(whole: Subspace, parts: Sequence[Subspace]) -> bool:
     """Exact check that the parts are independent and span the whole."""
-    total = Subspace.zero(whole.ambient)
-    dims = 0
-    for p in parts:
-        total = total.sum(p)
-        dims += p.dim
-    return dims == total.dim and total == whole
+    return sum(p.dim for p in parts) == whole.dim and span_of(parts, whole.ambient) == whole
 
 
 # -- operations tied to the model structure --------------------------------

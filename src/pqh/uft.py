@@ -23,6 +23,7 @@ from .subspace import (
     h_fiber,
     maximal_pq,
     p1p2,
+    span_of,
 )
 
 
@@ -122,21 +123,30 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
     canonical basis of F.
     """
-    dim_e = u.ambient // 2
     pairs = [basis.h_components(v) for v in u.basis_vectors]
-    rows = [tuple(a) + tuple(b) for a, b in pairs]
-    # pivots only among the F coordinates; the T columns follow along
-    reduced, pivots, _ = _eliminate(rows, dim_e)
-    if len(pivots) != u.dim:
+    graph = _graph_of([tuple(a) + tuple(b) for a, b in pairs], u.ambient // 2)
+    if graph is None:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
         )
+    return UFTForm(basis, *graph)
+
+
+def _graph_of(rows, dim_e: int):
+    """(F, T) for the graph spanned by rows (f | Tf), or None when their F
+    parts are dependent.
+
+    The elimination pivots only among the F coordinates and the T columns
+    follow along, so the F rows come out as the canonical basis of F.
+    """
+    reduced, pivots, _ = _eliminate(rows, dim_e)
+    if len(pivots) != len(rows):
+        return None
     f_rows = [tuple(r[:dim_e]) for r in reduced]
-    t_cols = [tuple(r[dim_e:]) for r in reduced]
     f_space = Subspace.span(f_rows, dim_e)
     if f_space.mat.rows != tuple(f_rows):
         raise AssertionError("prefix echelon failed to canonicalize F")
-    return UFTForm(basis, f_space, Mat.from_cols(t_cols, nrows=dim_e))
+    return f_space, Mat.from_cols([tuple(r[dim_e:]) for r in reduced], nrows=dim_e)
 
 
 def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
@@ -149,22 +159,15 @@ def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
     a, b, c, d = (Fraction(x) for x in (a, b, c, d))
     if a * d - b * c == 0:
         raise ValueError("basis-change coefficients are singular")
-    dim_e = f_space.ambient
-    new_f_rows = []
-    new_images = []
-    for j, f in enumerate(f_space.mat.rows):
-        tf = t_map.col(j)
-        nf = tuple(a * x + c * y for x, y in zip(f, tf))
-        ni = tuple(b * x + d * y for x, y in zip(f, tf))
-        new_f_rows.append(nf)
-        new_images.append(ni)
-    stacked = [nf + ni for nf, ni in zip(new_f_rows, new_images)]
-    reduced, pivots, _ = _eliminate(stacked, dim_e)
-    if len(pivots) != f_space.dim:
+    stacked = [
+        tuple(a * x + c * y for x, y in zip(f, tf))
+        + tuple(b * x + d * y for x, y in zip(f, tf))
+        for f, tf in zip(f_space.mat.rows, t_map.cols)
+    ]
+    graph = _graph_of(stacked, f_space.ambient)
+    if graph is None:
         raise ValueError("pencil value a Id + c T is not injective on F")
-    f_new = Subspace.span([tuple(r[:dim_e]) for r in reduced], dim_e)
-    t_new = Mat.from_cols([tuple(r[dim_e:]) for r in reduced], nrows=dim_e)
-    return f_new, t_new
+    return graph
 
 
 def uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
@@ -229,6 +232,17 @@ def normalize_direction(h) -> tuple:
     if b == 0:
         raise ValueError("zero direction")
     return (F0, F1)
+
+
+def line_direction(basis: HBasisChange, lam) -> tuple:
+    """The normalized standard direction h1 + lam h2 of a basis: the
+    decomposable direction of a root lam of the graph map."""
+    return normalize_direction(_std_direction(basis, (F1, lam)))
+
+
+def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
+    """ker poly(T) inside W, for T given by its matrix on the basis of W."""
+    return Subspace(poly_eval_matrix(poly, t_w).kernel() @ w.mat)
 
 
 def invariant_core(u: UFTForm):
@@ -298,13 +312,9 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
     if core.dim:
         _, factors = factor(t_core.charpoly())
         for poly, _mult in factors:
-            fiber = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
+            fiber = poly_fiber(core, t_core, poly)
             if poly_deg(poly) == 1:
-                lam = -poly[0]
-                direction = normalize_direction(
-                    _std_direction(form.h_basis, (F1, lam))
-                )
-                lines.append(SpectralLine(direction, fiber))
+                lines.append(SpectralLine(line_direction(form.h_basis, -poly[0]), fiber))
             else:
                 blocks.append(IrreducibleBlock(tuple(poly), fiber))
     lines.sort(key=lambda l: l.direction)
@@ -427,9 +437,7 @@ def _eigenfree_inside(groups):
     if len(groups) <= 1:
         return Subspace.zero(ambient)
     a1 = groups[0]
-    b = Subspace.zero(ambient)
-    for g in groups[1:]:
-        b = b.sum(g)
+    b = span_of(groups[1:], ambient)
     m = b.dim
     inner = _eigenfree_inside(groups[1:])
     kdim = max(0, m - a1.dim)
@@ -482,41 +490,21 @@ def _form2_graph(form: UFTForm):
     dim_e = form.dim_e
     if core.is_zero():
         return [], form.span()
-    eigens = []
+    # fibers of the degree-1 factors only: higher factors carry no direction
     _, factors = factor(t_core.charpoly())
-    for poly, _mult in factors:
-        if poly_deg(poly) != 1:
-            continue
-        lam = -poly[0]
-        fiber = Subspace(poly_eval_matrix(poly, t_core).kernel() @ core.mat)
-        direction = normalize_direction(_std_direction(inj.h_basis, (F1, lam)))
-        eigens.append((fiber, direction))
+    eigens = [
+        (poly_fiber(core, t_core, poly), line_direction(inj.h_basis, -poly[0]))
+        for poly, _mult in factors
+        if poly_deg(poly) == 1
+    ]
     if not eigens:
         return [], form.span()
     eigens.sort(key=lambda fd: (-fd[0].dim, fd[1]))
     top_fiber, top_dir = eigens[0]
     groups = [fd[0] for fd in eigens]
-    free_part = _eigenfree_inside(groups)
-    all_eigen = Subspace.zero(dim_e)
-    for g in groups:
-        all_eigen = all_eigen.sum(g)
-    rest = all_eigen.complement_in(inj.f_space)
-    s_space = free_part.sum(rest)
+    rest = span_of(groups, dim_e).complement_in(inj.f_space)
+    s_space = span_of([_eigenfree_inside(groups), rest], dim_e)
     return [DecomposablePiece(top_dir, top_fiber)], graph_over(inj, s_space)
-
-
-def _form2_pure(x: Subspace):
-    """Pieces and decomposable-free part for a pure subspace (which need
-    not be a graph: a minimal-fiber piece is split off first if not)."""
-    if x.dim == 0:
-        return [], x
-    h, fib = minimal_fiber_direction(x)
-    if fib.dim == 0:
-        return _form2_graph(to_uft(x, transversal_basis(h)))
-    piece = DecomposablePiece(normalize_direction(h), fib)
-    rest = piece.span().complement_in(x)
-    sub_pieces, tilde = _form2_graph(to_uft(rest, transversal_basis(h)))
-    return [piece] + sub_pieces, tilde
 
 
 def decompose_form2(u: Subspace) -> Form2:
@@ -529,7 +517,12 @@ def decompose_form2(u: Subspace) -> Form2:
     u0 = maximal_pq(u)
     e0 = p1p2(u0)[0]
     u_prime = u if u0.is_zero() else clean_complement(u, u0, e0)
-    pieces, tilde = _form2_pure(u_prime)
+    # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
+    # piece first, and its graph part is split into eigen-direction pieces
+    form1 = decompose_form1(u_prime)
+    pieces, tilde = _form2_graph(form1.graph)
+    if form1.piece is not None:
+        pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
     graph_parts = [tilde] if tilde.dim else []
     if not u0.is_zero():
@@ -550,9 +543,7 @@ def decompose_form2(u: Subspace) -> Form2:
         if e0.dim > 1:
             t0 = _no_rational_eigenvalue_map(e0.dim)
             graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
-    tilde = Subspace.zero(dim_v)
-    for g in graph_parts:
-        tilde = tilde.sum(g)
+    tilde = span_of(graph_parts, dim_v)
     if tilde.is_zero():
         graph = _empty_form(dim_e)
     else:

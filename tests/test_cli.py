@@ -251,6 +251,28 @@ class TestCommands:
         assert code == 0
         assert "no transversal direction" in out
 
+    def test_uft_given_basis_meets_subspace(self, tmp_path, capsys):
+        # the h2 direction of the given basis carries the only vector of U
+        path = tmp_path / "h2.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 1,
+                    "omega_E": [["0", "1"], ["-1", "0"]],
+                    "vectors": [["0", "0", "1", "0"]],
+                    "h_basis": [["1", "0"], ["0", "1"]],
+                }
+            )
+        )
+        code, out, _ = run_cli(capsys, "uft", str(path), "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["uft"] is None
+        assert data["reason"].startswith("no graph form in the given basis: ")
+        assert out == json.dumps(data, sort_keys=True, indent=1) + "\n"
+        code, text, _ = run_cli(capsys, "uft", str(path))
+        assert code == 0 and text == data["reason"] + "\n"
+
     def test_product(self, totally_real_instance, capsys):
         code, out, _ = run_cli(
             capsys, "product", totally_real_instance, "--x", "0", "--y", "0"

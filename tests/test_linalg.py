@@ -13,11 +13,8 @@ from pqh.polyq import (
     factor,
     is_rational_square,
     minimal_polynomial,
-    poly_divmod,
     poly_eval_matrix,
     poly_mul,
-    rational_roots,
-    squarefree_part,
 )
 from pqh.quadext import QuadExt, sqrt_of
 from pqh.rng import Rng
@@ -537,18 +534,6 @@ class TestPoly:
                     rebuilt = poly_mul(rebuilt, fac)
             assert rebuilt == prod
 
-    def test_rational_roots(self):
-        # (x - 2)(x + 1/3)(x^2 + 1)
-        f = poly_mul(
-            poly_mul((Fraction(-2), Fraction(1)), (Fraction(1, 3), Fraction(1))),
-            (Fraction(1), Fraction(0), Fraction(1)),
-        )
-        assert rational_roots(f) == {Fraction(2), Fraction(-1, 3)}
-
-    def test_squarefree(self):
-        f = poly_mul((Fraction(-1), Fraction(1)), (Fraction(-1), Fraction(1)))
-        assert squarefree_part(f) == (Fraction(-1), Fraction(1))
-
     def test_minimal_polynomial(self):
         # Jordan block with eigenvalue 2: minpoly (x-2)^2, charpoly (x-2)^2
         j = Mat(((2, 1), (0, 2)))
@@ -556,11 +541,6 @@ class TestPoly:
         # diagonalizable: minpoly squarefree
         d = Mat(((2, 0), (0, 2)))
         assert minimal_polynomial(d) == (Fraction(-2), Fraction(1))
-
-    def test_divmod(self):
-        f = (Fraction(1), Fraction(2), Fraction(1))  # (x+1)^2
-        q, r = poly_divmod(f, (Fraction(1), Fraction(1)))
-        assert q == (Fraction(1), Fraction(1)) and r == ()
 
     def test_import_leaves_sympy_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -19,3 +20,46 @@ def test_traced_names_resolve():
         if not callable(obj):
             missing.append(f"{layer}.{qualname}")
     assert missing == []
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_record_calls_on_their_home_workload(tmp_path):
+    """A refactor that routes around a traced function would leave its
+    per-layer metric reading zero; each name must be called on its home."""
+    bench = TRACING.parent
+    tracing = _load("tracing", TRACING)
+    # workloads.py imports the tracer as the top-level module ``tracing``
+    saved = sys.modules.get("tracing")
+    sys.modules["tracing"] = tracing
+    try:
+        workloads = _load("bench_workloads", bench / "workloads.py")
+    finally:
+        if saved is None:
+            del sys.modules["tracing"]
+        else:
+            sys.modules["tracing"] = saved
+    importlib.import_module("pqh.cli")
+    tracer = tracing.Tracer().prepare()
+    assert tracer.missing == []
+    recorded = {}
+    tracer.install()
+    try:
+        for workload in (workloads.ClassifySweep, workloads.DecomposeGraph):
+            tracer.reset()
+            runner = workload(1, tmp_path)
+            assert runner.run(runner.make())
+            recorded[workload.name] = dict(tracer.calls)
+    finally:
+        tracer.uninstall()
+    bypassed = [
+        f"{layer}.{qual}"
+        for layer, qual, home in tracing.TABLE
+        if home in recorded and not recorded[home].get(f"{layer}.{qual}")
+    ]
+    assert bypassed == []
