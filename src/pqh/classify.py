@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, symmetric_signature
+from .linalg import F0, F1, Mat, int_rank, symmetric_signature
 from .model import (
     HBasisChange,
     ModelSpace,
@@ -102,13 +103,13 @@ def stabilizer(u: Subspace) -> Stabilizer:
     from .model import OP_I, OP_J, OP_K
 
     rows = []
-    for x in u.mat.rows:
-        ri = u.reduce(OP_I.apply_coords(x))
-        rj = u.reduce(OP_J.apply_coords(x))
-        rk = u.reduce(OP_K.apply_coords(x))
-        rows.extend(zip(ri, rj, rk))
-    if not rows:
-        return Stabilizer(Mat.identity(3))
+    for xs, dx in u.int_basis():
+        # the residues of I x, J x, K x over one denominator; scaling a
+        # constraint row, or dropping a zero one, leaves the kernel alone
+        parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+        d = lcm(*(e for _, e in parts))
+        ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
+        rows.extend(filter(any, zip(ri, rj, rk)))
     return Stabilizer(Mat(rows, ncols=3).kernel())
 
 
@@ -180,7 +181,7 @@ def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
 
 
 def operator_preserves(a: Operator, u: Subspace) -> bool:
-    return all(u.contains_vector(a.apply_coords(x)) for x in u.mat.rows)
+    return all(u.contains_int(*a.act_int(xs, dx)) for xs, dx in u.int_basis())
 
 
 def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
@@ -190,7 +191,7 @@ def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
     (possibly zero) multiple of the identity.
     """
     w = u.intersect(operator_preimage(a, u))
-    if not all(w.contains_vector(a.apply_coords(x)) for x in w.mat.rows):
+    if not operator_preserves(a, w):
         raise AssertionError("one-step invariant subspace is not invariant")
     return w
 
@@ -252,10 +253,9 @@ def invariant_pure_complement(a: Operator, u: Subspace, u0: Subspace) -> Subspac
     root = is_rational_square(-qa) if qa < 0 else None
     if root is not None and root != 0:
         amat = a.as_matrix(dim_e)
-        eye = Mat.identity(u.ambient)
         parts = []
         for sign in (root, -root):
-            vs = Subspace((amat - eye.scale(sign)).kernel())
+            vs = Subspace((amat - Mat.scalar(u.ambient, sign)).kernel())
             us = u.intersect(vs)
             u0s = u0.intersect(vs)
             parts.append(u0s.complement_in(us))
@@ -297,9 +297,9 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
         omega_r = restrict_omega(ms, e_prime)
         hermitian = omega_r.det() != 0
         k = e_prime.dim
-        split = Mat(
-            [tensor(h, f).coords for h in ((1, 0), (0, 1)) for f in e_prime.mat.rows],
-            ncols=u.ambient,
+        zero, fs = (F0,) * e_prime.ambient, e_prime.mat.rows
+        split = Mat._of(
+            tuple(f + zero for f in fs) + tuple(zero + f for f in fs), u.ambient
         )
         g = split @ ms.metric_matrix() @ split.T
         z = Mat.zeros(k, k)
@@ -356,7 +356,7 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     if not all(form.f_space.contains_vector(tf) for tf in form.t_map.cols):
         raise AssertionError(f"T does not preserve F for a {kind} witness")
     t_f = form.t_on_subspace(form.f_space)
-    if t_f @ t_f != Mat.identity(form.dim).scale(-scale):
+    if t_f @ t_f != Mat.scalar(form.dim, -scale):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
     g_f = induced_g_f(ms, form)
     sig = SignatureTriple(*symmetric_signature(g_f))
@@ -513,7 +513,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
             raise AssertionError("empty eigenspace but nonzero metric rank")
         # the witness family a I + a J +- K when the pure part sits in one eigenspace
         for lam in (lam_plus, -lam_plus):
-            if t_f == Mat.identity(k).scale(lam):
+            if t_f == Mat.scalar(k, lam):
                 n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
                 n_op = _conjugated_operator(pp.basis, n_ad)
                 for t in (0, 1, 2):
@@ -558,9 +558,8 @@ def para_complex_eigenvectors(report: ParaComplexReport):
         tuple(tuple(QuadExt(x, 0, nu) for x in row) for row in t_f.rows),
         ncols=k,
     )
-    eye = Mat.identity(k)
-    plus = (lifted - eye.scale(lam)).kernel()
-    minus = (lifted + eye.scale(lam)).kernel()
+    plus = (lifted - Mat.scalar(k, lam)).kernel()
+    minus = (lifted + Mat.scalar(k, lam)).kernel()
     if plus.nrows != report.d_plus or minus.nrows != report.d_minus:
         raise AssertionError("quadratic-extension eigenspaces disagree with the trace test")
     return lam, plus.rows, minus.rows
@@ -1058,7 +1057,7 @@ def oracle_check(
         amat = wit.as_matrix(dim_e)
         check(
             f"{kind}-witness-square-identity",
-            amat @ amat == Mat.identity(2 * dim_e).scale(-wit.q()),
+            amat @ amat == Mat.scalar(2 * dim_e, -wit.q()),
         )
         sign_ok = {
             "complex": wit.q() > 0,
@@ -1075,16 +1074,15 @@ def oracle_check(
         a = Operator(rng.rational(), rng.rational(), rng.rational())
         if a.is_zero():
             continue
-        (x,) = (Mat((rng.rationals(u.dim),), ncols=u.dim) @ u.mat).rows
-        ax = a.apply_coords(x)
-        if any(v != 0 for v in ax) and u.contains_vector(ax):
-            violation = (a, x)
+        ax, d = a.act_int(*u.combine_int(rng.rationals(u.dim)))
+        if any(ax) and u.contains_int(ax, d):
+            violation = a
             break
     if report.flags.real:
         check(
             "real-no-sampled-violation",
             violation is None,
-            "" if violation is None else f"witness {violation[0]}",
+            "" if violation is None else f"witness {violation}",
         )
     # orthogonality refinements, straight from the Gram matrix
     if report.flags.totally_real:
@@ -1124,16 +1122,13 @@ def oracle_check(
                 and b.beta * wit.gamma == b.gamma * wit.beta
             ):
                 continue
-            if b.q() != 0:
-                # B^2 = -q(B) Id, so B is invertible and maps a basis of U
-                # to a basis of B U
-                rows, dim = [b.apply_coords(x) for x in u.mat.rows], u.dim
-            else:
-                bu = image(b, u)
-                rows, dim = bu.mat.rows, bu.dim
-            # B U meets U iff its basis is dependent modulo U
-            residues = Mat([u.reduce(r) for r in rows], ncols=u.ambient)
-            if residues.rank() != dim:
+            rows = [b.act_int(xs, dx)[0] for xs, dx in u.int_basis()]
+            # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
+            # basis of U to a basis of B U
+            dim = u.dim if b.q() != 0 else int_rank(rows, u.ambient)
+            # B U meets U iff its spanning rows are dependent modulo U
+            residues = [u.reduce_int(r, 1)[0] for r in rows]
+            if int_rank(residues, u.ambient) != dim:
                 check("pure-complex-moves-off", False, f"B={b}")
                 break
         else:

@@ -54,9 +54,11 @@ def random_sl2(rng: Rng) -> HBasisChange:
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
-    eye = Mat.identity(u.ambient // 2)
+    half = u.ambient // 2
     (p, q), (r, t) = s.mat.rows
-    blocks = eye.scale(p).hstack(eye.scale(r)).vstack(eye.scale(q).hstack(eye.scale(t)))
+    blocks = Mat.scalar(half, p).hstack(Mat.scalar(half, r)).vstack(
+        Mat.scalar(half, q).hstack(Mat.scalar(half, t))
+    )
     return Subspace(u.mat @ blocks)
 
 

@@ -4,18 +4,21 @@ All matrices are immutable tuples of row tuples; entries are
 ``fractions.Fraction`` by default.  Rational work runs on plain Python
 integers and builds each output ``Fraction`` once: products (and so
 ``mul_vec`` on rational entries) and ``charpoly`` clear denominators, and
-every elimination (``rref`` and so ``kernel``, ``rank``, ``inverse``,
-``solve``; ``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is
-the one fraction-free Gauss-Jordan loop :func:`_eliminate`.  Matrices
-over Q(sqrt(c)) (:class:`pqh.quadext.QuadExt`) support ``+``, ``-``,
-``scale``, ``mul_vec`` and elimination, which runs the same loop with
-field division.
+every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
+``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is the one
+fraction-free Gauss-Jordan loop :func:`_bareiss`, wrapped by
+:func:`_eliminate`; ``rank`` and :func:`int_rank` run the loop and build
+no output ``Fraction``.  Matrices over Q(sqrt(c))
+(:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale``,
+``mul_vec`` and elimination, which runs the same loop with field
+division.
 
 ``Mat(rows)`` checks every entry and turns ints into ``Fraction`` values; a
 float raises ``TypeError``, so there is no floating point anywhere.  The
-results of ``@``, ``rref``, ``T``, ``vstack`` and ``hstack`` hold only
-entries of checked matrices or ``Fraction`` values built from their integers,
-and skip the check through the trusted constructor ``Mat._of``.
+results of ``@``, ``rref``, ``T``, ``vstack``, ``hstack`` and ``scalar``
+hold only entries of checked matrices or ``Fraction`` values built from
+their integers, and skip the check through the trusted constructor
+``Mat._of``.
 """
 
 from __future__ import annotations
@@ -79,30 +82,52 @@ def _eliminate(rows, width):
     dividing elimination would meet, so ``det(A)`` when A is square and
     nonsingular.
 
-    Rational rows are scaled to ints, each by its own lcm of denominators.
-    A step with pivot ``p`` (the one before it ``prev``) takes every other
-    row with ``f != 0`` in the pivot column to ``(p*row - f*prow) / prev``;
-    the division is exact, since every entry stays a minor of the scaled
-    matrix.  Bareiss would also scale the rows with ``f == 0`` by
-    ``p / prev``; here they are left alone and each row keeps the pivot
-    ``D[i]`` it was last brought up to date at, so its Bareiss value is
-    ``row * prev / D[i]``, again exact.  A pivot row ends as ``row / D[i]``
+    Rational rows are scaled to ints, each by its own lcm of denominators,
+    and run through :func:`_bareiss`.  A pivot row ends as ``row / D[i]``
     of the reduced form, each entry built once as ``Fraction(x, D[i])``,
     and the last pivot is ``+-det`` of the scaled rows.  Rows with entries
     outside Q (``QuadExt``) run the same loop with field division and no
     scaling.
     """
-    field = not all(type(x) is Fraction for r in rows for x in r)
+    M, scale, field = _scaled(rows)
+    pivots, D, det = _bareiss(M, width, field)
     if field:
-        M = [list(r) for r in rows]
-        prev, scale = F1, F1
-    else:
-        M, scale = [], 1
-        for r in rows:
-            ints, d = _int_row(r)
-            M.append(ints)
-            scale *= d
-        prev = 1
+        R = [tuple(x / d for x in row) for row, d in zip(M, D)]
+        return R, pivots, det / scale
+    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D)]
+    return R, pivots, Fraction(det, scale)
+
+
+def _scaled(rows):
+    """``(M, scale, field)``: rational rows as int rows ``M``, each over its
+    own lcm of denominators with ``scale`` their product; rows with an entry
+    outside Q are copied as they are, with ``field`` set."""
+    if not all(type(x) is Fraction for r in rows for x in r):
+        return [list(r) for r in rows], F1, True
+    M, scale = [], 1
+    for r in rows:
+        ints, d = _int_row(r)
+        M.append(ints)
+        scale *= d
+    return M, scale, False
+
+
+def _bareiss(M, width, field=False):
+    """The elimination loop of :func:`_eliminate`, in place on the rows ``M``.
+
+    ``M`` holds plain ints (or field entries when ``field``).  Returns
+    ``(pivots, D, det)``: after the loop ``M[i] / D[i]`` is pivot row ``i``
+    of the reduced row echelon form, and ``det`` is the signed last pivot.
+
+    A step with pivot ``p`` (the one before it ``prev``) takes every other
+    row with ``f != 0`` in the pivot column to ``(p*row - f*prow) / prev``;
+    the division is exact, since every entry stays a minor of the matrix.
+    Bareiss would also scale the rows with ``f == 0`` by ``p / prev``; here
+    they are left alone and each row keeps the pivot ``D[i]`` it was last
+    brought up to date at, so its Bareiss value is ``row * prev / D[i]``,
+    again exact.
+    """
+    prev = F1 if field else 1
     div = truediv if field else floordiv
     n = len(M)
     D = [prev] * n
@@ -138,12 +163,12 @@ def _eliminate(rows, width):
         M[r], D[r] = prow, p
         prev = p
         pivots.append(c)
-    r = len(pivots)
-    if field:
-        R = [tuple(x / d for x in row) for row, d in zip(M, D[:r])]
-        return R, tuple(pivots), sign * prev / scale
-    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D[:r])]
-    return R, tuple(pivots), Fraction(sign * prev, scale)
+    return tuple(pivots), D[: len(pivots)], sign * prev
+
+
+def int_rank(rows, width) -> int:
+    """Rank of plain-int rows, with no output ``Fraction`` built."""
+    return len(_bareiss([list(r) for r in rows], width)[0])
 
 
 def _entry(x):
@@ -188,6 +213,13 @@ class Mat:
             tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)),
             ncols=n,
         )
+
+    @classmethod
+    def scalar(cls, n, c):
+        """c times the n x n identity."""
+        c = _entry(c)
+        rows = tuple(tuple(c if i == j else F0 for j in range(n)) for i in range(n))
+        return cls._of(rows, n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
@@ -326,7 +358,8 @@ class Mat:
         return Mat._of(tuple(R), self._ncols), pivots
 
     def rank(self):
-        return self.rref()[0].nrows
+        M, _, field = _scaled(self.rows)
+        return len(_bareiss(M, self._ncols, field)[0])
 
     def kernel(self):
         """Canonical (RREF) basis of {x : A x = 0}, rows of the result."""

@@ -9,10 +9,17 @@ changes are explicit values, never hidden state.
 
 The arithmetic runs on plain integers, as in :mod:`pqh.linalg`: an
 operator and an H-basis change both act as a 2x2 matrix on the pair
-(e, e') of E-components (:func:`_h_act`), and the metric is one bilinear
-form, so each clears the denominators of a coordinate row once and
-builds each output ``Fraction`` once.  A :class:`ModelSpace` keeps the
-integer rows of its omega^E and its 4n x 4n metric matrix, built once.
+(e, e') of E-components, and the metric is one bilinear form.  The
+integer core of the action, :func:`_h_act_int` (``Operator.act_int``),
+maps a row ``(ints, d)`` to a row ``(ints, d)``, so callers such as
+``Subspace.reduce_int`` take its output without a ``Fraction`` in
+between.  ``Fraction``s are built only at the rational surface:
+:func:`_h_act` (``apply_coords``, ``h_components``, ``assemble``) builds
+each output coordinate once, and ``metric``, ``omega_eval`` and
+:meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
+product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
+A :class:`ModelSpace` keeps the integer rows of its omega^E and its
+4n x 4n metric matrix, built once.
 """
 
 from __future__ import annotations
@@ -43,16 +50,21 @@ def _h_act(m, coords) -> tuple:
     coordinates ``coords`` = (e, e') and a 2x2 rational m read row-wise."""
     if len(coords) % 2:
         raise ValueError("coordinate length must be even")
-    (m0, m1, m2, m3), dm = _int_row(m)
     try:
         xs, dx = _int_row(coords)
     except AttributeError:
         raise TypeError("expected rational coordinates") from None
+    out, d = _h_act_int(m, xs, dx)
+    return tuple(Fraction(x, d) if x else F0 for x in out)
+
+
+def _h_act_int(m, xs, dx) -> tuple:
+    """:func:`_h_act` on the integer row xs / dx: ``(ints, d)`` of the result."""
+    (m0, m1, m2, m3), dm = _int_row(m)
     half = len(xs) // 2
     pairs = list(zip(xs[:half], xs[half:]))
     out = [m0 * e + m1 * ep for e, ep in pairs] + [m2 * e + m3 * ep for e, ep in pairs]
-    d = dm * dx
-    return tuple(Fraction(x, d) if x else F0 for x in out)
+    return out, dm * dx
 
 
 def _pairing(w, a, b) -> int:
@@ -159,9 +171,17 @@ class Operator:
     def apply(self, x: Vector) -> Vector:
         return Vector.from_coords(self.apply_coords(x.coords))
 
-    def apply_coords(self, coords: tuple) -> tuple:
+    def _h_mat(self) -> tuple:
+        """The 2x2 matrix acting on the E-components (e, e'), row-wise."""
         a, b, g = self.alpha, self.beta, self.gamma
-        return _h_act((-g, b - a, a + b, g), coords)
+        return (-g, b - a, a + b, g)
+
+    def apply_coords(self, coords: tuple) -> tuple:
+        return _h_act(self._h_mat(), coords)
+
+    def act_int(self, xs: list, dx: int) -> tuple:
+        """:meth:`apply_coords` on the integer row xs / dx, as ``(ints, d)``."""
+        return _h_act_int(self._h_mat(), xs, dx)
 
     def as_matrix(self, dim_e: int) -> Mat:
         m = self.mat2()
@@ -325,10 +345,14 @@ class ModelSpace:
         half = self.dim_e
         if x.dim_e != half or y.dim_e != half:
             raise ValueError("vector does not live in this model space")
-        w, dw = self._omega_int
         (xs, dx), (ys, dy) = _int_row(x.coords), _int_row(y.coords)
-        num = _pairing(w, xs[:half], ys[half:]) - _pairing(w, xs[half:], ys[:half])
-        return Fraction(num, dw * dx * dy)
+        return Fraction(self._metric_int(xs, ys), self._omega_int[1] * dx * dy)
+
+    def _metric_int(self, xs: list, ys: list) -> int:
+        """The numerator of g on integer coordinate rows (omega^E's common
+        denominator is left out)."""
+        w, half = self._omega_int[0], self.dim_e
+        return _pairing(w, xs[:half], ys[half:]) - _pairing(w, xs[half:], ys[:half])
 
     def metric_matrix(self) -> Mat:
         """[[0, omega], [-omega, 0]], the Gram matrix of g on the coordinates."""
@@ -347,12 +371,16 @@ class ModelSpace:
             i, j, k = basis
             if not is_admissible_triple(i, j, k):
                 raise StructureError("not an admissible basis triple")
-        return ParaQuaternion(
-            self.metric(x, y),
-            self.metric(x, i.apply(y)),
-            -self.metric(x, j.apply(y)),
-            -self.metric(x, k.apply(y)),
-        )
+        half = self.dim_e
+        if x.dim_e != half or y.dim_e != half:
+            raise ValueError("vector does not live in this model space")
+        (xs, dx), (ys, dy) = _int_row(x.coords), _int_row(y.coords)
+        d = self._omega_int[1] * dx
+        vals = [Fraction(self._metric_int(xs, ys), d * dy)]
+        for op in (i, j, k):
+            zs, dz = op.act_int(ys, dy)
+            vals.append(Fraction(self._metric_int(xs, zs), d * dz))
+        return ParaQuaternion(vals[0], vals[1], -vals[2], -vals[3])
 
 
 # -- standardization of abstract para-hypercomplex structures -------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-from .linalg import F0, F1, Mat
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows
 
 ZERO = ()
 ONE = (F1,)
@@ -55,11 +55,28 @@ def poly_pow(p, k):
 
 
 def poly_eval_matrix(p, A: Mat) -> Mat:
+    """p(A) for a square rational matrix A, by Horner's rule in ints.
+
+    With B = d*A (d the lcm of A's denominators) and e*p = c (e the lcm of
+    p's denominators), the Horner steps N <- N B + c_k d^(m-k) I, from
+    N = c_m I down to k = 0, give N = e d^m p(A), m the degree of p; each
+    output ``Fraction`` is built once from N.
+    """
     n = A.nrows
-    acc = Mat.zeros(n, n)
-    for a in reversed(p):
-        acc = (acc @ A) + Mat.identity(n).scale(a)
-    return acc
+    if not p:
+        return Mat.zeros(n, n)
+    B, d = _int_rows(A.rows)
+    c, e = _int_row(p)
+    Bcols = list(zip(*B))
+    m = len(p) - 1
+    N = [[c[m] if i == j else 0 for j in range(n)] for i in range(n)]
+    for k in range(m - 1, -1, -1):
+        N = _int_matmul(N, Bcols)
+        ck = c[k] * d ** (m - k)
+        for i in range(n):
+            N[i][i] += ck
+    den = e * d**m
+    return Mat._of(tuple(tuple(Fraction(x, den) if x else F0 for x in r) for r in N), n)
 
 
 def factor(p):

@@ -8,6 +8,15 @@ matrices are integer matrix products (``Mat.__matmul__``).  The sum of
 several subspaces is one elimination of all their rows (:func:`span_of`),
 which also serves the direct-sum test.
 
+Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
+row as ``(ints, d)`` (the value ``ints[j] / d``, as ``linalg._int_row``
+gives it) and returns one, so an integer operator action
+(``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
+where a rational value leaves the core: the result of :meth:`reduce`,
+the constraint columns of a preimage, and the rows of a new basis.
+``contains_vector`` tests the core's numerators for zero and builds none,
+and :func:`h_fiber` writes the columns of ``[aI; bI]`` as integer rows.
+
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
 the facts every check reads are computed once per instance: the integer
 basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
@@ -21,10 +30,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Mat, _int_row, symmetric_signature, vec_is_zero
+from .linalg import F0, F1, Mat, _entry, _int_row, symmetric_signature
 from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, tensor
 
 
@@ -113,16 +122,18 @@ class Subspace:
 
     # -- membership and coset reduction -----------------------------------
 
-    def reduce(self, v: Sequence) -> tuple:
-        """Canonical coset representative of v modulo this subspace.
+    def int_basis(self) -> list:
+        """The basis rows as ``(ints, d)`` pairs (see ``linalg._int_row``)."""
+        return self.memo("int_basis", lambda: [_int_row(r) for r in self.mat.rows])
 
-        Runs in ints: with v = V/D and a basis row R/e (so R[p] = e at its
-        pivot p), v - v[p] * row = (e*V - V[p]*R) / (D*e).  Entries may be
-        ints or Fractions; the result is Fractions.
+    def reduce_int(self, V: list, D: int) -> tuple:
+        """:meth:`reduce` of the row V/D in ints: ``(ints, d)`` of the result.
+
+        With a basis row R/e (so R[p] = e at its pivot p),
+        v - v[p] * row = (e*V - V[p]*R) / (D*e); common factors of the
+        numerators and D are divided out as they appear.
         """
-        basis = self.memo("int_basis", lambda: [_int_row(r) for r in self.mat.rows])
-        V, D = _int_row(v)
-        for (R, e), p in zip(basis, self.pivots):
+        for (R, e), p in zip(self.int_basis(), self.pivots):
             c = V[p]
             if c:
                 V = [e * x - c * y for x, y in zip(V, R)]
@@ -132,10 +143,23 @@ class Subspace:
                     if g > 1:
                         V = [x // g for x in V]
                         D //= g
+        return V, D
+
+    def contains_int(self, V: list, D: int) -> bool:
+        """Whether the row V/D lies in this subspace."""
+        return not any(self.reduce_int(V, D)[0])
+
+    def reduce(self, v: Sequence) -> tuple:
+        """Canonical coset representative of v modulo this subspace.
+
+        Entries may be ints or Fractions; the result is Fractions, built
+        once from :meth:`reduce_int`.
+        """
+        V, D = self.reduce_int(*_int_row(v))
         return tuple(Fraction(x, D) if x else F0 for x in V)
 
     def contains_vector(self, v: Sequence) -> bool:
-        return vec_is_zero(self.reduce(v))
+        return self.contains_int(*_int_row(v))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
@@ -145,7 +169,7 @@ class Subspace:
     def coordinates_of(self, v: Sequence) -> tuple:
         """Coefficients of v in the canonical basis; error if v is outside."""
         coeffs = tuple(v[p] for p in self.pivots)
-        if not vec_is_zero(self.reduce(v)):
+        if not self.contains_vector(v):
             raise ValueError("vector is not in the subspace")
         return coeffs
 
@@ -194,18 +218,35 @@ class Subspace:
         """{x : m x in self}."""
         if m.nrows != self.ambient:
             raise ValueError("matrix/ambient mismatch")
+        return self._preimage([_int_row(c) for c in m.cols], m.ncols)
+
+    def _preimage(self, cols: list, ncols: int) -> "Subspace":
+        """{x : sum_j x_j c_j in self} for ``ncols`` columns c_j given as
+        ``(ints, d)`` rows."""
         if self.dim == self.ambient:
-            return Subspace.full(m.ncols)
+            return Subspace.full(ncols)
         # reduce() is linear and vanishes exactly on self, so the columns
-        # reduce(m e_j) give the constraint matrix for x.
+        # reduce(c_j) give the constraint matrix for x.
         pivset = set(self.pivots)
         free = [j for j in range(self.ambient) if j not in pivset]
         qcols = []
-        for x_col in range(m.ncols):
-            red = self.reduce(m.col(x_col))
-            qcols.append(tuple(red[j] for j in free))
+        for V, D in cols:
+            V, D = self.reduce_int(V, D)
+            qcols.append(tuple(Fraction(V[j], D) if V[j] else F0 for j in free))
         qmat = Mat.from_cols(qcols, nrows=len(free))
         return Subspace(qmat.kernel())
+
+    def combine_int(self, coeffs: Sequence) -> tuple:
+        """The combination sum c_i b_i of the basis rows, as ``(ints, d)``."""
+        cs, dc = _int_row(coeffs)
+        basis = self.int_basis()
+        e = lcm(*(d for _, d in basis))
+        out = [0] * self.ambient
+        for c, (R, d) in zip(cs, basis):
+            if c:
+                f = c * (e // d)
+                out = [x + f * y for x, y in zip(out, R)]
+        return out, dc * e
 
 
 def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
@@ -247,11 +288,17 @@ def p1p2(u: Subspace, basis: HBasisChange | None = None):
 
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     """{e in E : h (x) e in U}, the fiber of the direction h."""
-    a, b = h
+    (a, b), d = _int_row(tuple(map(_entry, h)))
     if a == 0 and b == 0:
         raise ValueError("direction must be nonzero")
-    eye = Mat.identity(u.ambient // 2)
-    return u.preimage_by(eye.scale(a).vstack(eye.scale(b)))
+    # column j of [aI; bI] is a e_j + b e_{half + j}
+    half = u.ambient // 2
+    cols = []
+    for j in range(half):
+        col = [0] * u.ambient
+        col[j], col[half + j] = a, b
+        cols.append((col, d))
+    return u._preimage(cols, half)
 
 
 def gram(ms: ModelSpace, u: Subspace) -> Mat:
@@ -296,12 +343,9 @@ def is_pure(u: Subspace) -> bool:
 
 def product_subspace(e_sub: Subspace) -> Subspace:
     """H (x) E' for a subspace E' of E."""
-    half = e_sub.ambient
-    rows = []
-    for f in e_sub.mat.rows:
-        rows.append(tensor((1, 0), f).coords)
-        rows.append(tensor((0, 1), f).coords)
-    return Subspace.span(rows, 2 * half)
+    zero = (F0,) * e_sub.ambient
+    rows = [r for f in e_sub.mat.rows for r in (f + zero, zero + f)]
+    return Subspace.span(rows, 2 * e_sub.ambient)
 
 
 def decomposable_subspace(h: Sequence, e_sub: Subspace) -> Subspace:

@@ -425,3 +425,44 @@ def test_oracle_all_kinds_100_seeds():
             rep = classify(ms, u)
             bad = [f for f in oracle_check(ms, rep, u, seed=seed) if not f.ok]
             assert not bad, (seed, n, kind, [b.name for b in bad])
+
+
+class TestBareIntegers:
+    """Entries may be bare JSON integers; a bare decimal is refused."""
+
+    @staticmethod
+    def _unquote(x):
+        if isinstance(x, list):
+            return [TestBareIntegers._unquote(y) for y in x]
+        if isinstance(x, str) and "/" not in x:
+            return int(x)
+        return x
+
+    def test_bare_integers_classify_like_quoted(self, tmp_path, capsys):
+        data = json.loads((DATA / "instance_mixed.json").read_text())
+        bare = {k: self._unquote(v) if k != "n" else v for k, v in data.items()}
+        assert any(isinstance(x, int) for row in bare["vectors"] for x in row)
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(bare))
+        quoted = str(DATA / "instance_mixed.json")
+        for extra in ((), ("--json",)):
+            expected = run_cli(capsys, "classify", quoted, *extra)
+            got = run_cli(capsys, "classify", str(path), *extra)
+            assert got == expected
+            assert got[0] == 0
+
+    @pytest.mark.parametrize("field", ["omega_E", "vectors"])
+    def test_bare_decimal_exit_2(self, tmp_path, capsys, field):
+        data = {
+            "n": 1,
+            "omega_E": [[0, 1], [-1, 0]],
+            "vectors": [[1, 0, 0, 1]],
+        }
+        data[field][0][1] = 0.5
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, "classify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1

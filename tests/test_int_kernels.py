@@ -1,0 +1,514 @@
+"""Integer cores against reference copies of the Fraction code they replaced.
+
+Each ``ref_*`` function below is the earlier implementation of a kernel
+that now passes ``(ints, d)`` rows to the next kernel instead of building
+``Fraction`` tuples: coset reduction, the operator action, the Hermitian
+product, the fiber of a direction, matrix polynomials and the oracle.
+Every fast path must agree with its reference exactly, on rank-deficient
+and large-coefficient inputs too.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from test_linalg import huge_entries, matrices, ref_matmul, small_entries
+
+from pqh.algebra import ParaQuaternion
+from pqh.classify import (
+    OracleFinding,
+    _conjugated_operator,
+    classify,
+    maximal_invariant_subspace,
+    operator_preserves,
+    oracle_check,
+    stabilizer,
+)
+from pqh.generate import KINDS, generate, random_sl2
+from pqh.linalg import F0, F1, Mat, _int_row, int_rank, symmetric_signature, vec_is_zero
+from pqh.model import (
+    OP_I,
+    OP_J,
+    OP_K,
+    HBasisChange,
+    ModelSpace,
+    Operator,
+    StructureError,
+    Vector,
+    is_admissible_triple,
+)
+from pqh.polyq import poly_eval_matrix
+from pqh.quadext import sqrt_of
+from pqh.rng import Rng
+from pqh.subspace import (
+    SignatureTriple,
+    Subspace,
+    h_fiber,
+    image,
+    is_orthogonal,
+    p1p2,
+    product_subspace,
+)
+
+# -- reference copies ---------------------------------------------------------
+
+
+def ref_reduce(u, v):
+    """``Subspace.reduce`` before its integer core was split out."""
+    from math import gcd
+
+    basis = [_int_row(r) for r in u.mat.rows]
+    V, D = _int_row(v)
+    for (R, e), p in zip(basis, u.pivots):
+        c = V[p]
+        if c:
+            V = [e * x - c * y for x, y in zip(V, R)]
+            D *= e
+            if D > 1:
+                g = gcd(D, *V)
+                if g > 1:
+                    V = [x // g for x in V]
+                    D //= g
+    return tuple(Fraction(x, D) if x else F0 for x in V)
+
+
+def ref_apply(op, coords):
+    """``Operator.apply_coords`` before the integer action was split out."""
+    a, b, g = op.alpha, op.beta, op.gamma
+    (m0, m1, m2, m3), dm = _int_row((-g, b - a, a + b, g))
+    xs, dx = _int_row(coords)
+    half = len(xs) // 2
+    pairs = list(zip(xs[:half], xs[half:]))
+    out = [m0 * e + m1 * ep for e, ep in pairs] + [m2 * e + m3 * ep for e, ep in pairs]
+    d = dm * dx
+    return tuple(Fraction(x, d) if x else F0 for x in out)
+
+
+def ref_hermitian_product(ms, x, y, basis=None):
+    """``ModelSpace.hermitian_product`` through ``metric`` and ``Vector``s."""
+    if basis is None:
+        i, j, k = OP_I, OP_J, OP_K
+    elif isinstance(basis, HBasisChange):
+        i, j, k = basis.triple()
+    else:
+        i, j, k = basis
+        if not is_admissible_triple(i, j, k):
+            raise StructureError("not an admissible basis triple")
+
+    def apply(op, v):
+        return Vector.from_coords(ref_apply(op, v.coords))
+
+    return ParaQuaternion(
+        ms.metric(x, y),
+        ms.metric(x, apply(i, y)),
+        -ms.metric(x, apply(j, y)),
+        -ms.metric(x, apply(k, y)),
+    )
+
+
+def ref_preimage_by(u, m):
+    if u.dim == u.ambient:
+        return Subspace.full(m.ncols)
+    free = [j for j in range(u.ambient) if j not in set(u.pivots)]
+    qcols = []
+    for x_col in range(m.ncols):
+        red = ref_reduce(u, m.col(x_col))
+        qcols.append(tuple(red[j] for j in free))
+    return Subspace(Mat.from_cols(qcols, nrows=len(free)).kernel())
+
+
+def ref_h_fiber(u, h):
+    """``h_fiber`` through two scaled identity matrices."""
+    a, b = h
+    if a == 0 and b == 0:
+        raise ValueError("direction must be nonzero")
+    eye = Mat.identity(u.ambient // 2)
+    return ref_preimage_by(u, eye.scale(a).vstack(eye.scale(b)))
+
+
+def ref_poly_eval_matrix(p, A):
+    """Horner's rule on ``Fraction`` matrices."""
+    n = A.nrows
+    acc = Mat.zeros(n, n)
+    for a in reversed(p):
+        acc = (acc @ A) + Mat.identity(n).scale(a)
+    return acc
+
+
+def ref_stabilizer_basis(u):
+    """The basis of ``stabilizer(u)`` from Fraction residues."""
+    rows = []
+    for x in u.mat.rows:
+        ri = ref_reduce(u, ref_apply(OP_I, x))
+        rj = ref_reduce(u, ref_apply(OP_J, x))
+        rk = ref_reduce(u, ref_apply(OP_K, x))
+        rows.extend(zip(ri, rj, rk))
+    if not rows:
+        return Mat.identity(3)
+    return Mat(rows, ncols=3).kernel()
+
+
+def ref_operator_preserves(a, u):
+    return all(vec_is_zero(ref_reduce(u, ref_apply(a, x))) for x in u.mat.rows)
+
+
+def ref_oracle_check(ms, report, u, seed=0, samples=25):
+    """``oracle_check`` with Fraction rows between its kernels."""
+    rng = Rng(seed)
+    out = []
+
+    def check(name, ok, detail=""):
+        out.append(OracleFinding(name, bool(ok), detail))
+
+    if u.dim == 0:
+        check("empty-subspace", True, "vacuous")
+        return out
+    u0 = product_subspace(ref_h_fiber(u, (1, 0)).intersect(ref_h_fiber(u, (0, 1))))
+    check("u0-matches", u0 == report.u0)
+    check("pure-flag", report.flags.pure == u0.is_zero())
+    check(
+        "pq-flag",
+        report.flags.para_quaternionic == (u == product_subspace(p1p2(u)[0])),
+    )
+    vecs = u.basis_vectors
+    pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)
+    sig = SignatureTriple(*symmetric_signature(pairwise))
+    check("signature", sig.as_tuple() == report.signature.as_tuple())
+    check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
+    dim_e = ms.dim_e
+    for kind, wit in (
+        ("complex", report.witnesses.complex),
+        ("para_complex", report.witnesses.para_complex),
+        ("nilpotent", report.witnesses.nilpotent),
+    ):
+        if wit is None:
+            continue
+        check(f"{kind}-witness-invariance", ref_operator_preserves(wit, u))
+        amat = wit.as_matrix(dim_e)
+        check(
+            f"{kind}-witness-square-identity",
+            amat @ amat == Mat.identity(2 * dim_e).scale(-wit.q()),
+        )
+        sign_ok = {
+            "complex": wit.q() > 0,
+            "para_complex": wit.q() < 0,
+            "nilpotent": wit.q() == 0 and not wit.is_zero(),
+        }[kind]
+        check(f"{kind}-witness-sign", sign_ok)
+    if report.flags.real:
+        check("real-vs-stabilizer", report.stab.dim == 0)
+    violation = None
+    for _ in range(samples):
+        a = Operator(rng.rational(), rng.rational(), rng.rational())
+        if a.is_zero():
+            continue
+        (x,) = (Mat((rng.rationals(u.dim),), ncols=u.dim) @ u.mat).rows
+        ax = ref_apply(a, x)
+        if any(v != 0 for v in ax) and vec_is_zero(ref_reduce(u, ax)):
+            violation = (a, x)
+            break
+    if report.flags.real:
+        check(
+            "real-no-sampled-violation",
+            violation is None,
+            "" if violation is None else f"witness {violation[0]}",
+        )
+    if report.flags.totally_real:
+        for name, op in (("I", OP_I), ("J", OP_J), ("K", OP_K)):
+            check(
+                f"totally-real-{name}-orthogonal",
+                is_orthogonal(ms, image(op, u), u),
+            )
+    if report.complex_report and report.complex_report.pure_form:
+        cr = report.complex_report
+        jhat = _conjugated_operator(cr.basis, Mat(((F0, 1 / cr.scale), (F1, F0))))
+        check(
+            "totally-complex-gram",
+            report.flags.totally_complex
+            == (
+                report.flags.hermitian
+                and u0.is_zero()
+                and is_orthogonal(ms, image(jhat, u), u)
+            ),
+        )
+    if (
+        report.flags.complex
+        and report.flags.pure
+        and not report.flags.para_quaternionic
+    ):
+        check("pure-complex-witness-unique", report.stab.dim == 1)
+        wit = report.witnesses.complex
+        for _ in range(samples):
+            b = Operator(rng.rational(), rng.rational(), rng.rational())
+            if b.is_zero():
+                continue
+            if (
+                b.alpha * wit.beta == b.beta * wit.alpha
+                and b.alpha * wit.gamma == b.gamma * wit.alpha
+                and b.beta * wit.gamma == b.gamma * wit.beta
+            ):
+                continue
+            if b.q() != 0:
+                rows, dim = [ref_apply(b, x) for x in u.mat.rows], u.dim
+            else:
+                bu = Subspace.span([ref_apply(b, x) for x in u.mat.rows], u.ambient)
+                rows, dim = bu.mat.rows, bu.dim
+            residues = Mat([ref_reduce(u, r) for r in rows], ncols=u.ambient)
+            if residues.rref()[0].nrows != dim:
+                check("pure-complex-moves-off", False, f"B={b}")
+                break
+        else:
+            check("pure-complex-moves-off", True)
+    for _ in range(2):
+        x = vecs[rng.below(len(vecs))]
+        y = vecs[rng.below(len(vecs))]
+        base = ref_hermitian_product(ms, x, y).imag().norm()
+        ok = True
+        for _ in range(3):
+            s = random_sl2(rng)
+            val = ref_hermitian_product(ms, x, y, s).imag().norm()
+            if val != base:
+                ok = False
+                break
+        check("hermitian-norm-invariance", ok)
+        if not ok:
+            break
+    if report.uft is not None:
+        check("uft-round-trip", report.uft.span() == u)
+    check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)
+    check("dim-bound-totally-real", not report.flags.totally_real or u.dim <= ms.n)
+    return out
+
+
+# -- strategies -----------------------------------------------------------------
+
+rationals = st.sampled_from([small_entries, huge_entries]).flatmap(lambda e: e)
+
+
+@st.composite
+def subspaces(draw, ambient):
+    """Zero, full, rank-deficient or random subspaces of Q^ambient."""
+    kind = draw(st.sampled_from(["zero", "full", "rows"]))
+    if kind == "zero":
+        return Subspace.zero(ambient)
+    if kind == "full":
+        return Subspace.full(ambient)
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    return Subspace(draw(matrices(draw(st.integers(0, ambient + 2)), ambient, entries)))
+
+
+@st.composite
+def subspace_and_vector(draw):
+    """(U, v) in Q^(4n): v inside U, or anything, with int or Fraction entries."""
+    ambient = 4 * draw(st.integers(1, 3))
+    u = draw(subspaces(ambient))
+    ints = st.integers(-(10**40), 10**40) | st.integers(-9, 9)
+    v = draw(st.lists(ints | rationals, min_size=ambient, max_size=ambient))
+    if u.dim and draw(st.booleans()):
+        coeffs = draw(st.lists(rationals, min_size=u.dim, max_size=u.dim))
+        v = (Mat((coeffs,), ncols=u.dim) @ u.mat).rows[0]
+    return u, tuple(v)
+
+
+operators = st.builds(Operator, rationals, rationals, rationals)
+
+# -- coset reduction --------------------------------------------------------------
+
+
+@given(subspace_and_vector())
+@example((Subspace.zero(4), (0, 0, 0, 0)))
+@example((Subspace.full(4), (Fraction(1, 3), 0, 10**50, -1)))
+@settings(max_examples=80, deadline=None)
+def test_reduce_and_contains_match_reference(uv):
+    u, v = uv
+    red = ref_reduce(u, v)
+    assert u.reduce(v) == red
+    assert u.contains_vector(v) == vec_is_zero(red)
+    V, D = u.reduce_int(*_int_row(v))
+    assert tuple(Fraction(x, D) for x in V) == red
+    assert u.contains_int(*_int_row(v)) == vec_is_zero(red)
+
+
+# -- operator action ----------------------------------------------------------------
+
+
+@given(operators, subspace_and_vector())
+@example(Operator(0, 0, 0), (Subspace.zero(4), (1, 2, 3, 4)))
+@settings(max_examples=80, deadline=None)
+def test_operator_action_matches_reference(op, uv):
+    _, v = uv
+    ref = ref_apply(op, v)
+    assert op.apply_coords(v) == ref
+    out, d = op.act_int(*_int_row(v))
+    assert tuple(Fraction(x, d) for x in out) == ref
+
+
+@given(operators, subspace_and_vector())
+@settings(max_examples=60, deadline=None)
+def test_invariance_and_stabilizer_match_reference(op, uv):
+    u, _ = uv
+    assert operator_preserves(op, u) == ref_operator_preserves(op, u)
+    assert stabilizer(u).basis == ref_stabilizer_basis(u)
+
+
+def test_maximal_invariant_subspace_is_invariant():
+    for kind in KINDS:
+        u = generate(Rng(3), 2, kind)
+        for op in (OP_I, OP_J, OP_K, Operator(1, 2, Fraction(-1, 3))):
+            w = maximal_invariant_subspace(op, u)
+            assert u.contains(w)
+            assert ref_operator_preserves(op, w)
+
+
+# -- Hermitian product -------------------------------------------------------------
+
+
+@st.composite
+def vector_pairs(draw):
+    n = draw(st.integers(1, 3))
+    ms = ModelSpace.standard(n)
+    x, y = (
+        Vector.from_coords(draw(st.lists(rationals, min_size=4 * n, max_size=4 * n)))
+        for _ in range(2)
+    )
+    return ms, x, y
+
+
+@given(vector_pairs(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_product_matches_reference(msxy, seed):
+    ms, x, y = msxy
+    s = random_sl2(Rng(seed))
+    for basis in (None, s, s.triple(), (OP_I, OP_J, OP_K)):
+        assert ms.hermitian_product(x, y, basis) == ref_hermitian_product(ms, x, y, basis)
+
+
+def test_hermitian_product_rejects_what_the_reference_rejects(ms1, ms2):
+    x = Vector.from_coords((1, 0, 0, 1))
+    with pytest.raises(StructureError):
+        ms1.hermitian_product(x, x, (OP_I, OP_I, OP_K))
+    with pytest.raises(ValueError, match="model space"):
+        ms2.hermitian_product(x, x)
+
+
+# -- fibers --------------------------------------------------------------------------
+
+
+directions = st.tuples(rationals, rationals).filter(lambda h: h != (0, 0))
+
+
+@given(
+    st.integers(1, 3).flatmap(lambda n: subspaces(4 * n)),
+    directions | st.sampled_from([(0, 1), (1, 0), (0, Fraction(-7, 3)), (10**60, 0)]),
+)
+@settings(max_examples=80, deadline=None)
+def test_h_fiber_matches_reference(u, h):
+    assert h_fiber(u, h) == ref_h_fiber(u, h)
+
+
+def test_h_fiber_of_generated_instances_matches_reference():
+    for kind in KINDS:
+        u = generate(Rng(5), 2, kind)
+        for h in ((1, 0), (0, 1), (1, 1), (Fraction(2, 3), Fraction(-5, 7))):
+            assert h_fiber(u, h) == ref_h_fiber(u, h)
+
+
+def test_h_fiber_rejects_zero_direction():
+    with pytest.raises(ValueError, match="nonzero"):
+        h_fiber(Subspace.full(4), (0, 0))
+
+
+# -- scalar matrices -----------------------------------------------------------------
+
+
+@given(rationals | st.integers(-(10**30), 10**30), st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_scalar_matches_scaled_identity(c, n):
+    m = Mat.scalar(n, c)
+    assert m == Mat.identity(n).scale(c)
+    assert m.shape == (n, n)
+    assert all(type(x) is Fraction for row in m.rows for x in row)
+
+
+def test_scalar_over_quadext_and_floats():
+    lam = sqrt_of(Fraction(2))
+    assert Mat.scalar(3, lam) == Mat.identity(3).scale(lam)
+    lifted = Mat.identity(3).scale(lam + 1)
+    assert (lifted - Mat.scalar(3, lam)).kernel() == (
+        lifted - Mat.identity(3).scale(lam)
+    ).kernel()
+    with pytest.raises(TypeError):
+        Mat.identity(2).scale(0.5)
+    with pytest.raises(TypeError):
+        Mat.scalar(2, 0.5)
+
+
+# -- matrix polynomials --------------------------------------------------------------
+
+
+@st.composite
+def polys_and_matrices(draw):
+    entries = draw(st.sampled_from([small_entries, huge_entries]))
+    n = draw(st.integers(0, 7))
+    a = draw(matrices(n, n, entries))  # dense, zero or rank-deficient
+    p = tuple(draw(st.lists(entries, max_size=5)))
+    return p, a
+
+
+@given(polys_and_matrices())
+@example(((), Mat((), ncols=0)))
+@example(((F1,), Mat.zeros(3, 3)))
+@example(((Fraction(3, 7), 0, 0), Mat(((0, 1), (0, 0)))))
+@example(
+    (
+        (Fraction(-(2**120) + 1, 3**80), F0, Fraction(2**101, 5)),
+        Mat(((Fraction(2**130, 7), 1), (Fraction(3, 2**110), Fraction(-1, 2**105)))),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_poly_eval_matrix_matches_fraction_horner(pa):
+    p, a = pa
+    got = poly_eval_matrix(p, a)
+    assert got == ref_poly_eval_matrix(p, a)
+    assert got.shape == a.shape
+    assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+def test_poly_eval_matrix_on_low_rank_products():
+    rng = Rng(11)
+    for k in range(4):
+        left = Mat([rng.rationals(k) for _ in range(5)], ncols=k)
+        right = Mat([rng.rationals(5) for _ in range(k)], ncols=5)
+        a = ref_matmul(left, right)
+        p = tuple(rng.rationals(4))
+        assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a)
+
+
+# -- ranks -----------------------------------------------------------------------------
+
+
+@given(st.integers(0, 6), st.integers(0, 8), st.data())
+@settings(max_examples=60, deadline=None)
+def test_int_rank_matches_rref(nrows, ncols, data):
+    a = data.draw(matrices(nrows, ncols, huge_entries | small_entries))
+    rows = [_int_row(r)[0] for r in a.rows]
+    assert int_rank(rows, ncols) == a.rref()[0].nrows == a.rank()
+
+
+# -- the oracle --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_oracle_findings_match_reference(kind):
+    for n in (1, 2, 3):
+        ms = ModelSpace.standard(n)
+        for seed in range(6):
+            u = generate(Rng(seed), n, kind)
+            report = classify(ms, u)
+            assert report.stab.basis == ref_stabilizer_basis(u)
+            got = oracle_check(ms, report, u, seed=seed)
+            ref = ref_oracle_check(ms, report, u, seed=seed)
+            assert [(f.name, f.ok, f.detail) for f in got] == [
+                (f.name, f.ok, f.detail) for f in ref
+            ]
