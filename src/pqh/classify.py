@@ -17,7 +17,7 @@ adds only what is particular to its sign.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -27,7 +27,6 @@ from .model import (
     HBasisChange,
     ModelSpace,
     Operator,
-    operator_from_mat2,
     tensor,
 )
 from .polyq import (
@@ -227,11 +226,7 @@ def adapted_nilpotent_basis(a: Operator) -> HBasisChange:
 def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
     """The operator with the given coordinates relative to the admissible
     triple attached to `basis`, expressed in standard coordinates."""
-    return _conjugated_operator(basis, Operator(alpha, beta, gamma).mat2())
-
-
-def _conjugated_operator(basis: HBasisChange, mat2: Mat) -> Operator:
-    return operator_from_mat2(basis.mat @ mat2 @ basis.mat.inverse())
+    return basis.conjugate(Operator(alpha, beta, gamma).mat2())
 
 
 # -- invariant pure complements ---------------------------------------------
@@ -365,8 +360,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     w_f = restrict_omega(ms, form.f_space)
     w_t = form.t_map.T @ ms.omega @ form.t_map
     omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
-    partner = _conjugated_operator(basis, Mat(((F0, 1 / scale), (F1, F0))))
-    k_hat = _conjugated_operator(basis, Mat(((F1, F0), (F0, -F1))))
+    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
+    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
     gram_partner = is_orthogonal(ms, image(partner, u), u)
     gram_k = is_orthogonal(ms, image(k_hat, u), u)
     hermitian_full = signature(ms, u).s == 0
@@ -515,7 +510,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.scalar(k, lam):
                 n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = _conjugated_operator(pp.basis, n_ad)
+                n_op = pp.basis.conjugate(n_ad)
                 for t in (0, 1, 2):
                     member = a + n_op.scale(t)
                     if not operator_preserves(member, pp.comp):
@@ -618,9 +613,9 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise AssertionError("h1 fiber is not inside p1(U)")
     # canonical T~: E2 -> Ebar1 reading the graph part of U over h2
     half = u.ambient // 2
-    u_h = [basis.h_components(v) for v in u.basis_vectors]
-    a_parts = Mat([p[0] for p in u_h], ncols=half)
-    b_parts = Mat([p[1] for p in u_h], ncols=half)
+    u_h = basis.to_basis(u.mat.rows)
+    a_parts = Mat([p[:half] for p in u_h], ncols=half)
+    b_parts = Mat([p[half:] for p in u_h], ncols=half)
     coeffs = [b_parts.T.solve(e2) for e2 in e2_proj.mat.rows]
     if None in coeffs:
         raise AssertionError("p2 component not reachable")
@@ -637,10 +632,9 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise AssertionError("nilpotent kernel part disagrees with the maximal part")
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
     e2_coords = Mat([e2_proj.coordinates_of(e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
-    real_rows = [
-        basis.assemble(img, e2).coords
-        for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
-    ]
+    real_rows = basis.from_basis(
+        img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
+    )
     real_part = Subspace.span(real_rows, u.ambient)
     if not direct_sum_is(u, [p for p in (pq_part, piece.span(), real_part) if p.dim]):
         raise AssertionError("nilpotent decomposition does not recompose")
@@ -867,20 +861,7 @@ class Flags:
     nilpotent_degree: int | None = None
 
     def as_dict(self):
-        return {
-            "para_quaternionic": self.para_quaternionic,
-            "pure": self.pure,
-            "complex": self.complex,
-            "weakly_para_complex": self.weakly_para_complex,
-            "para_complex": self.para_complex,
-            "nilpotent": self.nilpotent,
-            "nilpotent_degree": self.nilpotent_degree,
-            "real": self.real,
-            "hermitian": self.hermitian,
-            "totally_complex": self.totally_complex,
-            "totally_para_complex": self.totally_para_complex,
-            "totally_real": self.totally_real,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -1094,7 +1075,7 @@ def oracle_check(
     if report.complex_report and report.complex_report.pure_form:
         cr = report.complex_report
         # the anticommuting para-complex partner in the adapted basis
-        jhat = _conjugated_operator(cr.basis, Mat(((F0, 1 / cr.scale), (F1, F0))))
+        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
         check(
             "totally-complex-gram",
             report.flags.totally_complex

@@ -54,12 +54,7 @@ def random_sl2(rng: Rng) -> HBasisChange:
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
-    half = u.ambient // 2
-    (p, q), (r, t) = s.mat.rows
-    blocks = Mat.scalar(half, p).hstack(Mat.scalar(half, r)).vstack(
-        Mat.scalar(half, q).hstack(Mat.scalar(half, t))
-    )
-    return Subspace(u.mat @ blocks)
+    return Subspace.span(s.from_basis(u.mat.rows), u.ambient)
 
 
 def _graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
@@ -87,18 +82,18 @@ def check_dim(n: int, kind: str, dim: int) -> None:
 
     Graph and decomposable kinds are at most 2n-dimensional; a complex
     graph has even dimension, the other graphs at least 1, and the totally
-    complex and para-complex kinds are built from whole 2-planes.  The
-    para-quaternionic kind takes half of ``dim``; the nilpotent and
-    (totally) real kinds clip it to what they can build.
+    complex and para-complex kinds are built from whole 2-planes.  A
+    para-quaternionic instance H (x) E' has even dimension, 0 included; the
+    nilpotent and (totally) real kinds clip ``dim`` to what they can build.
     """
-    if kind == "complex":
+    if kind in ("complex", "totally_complex", "totally_para_complex"):
         dims = range(2, 2 * n + 1, 2)
-    elif kind in ("totally_complex", "totally_para_complex"):
-        dims = range(2, 2 * n + 1)
     elif kind in ("para_complex", "weakly_para_complex"):
         dims = range(1, 2 * n + 1)
     elif kind == "decomposable":
         dims = range(2 * n + 1)
+    elif kind == "para_quaternionic":
+        dims = range(0, 4 * n + 1, 2)
     else:
         dims = range(4 * n + 1)
     if dim not in dims:
@@ -119,7 +114,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         d = dim if dim is not None else 1 + rng.below(dim_v)
         return random_subspace(rng, dim_v, d)
     if kind == "para_quaternionic":
-        k = (dim // 2) if dim else 1 + rng.below(dim_e)
+        k = dim // 2 if dim is not None else 1 + rng.below(dim_e)
         return product_subspace(random_subspace(rng, dim_e, k))
     if kind == "decomposable":
         k = dim if dim is not None else 1 + rng.below(dim_e)
@@ -142,17 +137,11 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         u = _graph(f_sub, f_sub.mat.T @ t_local)
         return twist_h(u, random_sl2(rng))
     if kind in ("totally_complex", "totally_para_complex"):
-        m = (dim // 2) if dim else 1 + rng.below(n)
+        m = dim // 2 if dim is not None else 1 + rng.below(n)
+        eye = Mat.identity(dim_e).rows
         pairs = sorted(rng_sample_pairs(rng, n, m))
-        idx = []
-        for p in pairs:
-            idx.extend((2 * p, 2 * p + 1))
-        rows = []
-        for j in idx:
-            e = [F0] * dim_e
-            e[j] = F1
-            rows.append(tuple(e))
-        f_sub = Subspace.span(rows, dim_e)
+        idx = [j for p in pairs for j in (2 * p, 2 * p + 1)]
+        f_sub = Subspace.span([eye[j] for j in idx], dim_e)
         k = 2 * m
         base = _block_rotation(k) if kind == "totally_complex" else _tpc_blocks(k)
         u = _graph(f_sub, f_sub.mat.T @ base)
@@ -176,49 +165,23 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         k = dim if dim is not None else 1 + rng.below(n)
         k = min(k, n)
         # F on the first k coordinates, TF inside a disjoint block
-        f_rows = []
-        for i in range(k):
-            e = [F0] * dim_e
-            e[i] = F1
-            f_rows.append(tuple(e))
-        f_sub = Subspace.span(f_rows, dim_e)
-        t_cols = []
+        eye = Mat.identity(dim_e).rows
         b = random_invertible(rng, k)
-        for j in range(k):
-            img = [F0] * dim_e
-            for i in range(k):
-                img[k + i] = b.rows[i][j]
-            t_cols.append(tuple(img))
-        u = _graph(f_sub, Mat.from_cols(t_cols, nrows=dim_e))
+        t_map = Mat(eye[k : 2 * k], ncols=dim_e).T @ b
+        u = _graph(Subspace.span(eye[:k], dim_e), t_map)
         return twist_h(u, random_sl2(rng))
     if kind == "totally_real":
         k = dim if dim is not None else 1 + rng.below(n)
         k = min(k, n)
         # E1 on odd slots, E2 on even slots, symmetric invertible pairing
         while True:
-            b = Mat(
-                [
-                    [rng.rational() for _ in range(k)]
-                    for _ in range(k)
-                ],
-                ncols=k,
-            )
+            b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
             b = b + b.T
             if b.det() != 0:
                 break
-        f_rows = []
-        for i in range(k):
-            e = [F0] * dim_e
-            e[2 * i] = F1
-            f_rows.append(tuple(e))
-        f_sub = Subspace.span(f_rows, dim_e)
-        t_cols = []
-        for j in range(k):
-            img = [F0] * dim_e
-            for i in range(k):
-                img[2 * i + 1] = b.rows[i][j]
-            t_cols.append(tuple(img))
-        u = _graph(f_sub, Mat.from_cols(t_cols, nrows=dim_e))
+        eye = Mat.identity(dim_e).rows
+        t_map = Mat(eye[1 : 2 * k : 2], ncols=dim_e).T @ b
+        u = _graph(Subspace.span(eye[0 : 2 * k : 2], dim_e), t_map)
         return twist_h(u, random_sl2(rng))
     raise ValueError(f"unknown kind {kind!r}")
 

@@ -14,12 +14,17 @@ integer core of the action, :func:`_h_act_int` (``Operator.act_int``),
 maps a row ``(ints, d)`` to a row ``(ints, d)``, so callers such as
 ``Subspace.reduce_int`` take its output without a ``Fraction`` in
 between.  ``Fraction``s are built only at the rational surface:
-:func:`_h_act` (``apply_coords``, ``h_components``, ``assemble``) builds
+:func:`_h_act` (``apply_coords``, ``to_basis``, ``from_basis``) builds
 each output coordinate once, and ``metric``, ``omega_eval`` and
 :meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
 A :class:`ModelSpace` keeps the integer rows of its omega^E and its
 4n x 4n metric matrix, built once.
+
+An :class:`HBasisChange` s owns the two whole-basis steps: ``to_basis``
+and ``from_basis`` rewrite coordinate rows between the standard basis and
+s (``h_components`` and ``assemble`` are their one-``Vector`` forms), and
+``conjugate`` gives the operator s m s^-1, with s^-1 the adjugate.
 """
 
 from __future__ import annotations
@@ -29,20 +34,12 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, phi_from_mat2
+from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, _coerce, phi_from_mat2
 from .linalg import F0, F1, Mat, _int_row, _int_rows, vec_add, vec_is_zero, vec_scale, vec_sub
 
 
 class StructureError(ValueError):
     """An input violates a structural invariant (relations, symplectic...)."""
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
 def _h_act(m, coords) -> tuple:
@@ -93,8 +90,8 @@ class Vector:
     def __post_init__(self):
         if len(self.e_part) != len(self.eprime_part):
             raise ValueError("component length mismatch")
-        object.__setattr__(self, "e_part", tuple(map(_frac, self.e_part)))
-        object.__setattr__(self, "eprime_part", tuple(map(_frac, self.eprime_part)))
+        object.__setattr__(self, "e_part", tuple(map(_coerce, self.e_part)))
+        object.__setattr__(self, "eprime_part", tuple(map(_coerce, self.eprime_part)))
 
     @classmethod
     def from_coords(cls, coords: Sequence) -> "Vector":
@@ -125,7 +122,7 @@ class Vector:
         )
 
     def scale(self, c) -> "Vector":
-        c = _frac(c)
+        c = _coerce(c)
         return Vector(vec_scale(c, self.e_part), vec_scale(c, self.eprime_part))
 
     def is_zero(self) -> bool:
@@ -134,8 +131,8 @@ class Vector:
 
 def tensor(h: Sequence, e: Sequence) -> Vector:
     """Decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
-    a, b = map(_frac, h)
-    return Vector(vec_scale(a, tuple(map(_frac, e))), vec_scale(b, tuple(map(_frac, e))))
+    a, b = map(_coerce, h)
+    return Vector(vec_scale(a, tuple(map(_coerce, e))), vec_scale(b, tuple(map(_coerce, e))))
 
 
 @dataclass(frozen=True)
@@ -147,9 +144,9 @@ class Operator:
     gamma: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _frac(self.alpha))
-        object.__setattr__(self, "beta", _frac(self.beta))
-        object.__setattr__(self, "gamma", _frac(self.gamma))
+        object.__setattr__(self, "alpha", _coerce(self.alpha))
+        object.__setattr__(self, "beta", _coerce(self.beta))
+        object.__setattr__(self, "gamma", _coerce(self.gamma))
 
     def q(self) -> Fraction:
         """Conjugation-invariant form q(A) = alpha^2 - beta^2 - gamma^2.
@@ -195,7 +192,7 @@ class Operator:
         return Mat(rows)
 
     def scale(self, c) -> "Operator":
-        c = _frac(c)
+        c = _coerce(c)
         return Operator(c * self.alpha, c * self.beta, c * self.gamma)
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -238,7 +235,7 @@ class HBasisChange:
 
     @classmethod
     def from_columns(cls, h1: Sequence, h2: Sequence) -> "HBasisChange":
-        return cls(Mat.from_cols((tuple(map(_frac, h1)), tuple(map(_frac, h2)))))
+        return cls(Mat.from_cols((tuple(map(_coerce, h1)), tuple(map(_coerce, h2)))))
 
     @property
     def h1(self) -> tuple:
@@ -259,27 +256,43 @@ class HBasisChange:
     def compose(self, other: "HBasisChange") -> "HBasisChange":
         return HBasisChange(self.mat @ other.mat)
 
+    def to_basis(self, rows) -> list:
+        """Standard coordinate rows rewritten in this basis of H: each row
+        becomes its two E-components (comp1, comp2), concatenated."""
+        (a, b), (c, d) = self.mat.rows
+        return [_h_act((d, -b, -c, a), r) for r in rows]
+
+    def from_basis(self, rows) -> list:
+        """Rows (comp1, comp2) in this basis rewritten as the standard
+        coordinates of h1' (x) comp1 + h2' (x) comp2."""
+        m = sum(self.mat.rows, ())
+        return [_h_act(m, r) for r in rows]
+
     def h_components(self, x: Vector) -> tuple:
         """The two E-components of x relative to this basis of H."""
-        (a, b), (c, d) = self.mat.rows
-        out = _h_act((d, -b, -c, a), x.coords)
+        (out,) = self.to_basis((x.coords,))
         return out[: x.dim_e], out[x.dim_e :]
 
     def assemble(self, comp1: Sequence, comp2: Sequence) -> Vector:
         """The vector h1'(x)comp1 + h2'(x)comp2 in standard coordinates."""
         if len(comp1) != len(comp2):
             raise ValueError("component length mismatch")
-        return Vector.from_coords(_h_act(sum(self.mat.rows, ()), (*comp1, *comp2)))
+        return Vector.from_coords(self.from_basis(((*comp1, *comp2),))[0])
+
+    def conjugate(self, m: Mat) -> Operator:
+        """The operator s m s^-1 for a traceless 2x2 matrix m given in this
+        basis of H: the endomorphism with matrix m here, in standard
+        coordinates."""
+        return operator_from_mat2(self.mat @ m @ self._adjugate())
 
     def triple(self) -> tuple:
         """The admissible basis (I', J', K') attached to this H-basis."""
-        s, sinv = self.mat, self._adjugate()
-        return tuple(operator_from_mat2(s @ m @ sinv) for m in (MAT_I, MAT_J, MAT_K))
+        return tuple(self.conjugate(m) for m in (MAT_I, MAT_J, MAT_K))
 
 
 def change_admissible_basis(s: HBasisChange, a: Operator) -> Operator:
     """Coordinates of the endomorphism a relative to the new basis."""
-    return operator_from_mat2(s._adjugate() @ a.mat2() @ s.mat)
+    return s.inverse().conjugate(a.mat2())
 
 
 def is_admissible_triple(i: Operator, j: Operator, k: Operator) -> bool:

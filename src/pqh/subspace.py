@@ -280,9 +280,9 @@ def p1p2(u: Subspace, basis: HBasisChange | None = None):
     if basis is None:
         basis = HBasisChange.identity()
     half = u.ambient // 2
-    comps = [basis.h_components(v) for v in u.basis_vectors]
-    e1 = Subspace.span([c[0] for c in comps], half)
-    e2 = Subspace.span([c[1] for c in comps], half)
+    comps = basis.to_basis(u.mat.rows)
+    e1 = Subspace.span([c[:half] for c in comps], half)
+    e2 = Subspace.span([c[half:] for c in comps], half)
     return e1, e2
 
 

@@ -6,6 +6,10 @@ vector is placed on that transversal direction.  The machinery here
 finds transversal directions, converts to and from graph form, changes
 basis, makes T injective, computes the decomposable-vector spectrum and
 the induced metric, and produces the two direct-sum normal forms.
+
+T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
+subspace W of F by one product with ``t_map``, and a graph over W is
+those rows paired with W's and rewritten by one ``from_basis`` call.
 """
 
 from __future__ import annotations
@@ -56,25 +60,27 @@ class UFTForm:
 
     def graph_basis(self) -> Mat:
         """The graph vectors over the canonical basis of F, in its order."""
-        return Mat(
-            [
-                self.h_basis.assemble(f, tf).coords
-                for f, tf in zip(self.f_space.mat.rows, self.t_map.cols)
-            ],
-            ncols=2 * self.dim_e,
-        )
+        return self._graph_rows(self.f_space)
 
-    def apply_t(self, f) -> tuple:
-        """Image under T of a vector of F (given in E coordinates)."""
-        return self.t_map.mul_vec(self.f_space.coordinates_of(f))
+    def _graph_rows(self, w: Subspace) -> Mat:
+        """The graph vectors h1 (x) f + h2 (x) Tf over the basis rows f of
+        a subspace W of F, in standard coordinates."""
+        rows = [f + tf for f, tf in zip(w.mat.rows, self.t_rows(w).rows)]
+        return Mat._of(tuple(self.h_basis.from_basis(rows)), 2 * self.dim_e)
+
+    def t_rows(self, w: Subspace) -> Mat:
+        """T on the basis rows of a subspace W of F, one image per row.
+
+        A row of F has its coordinates in the canonical basis of F at F's
+        pivots, so the images are one product with ``t_map``.
+        """
+        coords = [self.f_space.coordinates_of(r) for r in w.mat.rows]
+        return Mat(coords, ncols=self.dim) @ self.t_map.T
 
     def t_on_subspace(self, w: Subspace) -> Mat:
         """Matrix of T restricted to an invariant subspace W of F, in the
         canonical basis of W."""
-        cols = []
-        for row in w.mat.rows:
-            cols.append(w.coordinates_of(self.apply_t(row)))
-        return Mat.from_cols(cols, nrows=w.dim)
+        return Mat.from_cols(map(w.coordinates_of, self.t_rows(w).rows), nrows=w.dim)
 
     def t_image(self) -> Subspace:
         return Subspace.span(self.t_map.cols, self.dim_e)
@@ -123,8 +129,7 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
     canonical basis of F.
     """
-    pairs = [basis.h_components(v) for v in u.basis_vectors]
-    graph = _graph_of([tuple(a) + tuple(b) for a, b in pairs], u.ambient // 2)
+    graph = _graph_of(basis.to_basis(u.mat.rows), u.ambient // 2)
     if graph is None:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
@@ -253,11 +258,8 @@ def invariant_core(u: UFTForm):
     """
     w = u.f_space.intersect(u.t_image())
     while not w.is_zero():
-        images = [u.apply_t(row) for row in w.mat.rows]
-        pivset = set(w.pivots)
-        free = [j for j in range(w.ambient) if j not in pivset]
-        qrows = [tuple(w.reduce(img)[j] for j in free) for img in images]
-        w_new = Subspace(Mat(qrows, ncols=len(free)).T.kernel() @ w.mat)
+        # the coefficients c with sum c_i T(w_i) in W, mapped back into W
+        w_new = Subspace(w.preimage_by(u.t_rows(w).T).mat @ w.mat)
         if w_new == w:
             break
         w = w_new
@@ -474,8 +476,7 @@ def _no_rational_eigenvalue_map(dim: int) -> Mat:
 
 def graph_over(form: UFTForm, sub: Subspace) -> Subspace:
     """The part of the graph lying over a subspace of F."""
-    rows = [form.h_basis.assemble(f, form.apply_t(f)).coords for f in sub.mat.rows]
-    return Subspace.span(rows, 2 * form.dim_e)
+    return Subspace(form._graph_rows(sub))
 
 
 def _form2_graph(form: UFTForm):

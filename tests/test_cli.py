@@ -165,6 +165,9 @@ class TestContract:
             ("gen", "--kind", "generic", "--dim", "-1"),
             ("gen", "--kind", "complex", "--dim", "3"),
             ("gen", "--kind", "generic", "--dim", "99"),
+            ("gen", "--kind", "para_quaternionic", "--dim", "3"),
+            ("gen", "--kind", "totally_complex", "--dim", "3"),
+            ("gen", "--kind", "totally_para_complex", "--dim", "3"),
         ],
     )
     def test_bad_dim_exit_2(self, capsys, argv):
@@ -172,6 +175,13 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_gen_para_quaternionic_dim_0_is_empty(self, capsys):
+        code, out, err = run_cli(
+            capsys, "gen", "--kind", "para_quaternionic", "--dim", "0", "--n", "2", "--seed", "3"
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["vectors"] == []
 
     @pytest.mark.parametrize(
         "argv",

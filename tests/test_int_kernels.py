@@ -18,7 +18,6 @@ from test_linalg import huge_entries, matrices, ref_matmul, small_entries
 from pqh.algebra import ParaQuaternion
 from pqh.classify import (
     OracleFinding,
-    _conjugated_operator,
     classify,
     maximal_invariant_subspace,
     operator_preserves,
@@ -222,7 +221,7 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
             )
     if report.complex_report and report.complex_report.pure_form:
         cr = report.complex_report
-        jhat = _conjugated_operator(cr.basis, Mat(((F0, 1 / cr.scale), (F1, F0))))
+        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
         check(
             "totally-complex-gram",
             report.flags.totally_complex
