@@ -24,18 +24,17 @@ from math import lcm
 from .generate import random_sl2
 from .linalg import F0, F1, Mat, int_rank, symmetric_signature
 from .model import (
+    OP_I,
+    OP_J,
+    OP_K,
     HBasisChange,
     ModelSpace,
     Operator,
     tensor,
 )
-from .polyq import (
-    factor,
-    is_rational_square,
-    minimal_polynomial,
-    poly_deg,
-    poly_eval_matrix,
-)
+from .polyq import is_rational_square, poly_deg, poly_eval_matrix
+from .quadext import QuadExt, sqrt_of
+from .rng import Rng
 from .subspace import (
     SignatureTriple,
     Subspace,
@@ -45,6 +44,7 @@ from .subspace import (
     image,
     is_orthogonal,
     maximal_pq,
+    omega_kernel_in,
     operator_preimage,
     p1p2,
     product_subspace,
@@ -58,10 +58,12 @@ from .uft import (
     clean_complement,
     graph_form,
     graph_over,
+    graph_spectrum,
     induced_g_f,
     injectivize,
     invariant_core,
     line_direction,
+    minimal_fiber_direction,
     normalize_direction,
     poly_fiber,
     to_uft,
@@ -99,8 +101,6 @@ class Stabilizer:
 
 def stabilizer(u: Subspace) -> Stabilizer:
     """Solve the linear system AU <= U for the coordinates of A."""
-    from .model import OP_I, OP_J, OP_K
-
     rows = []
     for xs, dx in u.int_basis():
         # the residues of I x, J x, K x over one denominator; scaling a
@@ -533,9 +533,6 @@ def para_complex_eigenvectors(report: ParaComplexReport):
     (eigenvalue, plus-basis rows, minus-basis rows) with entries in
     Q(sqrt(nu)) (or Fraction when rational).
     """
-    from .polyq import is_rational_square
-    from .quadext import QuadExt, sqrt_of
-
     form = report.pure_form
     if form is None:
         raise ValueError("no pure part to analyze")
@@ -641,8 +638,6 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     if real_part.dim and not is_real(real_part):
         raise AssertionError("nilpotent residue is not a real subspace")
     p2_sympl = e2_proj.dim > 0 and restrict_omega(ms, e2_proj).det() != 0
-    from .subspace import omega_kernel_in
-
     nondeg = e1p.dim > 0 and omega_kernel_in(ms, e2_proj, e1p).is_zero()
     if nondeg and signature(ms, u).s != 0:
         raise AssertionError(
@@ -685,8 +680,6 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     """For a real nondegenerate U: the omega conditions on E1 = p1(U),
     E2 = TE1 and the skewness of T, cross-validated against the direct
     Gram tests IU _|_ U, JU _|_ U, KU _|_ U."""
-    from .model import OP_I, OP_J, OP_K
-
     if not is_real(u):
         raise ValueError("totally-real check needs a real subspace")
     if signature(ms, u).s != 0:
@@ -772,8 +765,6 @@ def _decompose_pure(u_pure: Subspace):
     A pure subspace that is not a graph (every direction carries
     decomposable vectors) first sheds a minimal-fiber decomposable piece,
     which is itself a pure weakly para-complex addend."""
-    from .uft import minimal_fiber_direction
-
     if u_pure.dim == 0:
         return [], Subspace.zero(u_pure.ambient)
     form = graph_form(u_pure)
@@ -789,15 +780,12 @@ def _decompose_pure(u_pure: Subspace):
         rest = piece.complement_in(u_pure)
         sub_addends, sub_real = _decompose_pure(rest)
         return [addend] + sub_addends, sub_real
-    form = injectivize(form)
-    core, t_core = invariant_core(form)
-    if core.is_zero():
+    form, parts = graph_spectrum(form)
+    if not parts:
         return [], u_pure
-    _, factors = factor(minimal_polynomial(t_core))
     addends = []
     kernels = []
-    for poly, _mult in factors:
-        ker = poly_fiber(core, t_core, poly)
+    for poly, ker in parts:
         kernels.append(ker)
         graph = graph_over(form, ker)
         deg = poly_deg(poly)
@@ -817,10 +805,8 @@ def _decompose_pure(u_pure: Subspace):
             raise AssertionError("constructed addend witness fails invariance")
         addends.append(Addend(kind, graph, witness, tuple(poly)))
     residual_f = span_of(kernels, form.dim_e).complement_in(form.f_space)
-    residue = graph_over(form, residual_f)
-    if residue.dim == 0 or is_real(residue):
-        return addends, residue
-    sub_addends, sub_real = _decompose_pure(residue)
+    # the residue is a graph subspace: an empty spectrum returns it as real
+    sub_addends, sub_real = _decompose_pure(graph_over(form, residual_f))
     return addends + sub_addends, sub_real
 
 
@@ -999,9 +985,6 @@ def oracle_check(
     The real-flag search is sound only: a found witness (A, X) with
     0 != AX in U refutes the flag; absence proves nothing.
     """
-    from .model import OP_I, OP_J, OP_K
-    from .rng import Rng
-
     rng = Rng(seed)
     out = []
 

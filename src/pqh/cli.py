@@ -22,6 +22,7 @@ from .instances import (
     load_instance,
     parse_structure_file,
     piece_dict,
+    read_text,
     report_to_dict,
     subspace_dict,
 )
@@ -165,12 +166,7 @@ def cmd_product(args) -> int:
 
 
 def cmd_standardize(args) -> int:
-    try:
-        with open(args.path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise InstanceError(f"cannot read {args.path}: {exc}") from exc
-    i_mat, j_mat, k_mat = parse_structure_file(text)
+    i_mat, j_mat, k_mat = parse_structure_file(read_text(args.path))
     std = standardize(i_mat, j_mat, k_mat)
     if args.json:
         sys.stdout.write(

@@ -105,13 +105,18 @@ def parse_instance(text: str):
     return ms, u, h_basis, warnings
 
 
-def load_instance(path: str):
+def read_text(path: str) -> str:
+    """The UTF-8 text of an input file; an unreadable or undecodable file
+    is malformed input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
-    return parse_instance(text)
+
+
+def load_instance(path: str):
+    return parse_instance(read_text(path))
 
 
 def emit_instance(ms: ModelSpace, u: Subspace, h_basis=None) -> str:

@@ -119,12 +119,17 @@ def factor(p):
 
 
 def minimal_polynomial(A: Mat):
-    """Monic minimal polynomial of a square rational matrix."""
-    n = A.nrows
-    if n == 0:
-        return ONE
+    """Monic minimal polynomial of a square rational matrix, factored.
+
+    Returns ((q, e), ...): each monic irreducible factor q of the
+    characteristic polynomial, in :func:`factor` order, with its exponent
+    e in the minimal polynomial (the product of the q^e); ``()`` for the
+    empty matrix, whose minimal polynomial is 1.
+    """
+    if A.nrows == 0:
+        return ()
     _, factors = factor(A.charpoly())
-    m = ONE
+    out = []
     for q, mult in factors:
         e = 1
         while e < mult:
@@ -132,8 +137,8 @@ def minimal_polynomial(A: Mat):
             if Pe.kernel().nrows == mult * poly_deg(q):
                 break
             e += 1
-        m = poly_mul(m, poly_pow(q, e))
-    return m
+        out.append((q, e))
+    return tuple(out)
 
 
 def is_rational_square(x: Fraction):

@@ -22,8 +22,10 @@ the facts every check reads are computed once per instance: the integer
 basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
 (keyed by the model space) and ``is_real``.  It holds only such small
 facts.  Graph forms are deliberately left out: callers keep many
-instances alive, and a graph form per instance costs more memory than
-rebuilding it saves.  There are no module-level caches.
+instances alive, and memoizing ``graph_form`` per instance was measured
+to raise the classify-sweep benchmark's peak RSS from 26.0 to 29.8 MiB
+(+14%; retained ``tracemalloc`` memory 1.26 -> 4.86 MiB).  There are no
+module-level caches.
 """
 
 from __future__ import annotations

@@ -10,6 +10,12 @@ the induced metric, and produces the two direct-sum normal forms.
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
 subspace W of F by one product with ``t_map``, and a graph over W is
 those rows paired with W's and rewritten by one ``from_basis`` call.
+
+The spectrum of a graph form is computed in one place,
+:func:`graph_spectrum`: injectivize, take the invariant core W*, factor
+the minimal polynomial of T on W* once and attach to each irreducible
+factor q its kernel ker q(T).  The decomposable spectrum, the form-2
+split and the generic decomposition all read it.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from fractions import Fraction
 
 from .linalg import F0, F1, Mat, _eliminate
 from .model import HBasisChange, ModelSpace, StructureError
-from .polyq import factor, poly_deg, poly_eval_matrix
+from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
     Subspace,
     decomposable_subspace,
@@ -89,6 +95,9 @@ class UFTForm:
         return self.t_map.rank() == self.dim
 
 
+_STANDARD = HBasisChange.identity()
+
+
 def find_transversal_direction(u: Subspace):
     """A direction h with (h (x) E) ^ U = 0, or None when every direction
     meets U (then U is not a graph subspace in any basis).
@@ -97,13 +106,16 @@ def find_transversal_direction(u: Subspace):
     directions carry decomposable vectors of U, and a graph subspace of
     dimension m has at most m of those.
     """
-    for t in range(u.dim + 1):
-        h = (Fraction(t), F1)
-        if h_fiber(u, h).is_zero():
+    candidates = [(Fraction(t), F1) for t in range(u.dim + 1)] + [(F1, F0)]
+    return _first_transversal(u, _STANDARD, candidates)
+
+
+def _first_transversal(u: Subspace, basis: HBasisChange, candidates):
+    """The first candidate direction, in coordinates of the given basis of
+    H, whose fiber in U is zero, or None."""
+    for h in candidates:
+        if h_fiber(u, _std_direction(basis, h)).is_zero():
             return h
-    h = (F1, F0)
-    if h_fiber(u, h).is_zero():
-        return h
     return None
 
 
@@ -192,32 +204,19 @@ def uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
 def injectivize(u: UFTForm) -> UFTForm:
     """An equivalent graph form whose T is injective.
 
-    Both basis directions are moved off the (at most dim U) decomposable
-    directions of the subspace, then renormalized to determinant one.
+    h1 is moved to the first h1 + s h2 off the (at most dim U)
+    decomposable directions of the subspace; h2 stays, since h2 (x) E
+    meets a graph over h1 only in 0.
     """
     if u.t_is_injective():
         return u
     span = u.span()
-    h2_new = None
-    for t in range(span.dim + 2):
-        cand = (Fraction(t), F1)
-        if h_fiber(span, _std_direction(u.h_basis, cand)).is_zero():
-            h2_new = cand
-            break
-    h1_new = None
-    for s in range(span.dim + 2):
-        cand = (F1, Fraction(s))
-        if not h_fiber(span, _std_direction(u.h_basis, cand)).is_zero():
-            continue
-        if h2_new is not None and F1 - Fraction(s) * h2_new[0] == 0:
-            continue
-        h1_new = cand
-        break
-    if h1_new is None or h2_new is None:
+    h1_new = _first_transversal(
+        span, u.h_basis, [(F1, Fraction(s)) for s in range(span.dim + 2)]
+    )
+    if h1_new is None:
         raise AssertionError("injective presentation search failed")
-    det = F1 - h1_new[1] * h2_new[0]
-    cols = Mat.from_cols((h1_new, (h2_new[0] / det, h2_new[1] / det)))
-    out = uft_change_basis(u, HBasisChange(cols))
+    out = uft_change_basis(u, HBasisChange.from_columns(h1_new, (F0, F1)))
     if not out.t_is_injective():
         raise AssertionError("injectivization produced a non-injective T")
     return out
@@ -266,6 +265,19 @@ def invariant_core(u: UFTForm):
     return w, u.t_on_subspace(w)
 
 
+def graph_spectrum(form: UFTForm):
+    """(inj, parts): an injective presentation of the graph and, for each
+    monic irreducible factor q of T on its invariant core W*, in
+    :func:`~pqh.polyq.factor` order, the pair (q, ker q(T) on W*).
+
+    ``parts`` is empty exactly when W* = 0.
+    """
+    inj = injectivize(form)
+    core, t_core = invariant_core(inj)
+    parts = tuple((q, poly_fiber(core, t_core, q)) for q, _e in minimal_polynomial(t_core))
+    return inj, parts
+
+
 @dataclass(frozen=True)
 class SpectralLine:
     """A decomposable direction [a : b] with its fiber {f : (a h1 + b h2) (x) f in U}."""
@@ -307,18 +319,14 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
             "not a graph subspace: every direction has a nonzero fiber, "
             "so the decomposable spectrum is not a finite list"
         )
-    form = injectivize(form)
-    core, t_core = invariant_core(form)
+    inj, parts = graph_spectrum(form)
     lines = []
     blocks = []
-    if core.dim:
-        _, factors = factor(t_core.charpoly())
-        for poly, _mult in factors:
-            fiber = poly_fiber(core, t_core, poly)
-            if poly_deg(poly) == 1:
-                lines.append(SpectralLine(line_direction(form.h_basis, -poly[0]), fiber))
-            else:
-                blocks.append(IrreducibleBlock(tuple(poly), fiber))
+    for poly, fiber in parts:
+        if poly_deg(poly) == 1:
+            lines.append(SpectralLine(line_direction(inj.h_basis, -poly[0]), fiber))
+        else:
+            blocks.append(IrreducibleBlock(tuple(poly), fiber))
     lines.sort(key=lambda l: l.direction)
     blocks.sort(key=lambda b: b.coeffs)
     return PencilSpectrum(tuple(lines), tuple(blocks))
@@ -486,16 +494,12 @@ def _form2_graph(form: UFTForm):
     The largest fiber becomes the single decomposable piece; every other
     eigenspace is twisted into the complement, which stays free of
     eigenvectors by the recursive pairing construction."""
-    inj = injectivize(form)
-    core, t_core = invariant_core(inj)
+    inj, parts = graph_spectrum(form)
     dim_e = form.dim_e
-    if core.is_zero():
-        return [], form.span()
     # fibers of the degree-1 factors only: higher factors carry no direction
-    _, factors = factor(t_core.charpoly())
     eigens = [
-        (poly_fiber(core, t_core, poly), line_direction(inj.h_basis, -poly[0]))
-        for poly, _mult in factors
+        (fiber, line_direction(inj.h_basis, -poly[0]))
+        for poly, fiber in parts
         if poly_deg(poly) == 1
     ]
     if not eigens:

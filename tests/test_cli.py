@@ -208,6 +208,15 @@ class TestContract:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["classify", "standardize"])
+    def test_non_utf8_file_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
     def test_zero_samples_allowed(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--samples", "0", "--n", "1")
         assert code == 0

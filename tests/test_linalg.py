@@ -537,10 +537,10 @@ class TestPoly:
     def test_minimal_polynomial(self):
         # Jordan block with eigenvalue 2: minpoly (x-2)^2, charpoly (x-2)^2
         j = Mat(((2, 1), (0, 2)))
-        assert minimal_polynomial(j) == (Fraction(4), Fraction(-4), Fraction(1))
+        assert minimal_polynomial(j) == (((-2, 1), 2),)
         # diagonalizable: minpoly squarefree
         d = Mat(((2, 0), (0, 2)))
-        assert minimal_polynomial(d) == (Fraction(-2), Fraction(1))
+        assert minimal_polynomial(d) == (((-2, 1), 1),)
 
     def test_import_leaves_sympy_unloaded(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
