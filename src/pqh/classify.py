@@ -976,8 +976,7 @@ class OracleFinding:
 
 
 def oracle_check(
-    ms: ModelSpace, report: ClassificationReport, u: Subspace,
-    seed: int = 0, samples: int = 25,
+    ms: ModelSpace, report: ClassificationReport, u: Subspace, seed: int = 0
 ) -> list:
     """Re-verify every reported flag from raw definitions.
 
@@ -986,6 +985,7 @@ def oracle_check(
     0 != AX in U refutes the flag; absence proves nothing.
     """
     rng = Rng(seed)
+    samples = 25  # random operators drawn by each sampled check
     out = []
 
     def check(name, ok, detail=""):

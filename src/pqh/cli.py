@@ -144,24 +144,13 @@ def cmd_product(args) -> int:
     if not (0 <= args.x < len(vs)) or not (0 <= args.y < len(vs)):
         raise InstanceError("vector indices out of range")
     value = ms.hermitian_product(vs[args.x], vs[args.y], h_basis)
-    norm_im = value.imag().norm()
+    parts = [format_rational(c) for c in (value.q0, value.q1, value.q2, value.q3)]
+    norm_im = format_rational(value.imag().norm())
     if args.json:
-        sys.stdout.write(
-            canonical_json(
-                {
-                    "product": [
-                        format_rational(value.q0),
-                        format_rational(value.q1),
-                        format_rational(value.q2),
-                        format_rational(value.q3),
-                    ],
-                    "norm_imaginary": format_rational(norm_im),
-                }
-            )
-        )
+        sys.stdout.write(canonical_json({"product": parts, "norm_imaginary": norm_im}))
     else:
-        print(f"X.Y = {value}")
-        print(f"N(Im(X.Y)) = {format_rational(norm_im)}")
+        print("X.Y = {} + {}*i + {}*j + {}*k".format(*parts))
+        print(f"N(Im(X.Y)) = {norm_im}")
     return 0
 
 

@@ -49,7 +49,12 @@ def _load_json(text: str):
 
 
 def format_rational(x: Fraction) -> str:
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:  # past the interpreter's limit on int-string conversion
+        raise InstanceError(
+            f"result numeral longer than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _parse_matrix(data, nrows, ncols, what) -> Mat:

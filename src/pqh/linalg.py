@@ -441,59 +441,33 @@ class Mat:
 def symmetric_signature(M: Mat):
     """Sylvester inertia (p, s, q) of a symmetric matrix, by exact congruence.
 
-    Pivot rule: first nonzero diagonal entry; when the diagonal is all
-    zero but the matrix is not, the first nonzero off-diagonal pair is
-    split hyperbolically and contributes (1, 0, 1).
+    One pivot rule: pivot on the first nonzero remaining diagonal entry.
+    When every remaining diagonal entry is zero but some a_ij is not, add
+    row j to row i and column j to column i, a congruence that makes
+    a_ii = 2 a_ij, and pivot at i.  The Schur update touches only the pairs
+    (k, l), k <= l, whose pivot-row entries are nonzero, and mirrors each.
     """
     if not M.is_symmetric():
         raise ValueError("signature of non-symmetric matrix")
+    a = [list(r) for r in M.rows]
     idx = list(range(M.nrows))
-    a = {
-        (i, j): M.rows[i][j] for i in idx for j in idx if M.rows[i][j] != 0
-    }
-    pos = neg = null = 0
+    pos = neg = 0
     while idx:
-        piv = next((i for i in idx if a.get((i, i), F0) != 0), None)
-        if piv is not None:
-            d = a[(piv, piv)]
-            if d > 0:
-                pos += 1
-            else:
-                neg += 1
-            idx.remove(piv)
-            col = {k: a[(piv, k)] for k in idx if (piv, k) in a}
-            for k in col:
-                for l in col:
-                    val = a.get((k, l), F0) - col[k] * col[l] / d
-                    if val == 0:
-                        a.pop((k, l), None)
-                    else:
-                        a[(k, l)] = val
-            continue
-        pair = None
-        for i in idx:
-            for j in idx:
-                if j > i and a.get((i, j), F0) != 0:
-                    pair = (i, j)
-                    break
-            if pair:
+        i = next((k for k in idx if a[k][k]), None)
+        if i is None:
+            i, j = next(((k, l) for k in idx for l in idx if a[k][l]), (None, None))
+            if i is None:
                 break
-        if pair is None:
-            null += len(idx)
-            break
-        i, j = pair
-        b = a[(i, j)]
-        pos += 1
-        neg += 1
+            for k in idx:
+                a[i][k] += a[j][k]
+            for k in idx:
+                a[k][i] += a[k][j]
         idx.remove(i)
-        idx.remove(j)
-        rowi = {k: a.get((i, k), F0) for k in idx}
-        rowj = {k: a.get((j, k), F0) for k in idx}
-        for k in idx:
-            for l in idx:
-                val = a.get((k, l), F0) - (rowi[k] * rowj[l] + rowj[k] * rowi[l]) / b
-                if val == 0:
-                    a.pop((k, l), None)
-                else:
-                    a[(k, l)] = val
-    return (pos, null, neg)
+        r, d = a[i], a[i][i]
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        nz = [k for k in idx if r[k]]
+        for x, k in enumerate(nz):
+            c, ak = r[k] / d, a[k]
+            for l in nz[x:]:
+                ak[l] = a[l][k] = ak[l] - c * r[l]
+    return (pos, M.nrows - pos - neg, neg)

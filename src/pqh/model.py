@@ -18,8 +18,9 @@ between.  ``Fraction``s are built only at the rational surface:
 each output coordinate once, and ``metric``, ``omega_eval`` and
 :meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
-A :class:`ModelSpace` keeps the integer rows of its omega^E and its
-4n x 4n metric matrix, built once.
+Relative to an H-basis s it pairs the s-coordinates of x and y with the
+standard triple.  A :class:`ModelSpace` keeps the integer rows of its
+omega^E and its 4n x 4n metric matrix, built once.
 
 An :class:`HBasisChange` s owns the two whole-basis steps: ``to_basis``
 and ``from_basis`` rewrite coordinate rows between the standard basis and
@@ -375,19 +376,21 @@ class ModelSpace:
         self, x: Vector, y: Vector, basis=None
     ) -> ParaQuaternion:
         """X.Y = g(X,Y) + i g(X,IY) - j g(X,JY) - k g(X,KY) for the given
-        admissible basis (default: the standard one)."""
-        if basis is None:
-            i, j, k = OP_I, OP_J, OP_K
-        elif isinstance(basis, HBasisChange):
-            i, j, k = basis.triple()
-        else:
+        admissible basis (default: the standard one).  An H-basis s has the
+        triple s(I, J, K)s^-1, and g(X, sIs^-1 Y) = g(s^-1 X, I s^-1 Y) since
+        det s = 1: X and Y are paired in s-coordinates."""
+        i, j, k = OP_I, OP_J, OP_K
+        rows = (x.coords, y.coords)
+        if isinstance(basis, HBasisChange):
+            rows = basis.to_basis(rows)
+        elif basis is not None:
             i, j, k = basis
             if not is_admissible_triple(i, j, k):
                 raise StructureError("not an admissible basis triple")
         half = self.dim_e
         if x.dim_e != half or y.dim_e != half:
             raise ValueError("vector does not live in this model space")
-        (xs, dx), (ys, dy) = _int_row(x.coords), _int_row(y.coords)
+        (xs, dx), (ys, dy) = map(_int_row, rows)
         d = self._omega_int[1] * dx
         vals = [Fraction(self._metric_int(xs, ys), d * dy)]
         for op in (i, j, k):

@@ -102,11 +102,12 @@ def find_transversal_direction(u: Subspace):
     """A direction h with (h (x) E) ^ U = 0, or None when every direction
     meets U (then U is not a graph subspace in any basis).
 
-    Candidates are h2 + t*h1 for t = 0, 1, ..., dim U, then h1: failing
-    directions carry decomposable vectors of U, and a graph subspace of
-    dimension m has at most m of those.
+    Candidates are h2 + t*h1 for t = 0, 1, ..., dim U: a failing direction
+    carries decomposable vectors of U, and a U with any transversal
+    direction is a graph with at most dim U such directions, so one of the
+    dim U + 1 candidates is transversal.
     """
-    candidates = [(Fraction(t), F1) for t in range(u.dim + 1)] + [(F1, F0)]
+    candidates = [(Fraction(t), F1) for t in range(u.dim + 1)]
     return _first_transversal(u, _STANDARD, candidates)
 
 
@@ -372,8 +373,8 @@ def minimal_fiber_direction(u: Subspace):
 
     The fiber is the kernel of a 2-parameter matrix pencil, so its
     dimension exceeds the generic value on at most rank <= dim E special
-    directions; sweeping dim E + dim U + 2 pairwise independent
-    candidates therefore always sees a generic one.
+    directions; the dim E + dim U + 2 pairwise independent candidates
+    h2 + t*h1 therefore include a generic one, whose fiber is the minimum.
     """
     dim_e = u.ambient // 2
     best = None
@@ -385,10 +386,6 @@ def minimal_fiber_direction(u: Subspace):
             best, best_fiber = cand, fib
             if fib.dim == 0:
                 break
-    if best_fiber.dim > 0:
-        fib = h_fiber(u, (F1, F0))
-        if fib.dim < best_fiber.dim:
-            best, best_fiber = (F1, F0), fib
     return best, best_fiber
 
 

@@ -485,3 +485,36 @@ class TestBareIntegers:
         assert out == ""
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+
+
+class TestResultNumeralLimit:
+    """Input numerals under the int-string limit whose results print a
+    longer one exit 2 with one ``error:`` line: the canonical row of
+    (1/77...7, 0, 0, 33...3) has a 5,000-digit entry."""
+
+    VECTOR = ["1/" + "7" * 2500, "0", "0", "3" * 2500]
+
+    @pytest.fixture
+    def long_result(self, tmp_path):
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 1, "omega_E": [["0", "1"], ["-1", "0"]], "vectors": [self.VECTOR]}))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("uft",),
+            ("classify", "--json"),
+            ("decompose", "--mode", "form1"),
+            ("decompose", "--mode", "generic"),
+            ("product", "--x", "0", "--y", "0"),
+            ("product", "--json", "--x", "0", "--y", "0"),
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exit_2(self, long_result, capsys, argv):
+        code, out, err = run_cli(capsys, argv[0], long_result, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: result numeral longer than ") and err.count("\n") == 1
+        assert "Traceback" not in err
