@@ -10,15 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Mat
-
-
-def _coerce(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
+from .linalg import Mat, _entry
 
 
 @dataclass(frozen=True)
@@ -31,10 +23,10 @@ class ParaQuaternion:
     q3: Fraction
 
     def __init__(self, q0=0, q1=0, q2=0, q3=0):
-        object.__setattr__(self, "q0", _coerce(q0))
-        object.__setattr__(self, "q1", _coerce(q1))
-        object.__setattr__(self, "q2", _coerce(q2))
-        object.__setattr__(self, "q3", _coerce(q3))
+        object.__setattr__(self, "q0", _entry(q0))
+        object.__setattr__(self, "q1", _entry(q1))
+        object.__setattr__(self, "q2", _entry(q2))
+        object.__setattr__(self, "q3", _entry(q3))
 
     @classmethod
     def scalar(cls, c):
@@ -62,7 +54,7 @@ class ParaQuaternion:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = _coerce(other)
+            c = _entry(other)
             return ParaQuaternion(c * self.q0, c * self.q1, c * self.q2, c * self.q3)
         a0, a1, a2, a3 = self.q0, self.q1, self.q2, self.q3
         b0, b1, b2, b3 = other.q0, other.q1, other.q2, other.q3
@@ -101,7 +93,7 @@ class ParaQuaternion:
 def _promote(x) -> ParaQuaternion:
     if isinstance(x, ParaQuaternion):
         return x
-    return ParaQuaternion.scalar(_coerce(x))
+    return ParaQuaternion.scalar(_entry(x))
 
 
 PQ_ONE = ParaQuaternion(1, 0, 0, 0)

@@ -525,13 +525,17 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
 
 
 def para_complex_eigenvectors(report: ParaComplexReport):
-    """Eigenvectors of the scaled para-complex structure on F.
+    """Eigenvectors of the scaled para-complex structure T on F, T^2 = nu Id.
 
-    When the scale nu is a rational square the data is rational and
-    already in the report; otherwise the eigenvalues +-sqrt(nu) live in
-    Q(sqrt(nu)) and this computes the eigenbasis there.  Returns
-    (eigenvalue, plus-basis rows, minus-basis rows) with entries in
-    Q(sqrt(nu)) (or Fraction when rational).
+    For a rational square nu they are kernels over Q.  Otherwise Q[T] =
+    Q(sqrt(nu)) is a field, so a cyclic span Q[T]y meets an invariant
+    subspace without y only in 0, and y_1, ..., y_m picked greedily from
+    the identity rows give Q^k = (+) span(y_i, T y_i).  Over Q(sqrt(nu))
+    each pair splits into the eigenvectors T y_i +- sqrt(nu) y_i, as
+    T (T y + l y) = l (T y + l y) when l^2 = nu: a basis, m rows each.
+
+    Returns (eigenvalue, plus-basis rows, minus-basis rows) with entries in
+    Q(sqrt(nu)) as ``QuadExt`` (or Fraction when rational).
     """
     form = report.pure_form
     if form is None:
@@ -544,17 +548,19 @@ def para_complex_eigenvectors(report: ParaComplexReport):
         plus = poly_eval_matrix((-lam, F1), t_f).kernel()
         minus = poly_eval_matrix((lam, F1), t_f).kernel()
         return lam, plus.rows, minus.rows
-    lam = sqrt_of(nu)
     k = t_f.nrows
-    lifted = Mat(
-        tuple(tuple(QuadExt(x, 0, nu) for x in row) for row in t_f.rows),
-        ncols=k,
-    )
-    plus = (lifted - Mat.scalar(k, lam)).kernel()
-    minus = (lifted + Mat.scalar(k, lam)).kernel()
-    if plus.nrows != report.d_plus or minus.nrows != report.d_minus:
+    cyclic, pairs = Subspace.zero(k), []
+    for y, ty in zip(Mat.identity(k).rows, t_f.T.rows):  # T e_j is column j of t_f
+        if not cyclic.contains_vector(y):
+            pairs.append((y, ty))
+            cyclic = cyclic.sum(Subspace.span((y, ty), k))
+    plus, minus = [
+        tuple(tuple(QuadExt(t, s * x, nu) for x, t in zip(y, ty)) for y, ty in pairs)
+        for s in (1, -1)
+    ]
+    if len(plus) != report.d_plus or len(minus) != report.d_minus:
         raise AssertionError("quadratic-extension eigenspaces disagree with the trace test")
-    return lam, plus.rows, minus.rows
+    return sqrt_of(nu), plus, minus
 
 
 # -- nilpotent witnesses -------------------------------------------------------

@@ -1,31 +1,26 @@
 """Exact dense linear algebra over Q.
 
-All matrices are immutable tuples of row tuples; entries are
-``fractions.Fraction`` by default.  Rational work runs on plain Python
-integers and builds each output ``Fraction`` once: products (and so
-``mul_vec`` on rational entries) and ``charpoly`` clear denominators, and
-every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
-``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is the one
-fraction-free Gauss-Jordan loop :func:`_bareiss`, wrapped by
-:func:`_eliminate`; ``rank`` and :func:`int_rank` run the loop and build
-no output ``Fraction``.  Matrices over Q(sqrt(c))
-(:class:`pqh.quadext.QuadExt`) support ``+``, ``-``, ``scale``,
-``mul_vec`` and elimination, which runs the same loop with field
-division.
+All matrices are immutable tuples of row tuples of ``fractions.Fraction``.
+``Mat(rows)`` turns ints into ``Fraction`` values and raises ``TypeError``
+on any other entry (a float, an element of Q(sqrt c), a string, ``None``),
+so there is no floating point anywhere and a built ``Mat`` is rational.
+Operations on built matrices return ``Fraction`` entries only, and build
+their results through the trusted constructor ``Mat._of`` with no second
+check.
 
-``Mat(rows)`` checks every entry and turns ints into ``Fraction`` values; a
-float raises ``TypeError``, so there is no floating point anywhere.  The
-results of ``@``, ``rref``, ``T``, ``vstack``, ``hstack`` and ``scalar``
-hold only entries of checked matrices or ``Fraction`` values built from
-their integers, and skip the check through the trusted constructor
-``Mat._of``.
+Work runs on plain Python integers and builds each output ``Fraction``
+once: products (and so ``mul_vec``) and ``charpoly`` clear denominators,
+and every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
+``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is the one
+fraction-free Gauss-Jordan loop :func:`_bareiss` on integer rows, wrapped
+by :func:`_eliminate`; ``rank`` and :func:`int_rank` build no ``Fraction``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import floordiv, mul, truediv
+from operator import mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -82,53 +77,38 @@ def _eliminate(rows, width):
     dividing elimination would meet, so ``det(A)`` when A is square and
     nonsingular.
 
-    Rational rows are scaled to ints, each by its own lcm of denominators,
-    and run through :func:`_bareiss`.  A pivot row ends as ``row / D[i]``
-    of the reduced form, each entry built once as ``Fraction(x, D[i])``,
-    and the last pivot is ``+-det`` of the scaled rows.  Rows with entries
-    outside Q (``QuadExt``) run the same loop with field division and no
-    scaling.
+    The rational rows are scaled to ints, each by its own lcm of
+    denominators (``scale`` is their product), and run through
+    :func:`_bareiss`.  A pivot row ends as ``row / D[i]`` of the reduced
+    form, each entry built once as ``Fraction(x, D[i])``, and the last
+    pivot is ``+-det`` of the scaled rows.
     """
-    M, scale, field = _scaled(rows)
-    pivots, D, det = _bareiss(M, width, field)
-    if field:
-        R = [tuple(x / d for x in row) for row, d in zip(M, D)]
-        return R, pivots, det / scale
-    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D)]
-    return R, pivots, Fraction(det, scale)
-
-
-def _scaled(rows):
-    """``(M, scale, field)``: rational rows as int rows ``M``, each over its
-    own lcm of denominators with ``scale`` their product; rows with an entry
-    outside Q are copied as they are, with ``field`` set."""
-    if not all(type(x) is Fraction for r in rows for x in r):
-        return [list(r) for r in rows], F1, True
     M, scale = [], 1
     for r in rows:
         ints, d = _int_row(r)
         M.append(ints)
         scale *= d
-    return M, scale, False
+    pivots, D, det = _bareiss(M, width)
+    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D)]
+    return R, pivots, Fraction(det, scale)
 
 
-def _bareiss(M, width, field=False):
-    """The elimination loop of :func:`_eliminate`, in place on the rows ``M``.
+def _bareiss(M, width):
+    """The elimination loop of :func:`_eliminate`, in place on the int rows ``M``.
 
-    ``M`` holds plain ints (or field entries when ``field``).  Returns
-    ``(pivots, D, det)``: after the loop ``M[i] / D[i]`` is pivot row ``i``
-    of the reduced row echelon form, and ``det`` is the signed last pivot.
+    Returns ``(pivots, D, det)``: after the loop ``M[i] / D[i]`` is pivot row
+    ``i`` of the reduced row echelon form, and ``det`` is the signed last
+    pivot.
 
     A step with pivot ``p`` (the one before it ``prev``) takes every other
-    row with ``f != 0`` in the pivot column to ``(p*row - f*prow) / prev``;
+    row with ``f != 0`` in the pivot column to ``(p*row - f*prow) // prev``;
     the division is exact, since every entry stays a minor of the matrix.
     Bareiss would also scale the rows with ``f == 0`` by ``p / prev``; here
     they are left alone and each row keeps the pivot ``D[i]`` it was last
-    brought up to date at, so its Bareiss value is ``row * prev / D[i]``,
+    brought up to date at, so its Bareiss value is ``row * prev // D[i]``,
     again exact.
     """
-    prev = F1 if field else 1
-    div = truediv if field else floordiv
+    prev = 1
     n = len(M)
     D = [prev] * n
     pivots = []
@@ -146,19 +126,16 @@ def _bareiss(M, width, field=False):
             sign = -sign
         prow = M[r]
         if D[r] != prev:  # bring the row up to date
-            prow = [div(x * prev, D[r]) for x in prow]
+            prow = [x * prev // D[r] for x in prow]
         p = prow[c]
         for i, row in enumerate(M):
             f = row[c]
             if not f or i == r:
                 continue
             if D[i] != prev:
-                row = [div(x * prev, D[i]) for x in row]
+                row = [x * prev // D[i] for x in row]
                 f = row[c]
-            if field:
-                M[i] = [(p * x - f * y) / prev for x, y in zip(row, prow)]
-            else:
-                M[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
+            M[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
             D[i] = p
         M[r], D[r] = prow, p
         prev = p
@@ -171,16 +148,17 @@ def int_rank(rows, width) -> int:
     return len(_bareiss([list(r) for r in rows], width)[0])
 
 
-def _entry(x):
+def _entry(x) -> Fraction:
+    """The one scalar coercion: int or ``Fraction`` to ``Fraction``, else ``TypeError``."""
+    if isinstance(x, Fraction):
+        return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
-        raise TypeError("floating point is not allowed in exact matrices")
-    return x
+    raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
 class Mat:
-    """Immutable dense matrix with exact field entries."""
+    """Immutable dense matrix with rational entries."""
 
     __slots__ = ("rows", "_ncols", "_hash")
 
@@ -201,17 +179,15 @@ class Mat:
     @classmethod
     def _of(cls, rows, ncols):
         """Trusted constructor, no checks: ``rows`` is a tuple of
-        ``ncols``-long tuples whose entries are entries of ``Mat`` operands
-        or ``Fraction`` values built from their integers."""
+        ``ncols``-long tuples of ``Fraction`` values."""
         m = cls.__new__(cls)
         m.rows, m._ncols, m._hash = rows, ncols, None
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls(
-            tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)),
-            ncols=n,
+        return cls._of(
+            tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)), n
         )
 
     @classmethod
@@ -223,16 +199,18 @@ class Mat:
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls(tuple((F0,) * ncols for _ in range(nrows)), ncols=ncols)
+        return cls._of(tuple((F0,) * ncols for _ in range(nrows)), ncols)
 
     @classmethod
     def from_cols(cls, cols, nrows=None):
         cols = tuple(tuple(c) for c in cols)
-        if not cols:
-            if nrows is None:
+        if nrows is None:
+            if not cols:
                 raise ValueError("empty column list needs nrows")
-            return cls(tuple(() for _ in range(nrows)), ncols=0)
-        return cls(tuple(zip(*cols)), ncols=len(cols))
+            nrows = len(cols[0])
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("columns must all have nrows entries")
+        return cls(tuple(zip(*cols)) if cols else ((),) * nrows, ncols=len(cols))
 
     @property
     def nrows(self):
@@ -277,24 +255,23 @@ class Mat:
     def __add__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat(
-            tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)),
-            ncols=self._ncols,
+        return Mat._of(
+            tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
         )
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat(
-            tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)),
-            ncols=self._ncols,
+        return Mat._of(
+            tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
         )
 
     def __neg__(self):
         return self.scale(-F1)
 
     def scale(self, c):
-        return Mat(tuple(vec_scale(c, r) for r in self.rows), ncols=self._ncols)
+        c = _entry(c)
+        return Mat._of(tuple(vec_scale(c, r) for r in self.rows), self._ncols)
 
     def __matmul__(self, other):
         if self._ncols != other.nrows:
@@ -315,13 +292,7 @@ class Mat:
         )
 
     def mul_vec(self, v):
-        if len(v) != self._ncols:
-            raise ValueError("vector length mismatch")
-        col = Mat.from_cols((v,), nrows=len(v))
-        if all(type(x) is Fraction for r in self.rows + col.rows for x in r):
-            return (self @ col).col(0)
-        v = col.col(0)
-        return tuple(vec_dot(r, v) for r in self.rows)
+        return (self @ Mat.from_cols((v,))).col(0)
 
     def is_zero(self):
         return all(vec_is_zero(r) for r in self.rows)
@@ -358,8 +329,7 @@ class Mat:
         return Mat._of(tuple(R), self._ncols), pivots
 
     def rank(self):
-        M, _, field = _scaled(self.rows)
-        return len(_bareiss(M, self._ncols, field)[0])
+        return int_rank([_int_row(r)[0] for r in self.rows], self._ncols)
 
     def kernel(self):
         """Canonical (RREF) basis of {x : A x = 0}, rows of the result."""
@@ -375,7 +345,7 @@ class Mat:
             basis.append(tuple(v))
         if not basis:
             return Mat((), ncols=self._ncols)
-        return Mat(basis, ncols=self._ncols).rref()[0]
+        return Mat._of(tuple(basis), self._ncols).rref()[0]
 
     def det(self):
         n = self.nrows
@@ -392,7 +362,7 @@ class Mat:
         R, pivots = aug.rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat(tuple(r[n:] for r in R.rows), ncols=n)
+        return Mat._of(tuple(r[n:] for r in R.rows), n)
 
     def solve(self, b):
         """One solution x of A x = b, or None if inconsistent."""

@@ -35,8 +35,9 @@ from fractions import Fraction
 from operator import mul
 from typing import Callable, Sequence
 
-from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, _coerce, phi_from_mat2
-from .linalg import F0, F1, Mat, _int_row, _int_rows, vec_add, vec_is_zero, vec_scale, vec_sub
+from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, phi_from_mat2
+from .linalg import F0, F1, Mat, _entry, _int_row, _int_rows
+from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub
 
 
 class StructureError(ValueError):
@@ -91,8 +92,8 @@ class Vector:
     def __post_init__(self):
         if len(self.e_part) != len(self.eprime_part):
             raise ValueError("component length mismatch")
-        object.__setattr__(self, "e_part", tuple(map(_coerce, self.e_part)))
-        object.__setattr__(self, "eprime_part", tuple(map(_coerce, self.eprime_part)))
+        object.__setattr__(self, "e_part", tuple(map(_entry, self.e_part)))
+        object.__setattr__(self, "eprime_part", tuple(map(_entry, self.eprime_part)))
 
     @classmethod
     def from_coords(cls, coords: Sequence) -> "Vector":
@@ -123,7 +124,7 @@ class Vector:
         )
 
     def scale(self, c) -> "Vector":
-        c = _coerce(c)
+        c = _entry(c)
         return Vector(vec_scale(c, self.e_part), vec_scale(c, self.eprime_part))
 
     def is_zero(self) -> bool:
@@ -132,8 +133,8 @@ class Vector:
 
 def tensor(h: Sequence, e: Sequence) -> Vector:
     """Decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
-    a, b = map(_coerce, h)
-    return Vector(vec_scale(a, tuple(map(_coerce, e))), vec_scale(b, tuple(map(_coerce, e))))
+    a, b = map(_entry, h)
+    return Vector(vec_scale(a, tuple(map(_entry, e))), vec_scale(b, tuple(map(_entry, e))))
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ class Operator:
     gamma: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _coerce(self.alpha))
-        object.__setattr__(self, "beta", _coerce(self.beta))
-        object.__setattr__(self, "gamma", _coerce(self.gamma))
+        object.__setattr__(self, "alpha", _entry(self.alpha))
+        object.__setattr__(self, "beta", _entry(self.beta))
+        object.__setattr__(self, "gamma", _entry(self.gamma))
 
     def q(self) -> Fraction:
         """Conjugation-invariant form q(A) = alpha^2 - beta^2 - gamma^2.
@@ -193,7 +194,7 @@ class Operator:
         return Mat(rows)
 
     def scale(self, c) -> "Operator":
-        c = _coerce(c)
+        c = _entry(c)
         return Operator(c * self.alpha, c * self.beta, c * self.gamma)
 
     def __add__(self, other: "Operator") -> "Operator":
@@ -236,7 +237,7 @@ class HBasisChange:
 
     @classmethod
     def from_columns(cls, h1: Sequence, h2: Sequence) -> "HBasisChange":
-        return cls(Mat.from_cols((tuple(map(_coerce, h1)), tuple(map(_coerce, h2)))))
+        return cls(Mat.from_cols((tuple(map(_entry, h1)), tuple(map(_entry, h2)))))
 
     @property
     def h1(self) -> tuple:

@@ -1,9 +1,12 @@
 """Arithmetic in a quadratic extension Q(sqrt(c)).
 
 Minimal field implementation: elements a + b*sqrt(c), both parts exact
-rationals, c a fixed non-square positive rational.  Interoperates with
-int and Fraction so that the generic routines in :mod:`pqh.linalg` can
-run unchanged over the extension.
+rationals, c a fixed non-square positive rational, with int and Fraction
+operands lifted into the field.  Its one use is to present the
+eigenvectors of a para-complex structure with a non-square scale
+(:func:`pqh.classify.para_complex_eigenvectors`), which are computed from
+rational data; :class:`pqh.linalg.Mat` holds rationals only and rejects
+these elements.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .linalg import _entry
 from .polyq import is_rational_square
 
 
@@ -22,9 +26,7 @@ class QuadExt:
 
     def __post_init__(self):
         for f in ("a", "b", "c"):
-            v = getattr(self, f)
-            if isinstance(v, int):
-                object.__setattr__(self, f, Fraction(v))
+            object.__setattr__(self, f, _entry(getattr(self, f)))
         if self.c <= 0 or is_rational_square(self.c) is not None:
             raise ValueError("radicand must be a positive non-square rational")
 
@@ -54,9 +56,6 @@ class QuadExt:
             return NotImplemented
         return self + (-o)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         o = self._lift(other)
         if o is None:
@@ -81,10 +80,6 @@ class QuadExt:
             return NotImplemented
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        return o * self.inverse()
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.b == 0 and self.a == other
@@ -99,9 +94,6 @@ class QuadExt:
 
     def __bool__(self):
         return self.a != 0 or self.b != 0
-
-    def conj(self):
-        return QuadExt(self.a, -self.b, self.c)
 
     def __str__(self):
         return f"{self.a} + {self.b}*sqrt({self.c})"

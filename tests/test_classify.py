@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import graph_subspace, random_sl2, unit
 from pqh.classify import (
@@ -20,8 +22,9 @@ from pqh.classify import (
     para_complex_eigenvectors,
     stabilizer,
 )
-from pqh.linalg import Mat
+from pqh.linalg import Mat, _int_row, int_rank
 from pqh.model import HBasisChange, ModelSpace, OP_I, OP_J, OP_K, Operator, tensor
+from pqh.polyq import is_rational_square
 from pqh.quadext import QuadExt
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -300,6 +303,59 @@ class TestCheckParaComplex:
             pc = rep.para_complex_report
             assert pc.omega_skew_invariant and pc.gram_orthogonal
             assert pc.signature_pure.p == pc.signature_pure.q  # neutral
+
+
+def nonsquare_blocks(k, nu):
+    """diag(B, ..., B) on Q^k with B = [[0, nu], [1, 0]], so B^2 = nu Id."""
+    rows = [[0] * k for _ in range(k)]
+    for i in range(0, k, 2):
+        rows[i][i + 1], rows[i + 1][i] = nu, 1
+    return Mat(rows)
+
+
+@st.composite
+def nonsquare_structures(draw):
+    """T = P diag(B, ..., B) P^-1 on E = Q^2n, n = 1-3, with nu not a
+    rational square and P invertible: T^2 = nu Id, no rational eigenvector."""
+    k = 2 * draw(st.integers(1, 3))
+    nu = draw(st.sampled_from([2, 3, 5, 6, 7, Fraction(1, 2), Fraction(12, 5)]))
+    p = Mat(draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=k, max_size=k
+    )))
+    assume(p.det() != 0)
+    return p @ nonsquare_blocks(k, nu) @ p.inverse()
+
+
+def quad_apply(m, v):
+    """The rational matrix m applied to a column v with QuadExt entries."""
+    zero = QuadExt(0, 0, v[0].c)
+    return tuple(sum((a * x for a, x in zip(row, v)), zero) for row in m.rows)
+
+
+@given(nonsquare_structures())
+@example(nonsquare_blocks(4, 3))  # T e_0 = e_1: e_1 starts no new cyclic pair
+@example(nonsquare_blocks(6, Fraction(1, 2)))
+@settings(max_examples=25, deadline=None)
+def test_nonsquare_eigenvectors_from_cyclic_basis(t):
+    # U is the graph of T over h1
+    n = t.nrows // 2
+    u = graph_subspace(n, [(unit(2 * n, j), t.col(j)) for j in range(2 * n)])
+    ms = ModelSpace.standard(n)
+    pc = check_para_complex(ms, u, kind_witnesses(stabilizer(u)).para_complex)
+    nu = pc.scale
+    assert is_rational_square(nu) is None
+    lam, plus, minus = para_complex_eigenvectors(pc)
+    assert lam * lam == nu
+    assert len(plus) == len(minus) == pc.d_plus == pc.d_minus == n
+    t_f = pc.pure_form.t_on_subspace(pc.pure_form.f_space)
+    for rows, ev in ((plus, lam), (minus, -lam)):
+        for v in rows:
+            assert quad_apply(t_f, v) == tuple(ev * x for x in v)
+        # v = a + sqrt(nu) b and sqrt(nu) v = nu b + sqrt(nu) a: the rows are
+        # independent over Q(sqrt nu) iff these 2m rational rows are over Q
+        halves = [(tuple(x.a for x in v), tuple(x.b for x in v)) for v in rows]
+        rational = [a + b for a, b in halves] + [tuple(nu * x for x in b) + a for a, b in halves]
+        assert int_rank([_int_row(r)[0] for r in rational], 2 * t_f.nrows) == 2 * len(rows)
 
 
 class TestCheckNilpotent:
