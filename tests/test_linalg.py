@@ -558,6 +558,34 @@ class TestPoly:
         assert is_rational_square(Fraction(0)) == 0
 
 
+def test_generic_decompositions_leave_sympy_unloaded():
+    # the core polynomials of these graphs are proved irreducible modulo
+    # small primes, so no decomposition needs sympy's factorization
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    script = (
+        "import sys\n"
+        "from pqh.classify import generic_decompose\n"
+        "from pqh.generate import generate\n"
+        "from pqh.rng import Rng\n"
+        "from pqh.uft import decompose_form1, decompose_form2\n"
+        "for s in (1, 2, 3):\n"
+        "    u = generate(Rng(s), 3, 'generic', 6)\n"
+        "    generic_decompose(u)\n"
+        "    decompose_form2(u)\n"
+        "    decompose_form1(u)\n"
+        "    print('sympy' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    ).stdout
+    assert out == "False\nFalse\nFalse\n"
+
+
 class TestQuadExt:
     def test_field_ops(self):
         r2 = sqrt_of(2)
