@@ -27,6 +27,7 @@ from .model import (
     OP_I,
     OP_J,
     OP_K,
+    OMEGA_H,
     HBasisChange,
     ModelSpace,
     Operator,
@@ -288,21 +289,12 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
     is_pq = u == product_subspace(e_prime)
     hermitian = False
     gram_ok = True
-    if is_pq and e_prime.dim:
+    if is_pq:
         omega_r = restrict_omega(ms, e_prime)
         hermitian = omega_r.det() != 0
-        k = e_prime.dim
-        zero, fs = (F0,) * e_prime.ambient, e_prime.mat.rows
-        split = Mat._of(
-            tuple(f + zero for f in fs) + tuple(zero + f for f in fs), u.ambient
-        )
-        g = split @ ms.metric_matrix() @ split.T
-        z = Mat.zeros(k, k)
-        expected = (z.hstack(omega_r)).vstack(omega_r.T.hstack(z))
-        gram_ok = g == expected
-    elif is_pq:
-        hermitian = True  # zero subspace, vacuously nondegenerate
-    return PQReport(is_pq, e_prime, hermitian and is_pq, gram_ok)
+        split = Mat.identity(2).kron(e_prime.mat)
+        gram_ok = split @ ms.metric_matrix() @ split.T == OMEGA_H.kron(omega_r)
+    return PQReport(is_pq, e_prime, hermitian, gram_ok)
 
 
 # -- complex and para-complex witnesses ----------------------------------------
@@ -495,7 +487,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
             decomposable_subspace(dir1, lift1),
             decomposable_subspace(dir2, lift2),
         ]
-        if not direct_sum_is(pp.comp, [p for p in pres_parts if p.dim]):
+        if not direct_sum_is(pp.comp, pres_parts):
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         # cross-check m as the rank of the Gram pairing between eigenspaces
@@ -639,7 +631,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
     )
     real_part = Subspace.span(real_rows, u.ambient)
-    if not direct_sum_is(u, [p for p in (pq_part, piece.span(), real_part) if p.dim]):
+    if not direct_sum_is(u, [pq_part, piece.span(), real_part]):
         raise AssertionError("nilpotent decomposition does not recompose")
     if real_part.dim and not is_real(real_part):
         raise AssertionError("nilpotent residue is not a real subspace")
@@ -669,7 +661,7 @@ def is_real(u: Subspace) -> bool:
         form = graph_form(u)
         return form is not None and invariant_core(injectivize(form))[0].is_zero()
 
-    return u.dim == 0 or u.memo("is_real", compute)
+    return u.memo("is_real", compute)
 
 
 @dataclass(frozen=True)
@@ -690,8 +682,6 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
         raise ValueError("totally-real check needs a real subspace")
     if signature(ms, u).s != 0:
         raise ValueError("totally-real check needs a nondegenerate subspace")
-    if u.dim == 0:
-        return TotallyRealReport(True, True, True, True, (True, True, True), True)
     form = graph_form(u)
     e1 = form.f_space
     e2 = form.t_image()
@@ -771,7 +761,7 @@ def _decompose_pure(u_pure: Subspace):
     A pure subspace that is not a graph (every direction carries
     decomposable vectors) first sheds a minimal-fiber decomposable piece,
     which is itself a pure weakly para-complex addend."""
-    if u_pure.dim == 0:
+    if u_pure.dim == 0:  # the usual last residue; skips the graph search
         return [], Subspace.zero(u_pure.ambient)
     form = graph_form(u_pure)
     if form is None:
@@ -820,9 +810,7 @@ def generic_decompose(u: Subspace) -> GenericDecomposition:
     """U = U0 (+) pure complex (+) pure weakly para-complex (+) real,
     with recomposition verified exactly."""
     u0 = maximal_pq(u)
-    if u0 == u:
-        return GenericDecomposition(u0, (), Subspace.zero(u.ambient))
-    if u0.is_zero():
+    if u0.is_zero():  # clean_complement would return U, after eliminations
         u_prime = u
     else:
         e0 = p1p2(u0)[0]

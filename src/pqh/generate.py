@@ -8,6 +8,7 @@ change of the H basis, which preserves every classification flag.
 
 from __future__ import annotations
 
+from .algebra import MAT_I, MAT_K
 from .linalg import F0, F1, Mat
 from .model import HBasisChange, ModelSpace, standard_symplectic, tensor
 from .rng import Rng
@@ -63,11 +64,7 @@ def _graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
 
 
 def _block_rotation(k: int) -> Mat:
-    rows = [[F0] * k for _ in range(k)]
-    for i in range(0, k, 2):
-        rows[i][i + 1] = -F1
-        rows[i + 1][i] = F1
-    return Mat(rows)
+    return Mat.identity(k // 2).kron(MAT_I)
 
 
 def _reflection(k: int, plus: int) -> Mat:
@@ -188,11 +185,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
 
 def _tpc_blocks(k: int) -> Mat:
     """T with T^2 = Id, +1 eigenspace on odd slots, -1 on even slots."""
-    rows = [[F0] * k for _ in range(k)]
-    for i in range(0, k, 2):
-        rows[i][i] = F1
-        rows[i + 1][i + 1] = -F1
-    return Mat(rows)
+    return Mat.identity(k // 2).kron(-MAT_K)
 
 
 def rng_sample_pairs(rng: Rng, n: int, m: int):

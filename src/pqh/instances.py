@@ -19,7 +19,7 @@ from .linalg import Mat
 from .model import HBasisChange, ModelSpace
 from .subspace import Subspace
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9][0-9]*)?$")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[1-9][0-9]*)?")
 
 
 class InstanceError(ValueError):
@@ -29,7 +29,7 @@ class InstanceError(ValueError):
 def parse_rational(s) -> Fraction:
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
-    if not isinstance(s, str) or not _RATIONAL_RE.match(s):
+    if not isinstance(s, str) or not _RATIONAL_RE.fullmatch(s):
         raise InstanceError(f"not an exact rational: {s!r}")
     try:
         return Fraction(*map(int, s.split("/")))

@@ -14,6 +14,9 @@ and every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
 ``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is the one
 fraction-free Gauss-Jordan loop :func:`_bareiss` on integer rows, wrapped
 by :func:`_eliminate`; ``rank`` and :func:`int_rank` build no ``Fraction``.
+
+The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
+an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ def vec_scale(c, u):
 
 def vec_is_zero(u):
     return all(a == 0 for a in u)
-
-
-def vec_dot(u, v):
-    return sum((a * b for a, b in zip(u, v)), F0)
 
 
 def _int_row(r):
@@ -290,6 +289,23 @@ class Mat:
             ),
             other.ncols,
         )
+
+    def kron(self, other):
+        """Kronecker product: block (i, j) is ``self[i][j] * other``.  Only
+        products of two nonzero entries are formed; a factor 1 reuses the other."""
+        q = other._ncols
+        width = self._ncols * q
+        other_nz = [[(j, b) for j, b in enumerate(s) if b] for s in other.rows]
+        rows = []
+        for r in self.rows:
+            nz = [(i * q, a) for i, a in enumerate(r) if a]
+            for s in other_nz:
+                row = [F0] * width
+                for off, a in nz:
+                    for j, b in s:
+                        row[off + j] = b if a == 1 else a if b == 1 else a * b
+                rows.append(tuple(row))
+        return Mat._of(tuple(rows), width)
 
     def mul_vec(self, v):
         return (self @ Mat.from_cols((v,))).col(0)

@@ -22,6 +22,9 @@ Relative to an H-basis s it pairs the s-coordinates of x and y with the
 standard triple.  A :class:`ModelSpace` keeps the integer rows of its
 omega^E and its 4n x 4n metric matrix, built once.
 
+Matrices on V are Kronecker products (:meth:`~pqh.linalg.Mat.kron`): the
+metric is omega^H (x) omega^E and an operator is A (x) Id_E.
+
 An :class:`HBasisChange` s owns the two whole-basis steps: ``to_basis``
 and ``from_basis`` rewrite coordinate rows between the standard basis and
 s (``h_components`` and ``assemble`` are their one-``Vector`` forms), and
@@ -42,6 +45,9 @@ from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub
 
 class StructureError(ValueError):
     """An input violates a structural invariant (relations, symplectic...)."""
+
+
+OMEGA_H = Mat(((0, 1), (-1, 0)))  # omega^H(h1, h2) = 1
 
 
 def _h_act(m, coords) -> tuple:
@@ -75,11 +81,7 @@ def standard_symplectic(dim: int) -> Mat:
     """Block-diagonal symplectic form with omega(e_{2i+1}, e_{2i+2}) = 1."""
     if dim % 2:
         raise StructureError("symplectic form needs even dimension")
-    rows = [[F0] * dim for _ in range(dim)]
-    for i in range(0, dim, 2):
-        rows[i][i + 1] = F1
-        rows[i + 1][i] = -F1
-    return Mat(rows)
+    return Mat.identity(dim // 2).kron(OMEGA_H)
 
 
 @dataclass(frozen=True)
@@ -167,9 +169,6 @@ class Operator:
     def is_zero(self) -> bool:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
 
-    def apply(self, x: Vector) -> Vector:
-        return Vector.from_coords(self.apply_coords(x.coords))
-
     def _h_mat(self) -> tuple:
         """The 2x2 matrix acting on the E-components (e, e'), row-wise."""
         a, b, g = self.alpha, self.beta, self.gamma
@@ -183,15 +182,8 @@ class Operator:
         return _h_act_int(self._h_mat(), xs, dx)
 
     def as_matrix(self, dim_e: int) -> Mat:
-        m = self.mat2()
-        rows = []
-        for bi in range(2):
-            for r in range(dim_e):
-                row = [F0] * (2 * dim_e)
-                for bj in range(2):
-                    row[bj * dim_e + r] = m.rows[bi][bj]
-                rows.append(tuple(row))
-        return Mat(rows)
+        """A (x) Id_E on the coordinates of V."""
+        return self.mat2().kron(Mat.identity(dim_e))
 
     def scale(self, c) -> "Operator":
         c = _entry(c)
@@ -333,9 +325,7 @@ class ModelSpace:
         if self.omega.det() == 0:
             raise StructureError("omega_E must be invertible")
         object.__setattr__(self, "_omega_int", _int_rows(self.omega.rows))
-        z = Mat.zeros(self.dim_e, self.dim_e)
-        metric = z.hstack(self.omega).vstack((-self.omega).hstack(z))
-        object.__setattr__(self, "_metric", metric)
+        object.__setattr__(self, "_metric", OMEGA_H.kron(self.omega))
 
     @classmethod
     def standard(cls, n: int) -> "ModelSpace":
@@ -370,7 +360,7 @@ class ModelSpace:
         return _pairing(w, xs[:half], ys[half:]) - _pairing(w, xs[half:], ys[:half])
 
     def metric_matrix(self) -> Mat:
-        """[[0, omega], [-omega, 0]], the Gram matrix of g on the coordinates."""
+        """omega^H (x) omega^E, the Gram matrix of g on the coordinates."""
         return self._metric
 
     def hermitian_product(
@@ -411,19 +401,6 @@ class Standardization:
     pairs: int  # number of 2-dimensional irreducible summands
 
 
-def _standard_blocks(pairs: int):
-    def blockdiag(b: Mat) -> Mat:
-        d = 2 * pairs
-        rows = [[F0] * d for _ in range(d)]
-        for p in range(pairs):
-            for r in range(2):
-                for c in range(2):
-                    rows[2 * p + r][2 * p + c] = b.rows[r][c]
-        return Mat(rows)
-
-    return blockdiag(MAT_I), blockdiag(MAT_J), blockdiag(MAT_K)
-
-
 def standardize(i_mat: Mat, j_mat: Mat, k_mat: Mat) -> Standardization:
     """Find a basis in which an abstract triple becomes the standard one.
 
@@ -458,26 +435,15 @@ def standardize(i_mat: Mat, j_mat: Mat, k_mat: Mat) -> Standardization:
     basis = Mat.from_cols(cols)
     if basis.det() == 0:
         raise StructureError("eigenbasis pairing is degenerate")
-    std_i, std_j, std_k = _standard_blocks(d // 2)
+    pairs = Mat.identity(d // 2)
     binv = basis.inverse()
     if (
-        binv @ i_mat @ basis != std_i
-        or binv @ j_mat @ basis != std_j
-        or binv @ k_mat @ basis != std_k
+        binv @ i_mat @ basis != pairs.kron(MAT_I)
+        or binv @ j_mat @ basis != pairs.kron(MAT_J)
+        or binv @ k_mat @ basis != pairs.kron(MAT_K)
     ):
         raise StructureError("standardization failed to intertwine the triple")
     return Standardization(basis, d // 2)
-
-
-def model_to_interleaved(n: int) -> Mat:
-    """Permutation taking the tensor coordinate order of V to the
-    2x2-block order used by the standard structure of Q^{4n}."""
-    d = 4 * n
-    rows = [[F0] * d for _ in range(d)]
-    for r in range(2 * n):
-        rows[2 * r][r] = F1  # h1 (x) e_r  ->  slot 2r
-        rows[2 * r + 1][2 * n + r] = F1  # h2 (x) e_r  ->  slot 2r+1
-    return Mat(rows)
 
 
 def recover_omega_e(

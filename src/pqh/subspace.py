@@ -36,7 +36,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import F0, F1, Mat, _entry, _int_row, symmetric_signature
-from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, tensor
+from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector
 
 
 @dataclass(frozen=True)
@@ -316,8 +316,6 @@ def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
 
 def ortho_complement(ms: ModelSpace, u: Subspace) -> Subspace:
     """{y : g(x, y) = 0 for all x in U}; dimension 4n - dim U."""
-    if u.dim == 0:
-        return Subspace.full(u.ambient)
     return Subspace((u.mat @ ms.metric_matrix()).kernel())
 
 
@@ -345,22 +343,18 @@ def is_pure(u: Subspace) -> bool:
 
 def product_subspace(e_sub: Subspace) -> Subspace:
     """H (x) E' for a subspace E' of E."""
-    zero = (F0,) * e_sub.ambient
-    rows = [r for f in e_sub.mat.rows for r in (f + zero, zero + f)]
-    return Subspace.span(rows, 2 * e_sub.ambient)
+    return Subspace(Mat.identity(2).kron(e_sub.mat))
 
 
 def decomposable_subspace(h: Sequence, e_sub: Subspace) -> Subspace:
     """h (x) E' for a direction h and a subspace E' of E."""
-    return Subspace.span(
-        [tensor(h, f).coords for f in e_sub.mat.rows], 2 * e_sub.ambient
-    )
+    return Subspace(Mat((tuple(h),), ncols=2).kron(e_sub.mat))
 
 
 def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspace:
     """ker omega^E(A x B) taken inside B: the b with omega(a, b) = 0 for all
     a in A.  (The convention is deliberately asymmetric.)"""
-    if a_sub.dim == 0:
+    if a_sub.dim == 0:  # saves an elimination; check_nilpotent often passes A = 0
         return b_sub
     return b_sub.intersect(Subspace((a_sub.mat @ ms.omega).kernel()))
 

@@ -301,16 +301,10 @@ class PencilSpectrum:
     lines: tuple
     blocks: tuple
 
-    @property
-    def total_line_dim(self) -> int:
-        return sum(line.fiber.dim for line in self.lines)
-
 
 def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
     """All rational decomposable directions of a pure subspace with their
     fibers, plus the irreducible (degree >= 2) part of the core spectrum."""
-    if u.dim == 0:
-        return PencilSpectrum((), ())
     form = graph_form(u)
     if form is None:
         # U0 != 0 puts h (x) E0 inside U for every h, so no direction is transversal
@@ -389,14 +383,6 @@ def minimal_fiber_direction(u: Subspace):
     return best, best_fiber
 
 
-def _empty_form(dim_e: int) -> UFTForm:
-    return UFTForm(
-        HBasisChange.identity(),
-        Subspace.zero(dim_e),
-        Mat(tuple(() for _ in range(dim_e)), ncols=0),
-    )
-
-
 def decompose_form1(u: Subspace) -> Form1:
     """U = (h (x) F') (+) U^{F'', T''} with the graph part of maximal
     dimension among all graph subspaces of U.
@@ -406,9 +392,6 @@ def decompose_form1(u: Subspace) -> Form1:
     dimension is maximal exactly when the fiber of h has minimal
     dimension, so h is taken generic for the fiber pencil.
     """
-    dim_e = u.ambient // 2
-    if u.dim == 0:
-        return Form1(None, _empty_form(dim_e))
     h, fib = minimal_fiber_direction(u)
     basis = transversal_basis(h)
     if fib.dim == 0:
@@ -515,9 +498,9 @@ def decompose_form2(u: Subspace) -> Form2:
     decomposable vectors; for graph subspaces the last addend has the
     maximal possible dimension (dim U minus the largest fiber)."""
     dim_v = u.ambient
-    dim_e = dim_v // 2
     u0 = maximal_pq(u)
     e0 = p1p2(u0)[0]
+    # clean_complement would return U itself when U0 = 0, after eliminations
     u_prime = u if u0.is_zero() else clean_complement(u, u0, e0)
     # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
     # piece first, and its graph part is split into eigen-direction pieces
@@ -526,7 +509,7 @@ def decompose_form2(u: Subspace) -> Form2:
     if form1.piece is not None:
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
-    graph_parts = [tilde] if tilde.dim else []
+    graph_parts = [tilde]
     if not u0.is_zero():
         # a line has no automorphism without eigenvalues, so a 1-dimensional
         # E0 splits into two decomposable pieces; otherwise one piece plus
@@ -546,19 +529,13 @@ def decompose_form2(u: Subspace) -> Form2:
             t0 = _no_rational_eigenvalue_map(e0.dim)
             graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
     tilde = span_of(graph_parts, dim_v)
-    if tilde.is_zero():
-        graph = _empty_form(dim_e)
-    else:
-        graph = graph_form(tilde)
-        if graph is None:
-            raise AssertionError("form 2 residue is not a graph subspace")
-    parts = [p.span() for p in pieces] + ([tilde] if not tilde.is_zero() else [])
-    if not direct_sum_is(u, parts):
+    graph = graph_form(tilde)
+    if graph is None:
+        raise AssertionError("form 2 residue is not a graph subspace")
+    if not direct_sum_is(u, [p.span() for p in pieces] + [tilde]):
         raise AssertionError("form 2 does not recompose")
-    if not tilde.is_zero():
-        spec = decomposable_spectrum(tilde)
-        if spec.lines:
-            raise AssertionError("form 2 residue still has decomposable vectors")
+    if decomposable_spectrum(tilde).lines:
+        raise AssertionError("form 2 residue still has decomposable vectors")
     return Form2(tuple(pieces), graph)
 
 

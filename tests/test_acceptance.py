@@ -289,7 +289,7 @@ def test_criterion_08_uft_machinery():
         if h is not None and maximal_pq(u).is_zero():
             spec = decomposable_spectrum(u)
             assert len(spec.lines) <= u.dim
-            assert spec.total_line_dim <= u.dim
+            assert sum(l.fiber.dim for l in spec.lines) <= u.dim
         count += 1
     # basis-change round trips on 200 guaranteed graph subspaces
     round_trips = 0

@@ -155,6 +155,24 @@ class TestParsing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "entry", ["1\n", "3/4\n", "\u0663/4"], ids=["newline", "fraction-newline", "non-ascii-digit"]
+    )
+    @pytest.mark.parametrize("command", ["signature", "standardize"])
+    def test_entry_outside_the_grammar_exit_2(self, tmp_path, capsys, entry, command):
+        if command == "signature":  # an instance entry
+            data = json.loads((DATA / "instance_mixed.json").read_text())
+            data["vectors"][0][0] = entry
+        else:  # a structure-file entry
+            data = json.loads((DATA / "structure_r4.json").read_text())
+            data["I"][0][0] = entry
+        path = tmp_path / "i.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestContract:
     """Bad arguments and hostile files exit 2 with one ``error:`` line."""

@@ -219,7 +219,7 @@ class TestSpectrum:
             if find_transversal_direction(u) is None:
                 continue
             spec = decomposable_spectrum(u)
-            assert spec.total_line_dim <= u.dim
+            assert sum(l.fiber.dim for l in spec.lines) <= u.dim
             assert len(spec.lines) <= u.dim
             checked += 1
 
