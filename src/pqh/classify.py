@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, int_rank, symmetric_signature
+from .linalg import F0, F1, Mat, int_rank, rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -43,6 +43,7 @@ from .subspace import (
     direct_sum_is,
     h_fiber,
     image,
+    image_orthogonal,
     is_orthogonal,
     maximal_pq,
     omega_kernel_in,
@@ -354,8 +355,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
     partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
     k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
-    gram_partner = is_orthogonal(ms, image(partner, u), u)
-    gram_k = is_orthogonal(ms, image(k_hat, u), u)
+    gram_partner = image_orthogonal(ms, partner, u)
+    gram_k = image_orthogonal(ms, k_hat, u)
     hermitian_full = signature(ms, u).s == 0
     if u0.is_zero() and hermitian_full:
         if not (omega_route == gram_partner == gram_k):
@@ -689,9 +690,7 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     o2 = restrict_omega(ms, e2).is_zero()
     c = e1.mat @ ms.omega @ form.t_map
     skew = c.is_symmetric()  # omega(e, Te') = -omega(Te, e') for all pairs
-    routes = tuple(
-        is_orthogonal(ms, image(op, u), u) for op in (OP_I, OP_J, OP_K)
-    )
+    routes = tuple(image_orthogonal(ms, op, u) for op in (OP_I, OP_J, OP_K))
     conditions = o1 and o2 and skew
     if conditions != all(routes):
         raise AssertionError("totally-real routes disagree")
@@ -1023,20 +1022,19 @@ def oracle_check(
             "nilpotent": wit.q() == 0 and not wit.is_zero(),
         }[kind]
         check(f"{kind}-witness-sign", sign_ok)
-    # stabilizer nonzero refutes the real flag outright
     if report.flags.real:
+        # stabilizer nonzero refutes the real flag outright
         check("real-vs-stabilizer", report.stab.dim == 0)
-    # random-sample witness search: sound refutation of the real flag
-    violation = None
-    for _ in range(samples):
-        a = Operator(rng.rational(), rng.rational(), rng.rational())
-        if a.is_zero():
-            continue
-        ax, d = a.act_int(*u.combine_int(rng.rationals(u.dim)))
-        if any(ax) and u.contains_int(ax, d):
-            violation = a
-            break
-    if report.flags.real:
+        # random-sample witness search: sound refutation of the real flag
+        violation = None
+        for _ in range(samples):
+            a = Operator(rng.rational(), rng.rational(), rng.rational())
+            if a.is_zero():
+                continue
+            ax, d = a.act_int(*u.combine_int(rng.rationals(u.dim)))
+            if any(ax) and u.contains_int(ax, d):
+                violation = a
+                break
         check(
             "real-no-sampled-violation",
             violation is None,
@@ -1084,9 +1082,13 @@ def oracle_check(
             # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
             # basis of U to a basis of B U
             dim = u.dim if b.q() != 0 else int_rank(rows, u.ambient)
-            # B U meets U iff its spanning rows are dependent modulo U
+            # B U meets U iff its spanning rows are dependent modulo U; a
+            # full rank mod p proves them independent
             residues = [u.reduce_int(r, 1)[0] for r in rows]
-            if int_rank(residues, u.ambient) != dim:
+            if (
+                rank_mod(residues, u.ambient) != dim
+                and int_rank(residues, u.ambient) != dim
+            ):
                 check("pure-complex-moves-off", False, f"B={b}")
                 break
         else:

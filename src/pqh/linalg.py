@@ -15,6 +15,15 @@ and every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
 fraction-free Gauss-Jordan loop :func:`_bareiss` on integer rows, wrapped
 by :func:`_eliminate`; ``rank`` and :func:`int_rank` build no ``Fraction``.
 
+:func:`rank_mod` is the rank of integer rows modulo the prime
+p = 2^61 - 1, a certificate rather than an estimate: every minor of the
+rows reduces to the same minor mod p, so a nonzero r x r minor mod p is
+a nonzero minor over Q and ``rank_mod <= int_rank``.  A ``rank_mod``
+equal to the number of rows (or of columns) therefore proves full rank
+over Q; any smaller value proves nothing, and callers fall back to the
+exact elimination.  Rows with denominators are cleared row by row first,
+since scaling a row by a nonzero integer keeps the rank.
+
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 """
@@ -145,6 +154,36 @@ def _bareiss(M, width):
 def int_rank(rows, width) -> int:
     """Rank of plain-int rows, with no output ``Fraction`` built."""
     return len(_bareiss([list(r) for r in rows], width)[0])
+
+
+P61 = (1 << 61) - 1  # the Mersenne prime of :func:`rank_mod`
+
+
+def rank_mod(rows, width) -> int:
+    """Rank modulo ``P61`` of plain-int rows, pivots in columns < width.
+
+    A lower bound on :func:`int_rank` (see the module docstring): when it
+    equals ``len(rows)`` the rows are independent over Q.
+    """
+    M = [[x % P61 for x in r] for r in rows]
+    n = len(M)
+    rank = 0
+    for c in range(width):
+        if rank == n:
+            break
+        sel = next((i for i in range(rank, n) if M[i][c]), None)
+        if sel is None:
+            continue
+        M[rank], M[sel] = M[sel], M[rank]
+        prow = M[rank]
+        inv = pow(prow[c], -1, P61)
+        for i in range(rank + 1, n):
+            f = M[i][c]
+            if f:
+                f = f * inv % P61
+                M[i] = [(x - f * y) % P61 for x, y in zip(M[i], prow)]
+        rank += 1
+    return rank
 
 
 def _entry(x) -> Fraction:

@@ -17,6 +17,18 @@ the constraint columns of a preimage, and the rows of a new basis.
 ``contains_vector`` tests the core's numerators for zero and builds none,
 and :func:`h_fiber` writes the columns of ``[aI; bI]`` as integer rows.
 
+Answers that are "zero" or "everything" are certified before any exact
+elimination, by the rank mod p of integer rows (``linalg.rank_mod``, a
+lower bound on the rank over Q): ``intersect`` returns 0 when the two
+integer bases are independent mod p, and the other operand when one is
+the whole space; ``_preimage`` (so ``h_fiber`` and ``preimage_by``)
+returns 0 when its reduced constraint columns are; ``maximal_pq`` stops
+at U0 = 0 when the basis of U0 and A applied to that of U are.  A
+certificate only ever proves a full rank; any other outcome runs the
+unchanged exact code, and every answer is the same canonical subspace.
+``image_orthogonal`` tests AU _|_ U on A applied to the basis rows of U,
+without the canonical AU.
+
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
 the facts every check reads are computed once per instance: the integer
 basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
@@ -35,7 +47,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Mat, _entry, _int_row, symmetric_signature
+from .linalg import F0, F1, Mat, _entry, _int_row, rank_mod, symmetric_signature
 from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector
 
 
@@ -187,7 +199,11 @@ class Subspace:
     def intersect(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        if self.dim == 0 or other.dim == 0:
+        if self.dim == self.ambient:
+            return other
+        if other.dim == self.ambient:
+            return self
+        if _independent(self.int_basis() + other.int_basis(), self.ambient):
             return Subspace.zero(self.ambient)
         # x = c . basis(self) = c' . basis(other); solve for (c, -c')
         combos = self.mat.vstack(other.mat).T.kernel()
@@ -228,13 +244,15 @@ class Subspace:
         if self.dim == self.ambient:
             return Subspace.full(ncols)
         # reduce() is linear and vanishes exactly on self, so the columns
-        # reduce(c_j) give the constraint matrix for x.
+        # reduce(c_j) give the constraint matrix for x, whose kernel is 0
+        # when they are independent; they vanish at the pivots of self, so
+        # at most ambient - dim of them can be
+        reduced = [self.reduce_int(V, D) for V, D in cols]
+        if ncols <= self.ambient - self.dim and _independent(reduced, self.ambient):
+            return Subspace.zero(ncols)
         pivset = set(self.pivots)
         free = [j for j in range(self.ambient) if j not in pivset]
-        qcols = []
-        for V, D in cols:
-            V, D = self.reduce_int(V, D)
-            qcols.append(tuple(Fraction(V[j], D) if V[j] else F0 for j in free))
+        qcols = [tuple(Fraction(V[j], D) if V[j] else F0 for j in free) for V, D in reduced]
         qmat = Mat.from_cols(qcols, nrows=len(free))
         return Subspace(qmat.kernel())
 
@@ -249,6 +267,13 @@ class Subspace:
                 f = c * (e // d)
                 out = [x + f * y for x, y in zip(out, R)]
         return out, dc * e
+
+
+def _independent(rows: list, ambient: int) -> bool:
+    """True when the ``(ints, d)`` rows are proved independent over Q by
+    their rank mod p; False proves nothing.  More rows than ``ambient``
+    are never independent, and their rank is not taken."""
+    return len(rows) <= ambient and rank_mod([V for V, _ in rows], ambient) == len(rows)
 
 
 def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
@@ -323,12 +348,28 @@ def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
     return (u.mat @ ms.metric_matrix() @ w.mat.T).is_zero()
 
 
+def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
+    """AU _|_ U, by one Gram product of A applied to the basis rows of U;
+    no canonical basis of AU is built."""
+    au = Mat._of(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
+    return (au @ ms.metric_matrix() @ u.mat.T).is_zero()
+
+
 def maximal_pq(u: Subspace) -> Subspace:
-    """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace."""
+    """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
+
+    Each step first tries to prove U0 ^ AU = 0 by the rank mod p of the
+    basis rows of U0 stacked on A applied to those of U (A is invertible,
+    so they span AU); only when that fails is the canonical AU built and
+    intersected.
+    """
 
     def compute():
         u0 = u
         for op in (OP_I, OP_J, OP_K):
+            moved = [op.act_int(V, D) for V, D in u.int_basis()]
+            if _independent(u0.int_basis() + moved, u.ambient):
+                return Subspace.zero(u.ambient)
             u0 = u0.intersect(image(op, u))
             if u0.is_zero():
                 break

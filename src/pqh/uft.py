@@ -16,6 +16,13 @@ The spectrum of a graph form is computed in one place,
 the minimal polynomial of T on W* once and attach to each irreducible
 factor q its kernel ker q(T).  The decomposable spectrum, the form-2
 split and the generic decomposition all read it.
+
+Two answers are certified before exact elimination: ``t_is_injective``
+by a full rank mod p of the columns of T (``linalg.rank_mod``), and so
+``t_image`` returns all of E when T is square and injective; any other
+rank falls back to the exact ``Mat.rank`` and span.  ``invariant_core``
+stops at W* = F as soon as F ^ TF = F, and no direction is tried for a
+subspace too large to meet h (x) E in 0 (``_first_transversal``).
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, _eliminate
+from .linalg import F0, F1, Mat, _eliminate, _int_row, rank_mod
 from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -89,10 +96,15 @@ class UFTForm:
         return Mat.from_cols(map(w.coordinates_of, self.t_rows(w).rows), nrows=w.dim)
 
     def t_image(self) -> Subspace:
+        if self.dim == self.dim_e and self.t_is_injective():
+            return Subspace.full(self.dim_e)
         return Subspace.span(self.t_map.cols, self.dim_e)
 
     def t_is_injective(self) -> bool:
-        return self.t_map.rank() == self.dim
+        # the columns of T, each cleared of denominators: a full rank mod p
+        # proves injectivity, anything less is settled exactly
+        cols = [_int_row(c)[0] for c in self.t_map.cols]
+        return rank_mod(cols, self.dim_e) == self.dim or self.t_map.rank() == self.dim
 
 
 _STANDARD = HBasisChange.identity()
@@ -113,7 +125,13 @@ def find_transversal_direction(u: Subspace):
 
 def _first_transversal(u: Subspace, basis: HBasisChange, candidates):
     """The first candidate direction, in coordinates of the given basis of
-    H, whose fiber in U is zero, or None."""
+    H, whose fiber in U is zero, or None.
+
+    h (x) E has dimension dim E = ambient / 2, so it meets every U of larger
+    dimension and no direction is tried then.
+    """
+    if u.dim > u.ambient // 2:
+        return None
     for h in candidates:
         if h_fiber(u, _std_direction(basis, h)).is_zero():
             return h
@@ -254,10 +272,12 @@ def invariant_core(u: UFTForm):
     """Largest T-invariant subspace W* inside F ^ TF and T restricted to it.
 
     W* is the fixpoint of W0 = F ^ TF, W_{k+1} = {w in W_k : Tw in W_k};
-    for injective T it is the largest T-invariant subspace of F.
+    for injective T it is the largest T-invariant subspace of F.  When
+    W0 = F, TF contains F and has no larger dimension, so TF = F and W* = F
+    with no iteration.
     """
     w = u.f_space.intersect(u.t_image())
-    while not w.is_zero():
+    while 0 < w.dim < u.dim:
         # the coefficients c with sum c_i T(w_i) in W, mapped back into W
         w_new = Subspace(w.preimage_by(u.t_rows(w).T).mat @ w.mat)
         if w_new == w:
