@@ -60,7 +60,6 @@ from .uft import (
     clean_complement,
     graph_form,
     graph_over,
-    graph_spectrum,
     induced_g_f,
     injectivize,
     invariant_core,
@@ -68,6 +67,7 @@ from .uft import (
     minimal_fiber_direction,
     normalize_direction,
     poly_fiber,
+    subspace_spectrum,
     to_uft,
 )
 
@@ -762,8 +762,8 @@ def _decompose_pure(u_pure: Subspace):
     which is itself a pure weakly para-complex addend."""
     if u_pure.dim == 0:  # the usual last residue; skips the graph search
         return [], Subspace.zero(u_pure.ambient)
-    form = graph_form(u_pure)
-    if form is None:
+    spectrum = subspace_spectrum(u_pure)
+    if spectrum is None:
         hmin, fib = minimal_fiber_direction(u_pure)
         piece = decomposable_subspace(hmin, fib)
         witness = operator_in_basis(
@@ -775,7 +775,7 @@ def _decompose_pure(u_pure: Subspace):
         rest = piece.complement_in(u_pure)
         sub_addends, sub_real = _decompose_pure(rest)
         return [addend] + sub_addends, sub_real
-    form, parts = graph_spectrum(form)
+    _graph, form, parts = spectrum
     if not parts:
         return [], u_pure
     addends = []

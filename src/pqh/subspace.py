@@ -26,17 +26,27 @@ returns 0 when its reduced constraint columns are; ``maximal_pq`` stops
 at U0 = 0 when the basis of U0 and A applied to that of U are.  A
 certificate only ever proves a full rank; any other outcome runs the
 unchanged exact code, and every answer is the same canonical subspace.
-``image_orthogonal`` tests AU _|_ U on A applied to the basis rows of U,
-without the canonical AU.
+``image_orthogonal`` tests AU _|_ U by pairing A applied to the integer
+basis rows of U (``Operator.act_int``) with those rows by the metric's
+integer numerator (``ModelSpace._metric_int``): no canonical AU and no
+``Fraction`` is built.
 
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
 the facts every check reads are computed once per instance: the integer
 basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
-(keyed by the model space) and ``is_real``.  It holds only such small
-facts.  Graph forms are deliberately left out: callers keep many
-instances alive, and memoizing ``graph_form`` per instance was measured
-to raise the classify-sweep benchmark's peak RSS from 26.0 to 29.8 MiB
-(+14%; retained ``tracemalloc`` memory 1.26 -> 4.86 MiB).  There are no
+(keyed by the model space), ``is_real``, and the spectrum of
+``uft.subspace_spectrum``: the graph form, its injective presentation and
+the factor kernels of its invariant core.  Only the decomposition paths
+(``uft.decomposable_spectrum``, ``uft.decompose_form2`` and
+``classify.generic_decompose``) fill the spectrum, so that they share one
+spectral pass per instance; ``classify`` never does.  Graph forms stay out
+of the classify path because callers keep many instances alive: memoizing
+``graph_form`` per instance there was measured to raise the classify-sweep
+benchmark's peak RSS from 26.0 to 29.8 MiB (+14%; retained ``tracemalloc``
+memory 1.26 -> 4.86 MiB).  On the decompose-graph benchmark, whose
+requests are all made before the first one runs, the spectrum raises the
+memory each request retains after ``gc.collect()`` from 10 to 39 KiB
+(peak RSS 22.5 -> 23.4 MiB, medians of 10 runs).  There are no
 module-level caches.
 """
 
@@ -349,10 +359,11 @@ def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
 
 
 def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
-    """AU _|_ U, by one Gram product of A applied to the basis rows of U;
-    no canonical basis of AU is built."""
-    au = Mat._of(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
-    return (au @ ms.metric_matrix() @ u.mat.T).is_zero()
+    """AU _|_ U: the metric numerator of A applied to each integer basis row
+    of U against each one vanishes; no canonical basis of AU is built."""
+    basis = [ys for ys, _ in u.int_basis()]
+    moved = [a.act_int(ys, 1)[0] for ys in basis]
+    return not any(ms._metric_int(xs, ys) for xs in moved for ys in basis)
 
 
 def maximal_pq(u: Subspace) -> Subspace:

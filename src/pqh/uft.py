@@ -11,18 +11,21 @@ T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
 subspace W of F by one product with ``t_map``, and a graph over W is
 those rows paired with W's and rewritten by one ``from_basis`` call.
 
-The spectrum of a graph form is computed in one place,
-:func:`graph_spectrum`: injectivize, take the invariant core W*, factor
-the minimal polynomial of T on W* once and attach to each irreducible
-factor q its kernel ker q(T).  The decomposable spectrum, the form-2
-split and the generic decomposition all read it.
+The spectrum of a graph form is :func:`graph_spectrum`: injectivize,
+take the invariant core W*, factor the minimal polynomial of T on W*
+once and attach to each irreducible factor q its kernel ker q(T).  It is
+computed once per subspace: :func:`subspace_spectrum` keeps the graph
+form and its spectrum in the memo of the ``Subspace`` instance, and the
+decomposable spectrum, the form-2 split with its residue check and the
+generic decomposition all read it there.
 
 Two answers are certified before exact elimination: ``t_is_injective``
 by a full rank mod p of the columns of T (``linalg.rank_mod``), and so
 ``t_image`` returns all of E when T is square and injective; any other
 rank falls back to the exact ``Mat.rank`` and span.  ``invariant_core``
-stops at W* = F as soon as F ^ TF = F, and no direction is tried for a
-subspace too large to meet h (x) E in 0 (``_first_transversal``).
+stops at W* = F as soon as F ^ TF = F and reads T on F off the rows of
+``t_map``, and no direction is tried for a subspace too large to meet
+h (x) E in 0 (``_first_transversal``).
 """
 
 from __future__ import annotations
@@ -274,10 +277,14 @@ def invariant_core(u: UFTForm):
     W* is the fixpoint of W0 = F ^ TF, W_{k+1} = {w in W_k : Tw in W_k};
     for injective T it is the largest T-invariant subspace of F.  When
     W0 = F, TF contains F and has no larger dimension, so TF = F and W* = F
-    with no iteration.
+    with no iteration, and T on W* is read off the rows of ``t_map``.
     """
     w = u.f_space.intersect(u.t_image())
-    while 0 < w.dim < u.dim:
+    if w.dim == u.dim:
+        # TF = F: column j of T on F is T f_j, whose coordinates in the
+        # canonical basis of F are its entries at F's pivots
+        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
+    while w.dim:
         # the coefficients c with sum c_i T(w_i) in W, mapped back into W
         w_new = Subspace(w.preimage_by(u.t_rows(w).T).mat @ w.mat)
         if w_new == w:
@@ -297,6 +304,18 @@ def graph_spectrum(form: UFTForm):
     core, t_core = invariant_core(inj)
     parts = tuple((q, poly_fiber(core, t_core, q)) for q, _e in minimal_polynomial(t_core))
     return inj, parts
+
+
+def subspace_spectrum(u: Subspace):
+    """None when U has no graph form, else ``(form, inj, parts)`` with
+    ``form = graph_form(u)`` and ``(inj, parts) = graph_spectrum(form)``;
+    computed once per ``Subspace`` instance (:meth:`Subspace.memo`)."""
+
+    def compute():
+        form = graph_form(u)
+        return None if form is None else (form, *graph_spectrum(form))
+
+    return u.memo("spectrum", compute)
 
 
 @dataclass(frozen=True)
@@ -325,8 +344,8 @@ class PencilSpectrum:
 def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
     """All rational decomposable directions of a pure subspace with their
     fibers, plus the irreducible (degree >= 2) part of the core spectrum."""
-    form = graph_form(u)
-    if form is None:
+    spectrum = subspace_spectrum(u)
+    if spectrum is None:
         # U0 != 0 puts h (x) E0 inside U for every h, so no direction is transversal
         if not maximal_pq(u).is_zero():
             raise StructureError("spectrum needs a pure subspace; strip U0 first")
@@ -334,7 +353,7 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
             "not a graph subspace: every direction has a nonzero fiber, "
             "so the decomposable spectrum is not a finite list"
         )
-    inj, parts = graph_spectrum(form)
+    _form, inj, parts = spectrum
     lines = []
     blocks = []
     for poly, fiber in parts:
@@ -487,14 +506,14 @@ def graph_over(form: UFTForm, sub: Subspace) -> Subspace:
     return Subspace(form._graph_rows(sub))
 
 
-def _form2_graph(form: UFTForm):
+def _form2_graph(form: UFTForm, inj: UFTForm, parts):
     """Split a graph subspace into eigen-direction pieces and a
-    decomposable-free part of maximal dimension.
+    decomposable-free part of maximal dimension, given the spectrum
+    ``(inj, parts)`` of its form (:func:`graph_spectrum`).
 
     The largest fiber becomes the single decomposable piece; every other
     eigenspace is twisted into the complement, which stays free of
     eigenvectors by the recursive pairing construction."""
-    inj, parts = graph_spectrum(form)
     dim_e = form.dim_e
     # fibers of the degree-1 factors only: higher factors carry no direction
     eigens = [
@@ -525,7 +544,13 @@ def decompose_form2(u: Subspace) -> Form2:
     # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
     # piece first, and its graph part is split into eigen-direction pieces
     form1 = decompose_form1(u_prime)
-    pieces, tilde = _form2_graph(form1.graph)
+    spectrum = subspace_spectrum(u_prime) if form1.piece is None else None
+    if spectrum is not None and spectrum[0] == form1.graph:
+        # both direction searches stop at the first zero fiber among
+        # h2 + t h1, so this is U' in its graph form: read the memo of U'
+        pieces, tilde = _form2_graph(*spectrum)
+    else:
+        pieces, tilde = _form2_graph(form1.graph, *graph_spectrum(form1.graph))
     if form1.piece is not None:
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
@@ -549,14 +574,16 @@ def decompose_form2(u: Subspace) -> Form2:
             t0 = _no_rational_eigenvalue_map(e0.dim)
             graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
     tilde = span_of(graph_parts, dim_v)
-    graph = graph_form(tilde)
-    if graph is None:
+    if tilde == u_prime:
+        tilde = u_prime  # no pieces: the residue reads the spectrum of U'
+    residue = subspace_spectrum(tilde)
+    if residue is None:
         raise AssertionError("form 2 residue is not a graph subspace")
     if not direct_sum_is(u, [p.span() for p in pieces] + [tilde]):
         raise AssertionError("form 2 does not recompose")
     if decomposable_spectrum(tilde).lines:
         raise AssertionError("form 2 residue still has decomposable vectors")
-    return Form2(tuple(pieces), graph)
+    return Form2(tuple(pieces), residue[0])
 
 
 def _direction_candidates():
