@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, int_rank, rank_mod, symmetric_signature
+from .linalg import F0, F1, Mat, _int_row, int_rank, rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -47,7 +47,6 @@ from .subspace import (
     is_orthogonal,
     maximal_pq,
     omega_kernel_in,
-    operator_preimage,
     p1p2,
     product_subspace,
     restrict_omega,
@@ -57,7 +56,6 @@ from .subspace import (
 from .uft import (
     DecomposablePiece,
     UFTForm,
-    clean_complement,
     graph_form,
     graph_over,
     induced_g_f,
@@ -67,6 +65,7 @@ from .uft import (
     minimal_fiber_direction,
     normalize_direction,
     poly_fiber,
+    pq_split,
     subspace_spectrum,
     to_uft,
 )
@@ -188,10 +187,10 @@ def operator_preserves(a: Operator, u: Subspace) -> bool:
 def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
     """The largest A-invariant subspace of U.
 
-    One step U ^ A^{-1}U already is the fixpoint because A^2 is a scalar
-    (possibly zero) multiple of the identity.
+    One step {x in U : Ax in U} = U ^ A^{-1}U already is the fixpoint
+    because A^2 is a scalar (possibly zero) multiple of the identity.
     """
-    w = u.intersect(operator_preimage(a, u))
+    w = u.kernel_in([a.act_int(xs, dx) for xs, dx in u.int_basis()], u)
     if not operator_preserves(a, w):
         raise AssertionError("one-step invariant subspace is not invariant")
     return w
@@ -246,16 +245,15 @@ def invariant_pure_complement(a: Operator, u: Subspace, u0: Subspace) -> Subspac
         raise ValueError("invariant complement needs an invertible witness")
     if u0.is_zero():
         return u
-    dim_e = u.ambient // 2
     root = is_rational_square(-qa) if qa < 0 else None
     if root is not None and root != 0:
-        amat = a.as_matrix(dim_e)
-        parts = []
-        for sign in (root, -root):
-            vs = Subspace((amat - Mat.scalar(u.ambient, sign)).kernel())
-            us = u.intersect(vs)
-            u0s = u0.intersect(vs)
-            parts.append(u0s.complement_in(us))
+
+        def eigen(w, lam):
+            """The lam-eigenvectors of A in W."""
+            shifted = [[x - lam * y for x, y in zip(a.apply_coords(r), r)] for r in w.basis]
+            return w.kernel_in([_int_row(v) for v in shifted])
+
+        parts = [eigen(u0, lam).complement_in(eigen(u, lam)) for lam in (root, -root)]
         comp = parts[0].sum(parts[1])
     else:
         comp = Subspace.zero(u.ambient)
@@ -618,7 +616,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     xs = (Mat(coeffs, ncols=u.dim) @ a_parts).rows
     # push the E1' component away to land in Ebar1
     t_mat = Mat([_split_along(x, e1p, ebar1)[1] for x in xs], ncols=half)
-    e0 = Subspace(t_mat.T.kernel() @ e2_proj.mat)
+    e0 = e2_proj.kernel_in([_int_row(r) for r in t_mat.rows])
     e2prime = e0.complement_in(e2_proj)
     base = e0.sum(e2prime)
     ext = base.complement_in(e1p)
@@ -808,12 +806,7 @@ def _decompose_pure(u_pure: Subspace):
 def generic_decompose(u: Subspace) -> GenericDecomposition:
     """U = U0 (+) pure complex (+) pure weakly para-complex (+) real,
     with recomposition verified exactly."""
-    u0 = maximal_pq(u)
-    if u0.is_zero():  # clean_complement would return U, after eliminations
-        u_prime = u
-    else:
-        e0 = p1p2(u0)[0]
-        u_prime = clean_complement(u, u0, e0)
+    u0, _e0, u_prime = pq_split(u)
     addends, real_sub = _decompose_pure(u_prime)
     decomp = GenericDecomposition(u0, tuple(addends), real_sub)
     if not direct_sum_is(u, decomp.parts()):

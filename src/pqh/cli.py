@@ -109,7 +109,7 @@ def cmd_signature(args) -> int:
 
 
 def cmd_uft(args) -> int:
-    ms, u, h_basis = _load(args.path)
+    _ms, u, h_basis = _load(args.path)
     reason = None
     if h_basis is not None:
         try:

@@ -268,7 +268,7 @@ def minimal_polynomial(A: Mat):
         e = 1
         while e < mult:
             Pe = poly_eval_matrix(poly_pow(q, e), A)
-            if Pe.kernel().nrows == mult * poly_deg(q):
+            if A.nrows - Pe.rank() == mult * poly_deg(q):
                 break
             e += 1
         out.append((q, e))

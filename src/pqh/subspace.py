@@ -13,19 +13,22 @@ row as ``(ints, d)`` (the value ``ints[j] / d``, as ``linalg._int_row``
 gives it) and returns one, so an integer operator action
 (``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
 where a rational value leaves the core: the result of :meth:`reduce`,
-the constraint columns of a preimage, and the rows of a new basis.
-``contains_vector`` tests the core's numerators for zero and builds none,
-and :func:`h_fiber` writes the columns of ``[aI; bI]`` as integer rows.
+the constraint columns of a kernel, and the rows of a new basis.
+``contains_vector`` tests the core's numerators for zero and builds none.
 
-Answers that are "zero" or "everything" are certified before any exact
-elimination, by the rank mod p of integer rows (``linalg.rank_mod``, a
-lower bound on the rank over Q): ``intersect`` returns 0 when the two
-integer bases are independent mod p, and the other operand when one is
-the whole space; ``_preimage`` (so ``h_fiber`` and ``preimage_by``)
-returns 0 when its reduced constraint columns are; ``maximal_pq`` stops
-at U0 = 0 when the basis of U0 and A applied to that of U are.  A
-certificate only ever proves a full rank; any other outcome runs the
-unchanged exact code, and every answer is the same canonical subspace.
+Every subspace cut out by a linear condition is one call of
+:meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
+its basis rows b_i, whose images sum c_i y_i lie in a target subspace
+(or vanish).  ``intersect`` takes its own rows into the other operand,
+``maximal_pq`` A applied to the rows of U0 into U, :func:`h_fiber` the
+columns of ``[aI; bI]`` reduced modulo U, and :func:`omega_kernel_in`
+the omega pairings.  The relations come from :func:`_relations`, which
+holds the module's one certificate: the rank mod p of integer rows
+(``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
+mod p of the target's basis stacked on the images proves that no
+relation exists, and the zero subspace is returned with no exact
+elimination; any other outcome takes the exact kernel, and every answer
+is the same canonical subspace.
 ``image_orthogonal`` tests AU _|_ U by pairing A applied to the integer
 basis rows of U (``Operator.act_int``) with those rows by the metric's
 integer numerator (``ModelSpace._metric_int``): no canonical AU and no
@@ -211,14 +214,21 @@ class Subspace:
             raise ValueError("ambient mismatch")
         if self.dim == self.ambient:
             return other
-        if other.dim == self.ambient:
+        return self.kernel_in(self.int_basis(), other)
+
+    def kernel_in(self, images: list, target: "Subspace | None" = None) -> "Subspace":
+        """{sum c_i b_i : sum c_i images[i] in target} over the basis rows
+        b_i, for one image per row given as ``(ints, d)``; no target is 0.
+
+        The coefficients are :func:`_relations`; when this subspace is the
+        whole space they are the answer itself.
+        """
+        if self.dim == 0 or (target is not None and target.dim == target.ambient):
             return self
-        if _independent(self.int_basis() + other.int_basis(), self.ambient):
+        rel = _relations(images, target)
+        if rel.nrows == 0:
             return Subspace.zero(self.ambient)
-        # x = c . basis(self) = c' . basis(other); solve for (c, -c')
-        combos = self.mat.vstack(other.mat).T.kernel()
-        cself = Mat(tuple(c[: self.dim] for c in combos.rows), ncols=self.dim)
-        return Subspace(cself @ self.mat)
+        return Subspace(rel if self.dim == self.ambient else rel @ self.mat)
 
     def complement(self) -> "Subspace":
         """Canonical complement spanned by the coordinate vectors at the
@@ -242,30 +252,6 @@ class Subspace:
         rows = [larger.mat.rows[p - self.dim] for p in pivots if p >= self.dim]
         return Subspace.span(rows, self.ambient)
 
-    def preimage_by(self, m: Mat) -> "Subspace":
-        """{x : m x in self}."""
-        if m.nrows != self.ambient:
-            raise ValueError("matrix/ambient mismatch")
-        return self._preimage([_int_row(c) for c in m.cols], m.ncols)
-
-    def _preimage(self, cols: list, ncols: int) -> "Subspace":
-        """{x : sum_j x_j c_j in self} for ``ncols`` columns c_j given as
-        ``(ints, d)`` rows."""
-        if self.dim == self.ambient:
-            return Subspace.full(ncols)
-        # reduce() is linear and vanishes exactly on self, so the columns
-        # reduce(c_j) give the constraint matrix for x, whose kernel is 0
-        # when they are independent; they vanish at the pivots of self, so
-        # at most ambient - dim of them can be
-        reduced = [self.reduce_int(V, D) for V, D in cols]
-        if ncols <= self.ambient - self.dim and _independent(reduced, self.ambient):
-            return Subspace.zero(ncols)
-        pivset = set(self.pivots)
-        free = [j for j in range(self.ambient) if j not in pivset]
-        qcols = [tuple(Fraction(V[j], D) if V[j] else F0 for j in free) for V, D in reduced]
-        qmat = Mat.from_cols(qcols, nrows=len(free))
-        return Subspace(qmat.kernel())
-
     def combine_int(self, coeffs: Sequence) -> tuple:
         """The combination sum c_i b_i of the basis rows, as ``(ints, d)``."""
         cs, dc = _int_row(coeffs)
@@ -279,11 +265,24 @@ class Subspace:
         return out, dc * e
 
 
-def _independent(rows: list, ambient: int) -> bool:
-    """True when the ``(ints, d)`` rows are proved independent over Q by
-    their rank mod p; False proves nothing.  More rows than ``ambient``
-    are never independent, and their rank is not taken."""
-    return len(rows) <= ambient and rank_mod([V for V, _ in rows], ambient) == len(rows)
+def _relations(rows: list, target: Subspace | None) -> Mat:
+    """Canonical basis of the coefficient vectors c with sum c_i r_i in
+    ``target`` (0 when it is None), for rows r_i given as ``(ints, d)``.
+
+    The certificate: a full rank mod P61 of the target's integer basis
+    stacked on the rows means no relation, and no ``Fraction`` is built.
+    Otherwise the rows are reduced modulo the target, and one kernel is
+    taken over the coordinates where some reduced row is nonzero.
+    """
+    width = len(rows[0][0])
+    stacked = [V for V, _ in (target.int_basis() if target is not None else []) + rows]
+    if len(stacked) <= width and rank_mod(stacked, width) == len(stacked):
+        return Mat((), ncols=len(rows))
+    if target is not None:
+        rows = [target.reduce_int(V, D) for V, D in rows]
+    live = [j for j in range(width) if any(V[j] for V, _ in rows)]
+    cols = [tuple(Fraction(V[j], D) if V[j] else F0 for j in live) for V, D in rows]
+    return Mat._of(tuple(zip(*cols)), len(cols)).kernel()
 
 
 def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
@@ -306,12 +305,6 @@ def image(a: Operator, u: Subspace) -> Subspace:
     return Subspace.span([a.apply_coords(r) for r in u.mat.rows], u.ambient)
 
 
-def operator_preimage(a: Operator, u: Subspace) -> Subspace:
-    """{x : A x in U}; for invertible A this is A^{-1} U."""
-    dim_e = u.ambient // 2
-    return u.preimage_by(a.as_matrix(dim_e))
-
-
 def p1p2(u: Subspace, basis: HBasisChange | None = None):
     """Projections (p1(U), p2(U)) onto E relative to a basis of H."""
     if basis is None:
@@ -328,14 +321,15 @@ def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     (a, b), d = _int_row(tuple(map(_entry, h)))
     if a == 0 and b == 0:
         raise ValueError("direction must be nonzero")
-    # column j of [aI; bI] is a e_j + b e_{half + j}
+    # column j of [aI; bI] is a e_j + b e_{half + j}; the fiber is the
+    # relations among these columns reduced modulo U
     half = u.ambient // 2
     cols = []
     for j in range(half):
         col = [0] * u.ambient
         col[j], col[half + j] = a, b
-        cols.append((col, d))
-    return u._preimage(cols, half)
+        cols.append(u.reduce_int(col, d))
+    return Subspace.full(half).kernel_in(cols)
 
 
 def gram(ms: ModelSpace, u: Subspace) -> Mat:
@@ -369,19 +363,15 @@ def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
 def maximal_pq(u: Subspace) -> Subspace:
     """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
 
-    Each step first tries to prove U0 ^ AU = 0 by the rank mod p of the
-    basis rows of U0 stacked on A applied to those of U (A is invertible,
-    so they span AU); only when that fails is the canonical AU built and
-    intersected.
+    A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}: each
+    step is one :meth:`Subspace.kernel_in` with target U, and no canonical
+    AU is built.
     """
 
     def compute():
         u0 = u
         for op in (OP_I, OP_J, OP_K):
-            moved = [op.act_int(V, D) for V, D in u.int_basis()]
-            if _independent(u0.int_basis() + moved, u.ambient):
-                return Subspace.zero(u.ambient)
-            u0 = u0.intersect(image(op, u))
+            u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0.int_basis()], u)
             if u0.is_zero():
                 break
         return u0
@@ -406,9 +396,8 @@ def decomposable_subspace(h: Sequence, e_sub: Subspace) -> Subspace:
 def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspace:
     """ker omega^E(A x B) taken inside B: the b with omega(a, b) = 0 for all
     a in A.  (The convention is deliberately asymmetric.)"""
-    if a_sub.dim == 0:  # saves an elimination; check_nilpotent often passes A = 0
-        return b_sub
-    return b_sub.intersect(Subspace((a_sub.mat @ ms.omega).kernel()))
+    pairings = b_sub.mat @ (a_sub.mat @ ms.omega).T
+    return b_sub.kernel_in([_int_row(r) for r in pairings.rows])
 
 
 def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:

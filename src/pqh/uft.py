@@ -268,7 +268,7 @@ def line_direction(basis: HBasisChange, lam) -> tuple:
 
 def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
     """ker poly(T) inside W, for T given by its matrix on the basis of W."""
-    return Subspace(poly_eval_matrix(poly, t_w).kernel() @ w.mat)
+    return w.kernel_in([_int_row(c) for c in poly_eval_matrix(poly, t_w).cols])
 
 
 def invariant_core(u: UFTForm):
@@ -285,8 +285,7 @@ def invariant_core(u: UFTForm):
         # canonical basis of F are its entries at F's pivots
         return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
     while w.dim:
-        # the coefficients c with sum c_i T(w_i) in W, mapped back into W
-        w_new = Subspace(w.preimage_by(u.t_rows(w).T).mat @ w.mat)
+        w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
         if w_new == w:
             break
         w = w_new
@@ -458,6 +457,15 @@ def clean_complement(u: Subspace, u0: Subspace, e0: Subspace) -> Subspace:
     return cleaned
 
 
+def pq_split(u: Subspace):
+    """(U0, E0, U'): the maximal para-quaternionic part U0 = H (x) E0 of U
+    and the complement U' of U0 in U cleaned of E0 components."""
+    u0 = maximal_pq(u)
+    e0 = p1p2(u0)[0]
+    # clean_complement would return U itself when U0 = 0, after eliminations
+    return u0, e0, (u if u0.is_zero() else clean_complement(u, u0, e0))
+
+
 def _eigenfree_inside(groups):
     """A subspace of A1 (+) ... (+) As of dimension sum(dim Ai, i >= 2)
     containing no nonzero vector of any single Ai.  Groups must be sorted
@@ -537,10 +545,7 @@ def decompose_form2(u: Subspace) -> Form2:
     decomposable vectors; for graph subspaces the last addend has the
     maximal possible dimension (dim U minus the largest fiber)."""
     dim_v = u.ambient
-    u0 = maximal_pq(u)
-    e0 = p1p2(u0)[0]
-    # clean_complement would return U itself when U0 = 0, after eliminations
-    u_prime = u if u0.is_zero() else clean_complement(u, u0, e0)
+    u0, e0, u_prime = pq_split(u)
     # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
     # piece first, and its graph part is split into eigen-direction pieces
     form1 = decompose_form1(u_prime)

@@ -501,7 +501,13 @@ class TestRealAndTotallyReal:
 
 class TestMaximalInvariant:
     def test_one_step_matches_full_fixpoint(self, ms2):
-        from pqh.subspace import image, operator_preimage
+        from pqh.subspace import image
+
+        def preimage(a, u):
+            # {x : A x in U}: the kernel of the columns of A reduced modulo U
+            free = [j for j in range(u.ambient) if j not in set(u.pivots)]
+            cols = [tuple(u.reduce(c)[j] for j in free) for c in a.as_matrix(4).cols]
+            return Subspace(Mat.from_cols(cols, nrows=len(free)).kernel())
 
         rng = Rng(67)
         for _ in range(40):
@@ -515,7 +521,7 @@ class TestMaximalInvariant:
             # independent oracle: iterate the preimage chain to stabilization
             chain = u
             while True:
-                nxt = chain.intersect(operator_preimage(a, chain))
+                nxt = chain.intersect(preimage(a, chain))
                 if nxt == chain:
                     break
                 chain = nxt

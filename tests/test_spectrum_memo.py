@@ -24,7 +24,7 @@ from test_model import h_basis_changes, huge_entries, model_spaces, operators
 import pqh.uft
 from pqh.classify import classify, generic_decompose
 from pqh.generate import KINDS, generate, standard_model
-from pqh.linalg import Mat
+from pqh.linalg import Mat, _int_row
 from pqh.model import OP_I, OP_J, OP_K, HBasisChange, StructureError
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -135,7 +135,7 @@ def ref_invariant_core(u):
     """``invariant_core`` taking T on W* from ``t_on_subspace`` in every case."""
     w = u.f_space.intersect(u.t_image())
     while 0 < w.dim < u.dim:
-        w_new = Subspace(w.preimage_by(u.t_rows(w).T).mat @ w.mat)
+        w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
         if w_new == w:
             break
         w = w_new
