@@ -56,6 +56,7 @@ from .subspace import (
     is_pure,
     maximal_pq,
     ortho_complement,
+    p1,
     p1p2,
     product_subspace,
     signature,

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import lcm
 
 from .generate import random_sl2
 from .linalg import F0, F1, Mat, _int_row, int_rank, rank_mod, symmetric_signature
@@ -42,11 +41,13 @@ from .subspace import (
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
+    ijk_residues,
     image,
     image_orthogonal,
     is_orthogonal,
     maximal_pq,
     omega_kernel_in,
+    p1,
     p1p2,
     product_subspace,
     restrict_omega,
@@ -106,10 +107,7 @@ def stabilizer(u: Subspace) -> Stabilizer:
     for xs, dx in u.int_basis():
         # the residues of I x, J x, K x over one denominator; scaling a
         # constraint row, or dropping a zero one, leaves the kernel alone
-        parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
-        d = lcm(*(e for _, e in parts))
-        ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
-        rows.extend(filter(any, zip(ri, rj, rk)))
+        rows.extend(filter(any, zip(*ijk_residues(u, xs, dx))))
     return Stabilizer(Mat(rows, ncols=3).kernel())
 
 
@@ -284,7 +282,7 @@ class PQReport:
 def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
     """U = H (x) E' test, with the Hermitian sub-flag and the exact block
     Gram identity for the split U = h1 (x) E' + h2 (x) E'."""
-    e_prime = p1p2(u)[0]
+    e_prime = p1(u)
     is_pq = u == product_subspace(e_prime)
     hermitian = False
     gram_ok = True
@@ -988,7 +986,7 @@ def oracle_check(
     check("pure-flag", report.flags.pure == u0.is_zero())
     check(
         "pq-flag",
-        report.flags.para_quaternionic == (u == product_subspace(p1p2(u)[0])),
+        report.flags.para_quaternionic == (u == product_subspace(p1(u))),
     )
     vecs = u.basis_vectors
     pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)
@@ -1024,7 +1022,7 @@ def oracle_check(
             a = Operator(rng.rational(), rng.rational(), rng.rational())
             if a.is_zero():
                 continue
-            ax, d = a.act_int(*u.combine_int(rng.rationals(u.dim)))
+            ax, d = a.act_int(*u.combine_int(*_int_row(rng.rationals(u.dim))))
             if any(ax) and u.contains_int(ax, d):
                 violation = a
                 break

@@ -10,10 +10,17 @@ check.
 
 Work runs on plain Python integers and builds each output ``Fraction``
 once: products (and so ``mul_vec``) and ``charpoly`` clear denominators,
-and every elimination (``rref`` and so ``kernel``, ``inverse``, ``solve``;
-``det``; the prefix-pivot echelon form of :mod:`pqh.uft`) is the one
-fraction-free Gauss-Jordan loop :func:`_bareiss` on integer rows, wrapped
-by :func:`_eliminate`; ``rank`` and :func:`int_rank` build no ``Fraction``.
+and every elimination is the one fraction-free Gauss-Jordan loop
+:func:`_bareiss` on integer rows.  :func:`_eliminate` wraps it for
+``Mat.rref`` (and so ``inverse`` and ``solve``) and ``det``.  Two kernels
+stay in integers end to end and build no ``Fraction``:
+:func:`int_rref` gives the reduced rows as ``(ints, d)`` in lowest terms,
+the form in which :mod:`pqh.subspace` keeps a canonical basis, and
+:func:`int_kernel` gives the reduced kernel basis in the same form, by
+one pass with the columns in reverse order.  ``Mat.kernel`` is the
+``Fraction`` view of :func:`int_kernel`.  ``rank`` and :func:`int_rank`
+build no ``Fraction`` either, and :mod:`pqh.uft` runs :func:`_bareiss`
+directly for its prefix-pivot echelon form.
 
 :func:`rank_mod` is the rank of integer rows modulo the prime
 p = 2^61 - 1, a certificate rather than an estimate: every minor of the
@@ -31,7 +38,7 @@ an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 F0 = Fraction(0)
@@ -97,7 +104,7 @@ def _eliminate(rows, width):
         M.append(ints)
         scale *= d
     pivots, D, det = _bareiss(M, width)
-    R = [tuple(Fraction(x, d) if x else F0 for x in row) for row, d in zip(M, D)]
+    R = [frac_row(row, d) for row, d in zip(M, D)]
     return R, pivots, Fraction(det, scale)
 
 
@@ -149,6 +156,63 @@ def _bareiss(M, width):
         prev = p
         pivots.append(c)
     return tuple(pivots), D[: len(pivots)], sign * prev
+
+
+def _lowest_terms(ints, d) -> tuple:
+    """The row ints / d as ``(ints, d)`` with d > 0 and gcd(ints, d) = 1,
+    which is what :func:`_int_row` gives for the same rational row."""
+    g = gcd(d, *ints)
+    if d < 0:
+        g = -g
+    if g == 1:
+        return ints, d
+    return [x // g for x in ints], d // g
+
+
+def frac_row(ints, d) -> tuple:
+    """The rational row ints / d, one ``Fraction`` per nonzero entry."""
+    return tuple(Fraction(x, d) if x else F0 for x in ints)
+
+
+def int_rref(rows, width) -> tuple:
+    """Reduced row echelon form of plain-int rows, pivots in columns < width.
+
+    Returns ``(basis, pivots)``: one row ``(ints, d)`` in lowest terms
+    (:func:`_lowest_terms`) per pivot, so ``basis`` is the canonical basis
+    of the row space and equals ``_int_row`` of the rows of ``Mat.rref``.
+    Scaling an input row leaves the result alone.
+    """
+    M = [list(r) for r in rows]
+    pivots, D, _ = _bareiss(M, width)
+    return [_lowest_terms(row, d) for row, d in zip(M, D)], pivots
+
+
+def int_kernel(rows, width) -> tuple:
+    """Canonical (RREF) basis of {x : A x = 0} for A given by plain-int rows.
+
+    Returns ``(basis, pivots)`` as :func:`int_rref` does, by one
+    elimination: run with the columns in reverse order, every reduced row
+    R_i is zero right of its pivot p_i, so the kernel vector of a free
+    column j, e_j - sum_i (R_ij / R_i,p_i) e_{p_i}, has its leading 1 at j
+    and none at another free column.  The kernel is in reduced form as
+    built, with the free columns as pivots.
+    """
+    M = [list(reversed(r)) for r in rows]
+    rpivots, D, _ = _bareiss(M, width)
+    last = width - 1
+    pivots = [last - c for c in rpivots]
+    taken = set(pivots)
+    free = tuple(j for j in range(width) if j not in taken)
+    basis = []
+    for j in free:
+        used = [(p, row[last - j], d) for p, row, d in zip(pivots, M, D) if row[last - j]]
+        L = lcm(*(d for _, _, d in used))
+        v = [0] * width
+        v[j] = L
+        for p, a, d in used:
+            v[p] = -a * (L // d)
+        basis.append(_lowest_terms(v, L))
+    return basis, free
 
 
 def int_rank(rows, width) -> int:
@@ -387,20 +451,10 @@ class Mat:
         return int_rank([_int_row(r)[0] for r in self.rows], self._ncols)
 
     def kernel(self):
-        """Canonical (RREF) basis of {x : A x = 0}, rows of the result."""
-        R, pivots = self.rref()
-        pivset = set(pivots)
-        free = [j for j in range(self._ncols) if j not in pivset]
-        basis = []
-        for j in free:
-            v = [F0] * self._ncols
-            v[j] = F1
-            for i, p in enumerate(pivots):
-                v[p] = -R.rows[i][j]
-            basis.append(tuple(v))
-        if not basis:
-            return Mat((), ncols=self._ncols)
-        return Mat._of(tuple(basis), self._ncols).rref()[0]
+        """Canonical (RREF) basis of {x : A x = 0}, rows of the result
+        (:func:`int_kernel`)."""
+        basis, _ = int_kernel([_int_row(r)[0] for r in self.rows], self._ncols)
+        return Mat._of(tuple(frac_row(*r) for r in basis), self._ncols)
 
     def det(self):
         n = self.nrows

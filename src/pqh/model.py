@@ -253,8 +253,17 @@ class HBasisChange:
     def to_basis(self, rows) -> list:
         """Standard coordinate rows rewritten in this basis of H: each row
         becomes its two E-components (comp1, comp2), concatenated."""
+        m = self._inverse_entries()
+        return [_h_act(m, r) for r in rows]
+
+    def to_basis_int(self, xs: list, dx: int) -> tuple:
+        """:meth:`to_basis` of the integer row xs / dx, as ``(ints, d)``."""
+        return _h_act_int(self._inverse_entries(), xs, dx)
+
+    def _inverse_entries(self) -> tuple:
+        """The entries of s^-1, the adjugate, read row-wise."""
         (a, b), (c, d) = self.mat.rows
-        return [_h_act((d, -b, -c, a), r) for r in rows]
+        return (d, -b, -c, a)
 
     def from_basis(self, rows) -> list:
         """Rows (comp1, comp2) in this basis rewritten as the standard

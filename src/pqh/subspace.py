@@ -1,20 +1,34 @@
 """Exact subspace arithmetic over Q.
 
-A subspace is held by the unique reduced-echelon basis of its row
-space, so equality of subspaces is equality of matrices.  Everything
-(sums, intersections, complements, Gram matrices, signatures) is
-computed with zero tolerance; combinations of basis rows and Gram
-matrices are integer matrix products (``Mat.__matmul__``).  The sum of
-several subspaces is one elimination of all their rows (:func:`span_of`),
-which also serves the direct-sum test.
+A subspace is held by the unique reduced-echelon basis of its row space,
+kept as integer rows: the pivot tuple and one row ``(ints, d)`` per
+pivot, the value ``ints[j] / d`` in lowest terms (d > 0, gcd(ints, d) =
+1; what ``linalg._int_row`` gives for the rational row).  Equality of
+subspaces is equality of these rows, and the hash is taken of them.  A
+new subspace costs one Bareiss pass (``linalg.int_rref``) over integer
+rows, or none where its rows are already reduced: ``zero``, ``full``,
+the complements (unit rows, or rows of the larger basis),
+:func:`product_subspace`, :func:`decomposable_subspace`, p1(U)
+(:func:`p1`), the F of a graph (``uft._graph_of``) and
+the combined rows of :meth:`Subspace.kernel_in`.  The ``Fraction``
+matrix ``mat`` (and ``basis``) is built from the rows when it is first
+read, where a value leaves this layer.
+
+Everything (sums, intersections, complements, Gram matrices,
+signatures) is computed with zero tolerance.  The sum of several
+subspaces is one elimination of all their rows (:func:`span_of`), which
+also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
+one routine that combines basis rows.  Gram matrices (:func:`gram`,
+:func:`restrict_omega`) and :func:`is_orthogonal` pair the integer rows
+through the integer rows of the metric (``ModelSpace._metric_int``) or
+of omega^E, and build each entry's ``Fraction`` once.
 
 Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
-row as ``(ints, d)`` (the value ``ints[j] / d``, as ``linalg._int_row``
-gives it) and returns one, so an integer operator action
+row as ``(ints, d)`` and returns one, so an integer operator action
 (``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
 where a rational value leaves the core: the result of :meth:`reduce`,
-the constraint columns of a kernel, and the rows of a new basis.
-``contains_vector`` tests the core's numerators for zero and builds none.
+``mat`` and the entries of a Gram matrix.  ``contains_vector`` tests the
+core's numerators for zero and builds none.
 
 Every subspace cut out by a linear condition is one call of
 :meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
@@ -23,34 +37,34 @@ its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 ``maximal_pq`` A applied to the rows of U0 into U, :func:`h_fiber` the
 columns of ``[aI; bI]`` reduced modulo U, and :func:`omega_kernel_in`
 the omega pairings.  The relations come from :func:`_relations`, which
-holds the module's one certificate: the rank mod p of integer rows
+holds the module's kernel certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
 mod p of the target's basis stacked on the images proves that no
 relation exists, and the zero subspace is returned with no exact
-elimination; any other outcome takes the exact kernel, and every answer
-is the same canonical subspace.
+elimination; any other outcome takes one exact ``linalg.int_kernel``,
+and every answer is the same canonical subspace.  ``maximal_pq`` of a
+U larger than dim E first tries one more such certificate, on the
+stacked residues of I, J and K (:func:`ijk_residues`).
 ``image_orthogonal`` tests AU _|_ U by pairing A applied to the integer
-basis rows of U (``Operator.act_int``) with those rows by the metric's
-integer numerator (``ModelSpace._metric_int``): no canonical AU and no
-``Fraction`` is built.
+basis rows of U (``Operator.act_int``) with those rows: no canonical AU
+and no ``Fraction`` is built.
 
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
-the facts every check reads are computed once per instance: the integer
-basis used by ``reduce``, ``U0`` (:func:`maximal_pq`), the signature
-(keyed by the model space), ``is_real``, and the spectrum of
-``uft.subspace_spectrum``: the graph form, its injective presentation and
-the factor kernels of its invariant core.  Only the decomposition paths
-(``uft.decomposable_spectrum``, ``uft.decompose_form2`` and
-``classify.generic_decompose``) fill the spectrum, so that they share one
-spectral pass per instance; ``classify`` never does.  Graph forms stay out
-of the classify path because callers keep many instances alive: memoizing
-``graph_form`` per instance there was measured to raise the classify-sweep
-benchmark's peak RSS from 26.0 to 29.8 MiB (+14%; retained ``tracemalloc``
-memory 1.26 -> 4.86 MiB).  On the decompose-graph benchmark, whose
-requests are all made before the first one runs, the spectrum raises the
-memory each request retains after ``gc.collect()`` from 10 to 39 KiB
-(peak RSS 22.5 -> 23.4 MiB, medians of 10 runs).  There are no
-module-level caches.
+the facts every check reads are computed once per instance: ``mat``,
+``U0`` (:func:`maximal_pq`), the signature (keyed by the model space),
+``is_real``, and the spectrum of ``uft.subspace_spectrum``: the graph
+form, its injective presentation and the factor kernels of its invariant
+core.  Only the decomposition paths (``uft.decomposable_spectrum``,
+``uft.decompose_form2`` and ``classify.generic_decompose``) fill the
+spectrum, so that they share one spectral pass per instance; ``classify``
+never does.  Graph forms stay out of the classify path because callers
+keep many instances alive: memoizing ``graph_form`` per instance there
+was measured to raise the classify-sweep benchmark's peak RSS from 26.0
+to 29.8 MiB (+14%; retained ``tracemalloc`` memory 1.26 -> 4.86 MiB).
+On the decompose-graph benchmark, whose requests are all made before the
+first one runs, the spectrum raises the memory each request retains
+after ``gc.collect()`` from 10 to 39 KiB (peak RSS 22.5 -> 23.4 MiB,
+medians of 10 runs).  There are no module-level caches.
 """
 
 from __future__ import annotations
@@ -60,8 +74,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import F0, F1, Mat, _entry, _int_row, rank_mod, symmetric_signature
-from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector
+from .linalg import F0, Mat, _bareiss, _entry, _int_row, _lowest_terms, frac_row
+from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
+from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, _pairing
 
 
 @dataclass(frozen=True)
@@ -85,15 +100,35 @@ class SignatureTriple:
 
 
 class Subspace:
-    """A linear subspace of Q^d in canonical reduced-echelon form."""
+    """A linear subspace of Q^d held by its canonical reduced-echelon basis.
 
-    __slots__ = ("mat", "pivots", "_memo")
+    ``Subspace(mat)`` puts the rows of a matrix in canonical form; the
+    operations below build their results in canonical form directly.
+    """
+
+    __slots__ = ("_rows", "pivots", "ambient", "_memo")
 
     def __init__(self, mat: Mat):
-        mat, pivots = mat.rref()
-        object.__setattr__(self, "mat", mat)
+        self._set(*int_rref([_int_row(r)[0] for r in mat.rows], mat.ncols), mat.ncols)
+
+    def _set(self, rows: list, pivots, ambient: int):
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "pivots", tuple(pivots))
+        object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "_memo", {})
+
+    @classmethod
+    def _of(cls, rows: list, pivots, ambient: int) -> "Subspace":
+        """Trusted constructor, no elimination: ``rows`` is the canonical
+        basis as ``(ints, d)`` rows in lowest terms, ``pivots`` their pivots."""
+        u = cls.__new__(cls)
+        u._set(rows, pivots, ambient)
+        return u
+
+    @classmethod
+    def _echelon(cls, rows: list, ambient: int) -> "Subspace":
+        """The span of plain-int rows, by one :func:`~pqh.linalg.int_rref`."""
+        return cls._of(*int_rref(rows, ambient), ambient)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -106,26 +141,35 @@ class Subspace:
 
     @classmethod
     def span(cls, rows: Iterable[Sequence], ambient: int) -> "Subspace":
-        rows = tuple(tuple(r) for r in rows)
+        rows = [[_entry(x) for x in r] for r in rows]
         if any(len(r) != ambient for r in rows):
             raise ValueError("row length does not match ambient dimension")
-        return cls(Mat(rows, ncols=ambient))
+        return cls._echelon([_int_row(r)[0] for r in rows], ambient)
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(Mat((), ncols=ambient))
+        return cls._of([], (), ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(Mat.identity(ambient))
+        return cls._unit_rows(range(ambient), ambient)
+
+    @classmethod
+    def _unit_rows(cls, cols, ambient: int) -> "Subspace":
+        """The span of the coordinate vectors e_j, j in ``cols`` ascending."""
+        rows = [([int(i == j) for i in range(ambient)], 1) for j in cols]
+        return cls._of(rows, cols, ambient)
 
     @property
-    def ambient(self) -> int:
-        return self.mat.ncols
+    def mat(self) -> Mat:
+        """The canonical basis as a ``Fraction`` matrix, built once when read."""
+        return self.memo(
+            "mat", lambda: Mat._of(tuple(frac_row(*r) for r in self._rows), self.ambient)
+        )
 
     @property
     def dim(self) -> int:
-        return self.mat.nrows
+        return len(self._rows)
 
     @property
     def basis(self) -> tuple:
@@ -139,10 +183,14 @@ class Subspace:
         return self.dim == 0
 
     def __eq__(self, other):
-        return isinstance(other, Subspace) and self.mat == other.mat
+        return (
+            isinstance(other, Subspace)
+            and self.ambient == other.ambient
+            and self._rows == other._rows
+        )
 
     def __hash__(self):
-        return hash(self.mat)
+        return hash((self.ambient, tuple((tuple(V), d) for V, d in self._rows)))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
@@ -150,8 +198,9 @@ class Subspace:
     # -- membership and coset reduction -----------------------------------
 
     def int_basis(self) -> list:
-        """The basis rows as ``(ints, d)`` pairs (see ``linalg._int_row``)."""
-        return self.memo("int_basis", lambda: [_int_row(r) for r in self.mat.rows])
+        """The canonical basis rows as ``(ints, d)`` pairs in lowest terms,
+        each equal to ``linalg._int_row`` of the rational row."""
+        return self._rows
 
     def reduce_int(self, V: list, D: int) -> tuple:
         """:meth:`reduce` of the row V/D in ints: ``(ints, d)`` of the result.
@@ -160,7 +209,7 @@ class Subspace:
         v - v[p] * row = (e*V - V[p]*R) / (D*e); common factors of the
         numerators and D are divided out as they appear.
         """
-        for (R, e), p in zip(self.int_basis(), self.pivots):
+        for (R, e), p in zip(self._rows, self.pivots):
             c = V[p]
             if c:
                 V = [e * x - c * y for x, y in zip(V, R)]
@@ -182,8 +231,7 @@ class Subspace:
         Entries may be ints or Fractions; the result is Fractions, built
         once from :meth:`reduce_int`.
         """
-        V, D = self.reduce_int(*_int_row(v))
-        return tuple(Fraction(x, D) if x else F0 for x in V)
+        return frac_row(*self.reduce_int(*_int_row(v)))
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.contains_int(*_int_row(v))
@@ -191,7 +239,7 @@ class Subspace:
     def contains(self, other: "Subspace") -> bool:
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return all(self.contains_vector(r) for r in other.mat.rows)
+        return all(self.contains_int(V, D) for V, D in other._rows)
 
     def coordinates_of(self, v: Sequence) -> tuple:
         """Coefficients of v in the canonical basis; error if v is outside."""
@@ -205,7 +253,7 @@ class Subspace:
     def sum(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ValueError("ambient mismatch")
-        return Subspace(self.mat.vstack(other.mat))
+        return span_of((self, other), self.ambient)
 
     __add__ = sum
 
@@ -214,33 +262,31 @@ class Subspace:
             raise ValueError("ambient mismatch")
         if self.dim == self.ambient:
             return other
-        return self.kernel_in(self.int_basis(), other)
+        return self.kernel_in(self._rows, other)
 
     def kernel_in(self, images: list, target: "Subspace | None" = None) -> "Subspace":
         """{sum c_i b_i : sum c_i images[i] in target} over the basis rows
         b_i, for one image per row given as ``(ints, d)``; no target is 0.
 
         The coefficients are :func:`_relations`; when this subspace is the
-        whole space they are the answer itself.
+        whole space they are the answer itself.  Otherwise each relation
+        row is combined (:meth:`combine_int`): a reduced row c with pivot k
+        gives a row with pivot ``pivots[k]``, equal to 0 at the pivots of
+        the other rows, so the combinations are in reduced form as built.
         """
         if self.dim == 0 or (target is not None and target.dim == target.ambient):
             return self
         rel = _relations(images, target)
-        if rel.nrows == 0:
-            return Subspace.zero(self.ambient)
-        return Subspace(rel if self.dim == self.ambient else rel @ self.mat)
+        if self.dim == self.ambient:
+            return rel
+        rows = [self.combine_int(c, d) for c, d in rel._rows]
+        return Subspace._of(rows, [self.pivots[k] for k in rel.pivots], self.ambient)
 
     def complement(self) -> "Subspace":
         """Canonical complement spanned by the coordinate vectors at the
         non-pivot positions (echelon completion)."""
         pivset = set(self.pivots)
-        rows = []
-        for j in range(self.ambient):
-            if j not in pivset:
-                v = [F0] * self.ambient
-                v[j] = F1
-                rows.append(tuple(v))
-        return Subspace.span(rows, self.ambient)
+        return Subspace._unit_rows([j for j in range(self.ambient) if j not in pivset], self.ambient)
 
     def complement_in(self, larger: "Subspace") -> "Subspace":
         """Canonical complement of self inside larger (self must be inside)."""
@@ -248,48 +294,61 @@ class Subspace:
             raise ValueError("complement_in needs a containing subspace")
         # the rows of larger, in order, that leave the span of self and the
         # rows before them: the pivot columns of [self; larger]^T past self
-        _, pivots = self.mat.vstack(larger.mat).T.rref()
-        rows = [larger.mat.rows[p - self.dim] for p in pivots if p >= self.dim]
-        return Subspace.span(rows, self.ambient)
+        # (scaling a column keeps them).  Some rows of a reduced basis are
+        # a reduced basis, so no elimination follows.
+        stacked = [V for V, _ in self._rows + larger._rows]
+        cols = [list(c) for c in zip(*stacked)]
+        keep = [p - self.dim for p in _bareiss(cols, len(stacked))[0] if p >= self.dim]
+        return Subspace._of(
+            [larger._rows[i] for i in keep], [larger.pivots[i] for i in keep], self.ambient
+        )
 
-    def combine_int(self, coeffs: Sequence) -> tuple:
-        """The combination sum c_i b_i of the basis rows, as ``(ints, d)``."""
-        cs, dc = _int_row(coeffs)
-        basis = self.int_basis()
-        e = lcm(*(d for _, d in basis))
+    def combine_int(self, cs: Sequence, dc: int = 1) -> tuple:
+        """The combination sum (cs[i] / dc) b_i of the basis rows b_i, for
+        integer coefficients, as ``(ints, d)`` in lowest terms."""
+        e = lcm(*(d for c, (_, d) in zip(cs, self._rows) if c))
         out = [0] * self.ambient
-        for c, (R, d) in zip(cs, basis):
+        for c, (R, d) in zip(cs, self._rows):
             if c:
                 f = c * (e // d)
                 out = [x + f * y for x, y in zip(out, R)]
-        return out, dc * e
+        return _lowest_terms(out, dc * e)
 
 
-def _relations(rows: list, target: Subspace | None) -> Mat:
-    """Canonical basis of the coefficient vectors c with sum c_i r_i in
-    ``target`` (0 when it is None), for rows r_i given as ``(ints, d)``.
+def _relations(rows: list, target: Subspace | None) -> Subspace:
+    """The coefficient vectors c with sum c_i r_i in ``target`` (0 when it is
+    None), for rows r_i = V_i / D_i given as ``(ints, d)``, as a subspace of
+    Q^len(rows).
 
     The certificate: a full rank mod P61 of the target's integer basis
-    stacked on the rows means no relation, and no ``Fraction`` is built.
-    Otherwise the rows are reduced modulo the target, and one kernel is
-    taken over the coordinates where some reduced row is nonzero.
+    stacked on the rows means no relation, and no kernel is taken.
+    Otherwise the rows are reduced modulo the target, and one kernel of the
+    numerators V_i is taken over the coordinates where some reduced row is
+    nonzero.  A kernel vector c' of the V_i gives c_i = D_i c'_i, and
+    scaling coordinates keeps a reduced basis reduced once each row is
+    divided by its leading entry.
     """
     width = len(rows[0][0])
-    stacked = [V for V, _ in (target.int_basis() if target is not None else []) + rows]
+    stacked = [V for V, _ in (target._rows if target is not None else []) + rows]
     if len(stacked) <= width and rank_mod(stacked, width) == len(stacked):
-        return Mat((), ncols=len(rows))
+        return Subspace.zero(len(rows))
     if target is not None:
         rows = [target.reduce_int(V, D) for V, D in rows]
     live = [j for j in range(width) if any(V[j] for V, _ in rows)]
-    cols = [tuple(Fraction(V[j], D) if V[j] else F0 for j in live) for V, D in rows]
-    return Mat._of(tuple(zip(*cols)), len(cols)).kernel()
+    basis, pivots = int_kernel([[V[j] for V, _ in rows] for j in live], len(rows))
+    ds = [D for _, D in rows]
+    scaled = [
+        _lowest_terms([x * D for x, D in zip(c, ds)], c[p] * ds[p])
+        for (c, _), p in zip(basis, pivots)
+    ]
+    return Subspace._of(scaled, pivots, len(rows))
 
 
 def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
     """The sum of several subspaces, by one elimination of all their rows."""
     if any(p.ambient != ambient for p in parts):
         raise ValueError("ambient mismatch")
-    return Subspace(Mat._of(tuple(r for p in parts for r in p.mat.rows), ambient))
+    return Subspace._echelon([V for p in parts for V, _ in p._rows], ambient)
 
 
 def direct_sum_is(whole: Subspace, parts: Sequence[Subspace]) -> bool:
@@ -302,18 +361,29 @@ def direct_sum_is(whole: Subspace, parts: Sequence[Subspace]) -> bool:
 
 def image(a: Operator, u: Subspace) -> Subspace:
     """Span of A applied to a basis of U."""
-    return Subspace.span([a.apply_coords(r) for r in u.mat.rows], u.ambient)
+    return Subspace._echelon([a.act_int(V, D)[0] for V, D in u._rows], u.ambient)
+
+
+def p1(u: Subspace) -> Subspace:
+    """p1(U), the projection of U onto E along h2 (x) E.
+
+    The first halves of the rows of U with a pivot there are already the
+    reduced basis of p1(U): every other row has a zero first half.
+    """
+    half = u.ambient // 2
+    k = sum(p < half for p in u.pivots)
+    return Subspace._of([_lowest_terms(V[:half], D) for V, D in u._rows[:k]], u.pivots[:k], half)
 
 
 def p1p2(u: Subspace, basis: HBasisChange | None = None):
     """Projections (p1(U), p2(U)) onto E relative to a basis of H."""
-    if basis is None:
-        basis = HBasisChange.identity()
     half = u.ambient // 2
-    comps = basis.to_basis(u.mat.rows)
-    e1 = Subspace.span([c[:half] for c in comps], half)
-    e2 = Subspace.span([c[half:] for c in comps], half)
-    return e1, e2
+    if basis is None:
+        comps, e1 = u._rows, p1(u)
+    else:
+        comps = [basis.to_basis_int(V, D) for V, D in u._rows]
+        e1 = Subspace._echelon([V[:half] for V, _ in comps], half)
+    return e1, Subspace._echelon([V[half:] for V, _ in comps], half)
 
 
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:
@@ -332,9 +402,26 @@ def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     return Subspace.full(half).kernel_in(cols)
 
 
+def _form_matrix(pair, rows: list, den: int, skew: bool) -> Mat:
+    """The matrix of a symmetric (or, with ``skew``, skew) bilinear form on
+    the rows ``(ints, d)``, where ``pair`` gives the numerator of the value
+    over ``den * dx * dy``: each entry is built once above the diagonal
+    and mirrored."""
+    k = len(rows)
+    out = [[F0] * k for _ in range(k)]
+    for i, (xs, dx) in enumerate(rows):
+        for j in range(i + skew, k):
+            ys, dy = rows[j]
+            num = pair(xs, ys)
+            if num:
+                out[i][j] = x = Fraction(num, den * dx * dy)
+                out[j][i] = -x if skew else x
+    return Mat._of(tuple(map(tuple, out)), k)
+
+
 def gram(ms: ModelSpace, u: Subspace) -> Mat:
     """Gram matrix of the metric on the canonical basis of U."""
-    return u.mat @ ms.metric_matrix() @ u.mat.T
+    return _form_matrix(ms._metric_int, u._rows, ms._omega_int[1], False)
 
 
 def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
@@ -349,15 +436,25 @@ def ortho_complement(ms: ModelSpace, u: Subspace) -> Subspace:
 
 
 def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
-    return (u.mat @ ms.metric_matrix() @ w.mat.T).is_zero()
+    """U _|_ W: the metric numerator of every basis row of U against every
+    basis row of W vanishes."""
+    return not any(ms._metric_int(xs, ys) for xs, _ in u._rows for ys, _ in w._rows)
 
 
 def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
     """AU _|_ U: the metric numerator of A applied to each integer basis row
     of U against each one vanishes; no canonical basis of AU is built."""
-    basis = [ys for ys, _ in u.int_basis()]
+    basis = [ys for ys, _ in u._rows]
     moved = [a.act_int(ys, 1)[0] for ys in basis]
     return not any(ms._metric_int(xs, ys) for xs in moved for ys in basis)
+
+
+def ijk_residues(u: Subspace, xs: list, dx: int) -> tuple:
+    """The residues of I x, J x and K x modulo U for the row x = xs / dx,
+    as three integer rows over one common denominator."""
+    parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+    d = lcm(*(e for _, e in parts))
+    return tuple([x * (d // e) for x in v] for v, e in parts)
 
 
 def maximal_pq(u: Subspace) -> Subspace:
@@ -366,12 +463,21 @@ def maximal_pq(u: Subspace) -> Subspace:
     A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}: each
     step is one :meth:`Subspace.kernel_in` with target U, and no canonical
     AU is built.
+
+    U0 = 0 exactly when the rows (Ib | Jb | Kb) of residues modulo U, one
+    per basis row b, are independent.  When dim U > dim E that is settled
+    first by their rank mod p (a full ``rank_mod`` proves it); smaller U
+    go straight to the steps, which certify a zero answer as cheaply.
     """
 
     def compute():
+        if u.dim > u.ambient // 2:
+            rows = [sum(ijk_residues(u, V, D), []) for V, D in u._rows]
+            if rank_mod(rows, 3 * u.ambient) == u.dim:
+                return Subspace.zero(u.ambient)
         u0 = u
         for op in (OP_I, OP_J, OP_K):
-            u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0.int_basis()], u)
+            u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0._rows], u)
             if u0.is_zero():
                 break
         return u0
@@ -384,22 +490,40 @@ def is_pure(u: Subspace) -> bool:
 
 
 def product_subspace(e_sub: Subspace) -> Subspace:
-    """H (x) E' for a subspace E' of E."""
-    return Subspace(Mat.identity(2).kron(e_sub.mat))
+    """H (x) E' for a subspace E' of E: the rows (e, 0), then (0, e), over
+    the reduced basis of E', which are already reduced."""
+    half = e_sub.ambient
+    zero = [0] * half
+    rows = [(V + zero, D) for V, D in e_sub._rows] + [(zero + V, D) for V, D in e_sub._rows]
+    pivots = e_sub.pivots + tuple(half + p for p in e_sub.pivots)
+    return Subspace._of(rows, pivots, 2 * half)
 
 
 def decomposable_subspace(h: Sequence, e_sub: Subspace) -> Subspace:
-    """h (x) E' for a direction h and a subspace E' of E."""
-    return Subspace(Mat((tuple(h),), ncols=2).kron(e_sub.mat))
+    """h (x) E' for a direction h and a subspace E' of E: the rows (a e, b e)
+    over the reduced basis of E', each divided by its leading entry."""
+    (a, b), _ = _int_row(tuple(map(_entry, h)))
+    lead = a or b
+    if not lead:
+        return Subspace.zero(2 * e_sub.ambient)
+    rows = [_lowest_terms([a * x for x in V] + [b * x for x in V], lead * D) for V, D in e_sub._rows]
+    shift = 0 if a else e_sub.ambient
+    return Subspace._of(rows, [shift + p for p in e_sub.pivots], 2 * e_sub.ambient)
 
 
 def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspace:
     """ker omega^E(A x B) taken inside B: the b with omega(a, b) = 0 for all
-    a in A.  (The convention is deliberately asymmetric.)"""
-    pairings = b_sub.mat @ (a_sub.mat @ ms.omega).T
-    return b_sub.kernel_in([_int_row(r) for r in pairings.rows])
+    a in A.  (The convention is deliberately asymmetric.)
+
+    The image of a basis row B / D of B is its row of pairings with the
+    basis rows A / d of A; leaving out the factors 1 / d, common to a
+    column, keeps the relations among the images.
+    """
+    w = ms._omega_int[0]
+    return b_sub.kernel_in([([_pairing(w, A, B) for A, _ in a_sub._rows], D) for B, D in b_sub._rows])
 
 
 def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:
     """Matrix of omega^E restricted to the canonical basis of a subspace of E."""
-    return e_sub.mat @ ms.omega @ e_sub.mat.T
+    w, dw = ms._omega_int
+    return _form_matrix(lambda xs, ys: _pairing(w, xs, ys), e_sub._rows, dw, True)

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, _eliminate, _int_row, rank_mod
+from .linalg import F0, F1, Mat, _bareiss, _int_row, _lowest_terms, frac_row, rank_mod
 from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -42,7 +42,7 @@ from .subspace import (
     direct_sum_is,
     h_fiber,
     maximal_pq,
-    p1p2,
+    p1,
     span_of,
 )
 
@@ -163,7 +163,7 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
     canonical basis of F.
     """
-    graph = _graph_of(basis.to_basis(u.mat.rows), u.ambient // 2)
+    graph = _graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], u.ambient // 2)
     if graph is None:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
@@ -172,20 +172,20 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
 
 
 def _graph_of(rows, dim_e: int):
-    """(F, T) for the graph spanned by rows (f | Tf), or None when their F
-    parts are dependent.
+    """(F, T) for the graph spanned by the plain-int rows (f | Tf), or None
+    when their F parts are dependent.
 
     The elimination pivots only among the F coordinates and the T columns
-    follow along, so the F rows come out as the canonical basis of F.
+    follow along, so the F rows come out as the canonical basis of F (in
+    lowest terms, with no second elimination).  Scaling an input row
+    leaves the result alone.
     """
-    reduced, pivots, _ = _eliminate(rows, dim_e)
+    M = [list(r) for r in rows]
+    pivots, D, _ = _bareiss(M, dim_e)
     if len(pivots) != len(rows):
         return None
-    f_rows = [tuple(r[:dim_e]) for r in reduced]
-    f_space = Subspace.span(f_rows, dim_e)
-    if f_space.mat.rows != tuple(f_rows):
-        raise AssertionError("prefix echelon failed to canonicalize F")
-    return f_space, Mat.from_cols([tuple(r[dim_e:]) for r in reduced], nrows=dim_e)
+    f_space = Subspace._of([_lowest_terms(r[:dim_e], d) for r, d in zip(M, D)], pivots, dim_e)
+    return f_space, Mat.from_cols([frac_row(r[dim_e:], d) for r, d in zip(M, D)], nrows=dim_e)
 
 
 def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
@@ -199,8 +199,10 @@ def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
     if a * d - b * c == 0:
         raise ValueError("basis-change coefficients are singular")
     stacked = [
-        tuple(a * x + c * y for x, y in zip(f, tf))
-        + tuple(b * x + d * y for x, y in zip(f, tf))
+        _int_row(
+            tuple(a * x + c * y for x, y in zip(f, tf))
+            + tuple(b * x + d * y for x, y in zip(f, tf))
+        )[0]
         for f, tf in zip(f_space.mat.rows, t_map.cols)
     ]
     graph = _graph_of(stacked, f_space.ambient)
@@ -461,7 +463,7 @@ def pq_split(u: Subspace):
     """(U0, E0, U'): the maximal para-quaternionic part U0 = H (x) E0 of U
     and the complement U' of U0 in U cleaned of E0 components."""
     u0 = maximal_pq(u)
-    e0 = p1p2(u0)[0]
+    e0 = p1(u0)
     # clean_complement would return U itself when U0 = 0, after eliminations
     return u0, e0, (u if u0.is_zero() else clean_complement(u, u0, e0))
 
