@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 
 from .generate import random_sl2
 from .linalg import F0, F1, Mat, _int_row, int_rank, rank_mod, symmetric_signature
@@ -41,7 +42,6 @@ from .subspace import (
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
-    ijk_residues,
     image,
     image_orthogonal,
     is_orthogonal,
@@ -107,7 +107,10 @@ def stabilizer(u: Subspace) -> Stabilizer:
     for xs, dx in u.int_basis():
         # the residues of I x, J x, K x over one denominator; scaling a
         # constraint row, or dropping a zero one, leaves the kernel alone
-        rows.extend(filter(any, zip(*ijk_residues(u, xs, dx))))
+        parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+        d = lcm(*(e for _, e in parts))
+        ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
+        rows.extend(filter(any, zip(ri, rj, rk)))
     return Stabilizer(Mat(rows, ncols=3).kernel())
 
 

@@ -37,14 +37,12 @@ its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 ``maximal_pq`` A applied to the rows of U0 into U, :func:`h_fiber` the
 columns of ``[aI; bI]`` reduced modulo U, and :func:`omega_kernel_in`
 the omega pairings.  The relations come from :func:`_relations`, which
-holds the module's kernel certificate: the rank mod p of integer rows
+holds the module's one certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
 mod p of the target's basis stacked on the images proves that no
 relation exists, and the zero subspace is returned with no exact
 elimination; any other outcome takes one exact ``linalg.int_kernel``,
-and every answer is the same canonical subspace.  ``maximal_pq`` of a
-U larger than dim E first tries one more such certificate, on the
-stacked residues of I, J and K (:func:`ijk_residues`).
+and every answer is the same canonical subspace.
 ``image_orthogonal`` tests AU _|_ U by pairing A applied to the integer
 basis rows of U (``Operator.act_int``) with those rows: no canonical AU
 and no ``Fraction`` is built.
@@ -199,8 +197,9 @@ class Subspace:
 
     def int_basis(self) -> list:
         """The canonical basis rows as ``(ints, d)`` pairs in lowest terms,
-        each equal to ``linalg._int_row`` of the rational row."""
-        return self._rows
+        each equal to ``linalg._int_row`` of the rational row.  The lists
+        are copies: the rows they come from are the subspace's identity."""
+        return [(list(V), d) for V, d in self._rows]
 
     def reduce_int(self, V: list, D: int) -> tuple:
         """:meth:`reduce` of the row V/D in ints: ``(ints, d)`` of the result.
@@ -377,13 +376,14 @@ def p1(u: Subspace) -> Subspace:
 
 def p1p2(u: Subspace, basis: HBasisChange | None = None):
     """Projections (p1(U), p2(U)) onto E relative to a basis of H."""
-    half = u.ambient // 2
     if basis is None:
-        comps, e1 = u._rows, p1(u)
-    else:
-        comps = [basis.to_basis_int(V, D) for V, D in u._rows]
-        e1 = Subspace._echelon([V[:half] for V, _ in comps], half)
-    return e1, Subspace._echelon([V[half:] for V, _ in comps], half)
+        basis = HBasisChange.identity()
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D)[0] for V, D in u._rows]
+    return (
+        Subspace._echelon([V[:half] for V in comps], half),
+        Subspace._echelon([V[half:] for V in comps], half),
+    )
 
 
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:
@@ -449,32 +449,15 @@ def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
     return not any(ms._metric_int(xs, ys) for xs in moved for ys in basis)
 
 
-def ijk_residues(u: Subspace, xs: list, dx: int) -> tuple:
-    """The residues of I x, J x and K x modulo U for the row x = xs / dx,
-    as three integer rows over one common denominator."""
-    parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
-    d = lcm(*(e for _, e in parts))
-    return tuple([x * (d // e) for x in v] for v, e in parts)
-
-
 def maximal_pq(u: Subspace) -> Subspace:
     """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
 
     A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}: each
     step is one :meth:`Subspace.kernel_in` with target U, and no canonical
     AU is built.
-
-    U0 = 0 exactly when the rows (Ib | Jb | Kb) of residues modulo U, one
-    per basis row b, are independent.  When dim U > dim E that is settled
-    first by their rank mod p (a full ``rank_mod`` proves it); smaller U
-    go straight to the steps, which certify a zero answer as cheaply.
     """
 
     def compute():
-        if u.dim > u.ambient // 2:
-            rows = [sum(ijk_residues(u, V, D), []) for V, D in u._rows]
-            if rank_mod(rows, 3 * u.ambient) == u.dim:
-                return Subspace.zero(u.ambient)
         u0 = u
         for op in (OP_I, OP_J, OP_K):
             u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0._rows], u)
