@@ -22,7 +22,8 @@ from fractions import Fraction
 from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, _int_row, int_rank, rank_mod, symmetric_signature
+from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rank, int_rref, rank_mod
+from .linalg import symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -48,7 +49,6 @@ from .subspace import (
     maximal_pq,
     omega_kernel_in,
     p1,
-    p1p2,
     product_subspace,
     restrict_omega,
     signature,
@@ -585,7 +585,16 @@ def _split_along(x, first: Subspace, second: Subspace):
 
 def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport:
     """Verify the nilpotent criterion and produce the exact decomposition
-    U = (H (x) E0) (+) (h1 (x) E1'') (+) real part."""
+    U = (H (x) E0) (+) (h1 (x) E1'') (+) real part.
+
+    Everything is read off one reduced form: U's rows in the adapted basis,
+    h2 part first, by one :func:`~pqh.linalg.int_rref`.  The rows with a
+    pivot in the h2 part have h2 parts forming the canonical basis of p2(U)
+    and h1 parts x with h1 (x) x + h2 (x) e2 in U for each basis row e2;
+    the other rows are h1 (x) E1' for the h1 fiber
+    E1' = {e : h1 (x) e in U}, and their h1 parts are its canonical basis.
+    p1(U) is the span of all h1 parts.
+    """
     if u.dim == 0:
         raise ValueError("nilpotent analysis needs a nonzero subspace")
     if a.q() != 0 or a.is_zero():
@@ -594,42 +603,40 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise ValueError("witness does not stabilize the subspace")
     basis = adapted_nilpotent_basis(a)
     degree = 1 if image(a, u).is_zero() else 2
-    e1_proj, e2_proj = p1p2(u, basis)
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D)[0] for V, D in u.int_basis()]
+    rows, pivots = int_rref([V[half:] + V[:half] for V in comps], u.ambient)
+    k = sum(p < half for p in pivots)
+    e2_proj = Subspace._of([_lowest_terms(V[:half], d) for V, d in rows[:k]], pivots[:k], half)
+    e1p = Subspace._of(
+        [_lowest_terms(V[half:], d) for V, d in rows[k:]], [p - half for p in pivots[k:]], half
+    )
+    e1_proj = Subspace._echelon([V[half:] for V, _ in rows], half)
     criterion = all(
         u.contains_vector(tensor(basis.h1, f).coords) for f in e2_proj.mat.rows
     )
     if not criterion:
         raise AssertionError("nilpotent criterion h1 (x) p2(U) <= U failed")
-    e1p = h_fiber(u, basis.h1)
     if not e1p.contains(e2_proj):
         raise AssertionError("p2(U) is not inside the h1 fiber")
     ebar1 = e1p.complement_in(e1_proj) if e1_proj.contains(e1p) else None
     if ebar1 is None:
         raise AssertionError("h1 fiber is not inside p1(U)")
-    # canonical T~: E2 -> Ebar1 reading the graph part of U over h2
-    half = u.ambient // 2
-    u_h = basis.to_basis(u.mat.rows)
-    a_parts = Mat([p[:half] for p in u_h], ncols=half)
-    b_parts = Mat([p[half:] for p in u_h], ncols=half)
-    coeffs = [b_parts.T.solve(e2) for e2 in e2_proj.mat.rows]
-    if None in coeffs:
-        raise AssertionError("p2 component not reachable")
-    xs = (Mat(coeffs, ncols=u.dim) @ a_parts).rows
-    # push the E1' component away to land in Ebar1
+    # canonical T~: E2 -> Ebar1, the Ebar1 component of x, which is fixed
+    # since x is fixed modulo E1'
+    xs = [frac_row(V[half:], d) for V, d in rows[:k]]
     t_mat = Mat([_split_along(x, e1p, ebar1)[1] for x in xs], ncols=half)
     e0 = e2_proj.kernel_in([_int_row(r) for r in t_mat.rows])
     e2prime = e0.complement_in(e2_proj)
-    base = e0.sum(e2prime)
-    ext = base.complement_in(e1p)
+    ext = e2_proj.complement_in(e1p)
     e1pp = e2prime.sum(ext)
     pq_part = product_subspace(e0)
     if pq_part != maximal_pq(u):
         raise AssertionError("nilpotent kernel part disagrees with the maximal part")
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
-    e2_coords = Mat([e2_proj.coordinates_of(e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
-    real_rows = basis.from_basis(
-        img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
-    )
+    # the rows of E2' are rows of p2(U)'s basis, so T~ on them is a selection
+    sel = [e2_proj.pivots.index(p) for p in e2prime.pivots]
+    real_rows = basis.from_basis(t_mat.rows[i] + e2_proj.basis[i] for i in sel)
     real_part = Subspace.span(real_rows, u.ambient)
     if not direct_sum_is(u, [pq_part, piece.span(), real_part]):
         raise AssertionError("nilpotent decomposition does not recompose")

@@ -11,16 +11,19 @@ check.
 Work runs on plain Python integers and builds each output ``Fraction``
 once: products (and so ``mul_vec``) and ``charpoly`` clear denominators,
 and every elimination is the one fraction-free Gauss-Jordan loop
-:func:`_bareiss` on integer rows.  :func:`_eliminate` wraps it for
-``Mat.rref`` (and so ``inverse`` and ``solve``) and ``det``.  Two kernels
-stay in integers end to end and build no ``Fraction``:
-:func:`int_rref` gives the reduced rows as ``(ints, d)`` in lowest terms,
-the form in which :mod:`pqh.subspace` keeps a canonical basis, and
-:func:`int_kernel` gives the reduced kernel basis in the same form, by
-one pass with the columns in reverse order.  ``Mat.kernel`` is the
-``Fraction`` view of :func:`int_kernel`.  ``rank`` and :func:`int_rank`
-build no ``Fraction`` either, and :mod:`pqh.uft` runs :func:`_bareiss`
-directly for its prefix-pivot echelon form.
+:func:`_bareiss` on integer rows, which no other module runs.  Its
+reduced forms leave this module through two kernels that stay in
+integers end to end and build no ``Fraction``: :func:`int_rref` gives
+the reduced rows as ``(ints, d)`` in lowest terms, the form in which
+:mod:`pqh.subspace` keeps a canonical basis, and :func:`int_kernel`
+gives the reduced kernel basis in the same form, by one pass with the
+columns in reverse order.  A ``width`` below the row length puts the
+pivots in a prefix of the columns, which is how :mod:`pqh.uft` reads a
+graph off its rows.  ``Mat.rref`` (and so ``inverse`` and ``solve``) is
+the ``Fraction`` view of :func:`int_rref`, and ``Mat.kernel`` that of
+:func:`int_kernel`.  ``Mat.det`` clears each row and reads the last
+pivot of :func:`_bareiss`; ``rank`` and :func:`int_rank` build no
+``Fraction`` either.
 
 :func:`rank_mod` is the rank of integer rows modulo the prime
 p = 2^61 - 1, a certificate rather than an estimate: every minor of the
@@ -38,7 +41,7 @@ an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
 
 F0 = Fraction(0)
@@ -84,32 +87,9 @@ def _int_matmul(A, Bcols):
     return [[sum(map(mul, r, c)) for c in Bcols] for r in A]
 
 
-def _eliminate(rows, width):
-    """Fraction-free Gauss-Jordan elimination (Bareiss), pivots in columns < width.
-
-    Returns ``(R, pivots, det)``: ``R`` holds the pivot rows of the reduced
-    row echelon form, and ``det`` is the signed product of the pivots that
-    dividing elimination would meet, so ``det(A)`` when A is square and
-    nonsingular.
-
-    The rational rows are scaled to ints, each by its own lcm of
-    denominators (``scale`` is their product), and run through
-    :func:`_bareiss`.  A pivot row ends as ``row / D[i]`` of the reduced
-    form, each entry built once as ``Fraction(x, D[i])``, and the last
-    pivot is ``+-det`` of the scaled rows.
-    """
-    M, scale = [], 1
-    for r in rows:
-        ints, d = _int_row(r)
-        M.append(ints)
-        scale *= d
-    pivots, D, det = _bareiss(M, width)
-    R = [frac_row(row, d) for row, d in zip(M, D)]
-    return R, pivots, Fraction(det, scale)
-
-
 def _bareiss(M, width):
-    """The elimination loop of :func:`_eliminate`, in place on the int rows ``M``.
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place on the
+    int rows ``M``, pivots in columns < width.
 
     Returns ``(pivots, D, det)``: after the loop ``M[i] / D[i]`` is pivot row
     ``i`` of the reduced row echelon form, and ``det`` is the signed last
@@ -422,11 +402,6 @@ class Mat:
     def is_skew(self):
         return self.shape[0] == self.shape[1] and self == -self.T
 
-    def vstack(self, other):
-        if self._ncols != other._ncols:
-            raise ValueError("column mismatch")
-        return Mat._of(self.rows + other.rows, self._ncols)
-
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch")
@@ -442,10 +417,10 @@ class Mat:
 
         Returns ``(R, pivots)`` where R keeps only the nonzero rows and
         pivots is the tuple of pivot column indices.  The result is the
-        unique canonical basis of the row space.
+        unique canonical basis of the row space (:func:`int_rref`).
         """
-        R, pivots, _ = _eliminate(self.rows, self._ncols)
-        return Mat._of(tuple(R), self._ncols), pivots
+        basis, pivots = int_rref([_int_row(r)[0] for r in self.rows], self._ncols)
+        return Mat._of(tuple(frac_row(*r) for r in basis), self._ncols), pivots
 
     def rank(self):
         return int_rank([_int_row(r)[0] for r in self.rows], self._ncols)
@@ -460,8 +435,10 @@ class Mat:
         n = self.nrows
         if n != self._ncols:
             raise ValueError("determinant of non-square matrix")
-        _, pivots, det = _eliminate(self.rows, n)
-        return det if len(pivots) == n else F0
+        # _bareiss gives det of the rows cleared one by one; undo their scales
+        rows = [_int_row(r) for r in self.rows]
+        pivots, _, det = _bareiss([V for V, _ in rows], n)
+        return Fraction(det, prod(d for _, d in rows)) if len(pivots) == n else F0
 
     def inverse(self):
         n = self.nrows

@@ -72,7 +72,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .linalg import F0, Mat, _bareiss, _entry, _int_row, _lowest_terms, frac_row
+from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
 from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, _pairing
 
@@ -296,8 +296,7 @@ class Subspace:
         # (scaling a column keeps them).  Some rows of a reduced basis are
         # a reduced basis, so no elimination follows.
         stacked = [V for V, _ in self._rows + larger._rows]
-        cols = [list(c) for c in zip(*stacked)]
-        keep = [p - self.dim for p in _bareiss(cols, len(stacked))[0] if p >= self.dim]
+        keep = [p - self.dim for p in int_rref(zip(*stacked), len(stacked))[1] if p >= self.dim]
         return Subspace._of(
             [larger._rows[i] for i in keep], [larger.pivots[i] for i in keep], self.ambient
         )

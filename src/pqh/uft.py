@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, _bareiss, _int_row, _lowest_terms, frac_row, rank_mod
+from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref, rank_mod
 from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -180,12 +180,11 @@ def _graph_of(rows, dim_e: int):
     lowest terms, with no second elimination).  Scaling an input row
     leaves the result alone.
     """
-    M = [list(r) for r in rows]
-    pivots, D, _ = _bareiss(M, dim_e)
+    reduced, pivots = int_rref(rows, dim_e)
     if len(pivots) != len(rows):
         return None
-    f_space = Subspace._of([_lowest_terms(r[:dim_e], d) for r, d in zip(M, D)], pivots, dim_e)
-    return f_space, Mat.from_cols([frac_row(r[dim_e:], d) for r, d in zip(M, D)], nrows=dim_e)
+    f_space = Subspace._of([_lowest_terms(V[:dim_e], d) for V, d in reduced], pivots, dim_e)
+    return f_space, Mat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
 
 
 def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
@@ -551,14 +550,13 @@ def decompose_form2(u: Subspace) -> Form2:
     # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
     # piece first, and its graph part is split into eigen-direction pieces
     form1 = decompose_form1(u_prime)
-    spectrum = subspace_spectrum(u_prime) if form1.piece is None else None
-    if spectrum is not None and spectrum[0] == form1.graph:
+    if form1.piece is None:
         # both direction searches stop at the first zero fiber among
-        # h2 + t h1, so this is U' in its graph form: read the memo of U'
-        pieces, tilde = _form2_graph(*spectrum)
+        # h2 + t h1, t <= dim U', so this is U' in its graph form: read the
+        # memo of U'
+        pieces, tilde = _form2_graph(*subspace_spectrum(u_prime))
     else:
         pieces, tilde = _form2_graph(form1.graph, *graph_spectrum(form1.graph))
-    if form1.piece is not None:
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
     graph_parts = [tilde]

@@ -180,7 +180,8 @@ def block_grams(draw):
     p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     w = draw(low_rank(p, q, entries))
     top = Mat.zeros(p, p).hstack(w)
-    m = top.vstack(w.T.hstack(Mat.zeros(q, q)))
+    bottom = w.T.hstack(Mat.zeros(q, q))
+    m = Mat._of(top.rows + bottom.rows, top.ncols)
     r = w.rank()
     return m, (r, p + q - 2 * r, r)
 

@@ -56,7 +56,8 @@ def _blocks(m, half):
     (e, e') times it is (p e + q e', r e + t e')."""
     (p, q), (r, t) = m.rows
     top = Mat.scalar(half, p).hstack(Mat.scalar(half, r))
-    return top.vstack(Mat.scalar(half, q).hstack(Mat.scalar(half, t)))
+    bottom = Mat.scalar(half, q).hstack(Mat.scalar(half, t))
+    return Mat._of(top.rows + bottom.rows, top.ncols)
 
 
 def ref_from_basis(s, rows, half):

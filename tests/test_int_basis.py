@@ -15,12 +15,13 @@ import pytest
 import test_cli
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, generate
-from pqh.linalg import F0, F1, P61, Mat, _eliminate, _int_row, int_kernel, int_rref
+from pqh.linalg import F0, F1, P61, Mat, _int_row, int_kernel, int_rref
 from pqh.model import HBasisChange, ModelSpace
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -79,7 +80,7 @@ def ref_span(rows, ambient):
 
 
 def ref_sum(u, w):
-    return canon(u.mat.vstack(w.mat))
+    return canon(Mat._of(u.mat.rows + w.mat.rows, u.mat.ncols))
 
 
 def ref_span_of(parts, ambient):
@@ -171,7 +172,7 @@ def ref_is_orthogonal(ms, u, w):
 
 
 def ref_complement_in(u, larger):
-    _, pivots = u.mat.vstack(larger.mat).T.rref()
+    _, pivots = Mat._of(u.mat.rows + larger.mat.rows, u.mat.ncols).T.rref()
     return canon(Mat([larger.mat.rows[p - u.dim] for p in pivots if p >= u.dim], ncols=u.ambient))
 
 

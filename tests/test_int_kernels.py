@@ -123,7 +123,7 @@ def ref_h_fiber(u, h):
     if a == 0 and b == 0:
         raise ValueError("direction must be nonzero")
     eye = Mat.identity(u.ambient // 2)
-    return ref_preimage_by(u, eye.scale(a).vstack(eye.scale(b)))
+    return ref_preimage_by(u, Mat._of(eye.scale(a).rows + eye.scale(b).rows, eye.ncols))
 
 
 def ref_poly_eval_matrix(p, A):

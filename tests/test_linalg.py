@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_graph_maps import bits100
 
-from pqh.linalg import F0, F1, Mat, _eliminate, symmetric_signature
+from pqh.linalg import F0, F1, Mat, _bareiss, _int_row, frac_row, int_rref, symmetric_signature
 from pqh.polyq import (
     factor,
     is_rational_square,
@@ -173,6 +174,70 @@ def ref_solve(A, b):
     return tuple(x)
 
 
+# -- the Fraction-row elimination that Mat.rref and Mat.det ran before they
+# read int_rref and _bareiss directly: _eliminate verbatim, and the method
+# bodies on top of it (inverse and solve are unchanged code over rref)
+
+
+def _eliminate(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss), pivots in columns < width.
+
+    Returns ``(R, pivots, det)``: ``R`` holds the pivot rows of the reduced
+    row echelon form, and ``det`` is the signed product of the pivots that
+    dividing elimination would meet, so ``det(A)`` when A is square and
+    nonsingular.
+
+    The rational rows are scaled to ints, each by its own lcm of
+    denominators (``scale`` is their product), and run through
+    :func:`_bareiss`.  A pivot row ends as ``row / D[i]`` of the reduced
+    form, each entry built once as ``Fraction(x, D[i])``, and the last
+    pivot is ``+-det`` of the scaled rows.
+    """
+    M, scale = [], 1
+    for r in rows:
+        ints, d = _int_row(r)
+        M.append(ints)
+        scale *= d
+    pivots, D, det = _bareiss(M, width)
+    R = [frac_row(row, d) for row, d in zip(M, D)]
+    return R, pivots, Fraction(det, scale)
+
+
+def elim_rref(self):
+    R, pivots, _ = _eliminate(self.rows, self._ncols)
+    return Mat._of(tuple(R), self._ncols), pivots
+
+
+def elim_det(self):
+    n = self.nrows
+    if n != self._ncols:
+        raise ValueError("determinant of non-square matrix")
+    _, pivots, det = _eliminate(self.rows, n)
+    return det if len(pivots) == n else F0
+
+
+def elim_inverse(self):
+    n = self.nrows
+    if n != self._ncols:
+        raise ValueError("inverse of non-square matrix")
+    aug = self.hstack(Mat.identity(n))
+    R, pivots = elim_rref(aug)
+    if pivots[:n] != tuple(range(n)):
+        raise ValueError("matrix is singular")
+    return Mat._of(tuple(r[n:] for r in R.rows), n)
+
+
+def elim_solve(self, b):
+    aug = self.hstack(Mat.from_cols((b,), nrows=self.nrows))
+    R, pivots = elim_rref(aug)
+    if self._ncols in pivots:
+        return None
+    x = [F0] * self._ncols
+    for i, p in enumerate(pivots):
+        x[p] = R.rows[i][self._ncols]
+    return tuple(x)
+
+
 small_entries = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 huge_entries = st.builds(
     Fraction,
@@ -239,6 +304,17 @@ def systems(draw):
     else:
         b = tuple(draw(st.lists(entries, min_size=a.nrows, max_size=a.nrows)))
     return a, b
+
+
+@st.composite
+def eliminations(draw):
+    """(A, b): A zero, dense or rank-deficient, square (so also singular)
+    or not, with small or ~100-bit entries; b of A's height."""
+    entries = draw(st.sampled_from([small_entries, bits100]))
+    nrows = draw(st.integers(0, 8))
+    ncols = nrows if draw(st.booleans()) else draw(st.integers(0, 10))
+    a = draw(matrices(nrows, ncols, entries))
+    return a, tuple(draw(st.lists(entries, min_size=nrows, max_size=nrows)))
 
 
 @st.composite
@@ -394,15 +470,42 @@ class TestMat:
     @given(systems(), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_prefix_elimination_matches_fraction_reference(self, ab, prefix):
-        # uft.to_uft and uft.pencil_change take pivots among the first
-        # columns only, and read the rows only when the prefix has full rank
+        # uft._graph_of (under to_uft and pencil_change) takes pivots among
+        # the first columns only, and reads the rows only when the prefix
+        # has full rank
         a, _ = ab
         prefix = min(prefix, a.ncols)
-        rows, pivots, _ = _eliminate(a.rows, prefix)
+        rows, pivots = int_rref([_int_row(r)[0] for r in a.rows], prefix)
         ref_rows, ref_npiv = ref_echelon_pairs(a.rows, prefix)
         assert len(pivots) == ref_npiv
         if ref_npiv == a.nrows:
-            assert [list(r) for r in rows] == ref_rows
+            assert [list(frac_row(*r)) for r in rows] == ref_rows
+
+    @given(eliminations())
+    @example((Mat.zeros(3, 3), (F1, F0, F0)))
+    @example((Mat(((1, 2, 3), (4, 5, 6), (7, 8, 9))), (1, 1, 1)))  # singular
+    @example((Mat.zeros(2, 4), (F0, F0)))
+    @example((Mat([[Fraction(2**100 - 3 * i - j, 2**99 + i + 5 * j) for j in range(5)] for i in range(5)]), (1,) * 5))
+    @settings(max_examples=100, deadline=None)
+    def test_elimination_matches_eliminate_reference(self, ab):
+        a, b = ab
+        R, pivots = a.rref()
+        assert (R, pivots) == elim_rref(a)
+        assert all(type(x) is Fraction for row in R.rows for x in row)
+        assert a.solve(b) == elim_solve(a, b)
+        if a.nrows != a.ncols:
+            return
+        det = a.det()
+        assert det == elim_det(a)
+        assert type(det) is Fraction
+        try:
+            ref = elim_inverse(a)
+        except ValueError:
+            assert det == 0
+            with pytest.raises(ValueError, match="singular"):
+                a.inverse()
+        else:
+            assert a.inverse() == ref
 
     @given(reductions())
     @example((Subspace(Mat((), ncols=3)), (1, -2, 3)))

@@ -43,7 +43,7 @@ def ref_intersect(a, b):
     """``Subspace.intersect`` before its certificate."""
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient)
-    combos = a.mat.vstack(b.mat).T.kernel()
+    combos = Mat._of(a.mat.rows + b.mat.rows, a.mat.ncols).T.kernel()
     coeffs = Mat(tuple(c[: a.dim] for c in combos.rows), ncols=a.dim)
     return Subspace(coeffs @ a.mat)
 

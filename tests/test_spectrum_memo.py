@@ -57,6 +57,8 @@ from pqh.uft import (
     line_direction,
     normalize_direction,
     poly_deg,
+    pq_split,
+    subspace_spectrum,
 )
 
 # the module: ``pqh.classify`` is the function that ``pqh`` exports
@@ -193,6 +195,23 @@ def test_every_call_order_gives_the_fresh_answers(kind):
                 shared = fresh(u)
                 for name in order:
                     assert outcome(READERS[name], shared) == expected[name], (n, seed, order)
+
+
+def test_a_form1_without_piece_is_the_memoized_graph_form():
+    """``decompose_form2`` reads the memo of U' whenever form 1 splits off no
+    piece: both direction searches then stop at the same first zero fiber."""
+    with_piece = without_piece = 0
+    for kind in KINDS:
+        for n in (1, 2, 3):
+            for seed in (0, 1, 2):
+                u_prime = pq_split(generate(Rng(seed), n, kind))[2]
+                form1 = decompose_form1(u_prime)
+                if form1.piece is None:
+                    assert subspace_spectrum(u_prime)[0] == form1.graph, (kind, n, seed)
+                    without_piece += 1
+                else:
+                    with_piece += 1
+    assert with_piece and without_piece
 
 
 def test_the_memo_is_filled_by_decompositions_only():

@@ -225,7 +225,7 @@ class TestFibersAndKernels:
 def ref_intersect(u, w):
     if u.dim == 0 or w.dim == 0:
         return Subspace.zero(u.ambient)
-    combos = u.mat.vstack(w.mat).T.kernel()
+    combos = Mat._of(u.mat.rows + w.mat.rows, u.mat.ncols).T.kernel()
     rows = []
     for combo in combos.rows:
         x = [Fraction(0)] * u.ambient

@@ -132,7 +132,8 @@ def ref_standard_blocks(pairs):
 
 def ref_metric_matrix(omega):
     z = Mat.zeros(omega.nrows, omega.nrows)
-    return z.hstack(omega).vstack((-omega).hstack(z))
+    top, bottom = z.hstack(omega), (-omega).hstack(z)
+    return Mat._of(top.rows + bottom.rows, top.ncols)
 
 
 def ref_product_subspace(e_sub):
