@@ -57,7 +57,6 @@ from .subspace import (
     maximal_pq,
     ortho_complement,
     p1,
-    p1p2,
     product_subspace,
     signature,
 )

@@ -493,7 +493,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         # cross-check m as the rank of the Gram pairing between eigenspaces
         # (the rank does not depend on the bases of the two eigen-graphs)
         if lift1.dim and lift2.dim:
-            vs1, vs2 = graph_over(form, lift1).mat, graph_over(form, lift2).mat
+            vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).mat for lift in (lift1, lift2))
             if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != sig.p:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif sig.p != 0:
@@ -602,7 +602,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
     basis = adapted_nilpotent_basis(a)
-    degree = 1 if image(a, u).is_zero() else 2
+    degree = 2 if any(any(a.act_int(V, D)[0]) for V, D in u.int_basis()) else 1
     half = u.ambient // 2
     comps = [basis.to_basis_int(V, D)[0] for V, D in u.int_basis()]
     rows, pivots = int_rref([V[half:] + V[:half] for V in comps], u.ambient)
@@ -788,7 +788,7 @@ def _decompose_pure(u_pure: Subspace):
     kernels = []
     for poly, ker in parts:
         kernels.append(ker)
-        graph = graph_over(form, ker)
+        graph = graph_over(u_pure, form.h_basis, ker)
         deg = poly_deg(poly)
         if deg == 1:
             direction = line_direction(form.h_basis, -poly[0])
@@ -807,7 +807,7 @@ def _decompose_pure(u_pure: Subspace):
         addends.append(Addend(kind, graph, witness, tuple(poly)))
     residual_f = span_of(kernels, form.dim_e).complement_in(form.f_space)
     # the residue is a graph subspace: an empty spectrum returns it as real
-    sub_addends, sub_real = _decompose_pure(graph_over(form, residual_f))
+    sub_addends, sub_real = _decompose_pure(graph_over(u_pure, form.h_basis, residual_f))
     return addends + sub_addends, sub_real
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .classify import classify, generic_decompose, is_real, oracle_check
-from .generate import KINDS, check_dim, generate, standard_model
+from .generate import KINDS, check_dim, generate
 from .instances import (
     InstanceError,
     canonical_json,
@@ -26,7 +26,7 @@ from .instances import (
     report_to_dict,
     subspace_dict,
 )
-from .model import StructureError, standardize
+from .model import ModelSpace, StructureError, standardize
 from .rng import Rng
 from .subspace import signature
 from .uft import decompose_form1, decompose_form2, graph_form, to_uft
@@ -273,7 +273,7 @@ def cmd_gen(args) -> int:
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
     rng = Rng(args.seed)
-    ms = standard_model(args.n)
+    ms = ModelSpace.standard(args.n)
     u = generate(rng, args.n, args.kind, args.dim)
     sys.stdout.write(emit_instance(ms, u))
     return 0
@@ -284,7 +284,7 @@ def cmd_oracle(args) -> int:
     if args.samples < 0:
         raise InstanceError("samples must be a nonnegative integer")
     rng = Rng(args.seed)
-    ms = standard_model(args.n)
+    ms = ModelSpace.standard(args.n)
     total = 0
     violations = []
     for i in range(args.samples):

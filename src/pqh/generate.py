@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import MAT_I, MAT_K
 from .linalg import F0, F1, Mat
-from .model import HBasisChange, ModelSpace, standard_symplectic, tensor
+from .model import HBasisChange, ModelSpace, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
 from .uft import UFTForm
@@ -197,4 +197,4 @@ def rng_sample_pairs(rng: Rng, n: int, m: int):
 
 
 def standard_model(n: int) -> ModelSpace:
-    return ModelSpace(n, standard_symplectic(2 * n))
+    return ModelSpace.standard(n)

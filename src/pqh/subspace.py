@@ -35,8 +35,10 @@ Every subspace cut out by a linear condition is one call of
 its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 (or vanish).  ``intersect`` takes its own rows into the other operand,
 ``maximal_pq`` A applied to the rows of U0 into U, :func:`h_fiber` the
-columns of ``[aI; bI]`` reduced modulo U, and :func:`omega_kernel_in`
-the omega pairings.  The relations come from :func:`_relations`, which
+columns of ``[aI; bI]`` reduced modulo U, :func:`omega_kernel_in` the
+omega pairings, ``uft.graph_over`` the h1 components of a graph's rows
+into a subspace of F, and the U' of ``uft.pq_split`` is U ^ (H (x) C)
+for the complement C of E0.  The relations come from :func:`_relations`, which
 holds the module's one certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
 mod p of the target's basis stacked on the images proves that no
@@ -74,7 +76,7 @@ from typing import Iterable, Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
-from .model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, Vector, _pairing
+from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, Vector, _pairing
 
 
 @dataclass(frozen=True)
@@ -371,18 +373,6 @@ def p1(u: Subspace) -> Subspace:
     half = u.ambient // 2
     k = sum(p < half for p in u.pivots)
     return Subspace._of([_lowest_terms(V[:half], D) for V, D in u._rows[:k]], u.pivots[:k], half)
-
-
-def p1p2(u: Subspace, basis: HBasisChange | None = None):
-    """Projections (p1(U), p2(U)) onto E relative to a basis of H."""
-    if basis is None:
-        basis = HBasisChange.identity()
-    half = u.ambient // 2
-    comps = [basis.to_basis_int(V, D)[0] for V, D in u._rows]
-    return (
-        Subspace._echelon([V[:half] for V in comps], half),
-        Subspace._echelon([V[half:] for V in comps], half),
-    )
 
 
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:

@@ -8,8 +8,12 @@ basis, makes T injective, computes the decomposable-vector spectrum and
 the induced metric, and produces the two direct-sum normal forms.
 
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
-subspace W of F by one product with ``t_map``, and a graph over W is
-those rows paired with W's and rewritten by one ``from_basis`` call.
+subspace W of F by one product with ``t_map``.  Each piece of a graph is
+one :meth:`Subspace.kernel_in` cut of the subspace U the caller holds:
+:func:`graph_over` takes the h1 components of U's rows into a subspace of
+F, the U' of :func:`pq_split` is U ^ (H (x) C) for the complement C of
+E0, and each fiber {f in F : Tf = s f} that :func:`injectivize` tries is
+the kernel of the rows Tf - s f.
 
 The spectrum of a graph form is :func:`graph_spectrum`: injectivize,
 take the invariant core W*, factor the minimal polynomial of T on W*
@@ -25,7 +29,7 @@ by a full rank mod p of the columns of T (``linalg.rank_mod``), and so
 rank falls back to the exact ``Mat.rank`` and span.  ``invariant_core``
 stops at W* = F as soon as F ^ TF = F and reads T on F off the rows of
 ``t_map``, and no direction is tried for a subspace too large to meet
-h (x) E in 0 (``_first_transversal``).
+h (x) E in 0 (:func:`find_transversal_direction`).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .subspace import (
     h_fiber,
     maximal_pq,
     p1,
+    product_subspace,
     span_of,
 )
 
@@ -110,9 +115,6 @@ class UFTForm:
         return rank_mod(cols, self.dim_e) == self.dim or self.t_map.rank() == self.dim
 
 
-_STANDARD = HBasisChange.identity()
-
-
 def find_transversal_direction(u: Subspace):
     """A direction h with (h (x) E) ^ U = 0, or None when every direction
     meets U (then U is not a graph subspace in any basis).
@@ -120,23 +122,15 @@ def find_transversal_direction(u: Subspace):
     Candidates are h2 + t*h1 for t = 0, 1, ..., dim U: a failing direction
     carries decomposable vectors of U, and a U with any transversal
     direction is a graph with at most dim U such directions, so one of the
-    dim U + 1 candidates is transversal.
-    """
-    candidates = [(Fraction(t), F1) for t in range(u.dim + 1)]
-    return _first_transversal(u, _STANDARD, candidates)
-
-
-def _first_transversal(u: Subspace, basis: HBasisChange, candidates):
-    """The first candidate direction, in coordinates of the given basis of
-    H, whose fiber in U is zero, or None.
-
-    h (x) E has dimension dim E = ambient / 2, so it meets every U of larger
-    dimension and no direction is tried then.
+    dim U + 1 candidates is transversal.  h (x) E has dimension
+    dim E = ambient / 2, so it meets every U of larger dimension and no
+    candidate is tried then.
     """
     if u.dim > u.ambient // 2:
         return None
-    for h in candidates:
-        if h_fiber(u, _std_direction(basis, h)).is_zero():
+    for t in range(u.dim + 1):
+        h = (Fraction(t), F1)
+        if h_fiber(u, h).is_zero():
             return h
     return None
 
@@ -227,19 +221,24 @@ def uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
 def injectivize(u: UFTForm) -> UFTForm:
     """An equivalent graph form whose T is injective.
 
-    h1 is moved to the first h1 + s h2 off the (at most dim U)
-    decomposable directions of the subspace; h2 stays, since h2 (x) E
-    meets a graph over h1 only in 0.
+    h1 is moved to the first h1 + s h2, s = 0, 1, ..., dim F + 1, whose
+    fiber {f in F : Tf = s f} is zero: the fibers of distinct s are
+    independent eigenspaces of T on F, so at most dim F of them are
+    nonzero.  h2 stays, since h2 (x) E meets a graph over h1 only in 0.
+    Each fiber is one :meth:`Subspace.kernel_in` of the rows Tf_i - s f_i
+    over the canonical basis f_i of F, and s = 0 returns the form itself.
     """
-    if u.t_is_injective():
-        return u
-    span = u.span()
-    h1_new = _first_transversal(
-        span, u.h_basis, [(F1, Fraction(s)) for s in range(span.dim + 2)]
-    )
-    if h1_new is None:
+    dim_e = u.dim_e
+    rows = [_int_row(f + tf) for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
+    for s in range(u.dim + 2):
+        images = [([y - s * x for x, y in zip(V[:dim_e], V[dim_e:])], D) for V, D in rows]
+        if u.f_space.kernel_in(images).is_zero():
+            break
+    else:
         raise AssertionError("injective presentation search failed")
-    out = uft_change_basis(u, HBasisChange.from_columns(h1_new, (F0, F1)))
+    if s == 0:
+        return u
+    out = uft_change_basis(u, HBasisChange.from_columns((F1, Fraction(s)), (F0, F1)))
     if not out.t_is_injective():
         raise AssertionError("injectivization produced a non-injective T")
     return out
@@ -443,28 +442,14 @@ def decompose_form1(u: Subspace) -> Form1:
     return Form1(piece, graph)
 
 
-def clean_complement(u: Subspace, u0: Subspace, e0: Subspace) -> Subspace:
-    """A complement of U0 = H (x) E0 inside U whose vectors have no E0
-    components at all (each one is reduced modulo U0)."""
-    comp = u0.complement_in(u)
-    dim_e = u.ambient // 2
-    rows = []
-    for r in comp.mat.rows:
-        e, ep = r[:dim_e], r[dim_e:]
-        rows.append(tuple(e0.reduce(e)) + tuple(e0.reduce(ep)))
-    cleaned = Subspace.span(rows, u.ambient)
-    if cleaned.dim != comp.dim:
-        raise AssertionError("cleaning collapsed the complement")
-    return cleaned
-
-
 def pq_split(u: Subspace):
     """(U0, E0, U'): the maximal para-quaternionic part U0 = H (x) E0 of U
-    and the complement U' of U0 in U cleaned of E0 components."""
+    and its complement U' = U ^ (H (x) C) for the canonical complement C of
+    E0, the vectors of U with no E0 components.  U' is U itself when
+    U0 = 0, since H (x) C is then the whole space."""
     u0 = maximal_pq(u)
     e0 = p1(u0)
-    # clean_complement would return U itself when U0 = 0, after eliminations
-    return u0, e0, (u if u0.is_zero() else clean_complement(u, u0, e0))
+    return u0, e0, u.intersect(product_subspace(e0.complement()))
 
 
 def _eigenfree_inside(groups):
@@ -510,20 +495,25 @@ def _no_rational_eigenvalue_map(dim: int) -> Mat:
     return Mat(rows)
 
 
-def graph_over(form: UFTForm, sub: Subspace) -> Subspace:
-    """The part of the graph lying over a subspace of F."""
-    return Subspace(form._graph_rows(sub))
+def graph_over(u: Subspace, basis: HBasisChange, sub: Subspace) -> Subspace:
+    """The vectors of a graph subspace U over the h1 of ``basis`` whose h1
+    component lies in a subspace ``sub`` of F: one kernel of the h1
+    components of U's basis rows with target ``sub``."""
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D) for V, D in u.int_basis()]
+    return u.kernel_in([(V[:half], D) for V, D in comps], sub)
 
 
-def _form2_graph(form: UFTForm, inj: UFTForm, parts):
-    """Split a graph subspace into eigen-direction pieces and a
+def _form2_graph(w: Subspace, inj: UFTForm, parts):
+    """Split a graph subspace W into eigen-direction pieces and a
     decomposable-free part of maximal dimension, given the spectrum
     ``(inj, parts)`` of its form (:func:`graph_spectrum`).
 
     The largest fiber becomes the single decomposable piece; every other
     eigenspace is twisted into the complement, which stays free of
-    eigenvectors by the recursive pairing construction."""
-    dim_e = form.dim_e
+    eigenvectors by the recursive pairing construction.  With no rational
+    eigenvalue the part is W itself."""
+    dim_e = inj.dim_e
     # fibers of the degree-1 factors only: higher factors carry no direction
     eigens = [
         (fiber, line_direction(inj.h_basis, -poly[0]))
@@ -531,13 +521,13 @@ def _form2_graph(form: UFTForm, inj: UFTForm, parts):
         if poly_deg(poly) == 1
     ]
     if not eigens:
-        return [], form.span()
+        return [], w
     eigens.sort(key=lambda fd: (-fd[0].dim, fd[1]))
     top_fiber, top_dir = eigens[0]
     groups = [fd[0] for fd in eigens]
     rest = span_of(groups, dim_e).complement_in(inj.f_space)
     s_space = span_of([_eigenfree_inside(groups), rest], dim_e)
-    return [DecomposablePiece(top_dir, top_fiber)], graph_over(inj, s_space)
+    return [DecomposablePiece(top_dir, top_fiber)], graph_over(w, inj.h_basis, s_space)
 
 
 def decompose_form2(u: Subspace) -> Form2:
@@ -545,7 +535,6 @@ def decompose_form2(u: Subspace) -> Form2:
     independent directions and a last addend free of (rational)
     decomposable vectors; for graph subspaces the last addend has the
     maximal possible dimension (dim U minus the largest fiber)."""
-    dim_v = u.ambient
     u0, e0, u_prime = pq_split(u)
     # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
     # piece first, and its graph part is split into eigen-direction pieces
@@ -553,13 +542,12 @@ def decompose_form2(u: Subspace) -> Form2:
     if form1.piece is None:
         # both direction searches stop at the first zero fiber among
         # h2 + t h1, t <= dim U', so this is U' in its graph form: read the
-        # memo of U'
-        pieces, tilde = _form2_graph(*subspace_spectrum(u_prime))
+        # memo of U', and with no pieces the residue is U' itself
+        pieces, tilde = _form2_graph(u_prime, *subspace_spectrum(u_prime)[1:])
     else:
-        pieces, tilde = _form2_graph(form1.graph, *graph_spectrum(form1.graph))
+        pieces, tilde = _form2_graph(form1.graph.span(), *graph_spectrum(form1.graph))
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
-    graph_parts = [tilde]
     if not u0.is_zero():
         # a line has no automorphism without eigenvalues, so a 1-dimensional
         # E0 splits into two decomposable pieces; otherwise one piece plus
@@ -577,10 +565,7 @@ def decompose_form2(u: Subspace) -> Form2:
         used_dirs.extend(fresh)
         if e0.dim > 1:
             t0 = _no_rational_eigenvalue_map(e0.dim)
-            graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
-    tilde = span_of(graph_parts, dim_v)
-    if tilde == u_prime:
-        tilde = u_prime  # no pieces: the residue reads the spectrum of U'
+            tilde = tilde.sum(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
     residue = subspace_spectrum(tilde)
     if residue is None:
         raise AssertionError("form 2 residue is not a graph subspace")

@@ -43,7 +43,7 @@ from pqh.subspace import (
     image,
     is_orthogonal,
     maximal_pq,
-    p1p2,
+    p1,
     product_subspace,
     restrict_omega,
     signature,
@@ -117,7 +117,7 @@ def test_criterion_03_para_quaternionic_characterization():
         assert rep.is_pq == (stabilizer(u).dim == 3)
         assert rep.is_pq == (maximal_pq(u) == u)
         if rep.is_pq:
-            ep = p1p2(u)[0]
+            ep = p1(u)
             assert rep.gram_block_ok  # Gram equals the omega block matrix
             assert rep.hermitian == (
                 ep.dim == 0 or restrict_omega(ms, ep).det() != 0

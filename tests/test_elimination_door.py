@@ -31,7 +31,7 @@ from pqh.classify import (
 )
 from pqh.generate import generate, random_sl2, twist_h
 from pqh.linalg import Mat, _bareiss, _int_row, _lowest_terms, frac_row
-from pqh.model import ModelSpace, Operator, tensor
+from pqh.model import HBasisChange, ModelSpace, Operator, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -40,7 +40,6 @@ from pqh.subspace import (
     image,
     maximal_pq,
     omega_kernel_in,
-    p1p2,
     product_subspace,
     restrict_omega,
     signature,
@@ -59,6 +58,19 @@ def ref_graph_of(rows, dim_e: int):
     return f_space, Mat.from_cols([frac_row(r[dim_e:], d) for r, d in zip(M, D)], nrows=dim_e)
 
 
+def ref_p1p2(u: Subspace, basis: HBasisChange | None = None):
+    """The deleted ``subspace.p1p2``: projections (p1(U), p2(U)) onto E
+    relative to a basis of H."""
+    if basis is None:
+        basis = HBasisChange.identity()
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D)[0] for V, D in u.int_basis()]
+    return (
+        Subspace._echelon([V[:half] for V in comps], half),
+        Subspace._echelon([V[half:] for V in comps], half),
+    )
+
+
 def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport:
     """Verify the nilpotent criterion and produce the exact decomposition
     U = (H (x) E0) (+) (h1 (x) E1'') (+) real part."""
@@ -70,7 +82,7 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
         raise ValueError("witness does not stabilize the subspace")
     basis = adapted_nilpotent_basis(a)
     degree = 1 if image(a, u).is_zero() else 2
-    e1_proj, e2_proj = p1p2(u, basis)
+    e1_proj, e2_proj = ref_p1p2(u, basis)
     criterion = all(
         u.contains_vector(tensor(basis.h1, f).coords) for f in e2_proj.mat.rows
     )

@@ -21,7 +21,7 @@ from pqh.classify import operator_in_basis
 from pqh.generate import twist_h
 from pqh.linalg import F0, Mat
 from pqh.model import HBasisChange, Operator, operator_from_mat2
-from pqh.subspace import Subspace, p1p2
+from pqh.subspace import Subspace, p1
 from pqh.uft import UFTForm, graph_over, invariant_core
 
 # -- the per-row code, kept as references -------------------------------------
@@ -202,7 +202,7 @@ def test_invariant_core_shrinks_over_several_steps():
 def test_graph_over_and_graph_basis_match_per_row_reference(data):
     form, entries = data.draw(graph_forms())
     sub = data.draw(subspaces_of(form.f_space, entries))
-    assert graph_over(form, sub) == ref_graph_over(form, sub)
+    assert graph_over(form.span(), form.h_basis, sub) == ref_graph_over(form, sub)
     assert form.graph_basis() == ref_graph_basis(form)
     assert form.span() == Subspace(ref_graph_basis(form))
 
@@ -224,7 +224,11 @@ def test_to_basis_and_from_basis_match_block_products(data):
     assert all(type(x) is Fraction for r in to + back for x in r)
     assert s.from_basis(to) == list(rows)
     u = Subspace(mat)
-    assert p1p2(u, s) == ref_p1p2(u, s)
+    comps = s.to_basis(u.mat.rows)
+    swapped = [c[half:] + c[:half] for c in comps]
+    ref1, ref2 = ref_p1p2(u, s)
+    assert p1(Subspace.span(comps, 2 * half)) == ref1
+    assert p1(Subspace.span(swapped, 2 * half)) == ref2
     assert twist_h(u, s) == Subspace(u.mat @ _blocks(s.mat, half))
 
 

@@ -3,8 +3,8 @@
 ``uft.graph_spectrum`` is the one place that injectivizes a graph form,
 takes the invariant core W* and attaches to each irreducible factor q of
 T on W* its kernel; ``polyq.minimal_polynomial`` returns the factorization
-it computes instead of expanding it; and ``uft._first_transversal`` is the
-one direction search.  Each ``ref_*`` function below is the earlier
+it computes instead of expanding it; and
+``uft.find_transversal_direction`` is the one direction search.  Each ``ref_*`` function below is the earlier
 implementation; every new path must agree with it exactly, for
 non-injective T, repeated factors, irreducible quadratic blocks and
 entries of 100 digits.

@@ -33,7 +33,6 @@ from pqh.subspace import (
     is_orthogonal,
     maximal_pq,
     p1,
-    p1p2,
     product_subspace,
     restrict_omega,
     span_of,
@@ -346,12 +345,9 @@ def test_product_and_decomposable_subspaces_match_reference(data):
 
 @SETTINGS
 @given(st.data())
-def test_p1p2_matches_reference(data):
+def test_p1_matches_reference(data):
     n = data.draw(st.integers(1, 2))
     u = data.draw(spaces(4 * n))
-    basis = data.draw(st.none() | h_basis_changes())
-    got = p1p2(u, basis)
-    assert all(is_basis(s, r) for s, r in zip(got, ref_p1p2(u, basis)))
     assert is_basis(p1(u), ref_p1p2(u)[0])
 
 

@@ -46,7 +46,7 @@ from pqh.subspace import (
     h_fiber,
     image,
     is_orthogonal,
-    p1p2,
+    p1,
     product_subspace,
 )
 
@@ -168,7 +168,7 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
     check("pure-flag", report.flags.pure == u0.is_zero())
     check(
         "pq-flag",
-        report.flags.para_quaternionic == (u == product_subspace(p1p2(u)[0])),
+        report.flags.para_quaternionic == (u == product_subspace(p1(u))),
     )
     vecs = u.basis_vectors
     pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)

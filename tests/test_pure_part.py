@@ -40,7 +40,7 @@ from pqh.subspace import (
     restrict_omega,
     signature,
 )
-from pqh.uft import _std_direction, graph_over, induced_g_f, normalize_direction, to_uft
+from pqh.uft import _std_direction, induced_g_f, normalize_direction, to_uft
 
 
 def ref_check_complex(ms, u, a):
@@ -184,7 +184,7 @@ def ref_check_para_complex(ms, u, a):
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         if lift1.dim and lift2.dim:
-            vs1, vs2 = graph_over(form, lift1).mat, graph_over(form, lift2).mat
+            vs1, vs2 = Subspace(form._graph_rows(lift1)).mat, Subspace(form._graph_rows(lift2)).mat
             if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:

@@ -32,7 +32,7 @@ from pqh.subspace import (
     direct_sum_is,
     image_orthogonal,
     maximal_pq,
-    p1p2,
+    p1,
     product_subspace,
     span_of,
 )
@@ -47,7 +47,6 @@ from pqh.uft import (
     _form2_graph,
     _no_rational_eigenvalue_map,
     _parallel,
-    clean_complement,
     decomposable_spectrum,
     decompose_form1,
     decompose_form2,
@@ -89,15 +88,31 @@ def ref_decomposable_spectrum(u):
     return PencilSpectrum(tuple(lines), tuple(blocks))
 
 
+def clean_complement(u, u0, e0):
+    """The deleted ``uft.clean_complement``: a complement of U0 = H (x) E0
+    inside U whose vectors have no E0 components at all (each one is
+    reduced modulo U0)."""
+    comp = u0.complement_in(u)
+    dim_e = u.ambient // 2
+    rows = []
+    for r in comp.mat.rows:
+        e, ep = r[:dim_e], r[dim_e:]
+        rows.append(tuple(e0.reduce(e)) + tuple(e0.reduce(ep)))
+    cleaned = Subspace.span(rows, u.ambient)
+    if cleaned.dim != comp.dim:
+        raise AssertionError("cleaning collapsed the complement")
+    return cleaned
+
+
 def ref_decompose_form2(u):
     """``decompose_form2`` computing the spectrum of U' and of the residue
     again, with the residue's graph form read twice."""
     dim_v = u.ambient
     u0 = maximal_pq(u)
-    e0 = p1p2(u0)[0]
+    e0 = p1(u0)
     u_prime = u if u0.is_zero() else clean_complement(u, u0, e0)
     form1 = decompose_form1(u_prime)
-    pieces, tilde = _form2_graph(form1.graph, *graph_spectrum(form1.graph))
+    pieces, tilde = _form2_graph(form1.graph.span(), *graph_spectrum(form1.graph))
     if form1.piece is not None:
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]

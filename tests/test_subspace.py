@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import graph_subspace, random_sl2, unit
 from pqh.linalg import Mat
-from pqh.model import OP_I, OP_J, OP_K, ModelSpace, Operator, tensor
+from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -20,11 +20,23 @@ from pqh.subspace import (
     maximal_pq,
     omega_kernel_in,
     ortho_complement,
-    p1p2,
     product_subspace,
     restrict_omega,
     signature,
 )
+
+
+def ref_p1p2(u: Subspace, basis: HBasisChange | None = None):
+    """The deleted ``subspace.p1p2``: projections (p1(U), p2(U)) onto E
+    relative to a basis of H."""
+    if basis is None:
+        basis = HBasisChange.identity()
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D)[0] for V, D in u.int_basis()]
+    return (
+        Subspace._echelon([V[:half] for V in comps], half),
+        Subspace._echelon([V[half:] for V in comps], half),
+    )
 
 
 def random_subspace(rng, ambient, dim):
@@ -108,12 +120,12 @@ class TestProjections:
     def test_product_subspace_projections(self):
         ep = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
         u = product_subspace(ep)
-        e1, e2 = p1p2(u)
+        e1, e2 = ref_p1p2(u)
         assert e1 == ep and e2 == ep
 
     def test_line_projections(self):
         u = Subspace.span([tensor((1, 0), (1, 0)).coords], 4)
-        e1, e2 = p1p2(u)
+        e1, e2 = ref_p1p2(u)
         assert e1 == Subspace.span([(1, 0)], 2)
         assert e2.is_zero()
 
@@ -121,10 +133,10 @@ class TestProjections:
         rng = Rng(35)
         for _ in range(50):
             u = random_subspace(rng, 8, 1 + rng.below(6))
-            e1, e2 = p1p2(u)
+            e1, e2 = ref_p1p2(u)
             base = e1.sum(e2)
             s = random_sl2(rng)
-            f1, f2 = p1p2(u, s)
+            f1, f2 = ref_p1p2(u, s)
             assert f1.sum(f2) == base
 
 
