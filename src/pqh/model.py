@@ -9,18 +9,23 @@ changes are explicit values, never hidden state.
 
 The arithmetic runs on plain integers, as in :mod:`pqh.linalg`: an
 operator and an H-basis change both act as a 2x2 matrix on the pair
-(e, e') of E-components, and the metric is one bilinear form.  The
-integer core of the action, :func:`_h_act_int` (``Operator.act_int``),
-maps a row ``(ints, d)`` to a row ``(ints, d)``, so callers such as
+(e, e') of E-components, and the metric is one bilinear form.  Each
+:class:`Operator` stores that matrix once, cleared of denominators as
+``(ints, d)``, and each :class:`HBasisChange` stores its matrix and its
+inverse the same way, the inverse computed once by ``Mat.inverse``.  The
+integer core of the action, :func:`_h_act_int` (``Operator.act_int``,
+``HBasisChange.to_basis_int``), maps a row ``(ints, d)`` to a row
+``(ints, d)`` with the stored matrix, so callers such as
 ``Subspace.reduce_int`` take its output without a ``Fraction`` in
 between.  ``Fraction``s are built only at the rational surface:
 :func:`_h_act` (``apply_coords``, ``to_basis``, ``from_basis``) builds
 each output coordinate once, and ``metric``, ``omega_eval`` and
 :meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
-Relative to an H-basis s it pairs the s-coordinates of x and y with the
-standard triple.  A :class:`ModelSpace` keeps the integer rows of its
-omega^E and its 4n x 4n metric matrix, built once.
+Relative to an H-basis s it pairs the s-coordinates of x and y
+(``to_basis_int``) with the standard triple.  A :class:`ModelSpace`
+keeps the integer rows of its omega^E and its 4n x 4n metric matrix,
+built once.
 
 Matrices on V are Kronecker products (:meth:`~pqh.linalg.Mat.kron`): the
 metric is omega^H (x) omega^E and an operator is A (x) Id_E.
@@ -28,7 +33,7 @@ metric is omega^H (x) omega^E and an operator is A (x) Id_E.
 An :class:`HBasisChange` s owns the two whole-basis steps: ``to_basis``
 and ``from_basis`` rewrite coordinate rows between the standard basis and
 s (``h_components`` and ``assemble`` are their one-``Vector`` forms), and
-``conjugate`` gives the operator s m s^-1, with s^-1 the adjugate.
+``conjugate`` gives the operator s m s^-1 with the stored inverse.
 """
 
 from __future__ import annotations
@@ -51,8 +56,9 @@ OMEGA_H = Mat(((0, 1), (-1, 0)))  # omega^H(h1, h2) = 1
 
 
 def _h_act(m, coords) -> tuple:
-    """The coordinates of (m0*e + m1*e', m2*e + m3*e') for the vector with
-    coordinates ``coords`` = (e, e') and a 2x2 rational m read row-wise."""
+    """The coordinates of (m0*e + m1*e', m2*e + m3*e') / dm for the vector
+    with coordinates ``coords`` = (e, e') and a 2x2 matrix read row-wise,
+    given cleared as ``m = ((m0, m1, m2, m3), dm)``."""
     if len(coords) % 2:
         raise ValueError("coordinate length must be even")
     try:
@@ -65,7 +71,7 @@ def _h_act(m, coords) -> tuple:
 
 def _h_act_int(m, xs, dx) -> tuple:
     """:func:`_h_act` on the integer row xs / dx: ``(ints, d)`` of the result."""
-    (m0, m1, m2, m3), dm = _int_row(m)
+    (m0, m1, m2, m3), dm = m
     half = len(xs) // 2
     pairs = list(zip(xs[:half], xs[half:]))
     out = [m0 * e + m1 * ep for e, ep in pairs] + [m2 * e + m3 * ep for e, ep in pairs]
@@ -148,9 +154,12 @@ class Operator:
     gamma: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", _entry(self.alpha))
-        object.__setattr__(self, "beta", _entry(self.beta))
-        object.__setattr__(self, "gamma", _entry(self.gamma))
+        a, b, g = _entry(self.alpha), _entry(self.beta), _entry(self.gamma)
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
+        object.__setattr__(self, "gamma", g)
+        # the 2x2 matrix acting on the E-components (e, e'), row-wise, cleared
+        object.__setattr__(self, "_act", _int_row((-g, b - a, a + b, g)))
 
     def q(self) -> Fraction:
         """Conjugation-invariant form q(A) = alpha^2 - beta^2 - gamma^2.
@@ -169,17 +178,12 @@ class Operator:
     def is_zero(self) -> bool:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
 
-    def _h_mat(self) -> tuple:
-        """The 2x2 matrix acting on the E-components (e, e'), row-wise."""
-        a, b, g = self.alpha, self.beta, self.gamma
-        return (-g, b - a, a + b, g)
-
     def apply_coords(self, coords: tuple) -> tuple:
-        return _h_act(self._h_mat(), coords)
+        return _h_act(self._act, coords)
 
     def act_int(self, xs: list, dx: int) -> tuple:
         """:meth:`apply_coords` on the integer row xs / dx, as ``(ints, d)``."""
-        return _h_act_int(self._h_mat(), xs, dx)
+        return _h_act_int(self._act, xs, dx)
 
     def as_matrix(self, dim_e: int) -> Mat:
         """A (x) Id_E on the coordinates of V."""
@@ -213,7 +217,8 @@ def operator_from_mat2(m: Mat) -> Operator:
 
 @dataclass(frozen=True)
 class HBasisChange:
-    """A symplectic basis change of H; columns are the new basis vectors."""
+    """A symplectic basis change of H; columns are the new basis vectors.
+    s and s^-1 are kept cleared, row-wise, for ``from_basis`` and ``to_basis``."""
 
     mat: Mat
 
@@ -222,6 +227,10 @@ class HBasisChange:
             raise StructureError("H basis change must be 2x2")
         if self.mat.det() != 1:
             raise StructureError("H basis change must have determinant 1")
+        inv = self.mat.inverse()
+        object.__setattr__(self, "_inv", inv)
+        object.__setattr__(self, "_from", _int_row(sum(self.mat.rows, ())))
+        object.__setattr__(self, "_to", _int_row(sum(inv.rows, ())))
 
     @classmethod
     def identity(cls) -> "HBasisChange":
@@ -240,12 +249,7 @@ class HBasisChange:
         return self.mat.col(1)
 
     def inverse(self) -> "HBasisChange":
-        return HBasisChange(self._adjugate())
-
-    def _adjugate(self) -> Mat:
-        """The inverse matrix, which is the adjugate since the determinant is 1."""
-        (a, b), (c, d) = self.mat.rows
-        return Mat(((d, -b), (-c, a)))
+        return HBasisChange(self._inv)
 
     def compose(self, other: "HBasisChange") -> "HBasisChange":
         return HBasisChange(self.mat @ other.mat)
@@ -253,23 +257,16 @@ class HBasisChange:
     def to_basis(self, rows) -> list:
         """Standard coordinate rows rewritten in this basis of H: each row
         becomes its two E-components (comp1, comp2), concatenated."""
-        m = self._inverse_entries()
-        return [_h_act(m, r) for r in rows]
+        return [_h_act(self._to, r) for r in rows]
 
     def to_basis_int(self, xs: list, dx: int) -> tuple:
         """:meth:`to_basis` of the integer row xs / dx, as ``(ints, d)``."""
-        return _h_act_int(self._inverse_entries(), xs, dx)
-
-    def _inverse_entries(self) -> tuple:
-        """The entries of s^-1, the adjugate, read row-wise."""
-        (a, b), (c, d) = self.mat.rows
-        return (d, -b, -c, a)
+        return _h_act_int(self._to, xs, dx)
 
     def from_basis(self, rows) -> list:
         """Rows (comp1, comp2) in this basis rewritten as the standard
         coordinates of h1' (x) comp1 + h2' (x) comp2."""
-        m = sum(self.mat.rows, ())
-        return [_h_act(m, r) for r in rows]
+        return [_h_act(self._from, r) for r in rows]
 
     def h_components(self, x: Vector) -> tuple:
         """The two E-components of x relative to this basis of H."""
@@ -286,7 +283,7 @@ class HBasisChange:
         """The operator s m s^-1 for a traceless 2x2 matrix m given in this
         basis of H: the endomorphism with matrix m here, in standard
         coordinates."""
-        return operator_from_mat2(self.mat @ m @ self._adjugate())
+        return operator_from_mat2(self.mat @ m @ self._inv)
 
     def triple(self) -> tuple:
         """The admissible basis (I', J', K') attached to this H-basis."""
@@ -380,9 +377,9 @@ class ModelSpace:
         triple s(I, J, K)s^-1, and g(X, sIs^-1 Y) = g(s^-1 X, I s^-1 Y) since
         det s = 1: X and Y are paired in s-coordinates."""
         i, j, k = OP_I, OP_J, OP_K
-        rows = (x.coords, y.coords)
+        rows = (_int_row(x.coords), _int_row(y.coords))
         if isinstance(basis, HBasisChange):
-            rows = basis.to_basis(rows)
+            rows = [basis.to_basis_int(*r) for r in rows]
         elif basis is not None:
             i, j, k = basis
             if not is_admissible_triple(i, j, k):
@@ -390,7 +387,7 @@ class ModelSpace:
         half = self.dim_e
         if x.dim_e != half or y.dim_e != half:
             raise ValueError("vector does not live in this model space")
-        (xs, dx), (ys, dy) = map(_int_row, rows)
+        (xs, dx), (ys, dy) = rows
         d = self._omega_int[1] * dx
         vals = [Fraction(self._metric_int(xs, ys), d * dy)]
         for op in (i, j, k):

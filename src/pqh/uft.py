@@ -13,7 +13,12 @@ one :meth:`Subspace.kernel_in` cut of the subspace U the caller holds:
 :func:`graph_over` takes the h1 components of U's rows into a subspace of
 F, the U' of :func:`pq_split` is U ^ (H (x) C) for the complement C of
 E0, and each fiber {f in F : Tf = s f} that :func:`injectivize` tries is
-the kernel of the rows Tf - s f.
+the kernel of the rows Tf - s f.  Those rows are also the answer: the
+shear h1 -> h1 + s h2 keeps F and takes T to T - s Id, so no graph is
+eliminated again.  :func:`uft_change_basis` rewrites the graph rows
+(f | Tf) with the stored inverse of the basis change
+(``HBasisChange.to_basis_int``) and reads F' and T' off them as
+:func:`to_uft` does.
 
 The spectrum of a graph form is :func:`graph_spectrum`: injectivize,
 take the invariant core W*, factor the minimal polynomial of T on W*
@@ -23,13 +28,13 @@ form and its spectrum in the memo of the ``Subspace`` instance, and the
 decomposable spectrum, the form-2 split with its residue check and the
 generic decomposition all read it there.
 
-Two answers are certified before exact elimination: ``t_is_injective``
-by a full rank mod p of the columns of T (``linalg.rank_mod``), and so
-``t_image`` returns all of E when T is square and injective; any other
-rank falls back to the exact ``Mat.rank`` and span.  ``invariant_core``
-stops at W* = F as soon as F ^ TF = F and reads T on F off the rows of
-``t_map``, and no direction is tried for a subspace too large to meet
-h (x) E in 0 (:func:`find_transversal_direction`).
+``t_is_injective`` is one :meth:`Subspace.kernel_in` of the columns of
+T, so it is proved by the rank certificate that every such kernel runs
+first, and ``t_image`` returns all of E when T is square and injective;
+any other rank falls back to the span.  ``invariant_core`` stops at
+W* = F as soon as F ^ TF = F and reads T on F off the rows of ``t_map``,
+and no direction is tried for a subspace too large to meet h (x) E in 0
+(:func:`find_transversal_direction`).
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref, rank_mod
+from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref
 from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -109,10 +114,7 @@ class UFTForm:
         return Subspace.span(self.t_map.cols, self.dim_e)
 
     def t_is_injective(self) -> bool:
-        # the columns of T, each cleared of denominators: a full rank mod p
-        # proves injectivity, anything less is settled exactly
-        cols = [_int_row(c)[0] for c in self.t_map.cols]
-        return rank_mod(cols, self.dim_e) == self.dim or self.t_map.rank() == self.dim
+        return self.f_space.kernel_in([_int_row(c) for c in self.t_map.cols]).is_zero()
 
 
 def find_transversal_direction(u: Subspace):
@@ -181,41 +183,18 @@ def _graph_of(rows, dim_e: int):
     return f_space, Mat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
 
 
-def pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
-    """The graph data (F', T') after rewriting h1 = a h1' + b h2',
-    h2 = c h1' + d h2'.
-
-    F' = (a Id + c T) F and T' carries (a + cT)f to (b + dT)f; the pencil
-    value a Id + c T must be injective on F.
-    """
-    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
-    if a * d - b * c == 0:
-        raise ValueError("basis-change coefficients are singular")
-    stacked = [
-        _int_row(
-            tuple(a * x + c * y for x, y in zip(f, tf))
-            + tuple(b * x + d * y for x, y in zip(f, tf))
-        )[0]
-        for f, tf in zip(f_space.mat.rows, t_map.cols)
-    ]
-    graph = _graph_of(stacked, f_space.ambient)
-    if graph is None:
-        raise ValueError("pencil value a Id + c T is not injective on F")
-    return graph
-
-
 def uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
     """Rewrite the graph form relative to the composed basis.
 
-    The new defining basis is (old basis) followed by s; the old basis
-    vectors expressed in the new ones supply the pencil coefficients.
+    The new defining basis is (old basis) followed by s: the graph rows
+    (f | Tf), coordinates in the old basis, are rewritten in s and F' and
+    T' are read off them.  The h2 of the new basis must not meet the graph.
     """
-    new_basis = u.h_basis.compose(s)
-    p = s.mat.inverse()
-    a, b = p.rows[0][0], p.rows[1][0]
-    c, d = p.rows[0][1], p.rows[1][1]
-    f_new, t_new = pencil_change(u.f_space, u.t_map, a, b, c, d)
-    return UFTForm(new_basis, f_new, t_new)
+    rows = [s.to_basis_int(*_int_row(f + tf))[0] for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
+    graph = _graph_of(rows, u.dim_e)
+    if graph is None:
+        raise TransversalityError("the h2 direction of the new basis meets the subspace")
+    return UFTForm(u.h_basis.compose(s), *graph)
 
 
 def injectivize(u: UFTForm) -> UFTForm:
@@ -227,6 +206,8 @@ def injectivize(u: UFTForm) -> UFTForm:
     nonzero.  h2 stays, since h2 (x) E meets a graph over h1 only in 0.
     Each fiber is one :meth:`Subspace.kernel_in` of the rows Tf_i - s f_i
     over the canonical basis f_i of F, and s = 0 returns the form itself.
+    The shear keeps F, since h1 (x) f + h2 (x) Tf = h1' (x) f + h2 (x) (T - s)f,
+    so the rows Tf_i - s f_i are the columns of the new T.
     """
     dim_e = u.dim_e
     rows = [_int_row(f + tf) for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
@@ -238,7 +219,9 @@ def injectivize(u: UFTForm) -> UFTForm:
         raise AssertionError("injective presentation search failed")
     if s == 0:
         return u
-    out = uft_change_basis(u, HBasisChange.from_columns((F1, Fraction(s)), (F0, F1)))
+    shear = HBasisChange.from_columns((F1, Fraction(s)), (F0, F1))
+    t_map = Mat.from_cols([frac_row(V, D) for V, D in images], nrows=dim_e)
+    out = UFTForm(u.h_basis.compose(shear), u.f_space, t_map)
     if not out.t_is_injective():
         raise AssertionError("injectivization produced a non-injective T")
     return out

@@ -470,7 +470,7 @@ class TestMat:
     @given(systems(), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_prefix_elimination_matches_fraction_reference(self, ab, prefix):
-        # uft._graph_of (under to_uft and pencil_change) takes pivots among
+        # uft._graph_of (under to_uft and uft_change_basis) takes pivots among
         # the first columns only, and reads the rows only when the prefix
         # has full rank
         a, _ = ab

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_subspace, random_sl2, unit
-from pqh.linalg import Mat
+from pqh.linalg import Mat, _int_row
 from pqh.model import HBasisChange, StructureError, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -16,6 +16,7 @@ from pqh.subspace import (
 )
 from pqh.uft import (
     TransversalityError,
+    _graph_of,
     decomposable_spectrum,
     decompose_form1,
     decompose_form2,
@@ -24,11 +25,33 @@ from pqh.uft import (
     injectivize,
     invariant_core,
     minimal_fiber_direction,
-    pencil_change,
     to_uft,
     transversal_basis,
     uft_change_basis,
 )
+
+
+def ref_pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
+    """The graph data (F', T') after rewriting h1 = a h1' + b h2',
+    h2 = c h1' + d h2'.
+
+    F' = (a Id + c T) F and T' carries (a + cT)f to (b + dT)f; the pencil
+    value a Id + c T must be injective on F.
+    """
+    a, b, c, d = (Fraction(x) for x in (a, b, c, d))
+    if a * d - b * c == 0:
+        raise ValueError("basis-change coefficients are singular")
+    stacked = [
+        _int_row(
+            tuple(a * x + c * y for x, y in zip(f, tf))
+            + tuple(b * x + d * y for x, y in zip(f, tf))
+        )[0]
+        for f, tf in zip(f_space.mat.rows, t_map.cols)
+    ]
+    graph = _graph_of(stacked, f_space.ambient)
+    if graph is None:
+        raise ValueError("pencil value a Id + c T is not injective on F")
+    return graph
 
 
 def random_subspace(rng, ambient, dim):
@@ -117,7 +140,7 @@ class TestBasisChange:
         # formula sends T to T^{-1}
         u = graph_subspace(1, ROT)
         form = to_uft(u, HBasisChange.identity())
-        f_new, t_new = pencil_change(form.f_space, form.t_map, 0, 1, 1, 0)
+        f_new, t_new = ref_pencil_change(form.f_space, form.t_map, 0, 1, 1, 0)
         t = Mat(((0, -1), (1, 0)))
         assert f_new == form.f_space
         assert t_new == t.inverse()
@@ -153,7 +176,7 @@ class TestBasisChange:
         form = to_uft(u, HBasisChange.identity())
         # moving h1 onto the decomposable direction makes the pencil singular
         with pytest.raises(ValueError):
-            pencil_change(form.f_space, form.t_map, 0, 1, 1, 0)
+            ref_pencil_change(form.f_space, form.t_map, 0, 1, 1, 0)
 
 
 class TestInjectivize:
