@@ -13,6 +13,9 @@ shared pass over the pure part (:func:`_pure_part`): the graph form in
 the adapted basis, the T^2 identity, the pullback metric and its
 signature, and the omega and Gram routes to totality.  Each check then
 adds only what is particular to its sign.
+
+The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
+complement of U0 = H (x) E0 that every witness preserving U preserves.
 """
 
 from __future__ import annotations
@@ -231,46 +234,6 @@ def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
     return basis.conjugate(Operator(alpha, beta, gamma).mat2())
 
 
-# -- invariant pure complements ---------------------------------------------
-
-
-def invariant_pure_complement(a: Operator, u: Subspace, u0: Subspace) -> Subspace:
-    """A complement of U0 in U that is itself A-invariant (hence pure).
-
-    For q(A) with square |q| and q < 0 the complement splits along the
-    rational eigenspaces; otherwise Q[A] is a field and a greedy module
-    completion works.  Nilpotent witnesses are not supported here.
-    """
-    qa = a.q()
-    if qa == 0:
-        raise ValueError("invariant complement needs an invertible witness")
-    if u0.is_zero():
-        return u
-    root = is_rational_square(-qa) if qa < 0 else None
-    if root is not None and root != 0:
-
-        def eigen(w, lam):
-            """The lam-eigenvectors of A in W."""
-            shifted = [[x - lam * y for x, y in zip(a.apply_coords(r), r)] for r in w.basis]
-            return w.kernel_in([_int_row(v) for v in shifted])
-
-        parts = [eigen(u0, lam).complement_in(eigen(u, lam)) for lam in (root, -root)]
-        comp = parts[0].sum(parts[1])
-    else:
-        comp = Subspace.zero(u.ambient)
-        for row in u.mat.rows:
-            if u0.sum(comp).contains_vector(row):
-                continue
-            comp = comp.sum(
-                Subspace.span((row, a.apply_coords(row)), u.ambient)
-            )
-    if comp.dim != u.dim - u0.dim or not direct_sum_is(u, [u0, comp]):
-        raise AssertionError("invariant complement construction failed")
-    if not operator_preserves(a, comp):
-        raise AssertionError("complement is not witness-invariant")
-    return comp
-
-
 # -- para-quaternionic test --------------------------------------------------
 
 
@@ -329,12 +292,13 @@ class _PurePart:
 
 
 def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
+    """The pass for an invertible witness A of U, on U' of :func:`pq_split`:
+    U = U0 (+) U' as U contains H (x) E0, and A preserves H (x) C."""
     qa = a.q()
     kind = "complex" if qa > 0 else "para-complex"
     if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
-    u0 = maximal_pq(u)
-    comp = invariant_pure_complement(a, u, u0)
+    u0, _e0, comp = pq_split(u)
     basis, d_val = adapted_basis(a)
     scale = d_val * d_val / qa
     if comp.dim == 0:
@@ -1011,7 +975,10 @@ def oracle_check(
     ):
         if wit is None:
             continue
-        check(f"{kind}-witness-invariance", operator_preserves(wit, u))
+        check(
+            f"{kind}-witness-invariance",
+            all(u.contains_vector(wit.apply_coords(x)) for x in u.basis),
+        )
         amat = wit.as_matrix(dim_e)
         check(
             f"{kind}-witness-square-identity",

@@ -12,12 +12,13 @@ subspace W of F by one product with ``t_map``.  Each piece of a graph is
 one :meth:`Subspace.kernel_in` cut of the subspace U the caller holds:
 :func:`graph_over` takes the h1 components of U's rows into a subspace of
 F, the U' of :func:`pq_split` is U ^ (H (x) C) for the complement C of
-E0, and each fiber {f in F : Tf = s f} that :func:`injectivize` tries is
-the kernel of the rows Tf - s f.  Those rows are also the answer: the
-shear h1 -> h1 + s h2 keeps F and takes T to T - s Id, so no graph is
-eliminated again.  :func:`uft_change_basis` rewrites the graph rows
-(f | Tf) with the stored inverse of the basis change
-(``HBasisChange.to_basis_int``) and reads F' and T' off them as
+E0 (read by the generic and form-2 decompositions and by
+``classify._pure_part``), and each fiber {f in F : Tf = s f} that
+:func:`injectivize` tries is the kernel of the rows Tf - s f.  Those
+rows are also the answer: the shear h1 -> h1 + s h2 keeps F and takes T
+to T - s Id, so no graph is eliminated again.  :func:`uft_change_basis`
+rewrites the graph rows (f | Tf) with the stored inverse of the basis
+change (``HBasisChange.to_basis_int``) and reads F' and T' off them as
 :func:`to_uft` does.
 
 The spectrum of a graph form is :func:`graph_spectrum`: injectivize,

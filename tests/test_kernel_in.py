@@ -14,6 +14,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 from test_model import model_spaces, operators
+from test_pure_complement import ref_invariant_pure_complement
 from test_rank_certificates import (
     SETTINGS,
     big,
@@ -25,14 +26,14 @@ from test_rank_certificates import (
     subspaces,
 )
 
-from pqh.classify import check_nilpotent, classify, invariant_pure_complement, maximal_invariant_subspace
+from pqh.classify import check_nilpotent, classify, maximal_invariant_subspace, operator_preserves
 from pqh.generate import generate
 from pqh.linalg import F1, Mat, _int_row
 from pqh.model import ModelSpace, Operator
 from pqh.polyq import poly_eval_matrix
 from pqh.rng import Rng
-from pqh.subspace import Subspace, omega_kernel_in, product_subspace
-from pqh.uft import poly_fiber
+from pqh.subspace import Subspace, direct_sum_is, omega_kernel_in, product_subspace
+from pqh.uft import poly_fiber, pq_split
 
 # -- reference copies ---------------------------------------------------------
 
@@ -63,7 +64,7 @@ def ref_poly_fiber(w, t_w, poly):
 
 
 def ref_eigen_split(a, u, u0, root):
-    """The complement of ``invariant_pure_complement`` for a rational root
+    """The complement of ``ref_invariant_pure_complement`` for a rational root
     of -q(A): eigenspaces of the 4n x 4n matrix of A, intersected."""
     amat = a.as_matrix(u.ambient // 2)
     parts = []
@@ -148,11 +149,18 @@ def split_instances(draw):
 @SETTINGS
 @given(split_instances())
 def test_invariant_pure_complement_eigen_split_matches_reference(inst):
+    """``pq_split``'s U' is an A-invariant complement of U0; the earlier
+    eigenspace split still agrees with its reference intersections."""
     a, u, u0, root = inst
+    u0_split, _e0, comp = pq_split(u)
+    assert u0_split == u0
+    assert direct_sum_is(u, [u0, comp])
+    assert operator_preserves(a, comp)
     if u0.is_zero():
-        assert invariant_pure_complement(a, u, u0) == u
+        assert comp == u
+        assert ref_invariant_pure_complement(a, u, u0) == u
     else:
-        assert invariant_pure_complement(a, u, u0) == ref_eigen_split(a, u, u0, root)
+        assert ref_invariant_pure_complement(a, u, u0) == ref_eigen_split(a, u, u0, root)
 
 
 @SETTINGS

@@ -12,6 +12,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from test_pure_complement import ref_invariant_pure_complement
 
 from pqh.classify import (
     ComplexReport,
@@ -19,7 +20,6 @@ from pqh.classify import (
     adapted_basis,
     check_complex,
     check_para_complex,
-    invariant_pure_complement,
     kind_witnesses,
     operator_preserves,
     stabilizer,
@@ -50,7 +50,7 @@ def ref_check_complex(ms, u, a):
     if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
     u0 = maximal_pq(u)
-    comp = invariant_pure_complement(a, u, u0)
+    comp = ref_invariant_pure_complement(a, u, u0)
     basis, d_val = adapted_basis(a)
     mu = d_val * d_val / qa
     if comp.dim == 0:
@@ -115,7 +115,7 @@ def ref_check_para_complex(ms, u, a):
     if not operator_preserves(a, u):
         raise ValueError("witness does not stabilize the subspace")
     u0 = maximal_pq(u)
-    comp = invariant_pure_complement(a, u, u0)
+    comp = ref_invariant_pure_complement(a, u, u0)
     basis, d_val = adapted_basis(a)
     nu = d_val * d_val / (-qa)
     if comp.dim == 0:
