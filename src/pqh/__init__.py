@@ -8,8 +8,6 @@ from .algebra import (
     ParaQuaternion,
     phi_from_mat2,
     phi_to_mat2,
-    pq_conj_norm,
-    pq_mul,
 )
 from .classify import (
     ClassificationReport,
@@ -26,7 +24,6 @@ from .classify import (
     is_para_quaternionic,
     is_real,
     kind_witnesses,
-    maximal_invariant_subspace,
     oracle_check,
     stabilizer,
 )
@@ -40,8 +37,6 @@ from .model import (
     OP_K,
     StructureError,
     Vector,
-    change_admissible_basis,
-    recover_omega_e,
     standard_symplectic,
     standardize,
     tensor,
@@ -53,9 +48,7 @@ from .subspace import (
     gram,
     h_fiber,
     image,
-    is_pure,
     maximal_pq,
-    ortho_complement,
     p1,
     product_subspace,
     signature,

@@ -70,9 +70,6 @@ class ParaQuaternion:
             return self * other
         return NotImplemented
 
-    def conj(self):
-        return ParaQuaternion(self.q0, -self.q1, -self.q2, -self.q3)
-
     def norm(self) -> Fraction:
         """N(q) = q*conj(q) = q0^2 + q1^2 - q2^2 - q3^2 (multiplicative)."""
         return self.q0**2 + self.q1**2 - self.q2**2 - self.q3**2
@@ -100,15 +97,6 @@ PQ_ONE = ParaQuaternion(1, 0, 0, 0)
 PQ_I = ParaQuaternion(0, 1, 0, 0)
 PQ_J = ParaQuaternion(0, 0, 1, 0)
 PQ_K = ParaQuaternion(0, 0, 0, 1)
-
-
-def pq_mul(a: ParaQuaternion, b: ParaQuaternion) -> ParaQuaternion:
-    return a * b
-
-
-def pq_conj_norm(a: ParaQuaternion):
-    """Return (conjugate, norm) with a * conj(a) = norm * 1."""
-    return a.conj(), a.norm()
 
 
 def phi_to_mat2(a: ParaQuaternion) -> Mat:

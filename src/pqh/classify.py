@@ -37,8 +37,7 @@ from .model import (
     Operator,
     tensor,
 )
-from .polyq import is_rational_square, poly_deg, poly_eval_matrix
-from .quadext import QuadExt, sqrt_of
+from .polyq import is_rational_square, poly_deg
 from .rng import Rng
 from .subspace import (
     SignatureTriple,
@@ -91,11 +90,6 @@ class Stabilizer:
 
     def operators(self) -> tuple:
         return tuple(Operator(*row) for row in self.basis.rows)
-
-    def contains(self, a: Operator) -> bool:
-        target = (a.alpha, a.beta, a.gamma)
-        aug = self.basis.T
-        return aug.solve(target) is not None
 
     def q_matrix(self) -> Mat:
         """The bilinear form of q(A) = alpha^2 - beta^2 - gamma^2 restricted
@@ -186,18 +180,6 @@ def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
 
 def operator_preserves(a: Operator, u: Subspace) -> bool:
     return all(u.contains_int(*a.act_int(xs, dx)) for xs, dx in u.int_basis())
-
-
-def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
-    """The largest A-invariant subspace of U.
-
-    One step {x in U : Ax in U} = U ^ A^{-1}U already is the fixpoint
-    because A^2 is a scalar (possibly zero) multiple of the identity.
-    """
-    w = u.kernel_in([a.act_int(xs, dx) for xs, dx in u.int_basis()], u)
-    if not operator_preserves(a, w):
-        raise AssertionError("one-step invariant subspace is not invariant")
-    return w
 
 
 # -- adapted bases -----------------------------------------------------------
@@ -478,45 +460,6 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     )
-
-
-def para_complex_eigenvectors(report: ParaComplexReport):
-    """Eigenvectors of the scaled para-complex structure T on F, T^2 = nu Id.
-
-    For a rational square nu they are kernels over Q.  Otherwise Q[T] =
-    Q(sqrt(nu)) is a field, so a cyclic span Q[T]y meets an invariant
-    subspace without y only in 0, and y_1, ..., y_m picked greedily from
-    the identity rows give Q^k = (+) span(y_i, T y_i).  Over Q(sqrt(nu))
-    each pair splits into the eigenvectors T y_i +- sqrt(nu) y_i, as
-    T (T y + l y) = l (T y + l y) when l^2 = nu: a basis, m rows each.
-
-    Returns (eigenvalue, plus-basis rows, minus-basis rows) with entries in
-    Q(sqrt(nu)) as ``QuadExt`` (or Fraction when rational).
-    """
-    form = report.pure_form
-    if form is None:
-        raise ValueError("no pure part to analyze")
-    t_f = form.t_on_subspace(form.f_space)
-    nu = report.scale
-    root = is_rational_square(nu)
-    if root is not None:
-        lam = root
-        plus = poly_eval_matrix((-lam, F1), t_f).kernel()
-        minus = poly_eval_matrix((lam, F1), t_f).kernel()
-        return lam, plus.rows, minus.rows
-    k = t_f.nrows
-    cyclic, pairs = Subspace.zero(k), []
-    for y, ty in zip(Mat.identity(k).rows, t_f.T.rows):  # T e_j is column j of t_f
-        if not cyclic.contains_vector(y):
-            pairs.append((y, ty))
-            cyclic = cyclic.sum(Subspace.span((y, ty), k))
-    plus, minus = [
-        tuple(tuple(QuadExt(t, s * x, nu) for x, t in zip(y, ty)) for y, ty in pairs)
-        for s in (1, -1)
-    ]
-    if len(plus) != report.d_plus or len(minus) != report.d_minus:
-        raise AssertionError("quadratic-extension eigenspaces disagree with the trace test")
-    return sqrt_of(nu), plus, minus
 
 
 # -- nilpotent witnesses -------------------------------------------------------

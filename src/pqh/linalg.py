@@ -280,10 +280,6 @@ class Mat:
         return cls._of(rows, n)
 
     @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls._of(tuple((F0,) * ncols for _ in range(nrows)), ncols)
-
-    @classmethod
     def from_cols(cls, cols, nrows=None):
         cols = tuple(tuple(c) for c in cols)
         if nrows is None:

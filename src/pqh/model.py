@@ -18,7 +18,7 @@ integer core of the action, :func:`_h_act_int` (``Operator.act_int``,
 ``(ints, d)`` with the stored matrix, so callers such as
 ``Subspace.reduce_int`` take its output without a ``Fraction`` in
 between.  ``Fraction``s are built only at the rational surface:
-:func:`_h_act` (``apply_coords``, ``to_basis``, ``from_basis``) builds
+:func:`_h_act` (``apply_coords``, ``from_basis``) builds
 each output coordinate once, and ``metric``, ``omega_eval`` and
 :meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
@@ -30,10 +30,11 @@ built once.
 Matrices on V are Kronecker products (:meth:`~pqh.linalg.Mat.kron`): the
 metric is omega^H (x) omega^E and an operator is A (x) Id_E.
 
-An :class:`HBasisChange` s owns the two whole-basis steps: ``to_basis``
-and ``from_basis`` rewrite coordinate rows between the standard basis and
-s (``h_components`` and ``assemble`` are their one-``Vector`` forms), and
-``conjugate`` gives the operator s m s^-1 with the stored inverse.
+An :class:`HBasisChange` s owns the two whole-basis steps:
+``to_basis_int`` and ``from_basis`` rewrite coordinate rows between the
+standard basis and s (``assemble`` is the one-``Vector`` form of
+``from_basis``), and ``conjugate`` gives the operator s m s^-1 with the
+stored inverse.
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, phi_from_mat2
-from .linalg import F0, F1, Mat, _entry, _int_row, _int_rows
-from .linalg import vec_add, vec_is_zero, vec_scale, vec_sub
+from .linalg import F0, Mat, _entry, _int_row, _int_rows
+from .linalg import vec_add, vec_scale, vec_sub
 
 
 class StructureError(ValueError):
@@ -131,13 +132,6 @@ class Vector:
             vec_sub(self.eprime_part, other.eprime_part),
         )
 
-    def scale(self, c) -> "Vector":
-        c = _entry(c)
-        return Vector(vec_scale(c, self.e_part), vec_scale(c, self.eprime_part))
-
-    def is_zero(self) -> bool:
-        return vec_is_zero(self.e_part) and vec_is_zero(self.eprime_part)
-
 
 def tensor(h: Sequence, e: Sequence) -> Vector:
     """Decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
@@ -218,7 +212,7 @@ def operator_from_mat2(m: Mat) -> Operator:
 @dataclass(frozen=True)
 class HBasisChange:
     """A symplectic basis change of H; columns are the new basis vectors.
-    s and s^-1 are kept cleared, row-wise, for ``from_basis`` and ``to_basis``."""
+    s and s^-1 are kept cleared, row-wise, for ``from_basis`` and ``to_basis_int``."""
 
     mat: Mat
 
@@ -248,30 +242,18 @@ class HBasisChange:
     def h2(self) -> tuple:
         return self.mat.col(1)
 
-    def inverse(self) -> "HBasisChange":
-        return HBasisChange(self._inv)
-
     def compose(self, other: "HBasisChange") -> "HBasisChange":
         return HBasisChange(self.mat @ other.mat)
 
-    def to_basis(self, rows) -> list:
-        """Standard coordinate rows rewritten in this basis of H: each row
-        becomes its two E-components (comp1, comp2), concatenated."""
-        return [_h_act(self._to, r) for r in rows]
-
     def to_basis_int(self, xs: list, dx: int) -> tuple:
-        """:meth:`to_basis` of the integer row xs / dx, as ``(ints, d)``."""
+        """The standard coordinate row xs / dx rewritten in this basis of H,
+        as ``(ints, d)``: its two E-components (comp1, comp2), concatenated."""
         return _h_act_int(self._to, xs, dx)
 
     def from_basis(self, rows) -> list:
         """Rows (comp1, comp2) in this basis rewritten as the standard
         coordinates of h1' (x) comp1 + h2' (x) comp2."""
         return [_h_act(self._from, r) for r in rows]
-
-    def h_components(self, x: Vector) -> tuple:
-        """The two E-components of x relative to this basis of H."""
-        (out,) = self.to_basis((x.coords,))
-        return out[: x.dim_e], out[x.dim_e :]
 
     def assemble(self, comp1: Sequence, comp2: Sequence) -> Vector:
         """The vector h1'(x)comp1 + h2'(x)comp2 in standard coordinates."""
@@ -284,15 +266,6 @@ class HBasisChange:
         basis of H: the endomorphism with matrix m here, in standard
         coordinates."""
         return operator_from_mat2(self.mat @ m @ self._inv)
-
-    def triple(self) -> tuple:
-        """The admissible basis (I', J', K') attached to this H-basis."""
-        return tuple(self.conjugate(m) for m in (MAT_I, MAT_J, MAT_K))
-
-
-def change_admissible_basis(s: HBasisChange, a: Operator) -> Operator:
-    """Coordinates of the endomorphism a relative to the new basis."""
-    return s.inverse().conjugate(a.mat2())
 
 
 def is_admissible_triple(i: Operator, j: Operator, k: Operator) -> bool:
@@ -450,43 +423,3 @@ def standardize(i_mat: Mat, j_mat: Mat, k_mat: Mat) -> Standardization:
     ):
         raise StructureError("standardization failed to intertwine the triple")
     return Standardization(basis, d // 2)
-
-
-def recover_omega_e(
-    g: Callable[[Vector, Vector], Fraction],
-    dim_e: int,
-    basis: HBasisChange | None = None,
-) -> Mat:
-    """Reconstruct omega^E from a Hermitian metric given as an oracle.
-
-    omega^E(e, e') = g(h (x) e, h' (x) e') / omega^H(h, h') must not
-    depend on the pair (h, h'); the pairs (h1,h2), (h1+h2,h2) and
-    (h1,h1+h2) are evaluated in that fixed order, and any disagreement
-    (or a non-symplectic result) reports a non-Hermitian input.
-    """
-    if basis is None:
-        basis = HBasisChange.identity()
-    h1, h2 = basis.h1, basis.h2
-    h12 = vec_add(h1, h2)
-    pairs = [(h1, h2), (h12, h2), (h1, h12)]
-    results = []
-    unit = [F0] * dim_e
-    for h, hp in pairs:
-        den = h[0] * hp[1] - h[1] * hp[0]
-        rows = []
-        for r in range(dim_e):
-            er = list(unit)
-            er[r] = F1
-            row = []
-            for c in range(dim_e):
-                ec = list(unit)
-                ec[c] = F1
-                row.append(g(tensor(h, er), tensor(hp, ec)) / den)
-            rows.append(tuple(row))
-        results.append(Mat(rows))
-    if results[0] != results[1] or results[0] != results[2]:
-        raise StructureError("metric is not Hermitian: pair-independence fails")
-    omega = results[0]
-    if not omega.is_skew() or omega.det() == 0:
-        raise StructureError("recovered form is not symplectic")
-    return omega

@@ -87,7 +87,7 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     """
     n = A.nrows
     if not p:
-        return Mat.zeros(n, n)
+        return Mat.scalar(n, 0)
     B, d = _int_rows(A.rows)
     c, e = _int_row(p)
     Bcols = list(zip(*B))

@@ -26,9 +26,9 @@ of omega^E, and build each entry's ``Fraction`` once.
 Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
 row as ``(ints, d)`` and returns one, so an integer operator action
 (``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
-where a rational value leaves the core: the result of :meth:`reduce`,
-``mat`` and the entries of a Gram matrix.  ``contains_vector`` tests the
-core's numerators for zero and builds none.
+where a rational value leaves the core: ``mat`` and the entries of a
+Gram matrix.  ``contains_vector`` tests the core's numerators for zero
+and builds none.
 
 Every subspace cut out by a linear condition is one call of
 :meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
@@ -86,14 +86,6 @@ class SignatureTriple:
     p: int
     s: int
     q: int
-
-    @property
-    def dim(self) -> int:
-        return self.p + self.s + self.q
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.s == 0
 
     def as_tuple(self):
         return (self.p, self.s, self.q)
@@ -204,7 +196,8 @@ class Subspace:
         return [(list(V), d) for V, d in self._rows]
 
     def reduce_int(self, V: list, D: int) -> tuple:
-        """:meth:`reduce` of the row V/D in ints: ``(ints, d)`` of the result.
+        """The canonical coset representative of the row V/D modulo this
+        subspace, as ``(ints, d)``.
 
         With a basis row R/e (so R[p] = e at its pivot p),
         v - v[p] * row = (e*V - V[p]*R) / (D*e); common factors of the
@@ -225,14 +218,6 @@ class Subspace:
     def contains_int(self, V: list, D: int) -> bool:
         """Whether the row V/D lies in this subspace."""
         return not any(self.reduce_int(V, D)[0])
-
-    def reduce(self, v: Sequence) -> tuple:
-        """Canonical coset representative of v modulo this subspace.
-
-        Entries may be ints or Fractions; the result is Fractions, built
-        once from :meth:`reduce_int`.
-        """
-        return frac_row(*self.reduce_int(*_int_row(v)))
 
     def contains_vector(self, v: Sequence) -> bool:
         return self.contains_int(*_int_row(v))
@@ -419,11 +404,6 @@ def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
     )
 
 
-def ortho_complement(ms: ModelSpace, u: Subspace) -> Subspace:
-    """{y : g(x, y) = 0 for all x in U}; dimension 4n - dim U."""
-    return Subspace((u.mat @ ms.metric_matrix()).kernel())
-
-
 def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
     """U _|_ W: the metric numerator of every basis row of U against every
     basis row of W vanishes."""
@@ -455,10 +435,6 @@ def maximal_pq(u: Subspace) -> Subspace:
         return u0
 
     return u.memo("u0", compute)
-
-
-def is_pure(u: Subspace) -> bool:
-    return maximal_pq(u).is_zero()
 
 
 def product_subspace(e_sub: Subspace) -> Subspace:

@@ -375,6 +375,7 @@ class DecomposablePiece:
 class Form1:
     piece: DecomposablePiece | None
     graph: UFTForm
+    graph_space: Subspace  # the subspace ``graph`` spans
 
 
 @dataclass(frozen=True)
@@ -417,13 +418,13 @@ def decompose_form1(u: Subspace) -> Form1:
     h, fib = minimal_fiber_direction(u)
     basis = transversal_basis(h)
     if fib.dim == 0:
-        return Form1(None, to_uft(u, basis))
+        return Form1(None, to_uft(u, basis), u)
     piece = DecomposablePiece(normalize_direction(h), fib)
     rest = piece.span().complement_in(u)
     graph = to_uft(rest, basis)
     if not direct_sum_is(u, [piece.span(), rest]):
         raise AssertionError("form 1 does not recompose")
-    return Form1(piece, graph)
+    return Form1(piece, graph, rest)
 
 
 def pq_split(u: Subspace):
@@ -529,7 +530,7 @@ def decompose_form2(u: Subspace) -> Form2:
         # memo of U', and with no pieces the residue is U' itself
         pieces, tilde = _form2_graph(u_prime, *subspace_spectrum(u_prime)[1:])
     else:
-        pieces, tilde = _form2_graph(form1.graph.span(), *graph_spectrum(form1.graph))
+        pieces, tilde = _form2_graph(form1.graph_space, *graph_spectrum(form1.graph))
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]
     if not u0.is_zero():

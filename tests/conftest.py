@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pqh.generate import random_sl2  # noqa: F401  (shared with the test modules)
+from pqh.linalg import _int_row, frac_row
 from pqh.model import ModelSpace, tensor
 from pqh.subspace import Subspace
 
@@ -32,3 +33,8 @@ def graph_subspace(n, pairs):
     """Span of h1 (x) f + h2 (x) g for the given (f, g) coordinate pairs."""
     rows = [(tensor((1, 0), f) + tensor((0, 1), g)).coords for f, g in pairs]
     return Subspace.span(rows, 4 * n)
+
+
+def to_basis(s, rows):
+    """Coordinate rows rewritten in the H-basis s, as ``Fraction`` rows."""
+    return [frac_row(*s.to_basis_int(*_int_row(r))) for r in rows]

@@ -1,0 +1,201 @@
+"""Reference copies of definitions that left ``pqh`` because only tests
+read them.
+
+Each is a verbatim copy of the package code, so the tests that used it as
+an independent check of the package keep the same reference.  The line
+above each definition names its former home.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Callable
+
+from pqh.classify import ParaComplexReport, operator_preserves
+from pqh.linalg import F0, F1, Mat, _entry, vec_add
+from pqh.model import HBasisChange, Operator, StructureError, Vector, tensor
+from pqh.polyq import is_rational_square, poly_eval_matrix
+from pqh.subspace import Subspace
+
+
+# Formerly pqh.quadext.QuadExt.
+@dataclass(frozen=True)
+class QuadExt:
+    a: Fraction
+    b: Fraction
+    c: Fraction  # the radicand; square root is irrational
+
+    def __post_init__(self):
+        for f in ("a", "b", "c"):
+            object.__setattr__(self, f, _entry(getattr(self, f)))
+        if self.c <= 0 or is_rational_square(self.c) is not None:
+            raise ValueError("radicand must be a positive non-square rational")
+
+    def _lift(self, x):
+        if isinstance(x, QuadExt):
+            if x.c != self.c:
+                raise ValueError("mixed radicands")
+            return x
+        if isinstance(x, (int, Fraction)):
+            return QuadExt(Fraction(x), Fraction(0), self.c)
+        return None
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return QuadExt(self.a + o.a, self.b + o.b, self.c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return QuadExt(-self.a, -self.b, self.c)
+
+    def __sub__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return QuadExt(
+            self.a * o.a + self.c * self.b * o.b,
+            self.a * o.b + self.b * o.a,
+            self.c,
+        )
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        n = self.a * self.a - self.c * self.b * self.b
+        if n == 0:
+            raise ZeroDivisionError("zero element of the quadratic field")
+        return QuadExt(self.a / n, -self.b / n, self.c)
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if isinstance(other, QuadExt):
+            return self.c == other.c and self.a == other.a and self.b == other.b
+        return NotImplemented
+
+    def __hash__(self):
+        if self.b == 0:
+            return hash(self.a)
+        return hash((self.a, self.b, self.c))
+
+    def __bool__(self):
+        return self.a != 0 or self.b != 0
+
+    def __str__(self):
+        return f"{self.a} + {self.b}*sqrt({self.c})"
+
+
+# Formerly pqh.quadext.sqrt_of.
+def sqrt_of(c) -> QuadExt:
+    """The element sqrt(c) of Q(sqrt(c))."""
+    return QuadExt(Fraction(0), Fraction(1), Fraction(c))
+
+
+# Formerly pqh.model.recover_omega_e.
+def recover_omega_e(
+    g: Callable[[Vector, Vector], Fraction],
+    dim_e: int,
+    basis: HBasisChange | None = None,
+) -> Mat:
+    """Reconstruct omega^E from a Hermitian metric given as an oracle.
+
+    omega^E(e, e') = g(h (x) e, h' (x) e') / omega^H(h, h') must not
+    depend on the pair (h, h'); the pairs (h1,h2), (h1+h2,h2) and
+    (h1,h1+h2) are evaluated in that fixed order, and any disagreement
+    (or a non-symplectic result) reports a non-Hermitian input.
+    """
+    if basis is None:
+        basis = HBasisChange.identity()
+    h1, h2 = basis.h1, basis.h2
+    h12 = vec_add(h1, h2)
+    pairs = [(h1, h2), (h12, h2), (h1, h12)]
+    results = []
+    unit = [F0] * dim_e
+    for h, hp in pairs:
+        den = h[0] * hp[1] - h[1] * hp[0]
+        rows = []
+        for r in range(dim_e):
+            er = list(unit)
+            er[r] = F1
+            row = []
+            for c in range(dim_e):
+                ec = list(unit)
+                ec[c] = F1
+                row.append(g(tensor(h, er), tensor(hp, ec)) / den)
+            rows.append(tuple(row))
+        results.append(Mat(rows))
+    if results[0] != results[1] or results[0] != results[2]:
+        raise StructureError("metric is not Hermitian: pair-independence fails")
+    omega = results[0]
+    if not omega.is_skew() or omega.det() == 0:
+        raise StructureError("recovered form is not symplectic")
+    return omega
+
+
+# Formerly pqh.classify.para_complex_eigenvectors.
+def para_complex_eigenvectors(report: ParaComplexReport):
+    """Eigenvectors of the scaled para-complex structure T on F, T^2 = nu Id.
+
+    For a rational square nu they are kernels over Q.  Otherwise Q[T] =
+    Q(sqrt(nu)) is a field, so a cyclic span Q[T]y meets an invariant
+    subspace without y only in 0, and y_1, ..., y_m picked greedily from
+    the identity rows give Q^k = (+) span(y_i, T y_i).  Over Q(sqrt(nu))
+    each pair splits into the eigenvectors T y_i +- sqrt(nu) y_i, as
+    T (T y + l y) = l (T y + l y) when l^2 = nu: a basis, m rows each.
+
+    Returns (eigenvalue, plus-basis rows, minus-basis rows) with entries in
+    Q(sqrt(nu)) as ``QuadExt`` (or Fraction when rational).
+    """
+    form = report.pure_form
+    if form is None:
+        raise ValueError("no pure part to analyze")
+    t_f = form.t_on_subspace(form.f_space)
+    nu = report.scale
+    root = is_rational_square(nu)
+    if root is not None:
+        lam = root
+        plus = poly_eval_matrix((-lam, F1), t_f).kernel()
+        minus = poly_eval_matrix((lam, F1), t_f).kernel()
+        return lam, plus.rows, minus.rows
+    k = t_f.nrows
+    cyclic, pairs = Subspace.zero(k), []
+    for y, ty in zip(Mat.identity(k).rows, t_f.T.rows):  # T e_j is column j of t_f
+        if not cyclic.contains_vector(y):
+            pairs.append((y, ty))
+            cyclic = cyclic.sum(Subspace.span((y, ty), k))
+    plus, minus = [
+        tuple(tuple(QuadExt(t, s * x, nu) for x, t in zip(y, ty)) for y, ty in pairs)
+        for s in (1, -1)
+    ]
+    if len(plus) != report.d_plus or len(minus) != report.d_minus:
+        raise AssertionError("quadratic-extension eigenspaces disagree with the trace test")
+    return sqrt_of(nu), plus, minus
+
+
+# Formerly pqh.classify.maximal_invariant_subspace.
+def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
+    """The largest A-invariant subspace of U.
+
+    One step {x in U : Ax in U} = U ^ A^{-1}U already is the fixpoint
+    because A^2 is a scalar (possibly zero) multiple of the identity.
+    """
+    w = u.kernel_in([a.act_int(xs, dx) for xs, dx in u.int_basis()], u)
+    if not operator_preserves(a, w):
+        raise AssertionError("one-step invariant subspace is not invariant")
+    return w

@@ -15,8 +15,6 @@ from pqh.algebra import (
     ParaQuaternion,
     phi_from_mat2,
     phi_to_mat2,
-    pq_conj_norm,
-    pq_mul,
 )
 from pqh.linalg import Mat
 from pqh.rng import Rng
@@ -35,8 +33,8 @@ class TestRelations:
         assert PQ_I * PQ_I == -PQ_ONE
         assert PQ_J * PQ_J == PQ_ONE
         assert PQ_K * PQ_K == PQ_ONE
-        assert pq_mul(PQ_I, PQ_J) == PQ_K
-        assert pq_mul(PQ_J, PQ_I) == -PQ_K
+        assert PQ_I * PQ_J == PQ_K
+        assert PQ_J * PQ_I == -PQ_K
 
     def test_unit_element(self):
         q = ParaQuaternion(3, Fraction(-1, 2), 5, 7)
@@ -72,14 +70,14 @@ class TestConjNorm:
         ],
     )
     def test_examples(self, q, conj, norm):
-        c, n = pq_conj_norm(q)
+        c, n = q.real() - q.imag(), q.norm()
         assert c == conj and n == norm
 
     @given(st.tuples(rationals, rationals, rationals, rationals))
     @settings(max_examples=60, deadline=None)
     def test_conj_identity(self, parts):
         q = pq(parts)
-        c, n = pq_conj_norm(q)
+        c, n = q.real() - q.imag(), q.norm()
         assert q * c == ParaQuaternion.scalar(n)
 
     @given(

@@ -179,8 +179,8 @@ def block_grams(draw):
     entries = draw(entry_kinds)
     p, q = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     w = draw(low_rank(p, q, entries))
-    top = Mat.zeros(p, p).hstack(w)
-    bottom = w.T.hstack(Mat.zeros(q, q))
+    top = Mat.scalar(p, 0).hstack(w)
+    bottom = w.T.hstack(Mat.scalar(q, 0))
     m = Mat._of(top.rows + bottom.rows, top.ncols)
     r = w.rank()
     return m, (r, p + q - 2 * r, r)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from conftest import to_basis
 from test_model import h_basis_changes
 from test_rank_certificates import big, int_rows
 
@@ -96,7 +97,7 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
         raise AssertionError("h1 fiber is not inside p1(U)")
     # canonical T~: E2 -> Ebar1 reading the graph part of U over h2
     half = u.ambient // 2
-    u_h = basis.to_basis(u.mat.rows)
+    u_h = to_basis(basis, u.mat.rows)
     a_parts = Mat([p[:half] for p in u_h], ncols=half)
     b_parts = Mat([p[half:] for p in u_h], ncols=half)
     coeffs = [b_parts.T.solve(e2) for e2 in e2_proj.mat.rows]

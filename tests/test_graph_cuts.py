@@ -18,7 +18,7 @@ from test_kernel_in import split_instances
 from test_rank_certificates import model_subspaces
 
 from pqh.generate import random_sl2, twist_h
-from pqh.linalg import F0, F1, Mat
+from pqh.linalg import F0, F1, Mat, _int_row, frac_row
 from pqh.model import HBasisChange
 from pqh.rng import Rng
 from pqh.subspace import Subspace, h_fiber, maximal_pq, p1
@@ -50,7 +50,7 @@ def clean_complement(u, u0, e0):
     rows = []
     for r in comp.mat.rows:
         e, ep = r[:dim_e], r[dim_e:]
-        rows.append(tuple(e0.reduce(e)) + tuple(e0.reduce(ep)))
+        rows.append(frac_row(*e0.reduce_int(*_int_row(e))) + frac_row(*e0.reduce_int(*_int_row(ep))))
     cleaned = Subspace.span(rows, u.ambient)
     if cleaned.dim != comp.dim:
         raise AssertionError("cleaning collapsed the complement")
@@ -118,7 +118,7 @@ def eigen_forms(draw):
     f_space = Subspace(draw(dense(m, dim_e, entries)))
     m = f_space.dim
     if m == 0:
-        return UFTForm(draw(bases), f_space, Mat.zeros(dim_e, 0))
+        return UFTForm(draw(bases), f_space, Mat(((),) * dim_e, ncols=0))
     d = [draw(st.integers(0, m)) for _ in range(m)]
     diag = Mat([[d[i] if i == j else 0 for j in range(m)] for i in range(m)], ncols=m)
     # unit lower times unit upper triangular: always invertible

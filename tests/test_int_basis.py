@@ -15,6 +15,7 @@ import pytest
 import test_cli
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from conftest import to_basis
 from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
@@ -139,7 +140,7 @@ def ref_p1p2(u, basis=None):
     if basis is None:
         basis = HBasisChange.identity()
     half = u.ambient // 2
-    comps = basis.to_basis(u.mat.rows)
+    comps = to_basis(basis, u.mat.rows)
     return (
         canon(Mat([c[:half] for c in comps], ncols=half)),
         canon(Mat([c[half:] for c in comps], ncols=half)),
@@ -149,7 +150,7 @@ def ref_p1p2(u, basis=None):
 def ref_to_uft(u, basis):
     """(F, T) of the old ``to_uft``, or None when h2 (x) E meets U."""
     half = u.ambient // 2
-    rows = basis.to_basis(u.mat.rows)
+    rows = to_basis(basis, u.mat.rows)
     reduced, pivots, _ = _eliminate(rows, half)
     if len(pivots) != len(rows):
         return None

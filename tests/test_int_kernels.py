@@ -15,17 +15,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_linalg import huge_entries, matrices, ref_matmul, small_entries
 
-from pqh.algebra import ParaQuaternion
+from pqh.algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion
 from pqh.classify import (
     OracleFinding,
     classify,
-    maximal_invariant_subspace,
     operator_preserves,
     oracle_check,
     stabilizer,
 )
 from pqh.generate import KINDS, generate, random_sl2
-from pqh.linalg import F0, F1, Mat, _int_row, int_rank, symmetric_signature, vec_is_zero
+from pqh.linalg import F0, F1, Mat, _int_row, frac_row, int_rank, symmetric_signature, vec_is_zero
 from pqh.model import (
     OP_I,
     OP_J,
@@ -38,7 +37,6 @@ from pqh.model import (
     is_admissible_triple,
 )
 from pqh.polyq import poly_eval_matrix
-from pqh.quadext import sqrt_of
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
@@ -49,6 +47,7 @@ from pqh.subspace import (
     p1,
     product_subspace,
 )
+from reference import maximal_invariant_subspace, sqrt_of
 
 # -- reference copies ---------------------------------------------------------
 
@@ -89,7 +88,7 @@ def ref_hermitian_product(ms, x, y, basis=None):
     if basis is None:
         i, j, k = OP_I, OP_J, OP_K
     elif isinstance(basis, HBasisChange):
-        i, j, k = basis.triple()
+        i, j, k = (basis.conjugate(m) for m in (MAT_I, MAT_J, MAT_K))
     else:
         i, j, k = basis
         if not is_admissible_triple(i, j, k):
@@ -129,7 +128,7 @@ def ref_h_fiber(u, h):
 def ref_poly_eval_matrix(p, A):
     """Horner's rule on ``Fraction`` matrices."""
     n = A.nrows
-    acc = Mat.zeros(n, n)
+    acc = Mat.scalar(n, 0)
     for a in reversed(p):
         acc = (acc @ A) + Mat.identity(n).scale(a)
     return acc
@@ -322,7 +321,7 @@ operators = st.builds(Operator, rationals, rationals, rationals)
 def test_reduce_and_contains_match_reference(uv):
     u, v = uv
     red = ref_reduce(u, v)
-    assert u.reduce(v) == red
+    assert frac_row(*u.reduce_int(*_int_row(v))) == red
     assert u.contains_vector(v) == vec_is_zero(red)
     V, D = u.reduce_int(*_int_row(v))
     assert tuple(Fraction(x, D) for x in V) == red
@@ -379,7 +378,8 @@ def vector_pairs(draw):
 def test_hermitian_product_matches_reference(msxy, seed):
     ms, x, y = msxy
     s = random_sl2(Rng(seed))
-    for basis in (None, s, s.triple(), (OP_I, OP_J, OP_K)):
+    triple = tuple(s.conjugate(m) for m in (MAT_I, MAT_J, MAT_K))
+    for basis in (None, s, triple, (OP_I, OP_J, OP_K)):
         assert ms.hermitian_product(x, y, basis) == ref_hermitian_product(ms, x, y, basis)
 
 
@@ -453,7 +453,7 @@ def polys_and_matrices(draw):
 
 @given(polys_and_matrices())
 @example(((), Mat((), ncols=0)))
-@example(((F1,), Mat.zeros(3, 3)))
+@example(((F1,), Mat.scalar(3, 0)))
 @example(((Fraction(3, 7), 0, 0), Mat(((0, 1), (0, 0)))))
 @example(
     (

@@ -26,7 +26,7 @@ from test_rank_certificates import (
     subspaces,
 )
 
-from pqh.classify import check_nilpotent, classify, maximal_invariant_subspace, operator_preserves
+from pqh.classify import check_nilpotent, classify, operator_preserves
 from pqh.generate import generate
 from pqh.linalg import F1, Mat, _int_row
 from pqh.model import ModelSpace, Operator
@@ -34,6 +34,7 @@ from pqh.polyq import poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import Subspace, direct_sum_is, omega_kernel_in, product_subspace
 from pqh.uft import poly_fiber, pq_split
+from reference import maximal_invariant_subspace
 
 # -- reference copies ---------------------------------------------------------
 
@@ -122,7 +123,7 @@ def test_poly_fiber_matches_reference(data):
     k = w.dim
     lam = data.draw(big)
     # T = lam Id + N with N often rank-deficient, so ker (T - lam) is often nonzero
-    n_part = Mat(data.draw(int_rows(k, k)), ncols=k) if k else Mat.zeros(0, 0)
+    n_part = Mat(data.draw(int_rows(k, k)), ncols=k) if k else Mat.scalar(0, 0)
     t_w = n_part + Mat.scalar(k, lam)
     poly = data.draw(
         st.sampled_from([(-lam, F1), (lam, F1), (0, F1)])

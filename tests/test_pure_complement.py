@@ -25,7 +25,6 @@ from test_rank_certificates import SETTINGS, model_subspaces
 from pqh.classify import (
     classify,
     kind_witnesses,
-    maximal_invariant_subspace,
     operator_preserves,
     oracle_check,
     stabilizer,
@@ -39,6 +38,7 @@ from pqh.polyq import is_rational_square
 from pqh.rng import Rng
 from pqh.subspace import Subspace, direct_sum_is, maximal_pq, product_subspace, signature
 from pqh.uft import UFTForm, pq_split
+from reference import maximal_invariant_subspace
 
 DATA = Path(__file__).parent / "data"
 HAND_BUILT = DATA / "para_complex_with_u0.json"

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, check_dim, generate
-from pqh.linalg import P61, Mat, _int_row, int_rank, rank_mod
+from pqh.linalg import P61, Mat, _int_row, frac_row, int_rank, rank_mod
 from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -54,7 +54,7 @@ def ref_preimage_by(u, m):
         return Subspace.full(m.ncols)
     pivset = set(u.pivots)
     free = [j for j in range(u.ambient) if j not in pivset]
-    qcols = [tuple(u.reduce(c)[j] for j in free) for c in m.cols]
+    qcols = [tuple(frac_row(*u.reduce_int(*_int_row(c)))[j] for j in free) for c in m.cols]
     return Subspace(Mat.from_cols(qcols, nrows=len(free)).kernel())
 
 
@@ -162,7 +162,7 @@ def graph_forms(draw):
         coeffs = Mat(draw(int_rows(f.dim, f.dim)), ncols=f.dim)
         t_map = (coeffs @ f.mat).T
     else:
-        t_map = Mat(draw(int_rows(dim_e, f.dim)), ncols=f.dim) if f.dim else Mat.zeros(dim_e, 0)
+        t_map = Mat(draw(int_rows(dim_e, f.dim)), ncols=f.dim) if f.dim else Mat(((),) * dim_e, ncols=0)
     return UFTForm(HBasisChange.identity(), f, t_map)
 
 

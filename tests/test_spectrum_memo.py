@@ -24,7 +24,7 @@ from test_model import h_basis_changes, huge_entries, model_spaces, operators
 import pqh.uft
 from pqh.classify import classify, generic_decompose
 from pqh.generate import KINDS, generate, standard_model
-from pqh.linalg import Mat, _int_row
+from pqh.linalg import Mat, _int_row, frac_row
 from pqh.model import OP_I, OP_J, OP_K, HBasisChange, StructureError
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -97,7 +97,7 @@ def clean_complement(u, u0, e0):
     rows = []
     for r in comp.mat.rows:
         e, ep = r[:dim_e], r[dim_e:]
-        rows.append(tuple(e0.reduce(e)) + tuple(e0.reduce(ep)))
+        rows.append(frac_row(*e0.reduce_int(*_int_row(e))) + frac_row(*e0.reduce_int(*_int_row(ep))))
     cleaned = Subspace.span(rows, u.ambient)
     if cleaned.dim != comp.dim:
         raise AssertionError("cleaning collapsed the complement")

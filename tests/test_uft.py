@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_subspace, random_sl2, unit
+from pqh.generate import generate
 from pqh.linalg import Mat, _int_row
 from pqh.model import HBasisChange, StructureError, tensor
 from pqh.rng import Rng
@@ -25,6 +26,7 @@ from pqh.uft import (
     injectivize,
     invariant_core,
     minimal_fiber_direction,
+    pq_split,
     to_uft,
     transversal_basis,
     uft_change_basis,
@@ -395,6 +397,14 @@ class TestForm1:
             res = decompose_form1(u)
             _h, fib = minimal_fiber_direction(u)
             assert res.graph.dim == u.dim - fib.dim
+
+    @pytest.mark.parametrize("n, seed", [(1, 2), (2, 2), (3, 0), (3, 2)])
+    def test_graph_space_is_the_graph_span(self, n, seed):
+        """The instances whose U' reaches ``decompose_form2``'s piece branch."""
+        u_prime = pq_split(generate(Rng(seed), n, "generic"))[2]
+        res = decompose_form1(u_prime)
+        assert res.piece is not None
+        assert res.graph_space == res.graph.span()
 
 
 class TestForm2:
