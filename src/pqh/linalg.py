@@ -34,6 +34,14 @@ over Q; any smaller value proves nothing, and callers fall back to the
 exact elimination.  Rows with denominators are cleared row by row first,
 since scaling a row by a nonzero integer keeps the rank.
 
+``Mat.charpoly`` reads the characteristic polynomial of the integer
+matrix d*A off the Krylov vectors of e_0: one LU factorization modulo
+the Mersenne prime M127 = 2^127 - 1 and Dixon lifting (J. D. Dixon,
+Numer. Math. 40, 1982) up to a bound on the coefficients, again a proof
+rather than an estimate.  When those vectors are dependent mod M127
+(always so for a derogatory matrix), Faddeev-LeVerrier runs instead.
+P61 and M127 are the module's two fixed moduli.
+
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 """
@@ -41,7 +49,7 @@ an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 
 F0 = Fraction(0)
@@ -465,29 +473,136 @@ class Mat:
     def charpoly(self):
         """Monic characteristic polynomial det(xI - A), coefficients low to high.
 
-        Rational entries only.  Faddeev-LeVerrier on the integer matrix
-        B = d*A, d the lcm of the denominators: B has the integer
-        characteristic polynomial sum c_k x^(n-k), each step divides by k
-        exactly, and the coefficient of x^(n-k) for A is c_k / d^k.
+        Rational entries only.  Both paths work on the integer matrix
+        B = d*A, d the lcm of the denominators: B has an integer
+        characteristic polynomial x^n + b_(n-1) x^(n-1) + ... + b_0, and
+        the coefficient of x^k for A is a_k = b_k / d^(n-k).
+
+        The Krylov path (:func:`_krylov_charpoly`) takes w_k = B^k e_0 and
+        W = [w_0 ... w_(n-1)] (columns).  If W is nonsingular modulo the
+        prime p = ``M127``, then det W != 0, so e_0 is a cyclic vector of
+        B: its annihilator has degree n and is the characteristic
+        polynomial, and b is the unique solution of W b = -w_n.  Every
+        eigenvalue is at most rho = max_i sum_j |B_ij| in absolute value,
+        so |b_k| <= C(n, k) rho^(n-k).  One LU factorization of W mod p and
+        Dixon lifting give b mod p^K, one p-adic digit a step; once
+        p^K > 2 max_k C(n, k) rho^k the symmetric residues are b itself.
+        No rational reconstruction and no probability enter, and the
+        result is checked against a_(n-1) = -tr A.  When W is singular mod
+        p (e_0 is not cyclic, as for a derogatory A, or p divides det W),
+        Faddeev-LeVerrier (:func:`_faddeev_charpoly`) runs instead.
         """
         n = self.nrows
         if n != self._ncols:
             raise ValueError("charpoly of non-square matrix")
         B, d = _int_rows(self.rows)
-        Bcols = list(zip(*B))
-        coeffs = [1]  # c_0, the leading coefficient of x^n
-        M = [[int(i == j) for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            # M is a polynomial in B, so B M = M B
-            M = _int_matmul(M, Bcols)
-            c, r = divmod(-sum(M[i][i] for i in range(n)), k)
-            if r:
-                raise AssertionError("inexact division in Faddeev-LeVerrier")
-            coeffs.append(c)
-            for i in range(n):
-                M[i][i] += c
-        # coeffs is [c_0, ..., c_n] from x^n downward; return low->high
-        return tuple(Fraction(c, d**k) for k, c in enumerate(coeffs))[::-1]
+        b = _krylov_charpoly(B)
+        if b is None:
+            b = _faddeev_charpoly(B)
+        return tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(b))
+
+
+M127 = (1 << 127) - 1  # the Mersenne prime of :func:`_krylov_charpoly`
+
+
+def _krylov_charpoly(B):
+    """The integer characteristic polynomial of the int matrix B, low to
+    high, from the Krylov vectors of e_0 (see :meth:`Mat.charpoly`); None
+    when they are dependent mod ``M127``.
+
+    Each Dixon step solves W y = r mod p for the residual r, adds y p^k to
+    the solution and divides r - W y by p, exactly since W y = r mod p.
+    """
+    n = len(B)
+    if n == 0:
+        return (1,)
+    W = [[1] + [0] * (n - 1)]  # the Krylov vectors w_0, w_1, ...
+    for _ in range(n):
+        W.append(_int_matmul([W[-1]], B)[0])
+    rows = list(zip(*W[:n]))
+    lu = _lu_mod(rows, M127)
+    if lu is None:
+        return None
+    rho = max(sum(map(abs, r)) for r in B)
+    bound = 2 * max(comb(n, k) * rho**k for k in range(n + 1))
+    r = [-x for x in W[n]]
+    b = [0] * n
+    pk = 1
+    while pk <= bound:
+        y = _lu_solve_mod(lu, r, M127)
+        r = [(ri - sum(map(mul, row, y))) // M127 for ri, row in zip(r, rows)]
+        b = [bi + yi * pk for bi, yi in zip(b, y)]
+        pk *= M127
+    half = pk >> 1
+    b = [bi - pk if bi > half else bi for bi in b]
+    if b[-1] != -sum(B[i][i] for i in range(n)):
+        raise AssertionError("Krylov charpoly fails the trace check")
+    return (*b, 1)
+
+
+def _lu_mod(M, p):
+    """LU factors of the square int matrix M modulo the prime p, or None
+    when M is singular mod p.
+
+    Returns ``(perm, LU, dinv)``: the rows of M in the order ``perm`` are
+    L U mod p, with L unit lower triangular (below the diagonal of ``LU``)
+    and U upper triangular (on and above it), and ``dinv`` holds the
+    inverses of U's diagonal mod p.
+    """
+    n = len(M)
+    A = [[x % p for x in r] for r in M]
+    perm = list(range(n))
+    dinv = []
+    for c in range(n):
+        sel = next((i for i in range(c, n) if A[i][c]), None)
+        if sel is None:
+            return None
+        A[c], A[sel] = A[sel], A[c]
+        perm[c], perm[sel] = perm[sel], perm[c]
+        prow = A[c][c + 1 :]
+        inv = pow(A[c][c], -1, p)
+        dinv.append(inv)
+        for row in A[c + 1 :]:
+            f = row[c] * inv % p
+            row[c] = f
+            if f:
+                row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], prow)]
+    return perm, A, dinv
+
+
+def _lu_solve_mod(lu, r, p):
+    """The solution mod p of M x = r, for the factors ``lu`` of M
+    (:func:`_lu_mod`) and int entries r."""
+    perm, A, dinv = lu
+    n = len(A)
+    y = []
+    for i, row in enumerate(A):
+        y.append((r[perm[i]] - sum(map(mul, row[:i], y))) % p)
+    x = [0] * n
+    for i in range(n - 1, -1, -1):
+        x[i] = (y[i] - sum(map(mul, A[i][i + 1 :], x[i + 1 :]))) * dinv[i] % p
+    return x
+
+
+def _faddeev_charpoly(B):
+    """The integer characteristic polynomial of the int matrix B, low to
+    high, by Faddeev-LeVerrier: with c_0 = 1 and M_0 = I, each step takes
+    M_k = B M_(k-1) + c_k I with c_k = -tr(B M_(k-1)) / k, an exact
+    division, and c_k is the coefficient of x^(n-k)."""
+    n = len(B)
+    Bcols = list(zip(*B))
+    coeffs = [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        # M is a polynomial in B, so B M = M B
+        M = _int_matmul(M, Bcols)
+        c, r = divmod(-sum(M[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("inexact division in Faddeev-LeVerrier")
+        coeffs.append(c)
+        for i in range(n):
+            M[i][i] += c
+    return coeffs[::-1]
 
 
 def symmetric_signature(M: Mat):

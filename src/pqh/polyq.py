@@ -78,26 +78,51 @@ def poly_pow(p, k):
 
 
 def poly_eval_matrix(p, A: Mat) -> Mat:
-    """p(A) for a square rational matrix A, by Horner's rule in ints.
+    """p(A) for a square rational matrix A, by Paterson-Stockmeyer in ints.
 
     With B = d*A (d the lcm of A's denominators) and e*p = c (e the lcm of
-    p's denominators), the Horner steps N <- N B + c_k d^(m-k) I, from
-    N = c_m I down to k = 0, give N = e d^m p(A), m the degree of p; each
-    output ``Fraction`` is built once from N.
+    p's denominators), N = sum_k g_k B^k with g_k = c_k d^(m-k) is
+    e d^m p(A), m the degree of p; each output ``Fraction`` is built once
+    from N.  The powers B, ..., B^s for s = isqrt(m) are formed once, and
+    N is evaluated by Horner's rule in B^s over chunks of s coefficients,
+    each chunk a combination of those powers; the top chunk takes up to
+    s + 1.  That is s - 1 matrix products for the powers and ceil(m / s) - 1
+    for the Horner steps, about 2 sqrt(m) in place of Horner's m, and none
+    for degree <= 1.
     """
     n = A.nrows
     if not p:
         return Mat.scalar(n, 0)
     B, d = _int_rows(A.rows)
     c, e = _int_row(p)
-    Bcols = list(zip(*B))
     m = len(p) - 1
-    N = [[c[m] if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(m - 1, -1, -1):
-        N = _int_matmul(N, Bcols)
-        ck = c[k] * d ** (m - k)
+    g = [ck * d ** (m - k) for k, ck in enumerate(c)]
+    s = max(1, isqrt(m))
+    powers = [B]  # B^1, ..., B^s
+    Bcols = list(zip(*B))
+    while len(powers) < s:
+        powers.append(_int_matmul(powers[-1], Bcols))
+    steps = max(0, -(-m // s) - 1)  # Horner steps in B^s
+
+    def chunk(lo, hi):
+        """sum_{k=lo..hi} g_k B^(k-lo), as int rows."""
+        coeffs = g[lo + 1 : hi + 1]
+        if coeffs:
+            C = [
+                [sum(map(mul, coeffs, entries)) for entries in zip(*rows)]
+                for rows in zip(*powers[: len(coeffs)])
+            ]
+        else:
+            C = [[0] * n for _ in range(n)]
         for i in range(n):
-            N[i][i] += ck
+            C[i][i] += g[lo]
+        return C
+
+    N = chunk(steps * s, m)
+    Scols = list(zip(*powers[-1]))
+    for j in range(steps - 1, -1, -1):
+        C = chunk(j * s, j * s + s - 1)
+        N = [[x + y for x, y in zip(r, cr)] for r, cr in zip(_int_matmul(N, Scols), C)]
     den = e * d**m
     return Mat._of(tuple(tuple(Fraction(x, den) if x else F0 for x in r) for r in N), n)
 

@@ -32,9 +32,10 @@ generic decomposition all read it there.
 ``t_is_injective`` is one :meth:`Subspace.kernel_in` of the columns of
 T, so it is proved by the rank certificate that every such kernel runs
 first, and ``t_image`` returns all of E when T is square and injective;
-any other rank falls back to the span.  ``invariant_core`` stops at
-W* = F as soon as F ^ TF = F and reads T on F off the rows of ``t_map``,
-and no direction is tried for a subspace too large to meet h (x) E in 0
+any other rank falls back to the span.  ``invariant_core`` starts its
+fixpoint at F, since its callers' T is injective, and when TF lies in F
+reads T on W* = F off the rows of ``t_map``.  No direction is tried for
+a subspace too large to meet h (x) E in 0
 (:func:`find_transversal_direction`).
 """
 
@@ -256,23 +257,25 @@ def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
 
 
 def invariant_core(u: UFTForm):
-    """Largest T-invariant subspace W* inside F ^ TF and T restricted to it.
+    """Largest T-invariant subspace W* of F, for injective T, and T
+    restricted to it.
 
-    W* is the fixpoint of W0 = F ^ TF, W_{k+1} = {w in W_k : Tw in W_k};
-    for injective T it is the largest T-invariant subspace of F.  When
-    W0 = F, TF contains F and has no larger dimension, so TF = F and W* = F
-    with no iteration, and T on W* is read off the rows of ``t_map``.
+    W* is the fixpoint of W0 = F, W_{k+1} = {w in W_k : Tw in W_k}: every
+    T-invariant subspace of F lies in each W_k.  When F = E or W1 = F, TF
+    lies in F, so W* = F and T on W* is read off the rows of ``t_map``.
     """
-    w = u.f_space.intersect(u.t_image())
-    if w.dim == u.dim:
-        # TF = F: column j of T on F is T f_j, whose coordinates in the
-        # canonical basis of F are its entries at F's pivots
-        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
-    while w.dim:
-        w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
+    w = u.f_space
+    while 0 < w.dim < u.dim_e:
+        # T on the canonical basis of F is the columns of t_map
+        images = u.t_map.cols if w is u.f_space else u.t_rows(w).rows
+        w_new = w.kernel_in([_int_row(r) for r in images], w)
         if w_new == w:
             break
         w = w_new
+    if w.dim == u.dim:
+        # column j of T on F is T f_j, whose coordinates in the canonical
+        # basis of F are its entries at F's pivots
+        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
     return w, u.t_on_subspace(w)
 
 

@@ -1,5 +1,5 @@
 """Reference copies of definitions that left ``pqh`` because only tests
-read them.
+read them, or that ``pqh`` replaced.
 
 Each is a verbatim copy of the package code, so the tests that used it as
 an independent check of the package keep the same reference.  The line
@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Callable
 
 from pqh.classify import ParaComplexReport, operator_preserves
-from pqh.linalg import F0, F1, Mat, _entry, vec_add
+from pqh.linalg import F0, F1, Mat, _entry, _int_row, vec_add
 from pqh.model import HBasisChange, Operator, StructureError, Vector, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.subspace import Subspace
@@ -199,3 +199,25 @@ def maximal_invariant_subspace(a: Operator, u: Subspace) -> Subspace:
     if not operator_preserves(a, w):
         raise AssertionError("one-step invariant subspace is not invariant")
     return w
+
+
+# Formerly pqh.uft.invariant_core, which started at F ^ TF.
+def invariant_core(u):
+    """Largest T-invariant subspace W* inside F ^ TF and T restricted to it.
+
+    W* is the fixpoint of W0 = F ^ TF, W_{k+1} = {w in W_k : Tw in W_k};
+    for injective T it is the largest T-invariant subspace of F.  When
+    W0 = F, TF contains F and has no larger dimension, so TF = F and W* = F
+    with no iteration, and T on W* is read off the rows of ``t_map``.
+    """
+    w = u.f_space.intersect(u.t_image())
+    if w.dim == u.dim:
+        # TF = F: column j of T on F is T f_j, whose coordinates in the
+        # canonical basis of F are its entries at F's pivots
+        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
+    while w.dim:
+        w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
+        if w_new == w:
+            break
+        w = w_new
+    return w, u.t_on_subspace(w)

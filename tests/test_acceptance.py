@@ -5,23 +5,20 @@ zero.  Each test prints one PASS line; a failed assertion fails the
 test (and the criterion) outright.
 """
 
-import json
 import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import graph_subspace, random_sl2, unit
+from conftest import graph_subspace, random_sl2
 from pqh.classify import (
     check_totally_real,
     classify,
     generic_decompose,
     is_real,
-    kind_witnesses,
-    oracle_check,
     stabilizer,
 )
-from pqh.generate import KINDS, generate, random_subspace, standard_model, twist_h
+from pqh.generate import generate, random_subspace, standard_model
 from pqh.linalg import Mat, symmetric_signature
 from pqh.model import (
     HBasisChange,
@@ -32,16 +29,13 @@ from pqh.model import (
     StructureError,
     Vector,
     standard_symplectic,
-    tensor,
 )
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
     decomposable_subspace,
     direct_sum_is,
-    gram,
     image,
-    is_orthogonal,
     maximal_pq,
     p1,
     product_subspace,

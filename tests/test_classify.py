@@ -16,12 +16,11 @@ from pqh.classify import (
     is_para_quaternionic,
     is_real,
     kind_witnesses,
-    operator_in_basis,
     oracle_check,
     stabilizer,
 )
 from pqh.linalg import Mat, _int_row, frac_row, int_rank
-from pqh.model import HBasisChange, ModelSpace, OP_I, OP_J, OP_K, Operator, tensor
+from pqh.model import ModelSpace, OP_I, OP_J, OP_K, Operator, tensor
 from pqh.polyq import is_rational_square
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -31,7 +30,6 @@ from pqh.subspace import (
     product_subspace,
     signature,
 )
-from pqh.uft import decomposable_spectrum
 from reference import QuadExt, maximal_invariant_subspace, para_complex_eigenvectors
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]

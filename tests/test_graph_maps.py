@@ -6,24 +6,28 @@ an H-basis by one call (``HBasisChange.to_basis`` / ``from_basis``), and
 ``HBasisChange.conjugate`` is the one conjugation s m s^-1.  Each ``ref_*``
 function below is the earlier per-row implementation; every new path must
 agree with it exactly, for non-injective T, rank-deficient W and entries
-of about 100 bits.
+of about 100 bits.  ``invariant_core``, whose callers pass an injective T,
+is checked on injective presentations only, also against the version that
+started its fixpoint at F ^ TF (``reference.invariant_core``).
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
+from reference import invariant_core as f_cap_tf_invariant_core
 from test_model import h_basis_changes
 
 from pqh.algebra import MAT_I, MAT_J, MAT_K
 from pqh.classify import operator_in_basis
-from pqh.generate import twist_h
+from pqh.generate import KINDS, generate, twist_h
 from pqh.linalg import F0, Mat, _int_row, frac_row
 from pqh.model import HBasisChange, Operator, operator_from_mat2
+from pqh.rng import Rng
 from pqh.subspace import Subspace, p1
-from pqh.uft import UFTForm, graph_over, invariant_core
+from pqh.uft import UFTForm, graph_form, graph_over, injectivize, invariant_core, pq_split
 
 # -- the per-row code, kept as references -------------------------------------
 
@@ -182,7 +186,7 @@ def test_t_rows_rejects_rows_outside_f(data):
 @REF
 @given(st.data())
 def test_invariant_core_matches_per_row_reference(data):
-    form, _ = data.draw(graph_forms())
+    form = injectivize(data.draw(graph_forms())[0])
     assert invariant_core(form) == ref_invariant_core(form)
 
 
@@ -196,6 +200,19 @@ def test_invariant_core_shrinks_over_several_steps():
     core, t_core = invariant_core(form)
     assert (core, t_core) == ref_invariant_core(form)
     assert core == Subspace.span([e[4]], 6) and t_core == Mat(((2,),))
+    assert (core, t_core) == f_cap_tf_invariant_core(form)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_invariant_core_from_f_matches_the_start_at_f_cap_tf(kind, n, seed):
+    """On the injective presentation of the graph form of U' (U itself when
+    U0 = 0) of generated instances of every kind."""
+    form = graph_form(pq_split(generate(Rng(seed), n, kind))[2])
+    assume(form is not None)
+    inj = injectivize(form)
+    assert invariant_core(inj) == f_cap_tf_invariant_core(inj)
 
 
 @REF

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_graph_maps import bits100
 from test_linalg import huge_entries, matrices, ref_matmul, small_entries
 
 from pqh.algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion
@@ -468,6 +469,20 @@ def test_poly_eval_matrix_matches_fraction_horner(pa):
     assert got == ref_poly_eval_matrix(p, a)
     assert got.shape == a.shape
     assert all(type(x) is Fraction for row in got.rows for x in row)
+
+
+@pytest.mark.parametrize("degree", range(21))
+@given(st.data())
+@settings(max_examples=6, deadline=None)
+def test_poly_eval_matrix_at_every_chunk_boundary(degree, data):
+    """Degrees 0-20 meet every split into chunks of isqrt(degree) terms."""
+    entries = data.draw(st.sampled_from([small_entries, bits100]))
+    n = data.draw(st.integers(0, 5))
+    a = data.draw(matrices(n, n, entries))
+    p = tuple(data.draw(st.lists(entries, min_size=degree, max_size=degree))) + (
+        data.draw(entries.filter(bool)),
+    )
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a)
 
 
 def test_poly_eval_matrix_on_low_rank_products():

@@ -9,7 +9,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_graph_maps import bits100
 
-from pqh.linalg import F0, F1, Mat, _bareiss, _int_row, frac_row, int_rref, symmetric_signature
+from pqh.generate import generate
+from pqh.linalg import (
+    F0,
+    F1,
+    M127,
+    Mat,
+    _bareiss,
+    _faddeev_charpoly,
+    _int_row,
+    _int_rows,
+    _krylov_charpoly,
+    frac_row,
+    int_rref,
+    symmetric_signature,
+)
 from pqh.polyq import (
     factor,
     is_rational_square,
@@ -19,6 +33,7 @@ from pqh.polyq import (
 )
 from pqh.rng import Rng
 from pqh.subspace import Subspace
+from pqh.uft import graph_form, injectivize, invariant_core, pq_split
 from reference import QuadExt, sqrt_of
 
 
@@ -580,6 +595,166 @@ class TestMat:
             Mat.from_cols([(1, 2)], nrows=3)
         assert Mat.from_cols([(1, 2), (3, 4)], nrows=2) == Mat(((1, 3), (2, 4)))
         assert Mat.from_cols([], nrows=2).shape == (2, 0)
+
+
+# -- the Krylov-Dixon charpoly and its Faddeev-LeVerrier fallback
+
+
+def faddeev_charpoly(a):
+    """``Mat.charpoly`` by the fallback path alone."""
+    B, d = _int_rows(a.rows)
+    return tuple(Fraction(c, d ** (a.nrows - k)) for k, c in enumerate(_faddeev_charpoly(B)))
+
+
+def krylov_applies(a):
+    """Whether ``Mat.charpoly`` takes the Krylov path on ``a``."""
+    return _krylov_charpoly(_int_rows(a.rows)[0]) is not None
+
+
+bits500 = st.builds(Fraction, st.integers(-(2**500), 2**500), st.integers(1, 2**500))
+
+
+def companion(coeffs):
+    """The companion matrix of x^n + sum c_k x^k: ones below the diagonal,
+    so e_0 is cyclic."""
+    n = len(coeffs)
+    return Mat(
+        [[int(j == i - 1) for j in range(n - 1)] + [-coeffs[i]] for i in range(n)], ncols=n
+    )
+
+
+def block_diag(*blocks):
+    n = sum(b.nrows for b in blocks)
+    rows, off = [], 0
+    for b in blocks:
+        for r in b.rows:
+            rows.append((F0,) * off + r + (F0,) * (n - off - b.nrows))
+        off += b.nrows
+    return Mat(rows, ncols=n)
+
+
+@st.composite
+def conjugated(draw, a, entries):
+    """P a P^-1 for an invertible P, or a itself."""
+    if not a.nrows or draw(st.booleans()):
+        return a
+    p = draw(matrices(a.nrows, a.nrows, entries).filter(lambda m: m.det() != 0))
+    return p @ a @ p.inverse()
+
+
+@st.composite
+def charpoly_cases(draw):
+    """(A, whether e_0 is cyclic for A as drawn)."""
+    entries = draw(st.sampled_from([small_entries, bits500]))
+    n = draw(st.integers(1, 8 if entries is small_entries else 6))
+    shape = draw(
+        st.sampled_from(
+            ["cyclic", "scalar", "twice", "square_root", "diagonal", "m127", "jordan", "dense"]
+        )
+    )
+    if shape == "cyclic":
+        a = companion(draw(st.lists(entries, min_size=n, max_size=n)))
+        return draw(conjugated(a, small_entries)), None
+    if shape == "scalar":  # lambda I
+        return Mat.scalar(n, draw(entries)), n == 1
+    if shape == "twice":  # diag(C, C): every vector has degree <= n / 2
+        c = companion(draw(st.lists(entries, min_size=1, max_size=4)))
+        return draw(conjugated(block_diag(c, c), small_entries)), False
+    if shape == "square_root":  # T^2 = -s Id on Q^2k, derogatory for k >= 2
+        k, s = draw(st.integers(2, 4)), draw(entries.filter(bool))
+        eye, zero = Mat.identity(k), Mat.scalar(k, 0)
+        t = zero.hstack(eye.scale(-s)).rows + eye.hstack(zero).rows
+        return draw(conjugated(Mat(t, ncols=2 * k), small_entries)), False
+    if shape == "diagonal":  # e_0 is an eigenvector
+        return Mat(
+            [[draw(entries) if i == j else 0 for j in range(n)] for i in range(n)], ncols=n
+        ), n == 1
+    if shape == "m127":  # W = [e_0, 0, ...] mod M127
+        a = companion(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+        return a.scale(M127 * draw(st.integers(1, 3))), n == 1
+    if shape == "jordan":  # nilpotent, e_0 cyclic with the ones below the diagonal
+        lower = draw(st.booleans())
+        j = Mat([[int(c == r - 1 if lower else c == r + 1) for c in range(n)] for r in range(n)])
+        return j, lower or n == 1
+    return draw(matrices(n, n, entries)), None
+
+
+@given(charpoly_cases())
+@settings(max_examples=150, deadline=None)
+def test_charpoly_matches_faddeev_on_cyclic_and_derogatory_matrices(case):
+    a, cyclic = case
+    cp = a.charpoly()
+    assert cp == faddeev_charpoly(a)
+    if cyclic is not None:
+        assert krylov_applies(a) == cyclic
+    if max(x.numerator.bit_length() for r in a.rows for x in r) < 64 and a.nrows <= 6:
+        assert cp == ref_charpoly(a)
+
+
+def test_charpoly_with_many_distinct_large_denominators():
+    # 20 distinct 100-digit denominators over an 8 x 8 matrix
+    rng = Rng(20)
+    dens = [10**99 + rng.below(10**99) for _ in range(20)]
+    a = Mat(
+        [[Fraction(rng.below(10**100) - 10**99, dens[(8 * i + j) % 20]) for j in range(8)] for i in range(8)]
+    )
+    assert krylov_applies(a)
+    assert a.charpoly() == faddeev_charpoly(a)
+
+
+def spy_on_fallback(monkeypatch):
+    import pqh.linalg
+
+    calls = []
+
+    def spy(B):
+        calls.append(len(B))
+        return _faddeev_charpoly(B)
+
+    monkeypatch.setattr(pqh.linalg, "_faddeev_charpoly", spy)
+    return calls
+
+
+def core_map(u):
+    form = graph_form(pq_split(u)[2])
+    return invariant_core(injectivize(form))[1]
+
+
+def test_workload_cores_take_the_krylov_path(monkeypatch):
+    calls = spy_on_fallback(monkeypatch)
+    for seed in range(3):
+        t = core_map(generate(Rng(seed), 6, "generic", 12))
+        assert t.nrows == 12
+        assert t.charpoly() == faddeev_charpoly(t)
+    assert calls == []
+
+
+def test_complex_cores_fall_back_to_faddeev(monkeypatch):
+    t = core_map(generate(Rng(0), 2, "complex"))
+    # T is a shift of a square root of -s Id: its minimal polynomial is a
+    # quadratic, so it is derogatory
+    assert t.nrows >= 4
+    assert sum((len(q) - 1) * e for q, e in minimal_polynomial(t)) == 2
+    calls = spy_on_fallback(monkeypatch)
+    assert t.charpoly() == ref_charpoly(t)
+    assert calls == [t.nrows]
+
+
+def test_charpoly_trace_check_raises(monkeypatch):
+    import pqh.linalg
+
+    good = pqh.linalg._int_matmul
+
+    def off_by_one(A, Bcols):
+        out = good(A, Bcols)
+        out[0][0] += 1
+        return out
+
+    a = companion([5, -3, 2])
+    assert krylov_applies(a)
+    monkeypatch.setattr(pqh.linalg, "_int_matmul", off_by_one)
+    with pytest.raises(AssertionError, match="trace check"):
+        a.charpoly()
 
 
 class TestSignature:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sl2, to_basis, unit
+from conftest import random_sl2, to_basis
 from pqh.algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion
 from pqh.linalg import F0, Mat, symmetric_signature, vec_add, vec_is_zero, vec_scale
 from pqh.model import (

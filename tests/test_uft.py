@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import graph_subspace, random_sl2, unit
+from conftest import graph_subspace, random_sl2
 from pqh.generate import generate
 from pqh.linalg import Mat, _int_row
 from pqh.model import HBasisChange, StructureError, tensor
@@ -11,7 +11,6 @@ from pqh.subspace import (
     Subspace,
     decomposable_subspace,
     direct_sum_is,
-    gram,
     maximal_pq,
     product_subspace,
 )
