@@ -1,14 +1,6 @@
 """Exact-arithmetic subspace classification in para-quaternionic
 Hermitian vector spaces."""
 
-from .algebra import (
-    MAT_I,
-    MAT_J,
-    MAT_K,
-    ParaQuaternion,
-    phi_from_mat2,
-    phi_to_mat2,
-)
 from .classify import (
     ClassificationReport,
     Flags,
@@ -29,14 +21,17 @@ from .classify import (
 )
 from .linalg import Mat, symmetric_signature
 from .model import (
+    MAT_I,
+    MAT_J,
+    MAT_K,
     HBasisChange,
     ModelSpace,
     Operator,
     OP_I,
     OP_J,
     OP_K,
+    ParaQuaternion,
     StructureError,
-    Vector,
     standard_symplectic,
     standardize,
     tensor,

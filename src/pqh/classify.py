@@ -320,10 +320,8 @@ class ComplexReport:
     scale: Fraction  # T^2 = -scale * Id with scale * q(A) a rational square
     basis: HBasisChange
     pure_form: UFTForm | None
-    structure_verified: bool
     hermitian_pure: bool
     signature_pure: SignatureTriple
-    kahler_verified: bool
     omega_preserved: bool
     gram_orthogonal: bool
     totally_complex: bool
@@ -340,7 +338,6 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     if qa <= 0:
         raise ValueError("complex check needs a witness with positive q")
     pp = _pure_part(ms, u, a)
-    kahler = True
     if pp.form is not None:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
@@ -348,9 +345,10 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
         k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
         k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
         k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
-        kahler = k_amb == k_gf == k_form
+        if not (k_amb == k_gf == k_form):
+            raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
-        a, qa, pp.scale, pp.basis, pp.form, True, pp.sig.s == 0, pp.sig, kahler,
+        a, qa, pp.scale, pp.basis, pp.form, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     )
 
@@ -470,7 +468,6 @@ class NilpotentReport:
     witness: Operator
     degree: int
     basis: HBasisChange
-    criterion_ok: bool  # h1 (x) p2(U) <= U in the adapted basis
     pq_part: Subspace
     decomposable_piece: DecomposablePiece
     real_part: Subspace
@@ -519,10 +516,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         [_lowest_terms(V[half:], d) for V, d in rows[k:]], [p - half for p in pivots[k:]], half
     )
     e1_proj = Subspace._echelon([V[half:] for V, _ in rows], half)
-    criterion = all(
-        u.contains_vector(tensor(basis.h1, f).coords) for f in e2_proj.mat.rows
-    )
-    if not criterion:
+    if not all(u.contains_vector(tensor(basis.h1, f)) for f in e2_proj.mat.rows):
         raise AssertionError("nilpotent criterion h1 (x) p2(U) <= U failed")
     if not e1p.contains(e2_proj):
         raise AssertionError("p2(U) is not inside the h1 fiber")
@@ -555,9 +549,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise AssertionError(
             "trivial omega(p2 x fiber) kernel must force a nondegenerate metric"
         )
-    return NilpotentReport(
-        a, degree, basis, criterion, pq_part, piece, real_part, p2_sympl, nondeg
-    )
+    return NilpotentReport(a, degree, basis, pq_part, piece, real_part, p2_sympl, nondeg)
 
 
 # -- real and totally real -----------------------------------------------------
@@ -585,7 +577,6 @@ class TotallyRealReport:
     omega_e2_zero: bool
     t_omega_skew: bool
     gram_routes: tuple
-    metric_identity_ok: bool
 
 
 def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
@@ -607,18 +598,16 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     conditions = o1 and o2 and skew
     if conditions != all(routes):
         raise AssertionError("totally-real routes disagree")
-    metric_ok = True
     if conditions:
         if not e1.intersect(e2).is_zero():
             raise AssertionError("totally real forces E1 ^ E2 = 0")
         vs = form.graph_basis()
         gm = vs @ ms.metric_matrix() @ vs.T
-        metric_ok = gm == c.scale(2)
-        if not metric_ok:
+        if gm != c.scale(2):
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
         if u.dim > ms.n:
             raise AssertionError("totally real exceeds the quarter-dimension bound")
-    return TotallyRealReport(conditions, o1, o2, skew, routes, metric_ok)
+    return TotallyRealReport(conditions, o1, o2, skew, routes)
 
 
 # -- generic decomposition -----------------------------------------------------
@@ -905,7 +894,7 @@ def oracle_check(
         "pq-flag",
         report.flags.para_quaternionic == (u == product_subspace(p1(u))),
     )
-    vecs = u.basis_vectors
+    vecs = u.basis
     pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)
     sig = SignatureTriple(*symmetric_signature(pairwise))
     check("signature", sig.as_tuple() == report.signature.as_tuple())

@@ -140,7 +140,7 @@ def cmd_uft(args) -> int:
 
 def cmd_product(args) -> int:
     ms, u, h_basis = _load(args.path)
-    vs = u.basis_vectors
+    vs = u.basis
     if not (0 <= args.x < len(vs)) or not (0 <= args.y < len(vs)):
         raise InstanceError("vector indices out of range")
     value = ms.hermitian_product(vs[args.x], vs[args.y], h_basis)

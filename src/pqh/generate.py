@@ -8,9 +8,8 @@ change of the H basis, which preserves every classification flag.
 
 from __future__ import annotations
 
-from .algebra import MAT_I, MAT_K
-from .linalg import F0, F1, Mat
-from .model import HBasisChange, ModelSpace, tensor
+from .linalg import F0, F1, Mat, vec_add
+from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
 from .uft import UFTForm
@@ -148,15 +147,15 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         k1 = min(k1, dim_e - 1)
         e1p = random_subspace(rng, dim_e, k1)
         k2 = rng.below(k1 + 1)
-        rows = [tensor((1, 0), f).coords for f in e1p.mat.rows]
+        rows = [tensor((1, 0), f) for f in e1p.mat.rows]
         comp = e1p.complement()
         for i in range(k2):
             e2 = e1p.mat.rows[i]
             img = comp.mat.rows[rng.below(comp.dim)] if comp.dim else None
             vec = tensor((0, 1), e2)
             if img is not None:
-                vec = vec + tensor((1, 0), img)
-            rows.append(vec.coords)
+                vec = vec_add(vec, tensor((1, 0), img))
+            rows.append(vec)
         return Subspace.span(rows, dim_v)
     if kind == "real":
         k = dim if dim is not None else 1 + rng.below(n)

@@ -2,10 +2,11 @@
 omega^H (x) omega^E.
 
 Coordinates on V are fixed once and for all in the order
-(h1(x)e1, ..., h1(x)e_{2n}, h2(x)e1, ..., h2(x)e_{2n}); a vector is the
-pair of its two E-components.  Operators a*I + b*J + c*K are stored by
-their coordinates relative to the standard admissible basis; basis
-changes are explicit values, never hidden state.
+(h1(x)e1, ..., h1(x)e_{2n}, h2(x)e1, ..., h2(x)e_{2n}); a vector is its
+coordinate row, the pair (e | e') of its two E-components.  Operators
+a*I + b*J + c*K are stored by their coordinates relative to the
+standard admissible basis; basis changes are explicit values, never
+hidden state.
 
 The arithmetic runs on plain integers, as in :mod:`pqh.linalg`: an
 operator and an H-basis change both act as a 2x2 matrix on the pair
@@ -32,9 +33,15 @@ metric is omega^H (x) omega^E and an operator is A (x) Id_E.
 
 An :class:`HBasisChange` s owns the two whole-basis steps:
 ``to_basis_int`` and ``from_basis`` rewrite coordinate rows between the
-standard basis and s (``assemble`` is the one-``Vector`` form of
-``from_basis``), and ``conjugate`` gives the operator s m s^-1 with the
-stored inverse.
+standard basis and s (``assemble`` is ``from_basis`` of one row given by
+its two components), and ``conjugate`` gives the operator s m s^-1 with
+the stored inverse.
+
+The split-quaternions enter only as values: :class:`ParaQuaternion` holds
+the four parts of a Hermitian product, and reads its norm and imaginary
+part.  The standard triple is the literal matrices ``MAT_I``, ``MAT_J``,
+``MAT_K`` on Q^2, and an operator alpha*I + beta*J + gamma*K is the
+traceless matrix (-gamma, beta - alpha; alpha + beta, gamma).
 """
 
 from __future__ import annotations
@@ -44,9 +51,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion, phi_from_mat2
 from .linalg import F0, Mat, _entry, _int_row, _int_rows
-from .linalg import vec_add, vec_scale, vec_sub
+from .linalg import vec_add, vec_sub
 
 
 class StructureError(ValueError):
@@ -55,6 +61,28 @@ class StructureError(ValueError):
 
 OMEGA_H = Mat(((0, 1), (-1, 0)))  # omega^H(h1, h2) = 1
 
+# the standard para-hypercomplex structure of Q^2: -I^2 = J^2 = K^2 = Id, IJ = K
+MAT_I = Mat(((0, -1), (1, 0)))
+MAT_J = Mat(((0, 1), (1, 0)))
+MAT_K = Mat(((-1, 0), (0, 1)))
+
+
+@dataclass(frozen=True)
+class ParaQuaternion:
+    """q0 + q1*i + q2*j + q3*k with -i^2 = j^2 = k^2 = 1 and ij = -ji = k."""
+
+    q0: Fraction
+    q1: Fraction
+    q2: Fraction
+    q3: Fraction
+
+    def norm(self) -> Fraction:
+        """N(q) = q*conj(q) = q0^2 + q1^2 - q2^2 - q3^2."""
+        return self.q0**2 + self.q1**2 - self.q2**2 - self.q3**2
+
+    def imag(self) -> "ParaQuaternion":
+        return ParaQuaternion(F0, self.q1, self.q2, self.q3)
+
 
 def _h_act(m, coords) -> tuple:
     """The coordinates of (m0*e + m1*e', m2*e + m3*e') / dm for the vector
@@ -62,12 +90,16 @@ def _h_act(m, coords) -> tuple:
     given cleared as ``m = ((m0, m1, m2, m3), dm)``."""
     if len(coords) % 2:
         raise ValueError("coordinate length must be even")
+    out, d = _h_act_int(m, *_rational_row(coords))
+    return tuple(Fraction(x, d) if x else F0 for x in out)
+
+
+def _rational_row(coords) -> tuple:
+    """``_int_row`` of a coordinate row, ``TypeError`` unless it is rational."""
     try:
-        xs, dx = _int_row(coords)
+        return _int_row(coords)
     except AttributeError:
         raise TypeError("expected rational coordinates") from None
-    out, d = _h_act_int(m, xs, dx)
-    return tuple(Fraction(x, d) if x else F0 for x in out)
 
 
 def _h_act_int(m, xs, dx) -> tuple:
@@ -91,52 +123,11 @@ def standard_symplectic(dim: int) -> Mat:
     return Mat.identity(dim // 2).kron(OMEGA_H)
 
 
-@dataclass(frozen=True)
-class Vector:
-    """X = h1 (x) e + h2 (x) e' in the fixed coordinates."""
-
-    e_part: tuple
-    eprime_part: tuple
-
-    def __post_init__(self):
-        if len(self.e_part) != len(self.eprime_part):
-            raise ValueError("component length mismatch")
-        object.__setattr__(self, "e_part", tuple(map(_entry, self.e_part)))
-        object.__setattr__(self, "eprime_part", tuple(map(_entry, self.eprime_part)))
-
-    @classmethod
-    def from_coords(cls, coords: Sequence) -> "Vector":
-        coords = tuple(coords)
-        if len(coords) % 2:
-            raise ValueError("coordinate length must be even")
-        half = len(coords) // 2
-        return cls(coords[:half], coords[half:])
-
-    @property
-    def coords(self) -> tuple:
-        return self.e_part + self.eprime_part
-
-    @property
-    def dim_e(self) -> int:
-        return len(self.e_part)
-
-    def __add__(self, other: "Vector") -> "Vector":
-        return Vector(
-            vec_add(self.e_part, other.e_part),
-            vec_add(self.eprime_part, other.eprime_part),
-        )
-
-    def __sub__(self, other: "Vector") -> "Vector":
-        return Vector(
-            vec_sub(self.e_part, other.e_part),
-            vec_sub(self.eprime_part, other.eprime_part),
-        )
-
-
-def tensor(h: Sequence, e: Sequence) -> Vector:
-    """Decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
+def tensor(h: Sequence, e: Sequence) -> tuple:
+    """The coordinate row of the decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
     a, b = map(_entry, h)
-    return Vector(vec_scale(a, tuple(map(_entry, e))), vec_scale(b, tuple(map(_entry, e))))
+    e = tuple(map(_entry, e))
+    return tuple(a * x for x in e) + tuple(b * x for x in e)
 
 
 @dataclass(frozen=True)
@@ -152,8 +143,10 @@ class Operator:
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", g)
-        # the 2x2 matrix acting on the E-components (e, e'), row-wise, cleared
-        object.__setattr__(self, "_act", _int_row((-g, b - a, a + b, g)))
+        # the 2x2 matrix of A on H, row-wise; cleared, it acts on (e, e')
+        m = (-g, b - a, a + b, g)
+        object.__setattr__(self, "_m", m)
+        object.__setattr__(self, "_act", _int_row(m))
 
     def q(self) -> Fraction:
         """Conjugation-invariant form q(A) = alpha^2 - beta^2 - gamma^2.
@@ -165,9 +158,7 @@ class Operator:
 
     def mat2(self) -> Mat:
         """The 2x2 matrix acting on H-coordinates."""
-        return (
-            MAT_I.scale(self.alpha) + MAT_J.scale(self.beta) + MAT_K.scale(self.gamma)
-        )
+        return Mat((self._m[:2], self._m[2:]))
 
     def is_zero(self) -> bool:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
@@ -192,9 +183,6 @@ class Operator:
             self.alpha + other.alpha, self.beta + other.beta, self.gamma + other.gamma
         )
 
-    def __neg__(self) -> "Operator":
-        return self.scale(-1)
-
 
 OP_I = Operator(1, 0, 0)
 OP_J = Operator(0, 1, 0)
@@ -205,8 +193,8 @@ def operator_from_mat2(m: Mat) -> Operator:
     """Inverse of :meth:`Operator.mat2`; m must be traceless."""
     if m.shape != (2, 2) or m.rows[0][0] + m.rows[1][1] != 0:
         raise ValueError("operator matrix must be traceless 2x2")
-    q = phi_from_mat2(m)
-    return Operator(q.q1, q.q2, q.q3)
+    (_, b), (c, d) = m.rows
+    return Operator((c - b) / 2, (b + c) / 2, d)
 
 
 @dataclass(frozen=True)
@@ -255,31 +243,17 @@ class HBasisChange:
         coordinates of h1' (x) comp1 + h2' (x) comp2."""
         return [_h_act(self._from, r) for r in rows]
 
-    def assemble(self, comp1: Sequence, comp2: Sequence) -> Vector:
-        """The vector h1'(x)comp1 + h2'(x)comp2 in standard coordinates."""
+    def assemble(self, comp1: Sequence, comp2: Sequence) -> tuple:
+        """The coordinate row of h1'(x)comp1 + h2'(x)comp2."""
         if len(comp1) != len(comp2):
             raise ValueError("component length mismatch")
-        return Vector.from_coords(self.from_basis(((*comp1, *comp2),))[0])
+        return self.from_basis(((*comp1, *comp2),))[0]
 
     def conjugate(self, m: Mat) -> Operator:
         """The operator s m s^-1 for a traceless 2x2 matrix m given in this
         basis of H: the endomorphism with matrix m here, in standard
         coordinates."""
         return operator_from_mat2(self.mat @ m @ self._inv)
-
-
-def is_admissible_triple(i: Operator, j: Operator, k: Operator) -> bool:
-    mi, mj, mk = i.mat2(), j.mat2(), k.mat2()
-    one = Mat.identity(2)
-    return (
-        mi @ mi == -one
-        and mj @ mj == one
-        and mk @ mk == one
-        and mi @ mj == mk
-        and mi @ mj == -(mj @ mi)
-        and mj @ mk == -(mk @ mj)
-        and mi @ mk == -(mk @ mi)
-    )
 
 
 @dataclass(frozen=True)
@@ -323,14 +297,17 @@ class ModelSpace:
         (a, da), (b, db) = _int_row(e), _int_row(ep)
         return Fraction(_pairing(w, a, b), dw * da * db)
 
-    def metric(self, x: Vector, y: Vector) -> Fraction:
-        """g = omega^H (x) omega^E; on decomposables
+    def metric(self, x: Sequence, y: Sequence) -> Fraction:
+        """g = omega^H (x) omega^E on coordinate rows; on decomposables
         g(h(x)e, h'(x)e') = omega^H(h,h') omega^E(e,e')."""
-        half = self.dim_e
-        if x.dim_e != half or y.dim_e != half:
-            raise ValueError("vector does not live in this model space")
-        (xs, dx), (ys, dy) = _int_row(x.coords), _int_row(y.coords)
+        (xs, dx), (ys, dy) = self._rows_of(x, y)
         return Fraction(self._metric_int(xs, ys), self._omega_int[1] * dx * dy)
+
+    def _rows_of(self, *coords) -> list:
+        """``_rational_row`` of each coordinate row, which must have length dim V."""
+        if any(len(x) != self.dim_v for x in coords):
+            raise ValueError("vector does not live in this model space")
+        return [_rational_row(x) for x in coords]
 
     def _metric_int(self, xs: list, ys: list) -> int:
         """The numerator of g on integer coordinate rows (omega^E's common
@@ -342,28 +319,18 @@ class ModelSpace:
         """omega^H (x) omega^E, the Gram matrix of g on the coordinates."""
         return self._metric
 
-    def hermitian_product(
-        self, x: Vector, y: Vector, basis=None
-    ) -> ParaQuaternion:
-        """X.Y = g(X,Y) + i g(X,IY) - j g(X,JY) - k g(X,KY) for the given
-        admissible basis (default: the standard one).  An H-basis s has the
-        triple s(I, J, K)s^-1, and g(X, sIs^-1 Y) = g(s^-1 X, I s^-1 Y) since
+    def hermitian_product(self, x: Sequence, y: Sequence, basis=None) -> ParaQuaternion:
+        """X.Y = g(X,Y) + i g(X,IY) - j g(X,JY) - k g(X,KY) for the admissible
+        basis of an H-basis change s (default: the standard one).  Its triple
+        is s(I, J, K)s^-1, and g(X, sIs^-1 Y) = g(s^-1 X, I s^-1 Y) since
         det s = 1: X and Y are paired in s-coordinates."""
-        i, j, k = OP_I, OP_J, OP_K
-        rows = (_int_row(x.coords), _int_row(y.coords))
-        if isinstance(basis, HBasisChange):
+        rows = self._rows_of(x, y)
+        if basis is not None:
             rows = [basis.to_basis_int(*r) for r in rows]
-        elif basis is not None:
-            i, j, k = basis
-            if not is_admissible_triple(i, j, k):
-                raise StructureError("not an admissible basis triple")
-        half = self.dim_e
-        if x.dim_e != half or y.dim_e != half:
-            raise ValueError("vector does not live in this model space")
         (xs, dx), (ys, dy) = rows
         d = self._omega_int[1] * dx
         vals = [Fraction(self._metric_int(xs, ys), d * dy)]
-        for op in (i, j, k):
+        for op in (OP_I, OP_J, OP_K):
             zs, dz = op.act_int(ys, dy)
             vals.append(Fraction(self._metric_int(xs, zs), d * dz))
         return ParaQuaternion(vals[0], vals[1], -vals[2], -vals[3])

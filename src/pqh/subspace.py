@@ -11,8 +11,9 @@ the complements (unit rows, or rows of the larger basis),
 :func:`product_subspace`, :func:`decomposable_subspace`, p1(U)
 (:func:`p1`), the F of a graph (``uft._graph_of``) and
 the combined rows of :meth:`Subspace.kernel_in`.  The ``Fraction``
-matrix ``mat`` (and ``basis``) is built from the rows when it is first
-read, where a value leaves this layer.
+matrix ``mat`` is built from the rows when it is first read, where a
+value leaves this layer; its rows, ``basis``, are coordinate rows of V,
+which ``ModelSpace.metric`` and ``hermitian_product`` take as they are.
 
 Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
@@ -76,7 +77,7 @@ from typing import Iterable, Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
-from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, Vector, _pairing
+from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, _pairing
 
 
 @dataclass(frozen=True)
@@ -166,10 +167,6 @@ class Subspace:
     @property
     def basis(self) -> tuple:
         return self.mat.rows
-
-    @property
-    def basis_vectors(self) -> tuple:
-        return tuple(Vector.from_coords(r) for r in self.mat.rows)
 
     def is_zero(self) -> bool:
         return self.dim == 0

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pqh.generate import random_sl2  # noqa: F401  (shared with the test modules)
-from pqh.linalg import _int_row, frac_row
+from pqh.linalg import _int_row, frac_row, vec_add
 from pqh.model import ModelSpace, tensor
 from pqh.subspace import Subspace
 
@@ -31,7 +31,7 @@ def unit(dim, i):
 
 def graph_subspace(n, pairs):
     """Span of h1 (x) f + h2 (x) g for the given (f, g) coordinate pairs."""
-    rows = [(tensor((1, 0), f) + tensor((0, 1), g)).coords for f, g in pairs]
+    rows = [vec_add(tensor((1, 0), f), tensor((0, 1), g)) for f, g in pairs]
     return Subspace.span(rows, 4 * n)
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 from pqh.classify import ParaComplexReport, operator_preserves
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, vec_add
-from pqh.model import HBasisChange, Operator, StructureError, Vector, tensor
+from pqh.model import HBasisChange, Operator, StructureError, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.subspace import Subspace
 
@@ -109,7 +109,7 @@ def sqrt_of(c) -> QuadExt:
 
 # Formerly pqh.model.recover_omega_e.
 def recover_omega_e(
-    g: Callable[[Vector, Vector], Fraction],
+    g: Callable[[tuple, tuple], Fraction],
     dim_e: int,
     basis: HBasisChange | None = None,
 ) -> Mat:

@@ -23,9 +23,9 @@ from test_graph_maps import graph_forms
 from test_model import h_basis_changes, model_spaces, operators, vectors
 from test_uft import ref_pencil_change
 
-from pqh.algebra import MAT_I, MAT_J, MAT_K, ParaQuaternion
 from pqh.linalg import F0, F1, Mat, _int_row
-from pqh.model import OP_I, OP_J, OP_K, HBasisChange, Operator, operator_from_mat2
+from pqh.model import MAT_I, MAT_J, MAT_K, OP_I, OP_J, OP_K, HBasisChange, Operator, ParaQuaternion
+from pqh.model import operator_from_mat2
 from pqh.subspace import Subspace
 from pqh.uft import UFTForm, injectivize, to_uft, uft_change_basis
 
@@ -107,7 +107,7 @@ def ref_injectivize(u: UFTForm) -> UFTForm:
 def ref_hermitian_product(ms, x, y, s):
     """``ModelSpace.hermitian_product`` relative to an H-basis s, with x and
     y rewritten as ``Fraction`` rows and cleared again."""
-    (xs, dx), (ys, dy) = map(_int_row, to_basis(s, (x.coords, y.coords)))
+    (xs, dx), (ys, dy) = map(_int_row, to_basis(s, (x, y)))
     d = ms._omega_int[1] * dx
     vals = [Fraction(ms._metric_int(xs, ys), d * dy)]
     for op in (OP_I, OP_J, OP_K):
@@ -137,15 +137,15 @@ def same_form(a: UFTForm, b: UFTForm) -> bool:
 def test_operator_action_matches_h_mat(a, xs):
     m = ref_h_mat(a)
     for x in xs:
-        assert a.apply_coords(x.coords) == ref_h_act(m, x.coords)
-        row = _int_row(x.coords)
+        assert a.apply_coords(x) == ref_h_act(m, x)
+        row = _int_row(x)
         assert a.act_int(*row) == ref_h_act_int(m, *row)
 
 
 @REF
 @given(h_basis_changes(), rows_of, operators())
 def test_basis_change_matches_the_adjugate(s, xs, a):
-    coords = [x.coords for x in xs]
+    coords = list(xs)
     assert to_basis(s, coords) == [ref_h_act(ref_inverse_entries(s), r) for r in coords]
     assert s.from_basis(coords) == [ref_h_act(sum(s.mat.rows, ()), r) for r in coords]
     for r in coords:

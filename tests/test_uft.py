@@ -4,7 +4,7 @@ import pytest
 
 from conftest import graph_subspace, random_sl2
 from pqh.generate import generate
-from pqh.linalg import Mat, _int_row
+from pqh.linalg import Mat, _int_row, vec_add
 from pqh.model import HBasisChange, StructureError, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -71,7 +71,7 @@ class TestTransversal:
         assert find_transversal_direction(u) is None
 
     def test_line(self):
-        u = Subspace.span([tensor((1, 0), (1, 0)).coords], 4)
+        u = Subspace.span([tensor((1, 0), (1, 0))], 4)
         assert find_transversal_direction(u) == (0, 1)
 
     def test_pure_complex_first_candidate(self):
@@ -90,7 +90,7 @@ class TestTransversal:
 
 class TestToUFT:
     def test_graph_read_off(self):
-        u = Subspace.span([(tensor((1, 0), (1, 0)) + tensor((0, 1), (0, 1))).coords], 4)
+        u = Subspace.span([vec_add(tensor((1, 0), (1, 0)), tensor((0, 1), (0, 1)))], 4)
         form = to_uft(u, HBasisChange.identity())
         assert form.f_space == Subspace.span([(1, 0)], 2)
         assert form.t_map.col(0) == (0, 1)
@@ -227,7 +227,7 @@ class TestSpectrum:
         assert spec.blocks[0].coeffs == (Fraction(1), Fraction(0), Fraction(1))
 
     def test_single_line(self):
-        u = Subspace.span([tensor((1, 0), (1, 0)).coords], 4)
+        u = Subspace.span([tensor((1, 0), (1, 0))], 4)
         spec = decomposable_spectrum(u)
         assert len(spec.lines) == 1
         assert spec.lines[0].direction == (1, 0)
@@ -335,7 +335,7 @@ class TestInducedMetric:
 
 class TestInvariantCore:
     def test_real_line_has_trivial_core(self):
-        u = Subspace.span([(tensor((1, 0), (1, 0)) + tensor((0, 1), (0, 1))).coords], 4)
+        u = Subspace.span([vec_add(tensor((1, 0), (1, 0)), tensor((0, 1), (0, 1)))], 4)
         form = injectivize(to_uft(u, HBasisChange.identity()))
         core, _ = invariant_core(form)
         assert core.is_zero()
