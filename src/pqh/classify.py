@@ -16,6 +16,22 @@ adds only what is particular to its sign.
 
 The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
 complement of U0 = H (x) E0 that every witness preserving U preserves.
+
+Every identity that evaluates g or omega^E on pairs of rows (the block
+Gram of :func:`is_para_quaternionic`, the ambient Kaehler route of
+:func:`check_complex`, the cross-eigenspace rank of
+:func:`check_para_complex`, omega(T., T.) of the pure part, and the
+omega and Gram matrices of :func:`check_totally_real`) is one integer
+pairing matrix (``subspace._form_matrix``); no 4n x 4n matrix is built.
+
+The oracle clears each basis row of U once for its pairwise Gram, and
+reads neither ``subspace.gram`` nor the signature memo.  It checks a
+witness's square identity on its 2x2 matrix: (A (x) Id_E)^2 + q Id_V is
+(A^2 + q Id_H) (x) Id_E, which vanishes exactly when A^2 + q Id_H does.
+For ``pure-complex-moves-off`` it tabulates once, per basis row b of U,
+the residues r_I, r_J, r_K of Ib, Jb, Kb modulo U.  Reduction modulo a
+reduced basis is linear, so the residue of Bb for a sample
+B = a I + b J + c K is a r_I + b r_J + c r_K, and no sample reduces a row.
 """
 
 from __future__ import annotations
@@ -42,6 +58,7 @@ from .rng import Rng
 from .subspace import (
     SignatureTriple,
     Subspace,
+    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
@@ -231,14 +248,16 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
     """U = H (x) E' test, with the Hermitian sub-flag and the exact block
     Gram identity for the split U = h1 (x) E' + h2 (x) E'."""
     e_prime = p1(u)
-    is_pq = u == product_subspace(e_prime)
+    pq = product_subspace(e_prime)
+    is_pq = u == pq
     hermitian = False
     gram_ok = True
     if is_pq:
         omega_r = restrict_omega(ms, e_prime)
         hermitian = omega_r.det() != 0
-        split = Mat.identity(2).kron(e_prime.mat)
-        gram_ok = split @ ms.metric_matrix() @ split.T == OMEGA_H.kron(omega_r)
+        # the rows (e, 0), then (0, e), over the basis of E': Id_2 (x) E'
+        split = pq.int_basis()
+        gram_ok = _form_matrix(ms._metric_form, split, split) == OMEGA_H.kron(omega_r)
     return PQReport(is_pq, e_prime, hermitian, gram_ok)
 
 
@@ -296,7 +315,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     if sig.as_tuple() != signature(ms, comp).as_tuple():
         raise AssertionError("pullback metric has wrong signature")
     w_f = restrict_omega(ms, form.f_space)
-    w_t = form.t_map.T @ ms.omega @ form.t_map
+    t_cols = [_int_row(c) for c in form.t_map.cols]
+    w_t = _form_matrix(ms._omega_form, t_cols, t_cols)
     omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
     partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
     k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
@@ -341,8 +361,9 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     if pp.form is not None:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
-        vs = pp.form.graph_basis()
-        k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
+        # g(A v_i, v_j) on the graph vectors v_i
+        vs = [_int_row(v) for v in pp.form.graph_basis().rows]
+        k_amb = _form_matrix(ms._metric_form, [a.act_int(*v) for v in vs], vs)
         k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
         k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
         if not (k_amb == k_gf == k_form):
@@ -437,8 +458,8 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         # cross-check m as the rank of the Gram pairing between eigenspaces
         # (the rank does not depend on the bases of the two eigen-graphs)
         if lift1.dim and lift2.dim:
-            vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).mat for lift in (lift1, lift2))
-            if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != sig.p:
+            vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).int_basis() for lift in (lift1, lift2))
+            if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif sig.p != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
@@ -592,7 +613,8 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     e2 = form.t_image()
     o1 = restrict_omega(ms, e1).is_zero()
     o2 = restrict_omega(ms, e2).is_zero()
-    c = e1.mat @ ms.omega @ form.t_map
+    # omega(f_i, T f_j) over the basis f_i of E1
+    c = _form_matrix(ms._omega_form, e1.int_basis(), [_int_row(t) for t in form.t_map.cols])
     skew = c.is_symmetric()  # omega(e, Te') = -omega(Te, e') for all pairs
     routes = tuple(image_orthogonal(ms, op, u) for op in (OP_I, OP_J, OP_K))
     conditions = o1 and o2 and skew
@@ -601,8 +623,8 @@ def check_totally_real(ms: ModelSpace, u: Subspace) -> TotallyRealReport:
     if conditions:
         if not e1.intersect(e2).is_zero():
             raise AssertionError("totally real forces E1 ^ E2 = 0")
-        vs = form.graph_basis()
-        gm = vs @ ms.metric_matrix() @ vs.T
+        vs = [_int_row(v) for v in form.graph_basis().rows]
+        gm = _form_matrix(ms._metric_form, vs, vs)
         if gm != c.scale(2):
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
         if u.dim > ms.n:
@@ -895,11 +917,12 @@ def oracle_check(
         report.flags.para_quaternionic == (u == product_subspace(p1(u))),
     )
     vecs = u.basis
-    pairwise = Mat([[ms.metric(x, y) for y in vecs] for x in vecs], ncols=u.dim)
+    # every pair (x, y) of basis rows, each row cleared once, not mirrored
+    cleared = [_int_row(x) for x in vecs]
+    pairwise = _form_matrix(ms._metric_form, cleared, cleared)
     sig = SignatureTriple(*symmetric_signature(pairwise))
     check("signature", sig.as_tuple() == report.signature.as_tuple())
     check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
-    dim_e = ms.dim_e
     for kind, wit in (
         ("complex", report.witnesses.complex),
         ("para_complex", report.witnesses.para_complex),
@@ -911,10 +934,12 @@ def oracle_check(
             f"{kind}-witness-invariance",
             all(u.contains_vector(wit.apply_coords(x)) for x in u.basis),
         )
-        amat = wit.as_matrix(dim_e)
+        # (A (x) Id_E)^2 + q Id_V = (A^2 + q Id_H) (x) Id_E: the identity on
+        # V holds exactly when it holds on the 2x2 matrix of A
+        amat = wit.mat2()
         check(
             f"{kind}-witness-square-identity",
-            amat @ amat == Mat.scalar(2 * dim_e, -wit.q()),
+            amat @ amat == Mat.scalar(2, -wit.q()),
         )
         sign_ok = {
             "complex": wit.q() > 0,
@@ -968,6 +993,13 @@ def oracle_check(
     ):
         check("pure-complex-witness-unique", report.stab.dim == 1)
         wit = report.witnesses.complex
+        # the residues (r_I, r_J, r_K) of I b, J b, K b per basis row b, over
+        # one denominator per row (scaling a row keeps every rank below)
+        table = []
+        for xs, dx in u.int_basis():
+            parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+            d = lcm(*(e for _, e in parts))
+            table.append([[x * (d // e) for x in v] for v, e in parts])
         for _ in range(samples):
             b = Operator(rng.rational(), rng.rational(), rng.rational())
             if b.is_zero():
@@ -978,13 +1010,20 @@ def oracle_check(
                 and b.beta * wit.gamma == b.gamma * wit.beta
             ):
                 continue
-            rows = [b.act_int(xs, dx)[0] for xs, dx in u.int_basis()]
             # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
             # basis of U to a basis of B U
-            dim = u.dim if b.q() != 0 else int_rank(rows, u.ambient)
+            if b.q() != 0:
+                dim = u.dim
+            else:
+                dim = int_rank([b.act_int(xs, dx)[0] for xs, dx in u.int_basis()], u.ambient)
             # B U meets U iff its spanning rows are dependent modulo U; a
             # full rank mod p proves them independent
-            residues = [u.reduce_int(r, 1)[0] for r in rows]
+            # reduction modulo U is linear: B b = a I b + b J b + c K b
+            # leaves a r_I + b r_J + c r_K
+            (ca, cb, cc), _ = _int_row((b.alpha, b.beta, b.gamma))
+            residues = [
+                [ca * x + cb * y + cc * z for x, y, z in zip(ri, rj, rk)] for ri, rj, rk in table
+            ]
             if (
                 rank_mod(residues, u.ambient) != dim
                 and int_rank(residues, u.ambient) != dim

@@ -24,12 +24,19 @@ each output coordinate once, and ``metric``, ``omega_eval`` and
 :meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
 Relative to an H-basis s it pairs the s-coordinates of x and y
-(``to_basis_int``) with the standard triple.  A :class:`ModelSpace`
-keeps the integer rows of its omega^E and its 4n x 4n metric matrix,
-built once.
+(``to_basis_int``) with the standard triple.
+
+A :class:`ModelSpace` keeps omega^E once, as its nonzero entries
+(i, j, w_ij) over one common denominator, and lays g = omega^H (x) omega^E
+out from the same entries.  :func:`_pairing` sums w_ij a_i b_j over those
+entries only: 2n products for the standard omega^E, where a loop over the
+matrix rows made 4n^2.  :func:`_form_image` gives the row w b, so a
+pairing matrix of many rows (``subspace._form_matrix``) costs one such
+row per column and one dot product per entry.
 
 Matrices on V are Kronecker products (:meth:`~pqh.linalg.Mat.kron`): the
-metric is omega^H (x) omega^E and an operator is A (x) Id_E.
+metric is omega^H (x) omega^E and an operator is A (x) Id_E.  No pairing
+reads them; ``metric_matrix`` and ``as_matrix`` lay them out when called.
 
 An :class:`HBasisChange` s owns the two whole-basis steps:
 ``to_basis_int`` and ``from_basis`` rewrite coordinate rows between the
@@ -48,7 +55,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _int_rows
@@ -112,8 +118,19 @@ def _h_act_int(m, xs, dx) -> tuple:
 
 
 def _pairing(w, a, b) -> int:
-    """a^T w b for integer rows ``a``, ``b`` and integer matrix rows ``w``."""
-    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, w) if x)
+    """a^T w b for integer rows ``a``, ``b`` and an integer form ``w`` given
+    by its nonzero entries (i, j, w_ij)."""
+    return sum(x * a[i] * b[j] for i, j, x in w)
+
+
+def _form_image(w, b) -> list:
+    """The integer row w b for a square form ``w`` given by its nonzero
+    entries (i, j, w_ij): a^T w b is its dot product with a."""
+    out = [0] * len(b)
+    for i, j, x in w:
+        if b[j]:
+            out[i] += x * b[j]
+    return out
 
 
 def standard_symplectic(dim: int) -> Mat:
@@ -260,8 +277,12 @@ class HBasisChange:
 class ModelSpace:
     """Dimension parameter n and a symplectic form on E = Q^{2n}.
 
-    The integer rows of omega^E (with their common denominator) and the
-    metric matrix are built once; they are attributes, not fields, so
+    omega^E is stored once as its nonzero entries (i, j, w_ij), cleared
+    over one common denominator d: ``_omega_form`` is ``(entries, d)``.
+    The metric g = omega^H (x) omega^E is laid out from the same entries,
+    (i, 2n + j, w_ij) and (2n + i, j, -w_ij), as ``_metric_form`` over the
+    same d.  Every pairing sums over the nonzero entries only (2n of them
+    for the standard omega^E).  These are attributes, not fields, so
     equality and hashing see only n and omega.
     """
 
@@ -277,8 +298,12 @@ class ModelSpace:
             raise StructureError("omega_E must be skew-symmetric")
         if self.omega.det() == 0:
             raise StructureError("omega_E must be invertible")
-        object.__setattr__(self, "_omega_int", _int_rows(self.omega.rows))
-        object.__setattr__(self, "_metric", OMEGA_H.kron(self.omega))
+        rows, d = _int_rows(self.omega.rows)
+        entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        half = self.dim_e
+        g = [(i, half + j, x) for i, j, x in entries] + [(half + i, j, -x) for i, j, x in entries]
+        object.__setattr__(self, "_omega_form", (entries, d))
+        object.__setattr__(self, "_metric_form", (g, d))
 
     @classmethod
     def standard(cls, n: int) -> "ModelSpace":
@@ -293,7 +318,7 @@ class ModelSpace:
         return 4 * self.n
 
     def omega_eval(self, e: Sequence, ep: Sequence) -> Fraction:
-        w, dw = self._omega_int
+        w, dw = self._omega_form
         (a, da), (b, db) = _int_row(e), _int_row(ep)
         return Fraction(_pairing(w, a, b), dw * da * db)
 
@@ -301,7 +326,7 @@ class ModelSpace:
         """g = omega^H (x) omega^E on coordinate rows; on decomposables
         g(h(x)e, h'(x)e') = omega^H(h,h') omega^E(e,e')."""
         (xs, dx), (ys, dy) = self._rows_of(x, y)
-        return Fraction(self._metric_int(xs, ys), self._omega_int[1] * dx * dy)
+        return Fraction(self._metric_int(xs, ys), self._metric_form[1] * dx * dy)
 
     def _rows_of(self, *coords) -> list:
         """``_rational_row`` of each coordinate row, which must have length dim V."""
@@ -312,12 +337,12 @@ class ModelSpace:
     def _metric_int(self, xs: list, ys: list) -> int:
         """The numerator of g on integer coordinate rows (omega^E's common
         denominator is left out)."""
-        w, half = self._omega_int[0], self.dim_e
-        return _pairing(w, xs[:half], ys[half:]) - _pairing(w, xs[half:], ys[:half])
+        return _pairing(self._metric_form[0], xs, ys)
 
     def metric_matrix(self) -> Mat:
-        """omega^H (x) omega^E, the Gram matrix of g on the coordinates."""
-        return self._metric
+        """omega^H (x) omega^E, the Gram matrix of g on the coordinates,
+        built on each call: no pairing reads it."""
+        return OMEGA_H.kron(self.omega)
 
     def hermitian_product(self, x: Sequence, y: Sequence, basis=None) -> ParaQuaternion:
         """X.Y = g(X,Y) + i g(X,IY) - j g(X,JY) - k g(X,KY) for the admissible
@@ -328,7 +353,7 @@ class ModelSpace:
         if basis is not None:
             rows = [basis.to_basis_int(*r) for r in rows]
         (xs, dx), (ys, dy) = rows
-        d = self._omega_int[1] * dx
+        d = self._metric_form[1] * dx
         vals = [Fraction(self._metric_int(xs, ys), d * dy)]
         for op in (OP_I, OP_J, OP_K):
             zs, dz = op.act_int(ys, dy)

@@ -19,10 +19,18 @@ Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
 subspaces is one elimination of all their rows (:func:`span_of`), which
 also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
-one routine that combines basis rows.  Gram matrices (:func:`gram`,
-:func:`restrict_omega`) and :func:`is_orthogonal` pair the integer rows
-through the integer rows of the metric (``ModelSpace._metric_int``) or
-of omega^E, and build each entry's ``Fraction`` once.
+one routine that combines basis rows.
+
+Every matrix of values of g or omega^E on rows is one pairing matrix,
+:func:`_form_matrix`: two lists of ``(ints, d)`` rows paired through
+the nonzero entries of the form (``ModelSpace._metric_form`` or
+``_omega_form``), with w y built once per column row and each entry's
+``Fraction`` built once.  With one list it is the Gram matrix of a
+symmetric (:func:`gram`) or skew (:func:`restrict_omega`) form, each
+entry above the diagonal mirrored.  ``classify`` and ``uft`` build their
+pairings of graph rows, T-columns and eigen-graphs with it, and the
+oracle its pairwise Gram.  :func:`is_orthogonal`, ``image_orthogonal``
+and :func:`omega_kernel_in` read the bare numerators (:func:`_pairings`).
 
 Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
 row as ``(ints, d)`` and returns one, so an integer operator action
@@ -73,11 +81,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
-from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, _pairing
+from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, _form_image
 
 
 @dataclass(frozen=True)
@@ -373,26 +382,41 @@ def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     return Subspace.full(half).kernel_in(cols)
 
 
-def _form_matrix(pair, rows: list, den: int, skew: bool) -> Mat:
-    """The matrix of a symmetric (or, with ``skew``, skew) bilinear form on
-    the rows ``(ints, d)``, where ``pair`` gives the numerator of the value
-    over ``den * dx * dy``: each entry is built once above the diagonal
-    and mirrored."""
-    k = len(rows)
-    out = [[F0] * k for _ in range(k)]
-    for i, (xs, dx) in enumerate(rows):
-        for j in range(i + skew, k):
-            ys, dy = rows[j]
-            num = pair(xs, ys)
+def _pairings(form, xs: list, ys: list) -> list:
+    """The numerators x^T w y of a form given as ``(entries, den)``
+    (:class:`~pqh.model.ModelSpace`) on plain-int rows: one list over
+    ``xs`` for each row y of ``ys``.  w y is built once per y, and each
+    value is its dot product with x."""
+    w = form[0]
+    return [[sum(map(mul, x, wy)) for x in xs] for wy in (_form_image(w, y) for y in ys)]
+
+
+def _form_matrix(form, rows: list, cols: list | None = None, skew: bool = False) -> Mat:
+    """The matrix (w(x_i, y_j)) of a bilinear form given as ``(entries,
+    den)`` on rows x_i and columns y_j given as ``(ints, d)``: each entry is
+    the numerator x^T w y over ``den * dx * dy``, built as a ``Fraction``
+    once.  With no ``cols`` the form is taken as symmetric (skew with
+    ``skew``) on ``rows`` against themselves: each entry on and above (with
+    ``skew``, above) the diagonal is computed and mirrored."""
+    w, den = form
+    mirror = cols is None
+    cols = rows if mirror else cols
+    out = [[F0] * len(cols) for _ in rows]
+    for j, (ys, dy) in enumerate(cols):
+        wy = _form_image(w, ys)
+        for i in range(j + 1 - skew) if mirror else range(len(rows)):
+            xs, dx = rows[i]
+            num = sum(map(mul, xs, wy))
             if num:
                 out[i][j] = x = Fraction(num, den * dx * dy)
-                out[j][i] = -x if skew else x
-    return Mat._of(tuple(map(tuple, out)), k)
+                if mirror:
+                    out[j][i] = -x if skew else x
+    return Mat._of(tuple(map(tuple, out)), len(cols))
 
 
 def gram(ms: ModelSpace, u: Subspace) -> Mat:
     """Gram matrix of the metric on the canonical basis of U."""
-    return _form_matrix(ms._metric_int, u._rows, ms._omega_int[1], False)
+    return _form_matrix(ms._metric_form, u._rows)
 
 
 def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
@@ -404,7 +428,8 @@ def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
 def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
     """U _|_ W: the metric numerator of every basis row of U against every
     basis row of W vanishes."""
-    return not any(ms._metric_int(xs, ys) for xs, _ in u._rows for ys, _ in w._rows)
+    basis = [xs for xs, _ in u._rows]
+    return not any(map(any, _pairings(ms._metric_form, basis, [ys for ys, _ in w._rows])))
 
 
 def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
@@ -412,7 +437,7 @@ def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
     of U against each one vanishes; no canonical basis of AU is built."""
     basis = [ys for ys, _ in u._rows]
     moved = [a.act_int(ys, 1)[0] for ys in basis]
-    return not any(ms._metric_int(xs, ys) for xs in moved for ys in basis)
+    return not any(map(any, _pairings(ms._metric_form, moved, basis)))
 
 
 def maximal_pq(u: Subspace) -> Subspace:
@@ -464,11 +489,10 @@ def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspac
     basis rows A / d of A; leaving out the factors 1 / d, common to a
     column, keeps the relations among the images.
     """
-    w = ms._omega_int[0]
-    return b_sub.kernel_in([([_pairing(w, A, B) for A, _ in a_sub._rows], D) for B, D in b_sub._rows])
+    pairs = _pairings(ms._omega_form, [A for A, _ in a_sub._rows], [B for B, _ in b_sub._rows])
+    return b_sub.kernel_in([(row, D) for row, (_, D) in zip(pairs, b_sub._rows)])
 
 
 def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:
     """Matrix of omega^E restricted to the canonical basis of a subspace of E."""
-    w, dw = ms._omega_int
-    return _form_matrix(lambda xs, ys: _pairing(w, xs, ys), e_sub._rows, dw, True)
+    return _form_matrix(ms._omega_form, e_sub._rows, skew=True)

@@ -49,6 +49,7 @@ from .model import HBasisChange, ModelSpace, StructureError
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
     Subspace,
+    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
@@ -354,9 +355,9 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
 
 def induced_g_f(ms: ModelSpace, u: UFTForm) -> Mat:
     """Pullback metric g_F(f, f') = -[omega(Tf, f') + omega(Tf', f)] on the
-    canonical basis of F."""
-    b = u.f_space.mat.T  # columns are the basis of F
-    c = u.t_map.T @ ms.omega @ b
+    canonical basis of F: c = (omega(T f_i, f_j)) is one pairing matrix of
+    omega^E between the integer columns of ``t_map`` and the rows of F."""
+    c = _form_matrix(ms._omega_form, [_int_row(t) for t in u.t_map.cols], u.f_space.int_basis())
     return -(c + c.T)
 
 

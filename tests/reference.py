@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable
 
 from pqh.classify import ParaComplexReport, operator_preserves
@@ -221,3 +222,53 @@ def invariant_core(u):
             break
         w = w_new
     return w, u.t_on_subspace(w)
+
+
+# Formerly pqh.model._pairing, on the integer rows of omega^E.
+def pairing_rows(w, a, b) -> int:
+    """a^T w b for integer rows ``a``, ``b`` and integer matrix rows ``w``."""
+    return sum(x * sum(map(mul, row, b)) for x, row in zip(a, w) if x)
+
+
+# Formerly the block Gram of pqh.classify.is_para_quaternionic.
+def block_gram(ms, e_prime):
+    split = Mat.identity(2).kron(e_prime.mat)
+    return split @ ms.metric_matrix() @ split.T
+
+
+# Formerly w_t of pqh.classify._pure_part.
+def pure_part_w_t(ms, form):
+    return form.t_map.T @ ms.omega @ form.t_map
+
+
+# Formerly k_amb of pqh.classify.check_complex.
+def kaehler_ambient(ms, form, a):
+    vs = form.graph_basis()
+    return vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
+
+
+# Formerly the cross-eigenspace matrix of pqh.classify.check_para_complex,
+# on the graphs over the two eigenspaces.
+def cross_eigenspace_gram(ms, graph1, graph2):
+    vs1, vs2 = graph1.mat, graph2.mat
+    return vs1 @ ms.metric_matrix() @ vs2.T
+
+
+# Formerly c of pqh.classify.check_totally_real.
+def totally_real_c(ms, form):
+    return form.f_space.mat @ ms.omega @ form.t_map
+
+
+# Formerly gm of pqh.classify.check_totally_real.
+def graph_gram(ms, form):
+    vs = form.graph_basis()
+    return vs @ ms.metric_matrix() @ vs.T
+
+
+# Formerly pqh.uft.induced_g_f.
+def induced_g_f(ms, u):
+    """Pullback metric g_F(f, f') = -[omega(Tf, f') + omega(Tf', f)] on the
+    canonical basis of F."""
+    b = u.f_space.mat.T  # columns are the basis of F
+    c = u.t_map.T @ ms.omega @ b
+    return -(c + c.T)

@@ -200,10 +200,17 @@ class TestCheckComplex:
         assert full.flags.complex and not full.flags.pure
 
     def test_forged_kahler_route_raises(self, ms1, monkeypatch):
-        # the ambient route reads the witness through Operator.as_matrix;
+        # the ambient route applies the witness through Operator.act_int;
         # doubling it there breaks the identity against the graph-form routes
-        as_matrix = Operator.as_matrix
-        monkeypatch.setattr(Operator, "as_matrix", lambda self, d: as_matrix(self, d).scale(2))
+        # (the invariance and orthogonality tests only ask for zeros, which
+        # doubling keeps)
+        act_int = Operator.act_int
+
+        def doubled(self, xs, dx):
+            ys, d = act_int(self, xs, dx)
+            return [2 * y for y in ys], d
+
+        monkeypatch.setattr(Operator, "act_int", doubled)
         with pytest.raises(AssertionError, match="Kaehler"):
             check_complex(ms1, graph_subspace(1, ROT), OP_I)
 
@@ -676,6 +683,23 @@ class TestOracle:
             monkeypatch, ms2, "maximal_pq", lambda u0: Subspace.zero(8)
         )
         assert {"u0-matches", "pure-flag"} <= bad
+
+    def test_forged_pure_complex_moves_off_refuted(self, ms2):
+        # U0 = H (x) span(e1) != 0, so every B maps H (x) E0 into U and B U
+        # meets U: a report claiming a pure, complex, not para-quaternionic U
+        # must fail the moves-off finding (and the pure flag)
+        u = Subspace.span(self.MIXED, 8)
+        rep = classify(ms2, u)
+        assert rep.u0.dim == 2 and rep.witnesses.complex is None
+        forged = replace(
+            rep,
+            flags=replace(rep.flags, pure=True, complex=True, para_quaternionic=False),
+            witnesses=replace(rep.witnesses, complex=OP_I),
+        )
+        findings = {f.name: f for f in oracle_check(ms2, forged, u)}
+        assert not findings["pure-complex-moves-off"].ok
+        assert findings["pure-complex-moves-off"].detail.startswith("B=")
+        assert not findings["pure-flag"].ok
 
     def test_oracle_signature_independent_of_classify(self, ms2, monkeypatch):
         from pqh.subspace import SignatureTriple

@@ -108,7 +108,7 @@ def ref_hermitian_product(ms, x, y, s):
     """``ModelSpace.hermitian_product`` relative to an H-basis s, with x and
     y rewritten as ``Fraction`` rows and cleared again."""
     (xs, dx), (ys, dy) = map(_int_row, to_basis(s, (x, y)))
-    d = ms._omega_int[1] * dx
+    d = ms._metric_form[1] * dx
     vals = [Fraction(ms._metric_int(xs, ys), d * dy)]
     for op in (OP_I, OP_J, OP_K):
         zs, dz = op.act_int(ys, dy)
