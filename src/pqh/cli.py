@@ -254,7 +254,7 @@ def cmd_decompose(args) -> int:
                 raise CrossCheckError(f"addend fails to re-classify as {add.kind}")
         data["real_addend"] = subspace_dict(res.real_addend)
         out.append(f"real addend: dim {res.real_addend.dim}")
-        if res.real_addend.dim and not is_real(res.real_addend):
+        if res.real_addend.dim and not is_real(graph_form(res.real_addend)):
             raise CrossCheckError("real addend fails the real test")
     if args.json:
         sys.stdout.write(canonical_json(data))

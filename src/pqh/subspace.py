@@ -61,15 +61,16 @@ and no ``Fraction`` is built.
 Each ``Subspace`` instance carries a memo (:meth:`Subspace.memo`) so that
 the facts every check reads are computed once per instance: ``mat``,
 ``U0`` (:func:`maximal_pq`), the signature (keyed by the model space),
-``is_real``, and the spectrum of ``uft.subspace_spectrum``: the graph
-form, its injective presentation and the factor kernels of its invariant
-core.  Only the decomposition paths (``uft.decomposable_spectrum``,
+and the spectrum of ``uft.subspace_spectrum``: the graph form, its
+injective presentation and the factor kernels of its invariant core.
+Only the decomposition paths (``uft.decomposable_spectrum``,
 ``uft.decompose_form2`` and ``classify.generic_decompose``) fill the
 spectrum, so that they share one spectral pass per instance; ``classify``
-never does.  Graph forms stay out of the classify path because callers
-keep many instances alive: memoizing ``graph_form`` per instance there
-was measured to raise the classify-sweep benchmark's peak RSS from 26.0
-to 29.8 MiB (+14%; retained ``tracemalloc`` memory 1.26 -> 4.86 MiB).
+never does: it builds ``graph_form(u)`` once for a pure U and passes it
+to ``is_real`` and ``check_totally_real``.  Graph forms stay out of the
+memo since callers keep many instances alive (the benchmark makes every
+request before it runs one): memoizing ``graph_form`` raised the peak RSS
+of 35 retained classify-sweep requests from 21.8 to 24.4 MiB (+12%).
 On the decompose-graph benchmark, whose requests are all made before the
 first one runs, the spectrum raises the memory each request retains
 after ``gc.collect()`` from 10 to 39 KiB (peak RSS 22.5 -> 23.4 MiB,

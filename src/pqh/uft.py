@@ -106,6 +106,11 @@ class UFTForm:
         coords = [self.f_space.coordinates_of(r) for r in w.mat.rows]
         return Mat(coords, ncols=self.dim) @ self.t_map.T
 
+    def t_on_f(self) -> Mat:
+        """T on the canonical basis of F, valid once TF <= F: column j is
+        T f_j, whose coordinates in that basis are its entries at F's pivots."""
+        return Mat._of(tuple(self.t_map.rows[p] for p in self.f_space.pivots), self.dim)
+
     def t_on_subspace(self, w: Subspace) -> Mat:
         """Matrix of T restricted to an invariant subspace W of F, in the
         canonical basis of W."""
@@ -273,11 +278,7 @@ def invariant_core(u: UFTForm):
         if w_new == w:
             break
         w = w_new
-    if w.dim == u.dim:
-        # column j of T on F is T f_j, whose coordinates in the canonical
-        # basis of F are its entries at F's pivots
-        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
-    return w, u.t_on_subspace(w)
+    return w, (u.t_on_f() if w.dim == u.dim else u.t_on_subspace(w))
 
 
 def graph_spectrum(form: UFTForm):
@@ -525,15 +526,14 @@ def decompose_form2(u: Subspace) -> Form2:
     decomposable vectors; for graph subspaces the last addend has the
     maximal possible dimension (dim U minus the largest fiber)."""
     u0, e0, u_prime = pq_split(u)
-    # a pure subspace need not be a graph: form 1 splits off a minimal-fiber
-    # piece first, and its graph part is split into eigen-direction pieces
-    form1 = decompose_form1(u_prime)
-    if form1.piece is None:
-        # both direction searches stop at the first zero fiber among
-        # h2 + t h1, t <= dim U', so this is U' in its graph form: read the
-        # memo of U', and with no pieces the residue is U' itself
-        pieces, tilde = _form2_graph(u_prime, *subspace_spectrum(u_prime)[1:])
+    spectrum = subspace_spectrum(u_prime)
+    if spectrum is not None:
+        # U' is a graph: split it by the spectrum memoized on U'
+        pieces, tilde = _form2_graph(u_prime, *spectrum[1:])
     else:
+        # U' is pure but no graph: form 1 splits off a minimal-fiber piece
+        # first, and its graph part is split into eigen-direction pieces
+        form1 = decompose_form1(u_prime)
         pieces, tilde = _form2_graph(form1.graph_space, *graph_spectrum(form1.graph))
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]

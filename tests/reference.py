@@ -17,7 +17,7 @@ from pqh.classify import ParaComplexReport, operator_preserves
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, vec_add
 from pqh.model import HBasisChange, Operator, StructureError, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
-from pqh.subspace import Subspace
+from pqh.subspace import Subspace, maximal_pq
 
 
 # Formerly pqh.quadext.QuadExt.
@@ -222,6 +222,24 @@ def invariant_core(u):
             break
         w = w_new
     return w, u.t_on_subspace(w)
+
+
+# Formerly pqh.classify.is_real, a predicate of a subspace memoized on it;
+# it reads pqh.uft.invariant_core, not the copy above.
+def is_real(u: Subspace) -> bool:
+    """AU ^ U = 0 for every structure operator A: pure, no decomposable
+    vectors, and the invariant core W* of any graph presentation is zero."""
+    from pqh.uft import graph_form, injectivize, invariant_core
+
+    def compute():
+        # U0 != 0 also leaves no transversal direction, but graph_form would
+        # find that only after trying dim U + 2 directions; U0 is memoized
+        if not maximal_pq(u).is_zero():
+            return False
+        form = graph_form(u)
+        return form is not None and invariant_core(injectivize(form))[0].is_zero()
+
+    return u.memo("is_real", compute)
 
 
 # Formerly pqh.model._pairing, on the integer rows of omega^E.

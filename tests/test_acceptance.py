@@ -44,6 +44,7 @@ from pqh.subspace import (
 from pqh.uft import (
     decomposable_spectrum,
     find_transversal_direction,
+    graph_form,
     h_fiber,
     induced_g_f,
     to_uft,
@@ -222,9 +223,9 @@ def test_criterion_06_real_and_totally_real():
         rng = Rng(7000 + seed)
         seed += 1
         u = random_subspace(rng, 4 * n, 1 + rng.below(4 * n))
-        if is_real(u):
+        if is_real(graph_form(u)):
             assert u.dim <= 2 * n
-            if signature(ms, u).s == 0 and check_totally_real(ms, u).totally_real:
+            if signature(ms, u).s == 0 and check_totally_real(ms, u, graph_form(u)).totally_real:
                 assert u.dim <= n
         checked += 1
     _pass(6, "curated real statuses, metric identity, 500-sample dim bounds")
@@ -331,7 +332,7 @@ def test_criterion_09_generic_decomposition():
             else:
                 assert sub.flags.pure and not sub.flags.real
         if tree.real_addend.dim:
-            assert is_real(tree.real_addend)
+            assert is_real(graph_form(tree.real_addend))
         count += 1
     # witness formula invariance identity
     rng = Rng(77)

@@ -30,6 +30,7 @@ from pqh.subspace import (
     product_subspace,
     signature,
 )
+from pqh.uft import graph_form
 from reference import QuadExt, maximal_invariant_subspace, para_complex_eigenvectors
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]
@@ -453,18 +454,18 @@ class TestCheckNilpotent:
 class TestRealAndTotallyReal:
     def test_real_line(self, ms1):
         u = graph_subspace(1, [((1, 0), (0, 1))])
-        assert is_real(u)
-        rep = check_totally_real(ms1, u)
+        assert is_real(graph_form(u))
+        rep = check_totally_real(ms1, u, graph_form(u))
         assert rep.totally_real
         x = u.basis[0]
         assert ms1.metric(x, x) == 2  # 2 omega(e1, e2)
 
     def test_complex_instance_not_real(self):
-        assert not is_real(graph_subspace(1, ROT))
+        assert not is_real(graph_form(graph_subspace(1, ROT)))
 
     def test_decomposable_not_real(self):
         u = decomposable_subspace((1, 0), Subspace.span([(1, 0)], 2))
-        assert not is_real(u)
+        assert not is_real(graph_form(u))
 
     def test_two_plane_totally_real(self, ms2):
         # h1 x e1 + h2 x e2 and h1 x e3 + h2 x e4 with standard omega
@@ -473,7 +474,7 @@ class TestRealAndTotallyReal:
             ((0, 0, 1, 0), (0, 0, 0, 1)),
         ]
         u = graph_subspace(2, pairs)
-        rep = check_totally_real(ms2, u)
+        rep = check_totally_real(ms2, u, graph_form(u))
         assert rep.totally_real
         assert rep.omega_e1_zero and rep.omega_e2_zero and rep.t_omega_skew
         assert all(rep.gram_routes)
@@ -485,9 +486,9 @@ class TestRealAndTotallyReal:
             ((0, 1, 0, 0), (0, 0, 0, 1)),
         ]
         u = graph_subspace(2, pairs)
-        assert is_real(u)
+        assert is_real(graph_form(u))
         if signature(ms2, u).s == 0:
-            rep = check_totally_real(ms2, u)
+            rep = check_totally_real(ms2, u, graph_form(u))
             assert not rep.totally_real
             assert not rep.omega_e1_zero
             assert not all(rep.gram_routes)
@@ -498,8 +499,8 @@ class TestRealAndTotallyReal:
         rng = Rng(66)
         for seed in range(20):
             u = generate(Rng(seed), 2, "real")
-            assert is_real(u)
-            assert is_real(twist_h(u, random_sl2(rng)))
+            assert is_real(graph_form(u))
+            assert is_real(graph_form(twist_h(u, random_sl2(rng))))
 
     def test_dim_bounds(self, ms2):
         from pqh.generate import generate
@@ -559,7 +560,7 @@ class TestGenericDecompose:
         assert tree.real_addend == real_line
         sub = classify(ms2, tree.addends[0].space)
         assert sub.flags.complex and sub.flags.pure
-        assert is_real(tree.real_addend)
+        assert is_real(graph_form(tree.real_addend))
 
     def test_witness_formula_identity(self, ms1):
         # for T^2 f = p T f + q f the operator (1-q, -1-q, -p) preserves
@@ -590,7 +591,7 @@ class TestGenericDecompose:
         assert kinds == ["weakly_para_complex"]
         assert tree.addends[0].space.dim == 1
         assert tree.real_addend.dim == 2
-        assert is_real(tree.real_addend)
+        assert is_real(graph_form(tree.real_addend))
 
     def test_irreducible_cubic_block(self, ms3):
         # T = companion of x^3 - 2: no rational structure at all; the block
@@ -628,7 +629,7 @@ class TestGenericDecompose:
                 elif add.kind == "weakly_para_complex":
                     assert sub.flags.weakly_para_complex
             if tree.real_addend.dim:
-                assert is_real(tree.real_addend)
+                assert is_real(graph_form(tree.real_addend))
 
 
 class TestOracle:

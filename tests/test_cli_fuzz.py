@@ -81,6 +81,8 @@ def mutate(draw, data, fields):
             if not rows or not isinstance(rows[0], list):
                 continue
             i = draw(st.integers(0, len(rows) - 1))
+            if not isinstance(rows[i], list):
+                continue  # an earlier "scalar" mutation made this row a string
             if kind == "entry" and rows[i]:
                 rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(bad_numerals)
             elif kind == "shape":

@@ -45,7 +45,7 @@ from pqh.subspace import (
     restrict_omega,
     signature,
 )
-from pqh.uft import DecomposablePiece, _graph_of, normalize_direction
+from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
 
 # -- reference copies ---------------------------------------------------------
 
@@ -122,7 +122,7 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
     real_part = Subspace.span(real_rows, u.ambient)
     if not direct_sum_is(u, [pq_part, piece.span(), real_part]):
         raise AssertionError("nilpotent decomposition does not recompose")
-    if real_part.dim and not is_real(real_part):
+    if real_part.dim and not is_real(graph_form(real_part)):
         raise AssertionError("nilpotent residue is not a real subspace")
     p2_sympl = e2_proj.dim > 0 and restrict_omega(ms, e2_proj).det() != 0
     nondeg = e1p.dim > 0 and omega_kernel_in(ms, e2_proj, e1p).is_zero()

@@ -214,8 +214,11 @@ def test_every_call_order_gives_the_fresh_answers(kind):
 
 
 def test_a_form1_without_piece_is_the_memoized_graph_form():
-    """``decompose_form2`` reads the memo of U' whenever form 1 splits off no
-    piece: both direction searches then stop at the same first zero fiber."""
+    """When form 1 splits off no piece, its graph is the memoized graph
+    form of U': both direction searches stop at the same first zero fiber.
+    So ``decompose_form2``, which reads the spectrum of U' first and runs
+    form 1 only when U' has no graph form, gives what it gave when it ran
+    form 1 first and read the memo when there was no piece."""
     with_piece = without_piece = 0
     for kind in KINDS:
         for n in (1, 2, 3):

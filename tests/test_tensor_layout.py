@@ -51,6 +51,7 @@ from pqh.uft import (
     decompose_form1,
     decompose_form2,
     decomposable_spectrum,
+    graph_form,
 )
 
 # -- Mat.kron against its entry formula ---------------------------------------
@@ -204,8 +205,8 @@ def test_zero_subspace_values(n):
     assert decompose_form1(zero) == Form1(None, empty, zero)
     assert decompose_form2(zero) == Form2((), empty)
     assert decomposable_spectrum(zero) == PencilSpectrum((), ())
-    assert is_real(zero)
-    assert check_totally_real(ms, zero) == TotallyRealReport(
+    assert is_real(graph_form(zero))
+    assert check_totally_real(ms, zero, graph_form(zero)) == TotallyRealReport(
         True, True, True, True, (True, True, True)
     )
     assert generic_decompose(zero) == GenericDecomposition(zero, (), zero)
