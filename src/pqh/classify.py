@@ -47,8 +47,8 @@ from fractions import Fraction
 from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rank, int_rref, rank_mod
-from .linalg import symmetric_signature
+from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_kernel, int_rank, int_rref
+from .linalg import rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -122,7 +122,8 @@ class Stabilizer:
 
 
 def stabilizer(u: Subspace) -> Stabilizer:
-    """Solve the linear system AU <= U for the coordinates of A."""
+    """Solve the linear system AU <= U for the coordinates of A: one
+    :func:`~pqh.linalg.int_kernel` of the integer constraint rows."""
     rows = []
     for xs, dx in u.int_basis():
         # the residues of I x, J x, K x over one denominator; scaling a
@@ -131,7 +132,8 @@ def stabilizer(u: Subspace) -> Stabilizer:
         d = lcm(*(e for _, e in parts))
         ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
         rows.extend(filter(any, zip(ri, rj, rk)))
-    return Stabilizer(Mat(rows, ncols=3).kernel())
+    basis, _ = int_kernel(rows, 3)
+    return Stabilizer(Mat._of(tuple(frac_row(*r) for r in basis), 3))
 
 
 @dataclass(frozen=True)
@@ -368,7 +370,7 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
         # g(A v_i, v_j) on the graph vectors v_i
-        vs = [_int_row(v) for v in pp.form.graph_basis().rows]
+        vs = pp.form.graph_rows()
         k_amb = _form_matrix(ms._metric_form, [a.act_int(*v) for v in vs], vs)
         k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
         k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
@@ -621,7 +623,7 @@ def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm | None) -> Tot
     if conditions:
         if not e1.intersect(e2).is_zero():
             raise AssertionError("totally real forces E1 ^ E2 = 0")
-        vs = [_int_row(v) for v in form.graph_basis().rows]
+        vs = form.graph_rows()
         gm = _form_matrix(ms._metric_form, vs, vs)
         if gm != c.scale(2):
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")

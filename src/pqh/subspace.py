@@ -9,11 +9,14 @@ new subspace costs one Bareiss pass (``linalg.int_rref``) over integer
 rows, or none where its rows are already reduced: ``zero``, ``full``,
 the complements (unit rows, or rows of the larger basis),
 :func:`product_subspace`, :func:`decomposable_subspace`, p1(U)
-(:func:`p1`), the F of a graph (``uft._graph_of``) and
-the combined rows of :meth:`Subspace.kernel_in`.  The ``Fraction``
-matrix ``mat`` is built from the rows when it is first read, where a
-value leaves this layer; its rows, ``basis``, are coordinate rows of V,
-which ``ModelSpace.metric`` and ``hermitian_product`` take as they are.
+(:func:`p1`), the fiber of h2 (:func:`h2_fiber`), the F of a graph
+(``uft.to_uft``) and the combined rows of :meth:`Subspace.kernel_in`.
+U's rows with a pivot in h2 (x) E are h2 (x) (its h2 fiber), so a zero
+h2 fiber certifies U0 = 0 (:func:`maximal_pq`) with no kernel.  The
+``Fraction`` matrix ``mat`` is built from the rows when it is first
+read, where a value leaves this layer; its rows, ``basis``, are
+coordinate rows of V, which ``ModelSpace.metric`` and
+``hermitian_product`` take as they are.
 
 Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
@@ -367,6 +370,19 @@ def p1(u: Subspace) -> Subspace:
     return Subspace._of([_lowest_terms(V[:half], D) for V, D in u._rows[:k]], u.pivots[:k], half)
 
 
+def h2_fiber(u: Subspace) -> Subspace:
+    """{e in E : h2 (x) e in U}, ``h_fiber(u, (0, 1))`` read off U's rows.
+
+    The rows of U with a pivot in h2 (x) E have a zero first half, and
+    every other vector of U has a nonzero first half at some pivot, so
+    their second halves are the reduced basis of the fiber.
+    """
+    half = u.ambient // 2
+    k = sum(p < half for p in u.pivots)
+    rows = [(V[half:], D) for V, D in u._rows[k:]]
+    return Subspace._of(rows, [p - half for p in u.pivots[k:]], half)
+
+
 def h_fiber(u: Subspace, h: Sequence) -> Subspace:
     """{e in E : h (x) e in U}, the fiber of the direction h."""
     (a, b), d = _int_row(tuple(map(_entry, h)))
@@ -444,12 +460,16 @@ def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
 def maximal_pq(u: Subspace) -> Subspace:
     """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
 
-    A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}: each
-    step is one :meth:`Subspace.kernel_in` with target U, and no canonical
-    AU is built.
+    U0 = H (x) E0 puts h2 (x) E0 inside U, so a zero :func:`h2_fiber` (no
+    pivot of U in h2 (x) E) certifies U0 = 0 with no elimination.
+    Otherwise A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}:
+    each step is one :meth:`Subspace.kernel_in` with target U, and no
+    canonical AU is built.
     """
 
     def compute():
+        if h2_fiber(u).is_zero():
+            return Subspace.zero(u.ambient)
         u0 = u
         for op in (OP_I, OP_J, OP_K):
             u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0._rows], u)

@@ -8,15 +8,20 @@ basis, makes T injective, computes the decomposable-vector spectrum and
 the induced metric, and produces the two direct-sum normal forms.
 
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
-subspace W of F by one product with ``t_map``.  Each piece of a graph is
-one :meth:`Subspace.kernel_in` cut of the subspace U the caller holds:
-:func:`graph_over` takes the h1 components of U's rows into a subspace of
-F, the U' of :func:`pq_split` is U ^ (H (x) C) for the complement C of
-E0 (read by the generic and form-2 decompositions and by
-``classify._pure_part``), and each fiber {f in F : Tf = s f} that
-:func:`injectivize` tries is the kernel of the rows Tf - s f.  Those
-rows are also the answer: the shear h1 -> h1 + s h2 keeps F and takes T
-to T - s Id, so no graph is eliminated again.  :func:`uft_change_basis`
+subspace W of F by one product with ``t_map``, and the graph rows are
+integer rows (:meth:`UFTForm.graph_rows`), so a span is one elimination.
+The direction searches read the fiber of h2 off U's pivots
+(``subspace.h2_fiber``); when it is zero, U's rows are (f | Tf) over
+F = p1(U) and :func:`to_uft` over the standard basis eliminates nothing.
+Each piece of a graph is one :meth:`Subspace.kernel_in` cut of the
+subspace U the caller holds: :func:`graph_over` takes the h1 components
+of U's rows into a subspace of F, the U' of :func:`pq_split` is
+U ^ (H (x) C) for the complement C of E0 (read by the generic and form-2
+decompositions and by ``classify._pure_part``), and each fiber
+{f in F : Tf = s f} that :func:`injectivize` tries is the kernel of the
+rows Tf - s f.  Those rows are also the answer: the shear
+h1 -> h1 + s h2 keeps F and takes T to T - s Id, so no graph is
+eliminated again.  :func:`uft_change_basis`
 rewrites the graph rows (f | Tf) with the stored inverse of the basis
 change (``HBasisChange.to_basis_int``) and reads F' and T' off them as
 :func:`to_uft` does.
@@ -43,15 +48,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref
-from .model import HBasisChange, ModelSpace, StructureError
+from .model import HBasisChange, ModelSpace, StructureError, _h_act_int
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
     Subspace,
     _form_matrix,
     decomposable_subspace,
     direct_sum_is,
+    h2_fiber,
     h_fiber,
     maximal_pq,
     p1,
@@ -85,17 +92,24 @@ class UFTForm:
         return self.f_space.ambient
 
     def span(self) -> Subspace:
-        return Subspace(self.graph_basis())
+        return Subspace._echelon([V for V, _ in self.graph_rows()], 2 * self.dim_e)
 
-    def graph_basis(self) -> Mat:
-        """The graph vectors over the canonical basis of F, in its order."""
-        return self._graph_rows(self.f_space)
+    def graph_rows(self) -> list:
+        """The graph vectors h1 (x) f + h2 (x) Tf over the canonical basis f
+        of F, in its order, as ``(ints, d)`` rows in standard coordinates;
+        the ``classify`` pairings read them as they are.
 
-    def _graph_rows(self, w: Subspace) -> Mat:
-        """The graph vectors h1 (x) f + h2 (x) Tf over the basis rows f of
-        a subspace W of F, in standard coordinates."""
-        rows = [f + tf for f, tf in zip(w.mat.rows, self.t_rows(w).rows)]
-        return Mat._of(tuple(self.h_basis.from_basis(rows)), 2 * self.dim_e)
+        Tf is column f of ``t_map``, but it comes from :meth:`t_rows`: its
+        ``Mat`` product is the only ``Mat.__matmul__`` call on
+        decompose-graph, where ``bench/tracing.py`` homes it.
+        """
+        rows = []
+        for (V, d), tf in zip(self.f_space.int_basis(), self.t_rows(self.f_space).rows):
+            W, e = _int_row(tf)
+            m = lcm(d, e)
+            row = [x * (m // d) for x in V] + [y * (m // e) for y in W]
+            rows.append(_h_act_int(self.h_basis._from, row, m))
+        return rows
 
     def t_rows(self, w: Subspace) -> Mat:
         """T on the basis rows of a subspace W of F, one image per row.
@@ -134,15 +148,22 @@ def find_transversal_direction(u: Subspace):
     direction is a graph with at most dim U such directions, so one of the
     dim U + 1 candidates is transversal.  h (x) E has dimension
     dim E = ambient / 2, so it meets every U of larger dimension and no
-    candidate is tried then.
+    candidate is tried then.  The fiber of t = 0, h2 itself, is read off
+    U's pivots (:func:`~pqh.subspace.h2_fiber`); only t >= 1 runs
+    :func:`~pqh.subspace.h_fiber`.
     """
     if u.dim > u.ambient // 2:
         return None
     for t in range(u.dim + 1):
         h = (Fraction(t), F1)
-        if h_fiber(u, h).is_zero():
+        if _fiber(u, h).is_zero():
             return h
     return None
+
+
+def _fiber(u: Subspace, h) -> Subspace:
+    """The fiber of a candidate h2 + t*h1 of the direction searches."""
+    return h2_fiber(u) if h[0] == 0 else h_fiber(u, h)
 
 
 def graph_form(u: Subspace) -> UFTForm | None:
@@ -165,9 +186,17 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     """Present U as a graph over the h1 component of the given basis.
 
     Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
-    canonical basis of F.
+    canonical basis of F.  Over the standard basis, with no pivot of U in
+    h2 (x) E, U's canonical rows already are (f_j | T f_j): F is
+    :func:`~pqh.subspace.p1` and column j of T the second half of row j.
+    Any other basis rewrites the rows and eliminates them (``_graph_of``).
     """
-    graph = _graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], u.ambient // 2)
+    dim_e = u.ambient // 2
+    f_space = p1(u)
+    if f_space.dim == u.dim and basis.mat == Mat.identity(2):
+        t_map = Mat.from_cols([frac_row(V[dim_e:], D) for V, D in u.int_basis()], nrows=dim_e)
+        return UFTForm(basis, f_space, t_map)
+    graph = _graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], dim_e)
     if graph is None:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
@@ -397,13 +426,15 @@ def minimal_fiber_direction(u: Subspace):
     dimension exceeds the generic value on at most rank <= dim E special
     directions; the dim E + dim U + 2 pairwise independent candidates
     h2 + t*h1 therefore include a generic one, whose fiber is the minimum.
+    The fiber of t = 0 is read off U's pivots, as in
+    :func:`find_transversal_direction`.
     """
     dim_e = u.ambient // 2
     best = None
     best_fiber = None
     for t in range(dim_e + u.dim + 2):
         cand = (Fraction(t), F1)
-        fib = h_fiber(u, cand)
+        fib = _fiber(u, cand)
         if best_fiber is None or fib.dim < best_fiber.dim:
             best, best_fiber = cand, fib
             if fib.dim == 0:

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from pqh.generate import random_sl2  # noqa: F401  (shared with the test modules)
-from pqh.linalg import _int_row, frac_row, vec_add
-from pqh.model import ModelSpace, tensor
-from pqh.subspace import Subspace
+from pqh.generate import random_invertible, random_sl2, twist_h
+from pqh.linalg import F0, F1, Mat, _int_row, frac_row, vec_add
+from pqh.model import HBasisChange, ModelSpace, tensor
+from pqh.rng import Rng
+from pqh.subspace import Subspace, product_subspace
+from pqh.uft import UFTForm
 
 
 @pytest.fixture
@@ -38,3 +40,51 @@ def graph_subspace(n, pairs):
 def to_basis(s, rows):
     """Coordinate rows rewritten in the H-basis s, as ``Fraction`` rows."""
     return [frac_row(*s.to_basis_int(*_int_row(r))) for r in rows]
+
+
+# -- instance builders shared by the test modules ------------------------------------
+
+
+def dense_congruence(n: int, entries) -> Mat:
+    """P = L U from unit lower and unit upper triangular L, U with the given
+    entries below and above the diagonal: invertible, and dense."""
+    d = 2 * n
+    lower = Mat([[1 if i == j else entries[i * d + j] if j < i else 0 for j in range(d)] for i in range(d)])
+    upper = Mat([[1 if i == j else entries[i * d + j] if j > i else 0 for j in range(d)] for i in range(d)])
+    return lower @ upper
+
+
+def congruent_instance(ms: ModelSpace, u: Subspace, p: Mat):
+    """(ModelSpace(n, P^T omega P), (Id_H (x) P^-1) U).
+
+    omega'(P^-1 e, P^-1 f) = omega(e, f), and the map acts on E only, so it
+    commutes with the structure: in rows, (e | e') goes to
+    (e P^-T | e' P^-T)."""
+    moved = ModelSpace(ms.n, p.T @ ms.omega @ p)
+    pinv_t = p.inverse().T
+    h = ms.dim_e
+    rows = []
+    for x in u.basis:
+        (e,), (ep,) = (Mat((x[:h],), ncols=h) @ pinv_t).rows, (Mat((x[h:],), ncols=h) @ pinv_t).rows
+        rows.append(e + ep)
+    return moved, Subspace.span(rows, ms.dim_v)
+
+
+def hand_built_instance(seed: int):
+    """(n, U) with U = H (x) E0 (+) the graph over F of Q diag(+-1) Q^-1,
+    twisted by ``random_sl2``; E = E0 (+) F is spanned by the rows of a
+    random invertible P, dim E0 = 1 + below(2n - 2) and n = 2 + seed mod 3."""
+    rng = Rng(seed)
+    n = 2 + seed % 3
+    dim_e = 2 * n
+    p = random_invertible(rng, dim_e)
+    k0 = 1 + rng.below(dim_e - 2)
+    e0 = Subspace.span(p.rows[:k0], dim_e)
+    f_sub = Subspace.span(p.rows[k0:], dim_e)
+    k = f_sub.dim
+    q = random_invertible(rng, k)
+    signs = [F1 if rng.below(2) else -F1 for _ in range(k)]
+    diag = Mat([[signs[i] if i == j else F0 for j in range(k)] for i in range(k)])
+    t_local = q @ diag @ q.inverse()
+    graph = UFTForm(HBasisChange.identity(), f_sub, f_sub.mat.T @ t_local).span()
+    return n, twist_h(product_subspace(e0).sum(graph), random_sl2(rng))

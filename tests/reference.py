@@ -10,14 +10,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 from typing import Callable
 
-from pqh.classify import ParaComplexReport, operator_preserves
-from pqh.linalg import F0, F1, Mat, _entry, _int_row, vec_add
-from pqh.model import HBasisChange, Operator, StructureError, tensor
+from pqh.classify import ParaComplexReport, Stabilizer, operator_preserves
+from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rref, vec_add
+from pqh.model import OP_I, OP_J, OP_K, HBasisChange, Operator, StructureError, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
-from pqh.subspace import Subspace, maximal_pq
+from pqh.subspace import Subspace, h_fiber, maximal_pq
+from pqh.uft import TransversalityError, UFTForm
 
 
 # Formerly pqh.quadext.QuadExt.
@@ -254,6 +256,111 @@ def block_gram(ms, e_prime):
     return split @ ms.metric_matrix() @ split.T
 
 
+# Formerly pqh.subspace.maximal_pq, which ran its loop for every U (no memo).
+def maximal_pq_loop(u: Subspace) -> Subspace:
+    """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
+
+    A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}: each
+    step is one :meth:`Subspace.kernel_in` with target U, and no canonical
+    AU is built.
+    """
+    u0 = u
+    for op in (OP_I, OP_J, OP_K):
+        u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0._rows], u)
+        if u0.is_zero():
+            break
+    return u0
+
+
+# Formerly pqh.classify.stabilizer, which solved its rows as a Fraction Mat.
+def stabilizer(u: Subspace) -> Stabilizer:
+    """Solve the linear system AU <= U for the coordinates of A."""
+    rows = []
+    for xs, dx in u.int_basis():
+        # the residues of I x, J x, K x over one denominator; scaling a
+        # constraint row, or dropping a zero one, leaves the kernel alone
+        parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+        d = lcm(*(e for _, e in parts))
+        ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
+        rows.extend(filter(any, zip(ri, rj, rk)))
+    return Stabilizer(Mat(rows, ncols=3).kernel())
+
+
+# Formerly pqh.uft.find_transversal_direction, with an h_fiber for every t.
+def find_transversal_direction(u: Subspace):
+    """A direction h with (h (x) E) ^ U = 0, or None when every direction
+    meets U (then U is not a graph subspace in any basis)."""
+    if u.dim > u.ambient // 2:
+        return None
+    for t in range(u.dim + 1):
+        h = (Fraction(t), F1)
+        if h_fiber(u, h).is_zero():
+            return h
+    return None
+
+
+# Formerly pqh.uft.minimal_fiber_direction, with an h_fiber for every t.
+def minimal_fiber_direction(u: Subspace):
+    """A direction h whose fiber {e : h (x) e in U} has the smallest
+    possible dimension, found by a sweep."""
+    dim_e = u.ambient // 2
+    best = None
+    best_fiber = None
+    for t in range(dim_e + u.dim + 2):
+        cand = (Fraction(t), F1)
+        fib = h_fiber(u, cand)
+        if best_fiber is None or fib.dim < best_fiber.dim:
+            best, best_fiber = cand, fib
+            if fib.dim == 0:
+                break
+    return best, best_fiber
+
+
+# Formerly pqh.uft.to_uft, which eliminated the rows for every basis.
+def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
+    """Present U as a graph over the h1 component of the given basis.
+
+    Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
+    canonical basis of F.
+    """
+    graph = _graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], u.ambient // 2)
+    if graph is None:
+        raise TransversalityError(
+            "the h2 direction of the basis meets the subspace"
+        )
+    return UFTForm(basis, *graph)
+
+
+# Formerly pqh.uft._graph_of (it stays there for the other bases).
+def _graph_of(rows, dim_e: int):
+    """(F, T) for the graph spanned by the plain-int rows (f | Tf), or None
+    when their F parts are dependent."""
+    reduced, pivots = int_rref(rows, dim_e)
+    if len(pivots) != len(rows):
+        return None
+    f_space = Subspace._of([_lowest_terms(V[:dim_e], d) for V, d in reduced], pivots, dim_e)
+    return f_space, Mat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
+
+
+# Formerly pqh.uft.UFTForm._graph_rows.
+def graph_rows(form: UFTForm, w: Subspace) -> Mat:
+    """The graph vectors h1 (x) f + h2 (x) Tf over the basis rows f of
+    a subspace W of F, in standard coordinates."""
+    rows = [f + tf for f, tf in zip(w.mat.rows, form.t_rows(w).rows)]
+    return Mat._of(tuple(form.h_basis.from_basis(rows)), 2 * form.dim_e)
+
+
+# Formerly pqh.uft.UFTForm.graph_basis.
+def graph_basis(form: UFTForm) -> Mat:
+    """The graph vectors over the canonical basis of F, in its order."""
+    return graph_rows(form, form.f_space)
+
+
+# Formerly pqh.uft.UFTForm.span.
+def graph_span(form: UFTForm) -> Subspace:
+    return Subspace(graph_basis(form))
+
+
 # Formerly w_t of pqh.classify._pure_part.
 def pure_part_w_t(ms, form):
     return form.t_map.T @ ms.omega @ form.t_map
@@ -261,7 +368,7 @@ def pure_part_w_t(ms, form):
 
 # Formerly k_amb of pqh.classify.check_complex.
 def kaehler_ambient(ms, form, a):
-    vs = form.graph_basis()
+    vs = graph_basis(form)
     return vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
 
 
@@ -279,7 +386,7 @@ def totally_real_c(ms, form):
 
 # Formerly gm of pqh.classify.check_totally_real.
 def graph_gram(ms, form):
-    vs = form.graph_basis()
+    vs = graph_basis(form)
     return vs @ ms.metric_matrix() @ vs.T
 
 

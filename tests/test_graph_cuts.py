@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import graph_rows
 from test_graph_maps import bits100, dense, entry_kinds, graph_forms, small_entries, subspaces_of
 from test_kernel_in import split_instances
 from test_rank_certificates import model_subspaces
@@ -39,7 +40,7 @@ from pqh.uft import (
 
 def ref_graph_over(form, sub):
     """The graph over a subspace of F, rebuilt from its graph rows."""
-    return Subspace(form._graph_rows(sub))
+    return Subspace(graph_rows(form, sub))
 
 
 def clean_complement(u, u0, e0):

@@ -22,6 +22,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import congruent_instance, dense_congruence
 from reference import (
     block_gram,
     cross_eigenspace_gram,
@@ -54,15 +55,6 @@ REF = settings(max_examples=60, deadline=None)
 
 small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 bits100 = st.builds(Fraction, st.integers(-(2**100), 2**100), st.integers(1, 2**100))
-
-
-def dense_congruence(n: int, entries) -> Mat:
-    """P = L U from unit lower and unit upper triangular L, U with the given
-    entries below and above the diagonal: invertible, and dense."""
-    d = 2 * n
-    lower = Mat([[1 if i == j else entries[i * d + j] if j < i else 0 for j in range(d)] for i in range(d)])
-    upper = Mat([[1 if i == j else entries[i * d + j] if j > i else 0 for j in range(d)] for i in range(d)])
-    return lower @ upper
 
 
 @st.composite
@@ -176,7 +168,7 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
         form = graph_form(u)
         if form is not None:
             t_cols = [_int_row(t) for t in form.t_map.cols]
-            vs = [_int_row(v) for v in form.graph_basis().rows]
+            vs = form.graph_rows()
             assert induced_g_f(ms, form) == ref_induced_g_f(ms, form)
             # _pure_part's w_t, check_totally_real's c and gm
             assert _form_matrix(ms._omega_form, t_cols, t_cols) == pure_part_w_t(ms, form)
@@ -208,22 +200,6 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
 
 
 # -- classify and the oracle under a dense omega^E -------------------------------
-
-
-def congruent_instance(ms: ModelSpace, u: Subspace, p: Mat):
-    """(ModelSpace(n, P^T omega P), (Id_H (x) P^-1) U).
-
-    omega'(P^-1 e, P^-1 f) = omega(e, f), and the map acts on E only, so it
-    commutes with the structure: in rows, (e | e') goes to
-    (e P^-T | e' P^-T)."""
-    moved = ModelSpace(ms.n, p.T @ ms.omega @ p)
-    pinv_t = p.inverse().T
-    h = ms.dim_e
-    rows = []
-    for x in u.basis:
-        (e,), (ep,) = (Mat((x[:h],), ncols=h) @ pinv_t).rows, (Mat((x[h:],), ncols=h) @ pinv_t).rows
-        rows.append(e + ep)
-    return moved, Subspace.span(rows, ms.dim_v)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given
+from conftest import hand_built_instance
 from test_model import operators
 from test_rank_certificates import SETTINGS, model_subspaces
 
@@ -30,14 +31,14 @@ from pqh.classify import (
     stabilizer,
 )
 from pqh.cli import main
-from pqh.generate import KINDS, generate, random_invertible, random_sl2, twist_h
+from pqh.generate import KINDS, generate
 from pqh.instances import emit_instance, load_instance
-from pqh.linalg import F0, F1, Mat, _int_row
-from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
+from pqh.linalg import _int_row
+from pqh.model import OP_I, OP_J, OP_K, ModelSpace, Operator
 from pqh.polyq import is_rational_square
 from pqh.rng import Rng
-from pqh.subspace import Subspace, direct_sum_is, maximal_pq, product_subspace, signature
-from pqh.uft import UFTForm, pq_split
+from pqh.subspace import Subspace, direct_sum_is, maximal_pq, signature
+from pqh.uft import pq_split
 from reference import maximal_invariant_subspace
 
 DATA = Path(__file__).parent / "data"
@@ -101,26 +102,6 @@ def test_pq_split_complement_matches_reference_on_generated_witnesses(kind):
 
 
 # -- the hand-built case: 0 < dim U0 < dim U with a para-complex witness ---------
-
-
-def hand_built_instance(seed: int):
-    """(n, U) with U = H (x) E0 (+) the graph over F of Q diag(+-1) Q^-1,
-    twisted by ``random_sl2``; E = E0 (+) F is spanned by the rows of a
-    random invertible P, dim E0 = 1 + below(2n - 2) and n = 2 + seed mod 3."""
-    rng = Rng(seed)
-    n = 2 + seed % 3
-    dim_e = 2 * n
-    p = random_invertible(rng, dim_e)
-    k0 = 1 + rng.below(dim_e - 2)
-    e0 = Subspace.span(p.rows[:k0], dim_e)
-    f_sub = Subspace.span(p.rows[k0:], dim_e)
-    k = f_sub.dim
-    q = random_invertible(rng, k)
-    signs = [F1 if rng.below(2) else -F1 for _ in range(k)]
-    diag = Mat([[signs[i] if i == j else F0 for j in range(k)] for i in range(k)])
-    t_local = q @ diag @ q.inverse()
-    graph = UFTForm(HBasisChange.identity(), f_sub, f_sub.mat.T @ t_local).span()
-    return n, twist_h(product_subspace(e0).sum(graph), random_sl2(rng))
 
 
 def test_hand_built_instance_file_is_its_construction():

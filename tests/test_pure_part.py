@@ -12,6 +12,7 @@ from dataclasses import fields
 from fractions import Fraction
 
 import pytest
+from reference import graph_basis, graph_rows
 from test_pure_complement import ref_invariant_pure_complement
 
 from pqh.classify import (
@@ -83,7 +84,7 @@ def ref_check_complex(ms, u, a):
     w_f = b_mat.T @ ms.omega @ b_mat
     te = form.t_map
     w_t = te.T @ ms.omega @ te
-    vs = form.graph_basis()
+    vs = graph_basis(form)
     k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
     k_gf = (g_f @ t_f).scale(qa / d_val)
     k_form = (w_f.scale(d_val) + w_t.scale(qa / d_val)).scale(-F1)
@@ -182,7 +183,7 @@ def ref_check_para_complex(ms, u, a):
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         if lift1.dim and lift2.dim:
-            vs1, vs2 = Subspace(form._graph_rows(lift1)).mat, Subspace(form._graph_rows(lift2)).mat
+            vs1, vs2 = Subspace(graph_rows(form, lift1)).mat, Subspace(graph_rows(form, lift2)).mat
             if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:

@@ -27,8 +27,8 @@ from pqh.uft import (
     pq_split,
     subspace_spectrum,
 )
+from conftest import hand_built_instance
 from reference import is_real as ref_is_real
-from test_pure_complement import hand_built_instance
 
 # the modules, not the functions ``pqh`` exports under the same names
 CLASSIFY = import_module("pqh.classify")
