@@ -9,10 +9,11 @@ a rational square.
 
 A complex (q > 0) and a para-complex (q < 0) witness obey one structure
 theorem in which only the sign of q differs, so both checks run one
-shared pass over the pure part (:func:`_pure_part`): the graph form in
-the adapted basis, the T^2 identity, the pullback metric and its
-signature, and the omega and Gram routes to totality.  Each check then
-adds only what is particular to its sign.
+shared pass over the pure part (:func:`_pure_part`), which eliminates
+nothing: T is read off the witness on U''s canonical rows, and the
+para-complex eigenspaces are kernels of T -+ D / sqrt(-q) on the same
+coordinates.  Each check then adds only what is particular to its sign;
+a report builds U''s graph form only when its ``pure_form`` is read.
 
 The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
 complement of U0 = H (x) E0 that every witness preserving U preserves.
@@ -24,9 +25,10 @@ test, :func:`check_totally_real` and the reported graph form read it.
 Every identity that evaluates g or omega^E on pairs of rows (the block
 Gram of :func:`is_para_quaternionic`, the ambient Kaehler route of
 :func:`check_complex`, the cross-eigenspace rank of
-:func:`check_para_complex`, omega(T., T.) of the pure part, and the
-omega and Gram matrices of :func:`check_totally_real`) is one integer
-pairing matrix (``subspace._form_matrix``); no 4n x 4n matrix is built.
+:func:`check_para_complex`, the pullback metric and omega(T., T.) of the
+pure part, and the omega and Gram matrices of :func:`check_totally_real`)
+is one integer pairing matrix (``subspace._form_matrix``); no 4n x 4n
+matrix is built.
 
 The oracle clears each basis row of U once for its pairwise Gram, and
 reads neither ``subspace.gram`` nor the signature memo; it pairs J^ of
@@ -47,8 +49,8 @@ from fractions import Fraction
 from math import lcm
 
 from .generate import random_sl2
-from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_kernel, int_rank, int_rref
-from .linalg import rank_mod, symmetric_signature
+from .linalg import F0, F1, Mat, _int_row, _int_rows, _lowest_terms, frac_row, int_kernel, int_rank
+from .linalg import int_rref, rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -67,6 +69,7 @@ from .subspace import (
     _form_matrix,
     decomposable_subspace,
     direct_sum_is,
+    gram,
     h_fiber,
     image,
     image_orthogonal,
@@ -84,13 +87,11 @@ from .uft import (
     UFTForm,
     graph_form,
     graph_over,
-    induced_g_f,
     injectivize,
     invariant_core,
     line_direction,
     minimal_fiber_direction,
     normalize_direction,
-    poly_fiber,
     pq_split,
     subspace_spectrum,
     to_uft,
@@ -195,12 +196,11 @@ def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
     pos = _positive_point(a, b, c)
     neg = _positive_point(-a, -b, -c)
     iso = _isotropic_point(a, b, c)
-    witnesses = KindWitnesses(
+    return KindWitnesses(
         combine(pos) if pos else None,
         combine(neg) if neg else None,
         combine(iso) if iso and not combine(iso).is_zero() else None,
     )
-    return witnesses
 
 
 def operator_preserves(a: Operator, u: Subspace) -> bool:
@@ -277,21 +277,21 @@ class _PurePart:
     """The structure-theorem pass that a complex (q > 0) and a para-complex
     (q < 0) witness share; only the sign of q tells them apart.
 
-    With D = det[h1', A h1'] of the adapted basis and ``scale`` = D^2 / q,
-    the graph map of the pure part satisfies T^2 = -scale Id, and T is
-    omega-conformal (omega(T., T.) = scale omega on F) exactly when U is
-    orthogonal to its image under the anticommuting partner
-    (0, q/D^2; 1, 0) and under K^ = diag(1, -1) of the adapted basis.
-    ``form`` is None when U is para-quaternionic (no pure part).
+    On U''s canonical rows b_i, with pivots p_i, A b_i = sum_j c_ij b_j for
+    c_ij = (A b_i)[p_j].  A acts as [[0, -q/D], [D, 0]] in the adapted basis,
+    so p2'(b_i) = (-D/q) sum_j c_ij p1'(b_j): U' is the graph of T, with
+    matrix (-D/q) C^T on the basis p1'(b_j) of F.  With ``scale`` = D^2 / q,
+    T^2 = -scale Id, and T is omega-conformal (omega(T., T.) = scale omega)
+    exactly when U is orthogonal to its images under the partner
+    (0, q/D^2; 1, 0) and K^ = diag(1, -1) of the adapted basis.
     """
 
     scale: Fraction
     basis: HBasisChange
     d_val: Fraction
     comp: Subspace
-    form: UFTForm | None = None
-    t_f: Mat | None = None  # T on the canonical basis of F
-    g_f: Mat | None = None
+    t_f: Mat | None = None  # T on the basis p1'(b_j) of F
+    g_f: Mat | None = None  # g_F there, the Gram matrix of the b_j
     sig: SignatureTriple = SignatureTriple(0, 0, 0)
     w_f: Mat | None = None  # omega on F
     w_t: Mat | None = None  # omega(T., T.) on F
@@ -305,49 +305,67 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     U = U0 (+) U' as U contains H (x) E0, and A preserves H (x) C."""
     qa = a.q()
     kind = "complex" if qa > 0 else "para-complex"
-    if not operator_preserves(a, u):
-        raise ValueError("witness does not stabilize the subspace")
     u0, _e0, comp = pq_split(u)
     basis, d_val = adapted_basis(a)
     scale = d_val * d_val / qa
     if comp.dim == 0:
         return _PurePart(scale, basis, d_val, comp)
-    form = to_uft(comp, basis)
-    if not all(form.f_space.contains_vector(tf) for tf in form.t_map.cols):
-        raise AssertionError(f"T does not preserve F for a {kind} witness")
-    t_f = form.t_on_f()
-    if t_f @ t_f != Mat.scalar(form.dim, -scale):
+    k, half = comp.dim, comp.ambient // 2
+    rows = comp.int_basis()
+    moved = [a.act_int(*b) for b in rows]
+    c_rows = [([W[p] for p in comp.pivots], e) for W, e in moved]
+    # sum_j c_ij b_j is A b_i exactly when A b_i lies in U', and A, which
+    # preserves U0, preserves U = U0 (+) U' exactly when it preserves U'
+    if any(comp.combine_int(*c) != _lowest_terms(*m) for c, m in zip(c_rows, moved)):
+        raise ValueError("witness does not stabilize the subspace")
+    # the row identity D p1'(A b_i) + q p2'(b_i) = 0, over the integers
+    adapted = [basis.to_basis_int(*b) for b in rows]
+    s, t = d_val.numerator * qa.denominator, qa.numerator * d_val.denominator
+    for (V, e), (W, f) in zip(adapted, (basis.to_basis_int(*m) for m in moved)):
+        if any(s * e * x + t * f * y for x, y in zip(W[:half], V[half:])):
+            raise AssertionError(f"the pure part is not the graph of T for a {kind} witness")
+    t_f = Mat._of(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
+    if t_f @ t_f != Mat.scalar(k, -scale):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
-    g_f = induced_g_f(ms, form)
-    sig = SignatureTriple(*symmetric_signature(g_f))
-    if sig.as_tuple() != signature(ms, comp).as_tuple():
-        raise AssertionError("pullback metric has wrong signature")
-    w_f = restrict_omega(ms, form.f_space)
-    t_cols = [_int_row(c) for c in form.t_map.cols]
-    w_t = _form_matrix(ms._omega_form, t_cols, t_cols)
-    omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
+    xs = [(V[:half], e) for V, e in adapted]  # p1'(b_i), a basis of F
+    ys = [(V[half:], e) for V, e in adapted]  # p2'(b_i) = T p1'(b_i)
+    c_om = _form_matrix(ms._omega_form, ys, xs)  # omega(T f_i, f_j)
+    g_f = gram(ms, comp)
+    if -(c_om + c_om.T) != g_f:
+        raise AssertionError("pullback metric disagrees with the metric on the pure part")
+    sig = signature(ms, comp)
+    w_f = _form_matrix(ms._omega_form, xs, skew=True)
+    w_t = _form_matrix(ms._omega_form, ys, skew=True)
+    omega_route = w_t == w_f.scale(scale) and w_f.det() != 0
     partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
     k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
     gram_partner = image_orthogonal(ms, partner, u)
     gram_k = image_orthogonal(ms, k_hat, u)
     hermitian_full = signature(ms, u).s == 0
-    if u0.is_zero() and hermitian_full:
-        if not (omega_route == gram_partner == gram_k):
-            raise AssertionError(f"totally-{kind} routes disagree")
+    if u0.is_zero() and hermitian_full and not (omega_route == gram_partner == gram_k):
+        raise AssertionError(f"totally-{kind} routes disagree")
     totally = hermitian_full and u0.is_zero() and omega_route
     return _PurePart(
-        scale, basis, d_val, comp, form, t_f, g_f, sig, w_f, w_t,
+        scale, basis, d_val, comp, t_f, g_f, sig, w_f, w_t,
         omega_route, gram_partner, totally,
     )
 
 
+class _WitnessReport:
+    @property
+    def pure_form(self) -> UFTForm | None:
+        """U' as a graph over the h1' of the adapted basis, built when read;
+        None when U is para-quaternionic."""
+        return to_uft(self.pure_part, self.basis) if self.pure_part.dim else None
+
+
 @dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(_WitnessReport):
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = -scale * Id with scale * q(A) a rational square
     basis: HBasisChange
-    pure_form: UFTForm | None
+    pure_part: Subspace  # U'
     hermitian_pure: bool
     signature_pure: SignatureTriple
     omega_preserved: bool
@@ -366,29 +384,29 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     if qa <= 0:
         raise ValueError("complex check needs a witness with positive q")
     pp = _pure_part(ms, u, a)
-    if pp.form is not None:
+    if pp.t_f is not None:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
-        # g(A v_i, v_j) on the graph vectors v_i
-        vs = pp.form.graph_rows()
-        k_amb = _form_matrix(ms._metric_form, [a.act_int(*v) for v in vs], vs)
+        # g(A b_i, b_j) on the rows of U', which are the graph vectors
+        rows = pp.comp.int_basis()
+        k_amb = _form_matrix(ms._metric_form, [a.act_int(*b) for b in rows], rows)
         k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
         k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
         if not (k_amb == k_gf == k_form):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
-        a, qa, pp.scale, pp.basis, pp.form, pp.sig.s == 0, pp.sig,
+        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     )
 
 
 @dataclass(frozen=True)
-class ParaComplexReport:
+class ParaComplexReport(_WitnessReport):
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = +scale * Id
     basis: HBasisChange
-    pure_form: UFTForm | None
+    pure_part: Subspace  # U'
     d_plus: int
     d_minus: int
     strictly_para_complex: bool
@@ -413,13 +431,13 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         raise ValueError("para-complex check needs a witness with negative q")
     pp = _pure_part(ms, u, a)
     nu = -pp.scale
-    form, t_f, d_val, sig = pp.form, pp.t_f, pp.d_val, pp.sig
-    if form is None:
+    comp, t_f, d_val, sig = pp.comp, pp.t_f, pp.d_val, pp.sig
+    if t_f is None:
         return ParaComplexReport(
-            a, qa, nu, pp.basis, None, 0, 0, True, True, sig, 0, None, None,
+            a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
-    k = form.dim
+    k = comp.dim
     tr = t_f.trace()
     if tr == 0:
         if k % 2:
@@ -444,46 +462,43 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         raise AssertionError("weakly-not-para-complex part must be degenerate")
     if hermitian_pure and sig.as_tuple() != (k // 2, 0, k // 2):
         raise AssertionError("Hermitian para-complex part must be neutral")
-    # eigenspace data over Q when sqrt(|q|) is rational
+    # eigenspace data over Q when rho = sqrt(|q|) is rational
     rho = is_rational_square(-qa)
     eigen_pres = None
     family = None
     if rho is not None:
         lam_plus = d_val / rho
-        lift1 = poly_fiber(form.f_space, t_f, (-lam_plus, F1))
-        lift2 = poly_fiber(form.f_space, t_f, (lam_plus, F1))
+        # T x = lam x (C^T x = +-rho x) on the coordinates x of v = sum_j x_j b_j
+        # makes v = (h1' + lam h2') (x) p1'(v), by the row identity
+        vs1, vs2 = eigen = [
+            [comp.combine_int(*x) for x in int_kernel(_int_rows(shifted.rows)[0], k)[0]]
+            for shifted in (t_f - Mat.scalar(k, lam_plus), t_f + Mat.scalar(k, lam_plus))
+        ]
+        half = comp.ambient // 2
+        lift1, lift2 = (
+            Subspace._echelon([pp.basis.to_basis_int(*v)[0][:half] for v in vs], half) for vs in eigen
+        )
+        # d+ + d- = k, so matching dimensions are the recomposition U' = the
+        # two eigenspaces, which are independent for distinct eigenvalues
         if lift1.dim != d_plus or lift2.dim != d_minus:
             raise AssertionError("rational eigenspace dimensions disagree with trace test")
-        dir1 = line_direction(form.h_basis, lam_plus)
-        dir2 = line_direction(form.h_basis, -lam_plus)
-        pres_parts = [
-            decomposable_subspace(dir1, lift1),
-            decomposable_subspace(dir2, lift2),
-        ]
-        if not direct_sum_is(pp.comp, pres_parts):
-            raise AssertionError("eigenspace presentation does not recompose")
+        dir1, dir2 = line_direction(pp.basis, lam_plus), line_direction(pp.basis, -lam_plus)
         eigen_pres = (dir1, lift1, dir2, lift2)
-        # cross-check m as the rank of the Gram pairing between eigenspaces
-        # (the rank does not depend on the bases of the two eigen-graphs)
-        if lift1.dim and lift2.dim:
-            vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).int_basis() for lift in (lift1, lift2))
-            if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
-                raise AssertionError("cross-eigenspace rank disagrees with signature")
-        elif sig.p != 0:
-            raise AssertionError("empty eigenspace but nonzero metric rank")
+        # cross-check m as the rank of the Gram pairing between eigenspaces,
+        # whatever their bases (0 when one of them is empty)
+        if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+            raise AssertionError("cross-eigenspace rank disagrees with signature")
         # the witness family a I + a J +- K when the pure part sits in one eigenspace
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.scalar(k, lam):
                 n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
                 n_op = pp.basis.conjugate(n_ad)
-                for t in (0, 1, 2):
-                    member = a + n_op.scale(t)
-                    if not operator_preserves(member, pp.comp):
-                        raise AssertionError("witness family member fails invariance")
+                if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
+                    raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
                 break
     return ParaComplexReport(
-        a, qa, nu, pp.basis, form, d_plus, d_minus, strict, hermitian_pure, sig,
+        a, qa, nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     )
@@ -835,9 +850,7 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
         raise AssertionError("para-quaternionic Gram block identity failed")
     pure = u0.is_zero()
     crep = check_complex(ms, u, wits.complex) if wits.complex else None
-    pcrep = (
-        check_para_complex(ms, u, wits.para_complex) if wits.para_complex else None
-    )
+    pcrep = check_para_complex(ms, u, wits.para_complex) if wits.para_complex else None
     nrep = check_nilpotent(ms, u, wits.nilpotent) if wits.nilpotent else None
     uft_form = graph_form(u) if pure else None
     real = is_real(uft_form)
@@ -858,18 +871,7 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
     )
     _check_flag_consistency(flags, u.dim, sig, ms.n)
     return ClassificationReport(
-        ms.n,
-        u.dim,
-        flags,
-        sig,
-        u0,
-        stab,
-        wits,
-        crep,
-        pcrep,
-        nrep,
-        trrep,
-        uft_form,
+        ms.n, u.dim, flags, sig, u0, stab, wits, crep, pcrep, nrep, trrep, uft_form,
     )
 
 
@@ -969,7 +971,7 @@ def oracle_check(
                 f"totally-real-{name}-orthogonal",
                 is_orthogonal(ms, image(op, u), u),
             )
-    if report.complex_report and report.complex_report.pure_form:
+    if report.complex_report and not report.flags.para_quaternionic:
         cr = report.complex_report
         # the anticommuting para-complex partner J^ in the adapted basis, and
         # J^ of U's rows: J^U _|_ U when g(J^x, y) = 0 for all of them

@@ -31,7 +31,7 @@ the nonzero entries of the form (``ModelSpace._metric_form`` or
 ``Fraction`` built once.  With one list it is the Gram matrix of a
 symmetric (:func:`gram`) or skew (:func:`restrict_omega`) form, each
 entry above the diagonal mirrored.  ``classify`` and ``uft`` build their
-pairings of graph rows, T-columns and eigen-graphs with it, and the
+pairings of graph rows, T-columns and eigen-rows with it, and the
 oracle its pairwise Gram.  :func:`is_orthogonal`, ``image_orthogonal``
 and :func:`omega_kernel_in` read the bare numerators (:func:`_pairings`).
 
@@ -108,8 +108,9 @@ class SignatureTriple:
 class Subspace:
     """A linear subspace of Q^d held by its canonical reduced-echelon basis.
 
-    ``Subspace(mat)`` puts the rows of a matrix in canonical form; the
-    operations below build their results in canonical form directly.
+    The operations below build their results in canonical form directly;
+    ``Subspace(mat)``, the span of a ``Fraction`` matrix's rows, is the
+    tests' ``Fraction`` reference route, and the package never calls it.
     """
 
     __slots__ = ("_rows", "pivots", "ambient", "_memo")

@@ -120,11 +120,6 @@ class UFTForm:
         coords = [self.f_space.coordinates_of(r) for r in w.mat.rows]
         return Mat(coords, ncols=self.dim) @ self.t_map.T
 
-    def t_on_f(self) -> Mat:
-        """T on the canonical basis of F, valid once TF <= F: column j is
-        T f_j, whose coordinates in that basis are its entries at F's pivots."""
-        return Mat._of(tuple(self.t_map.rows[p] for p in self.f_space.pivots), self.dim)
-
     def t_on_subspace(self, w: Subspace) -> Mat:
         """Matrix of T restricted to an invariant subspace W of F, in the
         canonical basis of W."""
@@ -307,7 +302,9 @@ def invariant_core(u: UFTForm):
         if w_new == w:
             break
         w = w_new
-    return w, (u.t_on_f() if w.dim == u.dim else u.t_on_subspace(w))
+    if w.dim < u.dim:
+        return w, u.t_on_subspace(w)
+    return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), w.dim)  # T f_j at F's pivots
 
 
 def graph_spectrum(form: UFTForm):

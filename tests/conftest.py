@@ -88,3 +88,14 @@ def hand_built_instance(seed: int):
     t_local = q @ diag @ q.inverse()
     graph = UFTForm(HBasisChange.identity(), f_sub, f_sub.mat.T @ t_local).span()
     return n, twist_h(product_subspace(e0).sum(graph), random_sl2(rng))
+
+
+def pure_part_coordinates(part, form: UFTForm) -> Mat:
+    """Row j: the h1' part p1'(b_j) of the j-th canonical row of U' in the
+    adapted basis (``classify._pure_part``'s basis of F), in coordinates of
+    the canonical basis of F of ``form = to_uft(U', basis)``.  With it as
+    P, a form on F moves from the canonical basis to the pass's as
+    P G P^T, and a map M read in the pass's basis satisfies
+    P^T M = M_F P^T for its matrix M_F in the canonical basis."""
+    h1_parts = [r[: form.dim_e] for r in to_basis(part.basis, part.comp.basis)]
+    return Mat([form.f_space.coordinates_of(x) for x in h1_parts], ncols=form.dim)

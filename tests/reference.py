@@ -14,12 +14,30 @@ from math import lcm
 from operator import mul
 from typing import Callable
 
-from pqh.classify import ParaComplexReport, Stabilizer, operator_preserves
+from pqh.classify import (
+    ComplexReport,
+    ParaComplexReport,
+    Stabilizer,
+    adapted_basis,
+    operator_preserves,
+)
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rref, vec_add
-from pqh.model import OP_I, OP_J, OP_K, HBasisChange, Operator, StructureError, tensor
+from pqh.linalg import symmetric_signature
+from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
-from pqh.subspace import Subspace, h_fiber, maximal_pq
-from pqh.uft import TransversalityError, UFTForm
+from pqh.subspace import (
+    SignatureTriple,
+    Subspace,
+    _form_matrix,
+    decomposable_subspace,
+    direct_sum_is,
+    h_fiber,
+    image_orthogonal,
+    maximal_pq,
+    restrict_omega,
+    signature,
+)
+from pqh.uft import TransversalityError, UFTForm, graph_over, line_direction, poly_fiber, pq_split
 
 
 # Formerly pqh.quadext.QuadExt.
@@ -397,3 +415,194 @@ def induced_g_f(ms, u):
     b = u.f_space.mat.T  # columns are the basis of F
     c = u.t_map.T @ ms.omega @ b
     return -(c + c.T)
+
+
+# Formerly pqh.classify._PurePart, the pass that presented U' as a graph
+# over the adapted basis by one elimination.
+@dataclass(frozen=True)
+class _PurePart:
+    """The structure-theorem pass that a complex (q > 0) and a para-complex
+    (q < 0) witness share; only the sign of q tells them apart.
+
+    With D = det[h1', A h1'] of the adapted basis and ``scale`` = D^2 / q,
+    the graph map of the pure part satisfies T^2 = -scale Id, and T is
+    omega-conformal (omega(T., T.) = scale omega on F) exactly when U is
+    orthogonal to its image under the anticommuting partner
+    (0, q/D^2; 1, 0) and under K^ = diag(1, -1) of the adapted basis.
+    ``form`` is None when U is para-quaternionic (no pure part).
+    """
+
+    scale: Fraction
+    basis: HBasisChange
+    d_val: Fraction
+    comp: Subspace
+    form: UFTForm | None = None
+    t_f: Mat | None = None  # T on the canonical basis of F
+    g_f: Mat | None = None
+    sig: SignatureTriple = SignatureTriple(0, 0, 0)
+    w_f: Mat | None = None  # omega on F
+    w_t: Mat | None = None  # omega(T., T.) on F
+    omega_route: bool = False
+    gram_partner: bool = False
+    totally: bool = False  # Hermitian, pure and omega-conformal
+
+
+# Formerly pqh.classify._pure_part; it read T on F with UFTForm.t_on_f, which
+# is the t_on_subspace of F (tests/test_real_form.py checked the two equal).
+def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
+    """The pass for an invertible witness A of U, on U' of :func:`pq_split`:
+    U = U0 (+) U' as U contains H (x) E0, and A preserves H (x) C."""
+    qa = a.q()
+    kind = "complex" if qa > 0 else "para-complex"
+    if not operator_preserves(a, u):
+        raise ValueError("witness does not stabilize the subspace")
+    u0, _e0, comp = pq_split(u)
+    basis, d_val = adapted_basis(a)
+    scale = d_val * d_val / qa
+    if comp.dim == 0:
+        return _PurePart(scale, basis, d_val, comp)
+    form = to_uft(comp, basis)
+    if not all(form.f_space.contains_vector(tf) for tf in form.t_map.cols):
+        raise AssertionError(f"T does not preserve F for a {kind} witness")
+    t_f = form.t_on_subspace(form.f_space)
+    if t_f @ t_f != Mat.scalar(form.dim, -scale):
+        raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
+    g_f = induced_g_f(ms, form)
+    sig = SignatureTriple(*symmetric_signature(g_f))
+    if sig.as_tuple() != signature(ms, comp).as_tuple():
+        raise AssertionError("pullback metric has wrong signature")
+    w_f = restrict_omega(ms, form.f_space)
+    t_cols = [_int_row(c) for c in form.t_map.cols]
+    w_t = _form_matrix(ms._omega_form, t_cols, t_cols)
+    omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
+    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
+    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    gram_partner = image_orthogonal(ms, partner, u)
+    gram_k = image_orthogonal(ms, k_hat, u)
+    hermitian_full = signature(ms, u).s == 0
+    if u0.is_zero() and hermitian_full:
+        if not (omega_route == gram_partner == gram_k):
+            raise AssertionError(f"totally-{kind} routes disagree")
+    totally = hermitian_full and u0.is_zero() and omega_route
+    return _PurePart(
+        scale, basis, d_val, comp, form, t_f, g_f, sig, w_f, w_t,
+        omega_route, gram_partner, totally,
+    )
+
+
+# Formerly pqh.classify.check_complex, on the pass above.  The report now
+# holds U' where it held the graph form, which is returned beside it.
+def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
+    """Verify the structure theorem for a complex-type witness.
+
+    On top of the shared pure-part pass (:func:`_pure_part`): the signature
+    has type (2p, 2s, 2q), and the scaled Kaehler identity agrees along
+    three routes.
+    """
+    qa = a.q()
+    if qa <= 0:
+        raise ValueError("complex check needs a witness with positive q")
+    pp = _pure_part(ms, u, a)
+    if pp.form is not None:
+        if any(x % 2 for x in pp.sig.as_tuple()):
+            raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
+        # g(A v_i, v_j) on the graph vectors v_i
+        vs = pp.form.graph_rows()
+        k_amb = _form_matrix(ms._metric_form, [a.act_int(*v) for v in vs], vs)
+        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
+        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
+        if not (k_amb == k_gf == k_form):
+            raise AssertionError("Kaehler identity routes disagree")
+    return ComplexReport(
+        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
+        pp.omega_route, pp.gram_partner, pp.totally,
+    ), pp.form
+
+
+# Formerly pqh.classify.check_para_complex, with its eigen section on the
+# graph form.  The report holds U', and the graph form is returned beside it.
+def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
+    """Verify the weakly para-complex structure theorem for a witness with
+    q(A) < 0.  On top of the shared pure-part pass (:func:`_pure_part`):
+    eigenspace dimensions by the exact trace test, the neutral signature
+    claim, and the eigenspace presentation and witness family when |q| is
+    a square."""
+    qa = a.q()
+    if qa >= 0:
+        raise ValueError("para-complex check needs a witness with negative q")
+    pp = _pure_part(ms, u, a)
+    nu = -pp.scale
+    form, t_f, d_val, sig = pp.form, pp.t_f, pp.d_val, pp.sig
+    if form is None:
+        return ParaComplexReport(
+            a, qa, nu, pp.basis, pp.comp, 0, 0, True, True, sig, 0, None, None,
+            False, False, False,
+        ), None
+    k = form.dim
+    tr = t_f.trace()
+    if tr == 0:
+        if k % 2:
+            raise AssertionError("traceless para-complex part of odd dimension")
+        d_plus = d_minus = k // 2
+    else:
+        ratio = is_rational_square(tr * tr / nu)
+        if ratio is None or ratio.denominator != 1:
+            raise AssertionError("trace test failed to give an integer split")
+        # tr(T) = lam_plus (d+ - d-) with lam_plus = D / sqrt(|q|), so the
+        # split is signed by tr relative to the sign of D
+        r_signed = int(ratio) if (tr > 0) == (d_val > 0) else -int(ratio)
+        if (k + r_signed) % 2:
+            raise AssertionError("trace split has wrong parity")
+        d_plus = (k + r_signed) // 2
+        d_minus = (k - r_signed) // 2
+    strict = d_plus == d_minus
+    if sig.p != sig.q:
+        raise AssertionError("para-complex signature is not of type (m, k-2m, m)")
+    hermitian_pure = sig.s == 0
+    if not strict and hermitian_pure:
+        raise AssertionError("weakly-not-para-complex part must be degenerate")
+    if hermitian_pure and sig.as_tuple() != (k // 2, 0, k // 2):
+        raise AssertionError("Hermitian para-complex part must be neutral")
+    # eigenspace data over Q when sqrt(|q|) is rational
+    rho = is_rational_square(-qa)
+    eigen_pres = None
+    family = None
+    if rho is not None:
+        lam_plus = d_val / rho
+        lift1 = poly_fiber(form.f_space, t_f, (-lam_plus, F1))
+        lift2 = poly_fiber(form.f_space, t_f, (lam_plus, F1))
+        if lift1.dim != d_plus or lift2.dim != d_minus:
+            raise AssertionError("rational eigenspace dimensions disagree with trace test")
+        dir1 = line_direction(form.h_basis, lam_plus)
+        dir2 = line_direction(form.h_basis, -lam_plus)
+        pres_parts = [
+            decomposable_subspace(dir1, lift1),
+            decomposable_subspace(dir2, lift2),
+        ]
+        if not direct_sum_is(pp.comp, pres_parts):
+            raise AssertionError("eigenspace presentation does not recompose")
+        eigen_pres = (dir1, lift1, dir2, lift2)
+        # cross-check m as the rank of the Gram pairing between eigenspaces
+        # (the rank does not depend on the bases of the two eigen-graphs)
+        if lift1.dim and lift2.dim:
+            vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).int_basis() for lift in (lift1, lift2))
+            if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+                raise AssertionError("cross-eigenspace rank disagrees with signature")
+        elif sig.p != 0:
+            raise AssertionError("empty eigenspace but nonzero metric rank")
+        # the witness family a I + a J +- K when the pure part sits in one eigenspace
+        for lam in (lam_plus, -lam_plus):
+            if t_f == Mat.scalar(k, lam):
+                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
+                n_op = pp.basis.conjugate(n_ad)
+                for t in (0, 1, 2):
+                    member = a + n_op.scale(t)
+                    if not operator_preserves(member, pp.comp):
+                        raise AssertionError("witness family member fails invariance")
+                family = (a, n_op)
+                break
+    return ParaComplexReport(
+        a, qa, nu, pp.basis, pp.comp, d_plus, d_minus, strict, hermitian_pure, sig,
+        sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
+        pp.totally and strict,
+    ), form

@@ -22,7 +22,7 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import congruent_instance, dense_congruence
+from conftest import congruent_instance, dense_congruence, pure_part_coordinates
 from reference import (
     block_gram,
     cross_eigenspace_gram,
@@ -49,7 +49,7 @@ from pqh.subspace import (
     p1,
     restrict_omega,
 )
-from pqh.uft import graph_form, graph_over, induced_g_f, pq_split
+from pqh.uft import graph_form, graph_over, induced_g_f, pq_split, to_uft
 
 REF = settings(max_examples=60, deadline=None)
 
@@ -187,9 +187,12 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
             if wit is None:
                 continue
             pp = _pure_part(ms, u, wit)
-            if pp.form is not None:
-                assert pp.w_t == pure_part_w_t(ms, pp.form)
-                assert pp.g_f == ref_induced_g_f(ms, pp.form)
+            if pp.t_f is not None:
+                # the pass reads F in the basis of U''s h1' parts
+                form = to_uft(pp.comp, pp.basis)
+                p = pure_part_coordinates(pp, form)
+                assert pp.w_t == p @ pure_part_w_t(ms, form) @ p.T
+                assert pp.g_f == p @ ref_induced_g_f(ms, form) @ p.T
         pcr = rep.para_complex_report
         if pcr is not None and pcr.eigen_presentation is not None:
             _dir1, lift1, _dir2, lift2 = pcr.eigen_presentation

@@ -6,6 +6,9 @@ implementations of ``check_complex`` and ``check_para_complex``, each with
 its own copy of the structure-theorem pass.  Every report field must agree
 on the witnesses of generated instances of every kind, on rescaled
 witnesses (both signs of D) and on witnesses whose q is not a square.
+A report holds U' and builds its graph form when ``pure_form`` is read,
+so the references report their complement, and ``pure_form`` is
+compared too.
 """
 
 from dataclasses import fields
@@ -56,7 +59,7 @@ def ref_check_complex(ms, u, a):
     mu = d_val * d_val / qa
     if comp.dim == 0:
         sig0 = SignatureTriple(0, 0, 0)
-        return ComplexReport(a, qa, mu, basis, None, True, sig0, False, False, False)
+        return ComplexReport(a, qa, mu, basis, comp, True, sig0, False, False, False)
     form = to_uft(comp, basis)
     ok = True
     tf_cols = []
@@ -103,7 +106,7 @@ def ref_check_complex(ms, u, a):
         if not (omega_pres == gram_j == gram_k):
             raise AssertionError("totally-complex routes disagree")
     return ComplexReport(
-        a, qa, mu, basis, form, hermitian_pure, sig_pure, omega_pres, gram_j, totally,
+        a, qa, mu, basis, comp, hermitian_pure, sig_pure, omega_pres, gram_j, totally,
     )
 
 
@@ -120,7 +123,7 @@ def ref_check_para_complex(ms, u, a):
     if comp.dim == 0:
         sig0 = SignatureTriple(0, 0, 0)
         return ParaComplexReport(
-            a, qa, nu, basis, None, 0, 0, True, True, sig0, 0, None, None,
+            a, qa, nu, basis, comp, 0, 0, True, True, sig0, 0, None, None,
             False, False, False,
         )
     form = to_uft(comp, basis)
@@ -214,7 +217,7 @@ def ref_check_para_complex(ms, u, a):
         if not (omega_skew == gram_i == gram_k):
             raise AssertionError("totally-para-complex routes disagree")
     return ParaComplexReport(
-        a, qa, nu, basis, form, d_plus, d_minus, strict, hermitian_pure,
+        a, qa, nu, basis, comp, d_plus, d_minus, strict, hermitian_pure,
         sig_pure, m_value, eigen_pres, family, omega_skew, gram_i, totally,
     )
 
@@ -233,8 +236,8 @@ def assert_same_reports(ms, u, a):
                 check(ms, u, a)
             continue
         got = check(ms, u, a)
-        for f in fields(expected):
-            assert getattr(got, f.name) == getattr(expected, f.name), f.name
+        for name in [f.name for f in fields(expected)] + ["pure_form"]:
+            assert getattr(got, name) == getattr(expected, name), name
 
 
 @pytest.mark.parametrize("kind", KINDS)

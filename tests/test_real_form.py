@@ -6,7 +6,8 @@ it replaced (``reference.is_real``) on generated kinds, their twists by
 family with 0 < dim U0 < dim U.  ``classify`` builds ``graph_form(u)`` once
 for a pure U and never for another, ``decompose_form2`` runs form 1 only
 when U' has no graph form, T on F is read off ``t_map`` as
-``t_on_subspace`` reads it, and the oracle's pairing route to
+``t_on_subspace`` reads it (and off the witness by the pure-part pass, in
+another basis of F), and the oracle's pairing route to
 ``totally-complex-gram`` refutes a forged flag.
 """
 
@@ -26,8 +27,9 @@ from pqh.uft import (
     invariant_core,
     pq_split,
     subspace_spectrum,
+    to_uft,
 )
-from conftest import hand_built_instance
+from conftest import hand_built_instance, pure_part_coordinates
 from reference import is_real as ref_is_real
 
 # the modules, not the functions ``pqh`` exports under the same names
@@ -135,8 +137,12 @@ def test_t_on_f_is_t_on_the_subspace_f():
         wits = kind_witnesses(stabilizer(u))
         for a in (wits.complex, wits.para_complex):
             part = _pure_part(ms, u, a) if a is not None else None
-            if part is not None and part.form is not None:
-                assert part.t_f == part.form.t_on_subspace(part.form.f_space)
+            if part is not None and part.t_f is not None:
+                # the pass's T, read off the witness on U''s rows, is the
+                # graph form's T on F in the basis of U''s h1' parts
+                form = to_uft(part.comp, part.basis)
+                p = pure_part_coordinates(part, form)
+                assert p.T @ part.t_f == form.t_on_subspace(form.f_space) @ p.T
                 pure_parts += 1
         form = graph_form(u)
         if form is not None:
