@@ -11,12 +11,12 @@ the complements (unit rows, or rows of the larger basis),
 :func:`product_subspace`, :func:`decomposable_subspace`, p1(U)
 (:func:`p1`), the fiber of h2 (:func:`h2_fiber`), the F of a graph
 (``uft.to_uft``) and the combined rows of :meth:`Subspace.kernel_in`.
-U's rows with a pivot in h2 (x) E are h2 (x) (its h2 fiber), so a zero
-h2 fiber certifies U0 = 0 (:func:`maximal_pq`) with no kernel.  The
-``Fraction`` matrix ``mat`` is built from the rows when it is first
-read, where a value leaves this layer; its rows, ``basis``, are
-coordinate rows of V, which ``ModelSpace.metric`` and
-``hermitian_product`` take as they are.
+U's rows with a pivot in h2 (x) E are h2 (x) (its h2 fiber), so U0 =
+H (x) E0 (:func:`maximal_pq`) is one cut of that fiber, and a zero fiber
+gives U0 = 0 with no kernel.  The ``Fraction`` matrix ``mat`` is built
+from the rows when it is first read, where a value leaves this layer;
+its rows, ``basis``, are coordinate rows of V, which
+``ModelSpace.metric`` and ``hermitian_product`` take as they are.
 
 Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
@@ -46,11 +46,12 @@ Every subspace cut out by a linear condition is one call of
 :meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
 its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 (or vanish).  ``intersect`` takes its own rows into the other operand,
-``maximal_pq`` A applied to the rows of U0 into U, :func:`h_fiber` the
-columns of ``[aI; bI]`` reduced modulo U, :func:`omega_kernel_in` the
-omega pairings, ``uft.graph_over`` the h1 components of a graph's rows
-into a subspace of F, and the U' of ``uft.pq_split`` is U ^ (H (x) C)
-for the complement C of E0.  The relations come from :func:`_relations`, which
+``maximal_pq`` the h1 copies (e | 0) of the h2 fiber's rows into U,
+:func:`h_fiber` the columns of ``[aI; bI]`` reduced modulo U,
+:func:`omega_kernel_in` the omega pairings, ``uft.graph_over`` the h1
+components of a graph's rows into a subspace of F, and the U' of
+``uft.pq_split`` is U ^ (H (x) C) for the complement C of E0.  The
+relations come from :func:`_relations`, which
 holds the module's one certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
 mod p of the target's basis stacked on the images proves that no
@@ -90,7 +91,7 @@ from typing import Iterable, Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
-from .model import OP_I, OP_J, OP_K, ModelSpace, Operator, _form_image
+from .model import ModelSpace, Operator, _form_image
 
 
 @dataclass(frozen=True)
@@ -459,24 +460,20 @@ def image_orthogonal(ms: ModelSpace, a: Operator, u: Subspace) -> bool:
 
 
 def maximal_pq(u: Subspace) -> Subspace:
-    """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
+    """U0 = H (x) E0, the maximal para-quaternionic subspace of U.
 
-    U0 = H (x) E0 puts h2 (x) E0 inside U, so a zero :func:`h2_fiber` (no
-    pivot of U in h2 (x) E) certifies U0 = 0 with no elimination.
-    Otherwise A^{-1} = +-A for A = I, J, K, so U0 ^ AU = {x in U0 : Ax in U}:
-    each step is one :meth:`Subspace.kernel_in` with target U, and no
-    canonical AU is built.
+    E0 = {e : h1 (x) e and h2 (x) e in U} is the common fiber of h1 and h2:
+    the e of the :func:`h2_fiber` whose copy h1 (x) e = (e | 0) lies in U,
+    one :meth:`Subspace.kernel_in` over the fiber's basis with target U.  A
+    zero fiber returns at once.  :func:`_relations`' rank certificate can
+    prove E0 = 0 only when dim U + dim fiber <= dim V; otherwise one exact
+    kernel in dim-fiber unknowns runs.  No structure operator is applied.
     """
 
     def compute():
-        if h2_fiber(u).is_zero():
-            return Subspace.zero(u.ambient)
-        u0 = u
-        for op in (OP_I, OP_J, OP_K):
-            u0 = u0.kernel_in([op.act_int(V, D) for V, D in u0._rows], u)
-            if u0.is_zero():
-                break
-        return u0
+        f2 = h2_fiber(u)
+        zero = [0] * f2.ambient
+        return product_subspace(f2.kernel_in([(V + zero, D) for V, D in f2._rows], u))
 
     return u.memo("u0", compute)
 

@@ -274,7 +274,8 @@ def block_gram(ms, e_prime):
     return split @ ms.metric_matrix() @ split.T
 
 
-# Formerly pqh.subspace.maximal_pq, which ran its loop for every U (no memo).
+# U0 by its definition U ^ IU ^ JU ^ KU, formerly the body of
+# pqh.subspace.maximal_pq, which now cuts U0 = H (x) E0 out of the h2 fiber.
 def maximal_pq_loop(u: Subspace) -> Subspace:
     """U0 = U  ^ IU ^ JU ^ KU, the maximal para-quaternionic subspace.
 

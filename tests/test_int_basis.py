@@ -15,13 +15,13 @@ import pytest
 import test_cli
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from conftest import to_basis
+from conftest import congruent_instance, dense_congruence, hand_built_instance, to_basis
 from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
 
 from pqh.classify import classify, oracle_check
-from pqh.generate import KINDS, generate
+from pqh.generate import KINDS, generate, random_sl2, twist_h
 from pqh.linalg import F0, F1, P61, Mat, _int_row, int_kernel, int_rref
 from pqh.model import HBasisChange, ModelSpace
 from pqh.rng import Rng
@@ -29,6 +29,7 @@ from pqh.subspace import (
     Subspace,
     decomposable_subspace,
     gram,
+    h2_fiber,
     h_fiber,
     image,
     is_orthogonal,
@@ -437,8 +438,9 @@ def test_oracle_on_generated_real_instances_is_clean():
 
 @st.composite
 def large_model_subspaces(draw):
-    """Subspaces of H (x) E with dim U > dim E: pure, or with U0 != 0."""
-    n = draw(st.integers(1, 2))
+    """Subspaces of H (x) E with dim U > dim E: pure, or with U0 != 0.
+    Past 3n rows the h2 fiber's cut cannot be certified, and E0 != 0."""
+    n = draw(st.integers(1, 3))
     ambient = 4 * n
     kind = draw(st.sampled_from(["rows", "pq_plus_rows", "full"]))
     if kind == "full":
@@ -454,10 +456,11 @@ def large_model_subspaces(draw):
 
 
 @SETTINGS
-@given(large_model_subspaces())
-def test_maximal_pq_of_large_subspaces_matches_reference(u):
+@given(large_model_subspaces(), st.integers(0, 999))
+def test_maximal_pq_of_large_subspaces_matches_reference(u, seed):
     assume(u.dim > u.ambient // 2)
-    assert maximal_pq(u) == ref_maximal_pq(u)
+    for v in (u, twist_h(u, random_sl2(Rng(seed)))):
+        assert maximal_pq(v) == ref_maximal_pq(v)
 
 
 def test_maximal_pq_of_a_large_subspace_with_a_pq_part():
@@ -482,8 +485,27 @@ def test_maximal_pq_with_a_pivot_divisible_by_p():
     assert maximal_pq(u) == ref_maximal_pq(u) == Subspace.zero(4)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", KINDS + ("hand_built",))
 def test_maximal_pq_of_generated_instances_matches_reference(kind):
-    for seed in range(2):
-        u = generate(Rng(seed), 2, kind, None)
+    if kind == "hand_built":  # 0 < dim U0 < dim U on every seed
+        cases = [hand_built_instance(seed)[1] for seed in range(1000, 1030)]
+    else:
+        cases = [generate(Rng(seed), 2, kind, None) for seed in range(2)]
+    for u in cases:
         assert maximal_pq(u) == ref_maximal_pq(u)
+
+
+def test_maximal_pq_where_the_certificate_cannot_apply():
+    # generic n = 3, dim 10-11: dim U + dim(h2 fiber) > dim V, so the cut
+    # takes its exact kernel, and E0 != 0; also under a twist and in a
+    # dense congruent model
+    for dim in (10, 11):
+        for seed in range(3):
+            u = generate(Rng(seed), 3, "generic", dim)
+            twisted = twist_h(u, random_sl2(Rng(9000 + seed)))
+            p = dense_congruence(3, Rng(7000 + seed).rationals(36))
+            _ms, moved = congruent_instance(ModelSpace.standard(3), u, p)
+            for v in (u, twisted, moved):
+                assert v.dim + h2_fiber(v).dim > v.ambient
+                got = maximal_pq(v)
+                assert not got.is_zero() and got == ref_maximal_pq(v)

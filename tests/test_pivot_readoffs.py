@@ -3,15 +3,16 @@ eliminations it replaced.
 
 The rows of U with a pivot in h2 (x) E are h2 (x) (the fiber of h2), as
 the rows with a pivot in h1 (x) E give p1(U).  So ``subspace.h2_fiber``
-needs no kernel, a zero h2 fiber certifies U0 = 0 in ``maximal_pq``, the
-direction searches read their t = 0 fiber off it, and over the standard
-basis ``uft.to_uft`` reads F = p1(U) and T off U's rows.  Graph rows are
-built in integers (``UFTForm.graph_rows``), and ``classify.stabilizer``
-solves its integer rows with ``int_kernel``.  Each reference in
-``tests/reference.py`` is the code before; every new path must give the
-same values on generated kinds and their twists, dense-omega^E congruent
-copies, the hand-built family, and random subspaces of every dimension,
-including ones with rows in h2 (x) E.
+needs no kernel, ``maximal_pq`` cuts E0 out of it (the e whose h1 copy
+also lies in U) with no structure operator, the direction searches read
+their t = 0 fiber off it, and over the standard basis ``uft.to_uft``
+reads F = p1(U) and T off U's rows.  Graph rows are built in integers
+(``UFTForm.graph_rows``), and ``classify.stabilizer`` solves its integer
+rows with ``int_kernel``.  Each reference in ``tests/reference.py`` is
+the code before; every new path must give the same values on generated
+kinds and their twists, dense-omega^E congruent copies, the hand-built
+family, and random subspaces of every dimension, including ones with
+rows in h2 (x) E.
 """
 
 from fractions import Fraction
@@ -36,7 +37,7 @@ import pqh.uft
 from pqh.classify import stabilizer
 from pqh.generate import KINDS, generate, random_sl2, twist_h
 from pqh.linalg import frac_row
-from pqh.model import HBasisChange, ModelSpace
+from pqh.model import HBasisChange, ModelSpace, Operator
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -191,10 +192,10 @@ def test_the_h2_fiber_sees_every_row_in_h2():
 
 
 def test_the_decompose_graph_instance_needs_no_elimination(monkeypatch):
-    """On ``generate(Rng(s), 6, "generic", 12)``, U0 = 0 is certified with no
-    ``kernel_in``, the h2 candidate with no ``h_fiber``, and the graph form
-    over the standard basis with no ``int_rref``."""
-    calls = {"kernel_in": 0, "h_fiber": 0, "int_rref": 0}
+    """On ``generate(Rng(s), 6, "generic", 12)``, U0 = 0 is read off a zero
+    h2 fiber with no ``_relations``, the h2 candidate with no ``h_fiber``,
+    and the graph form over the standard basis with no ``int_rref``."""
+    calls = {"_relations": 0, "h_fiber": 0, "int_rref": 0}
 
     def spy(name, fn):
         def wrapped(*args, **kwargs):
@@ -203,13 +204,13 @@ def test_the_decompose_graph_instance_needs_no_elimination(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(pqh.subspace.Subspace, "kernel_in", spy("kernel_in", Subspace.kernel_in))
+    monkeypatch.setattr(pqh.subspace, "_relations", spy("_relations", pqh.subspace._relations))
     monkeypatch.setattr(pqh.uft, "h_fiber", spy("h_fiber", pqh.uft.h_fiber))
     monkeypatch.setattr(pqh.uft, "int_rref", spy("int_rref", pqh.uft.int_rref))
     for s in range(3):
         u = generate(Rng(s), 6, "generic", 12)
         assert maximal_pq(u).is_zero()
-        assert calls["kernel_in"] == 0
+        assert calls["_relations"] == 0
         assert find_transversal_direction(u) == (0, 1)
         assert minimal_fiber_direction(u) == ((0, 1), Subspace.zero(12))
         assert calls["h_fiber"] == 0
@@ -217,3 +218,30 @@ def test_the_decompose_graph_instance_needs_no_elimination(monkeypatch):
         assert calls["int_rref"] == 0
         want = ref_to_uft(u, HBasisChange.identity())
         assert (form.h_basis, form.f_space, form.t_map) == (want.h_basis, want.f_space, want.t_map)
+
+
+def test_maximal_pq_applies_no_structure_operator(monkeypatch):
+    """``maximal_pq`` calls no ``Operator.act_int``.  With a zero h2 fiber,
+    and on generic n = 6, dim 16 (a 4-dimensional fiber, where the rank
+    certificate proves E0 = 0), it takes no exact ``int_kernel`` either;
+    at n = 3, dim 10 the certificate cannot apply and one kernel runs."""
+    zero_fiber = [generate(Rng(s), 6, "generic", 12) for s in range(3)]
+    certified = [generate(Rng(s), 6, "generic", 16) for s in range(3)]
+    wide = generate(Rng(0), 3, "generic", 10)
+    calls = {"act_int": 0, "int_kernel": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(Operator, "act_int", spy("act_int", Operator.act_int))
+    monkeypatch.setattr(pqh.subspace, "int_kernel", spy("int_kernel", pqh.subspace.int_kernel))
+    assert [h2_fiber(u).dim for u in zero_fiber + certified] == [0, 0, 0, 4, 4, 4]
+    assert all(maximal_pq(u).is_zero() for u in zero_fiber + certified)
+    assert calls == {"act_int": 0, "int_kernel": 0}
+    # dim E0 = 2: U0 = H (x) E0 has dim 4
+    assert h2_fiber(wide).dim == 4 and maximal_pq(wide).dim == 4
+    assert calls == {"act_int": 0, "int_kernel": 1}

@@ -132,10 +132,28 @@ def test_hand_built_classify_json_reports_the_signature_of_u_prime(capsys):
     assert m == signature(ms, pq_split(u)[2]).p == 1
 
 
-def test_hand_built_oracle_is_clean():
-    ms, u, _, _ = load_instance(str(HAND_BUILT))
+def assert_oracle_clean(ms, u):
+    """Every oracle finding holds, ``u0-matches`` among them: the oracle's
+    U0 (two ``h_fiber`` kernels and an intersection) is ``classify``'s."""
     findings = oracle_check(ms, classify(ms, u), u)
-    assert findings and all(f.ok for f in findings)
+    assert "u0-matches" in {f.name for f in findings}
+    assert all(f.ok for f in findings), [f.name for f in findings if not f.ok]
+
+
+def test_hand_built_oracle_is_clean():
+    assert_oracle_clean(*load_instance(str(HAND_BUILT))[:2])
+    for seed in range(1000, 1030):
+        n, u = hand_built_instance(seed)
+        assert_oracle_clean(ModelSpace.standard(n), u)
+
+
+@pytest.mark.parametrize("kind", ["para_quaternionic", "nilpotent"])
+def test_oracle_is_clean_where_u0_is_nonzero(kind):
+    # U0 = U on every para_quaternionic instance, 0 < dim U0 < dim U on
+    # some nilpotent ones
+    for n in (1, 2, 3, 4):
+        for seed in range(4):
+            assert_oracle_clean(ModelSpace.standard(n), generate(Rng(seed), n, kind))
 
 
 # -- the oracle's witness-invariance check ---------------------------------------
