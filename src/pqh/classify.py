@@ -36,10 +36,17 @@ those rows with them for ``totally-complex-gram``, with no image J^U.
 It checks a witness's square identity on its 2x2 matrix: (A (x) Id_E)^2
 + q Id_V is (A^2 + q Id_H) (x) Id_E, which vanishes exactly when
 A^2 + q Id_H does.
-For ``pure-complex-moves-off`` it tabulates once, per basis row b of U,
-the residues r_I, r_J, r_K of Ib, Jb, Kb modulo U.  Reduction modulo a
-reduced basis is linear, so the residue of Bb for a sample
-B = a I + b J + c K is a r_I + b r_J + c r_K, and no sample reduces a row.
+For its two sampled searches, ``real-no-sampled-violation`` and
+``pure-complex-moves-off``, it tabulates once, per basis row b of U, the
+residues r_I, r_J, r_K of Ib, Jb, Kb modulo U, and both searches read
+that table.  Reduction modulo a reduced basis is linear, so the residue of
+Bb for a sample B = a I + b J + c K is a r_I + b r_J + c r_K, and no
+sample reduces a row: the real search tests Bx in U for x = sum c_i b_i
+as one integer sum of table entries per column.
+For ``hermitian-norm-invariance`` it draws the entries of s in SL(H)
+(``generate.random_sl2_entries``) and pairs the integer rows
+s^-1 x and s^-1 y, with s^-1 = adj(s), against I, J and K; no
+:class:`~pqh.model.HBasisChange` is built.
 """
 
 from __future__ import annotations
@@ -47,8 +54,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
-from .generate import random_sl2
+from .generate import random_sl2_entries
 from .linalg import F0, F1, Mat, _int_row, _int_rows, _lowest_terms, frac_row, int_kernel, int_rank
 from .linalg import int_rref, rank_mod, symmetric_signature
 from .model import (
@@ -59,6 +67,7 @@ from .model import (
     HBasisChange,
     ModelSpace,
     Operator,
+    _h_act_int,
     tensor,
 )
 from .polyq import is_rational_square, poly_deg
@@ -945,17 +954,49 @@ def oracle_check(
             "nilpotent": wit.q() == 0 and not wit.is_zero(),
         }[kind]
         check(f"{kind}-witness-sign", sign_ok)
+    # the residues (r_I, r_J, r_K) of I b, J b, K b modulo U per basis row b,
+    # over one denominator per row, on the columns off U's pivots (a residue
+    # is zero at every pivot); built once for both sampled searches
+    pure_complex = (
+        report.flags.complex and report.flags.pure and not report.flags.para_quaternionic
+    )
+    if report.flags.real or pure_complex:
+        pivots = set(u.pivots)
+        free = [j for j in range(u.ambient) if j not in pivots]
+        table, dens = [], []
+        for xs, dx in u.int_basis():
+            parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+            d = lcm(*(e for _, e in parts))
+            table.append([[v[j] * (d // e) for j in free] for v, e in parts])
+            dens.append(d)
     if report.flags.real:
         # stabilizer nonzero refutes the real flag outright
         check("real-vs-stabilizer", report.stab.dim == 0)
-        # random-sample witness search: sound refutation of the real flag
+        # random-sample witness search: sound refutation of the real flag.
+        # Reduction modulo U is linear, so A = a I + b J + c K takes
+        # x = sum c_i b_i into U iff sum c_i (a r_I + b r_J + c r_K)(b_i) = 0;
+        # each column below lists that sum's terms over one denominator
+        whole = lcm(*dens)
+        terms = [[x * (whole // d) for x in r] for row, d in zip(table, dens) for r in row]
+        cols = [col for col in zip(*terms) if any(col)]
         violation = None
         for _ in range(samples):
-            a = Operator(rng.rational(), rng.rational(), rng.rational())
-            if a.is_zero():
+            abc = rng.rational(), rng.rational(), rng.rational()
+            if not any(abc):
                 continue
-            ax, d = a.act_int(*u.combine_int(*_int_row(rng.rationals(u.dim))))
-            if any(ax) and u.contains_int(ax, d):
+            cs, dc = _int_row(rng.rationals(u.dim))
+            (ca, cb, cc), _ = _int_row(abc)
+            coef = [c * x for c in cs for x in (ca, cb, cc)]
+            if any(sum(map(mul, coef, col)) for col in cols):
+                continue
+            # A x is in U; A^2 = -q(A) Id, so for q(A) != 0, A x != 0
+            # exactly when x != 0
+            a = Operator(*abc)
+            if a.q() != 0:
+                nonzero = any(cs)
+            else:
+                nonzero = any(a.act_int(*u.combine_int(cs, dc))[0])
+            if nonzero:
                 violation = a
                 break
         check(
@@ -987,62 +1028,60 @@ def oracle_check(
             ),
         )
     # pure complex: any operator not proportional to the witness moves U off itself
-    if (
-        report.flags.complex
-        and report.flags.pure
-        and not report.flags.para_quaternionic
-    ):
+    if pure_complex:
         check("pure-complex-witness-unique", report.stab.dim == 1)
         wit = report.witnesses.complex
-        # the residues (r_I, r_J, r_K) of I b, J b, K b per basis row b, over
-        # one denominator per row (scaling a row keeps every rank below)
-        table = []
-        for xs, dx in u.int_basis():
-            parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
-            d = lcm(*(e for _, e in parts))
-            table.append([[x * (d // e) for x in v] for v, e in parts])
         for _ in range(samples):
-            b = Operator(rng.rational(), rng.rational(), rng.rational())
-            if b.is_zero():
+            abc = rng.rational(), rng.rational(), rng.rational()
+            if not any(abc):
                 continue
+            al, be, ga = abc
             if (
-                b.alpha * wit.beta == b.beta * wit.alpha
-                and b.alpha * wit.gamma == b.gamma * wit.alpha
-                and b.beta * wit.gamma == b.gamma * wit.beta
+                al * wit.beta == be * wit.alpha
+                and al * wit.gamma == ga * wit.alpha
+                and be * wit.gamma == ga * wit.beta
             ):
                 continue
+            (ca, cb, cc), _ = _int_row(abc)
             # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
             # basis of U to a basis of B U
-            if b.q() != 0:
+            if ca * ca - cb * cb - cc * cc:
                 dim = u.dim
             else:
+                b = Operator(*abc)
                 dim = int_rank([b.act_int(xs, dx)[0] for xs, dx in u.int_basis()], u.ambient)
-            # B U meets U iff its spanning rows are dependent modulo U; a
-            # full rank mod p proves them independent
-            # reduction modulo U is linear: B b = a I b + b J b + c K b
-            # leaves a r_I + b r_J + c r_K
-            (ca, cb, cc), _ = _int_row((b.alpha, b.beta, b.gamma))
+            # B U meets U iff its spanning rows are dependent modulo U, and
+            # B b leaves a r_I + b r_J + c r_K; a full rank mod p proves the
+            # residues independent (scaling a row keeps every rank)
             residues = [
                 [ca * x + cb * y + cc * z for x, y, z in zip(ri, rj, rk)] for ri, rj, rk in table
             ]
             if (
-                rank_mod(residues, u.ambient) != dim
-                and int_rank(residues, u.ambient) != dim
+                rank_mod(residues, len(free)) != dim
+                and int_rank(residues, len(free)) != dim
             ):
-                check("pure-complex-moves-off", False, f"B={b}")
+                check("pure-complex-moves-off", False, f"B={Operator(*abc)}")
                 break
         else:
             check("pure-complex-moves-off", True)
-    # Hermitian product norm invariance under admissible basis changes
+    # Hermitian product norm invariance under admissible basis changes.  In
+    # the basis of s in SL(H) the triple is s(I, J, K)s^-1, and
+    # g(x, sIs^-1 y) = g(s^-1 x, I s^-1 y) with s^-1 = adj(s): the norm of
+    # the imaginary part is g(x', Iy')^2 - g(x', Jy')^2 - g(x', Ky')^2 over
+    # the square of one denominator, for x' = s^-1 x and y' = s^-1 y
+    dw = ms._metric_form[1]
     for _ in range(2):
-        x = vecs[rng.below(len(vecs))]
-        y = vecs[rng.below(len(vecs))]
-        base = ms.hermitian_product(x, y).imag().norm()
+        i, j = rng.below(len(vecs)), rng.below(len(vecs))
+        base = ms.hermitian_product(vecs[i], vecs[j]).imag().norm()
         ok = True
         for _ in range(3):
-            s = random_sl2(rng)
-            val = ms.hermitian_product(x, y, s).imag().norm()
-            if val != base:
+            a, b, c, d = random_sl2_entries(rng)
+            inv = _int_row((d, -b, -c, a))
+            xs, dx = _h_act_int(inv, *cleared[i])
+            ys, dy = _h_act_int(inv, *cleared[j])
+            gi, gj, gk = (ms._metric_int(xs, op.act_int(ys, dy)[0]) for op in (OP_I, OP_J, OP_K))
+            den = dw * dx * dy
+            if (gi * gi - gj * gj - gk * gk) * base.denominator != base.numerator * den * den:
                 ok = False
                 break
         check("hermitian-norm-invariance", ok)

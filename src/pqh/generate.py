@@ -45,11 +45,22 @@ def random_subspace(rng: Rng, ambient: int, dim: int) -> Subspace:
             return u
 
 
-def random_sl2(rng: Rng) -> HBasisChange:
+def random_sl2_entries(rng: Rng) -> tuple:
+    """The entries (a, b, c, d) of a random s = [[a, b], [c, d]] in SL(H).
+
+    a, b and c are drawn until a != 0, and d = (1 + bc) / a makes
+    ad - bc = 1, so s^-1 is the adjugate [[d, -b], [-c, a]].
+    """
     while True:
         a, b, c = rng.rational(), rng.rational(), rng.rational()
         if a != 0:
-            return HBasisChange(Mat(((a, b), (c, (1 + b * c) / a))))
+            return a, b, c, (1 + b * c) / a
+
+
+def random_sl2(rng: Rng) -> HBasisChange:
+    """The H-basis change of :func:`random_sl2_entries`, from the same draws."""
+    a, b, c, d = random_sl2_entries(rng)
+    return HBasisChange(Mat(((a, b), (c, d))))
 
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:

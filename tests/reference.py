@@ -15,16 +15,20 @@ from operator import mul
 from typing import Callable
 
 from pqh.classify import (
+    ClassificationReport,
     ComplexReport,
+    OracleFinding,
     ParaComplexReport,
     Stabilizer,
     adapted_basis,
     operator_preserves,
 )
-from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rref, vec_add
-from pqh.linalg import symmetric_signature
+from pqh.generate import random_sl2
+from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
+from pqh.linalg import rank_mod, symmetric_signature, vec_add
 from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
+from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
     Subspace,
@@ -32,8 +36,12 @@ from pqh.subspace import (
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
+    image,
     image_orthogonal,
+    is_orthogonal,
     maximal_pq,
+    p1,
+    product_subspace,
     restrict_omega,
     signature,
 )
@@ -607,3 +615,175 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     ), form
+
+
+# Formerly pqh.classify.oracle_check, whose sampled checks built an Operator
+# and Fraction-cleared rows per sample and an HBasisChange per SL(H) frame.
+def oracle_check(
+    ms: ModelSpace, report: ClassificationReport, u: Subspace, seed: int = 0
+) -> list:
+    """Re-verify every reported flag from raw definitions.
+
+    Violations come back as data (ok=False entries), never as exceptions.
+    The real-flag search is sound only: a found witness (A, X) with
+    0 != AX in U refutes the flag; absence proves nothing.
+    """
+    rng = Rng(seed)
+    samples = 25  # random operators drawn by each sampled check
+    out = []
+
+    def check(name, ok, detail=""):
+        out.append(OracleFinding(name, bool(ok), detail))
+
+    if u.dim == 0:
+        check("empty-subspace", True, "vacuous")
+        return out
+
+    # U0 = H (x) E0 with E0 the common fiber of h1 and h2, and the signature
+    # from the metric pair by pair: neither shares a memo with classify
+    u0 = product_subspace(h_fiber(u, (1, 0)).intersect(h_fiber(u, (0, 1))))
+    check("u0-matches", u0 == report.u0)
+    check("pure-flag", report.flags.pure == u0.is_zero())
+    check(
+        "pq-flag",
+        report.flags.para_quaternionic == (u == product_subspace(p1(u))),
+    )
+    vecs = u.basis
+    # every pair (x, y) of basis rows, each row cleared once, not mirrored
+    cleared = [_int_row(x) for x in vecs]
+    pairwise = _form_matrix(ms._metric_form, cleared, cleared)
+    sig = SignatureTriple(*symmetric_signature(pairwise))
+    check("signature", sig.as_tuple() == report.signature.as_tuple())
+    check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
+    for kind, wit in (
+        ("complex", report.witnesses.complex),
+        ("para_complex", report.witnesses.para_complex),
+        ("nilpotent", report.witnesses.nilpotent),
+    ):
+        if wit is None:
+            continue
+        check(
+            f"{kind}-witness-invariance",
+            all(u.contains_vector(wit.apply_coords(x)) for x in u.basis),
+        )
+        # (A (x) Id_E)^2 + q Id_V = (A^2 + q Id_H) (x) Id_E: the identity on
+        # V holds exactly when it holds on the 2x2 matrix of A
+        amat = wit.mat2()
+        check(
+            f"{kind}-witness-square-identity",
+            amat @ amat == Mat.scalar(2, -wit.q()),
+        )
+        sign_ok = {
+            "complex": wit.q() > 0,
+            "para_complex": wit.q() < 0,
+            "nilpotent": wit.q() == 0 and not wit.is_zero(),
+        }[kind]
+        check(f"{kind}-witness-sign", sign_ok)
+    if report.flags.real:
+        # stabilizer nonzero refutes the real flag outright
+        check("real-vs-stabilizer", report.stab.dim == 0)
+        # random-sample witness search: sound refutation of the real flag
+        violation = None
+        for _ in range(samples):
+            a = Operator(rng.rational(), rng.rational(), rng.rational())
+            if a.is_zero():
+                continue
+            ax, d = a.act_int(*u.combine_int(*_int_row(rng.rationals(u.dim))))
+            if any(ax) and u.contains_int(ax, d):
+                violation = a
+                break
+        check(
+            "real-no-sampled-violation",
+            violation is None,
+            "" if violation is None else f"witness {violation}",
+        )
+    # orthogonality refinements; these keep ``subspace.image``, which the
+    # bench tracer homes on classify-sweep, where only they call it
+    if report.flags.totally_real:
+        for name, op in (("I", OP_I), ("J", OP_J), ("K", OP_K)):
+            check(
+                f"totally-real-{name}-orthogonal",
+                is_orthogonal(ms, image(op, u), u),
+            )
+    if report.complex_report and not report.flags.para_quaternionic:
+        cr = report.complex_report
+        # the anticommuting para-complex partner J^ in the adapted basis, and
+        # J^ of U's rows: J^U _|_ U when g(J^x, y) = 0 for all of them
+        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
+        moved = [jhat.act_int(*r) for r in cleared]
+        check(
+            "totally-complex-gram",
+            report.flags.totally_complex
+            == (
+                report.flags.hermitian
+                and u0.is_zero()
+                and _form_matrix(ms._metric_form, moved, cleared).is_zero()
+            ),
+        )
+    # pure complex: any operator not proportional to the witness moves U off itself
+    if (
+        report.flags.complex
+        and report.flags.pure
+        and not report.flags.para_quaternionic
+    ):
+        check("pure-complex-witness-unique", report.stab.dim == 1)
+        wit = report.witnesses.complex
+        # the residues (r_I, r_J, r_K) of I b, J b, K b per basis row b, over
+        # one denominator per row (scaling a row keeps every rank below)
+        table = []
+        for xs, dx in u.int_basis():
+            parts = [u.reduce_int(*op.act_int(xs, dx)) for op in (OP_I, OP_J, OP_K)]
+            d = lcm(*(e for _, e in parts))
+            table.append([[x * (d // e) for x in v] for v, e in parts])
+        for _ in range(samples):
+            b = Operator(rng.rational(), rng.rational(), rng.rational())
+            if b.is_zero():
+                continue
+            if (
+                b.alpha * wit.beta == b.beta * wit.alpha
+                and b.alpha * wit.gamma == b.gamma * wit.alpha
+                and b.beta * wit.gamma == b.gamma * wit.beta
+            ):
+                continue
+            # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
+            # basis of U to a basis of B U
+            if b.q() != 0:
+                dim = u.dim
+            else:
+                dim = int_rank([b.act_int(xs, dx)[0] for xs, dx in u.int_basis()], u.ambient)
+            # B U meets U iff its spanning rows are dependent modulo U; a
+            # full rank mod p proves them independent
+            # reduction modulo U is linear: B b = a I b + b J b + c K b
+            # leaves a r_I + b r_J + c r_K
+            (ca, cb, cc), _ = _int_row((b.alpha, b.beta, b.gamma))
+            residues = [
+                [ca * x + cb * y + cc * z for x, y, z in zip(ri, rj, rk)] for ri, rj, rk in table
+            ]
+            if (
+                rank_mod(residues, u.ambient) != dim
+                and int_rank(residues, u.ambient) != dim
+            ):
+                check("pure-complex-moves-off", False, f"B={b}")
+                break
+        else:
+            check("pure-complex-moves-off", True)
+    # Hermitian product norm invariance under admissible basis changes
+    for _ in range(2):
+        x = vecs[rng.below(len(vecs))]
+        y = vecs[rng.below(len(vecs))]
+        base = ms.hermitian_product(x, y).imag().norm()
+        ok = True
+        for _ in range(3):
+            s = random_sl2(rng)
+            val = ms.hermitian_product(x, y, s).imag().norm()
+            if val != base:
+                ok = False
+                break
+        check("hermitian-norm-invariance", ok)
+        if not ok:
+            break
+    if report.uft is not None:
+        check("uft-round-trip", report.uft.span() == u)
+    check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)
+    check("dim-bound-totally-real", not report.flags.totally_real or u.dim <= ms.n)
+    return out

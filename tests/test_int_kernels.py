@@ -8,11 +8,13 @@ Every fast path must agree with its reference exactly, on rank-deficient
 and large-coefficient inputs too.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from conftest import hand_built_instance
 from test_graph_maps import bits100
 from test_linalg import huge_entries, matrices, ref_matmul, small_entries
 
@@ -32,6 +34,7 @@ from pqh.model import (
     OP_I,
     OP_J,
     OP_K,
+    HBasisChange,
     ModelSpace,
     Operator,
     ParaQuaternion,
@@ -41,6 +44,7 @@ from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
     Subspace,
+    decomposable_subspace,
     h_fiber,
     image,
     is_orthogonal,
@@ -48,6 +52,7 @@ from pqh.subspace import (
     product_subspace,
 )
 from reference import maximal_invariant_subspace, sqrt_of
+from reference import oracle_check as ref_oracle
 
 # -- reference copies ---------------------------------------------------------
 
@@ -189,17 +194,17 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
         check(f"{kind}-witness-sign", sign_ok)
     if report.flags.real:
         check("real-vs-stabilizer", report.stab.dim == 0)
-    violation = None
-    for _ in range(samples):
-        a = Operator(rng.rational(), rng.rational(), rng.rational())
-        if a.is_zero():
-            continue
-        (x,) = (Mat((rng.rationals(u.dim),), ncols=u.dim) @ u.mat).rows
-        ax = ref_apply(a, x)
-        if any(v != 0 for v in ax) and vec_is_zero(ref_reduce(u, ax)):
-            violation = (a, x)
-            break
-    if report.flags.real:
+        # drawn only under the flag, as the oracle draws them
+        violation = None
+        for _ in range(samples):
+            a = Operator(rng.rational(), rng.rational(), rng.rational())
+            if a.is_zero():
+                continue
+            (x,) = (Mat((rng.rationals(u.dim),), ncols=u.dim) @ u.mat).rows
+            ax = ref_apply(a, x)
+            if any(v != 0 for v in ax) and vec_is_zero(ref_reduce(u, ax)):
+                violation = (a, x)
+                break
         check(
             "real-no-sampled-violation",
             violation is None,
@@ -496,6 +501,16 @@ def test_int_rank_matches_rref(nrows, ncols, data):
 # -- the oracle --------------------------------------------------------------------------
 
 
+def forged_pure_complex(report):
+    """The report with U claimed pure complex, so that the oracle's
+    ``pure-complex-moves-off`` search runs on every U that is not
+    para-quaternionic, and names a ``B=...`` wherever U's stabilizer is
+    more than a line (on the decomposable kind, among others)."""
+    flags = replace(report.flags, complex=True, pure=True)
+    witnesses = replace(report.witnesses, complex=report.witnesses.complex or OP_I)
+    return replace(report, flags=flags, witnesses=witnesses)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_oracle_findings_match_reference(kind):
     for n in (1, 2, 3):
@@ -504,8 +519,116 @@ def test_oracle_findings_match_reference(kind):
             u = generate(Rng(seed), n, kind)
             report = classify(ms, u)
             assert report.stab.basis == ref_stabilizer_basis(u)
-            got = oracle_check(ms, report, u, seed=seed)
-            ref = ref_oracle_check(ms, report, u, seed=seed)
-            assert [(f.name, f.ok, f.detail) for f in got] == [
-                (f.name, f.ok, f.detail) for f in ref
-            ]
+            for rep in (report, forged_pure_complex(report)):
+                got = oracle_check(ms, rep, u, seed=seed)
+                ref = ref_oracle_check(ms, rep, u, seed=seed)
+                assert [(f.name, f.ok, f.detail) for f in got] == [
+                    (f.name, f.ok, f.detail) for f in ref
+                ]
+
+
+def flipped_reports(report):
+    """The report as classified, then with ``real``, ``complex``, ``pure`` or
+    ``totally_real`` flipped one at a time; a flipped-on complex flag keeps
+    the report's witness, or takes I when it has none."""
+    out = [report]
+    for flag in ("real", "complex", "pure", "totally_real"):
+        flags = replace(report.flags, **{flag: not getattr(report.flags, flag)})
+        forged = replace(report, flags=flags)
+        if flags.complex and report.witnesses.complex is None:
+            forged = replace(forged, witnesses=replace(report.witnesses, complex=OP_I))
+        out.append(forged)
+    return out
+
+
+def findings(fs):
+    return [(f.name, f.ok, f.detail) for f in fs]
+
+
+@pytest.mark.parametrize("kind", KINDS + ("hand_built",))
+def test_sampled_checks_match_the_fraction_oracle(kind):
+    """The oracle's real search, pure-complex search and twisted Hermitian
+    norms read integer rows and a residue table; the oracle they replaced
+    (``reference.oracle_check``) built an ``Operator`` and cleared rows per
+    sample and an ``HBasisChange`` per SL(H) frame.  Every finding and
+    detail must agree, failing ones included: the forged flags make the
+    searches name ``witness ...`` and ``B=...``."""
+    if kind == "hand_built":
+        cases = [(*hand_built_instance(seed), seed) for seed in range(1000, 1030)]
+    else:
+        cases = [(n, generate(Rng(seed), n, kind), seed) for n in (1, 2, 3) for seed in range(6)]
+    failing = 0
+    for n, u, seed in cases:
+        ms = ModelSpace.standard(n)
+        for rep in flipped_reports(classify(ms, u)):
+            got = findings(oracle_check(ms, rep, u, seed=seed))
+            assert got == findings(ref_oracle(ms, rep, u, seed=seed))
+            failing += sum(not ok for _, ok, _ in got)
+    assert failing > 0
+
+
+def test_real_search_on_chosen_draws():
+    """Draws with q(A) = 0, where A x != 0 is not read off x != 0.  Oracle
+    seed 1 on a real U of dim 2 draws (-5/2, 2, 3/2) as its 21st sample.
+    Seed 55 draws (-5/3, -1, 4/3) first, whose kernel on H is (1, 2): it
+    maps a para-quaternionic U into itself (a violation of a forged real
+    flag) and kills every x in (1, 2) (x) E' (no violation from it).  On
+    two nilpotent U with a forged real flag, U's rows have different
+    denominators, and seed 0 finds no violation only when their residues
+    are summed over one denominator."""
+    cases = [(2, generate(Rng(s), 2, "real", 2), 1, False) for s in range(4)]
+    cases.append((2, generate(Rng(0), 2, "para_quaternionic"), 55, True))
+    line = decomposable_subspace((1, 2), Subspace.span([(1, 0, 2, 0), (0, 1, 0, 3)], 4))
+    cases.append((2, line, 55, True))
+    cases += [(n, generate(Rng(s), n, "nilpotent"), 0, True) for n, s in ((1, 2), (2, 4))]
+    want = []
+    for n, u, seed, forge in cases:
+        ms = ModelSpace.standard(n)
+        rep = classify(ms, u)
+        if forge:
+            rep = replace(rep, flags=replace(rep.flags, real=True))
+        got = findings(oracle_check(ms, rep, u, seed=seed))
+        assert got == findings(ref_oracle(ms, rep, u, seed=seed))
+        real = {name: (ok, detail) for name, ok, detail in got}["real-no-sampled-violation"]
+        want.append(real)
+    witness = Operator(Fraction(-5, 3), -1, Fraction(4, 3))
+    assert want[:6] == [(True, "")] * 4 + [(False, f"witness {witness}"), (True, "")]
+    assert want[6:] == [(True, "")] * 2
+
+
+def test_sampled_checks_build_no_basis_change(monkeypatch):
+    """On ``generate(Rng(3), 4, kind)`` the oracle builds no ``HBasisChange``
+    (the old one built one per SL(H) frame), calls ``hermitian_product`` once
+    per sampled pair (not once per frame too), and its real search calls
+    ``contains_int`` on no sample: it makes the same calls with the real flag
+    forged off."""
+    calls = {"basis": 0, "product": 0, "contains": 0}
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(HBasisChange, "__post_init__", spy("basis", HBasisChange.__post_init__))
+    monkeypatch.setattr(
+        ModelSpace, "hermitian_product", spy("product", ModelSpace.hermitian_product)
+    )
+    monkeypatch.setattr(Subspace, "contains_int", spy("contains", Subspace.contains_int))
+    ms = ModelSpace.standard(4)
+    for kind in ("real", "complex"):
+        u = generate(Rng(3), 4, kind)
+        report = classify(ms, u)
+        assert report.flags.real == (kind == "real")
+        assert report.flags.complex == (kind == "complex")
+        for k in calls:
+            calls[k] = 0
+        assert all(f.ok for f in oracle_check(ms, report, u))
+        assert calls["basis"] == 0 and calls["product"] == 2
+        if kind == "real":
+            with_search = calls["contains"]
+            calls["contains"] = 0
+            off = replace(report, flags=replace(report.flags, real=False))
+            oracle_check(ms, off, u)
+            assert calls["contains"] == with_search
