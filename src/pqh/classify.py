@@ -21,6 +21,9 @@ complement of U0 = H (x) E0 that every witness preserving U preserves.
 The real test :func:`is_real` is a predicate of a graph form:
 :func:`classify` builds ``graph_form(u)`` once for a pure U, and the real
 test, :func:`check_totally_real` and the reported graph form read it.
+A stabilizer witness A with 0 != AU <= U (an invertible one, or a
+nilpotent one of degree 2) already refutes AU ^ U = 0, so ``classify``
+runs the real test only when the stabilizer holds neither.
 
 Every identity that evaluates g or omega^E on pairs of rows (the block
 Gram of :func:`is_para_quaternionic`, the ambient Kaehler route of
@@ -36,6 +39,10 @@ those rows with them for ``totally-complex-gram``, with no image J^U.
 It checks a witness's square identity on its 2x2 matrix: (A (x) Id_E)^2
 + q Id_V is (A^2 + q Id_H) (x) Id_E, which vanishes exactly when
 A^2 + q Id_H does.
+Its samples are integer draws (``Rng.rational_int``, the draws of
+``Rng.rational`` left as num / den), cleared to positive multiples of the
+rational values, and an ``Operator`` is built only for a finding's
+detail, from the same values as a rational draw.
 For its two sampled searches, ``real-no-sampled-violation`` and
 ``pure-complex-moves-off``, it tabulates once, per basis row b of U, the
 residues r_I, r_J, r_K of Ib, Jb, Kb modulo U, and both searches read
@@ -43,10 +50,16 @@ that table.  Reduction modulo a reduced basis is linear, so the residue of
 Bb for a sample B = a I + b J + c K is a r_I + b r_J + c r_K, and no
 sample reduces a row: the real search tests Bx in U for x = sum c_i b_i
 as one integer sum of table entries per column.
-For ``hermitian-norm-invariance`` it draws the entries of s in SL(H)
-(``generate.random_sl2_entries``) and pairs the integer rows
-s^-1 x and s^-1 y, with s^-1 = adj(s), against I, J and K; no
-:class:`~pqh.model.HBasisChange` is built.
+For ``hermitian-norm-invariance`` it pairs each sampled (x, y) once,
+into the 2x2 integer table P_kl = omega^E(x_k, y_l) of their H-halves
+(:func:`_h_table`); for each s in SL(H) (``generate.random_sl2_draws``)
+g(s^-1 x, A s^-1 y) is (M P N^T)_12 - (M P N^T)_21 with M = adj(s)
+cleared from the draws and N = A M (:func:`_twisted_products`), so no
+row is moved and no :class:`~pqh.model.HBasisChange` is built.
+``uft-round-trip`` checks the reported graph form by containment: the
+rows h1 (x) f_j + h2 (x) T f_j over F's canonical basis, T f_j read off
+column j of ``t_map``, are independent, so they span U exactly when
+dim F = dim U and each lies in U.
 """
 
 from __future__ import annotations
@@ -56,7 +69,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .generate import random_sl2_entries
+from .generate import random_sl2_draws
 from .linalg import F0, F1, Mat, _int_row, _int_rows, _lowest_terms, frac_row, int_kernel, int_rank
 from .linalg import int_rref, rank_mod, symmetric_signature
 from .model import (
@@ -68,6 +81,8 @@ from .model import (
     ModelSpace,
     Operator,
     _h_act_int,
+    _pairing,
+    _structure_matrix,
     tensor,
 )
 from .polyq import is_rational_square, poly_deg
@@ -94,6 +109,7 @@ from .subspace import (
 from .uft import (
     DecomposablePiece,
     UFTForm,
+    _graph_row,
     graph_form,
     graph_over,
     injectivize,
@@ -612,7 +628,12 @@ def is_real(form: UFTForm | None) -> bool:
     """Whether U with ``form = graph_form(u)`` is real: AU ^ U = 0 for every
     structure operator A exactly when U is a graph whose invariant core W*
     is zero.  None means U has no graph form (U0 != 0, or decomposable
-    vectors in every direction), so U is not real."""
+    vectors in every direction), so U is not real.
+
+    :func:`classify` calls it only when the stabilizer holds no witness
+    that refutes realness by itself: a complex or para-complex witness A
+    is invertible, so AU = U, and a nilpotent one of degree 2 has
+    0 != AU <= U.  ``check_nilpotent`` still tests its residue with it."""
     return form is not None and invariant_core(injectivize(form))[0].is_zero()
 
 
@@ -826,7 +847,12 @@ def _check_flag_consistency(flags: Flags, dim: int, sig: SignatureTriple, n: int
 
 def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
     """Full taxonomy of one subspace, with every theorem identity verified
-    along the way (any failure raises)."""
+    along the way (any failure raises).
+
+    ``real`` is False without the real test when the stabilizer holds a
+    complex or para-complex witness, or a nilpotent one of degree 2: each
+    is a structure operator A with 0 != AU <= U.  The graph form of a pure
+    U is built for the report either way."""
     if u.ambient != ms.dim_v:
         raise ValueError("subspace does not live in this model space")
     u0 = maximal_pq(u)
@@ -862,7 +888,11 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
     pcrep = check_para_complex(ms, u, wits.para_complex) if wits.para_complex else None
     nrep = check_nilpotent(ms, u, wits.nilpotent) if wits.nilpotent else None
     uft_form = graph_form(u) if pure else None
-    real = is_real(uft_form)
+    # a witness A with 0 != AU <= U refutes AU ^ U = 0 before the real test
+    # runs: an invertible one (q != 0) has AU = U, and a nilpotent one of
+    # degree 2 has AU != 0
+    refuted = wits.complex or wits.para_complex or (nrep and nrep.degree == 2)
+    real = not refuted and is_real(uft_form)
     trrep = check_totally_real(ms, u, uft_form) if real and hermitian else None
     flags = Flags(
         para_quaternionic=pqr.is_pq,
@@ -892,6 +922,60 @@ class OracleFinding:
     name: str
     ok: bool
     detail: str = ""
+
+
+def _draw_row(draws) -> list:
+    """The rationals num / den of integer draws (``Rng.rational_int``) as one
+    integer row over the lcm of the den, a positive multiple of them."""
+    d = lcm(*(den for _, den in draws))
+    return [num * (d // den) for num, den in draws]
+
+
+def _drawn_operator(draws) -> Operator:
+    """The operator of three integer draws, for a finding's detail."""
+    return Operator(*(Fraction(*x) for x in draws))
+
+
+def _cleared_adjugate(draws) -> tuple:
+    """lambda adj(s), row-wise, for the s of ``generate.random_sl2_draws``
+    and lambda = na da db dc: adj(s) = [[d, -b], [-c, a]] with
+    d = (1 + bc) / a."""
+    (na, da), (nb, db), (nc, dc) = draws
+    return (
+        da * da * (db * dc + nb * nc),
+        -na * da * dc * nb,
+        -na * da * db * nc,
+        na * na * db * dc,
+    )
+
+
+def _h_table(w, xs: list, ys: list) -> tuple:
+    """P_kl = omega^E(x_k, y_l) on the H-halves x = (x_1 | x_2), y = (y_1 | y_2)
+    of two integer rows, for omega^E by its nonzero entries ``w``, row-wise."""
+    half = len(xs) // 2
+    xh, yh = (xs[:half], xs[half:]), (ys[:half], ys[half:])
+    return tuple(_pairing(w, x, y) for x in xh for y in yh)
+
+
+def _twisted_products(p: tuple, m: tuple) -> tuple:
+    """The numerators of g(Mx, A My) for A = I, J, K, read off the table
+    p = ``_h_table(w, xs, ys)`` for a 2x2 integer matrix M, row-wise.
+
+    With N = A M, omega^E of the H-halves of Mx and A My is the 2x2
+    matrix Q = M P N^T, and g = omega^H (x) omega^E pairs them to
+    Q_12 - Q_21.
+    """
+    p11, p12, p21, p22 = p
+    m0, m1, m2, m3 = m
+    r11, r12 = m0 * p11 + m1 * p21, m0 * p12 + m1 * p22
+    r21, r22 = m2 * p11 + m3 * p21, m2 * p12 + m3 * p22
+    out = []
+    for op in (OP_I, OP_J, OP_K):
+        (a0, a1, a2, a3), _ = op._act  # an integer matrix, denominator 1
+        n0, n1 = a0 * m0 + a1 * m2, a0 * m1 + a1 * m3
+        n2, n3 = a2 * m0 + a3 * m2, a2 * m1 + a3 * m3
+        out.append(r11 * n2 + r12 * n3 - r21 * n0 - r22 * n1)
+    return tuple(out)
 
 
 def oracle_check(
@@ -981,23 +1065,23 @@ def oracle_check(
         cols = [col for col in zip(*terms) if any(col)]
         violation = None
         for _ in range(samples):
-            abc = rng.rational(), rng.rational(), rng.rational()
-            if not any(abc):
+            draws = [rng.rational_int() for _ in range(3)]
+            if not any(num for num, _ in draws):
                 continue
-            cs, dc = _int_row(rng.rationals(u.dim))
-            (ca, cb, cc), _ = _int_row(abc)
+            cs = _draw_row([rng.rational_int() for _ in range(u.dim)])
+            ca, cb, cc = _draw_row(draws)
             coef = [c * x for c in cs for x in (ca, cb, cc)]
             if any(sum(map(mul, coef, col)) for col in cols):
                 continue
             # A x is in U; A^2 = -q(A) Id, so for q(A) != 0, A x != 0
             # exactly when x != 0
-            a = Operator(*abc)
-            if a.q() != 0:
+            if ca * ca - cb * cb - cc * cc:
                 nonzero = any(cs)
             else:
-                nonzero = any(a.act_int(*u.combine_int(cs, dc))[0])
+                m = (_structure_matrix(ca, cb, cc), 1)
+                nonzero = any(_h_act_int(m, *u.combine_int(cs))[0])
             if nonzero:
-                violation = a
+                violation = _drawn_operator(draws)
                 break
         check(
             "real-no-sampled-violation",
@@ -1031,25 +1115,24 @@ def oracle_check(
     if pure_complex:
         check("pure-complex-witness-unique", report.stab.dim == 1)
         wit = report.witnesses.complex
+        (wa, wb, wg), _ = _int_row((wit.alpha, wit.beta, wit.gamma))
         for _ in range(samples):
-            abc = rng.rational(), rng.rational(), rng.rational()
-            if not any(abc):
+            draws = [rng.rational_int() for _ in range(3)]
+            if not any(num for num, _ in draws):
                 continue
-            al, be, ga = abc
-            if (
-                al * wit.beta == be * wit.alpha
-                and al * wit.gamma == ga * wit.alpha
-                and be * wit.gamma == ga * wit.beta
-            ):
+            # a positive multiple of the drawn B, proportional to the
+            # witness exactly when B is
+            ca, cb, cc = _draw_row(draws)
+            if ca * wb == cb * wa and ca * wg == cc * wa and cb * wg == cc * wb:
                 continue
-            (ca, cb, cc), _ = _int_row(abc)
             # B^2 = -q(B) Id, so for q(B) != 0 B is invertible and maps a
             # basis of U to a basis of B U
             if ca * ca - cb * cb - cc * cc:
                 dim = u.dim
             else:
-                b = Operator(*abc)
-                dim = int_rank([b.act_int(xs, dx)[0] for xs, dx in u.int_basis()], u.ambient)
+                m = (_structure_matrix(ca, cb, cc), 1)
+                rows = [_h_act_int(m, xs, dx)[0] for xs, dx in u.int_basis()]
+                dim = int_rank(rows, u.ambient)
             # B U meets U iff its spanning rows are dependent modulo U, and
             # B b leaves a r_I + b r_J + c r_K; a full rank mod p proves the
             # residues independent (scaling a row keeps every rank)
@@ -1060,7 +1143,7 @@ def oracle_check(
                 rank_mod(residues, len(free)) != dim
                 and int_rank(residues, len(free)) != dim
             ):
-                check("pure-complex-moves-off", False, f"B={Operator(*abc)}")
+                check("pure-complex-moves-off", False, f"B={_drawn_operator(draws)}")
                 break
         else:
             check("pure-complex-moves-off", True)
@@ -1068,19 +1151,21 @@ def oracle_check(
     # the basis of s in SL(H) the triple is s(I, J, K)s^-1, and
     # g(x, sIs^-1 y) = g(s^-1 x, I s^-1 y) with s^-1 = adj(s): the norm of
     # the imaginary part is g(x', Iy')^2 - g(x', Jy')^2 - g(x', Ky')^2 over
-    # the square of one denominator, for x' = s^-1 x and y' = s^-1 y
-    dw = ms._metric_form[1]
+    # the square of one denominator, for x' = s^-1 x and y' = s^-1 y.  Each
+    # pair is paired once, into the 2x2 table of omega^E on its H-halves
+    # (_h_table), and each s costs 2x2 integer products on it
+    w, dw = ms._omega_form
     for _ in range(2):
         i, j = rng.below(len(vecs)), rng.below(len(vecs))
         base = ms.hermitian_product(vecs[i], vecs[j]).imag().norm()
+        (xs, dx), (ys, dy) = cleared[i], cleared[j]
+        pairs = _h_table(w, xs, ys)
         ok = True
         for _ in range(3):
-            a, b, c, d = random_sl2_entries(rng)
-            inv = _int_row((d, -b, -c, a))
-            xs, dx = _h_act_int(inv, *cleared[i])
-            ys, dy = _h_act_int(inv, *cleared[j])
-            gi, gj, gk = (ms._metric_int(xs, op.act_int(ys, dy)[0]) for op in (OP_I, OP_J, OP_K))
-            den = dw * dx * dy
+            m = _cleared_adjugate(random_sl2_draws(rng))
+            gi, gj, gk = _twisted_products(pairs, m)
+            # m = lambda adj(s), and det m = lambda^2 det s = lambda^2
+            den = dw * dx * dy * (m[0] * m[3] - m[1] * m[2])
             if (gi * gi - gj * gj - gk * gk) * base.denominator != base.numerator * den * den:
                 ok = False
                 break
@@ -1088,7 +1173,18 @@ def oracle_check(
         if not ok:
             break
     if report.uft is not None:
-        check("uft-round-trip", report.uft.span() == u)
+        # the rows h_basis (f_j | T f_j) over F's canonical basis are
+        # independent, so they span U exactly when there are dim U of them
+        # and each lies in U
+        form = report.uft
+        check(
+            "uft-round-trip",
+            form.dim == u.dim
+            and all(
+                u.contains_int(*_graph_row(form.h_basis, f, tf))
+                for f, tf in zip(form.f_space.int_basis(), form.t_map.cols)
+            ),
+        )
     check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)
     check("dim-bound-totally-real", not report.flags.totally_real or u.dim <= ms.n)
     return out

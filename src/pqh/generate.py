@@ -8,6 +8,8 @@ change of the H basis, which preserves every classification flag.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .linalg import F0, F1, Mat, vec_add
 from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, tensor
 from .rng import Rng
@@ -45,22 +47,23 @@ def random_subspace(rng: Rng, ambient: int, dim: int) -> Subspace:
             return u
 
 
-def random_sl2_entries(rng: Rng) -> tuple:
-    """The entries (a, b, c, d) of a random s = [[a, b], [c, d]] in SL(H).
+def random_sl2_draws(rng: Rng) -> tuple:
+    """The draws a, b, c of a random s = [[a, b], [c, d]] in SL(H), each as
+    ``(num, den)`` (:meth:`~pqh.rng.Rng.rational_int`).
 
     a, b and c are drawn until a != 0, and d = (1 + bc) / a makes
     ad - bc = 1, so s^-1 is the adjugate [[d, -b], [-c, a]].
     """
     while True:
-        a, b, c = rng.rational(), rng.rational(), rng.rational()
-        if a != 0:
-            return a, b, c, (1 + b * c) / a
+        a, b, c = rng.rational_int(), rng.rational_int(), rng.rational_int()
+        if a[0]:
+            return a, b, c
 
 
 def random_sl2(rng: Rng) -> HBasisChange:
-    """The H-basis change of :func:`random_sl2_entries`, from the same draws."""
-    a, b, c, d = random_sl2_entries(rng)
-    return HBasisChange(Mat(((a, b), (c, d))))
+    """The H-basis change of :func:`random_sl2_draws`, from the same draws."""
+    a, b, c = (Fraction(*x) for x in random_sl2_draws(rng))
+    return HBasisChange(Mat(((a, b), (c, (1 + b * c) / a))))
 
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:

@@ -26,13 +26,16 @@ pivot of :func:`_bareiss`; ``rank`` and :func:`int_rank` build no
 ``Fraction`` either.
 
 :func:`rank_mod` is the rank of integer rows modulo the prime
-p = 2^61 - 1, a certificate rather than an estimate: every minor of the
-rows reduces to the same minor mod p, so a nonzero r x r minor mod p is
-a nonzero minor over Q and ``rank_mod <= int_rank``.  A ``rank_mod``
-equal to the number of rows (or of columns) therefore proves full rank
-over Q; any smaller value proves nothing, and callers fall back to the
-exact elimination.  Rows with denominators are cleared row by row first,
-since scaling a row by a nonzero integer keeps the rank.
+p = 2^30 - 35 = 1073741789, the largest prime below 2^30, a certificate
+rather than an estimate: every minor of the rows reduces to the same
+minor mod p, so a nonzero r x r minor mod p is a nonzero minor over Q
+and ``rank_mod <= int_rank``.  A ``rank_mod`` equal to the number of
+rows (or of columns) therefore proves full rank over Q; any smaller
+value proves nothing, and callers fall back to the exact elimination.
+Rows with denominators are cleared row by row first, since scaling a
+row by a nonzero integer keeps the rank.  A residue below 2^30 is one
+CPython int digit and a product of two is at most two, so the
+elimination stays on the interpreter's small-int paths.
 
 ``Mat.charpoly`` reads the characteristic polynomial of the integer
 matrix d*A off the Krylov vectors of e_0: one LU factorization modulo
@@ -40,7 +43,7 @@ the Mersenne prime M127 = 2^127 - 1 and Dixon lifting (J. D. Dixon,
 Numer. Math. 40, 1982) up to a bound on the coefficients, again a proof
 rather than an estimate.  When those vectors are dependent mod M127
 (always so for a derogatory matrix), Faddeev-LeVerrier runs instead.
-P61 and M127 are the module's two fixed moduli.
+P30 and M127 are the module's two fixed moduli.
 
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
@@ -208,16 +211,16 @@ def int_rank(rows, width) -> int:
     return len(_bareiss([list(r) for r in rows], width)[0])
 
 
-P61 = (1 << 61) - 1  # the Mersenne prime of :func:`rank_mod`
+P30 = (1 << 30) - 35  # the prime of :func:`rank_mod`, the largest below 2^30
 
 
 def rank_mod(rows, width) -> int:
-    """Rank modulo ``P61`` of plain-int rows, pivots in columns < width.
+    """Rank modulo ``P30`` of plain-int rows, pivots in columns < width.
 
     A lower bound on :func:`int_rank` (see the module docstring): when it
     equals ``len(rows)`` the rows are independent over Q.
     """
-    M = [[x % P61 for x in r] for r in rows]
+    M = [[x % P30 for x in r] for r in rows]
     n = len(M)
     rank = 0
     for c in range(width):
@@ -228,12 +231,12 @@ def rank_mod(rows, width) -> int:
             continue
         M[rank], M[sel] = M[sel], M[rank]
         prow = M[rank]
-        inv = pow(prow[c], -1, P61)
+        inv = pow(prow[c], -1, P30)
         for i in range(rank + 1, n):
             f = M[i][c]
             if f:
-                f = f * inv % P61
-                M[i] = [(x - f * y) % P61 for x, y in zip(M[i], prow)]
+                f = f * inv % P30
+                M[i] = [(x - f * y) % P30 for x, y in zip(M[i], prow)]
         rank += 1
     return rank
 

@@ -140,6 +140,11 @@ def standard_symplectic(dim: int) -> Mat:
     return Mat.identity(dim // 2).kron(OMEGA_H)
 
 
+def _structure_matrix(a, b, g) -> tuple:
+    """The 2x2 matrix of a*I + b*J + g*K on H, row-wise."""
+    return (-g, b - a, a + b, g)
+
+
 def tensor(h: Sequence, e: Sequence) -> tuple:
     """The coordinate row of the decomposable vector (h[0]*h1 + h[1]*h2) (x) e."""
     a, b = map(_entry, h)
@@ -161,7 +166,7 @@ class Operator:
         object.__setattr__(self, "beta", b)
         object.__setattr__(self, "gamma", g)
         # the 2x2 matrix of A on H, row-wise; cleared, it acts on (e, e')
-        m = (-g, b - a, a + b, g)
+        m = _structure_matrix(a, b, g)
         object.__setattr__(self, "_m", m)
         object.__setattr__(self, "_act", _int_row(m))
 

@@ -30,10 +30,15 @@ class Rng:
             raise ValueError("below() needs a positive bound")
         return self.next_u64() % n
 
-    def rational(self) -> Fraction:
+    def rational_int(self) -> tuple:
+        """The draw of :meth:`rational` as ``(num, den)``, not reduced: the
+        same two ``below`` calls, so the stream moves as it does there."""
         num = self.below(19) - 9
         den = self.below(3) + 1
-        return Fraction(num, den)
+        return num, den
+
+    def rational(self) -> Fraction:
+        return Fraction(*self.rational_int())
 
     def nonzero_rational(self) -> Fraction:
         while True:

@@ -85,7 +85,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -211,21 +211,21 @@ class Subspace:
         """The canonical coset representative of the row V/D modulo this
         subspace, as ``(ints, d)``.
 
-        With a basis row R/e (so R[p] = e at its pivot p),
-        v - v[p] * row = (e*V - V[p]*R) / (D*e); common factors of the
-        numerators and D are divided out as they appear.
+        A canonical basis row R/e has R[p] = e at its pivot p and 0 at
+        every other pivot, so the multiple of it to subtract is v's own
+        entry V[p]/D: over one L = lcm of the e that occur,
+        v - sum (V[p]/D)(R/e) = (L*V - sum V[p] (L/e) R) / (D*L), and one
+        gcd at the end puts it in lowest terms.
         """
-        for (R, e), p in zip(self._rows, self.pivots):
-            c = V[p]
-            if c:
-                V = [e * x - c * y for x, y in zip(V, R)]
-                D *= e
-                if D > 1:
-                    g = gcd(D, *V)
-                    if g > 1:
-                        V = [x // g for x in V]
-                        D //= g
-        return V, D
+        hits = [(V[p], R, e) for (R, e), p in zip(self._rows, self.pivots) if V[p]]
+        if not hits:
+            return V, D
+        L = lcm(*(e for _, _, e in hits))
+        out = [L * x for x in V] if L > 1 else V
+        for c, R, e in hits:
+            f = c * (L // e)
+            out = [x - f * y for x, y in zip(out, R)]
+        return _lowest_terms(out, D * L)
 
     def contains_int(self, V: list, D: int) -> bool:
         """Whether the row V/D lies in this subspace."""
@@ -317,7 +317,7 @@ def _relations(rows: list, target: Subspace | None) -> Subspace:
     None), for rows r_i = V_i / D_i given as ``(ints, d)``, as a subspace of
     Q^len(rows).
 
-    The certificate: a full rank mod P61 of the target's integer basis
+    The certificate: a full rank mod P30 of the target's integer basis
     stacked on the rows means no relation, and no kernel is taken.
     Otherwise the rows are reduced modulo the target, and one kernel of the
     numerators V_i is taken over the coordinates where some reduced row is

@@ -103,13 +103,8 @@ class UFTForm:
         ``Mat`` product is the only ``Mat.__matmul__`` call on
         decompose-graph, where ``bench/tracing.py`` homes it.
         """
-        rows = []
-        for (V, d), tf in zip(self.f_space.int_basis(), self.t_rows(self.f_space).rows):
-            W, e = _int_row(tf)
-            m = lcm(d, e)
-            row = [x * (m // d) for x in V] + [y * (m // e) for y in W]
-            rows.append(_h_act_int(self.h_basis._from, row, m))
-        return rows
+        tfs = self.t_rows(self.f_space).rows
+        return [_graph_row(self.h_basis, f, tf) for f, tf in zip(self.f_space.int_basis(), tfs)]
 
     def t_rows(self, w: Subspace) -> Mat:
         """T on the basis rows of a subspace W of F, one image per row.
@@ -132,6 +127,15 @@ class UFTForm:
 
     def t_is_injective(self) -> bool:
         return self.f_space.kernel_in([_int_row(c) for c in self.t_map.cols]).is_zero()
+
+
+def _graph_row(h_basis: HBasisChange, f: tuple, tf) -> tuple:
+    """h1 (x) f + h2 (x) tf in standard coordinates, for the basis
+    ``h_basis``, f given as ``(ints, d)`` and tf as a rational row; the
+    result is an ``(ints, d)`` row."""
+    (V, d), (W, e) = f, _int_row(tf)
+    m = lcm(d, e)
+    return _h_act_int(h_basis._from, [x * (m // d) for x in V] + [y * (m // e) for y in W], m)
 
 
 def find_transversal_direction(u: Subspace):
@@ -423,10 +427,14 @@ def minimal_fiber_direction(u: Subspace):
     dimension exceeds the generic value on at most rank <= dim E special
     directions; the dim E + dim U + 2 pairwise independent candidates
     h2 + t*h1 therefore include a generic one, whose fiber is the minimum.
-    The fiber of t = 0 is read off U's pivots, as in
-    :func:`find_transversal_direction`.
+    The fiber is also U ^ (h (x) E), of dimension at least
+    dim U + dim E - dim V = dim U - dim E, so the sweep stops at the first
+    candidate that reaches max(0, dim U - dim E): no later one is strictly
+    smaller, and the first strict minimum is the one kept.  The fiber of
+    t = 0 is read off U's pivots, as in :func:`find_transversal_direction`.
     """
     dim_e = u.ambient // 2
+    floor = max(0, u.dim - dim_e)
     best = None
     best_fiber = None
     for t in range(dim_e + u.dim + 2):
@@ -434,7 +442,7 @@ def minimal_fiber_direction(u: Subspace):
         fib = _fiber(u, cand)
         if best_fiber is None or fib.dim < best_fiber.dim:
             best, best_fiber = cand, fib
-            if fib.dim == 0:
+            if fib.dim == floor:
                 break
     return best, best_fiber
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Callable
 
@@ -311,6 +311,24 @@ def stabilizer(u: Subspace) -> Stabilizer:
         ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
         rows.extend(filter(any, zip(ri, rj, rk)))
     return Stabilizer(Mat(rows, ncols=3).kernel())
+
+
+# Formerly pqh.subspace.Subspace.reduce_int, which subtracted one pivot
+# multiple at a time and divided out a gcd after each.
+def reduce_int_loop(u: Subspace, V: list, D: int) -> tuple:
+    """The canonical coset representative of the row V/D modulo u, as
+    ``(ints, d)``."""
+    for (R, e), p in zip(u.int_basis(), u.pivots):
+        c = V[p]
+        if c:
+            V = [e * x - c * y for x, y in zip(V, R)]
+            D *= e
+            if D > 1:
+                g = gcd(D, *V)
+                if g > 1:
+                    V = [x // g for x in V]
+                    D //= g
+    return V, D
 
 
 # Formerly pqh.uft.find_transversal_direction, with an h_fiber for every t.

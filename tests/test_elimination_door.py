@@ -152,7 +152,7 @@ def test_only_linalg_runs_the_bareiss_loop():
 @st.composite
 def graph_rows(draw):
     """(rows, dim_e): rows (f | Tf) whose F parts are independent, dependent
-    (rank-deficient, or more rows than dim E) or dependent only mod P61."""
+    (rank-deficient, or more rows than dim E) or dependent only mod P30."""
     dim_e = draw(st.integers(1, 6))
     nrows = draw(st.integers(0, dim_e + 1))
     f_parts = draw(int_rows(nrows, dim_e, big))

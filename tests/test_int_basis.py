@@ -22,7 +22,7 @@ from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, generate, random_sl2, twist_h
-from pqh.linalg import F0, F1, P61, Mat, _int_row, int_kernel, int_rref
+from pqh.linalg import F0, F1, P30, Mat, _int_row, int_kernel, int_rref
 from pqh.model import HBasisChange, ModelSpace
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -182,7 +182,7 @@ def ref_complement_in(u, larger):
 
 @st.composite
 def rational_rows(draw, nrows, ambient):
-    """``int_rows`` (dense, rank-deficient, or rank-deficient mod P61 only),
+    """``int_rows`` (dense, rank-deficient, or rank-deficient mod P30 only),
     each row divided by its own ~100-bit denominator, or left integral."""
     rows = draw(int_rows(nrows, ambient))
     dens = draw(st.lists(st.sampled_from([1]) | big.filter(bool), min_size=nrows, max_size=nrows))
@@ -479,9 +479,9 @@ def test_maximal_pq_of_generated_generic_instances_is_zero():
 
 
 def test_maximal_pq_with_a_pivot_divisible_by_p():
-    # U = span(e1, e2 + e4, e3 + P61 e4) in Q^4 (n = 1): U0 = 0, and
-    # P61 is 0 in the rank certificates' field
-    u = Subspace.span([(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, P61)], 4)
+    # U = span(e1, e2 + e4, e3 + P30 e4) in Q^4 (n = 1): U0 = 0, and
+    # P30 is 0 in the rank certificates' field
+    u = Subspace.span([(1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, P30)], 4)
     assert maximal_pq(u) == ref_maximal_pq(u) == Subspace.zero(4)
 
 

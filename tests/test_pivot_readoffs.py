@@ -245,3 +245,69 @@ def test_maximal_pq_applies_no_structure_operator(monkeypatch):
     # dim E0 = 2: U0 = H (x) E0 has dim 4
     assert h2_fiber(wide).dim == 4 and maximal_pq(wide).dim == 4
     assert calls == {"act_int": 0, "int_kernel": 1}
+
+
+# -- the minimal-fiber sweep stops at its floor -----------------------------------------
+
+
+def sweep_cases():
+    """Every kind at n = 1-3, generic at every dim above 2n, each with a
+    twist, and the hand-built family."""
+    for n in (1, 2, 3):
+        us = [generate(Rng(seed), n, kind) for kind in KINDS for seed in range(3)]
+        us += [generate(Rng(seed), n, "generic", dim) for dim in range(2 * n + 1, 4 * n) for seed in range(3)]
+        for seed, u in enumerate(us):
+            yield u
+            yield twist_h(u, random_sl2(Rng(9000 + seed)))
+    for seed in range(1000, 1200):
+        yield hand_built_instance(seed)[1]
+
+
+def test_minimal_fiber_direction_matches_the_full_sweep():
+    """The fiber U ^ (h (x) E) has dimension at least dim U - dim E, so the
+    sweep stops at the first candidate of dimension max(0, dim U - dim E);
+    the full sweep keeps the same first strict minimum."""
+    stopped = 0
+    for u in sweep_cases():
+        got = minimal_fiber_direction(u)
+        assert got == ref_minimal_fiber_direction(u)
+        stopped += got[1].dim == u.dim - u.ambient // 2 > 0
+    assert stopped > 0
+
+
+def count_h_fiber(monkeypatch):
+    calls = {"h_fiber": 0}
+
+    def wrapped(*args, **kwargs):
+        calls["h_fiber"] += 1
+        return h_fiber(*args, **kwargs)
+
+    monkeypatch.setattr(pqh.uft, "h_fiber", wrapped)
+    return calls
+
+
+def test_the_sweep_takes_no_h_fiber_at_its_floor(monkeypatch):
+    """On generic n = 6, dim 16 the h2 fiber, read off U's pivots, already
+    has dimension dim U - dim E = 4, so no candidate runs ``h_fiber``."""
+    calls = count_h_fiber(monkeypatch)
+    for s in range(3):
+        u = generate(Rng(s), 6, "generic", 16)
+        h, fib = minimal_fiber_direction(u)
+        assert (h, fib.dim) == ((0, 1), 4) and fib == h2_fiber(u)
+        assert calls["h_fiber"] == 0
+        assert (h, fib) == ref_minimal_fiber_direction(u)
+
+
+def test_a_sweep_below_its_floor_runs_every_candidate(monkeypatch):
+    """U = (H (x) E') (+) a graph at n = 2: every fiber contains E', so none
+    reaches the floor max(0, dim U - dim E) = 0 and all dim E + dim U + 2
+    candidates run, t >= 1 by ``h_fiber``."""
+    e_prime = Subspace.span([(1, 0, 0, 0)], 4)
+    graph = Subspace.span([(0, 1, 0, 0, 0, 0, 1, 0)], 8)
+    u = product_subspace(e_prime).sum(graph)
+    assert u.dim == 3
+    calls = count_h_fiber(monkeypatch)
+    h, fib = minimal_fiber_direction(u)
+    assert calls["h_fiber"] == 4 + 3 + 1
+    assert fib.dim == 1 and fib.contains(e_prime)
+    assert (h, fib) == ref_minimal_fiber_direction(u)

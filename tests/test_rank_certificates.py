@@ -1,6 +1,6 @@
 """Rank-mod-p certificates against reference copies of the exact paths.
 
-``linalg.rank_mod`` is the rank of integer rows modulo p = 2^61 - 1.  It
+``linalg.rank_mod`` is the rank of integer rows modulo p = 2^30 - 35.  It
 never exceeds the rank over Q, so a full ``rank_mod`` proves full rank and
 settles a zero intersection, a zero preimage, an injective graph map or a
 zero U0 without the canonical basis.  Each ``ref_*`` function below is the
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, check_dim, generate
-from pqh.linalg import P61, Mat, _int_row, frac_row, int_rank, rank_mod
+from pqh.linalg import P30, Mat, _int_row, frac_row, int_rank, rank_mod
 from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -107,7 +107,7 @@ def ref_first_transversal(u):
 
 @st.composite
 def int_rows(draw, nrows, ncols, entries=big):
-    """Dense, rank-deficient, or rank-deficient only modulo P61."""
+    """Dense, rank-deficient, or rank-deficient only modulo P30."""
     kind = draw(st.sampled_from(["dense", "low_rank", "low_rank_mod_p"]))
 
     def dense(r, c):
@@ -121,7 +121,7 @@ def int_rows(draw, nrows, ncols, entries=big):
     rows = [[sum(a * b for a, b in zip(r, c)) for c in cols] for r in left]
     if kind == "low_rank_mod_p":
         noise = dense(nrows, ncols)
-        rows = [[x + P61 * y for x, y in zip(r, s)] for r, s in zip(rows, noise)]
+        rows = [[x + P30 * y for x, y in zip(r, s)] for r, s in zip(rows, noise)]
     return rows
 
 
@@ -181,7 +181,7 @@ def test_rank_mod_is_a_lower_bound_and_exact_when_full(data):
 
 
 def test_rank_mod_sees_a_pivot_that_is_a_multiple_of_p():
-    rows = [[P61, 1], [0, 1]]
+    rows = [[P30, 1], [0, 1]]
     assert int_rank(rows, 2) == 2
     assert rank_mod(rows, 2) == 1
 
@@ -298,16 +298,16 @@ def test_pure_complex_moves_off_falls_back_when_the_certificate_fails():
 
 
 def test_intersect_falls_back_on_a_pivot_divisible_by_p():
-    u = Subspace.span([(P61, 1)], 2)
+    u = Subspace.span([(P30, 1)], 2)
     w = Subspace.span([(0, 1)], 2)
     rows = [V for V, _ in u.int_basis() + w.int_basis()]
-    assert rows == [[P61, 1], [0, 1]] and rank_mod(rows, 2) == 1
+    assert rows == [[P30, 1], [0, 1]] and rank_mod(rows, 2) == 1
     assert u.intersect(w) == Subspace.zero(2) == ref_intersect(u, w)
 
 
 def test_preimage_falls_back_on_a_pivot_divisible_by_p():
     # columns (p, 1) and (0, 1): independent over Q, equal mod p
-    m = Mat(((P61, 0), (1, 1)))
+    m = Mat(((P30, 0), (1, 1)))
     cols = [_int_row(c)[0] for c in m.cols]
     assert rank_mod(cols, 2) == 1
     zero = Subspace.zero(2)
