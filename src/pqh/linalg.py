@@ -43,7 +43,10 @@ the Mersenne prime M127 = 2^127 - 1 and Dixon lifting (J. D. Dixon,
 Numer. Math. 40, 1982) up to a bound on the coefficients, again a proof
 rather than an estimate.  When those vectors are dependent mod M127
 (always so for a derogatory matrix), Faddeev-LeVerrier runs instead.
-P30 and M127 are the module's two fixed moduli.
+P30 and M127 are the module's two fixed moduli.  The Krylov vectors
+(:func:`_krylov_rows`) also serve the zero certificate of
+:func:`pqh.polyq.poly_eval_matrix`, which proves them independent by
+``rank_mod``.
 
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
@@ -508,6 +511,16 @@ class Mat:
 M127 = (1 << 127) - 1  # the Mersenne prime of :func:`_krylov_charpoly`
 
 
+def _krylov_rows(B, count):
+    """The first ``count`` Krylov vectors w_k = B^k e_0 of the n x n int
+    matrix B, n >= 1, as int lists: the rows that ``charpoly`` solves
+    for and :func:`pqh.polyq.poly_eval_matrix` certifies a zero with."""
+    W = [[1] + [0] * (len(B) - 1)]
+    while len(W) < count:
+        W.append(_int_matmul([W[-1]], B)[0])
+    return W
+
+
 def _krylov_charpoly(B):
     """The integer characteristic polynomial of the int matrix B, low to
     high, from the Krylov vectors of e_0 (see :meth:`Mat.charpoly`); None
@@ -519,9 +532,7 @@ def _krylov_charpoly(B):
     n = len(B)
     if n == 0:
         return (1,)
-    W = [[1] + [0] * (n - 1)]  # the Krylov vectors w_0, w_1, ...
-    for _ in range(n):
-        W.append(_int_matmul([W[-1]], B)[0])
+    W = _krylov_rows(B, n + 1)
     rows = list(zip(*W[:n]))
     lu = _lu_mod(rows, M127)
     if lu is None:

@@ -19,6 +19,16 @@ proved within :data:`_PATTERNS` patterns) is factored by sympy, imported
 only then: importing this module (and ``pqh``) does not load it, and
 neither does a run whose polynomials are all proved irreducible.
 Everything else is hand-rolled.
+
+:func:`poly_eval_matrix` proves p(A) = 0 for an n x n matrix A and
+deg p >= n without a matrix product when it can.  With B = d*A and N =
+sum_k g_k B^k its nonzero multiple of p(A), and w_k = B^k e_0 the Krylov
+vectors that ``Mat.charpoly`` also reads, N w_k = B^k N e_0; so when
+``rank_mod`` proves w_0, ..., w_(n-1) independent, N = 0 exactly when
+N e_0 = sum_k g_k w_k is zero, one exact integer combination.  For a
+nonzero p of degree < n it could only fail: when e_0 is cyclic, no
+nonzero polynomial of degree < n kills it.  So such p go straight to
+Paterson-Stockmeyer, which gives every nonzero answer.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows, _krylov_rows, rank_mod
 
 ZERO = ()
 ONE = (F1,)
@@ -89,6 +99,11 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     s + 1.  That is s - 1 matrix products for the powers and ceil(m / s) - 1
     for the Horner steps, about 2 sqrt(m) in place of Horner's m, and none
     for degree <= 1.
+
+    When m >= n >= 1 (A is n x n), N = 0 is first tried by the
+    certificate of the module docstring (:func:`_kills_cyclic_vector`),
+    which forms no matrix product; Paterson-Stockmeyer runs only when it
+    gives no proof, and so gives every nonzero answer.
     """
     n = A.nrows
     if not p:
@@ -97,6 +112,8 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     c, e = _int_row(p)
     m = len(p) - 1
     g = [ck * d ** (m - k) for k, ck in enumerate(c)]
+    if 0 < n <= m and _kills_cyclic_vector(g, B):
+        return Mat.scalar(n, 0)
     s = max(1, isqrt(m))
     powers = [B]  # B^1, ..., B^s
     Bcols = list(zip(*B))
@@ -125,6 +142,23 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
         N = [[x + y for x, y in zip(r, cr)] for r, cr in zip(_int_matmul(N, Scols), C)]
     den = e * d**m
     return Mat._of(tuple(tuple(Fraction(x, den) if x else F0 for x in r) for r in N), n)
+
+
+def _kills_cyclic_vector(g, B):
+    """True when N = sum_k g_k B^k is proved zero through e_0, for the
+    n x n int matrix B, n >= 1; False when there is no proof, N = 0 or not.
+
+    With w_k = B^k e_0 (:func:`~pqh.linalg._krylov_rows`), N w_j =
+    B^j N e_0 since N is a polynomial in B, and N e_0 = sum_k g_k w_k.
+    When ``rank_mod`` proves w_0, ..., w_(n-1) independent over Q, e_0 is
+    cyclic and they span Q^n, so N = 0 exactly when that one integer
+    combination is zero.
+    """
+    n = len(B)
+    W = _krylov_rows(B, len(g))
+    if rank_mod(W[:n], n) < n:
+        return False
+    return all(sum(map(mul, g, col)) == 0 for col in zip(*W))
 
 
 def _rem_mod(a, b, q):

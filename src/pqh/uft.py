@@ -286,7 +286,14 @@ def line_direction(basis: HBasisChange, lam) -> tuple:
 
 
 def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
-    """ker poly(T) inside W, for T given by its matrix on the basis of W."""
+    """ker poly(T) inside W, for T given by its matrix on the basis of W.
+
+    When deg poly >= dim W, ``poly_eval_matrix`` first tries to prove
+    poly(T) = 0 on the Krylov vectors of e_0 (see :mod:`pqh.polyq`): if
+    they span, poly(T) = 0 exactly when poly(T) e_0 = 0.  An irreducible
+    factor of T's minimal polynomial of full degree is such a case, and
+    its fiber is then all of W.
+    """
     return w.kernel_in([_int_row(c) for c in poly_eval_matrix(poly, t_w).cols])
 
 
@@ -316,7 +323,10 @@ def graph_spectrum(form: UFTForm):
     monic irreducible factor q of T on its invariant core W*, in
     :func:`~pqh.polyq.factor` order, the pair (q, ker q(T) on W*).
 
-    ``parts`` is empty exactly when W* = 0.
+    ``parts`` is empty exactly when W* = 0.  When T on W* has one factor
+    q = chi_T (the generic case), q(T) = 0 and ker q(T) = W*; the
+    evaluation in :func:`poly_fiber` proves that zero through the Krylov
+    vectors of e_0 (deg q >= dim W*) and forms no power of T.
     """
     inj = injectivize(form)
     core, t_core = invariant_core(inj)

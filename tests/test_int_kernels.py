@@ -8,6 +8,7 @@ Every fast path must agree with its reference exactly, on rank-deficient
 and large-coefficient inputs too.
 """
 
+import zlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,15 +19,31 @@ from conftest import hand_built_instance
 from test_graph_maps import bits100
 from test_linalg import huge_entries, matrices, ref_matmul, small_entries
 
+import pqh.polyq
+import pqh.uft
 from pqh.classify import (
     OracleFinding,
     classify,
+    generic_decompose,
     operator_preserves,
     oracle_check,
     stabilizer,
 )
 from pqh.generate import KINDS, generate, random_sl2
-from pqh.linalg import F0, F1, Mat, _int_row, frac_row, int_rank, symmetric_signature, vec_is_zero
+from pqh.linalg import (
+    F0,
+    F1,
+    P30,
+    Mat,
+    _int_row,
+    _int_rows,
+    _krylov_rows,
+    frac_row,
+    int_rank,
+    rank_mod,
+    symmetric_signature,
+    vec_is_zero,
+)
 from pqh.model import (
     MAT_I,
     MAT_J,
@@ -39,7 +56,7 @@ from pqh.model import (
     Operator,
     ParaQuaternion,
 )
-from pqh.polyq import poly_eval_matrix
+from pqh.polyq import poly_eval_matrix, poly_mul
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
@@ -51,6 +68,7 @@ from pqh.subspace import (
     p1,
     product_subspace,
 )
+from pqh.uft import decompose_form1, decompose_form2
 from reference import maximal_invariant_subspace, sqrt_of
 from reference import oracle_check as ref_oracle
 
@@ -216,7 +234,7 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
                 f"totally-real-{name}-orthogonal",
                 is_orthogonal(ms, image(op, u), u),
             )
-    if report.complex_report and report.complex_report.pure_form:
+    if report.complex_report and not report.flags.para_quaternionic:
         cr = report.complex_report
         jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
         check(
@@ -487,6 +505,137 @@ def test_poly_eval_matrix_on_low_rank_products():
         assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a)
 
 
+# -- the zero certificate ---------------------------------------------------------------
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """Counts the Paterson-Stockmeyer matrix products: ``polyq`` calls
+    ``_int_matmul`` only there, and the certificate's Krylov rows are
+    built in ``linalg``."""
+    calls = [0]
+    matmul = pqh.polyq._int_matmul
+
+    def wrapped(*args):
+        calls[0] += 1
+        return matmul(*args)
+
+    monkeypatch.setattr(pqh.polyq, "_int_matmul", wrapped)
+    return calls
+
+
+def krylov_rank_mod(a):
+    """rank_mod of w_0, ..., w_(n-1), w_k = B^k e_0 for B = d*A."""
+    B, _ = _int_rows(a.rows)
+    return rank_mod(_krylov_rows(B, a.nrows), a.nrows)
+
+
+def cyclic_matrix(rng, n):
+    """A dense n x n rational matrix whose e_0 is cyclic mod P30."""
+    while True:
+        a = Mat([rng.rationals(n) for _ in range(n)], ncols=n)
+        if krylov_rank_mod(a) == n:
+            return a
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_charpoly_and_its_multiples_are_proved_zero(n, products):
+    """p = chi_A and p = chi_A r with deg p > n take the certificate: the
+    answer is zero with no matrix product."""
+    rng = Rng(70 + n)
+    a = cyclic_matrix(rng, n)
+    cp = a.charpoly()
+    for p in (cp, poly_mul(cp, tuple(rng.rationals(3))), poly_mul(cp, (F0, F1))):
+        assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(n, 0)
+    assert products[0] == 0
+
+
+@given(st.integers(1, 5), st.data())
+@settings(max_examples=40, deadline=None)
+def test_multiples_of_the_charpoly_match_fraction_horner(n, data):
+    """Zero answers on dense, zero and rank-deficient matrices, whichever
+    path proves them."""
+    entries = data.draw(st.sampled_from([small_entries, huge_entries]))
+    a = data.draw(matrices(n, n, entries))
+    r = tuple(data.draw(st.lists(entries, max_size=3))) + (data.draw(entries.filter(bool)),)
+    p = poly_mul(a.charpoly(), r)
+    got = poly_eval_matrix(p, a)
+    assert got == ref_poly_eval_matrix(p, a)
+    assert got.is_zero() and got.shape == a.shape
+
+
+def test_a_derogatory_charpoly_is_left_to_paterson_stockmeyer(products):
+    """chi_A(A) = 0, but e_0 is not cyclic for a derogatory A.  Nor is it
+    for diag(0, 1), where p = x^2 gives p(A) e_0 = 0 but p(A) != 0."""
+    a = Mat(((2, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 3))))
+    assert krylov_rank_mod(a) < 3
+    p = a.charpoly()
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(3, 0)
+    assert products[0] > 0
+    a = Mat(((0, 0), (0, 1)))
+    assert poly_eval_matrix((F0, F0, F1), a) == ref_poly_eval_matrix((F0, F0, F1), a) == a
+
+
+def test_a_nonzero_answer_zero_mod_the_prime_is_not_proved_zero():
+    """The combination sum g_k w_k is tested exactly: for A = [[0]] and
+    p = x - P30 it is -P30, zero mod P30, and p(A) = [[-P30]].  Likewise
+    for the nilpotent A = [[0, 0], [1, 0]], cyclic at e_0, and
+    p = x^2 + P30, where p(A) = P30 I."""
+    a = Mat(((0,),))
+    p = (Fraction(-P30), F1)
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat(((-P30,),))
+    a = Mat(((0, 0), (1, 0)))
+    p = (Fraction(P30), F0, F1)
+    assert krylov_rank_mod(a) == 2
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(2, P30)
+
+
+def test_krylov_rows_singular_mod_the_prime_fall_back(products):
+    """e_0 is cyclic over Q for A = [[1, 0], [P30, 2]] (w_1 = (1, P30)),
+    but w_0 and w_1 are dependent mod P30, so no proof is given."""
+    a = Mat(((1, 0), (P30, 2)))
+    B, _ = _int_rows(a.rows)
+    assert int_rank(_krylov_rows(B, 2), 2) == 2 and krylov_rank_mod(a) == 1
+    p = a.charpoly()
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(2, 0)
+    assert products[0] > 0
+
+
+def test_empty_matrix_and_zero_polynomial(products):
+    """n = 0 has no e_0 and takes Paterson-Stockmeyer; an untrimmed zero
+    p of length > n is proved zero like any other."""
+    empty = Mat((), ncols=0)
+    for p in ((), (F1,), (F1, F0, Fraction(-3, 4))):
+        assert poly_eval_matrix(p, empty) == empty
+    a = cyclic_matrix(Rng(5), 3)
+    assert poly_eval_matrix((), a) == Mat.scalar(3, 0)
+    products[0] = 0
+    assert poly_eval_matrix((F0, F0, F0, F0), a) == Mat.scalar(3, 0)
+    assert products[0] == 0
+
+
+def test_the_decompose_graph_request_runs_no_matrix_power(products, monkeypatch):
+    """The first decompose-graph request of the benchmark at seed 1 (a
+    generic graph of dim 12 at n = 6, whose 12 x 12 core has one factor
+    q = chi_T of degree 12) still evaluates q(T) once, and proves it zero
+    without a Paterson-Stockmeyer product."""
+    evals = [0]
+    evaluate = pqh.polyq.poly_eval_matrix
+
+    def wrapped(*args):
+        evals[0] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(pqh.uft, "poly_eval_matrix", wrapped)
+    monkeypatch.setattr(pqh.polyq, "poly_eval_matrix", wrapped)
+    u = generate(Rng((zlib.crc32(b"decompose-graph") << 32) ^ 1), 6, "generic", 12)
+    generic_decompose(u)
+    decompose_form2(u)
+    decompose_form1(u)
+    assert evals[0] == 1
+    assert products[0] == 0
+
+
 # -- ranks -----------------------------------------------------------------------------
 
 
@@ -511,6 +660,13 @@ def forged_pure_complex(report):
     return replace(report, flags=flags, witnesses=witnesses)
 
 
+def forged_not_pq(report):
+    """The report with ``para_quaternionic`` off, which gates the oracle's
+    ``totally-complex-gram`` (and its pure-complex search) on every report
+    with a complex part."""
+    return replace(report, flags=replace(report.flags, para_quaternionic=False))
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_oracle_findings_match_reference(kind):
     for n in (1, 2, 3):
@@ -519,7 +675,7 @@ def test_oracle_findings_match_reference(kind):
             u = generate(Rng(seed), n, kind)
             report = classify(ms, u)
             assert report.stab.basis == ref_stabilizer_basis(u)
-            for rep in (report, forged_pure_complex(report)):
+            for rep in (report, forged_pure_complex(report), forged_not_pq(report)):
                 got = oracle_check(ms, rep, u, seed=seed)
                 ref = ref_oracle_check(ms, rep, u, seed=seed)
                 assert [(f.name, f.ok, f.detail) for f in got] == [
