@@ -6,7 +6,6 @@ from .classify import (
     Flags,
     GenericDecomposition,
     KindWitnesses,
-    Stabilizer,
     check_complex,
     check_nilpotent,
     check_para_complex,

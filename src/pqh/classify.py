@@ -7,6 +7,11 @@ is not scaled to +-1, which would need square roots), and every theorem
 identity is checked in the form T^2 = -q_scale * Id with q_scale * q(A)
 a rational square.
 
+The stabilizer is a ``Subspace`` of Q^3 (:func:`stabilizer`).  Basis rows
+are combined only by ``Subspace.combine_int``: the witnesses, the
+first-space part of ``_split_along``, and the para-complex eigen-rows, one
+:meth:`Subspace.kernel_in` cut of U' by the columns of T -+ lam Id.
+
 A complex (q > 0) and a para-complex (q < 0) witness obey one structure
 theorem in which only the sign of q differs, so both checks run one
 shared pass over the pure part (:func:`_pure_part`), which eliminates
@@ -70,7 +75,7 @@ from math import lcm
 from operator import mul
 
 from .generate import random_sl2_draws
-from .linalg import F0, F1, Mat, _int_row, _int_rows, _lowest_terms, frac_row, int_kernel, int_rank
+from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_kernel, int_rank
 from .linalg import int_rref, rank_mod, symmetric_signature
 from .model import (
     OP_I,
@@ -126,29 +131,14 @@ from .uft import (
 # -- the stabilizer and its quadratic form ----------------------------------
 
 
-@dataclass(frozen=True)
-class Stabilizer:
+# q(A) = alpha^2 - beta^2 - gamma^2 on (alpha, beta, gamma), by the nonzero
+# entries of its polar form, as ``subspace._form_matrix`` takes a form
+_Q_FORM = (((0, 0, 1), (1, 1, -1), (2, 2, -1)), 1)
+
+
+def stabilizer(u: Subspace) -> Subspace:
     """{A in the structure algebra : AU <= U} in (alpha, beta, gamma)
-    coordinates, as a subspace of Q^3."""
-
-    basis: Mat  # RREF rows
-
-    @property
-    def dim(self) -> int:
-        return self.basis.nrows
-
-    def operators(self) -> tuple:
-        return tuple(Operator(*row) for row in self.basis.rows)
-
-    def q_matrix(self) -> Mat:
-        """The bilinear form of q(A) = alpha^2 - beta^2 - gamma^2 restricted
-        to the stabilizer basis."""
-        polar = Mat(((F1, F0, F0), (F0, -F1, F0), (F0, F0, -F1)))
-        return self.basis @ polar @ self.basis.T
-
-
-def stabilizer(u: Subspace) -> Stabilizer:
-    """Solve the linear system AU <= U for the coordinates of A: one
+    coordinates, as a subspace of Q^3: one
     :func:`~pqh.linalg.int_kernel` of the integer constraint rows."""
     rows = []
     for xs, dx in u.int_basis():
@@ -158,8 +148,7 @@ def stabilizer(u: Subspace) -> Stabilizer:
         d = lcm(*(e for _, e in parts))
         ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
         rows.extend(filter(any, zip(ri, rj, rk)))
-    basis, _ = int_kernel(rows, 3)
-    return Stabilizer(Mat._of(tuple(frac_row(*r) for r in basis), 3))
+    return Subspace._of(*int_kernel(rows, 3), 3)
 
 
 @dataclass(frozen=True)
@@ -198,33 +187,26 @@ def _isotropic_point(a, b, c):
     return ((-b + root) / a, F1)
 
 
-def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
+def kind_witnesses(stab: Subspace) -> KindWitnesses:
+    """The witnesses of the stabilizer ``stab`` (a subspace of Q^3).
+
+    q on its basis rows is one pairing matrix of their integer rows, and a
+    witness is the combination (:meth:`Subspace.combine_int`) of the rows at
+    a point of that binary form with the wanted sign; the rows are
+    independent, so a nonzero point gives a nonzero witness."""
     if stab.dim == 0:
         return KindWitnesses(None, None, None)
-    ops = stab.operators()
-    if stab.dim == 1:
-        (v,) = ops
-        qv = v.q()
-        return KindWitnesses(
-            v if qv > 0 else None,
-            v if qv < 0 else None,
-            v if qv == 0 else None,
-        )
     if stab.dim == 3:
         return KindWitnesses(Operator(1, 0, 0), Operator(0, 0, 1), Operator(1, 1, 0))
-    qm = stab.q_matrix()
-    a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
-
-    def combine(pt):
-        return Operator(*(Mat((pt,), ncols=2) @ stab.basis).rows[0])
-
-    pos = _positive_point(a, b, c)
-    neg = _positive_point(-a, -b, -c)
-    iso = _isotropic_point(a, b, c)
+    qm = _form_matrix(_Q_FORM, stab.int_basis())
+    if stab.dim == 1:
+        a = qm.rows[0][0]
+        points = [(F1,) if ok else None for ok in (a > 0, a < 0, a == 0)]
+    else:
+        a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
+        points = [_positive_point(a, b, c), _positive_point(-a, -b, -c), _isotropic_point(a, b, c)]
     return KindWitnesses(
-        combine(pos) if pos else None,
-        combine(neg) if neg else None,
-        combine(iso) if iso and not combine(iso).is_zero() else None,
+        *(pt and Operator(*frac_row(*stab.combine_int(*_int_row(pt)))) for pt in points)
     )
 
 
@@ -496,7 +478,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         # T x = lam x (C^T x = +-rho x) on the coordinates x of v = sum_j x_j b_j
         # makes v = (h1' + lam h2') (x) p1'(v), by the row identity
         vs1, vs2 = eigen = [
-            [comp.combine_int(*x) for x in int_kernel(_int_rows(shifted.rows)[0], k)[0]]
+            comp.kernel_in([_int_row(c) for c in shifted.cols]).int_basis()
             for shifted in (t_f - Mat.scalar(k, lam_plus), t_f + Mat.scalar(k, lam_plus))
         ]
         half = comp.ambient // 2
@@ -552,7 +534,7 @@ def _split_along(x, first: Subspace, second: Subspace):
     coeffs = Mat.from_cols(cols, nrows=len(x)).solve(x)
     if coeffs is None:
         raise ValueError("vector is outside the direct sum")
-    (fpart,) = (Mat((coeffs[: first.dim],), ncols=first.dim) @ first.mat).rows
+    fpart = frac_row(*first.combine_int(*_int_row(coeffs[: first.dim])))
     return fpart, tuple(a - b for a, b in zip(x, fpart))
 
 
@@ -814,7 +796,7 @@ class ClassificationReport:
     flags: Flags
     signature: SignatureTriple
     u0: Subspace
-    stab: Stabilizer
+    stab: Subspace  # the stabilizer, in Q^3
     witnesses: KindWitnesses
     complex_report: ComplexReport | None
     para_complex_report: ParaComplexReport | None

@@ -203,7 +203,7 @@ def report_to_dict(report: ClassificationReport):
         "u0": subspace_dict(report.u0),
         "stabilizer": {
             "dim": report.stab.dim,
-            "basis": [[format_rational(x) for x in row] for row in report.stab.basis.rows],
+            "basis": [[format_rational(x) for x in row] for row in report.stab.mat.rows],
         },
         "witnesses": {
             kind: (_operator_dict(op) if op is not None else None)

@@ -22,7 +22,10 @@ Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
 subspaces is one elimination of all their rows (:func:`span_of`), which
 also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
-one routine that combines basis rows.
+one routine that combines basis rows, apart from ``Mat`` products that
+build T maps: ``uft.UFTForm.t_rows`` (the home of ``Mat.__matmul__`` on
+decompose-graph in ``bench/tracing.py``), and the T of a graph that
+``generate`` and form 2's E0 part build as F^T t.
 
 Every matrix of values of g or omega^E on rows is one pairing matrix,
 :func:`_form_matrix`: two lists of ``(ints, d)`` rows paired through
@@ -49,9 +52,10 @@ its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 ``maximal_pq`` the h1 copies (e | 0) of the h2 fiber's rows into U,
 :func:`h_fiber` the columns of ``[aI; bI]`` reduced modulo U,
 :func:`omega_kernel_in` the omega pairings, ``uft.graph_over`` the h1
-components of a graph's rows into a subspace of F, and the U' of
-``uft.pq_split`` is U ^ (H (x) C) for the complement C of E0.  The
-relations come from :func:`_relations`, which
+components of a graph's rows into a subspace of F,
+``classify.check_para_complex`` the columns of T -+ lam Id (a rational
+eigenspace), and the U' of ``uft.pq_split`` is U ^ (H (x) C) for the
+complement C of E0.  The relations come from :func:`_relations`, which
 holds the module's one certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
 mod p of the target's basis stacked on the images proves that no

@@ -36,11 +36,10 @@ generic decomposition all read it there.
 
 ``t_is_injective`` is one :meth:`Subspace.kernel_in` of the columns of
 T, so it is proved by the rank certificate that every such kernel runs
-first, and ``t_image`` returns all of E when T is square and injective;
-any other rank falls back to the span.  ``invariant_core`` starts its
-fixpoint at F, since its callers' T is injective, and when TF lies in F
-reads T on W* = F off the rows of ``t_map``.  No direction is tried for
-a subspace too large to meet h (x) E in 0
+first; ``t_image`` is the span of those columns.  ``invariant_core``
+starts its fixpoint at F, since its callers' T is injective, and when
+TF lies in F reads T on W* = F off the rows of ``t_map``.  No direction
+is tried for a subspace too large to meet h (x) E in 0
 (:func:`find_transversal_direction`).
 """
 
@@ -121,8 +120,6 @@ class UFTForm:
         return Mat.from_cols(map(w.coordinates_of, self.t_rows(w).rows), nrows=w.dim)
 
     def t_image(self) -> Subspace:
-        if self.dim == self.dim_e and self.t_is_injective():
-            return Subspace.full(self.dim_e)
         return Subspace.span(self.t_map.cols, self.dim_e)
 
     def t_is_injective(self) -> bool:
@@ -589,10 +586,11 @@ def decompose_form2(u: Subspace) -> Form2:
         # the graph of a rational-eigenvalue-free automorphism of E0
         n_fresh = 2 if e0.dim == 1 else 1
         fresh = []
+        # the candidates and the pieces' directions are normalized, one
+        # representative per line, so a fresh line is one not yet listed
         for cand in _direction_candidates():
-            nd = normalize_direction(cand)
-            if all(not _parallel(nd, d) for d in used_dirs + fresh):
-                fresh.append(nd)
+            if cand not in used_dirs + fresh:
+                fresh.append(cand)
                 if len(fresh) == n_fresh:
                     break
         for nd in fresh:
@@ -617,7 +615,3 @@ def _direction_candidates():
     while True:
         yield (F1, Fraction(t))
         t += 1
-
-
-def _parallel(d1, d2) -> bool:
-    return d1[0] * d2[1] - d1[1] * d2[0] == 0

@@ -18,8 +18,10 @@ from pqh.classify import (
     ClassificationReport,
     ComplexReport,
     OracleFinding,
+    KindWitnesses,
     ParaComplexReport,
-    Stabilizer,
+    _isotropic_point,
+    _positive_point,
     adapted_basis,
     operator_preserves,
 )
@@ -300,7 +302,7 @@ def maximal_pq_loop(u: Subspace) -> Subspace:
 
 
 # Formerly pqh.classify.stabilizer, which solved its rows as a Fraction Mat.
-def stabilizer(u: Subspace) -> Stabilizer:
+def stabilizer(u: Subspace) -> Subspace:
     """Solve the linear system AU <= U for the coordinates of A."""
     rows = []
     for xs, dx in u.int_basis():
@@ -310,7 +312,74 @@ def stabilizer(u: Subspace) -> Stabilizer:
         d = lcm(*(e for _, e in parts))
         ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
         rows.extend(filter(any, zip(ri, rj, rk)))
-    return Stabilizer(Mat(rows, ncols=3).kernel())
+    return Subspace(Mat(rows, ncols=3).kernel())
+
+
+# Formerly pqh.classify.Stabilizer, the stabilizer's Fraction basis, which
+# kind_witnesses read.
+@dataclass(frozen=True)
+class Stabilizer:
+    """{A in the structure algebra : AU <= U} in (alpha, beta, gamma)
+    coordinates, as a subspace of Q^3."""
+
+    basis: Mat  # RREF rows
+
+    @property
+    def dim(self) -> int:
+        return self.basis.nrows
+
+    def operators(self) -> tuple:
+        return tuple(Operator(*row) for row in self.basis.rows)
+
+    def q_matrix(self) -> Mat:
+        """The bilinear form of q(A) = alpha^2 - beta^2 - gamma^2 restricted
+        to the stabilizer basis."""
+        polar = Mat(((F1, F0, F0), (F0, -F1, F0), (F0, F0, -F1)))
+        return self.basis @ polar @ self.basis.T
+
+
+# Formerly pqh.classify.kind_witnesses, which combined the basis rows by
+# Mat products.
+def kind_witnesses(stab: Stabilizer) -> KindWitnesses:
+    if stab.dim == 0:
+        return KindWitnesses(None, None, None)
+    ops = stab.operators()
+    if stab.dim == 1:
+        (v,) = ops
+        qv = v.q()
+        return KindWitnesses(
+            v if qv > 0 else None,
+            v if qv < 0 else None,
+            v if qv == 0 else None,
+        )
+    if stab.dim == 3:
+        return KindWitnesses(Operator(1, 0, 0), Operator(0, 0, 1), Operator(1, 1, 0))
+    qm = stab.q_matrix()
+    a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
+
+    def combine(pt):
+        return Operator(*(Mat((pt,), ncols=2) @ stab.basis).rows[0])
+
+    pos = _positive_point(a, b, c)
+    neg = _positive_point(-a, -b, -c)
+    iso = _isotropic_point(a, b, c)
+    return KindWitnesses(
+        combine(pos) if pos else None,
+        combine(neg) if neg else None,
+        combine(iso) if iso and not combine(iso).is_zero() else None,
+    )
+
+
+# Formerly pqh.classify._split_along, which combined the first space's rows
+# by a Mat product.
+def _split_along(x, first: Subspace, second: Subspace):
+    """Decompose x along a direct sum first (+) second."""
+    cols = [tuple(r) for r in first.mat.rows] + [tuple(r) for r in second.mat.rows]
+    coeffs = Mat.from_cols(cols, nrows=len(x)).solve(x)
+    if coeffs is None:
+        raise ValueError("vector is outside the direct sum")
+    (fpart,) = (Mat((coeffs[: first.dim],), ncols=first.dim) @ first.mat).rows
+    return fpart, tuple(a - b for a, b in zip(x, fpart))
 
 
 # Formerly pqh.subspace.Subspace.reduce_int, which subtracted one pivot

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import congruent_instance, dense_congruence, graph_subspace, hand_built_instance, random_sl2, unit
 from pqh.classify import (
+    _Q_FORM,
     check_complex,
     check_nilpotent,
     check_para_complex,
@@ -28,6 +29,7 @@ from pqh.polyq import is_rational_square
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
+    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
     product_subspace,
@@ -48,8 +50,8 @@ def random_subspace(rng, ambient, dim):
 
 
 def in_stabilizer(st, a):
-    """Whether (alpha, beta, gamma) of a lies in the span of the stabilizer rows."""
-    return st.basis.T.solve((a.alpha, a.beta, a.gamma)) is not None
+    """Whether (alpha, beta, gamma) of a lies in the stabilizer."""
+    return st.contains_vector((a.alpha, a.beta, a.gamma))
 
 
 class TestStabilizer:
@@ -66,7 +68,7 @@ class TestStabilizer:
         assert in_stabilizer(st, Operator(0, 0, 1))
         assert not in_stabilizer(st, Operator(1, 0, 0))
         # restricted form is diag(0, -1) in echelon coordinates
-        qm = st.q_matrix()
+        qm = _form_matrix(_Q_FORM, st.int_basis())
         assert (qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]) == (0, 0, -1)
 
     def test_totally_complex_line_of_witnesses(self):
@@ -80,7 +82,7 @@ class TestStabilizer:
         # stabilizer of a decomposable block is a Borel subalgebra
         ep = Subspace.span([(1, 0), (0, 1)], 2)
         st = stabilizer(decomposable_subspace((1, 0), ep))
-        a, b = st.operators()
+        a, b = (Operator(*row) for row in st.mat.rows)
         bracket = a.mat2() @ b.mat2() - b.mat2() @ a.mat2()
         from pqh.model import operator_from_mat2
 

@@ -46,7 +46,6 @@ from pqh.uft import (
     _direction_candidates,
     _form2_graph,
     _no_rational_eigenvalue_map,
-    _parallel,
     decomposable_spectrum,
     decompose_form1,
     decompose_form2,
@@ -103,6 +102,11 @@ def clean_complement(u, u0, e0):
     if cleaned.dim != comp.dim:
         raise AssertionError("cleaning collapsed the complement")
     return cleaned
+
+
+# Formerly pqh.uft._parallel, which the fresh-direction loop of form 2 read.
+def _parallel(d1, d2) -> bool:
+    return d1[0] * d2[1] - d1[1] * d2[0] == 0
 
 
 def ref_decompose_form2(u):
