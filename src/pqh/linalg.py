@@ -44,9 +44,9 @@ Numer. Math. 40, 1982) up to a bound on the coefficients, again a proof
 rather than an estimate.  When those vectors are dependent mod M127
 (always so for a derogatory matrix), Faddeev-LeVerrier runs instead.
 P30 and M127 are the module's two fixed moduli.  The Krylov vectors
-(:func:`_krylov_rows`) also serve the zero certificate of
-:func:`pqh.polyq.poly_eval_matrix`, which proves them independent by
-``rank_mod``.
+(:func:`_krylov_rows`) serve ``charpoly`` only, which runs once per
+``Mat``: the instance keeps the result, and
+:func:`pqh.polyq.poly_eval_matrix` reads it to prove a zero.
 
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
@@ -256,10 +256,10 @@ def _entry(x) -> Fraction:
 class Mat:
     """Immutable dense matrix with rational entries."""
 
-    __slots__ = ("rows", "_ncols", "_hash")
+    __slots__ = ("rows", "_ncols", "_hash", "_charpoly")
 
     def __init__(self, rows, ncols=None):
-        self._hash = None
+        self._hash = self._charpoly = None
         self.rows = tuple(tuple(_entry(x) for x in r) for r in rows)
         if self.rows:
             self._ncols = len(self.rows[0])
@@ -277,7 +277,7 @@ class Mat:
         """Trusted constructor, no checks: ``rows`` is a tuple of
         ``ncols``-long tuples of ``Fraction`` values."""
         m = cls.__new__(cls)
-        m.rows, m._ncols, m._hash = rows, ncols, None
+        m.rows, m._ncols, m._hash, m._charpoly = rows, ncols, None, None
         return m
 
     @classmethod
@@ -496,16 +496,18 @@ class Mat:
         No rational reconstruction and no probability enter, and the
         result is checked against a_(n-1) = -tr A.  When W is singular mod
         p (e_0 is not cyclic, as for a derogatory A, or p divides det W),
-        Faddeev-LeVerrier (:func:`_faddeev_charpoly`) runs instead.
+        Faddeev-LeVerrier (:func:`_faddeev_charpoly`) runs instead.  The
+        first call keeps the result on the instance (``Mat`` is immutable)
+        and later calls return it.
         """
-        n = self.nrows
-        if n != self._ncols:
-            raise ValueError("charpoly of non-square matrix")
-        B, d = _int_rows(self.rows)
-        b = _krylov_charpoly(B)
-        if b is None:
-            b = _faddeev_charpoly(B)
-        return tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(b))
+        if self._charpoly is None:
+            n = self.nrows
+            if n != self._ncols:
+                raise ValueError("charpoly of non-square matrix")
+            B, d = _int_rows(self.rows)
+            b = _krylov_charpoly(B) or _faddeev_charpoly(B)
+            self._charpoly = tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(b))
+        return self._charpoly
 
 
 M127 = (1 << 127) - 1  # the Mersenne prime of :func:`_krylov_charpoly`
@@ -514,7 +516,7 @@ M127 = (1 << 127) - 1  # the Mersenne prime of :func:`_krylov_charpoly`
 def _krylov_rows(B, count):
     """The first ``count`` Krylov vectors w_k = B^k e_0 of the n x n int
     matrix B, n >= 1, as int lists: the rows that ``charpoly`` solves
-    for and :func:`pqh.polyq.poly_eval_matrix` certifies a zero with."""
+    for, once per ``Mat`` instance."""
     W = [[1] + [0] * (len(B) - 1)]
     while len(W) < count:
         W.append(_int_matmul([W[-1]], B)[0])

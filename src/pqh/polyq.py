@@ -21,14 +21,12 @@ neither does a run whose polynomials are all proved irreducible.
 Everything else is hand-rolled.
 
 :func:`poly_eval_matrix` proves p(A) = 0 for an n x n matrix A and
-deg p >= n without a matrix product when it can.  With B = d*A and N =
-sum_k g_k B^k its nonzero multiple of p(A), and w_k = B^k e_0 the Krylov
-vectors that ``Mat.charpoly`` also reads, N w_k = B^k N e_0; so when
-``rank_mod`` proves w_0, ..., w_(n-1) independent, N = 0 exactly when
-N e_0 = sum_k g_k w_k is zero, one exact integer combination.  For a
-nonzero p of degree < n it could only fail: when e_0 is cyclic, no
-nonzero polynomial of degree < n kills it.  So such p go straight to
-Paterson-Stockmeyer, which gives every nonzero answer.
+deg p >= n without a matrix product when chi_A, the characteristic
+polynomial that ``Mat.charpoly`` keeps on A, divides p over Q: by
+Cayley-Hamilton chi_A(A) = 0, so p(A) = r(A) chi_A(A) = 0.  One
+:func:`poly_rem` decides it, with no cyclic vector, no prime and no
+probability.  Every other p, and so every nonzero answer, is evaluated
+by Paterson-Stockmeyer.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows, _krylov_rows, rank_mod
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows
 
 ZERO = ()
 ONE = (F1,)
@@ -87,6 +85,18 @@ def poly_pow(p, k):
     return out
 
 
+def poly_rem(a, b):
+    """The remainder of a by the monic b over Q, trimmed."""
+    a = list(a)
+    db = len(b) - 1
+    while len(a) > db:
+        t = a.pop()
+        if t:
+            for j, bj in enumerate(b[:-1], len(a) - db):
+                a[j] -= t * bj
+    return poly_trim(a)
+
+
 def poly_eval_matrix(p, A: Mat) -> Mat:
     """p(A) for a square rational matrix A, by Paterson-Stockmeyer in ints.
 
@@ -100,20 +110,19 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     for the Horner steps, about 2 sqrt(m) in place of Horner's m, and none
     for degree <= 1.
 
-    When m >= n >= 1 (A is n x n), N = 0 is first tried by the
-    certificate of the module docstring (:func:`_kills_cyclic_vector`),
-    which forms no matrix product; Paterson-Stockmeyer runs only when it
-    gives no proof, and so gives every nonzero answer.
+    When m >= n >= 1 (A is n x n) and chi_A divides p, p(A) = 0 by
+    Cayley-Hamilton (see the module docstring) and the zero matrix is
+    returned before any clearing.  Paterson-Stockmeyer gives every other
+    answer: each nonzero one, and the zeros where only the minimal
+    polynomial of A divides p.
     """
     n = A.nrows
-    if not p:
+    m = len(p) - 1
+    if not p or (0 < n <= m and not poly_rem(p, A.charpoly())):
         return Mat.scalar(n, 0)
     B, d = _int_rows(A.rows)
     c, e = _int_row(p)
-    m = len(p) - 1
     g = [ck * d ** (m - k) for k, ck in enumerate(c)]
-    if 0 < n <= m and _kills_cyclic_vector(g, B):
-        return Mat.scalar(n, 0)
     s = max(1, isqrt(m))
     powers = [B]  # B^1, ..., B^s
     Bcols = list(zip(*B))
@@ -142,23 +151,6 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
         N = [[x + y for x, y in zip(r, cr)] for r, cr in zip(_int_matmul(N, Scols), C)]
     den = e * d**m
     return Mat._of(tuple(tuple(Fraction(x, den) if x else F0 for x in r) for r in N), n)
-
-
-def _kills_cyclic_vector(g, B):
-    """True when N = sum_k g_k B^k is proved zero through e_0, for the
-    n x n int matrix B, n >= 1; False when there is no proof, N = 0 or not.
-
-    With w_k = B^k e_0 (:func:`~pqh.linalg._krylov_rows`), N w_j =
-    B^j N e_0 since N is a polynomial in B, and N e_0 = sum_k g_k w_k.
-    When ``rank_mod`` proves w_0, ..., w_(n-1) independent over Q, e_0 is
-    cyclic and they span Q^n, so N = 0 exactly when that one integer
-    combination is zero.
-    """
-    n = len(B)
-    W = _krylov_rows(B, len(g))
-    if rank_mod(W[:n], n) < n:
-        return False
-    return all(sum(map(mul, g, col)) == 0 for col in zip(*W))
 
 
 def _rem_mod(a, b, q):

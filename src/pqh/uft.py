@@ -285,11 +285,10 @@ def line_direction(basis: HBasisChange, lam) -> tuple:
 def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
     """ker poly(T) inside W, for T given by its matrix on the basis of W.
 
-    When deg poly >= dim W, ``poly_eval_matrix`` first tries to prove
-    poly(T) = 0 on the Krylov vectors of e_0 (see :mod:`pqh.polyq`): if
-    they span, poly(T) = 0 exactly when poly(T) e_0 = 0.  An irreducible
-    factor of T's minimal polynomial of full degree is such a case, and
-    its fiber is then all of W.
+    When deg poly >= dim W and chi_T divides poly, ``poly_eval_matrix``
+    returns poly(T) = 0 by Cayley-Hamilton (see :mod:`pqh.polyq`),
+    reading chi_T off ``t_w``, where ``minimal_polynomial`` left it.  An
+    irreducible factor of full degree is such a case; its fiber is W.
     """
     return w.kernel_in([_int_row(c) for c in poly_eval_matrix(poly, t_w).cols])
 
@@ -321,9 +320,10 @@ def graph_spectrum(form: UFTForm):
     :func:`~pqh.polyq.factor` order, the pair (q, ker q(T) on W*).
 
     ``parts`` is empty exactly when W* = 0.  When T on W* has one factor
-    q = chi_T (the generic case), q(T) = 0 and ker q(T) = W*; the
-    evaluation in :func:`poly_fiber` proves that zero through the Krylov
-    vectors of e_0 (deg q >= dim W*) and forms no power of T.
+    q = chi_T (the generic case), q(T) = 0 and ker q(T) = W*;
+    :func:`poly_fiber` proves that zero from the chi_T that
+    ``minimal_polynomial`` computed on the same ``t_core``, so the core
+    has one Krylov pass and no power of T is formed.
     """
     inj = injectivize(form)
     core, t_core = invariant_core(inj)

@@ -8,17 +8,19 @@ Every fast path must agree with its reference exactly, on rank-deficient
 and large-coefficient inputs too.
 """
 
+import sys
 import zlib
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from conftest import hand_built_instance
 from test_graph_maps import bits100
-from test_linalg import huge_entries, matrices, ref_matmul, small_entries
+from test_linalg import bits500, huge_entries, matrices, ref_charpoly, ref_matmul, small_entries
 
+import pqh.linalg
 import pqh.polyq
 import pqh.uft
 from pqh.classify import (
@@ -56,7 +58,7 @@ from pqh.model import (
     Operator,
     ParaQuaternion,
 )
-from pqh.polyq import poly_eval_matrix, poly_mul
+from pqh.polyq import poly_eval_matrix, poly_mul, poly_rem
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
@@ -505,14 +507,14 @@ def test_poly_eval_matrix_on_low_rank_products():
         assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a)
 
 
-# -- the zero certificate ---------------------------------------------------------------
+# -- the zero route ---------------------------------------------------------------------
 
 
 @pytest.fixture
 def products(monkeypatch):
     """Counts the Paterson-Stockmeyer matrix products: ``polyq`` calls
-    ``_int_matmul`` only there, and the certificate's Krylov rows are
-    built in ``linalg``."""
+    ``_int_matmul`` only there, and ``charpoly``'s Krylov rows are built
+    in ``linalg``."""
     calls = [0]
     matmul = pqh.polyq._int_matmul
 
@@ -540,8 +542,8 @@ def cyclic_matrix(rng, n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_charpoly_and_its_multiples_are_proved_zero(n, products):
-    """p = chi_A and p = chi_A r with deg p > n take the certificate: the
-    answer is zero with no matrix product."""
+    """p = chi_A and p = chi_A r with deg p > n take the Cayley-Hamilton
+    route: the answer is zero with no matrix product."""
     rng = Rng(70 + n)
     a = cyclic_matrix(rng, n)
     cp = a.charpoly()
@@ -565,22 +567,25 @@ def test_multiples_of_the_charpoly_match_fraction_horner(n, data):
 
 
 def test_a_derogatory_charpoly_is_left_to_paterson_stockmeyer(products):
-    """chi_A(A) = 0, but e_0 is not cyclic for a derogatory A.  Nor is it
-    for diag(0, 1), where p = x^2 gives p(A) e_0 = 0 but p(A) != 0."""
+    """e_0 is not cyclic for a derogatory A, but chi_A(A) = 0 by
+    Cayley-Hamilton, with no product.  For diag(0, 1), p = x^2 gives
+    p(A) e_0 = 0 but p(A) != 0; chi_A = x^2 - x does not divide it, so
+    Paterson-Stockmeyer runs."""
     a = Mat(((2, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 3))))
     assert krylov_rank_mod(a) < 3
     p = a.charpoly()
     assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(3, 0)
-    assert products[0] > 0
+    assert products[0] == 0
     a = Mat(((0, 0), (0, 1)))
     assert poly_eval_matrix((F0, F0, F1), a) == ref_poly_eval_matrix((F0, F0, F1), a) == a
+    assert products[0] > 0
 
 
 def test_a_nonzero_answer_zero_mod_the_prime_is_not_proved_zero():
-    """The combination sum g_k w_k is tested exactly: for A = [[0]] and
-    p = x - P30 it is -P30, zero mod P30, and p(A) = [[-P30]].  Likewise
-    for the nilpotent A = [[0, 0], [1, 0]], cyclic at e_0, and
-    p = x^2 + P30, where p(A) = P30 I."""
+    """No residue mod P30 decides a zero: for A = [[0]] and p = x - P30,
+    p(A) = [[-P30]] is zero mod P30.  Likewise for the nilpotent
+    A = [[0, 0], [1, 0]], cyclic at e_0, and p = x^2 + P30, where
+    p(A) = P30 I."""
     a = Mat(((0,),))
     p = (Fraction(-P30), F1)
     assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat(((-P30,),))
@@ -592,13 +597,132 @@ def test_a_nonzero_answer_zero_mod_the_prime_is_not_proved_zero():
 
 def test_krylov_rows_singular_mod_the_prime_fall_back(products):
     """e_0 is cyclic over Q for A = [[1, 0], [P30, 2]] (w_1 = (1, P30)),
-    but w_0 and w_1 are dependent mod P30, so no proof is given."""
+    but w_0 and w_1 are dependent mod P30.  No prime enters the
+    Cayley-Hamilton route, so chi_A(A) = 0 is still given with no product."""
     a = Mat(((1, 0), (P30, 2)))
     B, _ = _int_rows(a.rows)
     assert int_rank(_krylov_rows(B, 2), 2) == 2 and krylov_rank_mod(a) == 1
     p = a.charpoly()
     assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(2, 0)
+    assert products[0] == 0
+
+
+@st.composite
+def derogatory_matrices(draw, n, entries):
+    """c I, or diag(M, M) with one more diagonal entry when n is odd: every
+    eigenvalue of M repeats in the two blocks, so no vector is cyclic."""
+    if n < 2 or draw(st.booleans()):
+        return Mat.scalar(n, draw(entries))
+    k = n // 2
+    m = draw(matrices(k, k, entries)).rows
+    rows = [r + (F0,) * (n - k) for r in m]
+    rows += [(F0,) * k + r + (F0,) * (n - 2 * k) for r in m]
+    if n % 2:
+        rows.append((F0,) * (n - 1) + (draw(entries),))
+    return Mat(rows)
+
+
+@given(
+    n=st.integers(1, 5),
+    entries=st.sampled_from([small_entries, huge_entries, bits500]),
+    data=st.data(),
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+def test_multiples_of_chi_are_zero_by_cayley_hamilton(products, n, entries, data):
+    """p = chi_A r with deg p >= n is the zero matrix with no product, on
+    dense, zero, rank-deficient and derogatory A, ~500-bit entries included."""
+    a = data.draw(matrices(n, n, entries) | derogatory_matrices(n, entries))
+    r = tuple(data.draw(st.lists(entries, max_size=3))) + (data.draw(entries.filter(bool)),)
+    p = poly_mul(a.charpoly(), r)
+    products[0] = 0
+    got = poly_eval_matrix(p, a)
+    assert products[0] == 0
+    assert got == ref_poly_eval_matrix(p, a) == Mat.scalar(n, 0)
+
+
+def test_zeros_chi_does_not_divide_and_nonzero_answers_take_paterson_stockmeyer(products):
+    """diag(2, 2, 1/3) has minimal polynomial (x - 2)(x - 1/3): p = x times
+    it kills A, but chi_A = (x - 2)^2 (x - 1/3) does not divide p, so the
+    zero comes from the product.  So does a nonzero answer of degree >= n."""
+    a = Mat(((2, 0, 0), (0, 2, 0), (0, 0, Fraction(1, 3))))
+    p = poly_mul((F0, F1), poly_mul((Fraction(-2), F1), (Fraction(-1, 3), F1)))
+    assert poly_rem(p, a.charpoly())
+    assert poly_eval_matrix(p, a) == ref_poly_eval_matrix(p, a) == Mat.scalar(3, 0)
     assert products[0] > 0
+    products[0] = 0
+    a = cyclic_matrix(Rng(8), 4)
+    p = tuple(Rng(9).rationals(5)) + (F1,)
+    got = poly_eval_matrix(p, a)
+    assert got == ref_poly_eval_matrix(p, a) and not got.is_zero()
+    assert products[0] > 0
+
+
+def test_charpoly_runs_once_per_instance(monkeypatch):
+    """The Krylov path, and the Faddeev-LeVerrier fallback of a derogatory
+    matrix, run on the first call only; later calls return the kept tuple."""
+    calls = []
+    for name in ("_krylov_charpoly", "_faddeev_charpoly"):
+
+        def spy(B, name=name, real=getattr(pqh.linalg, name)):
+            calls.append(name)
+            return real(B)
+
+        monkeypatch.setattr(pqh.linalg, name, spy)
+    krylov = ["_krylov_charpoly"]
+    for a, runs in (
+        (cyclic_matrix(Rng(12), 4), krylov),
+        (Mat.scalar(3, Fraction(5, 7)), krylov + ["_faddeev_charpoly"]),
+    ):
+        calls.clear()
+        first = a.charpoly()
+        assert a.charpoly() == first == ref_charpoly(a)
+        assert calls == runs
+
+
+def test_the_charpoly_slot_is_invisible_and_not_inherited():
+    """``==`` and ``hash`` ignore the kept value, and a matrix built from
+    another one starts without it."""
+    rows = ((1, 2, 0), (Fraction(1, 3), 0, 5), (7, -1, 2))
+    a, b = Mat(rows), Mat(rows)
+    h = hash(a)
+    cp = a.charpoly()
+    assert b._charpoly is None and a == b and hash(a) == h == hash(b)
+    derived = (a.T, a.scale(2), a @ a, Mat._of(a.rows, 3))
+    assert all(m._charpoly is None for m in derived)
+    assert derived[0].charpoly() == derived[3].charpoly() == cp
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_decompose_graph_request_builds_its_krylov_rows_once(seed, monkeypatch):
+    """The benchmark's decompose-graph request at seeds 1-3 takes one
+    Krylov pass, for the charpoly of its core, and polyq runs no
+    ``rank_mod``."""
+    built, callers = [0], []
+    krylov_rows, rank_mod_ = pqh.linalg._krylov_rows, pqh.linalg.rank_mod
+
+    def count_rows(*args):
+        built[0] += 1
+        return krylov_rows(*args)
+
+    def record_caller(*args):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return rank_mod_(*args)
+
+    for name, module in list(sys.modules.items()):
+        if not name.startswith("pqh"):
+            continue
+        if getattr(module, "_krylov_rows", None) is krylov_rows:
+            monkeypatch.setattr(module, "_krylov_rows", count_rows)
+        if getattr(module, "rank_mod", None) is rank_mod_:
+            monkeypatch.setattr(module, "rank_mod", record_caller)
+    u = generate(Rng((zlib.crc32(b"decompose-graph") << 32) ^ seed), 6, "generic", 12)
+    generic_decompose(u)
+    decompose_form2(u)
+    decompose_form1(u)
+    assert built[0] == 1
+    assert "pqh.polyq" not in callers
 
 
 def test_empty_matrix_and_zero_polynomial(products):
