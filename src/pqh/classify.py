@@ -577,8 +577,8 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     # canonical T~: E2 -> Ebar1, the Ebar1 component of x, which is fixed
     # since x is fixed modulo E1'
     xs = [frac_row(V[half:], d) for V, d in rows[:k]]
-    t_mat = Mat([_split_along(x, e1p, ebar1)[1] for x in xs], ncols=half)
-    e0 = e2_proj.kernel_in([_int_row(r) for r in t_mat.rows])
+    t_rows = [_int_row(_split_along(x, e1p, ebar1)[1]) for x in xs]
+    e0 = e2_proj.kernel_in(t_rows)
     e2prime = e0.complement_in(e2_proj)
     ext = e2_proj.complement_in(e1p)
     e1pp = e2prime.sum(ext)
@@ -588,8 +588,8 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
     # the rows of E2' are rows of p2(U)'s basis, so T~ on them is a selection
     sel = [e2_proj.pivots.index(p) for p in e2prime.pivots]
-    real_rows = basis.from_basis(t_mat.rows[i] + e2_proj.basis[i] for i in sel)
-    real_part = Subspace.span(real_rows, u.ambient)
+    e2s = e2_proj.int_basis()
+    real_part = Subspace._echelon([_graph_row(basis, t_rows[i], e2s[i])[0] for i in sel], u.ambient)
     if not direct_sum_is(u, [pq_part, piece.span(), real_part]):
         raise AssertionError("nilpotent decomposition does not recompose")
     if real_part.dim and not is_real(graph_form(real_part)):
@@ -1163,7 +1163,7 @@ def oracle_check(
             "uft-round-trip",
             form.dim == u.dim
             and all(
-                u.contains_int(*_graph_row(form.h_basis, f, tf))
+                u.contains_int(*_graph_row(form.h_basis, f, _int_row(tf)))
                 for f, tf in zip(form.f_space.int_basis(), form.t_map.cols)
             ),
         )

@@ -11,10 +11,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import F0, F1, Mat, vec_add
-from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, tensor
+from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, _h_act_int, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
-from .uft import UFTForm
+from .uft import _map_graph
 
 KINDS = (
     "generic",
@@ -67,13 +67,9 @@ def random_sl2(rng: Rng) -> HBasisChange:
 
 
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
-    """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
-    return Subspace.span(s.from_basis(u.mat.rows), u.ambient)
-
-
-def _graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
-    """The graph of T over h1 = (1, 0); column j of t_cols is T of row j of F."""
-    return UFTForm(HBasisChange.identity(), f_sub, t_cols).span()
+    """Apply an SL(H) coordinate change to every vector (flag-preserving):
+    one elimination of U's integer rows moved by s."""
+    return Subspace._echelon([_h_act_int(s._from, V, D)[0] for V, D in u.int_basis()], u.ambient)
 
 
 def _block_rotation(k: int) -> Mat:
@@ -130,32 +126,6 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         k = dim if dim is not None else 1 + rng.below(dim_e)
         h = (rng.rational(), rng.nonzero_rational())
         return decomposable_subspace(h, random_subspace(rng, dim_e, k))
-    if kind in ("complex", "para_complex", "weakly_para_complex"):
-        k = dim if dim is not None else 2 * (1 + rng.below(n))
-        f_sub = random_subspace(rng, dim_e, k)
-        p = random_invertible(rng, k)
-        if kind == "complex":
-            base = _block_rotation(k)
-        elif kind == "para_complex":
-            base = _reflection(k, k // 2)
-        else:
-            plus = 1 + rng.below(k - 1) if k > 1 else 1
-            if 2 * plus == k:
-                plus = k  # force unequal eigenspace dimensions
-            base = _reflection(k, min(plus, k))
-        t_local = p @ base @ p.inverse()
-        u = _graph(f_sub, f_sub.mat.T @ t_local)
-        return twist_h(u, random_sl2(rng))
-    if kind in ("totally_complex", "totally_para_complex"):
-        m = dim // 2 if dim is not None else 1 + rng.below(n)
-        eye = Mat.identity(dim_e).rows
-        pairs = sorted(rng_sample_pairs(rng, n, m))
-        idx = [j for p in pairs for j in (2 * p, 2 * p + 1)]
-        f_sub = Subspace.span([eye[j] for j in idx], dim_e)
-        k = 2 * m
-        base = _block_rotation(k) if kind == "totally_complex" else _tpc_blocks(k)
-        u = _graph(f_sub, f_sub.mat.T @ base)
-        return twist_h(u, random_sl2(rng))
     if kind == "nilpotent":
         k1 = dim if dim is not None else 1 + rng.below(n)
         k1 = min(k1, dim_e - 1)
@@ -171,29 +141,44 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
                 vec = vec_add(vec, tensor((1, 0), img))
             rows.append(vec)
         return Subspace.span(rows, dim_v)
-    if kind == "real":
-        k = dim if dim is not None else 1 + rng.below(n)
-        k = min(k, n)
-        # F on the first k coordinates, TF inside a disjoint block
-        eye = Mat.identity(dim_e).rows
-        b = random_invertible(rng, k)
-        t_map = Mat(eye[k : 2 * k], ncols=dim_e).T @ b
-        u = _graph(Subspace.span(eye[:k], dim_e), t_map)
-        return twist_h(u, random_sl2(rng))
-    if kind == "totally_real":
-        k = dim if dim is not None else 1 + rng.below(n)
-        k = min(k, n)
-        # E1 on odd slots, E2 on even slots, symmetric invertible pairing
-        while True:
-            b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
-            b = b + b.T
-            if b.det() != 0:
-                break
-        eye = Mat.identity(dim_e).rows
-        t_map = Mat(eye[1 : 2 * k : 2], ncols=dim_e).T @ b
-        u = _graph(Subspace.span(eye[0 : 2 * k : 2], dim_e), t_map)
-        return twist_h(u, random_sl2(rng))
-    raise ValueError(f"unknown kind {kind!r}")
+    # the graph kinds: T f_j = sum_i local[i][j] g_i over the bases of F and G
+    if kind in ("complex", "para_complex", "weakly_para_complex"):
+        k = dim if dim is not None else 2 * (1 + rng.below(n))
+        f_sub = g_sub = random_subspace(rng, dim_e, k)
+        p = random_invertible(rng, k)
+        if kind == "complex":
+            base = _block_rotation(k)
+        elif kind == "para_complex":
+            base = _reflection(k, k // 2)
+        else:
+            plus = 1 + rng.below(k - 1) if k > 1 else 1
+            if 2 * plus == k:
+                plus = k  # force unequal eigenspace dimensions
+            base = _reflection(k, min(plus, k))
+        local = p @ base @ p.inverse()
+    elif kind in ("totally_complex", "totally_para_complex"):
+        m = dim // 2 if dim is not None else 1 + rng.below(n)
+        pairs = sorted(rng_sample_pairs(rng, n, m))
+        f_sub = g_sub = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)
+        local = _block_rotation(2 * m) if kind == "totally_complex" else _tpc_blocks(2 * m)
+    elif kind in ("real", "totally_real"):
+        k = min(dim if dim is not None else 1 + rng.below(n), n)
+        if kind == "real":
+            # F on the first k coordinates, TF inside a disjoint block
+            local = random_invertible(rng, k)
+            f_cols, g_cols = range(k), range(k, 2 * k)
+        else:
+            # E1 on odd slots, E2 on even slots, symmetric invertible pairing
+            while True:
+                b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
+                local = b + b.T
+                if local.det() != 0:
+                    break
+            f_cols, g_cols = range(0, 2 * k, 2), range(1, 2 * k, 2)
+        f_sub, g_sub = Subspace._unit_rows(f_cols, dim_e), Subspace._unit_rows(g_cols, dim_e)
+    else:
+        raise ValueError(f"unknown kind {kind!r}")
+    return twist_h(_map_graph(f_sub, g_sub, local), random_sl2(rng))
 
 
 def _tpc_blocks(k: int) -> Mat:

@@ -128,7 +128,7 @@ def emit_instance(ms: ModelSpace, u: Subspace, h_basis=None) -> str:
     data = {
         "n": ms.n,
         "omega_E": format_matrix(ms.omega),
-        "vectors": [[format_rational(x) for x in row] for row in u.mat.rows],
+        "vectors": format_matrix(u.mat),
     }
     if h_basis is not None:
         data["h_basis"] = format_matrix(h_basis.mat)
@@ -163,7 +163,7 @@ def subspace_dict(u: Subspace):
     return {
         "ambient": u.ambient,
         "dim": u.dim,
-        "basis": [[format_rational(x) for x in row] for row in u.mat.rows],
+        "basis": format_matrix(u.mat),
     }
 
 
@@ -203,7 +203,7 @@ def report_to_dict(report: ClassificationReport):
         "u0": subspace_dict(report.u0),
         "stabilizer": {
             "dim": report.stab.dim,
-            "basis": [[format_rational(x) for x in row] for row in report.stab.mat.rows],
+            "basis": format_matrix(report.stab.mat),
         },
         "witnesses": {
             kind: (_operator_dict(op) if op is not None else None)

@@ -40,9 +40,9 @@ reads them; ``metric_matrix`` and ``as_matrix`` lay them out when called.
 
 An :class:`HBasisChange` s owns the two whole-basis steps:
 ``to_basis_int`` and ``from_basis`` rewrite coordinate rows between the
-standard basis and s (``assemble`` is ``from_basis`` of one row given by
-its two components), and ``conjugate`` gives the operator s m s^-1 with
-the stored inverse.
+standard basis and s (only ``assemble`` reads ``from_basis``; graph rows and
+twists apply s to integer rows with :func:`_h_act_int`), and ``conjugate``
+gives the operator s m s^-1 with the stored inverse.
 
 The split-quaternions enter only as values: :class:`ParaQuaternion` holds
 the four parts of a Hermitian product, and reads its norm and imaginary

@@ -22,10 +22,10 @@ Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several
 subspaces is one elimination of all their rows (:func:`span_of`), which
 also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
-one routine that combines basis rows, apart from ``Mat`` products that
-build T maps: ``uft.UFTForm.t_rows`` (the home of ``Mat.__matmul__`` on
-decompose-graph in ``bench/tracing.py``), and the T of a graph that
-``generate`` and form 2's E0 part build as F^T t.
+one routine that combines basis rows, apart from the one ``Mat`` product
+of ``uft.UFTForm.t_rows`` (the home of ``Mat.__matmul__`` on
+decompose-graph in ``bench/tracing.py``); the graphs that ``generate``
+and form 2's E0 part build take each T f_j from it (``uft._map_graph``).
 
 Every matrix of values of g or omega^E on rows is one pairing matrix,
 :func:`_form_matrix`: two lists of ``(ints, d)`` rows paired through

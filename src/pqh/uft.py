@@ -10,6 +10,9 @@ the induced metric, and produces the two direct-sum normal forms.
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
 subspace W of F by one product with ``t_map``, and the graph rows are
 integer rows (:meth:`UFTForm.graph_rows`), so a span is one elimination.
+Every graph row is :func:`_graph_row` of two ``(ints, d)`` halves, and a
+graph given by a local map (:func:`_map_graph`: ``generate``'s kinds, form
+2's E0 part) takes each T f_j as one ``Subspace.combine_int``.
 The direction searches read the fiber of h2 off U's pivots
 (``subspace.h2_fiber``); when it is zero, U's rows are (f | Tf) over
 F = p1(U) and :func:`to_uft` over the standard basis eliminates nothing.
@@ -102,7 +105,7 @@ class UFTForm:
         ``Mat`` product is the only ``Mat.__matmul__`` call on
         decompose-graph, where ``bench/tracing.py`` homes it.
         """
-        tfs = self.t_rows(self.f_space).rows
+        tfs = map(_int_row, self.t_rows(self.f_space).rows)
         return [_graph_row(self.h_basis, f, tf) for f, tf in zip(self.f_space.int_basis(), tfs)]
 
     def t_rows(self, w: Subspace) -> Mat:
@@ -126,13 +129,25 @@ class UFTForm:
         return self.f_space.kernel_in([_int_row(c) for c in self.t_map.cols]).is_zero()
 
 
-def _graph_row(h_basis: HBasisChange, f: tuple, tf) -> tuple:
-    """h1 (x) f + h2 (x) tf in standard coordinates, for the basis
-    ``h_basis``, f given as ``(ints, d)`` and tf as a rational row; the
-    result is an ``(ints, d)`` row."""
-    (V, d), (W, e) = f, _int_row(tf)
+def _graph_row(h_basis: HBasisChange, x: tuple, y: tuple) -> tuple:
+    """h1' (x) x + h2' (x) y in standard coordinates, for the basis
+    ``h_basis`` = (h1', h2') and x, y given as ``(ints, d)``; the result
+    is an ``(ints, d)`` row.  It is the one builder of graph rows."""
+    (V, d), (W, e) = x, y
     m = lcm(d, e)
-    return _h_act_int(h_basis._from, [x * (m // d) for x in V] + [y * (m // e) for y in W], m)
+    return _h_act_int(h_basis._from, [a * (m // d) for a in V] + [b * (m // e) for b in W], m)
+
+
+def _map_graph(f_space: Subspace, g_space: Subspace, local: Mat) -> Subspace:
+    """The graph over h1 = (1, 0) of the map T f_j = sum_i local[i][j] g_i,
+    for the canonical basis rows f_j of F and g_i of G: each T f_j is one
+    :meth:`Subspace.combine_int` of G's rows, and the span one elimination."""
+    identity = HBasisChange.identity()
+    rows = [
+        _graph_row(identity, f, g_space.combine_int(*_int_row(c)))[0]
+        for f, c in zip(f_space.int_basis(), local.cols)
+    ]
+    return Subspace._echelon(rows, 2 * f_space.ambient)
 
 
 def find_transversal_direction(u: Subspace):
@@ -497,14 +512,14 @@ def _eigenfree_inside(groups):
     m = b.dim
     inner = _eigenfree_inside(groups[1:])
     kdim = max(0, m - a1.dim)
-    kernel_rows = inner.mat.rows[:kdim]
-    kernel = Subspace.span(kernel_rows, ambient)
+    # the first rows of a reduced basis are the reduced basis of their span
+    kernel_rows = inner.int_basis()[:kdim]
+    kernel = Subspace._of(kernel_rows, inner.pivots[:kdim], ambient)
     c = kernel.complement_in(b)
-    rows = list(kernel_rows)
-    for j, crow in enumerate(c.mat.rows):
-        arow = a1.mat.rows[j]
-        rows.append(tuple(x + y for x, y in zip(crow, arow)))
-    out = Subspace.span(rows, ambient)
+    rows = [V for V, _ in kernel_rows]
+    for (C, dc), (A, da) in zip(c.int_basis(), a1.int_basis()):  # c.dim <= dim A1
+        rows.append([x * da + y * dc for x, y in zip(C, A)])  # (c_j + a_j) dc da
+    out = Subspace._echelon(rows, ambient)
     if out.dim != m:
         raise AssertionError("eigenfree construction lost dimension")
     return out
@@ -597,8 +612,7 @@ def decompose_form2(u: Subspace) -> Form2:
             pieces.append(DecomposablePiece(nd, e0))
         used_dirs.extend(fresh)
         if e0.dim > 1:
-            t0 = _no_rational_eigenvalue_map(e0.dim)
-            tilde = tilde.sum(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
+            tilde = tilde.sum(_map_graph(e0, e0, _no_rational_eigenvalue_map(e0.dim)))
     residue = subspace_spectrum(tilde)
     if residue is None:
         raise AssertionError("form 2 residue is not a graph subspace")

@@ -23,6 +23,7 @@ from pqh.classify import (
     _isotropic_point,
     _positive_point,
     adapted_basis,
+    adapted_nilpotent_basis,
     operator_preserves,
 )
 from pqh.generate import random_sl2
@@ -46,8 +47,10 @@ from pqh.subspace import (
     product_subspace,
     restrict_omega,
     signature,
+    span_of,
 )
-from pqh.uft import TransversalityError, UFTForm, graph_over, line_direction, poly_fiber, pq_split
+from pqh.uft import TransversalityError, UFTForm, _no_rational_eigenvalue_map, graph_over
+from pqh.uft import line_direction, poly_fiber, pq_split
 
 
 # Formerly pqh.quadext.QuadExt.
@@ -874,3 +877,71 @@ def oracle_check(
     check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)
     check("dim-bound-totally-real", not report.flags.totally_real or u.dim <= ms.n)
     return out
+
+
+# Formerly pqh.generate._graph; generate built its T as F^T t by a Mat
+# product (``f_sub.mat.T @ t_local``, ``Mat(eye[k : 2 * k], ncols=dim_e).T @ b``).
+def generate_graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
+    """The graph of T over h1 = (1, 0); column j of t_cols is T of row j of F."""
+    return UFTForm(HBasisChange.identity(), f_sub, t_cols).span()
+
+
+# Formerly pqh.generate.twist_h.
+def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
+    """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
+    return Subspace.span(s.from_basis(u.mat.rows), u.ambient)
+
+
+# Formerly the E0 graph of pqh.uft.decompose_form2.
+def form2_e0_graph(e0: Subspace) -> Subspace:
+    t0 = _no_rational_eigenvalue_map(e0.dim)
+    return UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span()
+
+
+# Formerly pqh.uft._eigenfree_inside, which spanned Fraction rows.
+def _eigenfree_inside(groups):
+    """A subspace of A1 (+) ... (+) As of dimension sum(dim Ai, i >= 2)
+    containing no nonzero vector of any single Ai.  Groups must be sorted
+    by descending dimension."""
+    ambient = groups[0].ambient
+    if len(groups) <= 1:
+        return Subspace.zero(ambient)
+    a1 = groups[0]
+    b = span_of(groups[1:], ambient)
+    m = b.dim
+    inner = _eigenfree_inside(groups[1:])
+    kdim = max(0, m - a1.dim)
+    kernel_rows = inner.mat.rows[:kdim]
+    kernel = Subspace.span(kernel_rows, ambient)
+    c = kernel.complement_in(b)
+    rows = list(kernel_rows)
+    for j, crow in enumerate(c.mat.rows):
+        arow = a1.mat.rows[j]
+        rows.append(tuple(x + y for x, y in zip(crow, arow)))
+    out = Subspace.span(rows, ambient)
+    if out.dim != m:
+        raise AssertionError("eigenfree construction lost dimension")
+    return out
+
+
+# Formerly the real part of pqh.classify.check_nilpotent: T~ as a Mat of
+# Fraction rows, the graph rows by HBasisChange.from_basis and one span.
+def nilpotent_real_part(u: Subspace, a: Operator) -> Subspace:
+    basis = adapted_nilpotent_basis(a)
+    half = u.ambient // 2
+    comps = [basis.to_basis_int(V, D)[0] for V, D in u.int_basis()]
+    rows, pivots = int_rref([V[half:] + V[:half] for V in comps], u.ambient)
+    k = sum(p < half for p in pivots)
+    e2_proj = Subspace._of([_lowest_terms(V[:half], d) for V, d in rows[:k]], pivots[:k], half)
+    e1p = Subspace._of(
+        [_lowest_terms(V[half:], d) for V, d in rows[k:]], [p - half for p in pivots[k:]], half
+    )
+    e1_proj = Subspace._echelon([V[half:] for V, _ in rows], half)
+    ebar1 = e1p.complement_in(e1_proj)
+    xs = [frac_row(V[half:], d) for V, d in rows[:k]]
+    t_mat = Mat([_split_along(x, e1p, ebar1)[1] for x in xs], ncols=half)
+    e0 = e2_proj.kernel_in([_int_row(r) for r in t_mat.rows])
+    e2prime = e0.complement_in(e2_proj)
+    sel = [e2_proj.pivots.index(p) for p in e2prime.pivots]
+    real_rows = basis.from_basis(t_mat.rows[i] + e2_proj.basis[i] for i in sel)
+    return Subspace.span(real_rows, u.ambient)

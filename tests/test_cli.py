@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -442,6 +443,19 @@ class TestGolden:
         }
         for name, argv in cases.items():
             self._check(capsys, name, *argv)
+
+    def test_gen_digest(self, capsys):
+        """SHA-256 of the stdout of ``pqh gen`` for every kind (``KINDS``
+        order), then n = 1-4, then seeds 0-7, concatenated: 352 runs."""
+        digest = hashlib.sha256()
+        for kind in KINDS:
+            for n in range(1, 5):
+                for seed in range(8):
+                    argv = ("gen", "--kind", kind, "--n", str(n), "--seed", str(seed))
+                    code, out, _ = run_cli(capsys, *argv)
+                    assert code == 0
+                    digest.update(out.encode())
+        assert digest.hexdigest() == (GOLDEN / "gen_all.sha256").read_text().strip()
 
 
 def test_oracle_all_kinds_100_seeds():
