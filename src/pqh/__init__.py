@@ -56,12 +56,10 @@ from .uft import (
     decompose_form1,
     decompose_form2,
     find_transversal_direction,
-    induced_g_f,
     injectivize,
     invariant_core,
     to_uft,
     transversal_basis,
-    uft_change_basis,
 )
 
 __version__ = "0.1.0"

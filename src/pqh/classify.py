@@ -18,7 +18,7 @@ shared pass over the pure part (:func:`_pure_part`), which eliminates
 nothing: T is read off the witness on U''s canonical rows, and the
 para-complex eigenspaces are kernels of T -+ D / sqrt(-q) on the same
 coordinates.  Each check then adds only what is particular to its sign;
-a report builds U''s graph form only when its ``pure_form`` is read.
+a report holds U' and its adapted basis.
 
 The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
 complement of U0 = H (x) E0 that every witness preserving U preserves.
@@ -124,7 +124,6 @@ from .uft import (
     normalize_direction,
     pq_split,
     subspace_spectrum,
-    to_uft,
 )
 
 
@@ -358,16 +357,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     )
 
 
-class _WitnessReport:
-    @property
-    def pure_form(self) -> UFTForm | None:
-        """U' as a graph over the h1' of the adapted basis, built when read;
-        None when U is para-quaternionic."""
-        return to_uft(self.pure_part, self.basis) if self.pure_part.dim else None
-
-
 @dataclass(frozen=True)
-class ComplexReport(_WitnessReport):
+class ComplexReport:
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = -scale * Id with scale * q(A) a rational square
@@ -408,7 +399,7 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
 
 
 @dataclass(frozen=True)
-class ParaComplexReport(_WitnessReport):
+class ParaComplexReport:
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = +scale * Id
@@ -628,12 +619,13 @@ class TotallyRealReport:
     gram_routes: tuple
 
 
-def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm | None) -> TotallyRealReport:
+def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRealReport:
     """For a real nondegenerate U with graph form ``form``: the omega
     conditions on E1 = p1(U), E2 = TE1 and the skewness of T,
-    cross-validated against the direct Gram tests IU _|_ U, JU _|_ U, KU _|_ U."""
-    if not is_real(form):
-        raise ValueError("totally-real check needs a real subspace")
+    cross-validated against the direct Gram tests IU _|_ U, JU _|_ U, KU _|_ U.
+
+    The caller has proved ``is_real(form)`` (:func:`classify` calls this
+    only after it); it is not tested again here."""
     if signature(ms, u).s != 0:
         raise ValueError("totally-real check needs a nondegenerate subspace")
     e1 = form.f_space

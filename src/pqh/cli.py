@@ -48,9 +48,16 @@ def _load(path):
     return ms, u, h_basis
 
 
+# The largest n that ``gen`` and ``oracle`` accept, checked before any
+# matrix of size n exists.  At n = 32 the slowest instance to generate
+# already takes minutes (README, "Command line"); far past it a run ends in
+# a MemoryError.
+MAX_N = 32
+
+
 def _check_n(n):
-    if n < 1:
-        raise InstanceError("n must be a positive integer")
+    if not 1 <= n <= MAX_N:
+        raise InstanceError(f"n must be an integer from 1 to {MAX_N}")
 
 
 def _print_subspace(label, u, out):

@@ -19,9 +19,8 @@ integer core of the action, :func:`_h_act_int` (``Operator.act_int``,
 ``(ints, d)`` with the stored matrix, so callers such as
 ``Subspace.reduce_int`` take its output without a ``Fraction`` in
 between.  ``Fraction``s are built only at the rational surface:
-:func:`_h_act` (``apply_coords``, ``from_basis``) builds
-each output coordinate once, and ``metric``, ``omega_eval`` and
-:meth:`ModelSpace.hermitian_product` build one per value.  The Hermitian
+``Operator.apply_coords`` builds each output coordinate once, and
+:meth:`ModelSpace.hermitian_product` builds one per value.  The Hermitian
 product clears x and y once and pairs x with y, Iy, Jy and Ky in ints.
 Relative to an H-basis s it pairs the s-coordinates of x and y
 (``to_basis_int``) with the standard triple.
@@ -34,15 +33,13 @@ matrix rows made 4n^2.  :func:`_form_image` gives the row w b, so a
 pairing matrix of many rows (``subspace._form_matrix``) costs one such
 row per column and one dot product per entry.
 
-Matrices on V are Kronecker products (:meth:`~pqh.linalg.Mat.kron`): the
-metric is omega^H (x) omega^E and an operator is A (x) Id_E.  No pairing
-reads them; ``metric_matrix`` and ``as_matrix`` lay them out when called.
+No matrix on V is built: the metric omega^H (x) omega^E and an operator
+A (x) Id_E are read through their factors only.
 
-An :class:`HBasisChange` s owns the two whole-basis steps:
-``to_basis_int`` and ``from_basis`` rewrite coordinate rows between the
-standard basis and s (only ``assemble`` reads ``from_basis``; graph rows and
-twists apply s to integer rows with :func:`_h_act_int`), and ``conjugate``
-gives the operator s m s^-1 with the stored inverse.
+An :class:`HBasisChange` s rewrites standard coordinate rows in s
+(``to_basis_int``); graph rows and twists apply s itself to integer rows
+with :func:`_h_act_int`, and ``conjugate`` gives the operator s m s^-1
+with the stored inverse.
 
 The split-quaternions enter only as values: :class:`ParaQuaternion` holds
 the four parts of a Hermitian product, and reads its norm and imaginary
@@ -90,16 +87,6 @@ class ParaQuaternion:
         return ParaQuaternion(F0, self.q1, self.q2, self.q3)
 
 
-def _h_act(m, coords) -> tuple:
-    """The coordinates of (m0*e + m1*e', m2*e + m3*e') / dm for the vector
-    with coordinates ``coords`` = (e, e') and a 2x2 matrix read row-wise,
-    given cleared as ``m = ((m0, m1, m2, m3), dm)``."""
-    if len(coords) % 2:
-        raise ValueError("coordinate length must be even")
-    out, d = _h_act_int(m, *_rational_row(coords))
-    return tuple(Fraction(x, d) if x else F0 for x in out)
-
-
 def _rational_row(coords) -> tuple:
     """``_int_row`` of a coordinate row, ``TypeError`` unless it is rational."""
     try:
@@ -109,7 +96,9 @@ def _rational_row(coords) -> tuple:
 
 
 def _h_act_int(m, xs, dx) -> tuple:
-    """:func:`_h_act` on the integer row xs / dx: ``(ints, d)`` of the result."""
+    """(m0*e + m1*e', m2*e + m3*e') / (dm * dx) for the integer row
+    xs = (e, e') over dx and a 2x2 matrix read row-wise, given cleared as
+    ``m = ((m0, m1, m2, m3), dm)``: ``(ints, d)`` of the result."""
     (m0, m1, m2, m3), dm = m
     half = len(xs) // 2
     pairs = list(zip(xs[:half], xs[half:]))
@@ -186,15 +175,15 @@ class Operator:
         return self.alpha == 0 and self.beta == 0 and self.gamma == 0
 
     def apply_coords(self, coords: tuple) -> tuple:
-        return _h_act(self._act, coords)
+        """A (x) Id_E applied to the coordinate row (e, e')."""
+        if len(coords) % 2:
+            raise ValueError("coordinate length must be even")
+        out, d = _h_act_int(self._act, *_rational_row(coords))
+        return tuple(Fraction(x, d) if x else F0 for x in out)
 
     def act_int(self, xs: list, dx: int) -> tuple:
         """:meth:`apply_coords` on the integer row xs / dx, as ``(ints, d)``."""
         return _h_act_int(self._act, xs, dx)
-
-    def as_matrix(self, dim_e: int) -> Mat:
-        """A (x) Id_E on the coordinates of V."""
-        return self.mat2().kron(Mat.identity(dim_e))
 
     def scale(self, c) -> "Operator":
         c = _entry(c)
@@ -222,7 +211,8 @@ def operator_from_mat2(m: Mat) -> Operator:
 @dataclass(frozen=True)
 class HBasisChange:
     """A symplectic basis change of H; columns are the new basis vectors.
-    s and s^-1 are kept cleared, row-wise, for ``from_basis`` and ``to_basis_int``."""
+    s and s^-1 are kept cleared, row-wise: ``_from`` for the graph rows
+    (``uft._graph_row``) and ``_to`` for ``to_basis_int``."""
 
     mat: Mat
 
@@ -259,17 +249,6 @@ class HBasisChange:
         """The standard coordinate row xs / dx rewritten in this basis of H,
         as ``(ints, d)``: its two E-components (comp1, comp2), concatenated."""
         return _h_act_int(self._to, xs, dx)
-
-    def from_basis(self, rows) -> list:
-        """Rows (comp1, comp2) in this basis rewritten as the standard
-        coordinates of h1' (x) comp1 + h2' (x) comp2."""
-        return [_h_act(self._from, r) for r in rows]
-
-    def assemble(self, comp1: Sequence, comp2: Sequence) -> tuple:
-        """The coordinate row of h1'(x)comp1 + h2'(x)comp2."""
-        if len(comp1) != len(comp2):
-            raise ValueError("component length mismatch")
-        return self.from_basis(((*comp1, *comp2),))[0]
 
     def conjugate(self, m: Mat) -> Operator:
         """The operator s m s^-1 for a traceless 2x2 matrix m given in this
@@ -322,17 +301,6 @@ class ModelSpace:
     def dim_v(self) -> int:
         return 4 * self.n
 
-    def omega_eval(self, e: Sequence, ep: Sequence) -> Fraction:
-        w, dw = self._omega_form
-        (a, da), (b, db) = _int_row(e), _int_row(ep)
-        return Fraction(_pairing(w, a, b), dw * da * db)
-
-    def metric(self, x: Sequence, y: Sequence) -> Fraction:
-        """g = omega^H (x) omega^E on coordinate rows; on decomposables
-        g(h(x)e, h'(x)e') = omega^H(h,h') omega^E(e,e')."""
-        (xs, dx), (ys, dy) = self._rows_of(x, y)
-        return Fraction(self._metric_int(xs, ys), self._metric_form[1] * dx * dy)
-
     def _rows_of(self, *coords) -> list:
         """``_rational_row`` of each coordinate row, which must have length dim V."""
         if any(len(x) != self.dim_v for x in coords):
@@ -343,11 +311,6 @@ class ModelSpace:
         """The numerator of g on integer coordinate rows (omega^E's common
         denominator is left out)."""
         return _pairing(self._metric_form[0], xs, ys)
-
-    def metric_matrix(self) -> Mat:
-        """omega^H (x) omega^E, the Gram matrix of g on the coordinates,
-        built on each call: no pairing reads it."""
-        return OMEGA_H.kron(self.omega)
 
     def hermitian_product(self, x: Sequence, y: Sequence, basis=None) -> ParaQuaternion:
         """X.Y = g(X,Y) + i g(X,IY) - j g(X,JY) - k g(X,KY) for the admissible

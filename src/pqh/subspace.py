@@ -16,7 +16,7 @@ H (x) E0 (:func:`maximal_pq`) is one cut of that fiber, and a zero fiber
 gives U0 = 0 with no kernel.  The ``Fraction`` matrix ``mat`` is built
 from the rows when it is first read, where a value leaves this layer;
 its rows, ``basis``, are coordinate rows of V, which
-``ModelSpace.metric`` and ``hermitian_product`` take as they are.
+``ModelSpace.hermitian_product`` takes as they are.
 
 Everything (sums, intersections, complements, Gram matrices,
 signatures) is computed with zero tolerance.  The sum of several

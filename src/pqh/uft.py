@@ -3,9 +3,9 @@
 A subspace admits this form relative to a symplectic basis (h1, h2) of
 H exactly when some direction h has (h (x) E) ^ U = 0; the second basis
 vector is placed on that transversal direction.  The machinery here
-finds transversal directions, converts to and from graph form, changes
-basis, makes T injective, computes the decomposable-vector spectrum and
-the induced metric, and produces the two direct-sum normal forms.
+finds transversal directions, converts to and from graph form, makes T
+injective, computes the decomposable-vector spectrum, and produces the
+two direct-sum normal forms.
 
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
 subspace W of F by one product with ``t_map``, and the graph rows are
@@ -24,10 +24,7 @@ decompositions and by ``classify._pure_part``), and each fiber
 {f in F : Tf = s f} that :func:`injectivize` tries is the kernel of the
 rows Tf - s f.  Those rows are also the answer: the shear
 h1 -> h1 + s h2 keeps F and takes T to T - s Id, so no graph is
-eliminated again.  :func:`uft_change_basis`
-rewrites the graph rows (f | Tf) with the stored inverse of the basis
-change (``HBasisChange.to_basis_int``) and reads F' and T' off them as
-:func:`to_uft` does.
+eliminated again.
 
 The spectrum of a graph form is :func:`graph_spectrum`: injectivize,
 take the invariant core W*, factor the minimal polynomial of T on W*
@@ -53,11 +50,10 @@ from fractions import Fraction
 from math import lcm
 
 from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref
-from .model import HBasisChange, ModelSpace, StructureError, _h_act_int
+from .model import HBasisChange, StructureError, _h_act_int
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
     Subspace,
-    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
     h2_fiber,
@@ -231,20 +227,6 @@ def _graph_of(rows, dim_e: int):
     return f_space, Mat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
 
 
-def uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
-    """Rewrite the graph form relative to the composed basis.
-
-    The new defining basis is (old basis) followed by s: the graph rows
-    (f | Tf), coordinates in the old basis, are rewritten in s and F' and
-    T' are read off them.  The h2 of the new basis must not meet the graph.
-    """
-    rows = [s.to_basis_int(*_int_row(f + tf))[0] for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
-    graph = _graph_of(rows, u.dim_e)
-    if graph is None:
-        raise TransversalityError("the h2 direction of the new basis meets the subspace")
-    return UFTForm(u.h_basis.compose(s), *graph)
-
-
 def injectivize(u: UFTForm) -> UFTForm:
     """An equivalent graph form whose T is injective.
 
@@ -404,14 +386,6 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
     lines.sort(key=lambda l: l.direction)
     blocks.sort(key=lambda b: b.coeffs)
     return PencilSpectrum(tuple(lines), tuple(blocks))
-
-
-def induced_g_f(ms: ModelSpace, u: UFTForm) -> Mat:
-    """Pullback metric g_F(f, f') = -[omega(Tf, f') + omega(Tf', f)] on the
-    canonical basis of F: c = (omega(T f_i, f_j)) is one pairing matrix of
-    omega^E between the integer columns of ``t_map`` and the rows of F."""
-    c = _form_matrix(ms._omega_form, [_int_row(t) for t in u.t_map.cols], u.f_space.int_basis())
-    return -(c + c.T)
 
 
 # -- the two decomposition normal forms -------------------------------------

@@ -29,7 +29,8 @@ from pqh.classify import (
 from pqh.generate import random_sl2
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
 from pqh.linalg import rank_mod, symmetric_signature, vec_add
-from pqh.model import OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError, tensor
+from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError
+from pqh.model import _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -51,6 +52,7 @@ from pqh.subspace import (
 )
 from pqh.uft import TransversalityError, UFTForm, _no_rational_eigenvalue_map, graph_over
 from pqh.uft import line_direction, poly_fiber, pq_split
+from pqh.uft import to_uft as package_to_uft
 
 
 # Formerly pqh.quadext.QuadExt.
@@ -196,7 +198,7 @@ def para_complex_eigenvectors(report: ParaComplexReport):
     Returns (eigenvalue, plus-basis rows, minus-basis rows) with entries in
     Q(sqrt(nu)) as ``QuadExt`` (or Fraction when rational).
     """
-    form = report.pure_form
+    form = pure_form(report)
     if form is None:
         raise ValueError("no pure part to analyze")
     t_f = form.t_on_subspace(form.f_space)
@@ -275,6 +277,55 @@ def is_real(u: Subspace) -> bool:
     return u.memo("is_real", compute)
 
 
+# Formerly the pure_form property of pqh.classify.ComplexReport and
+# ParaComplexReport.
+def pure_form(report) -> UFTForm | None:
+    """U' as a graph over the h1' of the adapted basis; None when U is
+    para-quaternionic."""
+    return package_to_uft(report.pure_part, report.basis) if report.pure_part.dim else None
+
+
+# Formerly pqh.model._h_act, the rational surface of _h_act_int.
+def h_act(m, coords) -> tuple:
+    """The coordinates of (m0*e + m1*e', m2*e + m3*e') / dm for the vector
+    with coordinates ``coords`` = (e, e') and a 2x2 matrix read row-wise,
+    given cleared as ``m = ((m0, m1, m2, m3), dm)``."""
+    if len(coords) % 2:
+        raise ValueError("coordinate length must be even")
+    out, d = _h_act_int(m, *_rational_row(coords))
+    return tuple(Fraction(x, d) if x else F0 for x in out)
+
+
+# Formerly pqh.model.HBasisChange.from_basis.
+def from_basis(s: HBasisChange, rows) -> list:
+    """Rows (comp1, comp2) in the basis s rewritten as the standard
+    coordinates of h1' (x) comp1 + h2' (x) comp2."""
+    return [h_act(s._from, r) for r in rows]
+
+
+# Formerly pqh.model.HBasisChange.assemble.
+def assemble(s: HBasisChange, comp1, comp2) -> tuple:
+    """The coordinate row of h1'(x)comp1 + h2'(x)comp2."""
+    if len(comp1) != len(comp2):
+        raise ValueError("component length mismatch")
+    return from_basis(s, ((*comp1, *comp2),))[0]
+
+
+# Formerly pqh.model.ModelSpace.omega_eval.
+def omega_eval(ms: ModelSpace, e, ep) -> Fraction:
+    w, dw = ms._omega_form
+    (a, da), (b, db) = _int_row(e), _int_row(ep)
+    return Fraction(_pairing(w, a, b), dw * da * db)
+
+
+# Formerly pqh.model.ModelSpace.metric.
+def metric(ms: ModelSpace, x, y) -> Fraction:
+    """g = omega^H (x) omega^E on coordinate rows; on decomposables
+    g(h(x)e, h'(x)e') = omega^H(h,h') omega^E(e,e')."""
+    (xs, dx), (ys, dy) = ms._rows_of(x, y)
+    return Fraction(ms._metric_int(xs, ys), ms._metric_form[1] * dx * dy)
+
+
 # Formerly pqh.model._pairing, on the integer rows of omega^E.
 def pairing_rows(w, a, b) -> int:
     """a^T w b for integer rows ``a``, ``b`` and integer matrix rows ``w``."""
@@ -284,7 +335,7 @@ def pairing_rows(w, a, b) -> int:
 # Formerly the block Gram of pqh.classify.is_para_quaternionic.
 def block_gram(ms, e_prime):
     split = Mat.identity(2).kron(e_prime.mat)
-    return split @ ms.metric_matrix() @ split.T
+    return split @ OMEGA_H.kron(ms.omega) @ split.T
 
 
 # U0 by its definition U ^ IU ^ JU ^ KU, formerly the body of
@@ -464,7 +515,7 @@ def graph_rows(form: UFTForm, w: Subspace) -> Mat:
     """The graph vectors h1 (x) f + h2 (x) Tf over the basis rows f of
     a subspace W of F, in standard coordinates."""
     rows = [f + tf for f, tf in zip(w.mat.rows, form.t_rows(w).rows)]
-    return Mat._of(tuple(form.h_basis.from_basis(rows)), 2 * form.dim_e)
+    return Mat._of(tuple(from_basis(form.h_basis, rows)), 2 * form.dim_e)
 
 
 # Formerly pqh.uft.UFTForm.graph_basis.
@@ -486,14 +537,14 @@ def pure_part_w_t(ms, form):
 # Formerly k_amb of pqh.classify.check_complex.
 def kaehler_ambient(ms, form, a):
     vs = graph_basis(form)
-    return vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
+    return vs @ a.mat2().kron(Mat.identity(ms.dim_e)).T @ OMEGA_H.kron(ms.omega) @ vs.T
 
 
 # Formerly the cross-eigenspace matrix of pqh.classify.check_para_complex,
 # on the graphs over the two eigenspaces.
 def cross_eigenspace_gram(ms, graph1, graph2):
     vs1, vs2 = graph1.mat, graph2.mat
-    return vs1 @ ms.metric_matrix() @ vs2.T
+    return vs1 @ OMEGA_H.kron(ms.omega) @ vs2.T
 
 
 # Formerly c of pqh.classify.check_totally_real.
@@ -504,7 +555,7 @@ def totally_real_c(ms, form):
 # Formerly gm of pqh.classify.check_totally_real.
 def graph_gram(ms, form):
     vs = graph_basis(form)
-    return vs @ ms.metric_matrix() @ vs.T
+    return vs @ OMEGA_H.kron(ms.omega) @ vs.T
 
 
 # Formerly pqh.uft.induced_g_f.
@@ -889,7 +940,7 @@ def generate_graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
 # Formerly pqh.generate.twist_h.
 def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving)."""
-    return Subspace.span(s.from_basis(u.mat.rows), u.ambient)
+    return Subspace.span(from_basis(s, u.mat.rows), u.ambient)
 
 
 # Formerly the E0 graph of pqh.uft.decompose_form2.
@@ -925,7 +976,8 @@ def _eigenfree_inside(groups):
 
 
 # Formerly the real part of pqh.classify.check_nilpotent: T~ as a Mat of
-# Fraction rows, the graph rows by HBasisChange.from_basis and one span.
+# Fraction rows, the graph rows by HBasisChange.from_basis (from_basis above)
+# and one span.
 def nilpotent_real_part(u: Subspace, a: Operator) -> Subspace:
     basis = adapted_nilpotent_basis(a)
     half = u.ambient // 2
@@ -943,5 +995,5 @@ def nilpotent_real_part(u: Subspace, a: Operator) -> Subspace:
     e0 = e2_proj.kernel_in([_int_row(r) for r in t_mat.rows])
     e2prime = e0.complement_in(e2_proj)
     sel = [e2_proj.pivots.index(p) for p in e2prime.pivots]
-    real_rows = basis.from_basis(t_mat.rows[i] + e2_proj.basis[i] for i in sel)
+    real_rows = from_basis(basis, (t_mat.rows[i] + e2_proj.basis[i] for i in sel))
     return Subspace.span(real_rows, u.ambient)

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_subspace, random_sl2
+from reference import assemble, induced_g_f, metric, omega_eval
 from pqh.classify import (
     check_totally_real,
     classify,
@@ -21,6 +22,7 @@ from pqh.classify import (
 from pqh.generate import generate, random_subspace, standard_model
 from pqh.linalg import Mat, symmetric_signature
 from pqh.model import (
+    OMEGA_H,
     HBasisChange,
     ModelSpace,
     OP_I,
@@ -46,10 +48,8 @@ from pqh.uft import (
     find_transversal_direction,
     graph_form,
     h_fiber,
-    induced_g_f,
     to_uft,
     transversal_basis,
-    uft_change_basis,
 )
 
 _T0 = time.monotonic()
@@ -64,9 +64,9 @@ def test_criterion_01_algebra_conformance():
     for n in range(1, 5):
         dim = 2 * n
         eye = Mat.identity(2 * dim)
-        i_m = OP_I.as_matrix(dim)
-        j_m = OP_J.as_matrix(dim)
-        k_m = OP_K.as_matrix(dim)
+        i_m = OP_I.mat2().kron(Mat.identity(dim))
+        j_m = OP_J.mat2().kron(Mat.identity(dim))
+        k_m = OP_K.mat2().kron(Mat.identity(dim))
         assert i_m @ i_m == -eye
         assert j_m @ j_m == eye
         assert k_m @ k_m == eye
@@ -74,7 +74,7 @@ def test_criterion_01_algebra_conformance():
         assert i_m @ j_m == -(j_m @ i_m)
         assert j_m @ k_m == -(k_m @ j_m)
         assert i_m @ k_m == -(k_m @ i_m)
-        g = ModelSpace.standard(n).metric_matrix()
+        g = OMEGA_H.kron(ModelSpace.standard(n).omega)
         for m in (i_m, j_m, k_m):
             assert (m.T @ g) == -(g @ m)  # g(AX, Y) = -g(X, AY)
     assert time.monotonic() - t0 < 1.0
@@ -84,7 +84,7 @@ def test_criterion_01_algebra_conformance():
 def test_criterion_02_neutrality_and_dimension():
     for n in range(1, 5):
         ms = ModelSpace.standard(n)
-        assert symmetric_signature(ms.metric_matrix()) == (2 * n, 0, 2 * n)
+        assert symmetric_signature(OMEGA_H.kron(ms.omega)) == (2 * n, 0, 2 * n)
     with pytest.raises(StructureError):
         ModelSpace(2, standard_symplectic(2))  # ambient dimension must be 4n
     with pytest.raises(StructureError):
@@ -131,14 +131,14 @@ def test_criterion_04_complex_theorem_round_trip():
         rep = classify(ms, u)
         assert rep.flags.complex
         cr = rep.complex_report
-        form = cr.pure_form
+        form = to_uft(cr.pure_part, cr.basis)
         # g_F formula against the ambient pullback
         g_f = induced_g_f(ms, form)
         vs = [
-            form.h_basis.assemble(f, form.t_map.col(j))
+            assemble(form.h_basis, f, form.t_map.col(j))
             for j, f in enumerate(form.f_space.mat.rows)
         ]
-        amb = Mat([[ms.metric(x, y) for y in vs] for x in vs], ncols=len(vs))
+        amb = Mat([[metric(ms, x, y) for y in vs] for x in vs], ncols=len(vs))
         assert g_f == amb
         # three independent totally-complex routes agree
         b = form.f_space.mat.T
@@ -172,7 +172,7 @@ def test_criterion_05_para_complex_theorem():
         pc = rep.para_complex_report
         sig = pc.signature_pure
         # signature equals (m, k - 2m, m)
-        k = pc.pure_form.dim if pc.pure_form else 0
+        k = pc.pure_part.dim
         assert sig.as_tuple() == (pc.m_value, k - 2 * pc.m_value, pc.m_value)
         if pc.strictly_para_complex and pc.hermitian_pure:
             assert sig.as_tuple() == (k // 2, 0, k // 2)  # neutral
@@ -196,16 +196,16 @@ def test_criterion_06_real_and_totally_real():
     form = to_uft(tr, transversal_basis(find_transversal_direction(tr)))
     c = Mat(
         [
-            [ms2.omega_eval(f, form.t_map.col(j)) for j in range(form.dim)]
+            [omega_eval(ms2, f, form.t_map.col(j)) for j in range(form.dim)]
             for f in form.f_space.mat.rows
         ],
         ncols=form.dim,
     )
     vs = [
-        form.h_basis.assemble(f, form.t_map.col(j))
+        assemble(form.h_basis, f, form.t_map.col(j))
         for j, f in enumerate(form.f_space.mat.rows)
     ]
-    gm = Mat([[ms2.metric(x, y) for y in vs] for x in vs], ncols=form.dim)
+    gm = Mat([[metric(ms2, x, y) for y in vs] for x in vs], ncols=form.dim)
     assert gm == c.scale(2)  # Gram equals 2 omega(e, Te')
     # curated: real but not totally real (omega nonzero on E1)
     rnt = graph_subspace(2, [((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))])
@@ -303,7 +303,7 @@ def test_criterion_08_uft_machinery():
             continue
         s = random_sl2(rng)
         try:
-            changed = uft_change_basis(form, s)
+            changed = to_uft(form.span(), form.h_basis.compose(s))
         except ValueError:
             continue  # pencil value not injective for this change
         assert changed.span() == u

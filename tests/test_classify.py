@@ -35,8 +35,9 @@ from pqh.subspace import (
     product_subspace,
     signature,
 )
-from pqh.uft import graph_form
-from reference import QuadExt, maximal_invariant_subspace, para_complex_eigenvectors
+from pqh.uft import graph_form, to_uft
+from reference import QuadExt, assemble, maximal_invariant_subspace, metric
+from reference import para_complex_eigenvectors
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]
 REFL = [((1, 0), (1, 0)), ((0, 1), (0, -1))]
@@ -176,7 +177,7 @@ class TestCheckComplex:
         pairs_t = Mat(((0, -mu), (1, 0)))  # T^2 = -mu Id
         rows = []
         for j, f in enumerate(((1, 0), (0, 1))):
-            rows.append(basis.assemble(f, pairs_t.col(j)))
+            rows.append(assemble(basis, f, pairs_t.col(j)))
         u = Subspace.span(rows, 4)
         rep = check_complex(ms1, u, a)
         assert rep.scale == mu
@@ -201,7 +202,8 @@ class TestCheckComplex:
         pairs = [((0, 0, 1, 0), (0, 0, 0, 1)), ((0, 0, 0, 1), (0, 0, -1, 0))]
         u = pq_part.sum(graph_subspace(2, pairs))
         rep = check_complex(ms2, u, OP_I)
-        assert rep.pure_form is not None and rep.pure_form.dim == 2
+        form = to_uft(rep.pure_part, rep.basis) if rep.pure_part.dim else None
+        assert form is not None and form.dim == 2
         full = classify(ms2, u)
         assert full.flags.complex and not full.flags.pure
 
@@ -372,7 +374,8 @@ def test_nonsquare_eigenvectors_from_cyclic_basis(t):
     lam, plus, minus = para_complex_eigenvectors(pc)
     assert lam * lam == nu
     assert len(plus) == len(minus) == pc.d_plus == pc.d_minus == n
-    t_f = pc.pure_form.t_on_subspace(pc.pure_form.f_space)
+    form = to_uft(pc.pure_part, pc.basis)
+    t_f = form.t_on_subspace(form.f_space)
     for rows, ev in ((plus, lam), (minus, -lam)):
         for v in rows:
             assert quad_apply(t_f, v) == tuple(ev * x for x in v)
@@ -470,7 +473,7 @@ class TestRealAndTotallyReal:
         rep = check_totally_real(ms1, u, graph_form(u))
         assert rep.totally_real
         x = u.basis[0]
-        assert ms1.metric(x, x) == 2  # 2 omega(e1, e2)
+        assert metric(ms1, x, x) == 2  # 2 omega(e1, e2)
 
     def test_complex_instance_not_real(self):
         assert not is_real(graph_form(graph_subspace(1, ROT)))
@@ -531,7 +534,7 @@ class TestMaximalInvariant:
         def preimage(a, u):
             # {x : A x in U}: the kernel of the columns of A reduced modulo U
             free = [j for j in range(u.ambient) if j not in set(u.pivots)]
-            cols = [tuple(frac_row(*u.reduce_int(*_int_row(c)))[j] for j in free) for c in a.as_matrix(4).cols]
+            cols = [tuple(frac_row(*u.reduce_int(*_int_row(c)))[j] for j in free) for c in a.mat2().kron(Mat.identity(4)).cols]
             return Subspace(Mat.from_cols(cols, nrows=len(free)).kernel())
 
         rng = Rng(67)

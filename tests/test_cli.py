@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from pqh.cli import main
+import pqh
+from pqh.cli import MAX_N, main
 from pqh.generate import KINDS
 from pqh.linalg import Mat
 
@@ -235,6 +239,49 @@ class TestContract:
 
     def test_zero_samples_allowed(self, capsys):
         code, out, _ = run_cli(capsys, "oracle", "--samples", "0", "--n", "1")
+        assert code == 0
+        assert out == "ran 0 checks over 0 generated instances\nno violations\n"
+
+
+class TestSizeBound:
+    """``gen`` and ``oracle`` take n up to ``MAX_N``.  Past it they exit 2
+    before any matrix of size n exists, so a run under a small
+    address-space limit still ends in one ``error:`` line, not a
+    ``MemoryError`` traceback."""
+
+    LIMIT = 1_500_000_000  # bytes of address space, set in the child only
+
+    def child(self, *argv):
+        code = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({self.LIMIT}, {self.LIMIT}))\n"
+            "from pqh.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(pqh.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+        )
+
+    @pytest.mark.parametrize("n", [MAX_N + 1, 10**9])
+    @pytest.mark.parametrize("command", ["gen", "oracle"])
+    def test_past_the_bound_exit_2_under_a_memory_limit(self, command, n):
+        done = self.child(command, "--n", str(n))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr == f"error: n must be an integer from 1 to {MAX_N}\n"
+
+    def test_huge_n_with_a_short_omega_exit_2(self, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**9, "omega_E": [[0, 1], [-1, 0]], "vectors": []}))
+        done = self.child("classify", str(path))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+    def test_oracle_at_the_bound(self, capsys):
+        code, out, _ = run_cli(capsys, "oracle", "--samples", "0", "--n", str(MAX_N))
         assert code == 0
         assert out == "ran 0 checks over 0 generated instances\nno violations\n"
 

@@ -7,7 +7,8 @@ reach the classifier, and applies a few mutations: wrong shapes and types,
 bad ``n``, a non-symplectic ``omega_E``, an ``h_basis`` of determinant
 other than 1, bare and quoted numerals, unknown fields, and truncated,
 non-UTF-8 or deeply nested bytes.  Sizes stay small (n <= 2, at most 4
-vectors) to keep the run short.
+vectors) to keep the run short; the ``--n`` values at and past the size
+bound ``MAX_N`` build no instance.
 """
 
 import contextlib
@@ -20,7 +21,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pqh.cli import main
+from pqh.cli import MAX_N, main
 
 EXIT_CODES = {0, 2, 3, 4}
 STRUCTURE_R4 = json.loads((Path(__file__).parent / "data" / "structure_r4.json").read_text())
@@ -37,7 +38,8 @@ bad_numerals = st.sampled_from(
         0.5, 1.0, True, None, [], {}, [1], "9" * 5000, 10**40, "1/" + "7" * 40,
     ]
 )
-bad_n = st.sampled_from([0, -1, 3, "2", 2.5, True, None, [2]])
+# a huge n with the file's short omega_E is refused before anything of size n
+bad_n = st.sampled_from([0, -1, 3, "2", 2.5, True, None, [2], 10**9])
 unimodular = st.sampled_from([[[1, 0], [0, 1]], [["2", "1"], ["1", "1"]], [[0, -1], ["1", 0]]])
 
 
@@ -163,16 +165,30 @@ COMMANDS = [
 ]
 
 
+# n at the size bound, just past it and far past it: gen and oracle exit 2
+# past it before any matrix of size n exists
+SIZES = [str(MAX_N), str(MAX_N + 1), str(10**9)]
+
+
 @st.composite
 def argv_cases(draw):
     """Free argv over the commands and a vocabulary of flags and values; an
-    oracle run always gets a sample count and an n of at most 2."""
+    oracle run always gets a sample count and an n of at most 2.  Some gen
+    and oracle runs end in an n from ``SIZES``: an oracle at the bound with
+    no samples, a gen only past it, so that no run builds an instance of
+    size ``MAX_N``."""
     command = draw(st.sampled_from(COMMANDS))
     argv = [command]
     if command == "oracle":
         argv += ["--samples", draw(st.sampled_from(["-1", "0", "1"])),
                  "--n", draw(st.sampled_from(["-1", "0", "1", "2"]))]
-    return argv + draw(st.lists(st.sampled_from(VOCABULARY), max_size=6))
+    argv += draw(st.lists(st.sampled_from(VOCABULARY), max_size=6))
+    if command in ("gen", "oracle") and draw(st.booleans()):
+        if command == "oracle":
+            argv += ["--samples", "0", "--n", draw(st.sampled_from(SIZES))]
+        else:
+            argv += ["--n", draw(st.sampled_from(SIZES[1:]))]
+    return argv
 
 
 def run(argv):

@@ -46,6 +46,7 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
+from reference import from_basis
 
 # -- reference copies ---------------------------------------------------------
 
@@ -116,8 +117,8 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
         raise AssertionError("nilpotent kernel part disagrees with the maximal part")
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
     e2_coords = Mat([e2_proj.coordinates_of(e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
-    real_rows = basis.from_basis(
-        img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)
+    real_rows = from_basis(
+        basis, [img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)]
     )
     real_part = Subspace.span(real_rows, u.ambient)
     if not direct_sum_is(u, [pq_part, piece.span(), real_part]):

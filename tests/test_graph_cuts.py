@@ -32,7 +32,7 @@ from pqh.uft import (
     injectivize,
     pq_split,
     subspace_spectrum,
-    uft_change_basis,
+    to_uft,
 )
 
 # -- the replaced code, kept as references -------------------------------------
@@ -83,7 +83,7 @@ def ref_injectivize(u):
     )
     if h1_new is None:
         raise AssertionError("injective presentation search failed")
-    out = uft_change_basis(u, HBasisChange.from_columns(h1_new, (F0, F1)))
+    out = to_uft(span, u.h_basis.compose(HBasisChange.from_columns(h1_new, (F0, F1))))
     if not out.t_is_injective():
         raise AssertionError("injectivization produced a non-injective T")
     return out

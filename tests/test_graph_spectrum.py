@@ -41,7 +41,7 @@ from pqh.uft import (
     injectivize,
     invariant_core,
     poly_fiber,
-    uft_change_basis,
+    to_uft,
 )
 
 # -- the replaced code, kept as references -------------------------------------
@@ -99,7 +99,7 @@ def ref_injectivize(u):
         raise AssertionError("injective presentation search failed")
     det = F1 - h1_new[1] * h2_new[0]
     cols = Mat.from_cols((h1_new, (h2_new[0] / det, h2_new[1] / det)))
-    out = uft_change_basis(u, HBasisChange(cols))
+    out = to_uft(u.span(), u.h_basis.compose(HBasisChange(cols)))
     if not out.t_is_injective():
         raise AssertionError("injectivization produced a non-injective T")
     return out

@@ -3,8 +3,8 @@
 An ``Operator`` and an ``HBasisChange`` act on the pair (e, e') of
 E-components by one 2x2 matrix.  Each now keeps that matrix cleared of
 denominators, and a basis change keeps its inverse too, computed once by
-``Mat.inverse``.  ``uft_change_basis`` rewrites the graph rows (f | Tf)
-with that inverse, and ``injectivize`` reads the sheared T off the rows
+``Mat.inverse``.  ``to_uft`` over a composed basis rewrites U's rows with
+that inverse, and ``injectivize`` reads the sheared T off the rows
 whose fiber it tested.  Each ``ref_*`` function below is a copy of the
 code it replaced, which built the matrix again on every call, inverted a
 basis change by its adjugate and moved a graph by a ``Fraction`` pencil;
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
+from reference import from_basis
 from test_graph_cuts import eigen_forms, twisted_graph_forms
 from test_graph_maps import graph_forms
 from test_model import h_basis_changes, model_spaces, operators, vectors
@@ -27,7 +28,7 @@ from pqh.linalg import F0, F1, Mat, _int_row
 from pqh.model import MAT_I, MAT_J, MAT_K, OP_I, OP_J, OP_K, HBasisChange, Operator, ParaQuaternion
 from pqh.model import operator_from_mat2
 from pqh.subspace import Subspace
-from pqh.uft import UFTForm, injectivize, to_uft, uft_change_basis
+from pqh.uft import UFTForm, injectivize, to_uft
 
 # -- the replaced code, kept as references -------------------------------------
 
@@ -87,7 +88,7 @@ def ref_uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
 
 
 def ref_injectivize(u: UFTForm) -> UFTForm:
-    """``injectivize`` with the shear made by ``uft_change_basis``."""
+    """``injectivize`` with the shear made by ``ref_uft_change_basis``."""
     dim_e = u.dim_e
     rows = [_int_row(f + tf) for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
     for s in range(u.dim + 2):
@@ -147,7 +148,7 @@ def test_operator_action_matches_h_mat(a, xs):
 def test_basis_change_matches_the_adjugate(s, xs, a):
     coords = list(xs)
     assert to_basis(s, coords) == [ref_h_act(ref_inverse_entries(s), r) for r in coords]
-    assert s.from_basis(coords) == [ref_h_act(sum(s.mat.rows, ()), r) for r in coords]
+    assert from_basis(s, coords) == [ref_h_act(sum(s.mat.rows, ()), r) for r in coords]
     for r in coords:
         row = _int_row(r)
         assert s.to_basis_int(*row) == ref_h_act_int(ref_inverse_entries(s), *row)
@@ -173,7 +174,7 @@ def test_the_stored_matrices_are_not_fields():
     assert repr(s) == f"HBasisChange(mat={s.mat!r})"
 
 
-# -- uft_change_basis ------------------------------------------------------------
+# -- a basis change: to_uft of the span over the composed basis -----------------
 
 
 @REF
@@ -184,9 +185,9 @@ def test_uft_change_basis_matches_the_pencil(form_entries, s):
         ref = ref_uft_change_basis(form, s)
     except ValueError:
         with pytest.raises(ValueError):
-            uft_change_basis(form, s)
+            to_uft(form.span(), form.h_basis.compose(s))
         return
-    assert same_form(uft_change_basis(form, s), ref)
+    assert same_form(to_uft(form.span(), form.h_basis.compose(s)), ref)
 
 
 def test_symplectic_swap_of_a_zero_map_is_rejected_on_both_sides():
@@ -197,7 +198,7 @@ def test_symplectic_swap_of_a_zero_map_is_rejected_on_both_sides():
     with pytest.raises(ValueError):
         ref_uft_change_basis(form, SWAP)
     with pytest.raises(ValueError):
-        uft_change_basis(form, SWAP)
+        to_uft(form.span(), form.h_basis.compose(SWAP))
 
 
 # -- injectivize -----------------------------------------------------------------

@@ -23,7 +23,7 @@ from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, generate, random_sl2, twist_h
 from pqh.linalg import F0, F1, P30, Mat, _int_row, int_kernel, int_rref
-from pqh.model import HBasisChange, ModelSpace
+from pqh.model import OMEGA_H, HBasisChange, ModelSpace
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -161,7 +161,7 @@ def ref_to_uft(u, basis):
 
 
 def ref_gram(ms, u):
-    return u.mat @ ms.metric_matrix() @ u.mat.T
+    return u.mat @ OMEGA_H.kron(ms.omega) @ u.mat.T
 
 
 def ref_restrict_omega(ms, e_sub):
@@ -169,7 +169,7 @@ def ref_restrict_omega(ms, e_sub):
 
 
 def ref_is_orthogonal(ms, u, w):
-    return (u.mat @ ms.metric_matrix() @ w.mat.T).is_zero()
+    return (u.mat @ OMEGA_H.kron(ms.omega) @ w.mat.T).is_zero()
 
 
 def ref_complement_in(u, larger):

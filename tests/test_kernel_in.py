@@ -57,7 +57,7 @@ def ref_omega_kernel_in(ms, a_sub, b_sub):
 
 
 def ref_maximal_invariant_subspace(a, u):
-    return ref_intersect(u, ref_preimage_by(u, a.as_matrix(u.ambient // 2)))
+    return ref_intersect(u, ref_preimage_by(u, a.mat2().kron(Mat.identity(u.ambient // 2))))
 
 
 def ref_poly_fiber(w, t_w, poly):
@@ -67,7 +67,7 @@ def ref_poly_fiber(w, t_w, poly):
 def ref_eigen_split(a, u, u0, root):
     """The complement of ``ref_invariant_pure_complement`` for a rational root
     of -q(A): eigenspaces of the 4n x 4n matrix of A, intersected."""
-    amat = a.as_matrix(u.ambient // 2)
+    amat = a.mat2().kron(Mat.identity(u.ambient // 2))
     parts = []
     for sign in (root, -root):
         vs = Subspace((amat - Mat.scalar(u.ambient, sign)).kernel())

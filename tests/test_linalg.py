@@ -485,9 +485,9 @@ class TestMat:
     @given(systems(), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
     def test_prefix_elimination_matches_fraction_reference(self, ab, prefix):
-        # uft._graph_of (under to_uft and uft_change_basis) takes pivots among
-        # the first columns only, and reads the rows only when the prefix
-        # has full rank
+        # uft._graph_of (under to_uft) takes pivots among the first
+        # columns only, and reads the rows only when the prefix has full
+        # rank
         a, _ = ab
         prefix = min(prefix, a.ncols)
         rows, pivots = int_rref([_int_row(r)[0] for r in a.rows], prefix)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from pqh.model import (
     MAT_I,
     MAT_J,
     MAT_K,
+    OMEGA_H,
     HBasisChange,
     ModelSpace,
     OP_I,
@@ -24,7 +26,7 @@ from pqh.model import (
     tensor,
 )
 from pqh.rng import Rng
-from reference import recover_omega_e
+from reference import assemble, metric, omega_eval, recover_omega_e
 
 
 class TestModelSpace:
@@ -79,9 +81,9 @@ class TestMetric:
     def test_decomposable_values(self, ms1):
         x = tensor((1, 0), (1, 0))
         y = tensor((0, 1), (0, 1))
-        assert ms1.metric(x, y) == 1  # omega^H(h1,h2) * omega^E(e1,e2)
-        assert ms1.metric(tensor((1, 0), (1, 0)), tensor((1, 0), (0, 1))) == 0
-        assert ms1.metric(x, x) == 0  # decomposables are isotropic
+        assert metric(ms1, x, y) == 1  # omega^H(h1,h2) * omega^E(e1,e2)
+        assert metric(ms1, tensor((1, 0), (1, 0)), tensor((1, 0), (0, 1))) == 0
+        assert metric(ms1, x, x) == 0  # decomposables are isotropic
 
     def test_structure_operators_are_skew(self, ms2):
         rng = Rng(22)
@@ -89,12 +91,12 @@ class TestMetric:
             for _ in range(30):
                 x = rng.rationals(8)
                 y = rng.rationals(8)
-                assert ms2.metric(apply(op, x), y) + ms2.metric(x, apply(op, y)) == 0
+                assert metric(ms2, apply(op, x), y) + metric(ms2, x, apply(op, y)) == 0
 
     def test_neutral_signature(self):
         for n in (1, 2, 3, 4):
             ms = ModelSpace.standard(n)
-            assert symmetric_signature(ms.metric_matrix()) == (2 * n, 0, 2 * n)
+            assert symmetric_signature(OMEGA_H.kron(ms.omega)) == (2 * n, 0, 2 * n)
 
 
 class TestHermitianProduct:
@@ -203,7 +205,7 @@ class TestStandardize:
         # permutation matrices are orthogonal
         assert p @ p.T == Mat.identity(8)
         # conjugating the model operators gives 2x2 blocks
-        a = OP_I.as_matrix(4)
+        a = OP_I.mat2().kron(Mat.identity(4))
         blocked = p @ a @ p.T
         i_m, _, _ = TestStandardize()._standard_triple(4)
         assert blocked == i_m
@@ -211,7 +213,7 @@ class TestStandardize:
 
 class TestRecoverOmega:
     def test_round_trip(self, ms2):
-        omega = recover_omega_e(ms2.metric, 4)
+        omega = recover_omega_e(partial(metric, ms2), 4)
         assert omega == ms2.omega
 
     def test_round_trip_nonstandard(self):
@@ -222,13 +224,13 @@ class TestRecoverOmega:
             (0, 0, -1, 0),
         ]
         ms = ModelSpace(2, Mat(rows))
-        assert recover_omega_e(ms.metric, 4) == ms.omega
+        assert recover_omega_e(partial(metric, ms), 4) == ms.omega
 
     def test_non_hermitian_detected(self, ms1):
         def broken(x, y):
             # break the skewness of K: add a K-symmetric error term
             err = x[0] * y[0]
-            return ms1.metric(x, y) + err
+            return metric(ms1, x, y) + err
 
         with pytest.raises(StructureError):
             recover_omega_e(broken, 2)
@@ -366,8 +368,8 @@ class TestAgainstFractionReferences:
         (comps,) = to_basis(s, [x])
         assert (comps[:dim_e], comps[dim_e:]) == ref_h_components(s, x)
         c1, c2 = halves(x)
-        assert s.assemble(c1, c2) == ref_assemble(s, c1, c2)
-        assert s.assemble(comps[:dim_e], comps[dim_e:]) == x
+        assert assemble(s, c1, c2) == ref_assemble(s, c1, c2)
+        assert assemble(s, comps[:dim_e], comps[dim_e:]) == x
         assert s._inv == s.mat.inverse()
 
     @REF
@@ -384,10 +386,10 @@ class TestAgainstFractionReferences:
     def test_metric_and_omega_eval(self, data):
         ms = data.draw(model_spaces())
         x, y = data.draw(vectors(ms.dim_e)), data.draw(vectors(ms.dim_e))
-        assert ms.metric(x, y) == ref_metric(ms, x, y)
+        assert metric(ms, x, y) == ref_metric(ms, x, y)
         e, f = halves(x)[0], halves(y)[0]
-        assert ms.omega_eval(e, f) == ref_omega_eval(ms.omega, e, f)
-        assert type(ms.metric(x, y)) is Fraction
+        assert omega_eval(ms, e, f) == ref_omega_eval(ms.omega, e, f)
+        assert type(metric(ms, x, y)) is Fraction
 
     @REF
     @given(st.data())
@@ -409,7 +411,7 @@ class TestAgainstFractionReferences:
             [[F0] * d + list(w[i]) for i in range(d)]
             + [[-x for x in w[i]] + [F0] * d for i in range(d)]
         )
-        assert ms.metric_matrix() == block
+        assert OMEGA_H.kron(ms.omega) == block
 
 
 class TestRejectsFloats:
@@ -419,7 +421,7 @@ class TestRejectsFloats:
 
     def test_assemble(self):
         with pytest.raises(TypeError):
-            HBasisChange.identity().assemble((0.5,), (1,))
+            assemble(HBasisChange.identity(), (0.5,), (1,))
 
     @pytest.mark.parametrize("bad", [0.5, "1"], ids=["float", "str"])
     def test_tensor(self, bad):
@@ -431,9 +433,9 @@ class TestRejectsFloats:
     @pytest.mark.parametrize("bad", [0.5, "1"], ids=["float", "str"])
     def test_metric(self, ms1, bad):
         with pytest.raises(TypeError):
-            ms1.metric((bad, 0, 0, 1), (1, 0, 0, 1))
+            metric(ms1, (bad, 0, 0, 1), (1, 0, 0, 1))
         with pytest.raises(TypeError):
-            ms1.metric((1, 0, 0, 1), (0, 0, bad, 1))
+            metric(ms1, (1, 0, 0, 1), (0, 0, bad, 1))
 
     @pytest.mark.parametrize("bad", [0.5, "1"], ids=["float", "str"])
     @pytest.mark.parametrize("basis", [None, HBasisChange.identity()], ids=["standard", "h_basis"])

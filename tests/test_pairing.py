@@ -5,7 +5,7 @@ they replaced, and classification under a dense omega^E.
 it) as its nonzero entries, and ``subspace._form_matrix`` builds every
 pairing matrix of integer rows.  Each reference in ``tests/reference.py``
 is the earlier code: the row loop of ``_pairing`` and the triple products
-with ``metric_matrix()`` or ``omega`` that ``classify`` and ``uft`` used.
+with ``OMEGA_H.kron(omega)`` or ``omega`` that ``classify`` and ``uft`` used.
 They are compared on the standard omega^E and on a dense congruent
 P^T omega P with rational P, on zero rows, rank-deficient row sets and
 ~100-bit entries.
@@ -49,7 +49,7 @@ from pqh.subspace import (
     p1,
     restrict_omega,
 )
-from pqh.uft import graph_form, graph_over, induced_g_f, pq_split, to_uft
+from pqh.uft import graph_form, graph_over, pq_split, to_uft
 
 REF = settings(max_examples=60, deadline=None)
 
@@ -118,7 +118,7 @@ def test_pairing_matches_the_row_loop(data):
 @given(st.data())
 def test_form_matrix_matches_the_fraction_product(data):
     ms = data.draw(models())
-    g = ms.metric_matrix()
+    g = OMEGA_H.kron(ms.omega)
     for form, w, length in ((ms._omega_form, ms.omega, ms.dim_e), (ms._metric_form, g, ms.dim_v)):
         xs, ys = data.draw(row_sets(length)), data.draw(row_sets(length))
         assert _form_matrix(form, cleared(xs), cleared(ys)) == product(xs, w, ys, length)
@@ -132,12 +132,12 @@ def test_form_matrix_matches_the_fraction_product(data):
 @given(st.data())
 def test_orthogonality_and_omega_kernel_match_the_fraction_products(data):
     ms = data.draw(models())
-    g = ms.metric_matrix()
+    g = OMEGA_H.kron(ms.omega)
     u = Subspace.span(data.draw(row_sets(ms.dim_v)), ms.dim_v)
     w = Subspace.span(data.draw(row_sets(ms.dim_v)), ms.dim_v)
     assert is_orthogonal(ms, u, w) == product(u.basis, g, w.basis, ms.dim_v).is_zero()
     for a in (OP_I, OP_J, OP_K, Operator(Fraction(3, 7), -2, 5)):
-        ambient = u.mat @ a.as_matrix(ms.dim_e).T @ g @ u.mat.T
+        ambient = u.mat @ a.mat2().kron(Mat.identity(ms.dim_e)).T @ g @ u.mat.T
         assert image_orthogonal(ms, a, u) == ambient.is_zero()
     e_a = Subspace.span(data.draw(row_sets(ms.dim_e)), ms.dim_e)
     e_b = Subspace.span(data.draw(row_sets(ms.dim_e)), ms.dim_e)
@@ -169,7 +169,8 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
         if form is not None:
             t_cols = [_int_row(t) for t in form.t_map.cols]
             vs = form.graph_rows()
-            assert induced_g_f(ms, form) == ref_induced_g_f(ms, form)
+            c = _form_matrix(ms._omega_form, t_cols, form.f_space.int_basis())
+            assert -(c + c.T) == ref_induced_g_f(ms, form)
             # _pure_part's w_t, check_totally_real's c and gm
             assert _form_matrix(ms._omega_form, t_cols, t_cols) == pure_part_w_t(ms, form)
             assert _form_matrix(ms._omega_form, form.f_space.int_basis(), t_cols) == totally_real_c(ms, form)
@@ -197,7 +198,7 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
         if pcr is not None and pcr.eigen_presentation is not None:
             _dir1, lift1, _dir2, lift2 = pcr.eigen_presentation
             comp = pq_split(u)[2]
-            g1, g2 = (graph_over(comp, pcr.pure_form.h_basis, lift) for lift in (lift1, lift2))
+            g1, g2 = (graph_over(comp, pcr.basis, lift) for lift in (lift1, lift2))
             new = _form_matrix(ms._metric_form, g1.int_basis(), g2.int_basis())
             assert new == cross_eigenspace_gram(ms, g1, g2)
 

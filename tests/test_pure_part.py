@@ -6,16 +6,16 @@ implementations of ``check_complex`` and ``check_para_complex``, each with
 its own copy of the structure-theorem pass.  Every report field must agree
 on the witnesses of generated instances of every kind, on rescaled
 witnesses (both signs of D) and on witnesses whose q is not a square.
-A report holds U' and builds its graph form when ``pure_form`` is read,
-so the references report their complement, and ``pure_form`` is
-compared too.
+A report holds U', so the references report their complement, and U''s
+graph form over the adapted basis (``reference.pure_form``) is compared
+too.
 """
 
 from dataclasses import fields
 from fractions import Fraction
 
 import pytest
-from reference import graph_basis, graph_rows
+from reference import assemble, graph_basis, graph_rows, induced_g_f, pure_form
 from test_pure_complement import ref_invariant_pure_complement
 
 from pqh.classify import (
@@ -30,7 +30,7 @@ from pqh.classify import (
 )
 from pqh.generate import KINDS, generate
 from pqh.linalg import F0, F1, Mat, symmetric_signature
-from pqh.model import ModelSpace, Operator
+from pqh.model import OMEGA_H, ModelSpace, Operator
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -44,7 +44,7 @@ from pqh.subspace import (
     restrict_omega,
     signature,
 )
-from pqh.uft import _std_direction, induced_g_f, normalize_direction, to_uft
+from pqh.uft import _std_direction, normalize_direction, to_uft
 
 
 def ref_check_complex(ms, u, a):
@@ -88,7 +88,7 @@ def ref_check_complex(ms, u, a):
     te = form.t_map
     w_t = te.T @ ms.omega @ te
     vs = graph_basis(form)
-    k_amb = vs @ a.as_matrix(ms.dim_e).T @ ms.metric_matrix() @ vs.T
+    k_amb = vs @ a.mat2().kron(Mat.identity(ms.dim_e)).T @ OMEGA_H.kron(ms.omega) @ vs.T
     k_gf = (g_f @ t_f).scale(qa / d_val)
     k_form = (w_f.scale(d_val) + w_t.scale(qa / d_val)).scale(-F1)
     if not (k_amb == k_gf == k_form):
@@ -187,7 +187,7 @@ def ref_check_para_complex(ms, u, a):
         eigen_pres = (dir1, lift1, dir2, lift2)
         if lift1.dim and lift2.dim:
             vs1, vs2 = Subspace(graph_rows(form, lift1)).mat, Subspace(graph_rows(form, lift2)).mat
-            if (vs1 @ ms.metric_matrix() @ vs2.T).rank() != m_value:
+            if (vs1 @ OMEGA_H.kron(ms.omega) @ vs2.T).rank() != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
@@ -236,8 +236,9 @@ def assert_same_reports(ms, u, a):
                 check(ms, u, a)
             continue
         got = check(ms, u, a)
-        for name in [f.name for f in fields(expected)] + ["pure_form"]:
+        for name in [f.name for f in fields(expected)]:
             assert getattr(got, name) == getattr(expected, name), name
+        assert pure_form(got) == pure_form(expected), "pure_form"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -265,7 +266,7 @@ def _adapted_graph(n, a):
         for f, tf in (((1, 0), (0, 1)), ((0, 1), (-s, 0))):
             fe, te = [F0] * (2 * n), [F0] * (2 * n)
             fe[2 * i : 2 * i + 2], te[2 * i : 2 * i + 2] = f, tf
-            rows.append(basis.assemble(fe, te))
+            rows.append(assemble(basis, fe, te))
     return Subspace.span(rows, 4 * n)
 
 
@@ -283,7 +284,7 @@ def test_explicit_witnesses_match_reference(a):
     for n in (1, 2):
         u = _adapted_graph(n, a)
         if a.q() > 0:
-            assert check_complex(ModelSpace.standard(n), u, a).pure_form.dim == 2 * n
+            assert pure_form(check_complex(ModelSpace.standard(n), u, a)).dim == 2 * n
         assert_same_reports(ModelSpace.standard(n), u, a)
         assert_same_reports(ModelSpace.standard(n), u, a.scale(-2))
 

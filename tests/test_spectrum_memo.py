@@ -25,7 +25,7 @@ import pqh.uft
 from pqh.classify import classify, generic_decompose
 from pqh.generate import KINDS, generate, standard_model
 from pqh.linalg import Mat, _int_row, frac_row
-from pqh.model import OP_I, OP_J, OP_K, HBasisChange, StructureError
+from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, StructureError
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
@@ -167,7 +167,7 @@ def ref_invariant_core(u):
 def ref_image_orthogonal(ms, a, u):
     """``image_orthogonal`` as one rational Gram product."""
     au = Mat._of(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
-    return (au @ ms.metric_matrix() @ u.mat.T).is_zero()
+    return (au @ OMEGA_H.kron(ms.omega) @ u.mat.T).is_zero()
 
 
 # -- helpers ---------------------------------------------------------------------

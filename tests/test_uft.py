@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_subspace, random_sl2
+from reference import assemble, induced_g_f, metric
 from pqh.generate import generate
 from pqh.linalg import Mat, _int_row, vec_add
 from pqh.model import HBasisChange, StructureError, tensor
@@ -21,14 +22,12 @@ from pqh.uft import (
     decompose_form1,
     decompose_form2,
     find_transversal_direction,
-    induced_g_f,
     injectivize,
     invariant_core,
     minimal_fiber_direction,
     pq_split,
     to_uft,
     transversal_basis,
-    uft_change_basis,
 )
 
 
@@ -133,7 +132,7 @@ class TestBasisChange:
     def test_identity(self):
         u = graph_subspace(1, ROT)
         form = to_uft(u, HBasisChange.identity())
-        same = uft_change_basis(form, HBasisChange.identity())
+        same = to_uft(form.span(), form.h_basis.compose(HBasisChange.identity()))
         assert same.f_space == form.f_space and same.t_map == form.t_map
 
     def test_pencil_formula_swap_gives_inverse(self):
@@ -149,7 +148,7 @@ class TestBasisChange:
     def test_symplectic_swap_gives_minus_inverse(self):
         u = graph_subspace(1, ROT)
         form = to_uft(u, HBasisChange.identity())
-        swapped = uft_change_basis(form, HBasisChange(Mat(((0, -1), (1, 0)))))
+        swapped = to_uft(form.span(), form.h_basis.compose(HBasisChange(Mat(((0, -1), (1, 0))))))
         t = Mat(((0, -1), (1, 0)))
         assert swapped.t_map == t.inverse().scale(-1)
         assert swapped.span() == u
@@ -165,7 +164,7 @@ class TestBasisChange:
             form = to_uft(u, transversal_basis(h))
             s = random_sl2(rng)
             try:
-                changed = uft_change_basis(form, s)
+                changed = to_uft(form.span(), form.h_basis.compose(s))
             except ValueError:
                 continue  # pencil not injective for this change
             assert changed.span() == u
@@ -323,11 +322,11 @@ class TestInducedMetric:
                 continue
             form = to_uft(u, transversal_basis(h))
             vs = [
-                form.h_basis.assemble(f, form.t_map.col(j))
+                assemble(form.h_basis, f, form.t_map.col(j))
                 for j, f in enumerate(form.f_space.mat.rows)
             ]
             amb = Mat(
-                [[ms2.metric(x, y) for y in vs] for x in vs], ncols=len(vs)
+                [[metric(ms2, x, y) for y in vs] for x in vs], ncols=len(vs)
             )
             assert induced_g_f(ms2, form) == amb
             checked += 1

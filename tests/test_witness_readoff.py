@@ -6,7 +6,8 @@ adapted basis by one elimination (``to_uft(U', basis)``) and found the
 para-complex eigenspaces as fibers of that graph.  The package reads the
 witness's coordinates C on U''s canonical rows instead: T = (-D/q) C^T on
 the h1' parts of those rows, and the eigenspaces are kernels of
-C -+ sqrt(-q).  Every report field, ``pure_form`` included, must agree
+C -+ sqrt(-q).  Every report field, and U''s graph form over the adapted
+basis (``reference.pure_form``), must agree
 with the reference, or both must raise the same exception type, on every
 kind at n = 1-4, on its ``random_sl2`` twist and its dense-omega^E
 ``congruent_instance`` copy, on the hand-built family with
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 from conftest import congruent_instance, dense_congruence, hand_built_instance, random_sl2
 from reference import check_complex as ref_check_complex
 from reference import check_para_complex as ref_check_para_complex
+from reference import pure_form
 
 from pqh.classify import check_complex, check_para_complex, classify, kind_witnesses, stabilizer
 from pqh.generate import KINDS, generate, twist_h
@@ -52,7 +54,7 @@ def assert_matches_reference(ms, u, a):
         got = check(ms, u, a)
         for f in fields(expected):
             assert getattr(got, f.name) == getattr(expected, f.name), f.name
-        assert got.pure_form == form
+        assert pure_form(got) == form
 
 
 @st.composite
