@@ -30,15 +30,19 @@ A stabilizer witness A with 0 != AU <= U (an invertible one, or a
 nilpotent one of degree 2) already refutes AU ^ U = 0, so ``classify``
 runs the real test only when the stabilizer holds neither.
 
-Every identity that evaluates g or omega^E on pairs of rows (the block
-Gram of :func:`is_para_quaternionic`, the ambient Kaehler route of
-:func:`check_complex`, the cross-eigenspace rank of
-:func:`check_para_complex`, the pullback metric and omega(T., T.) of the
-pure part, and the omega and Gram matrices of :func:`check_totally_real`)
-is one integer pairing matrix (``subspace._form_matrix``); no 4n x 4n
-matrix is built.
+Every identity that evaluates g or omega^E on pairs of rows is one
+integer pairing matrix; no 4n x 4n matrix is built.  The metric
+identities run on its numerators (``subspace._pairings``), compared over
+their row denominators with no ``Fraction`` built: the block Gram of
+:func:`is_para_quaternionic`, T^2 = -(D^2/q) Id (as C C = -q Id), the
+pullback metric and the omega route of the pure part, and the three
+Kaehler routes of :func:`check_complex`.  The cross-eigenspace rank of
+:func:`check_para_complex` and the omega and Gram matrices of
+:func:`check_totally_real` are ``Fraction`` matrices
+(``subspace._form_matrix``).
 
-The oracle clears each basis row of U once for its pairwise Gram, and
+The oracle reads U's integer rows (``Subspace.int_basis``) for its
+pairwise Gram, and
 reads neither ``subspace.gram`` nor the signature memo; it pairs J^ of
 those rows with them for ``totally-complex-gram``, with no image J^U.
 It checks a witness's square identity on its 2x2 matrix: (A (x) Id_E)^2
@@ -75,13 +79,12 @@ from math import lcm
 from operator import mul
 
 from .generate import random_sl2_draws
-from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_kernel, int_rank
-from .linalg import int_rref, rank_mod, symmetric_signature
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _lowest_terms, frac_row, int_kernel
+from .linalg import int_rank, int_rref, rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
     OP_K,
-    OMEGA_H,
     HBasisChange,
     ModelSpace,
     Operator,
@@ -96,9 +99,9 @@ from .subspace import (
     SignatureTriple,
     Subspace,
     _form_matrix,
+    _pairings,
     decomposable_subspace,
     direct_sum_is,
-    gram,
     h_fiber,
     image,
     image_orthogonal,
@@ -224,9 +227,9 @@ def adapted_basis(a: Operator):
     """
     if a.is_zero():
         raise ValueError("adapted basis needs a nonzero operator")
-    m = a.mat2()
+    m0, m1, m2, m3 = a._m
     for h1 in ((F1, F0), (F0, F1), (F1, F1)):
-        mh = m.mul_vec(h1)
+        mh = (m0 * h1[0] + m1 * h1[1], m2 * h1[0] + m3 * h1[1])
         d = h1[0] * mh[1] - h1[1] * mh[0]
         if d != 0:
             basis = HBasisChange.from_columns(h1, (mh[0] / d, mh[1] / d))
@@ -267,11 +270,16 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
     hermitian = False
     gram_ok = True
     if is_pq:
-        omega_r = restrict_omega(ms, e_prime)
-        hermitian = omega_r.det() != 0
-        # the rows (e, 0), then (0, e), over the basis of E': Id_2 (x) E'
-        split = pq.int_basis()
-        gram_ok = _form_matrix(ms._metric_form, split, split) == OMEGA_H.kron(omega_r)
+        # numerators over omega's denominator and d_i d_j: w = -omega^E on
+        # the basis of E' (``_pairings`` transposes), and g on the rows
+        # (e, 0), then (0, e), over it, which carry the same d_i; so g is
+        # omega^H (x) omega^E exactly when its numerators are (0, -w; w, 0)
+        ints = [V for V, _ in e_prime.int_basis()]
+        w = _pairings(ms._omega_form, ints, ints)
+        hermitian = _full_rank(w, len(w))
+        split = [V for V, _ in pq.int_basis()]
+        blocks = [[0] * len(w) + [-x for x in r] for r in w] + [r + [0] * len(w) for r in w]
+        gram_ok = _pairings(ms._metric_form, split, split) == blocks
     return PQReport(is_pq, e_prime, hermitian, gram_ok)
 
 
@@ -286,24 +294,50 @@ class _PurePart:
     On U''s canonical rows b_i, with pivots p_i, A b_i = sum_j c_ij b_j for
     c_ij = (A b_i)[p_j].  A acts as [[0, -q/D], [D, 0]] in the adapted basis,
     so p2'(b_i) = (-D/q) sum_j c_ij p1'(b_j): U' is the graph of T, with
-    matrix (-D/q) C^T on the basis p1'(b_j) of F.  With ``scale`` = D^2 / q,
-    T^2 = -scale Id, and T is omega-conformal (omega(T., T.) = scale omega)
-    exactly when U is orthogonal to its images under the partner
-    (0, q/D^2; 1, 0) and K^ = diag(1, -1) of the adapted basis.
+    matrix (-D/q) C^T on the basis f_j = p1'(b_j) of F.  With ``scale`` =
+    D^2 / q, T^2 = -scale Id, and T is omega-conformal (omega(T., T.) =
+    scale omega) exactly when U is orthogonal to its images under the
+    partner (0, q/D^2; 1, 0) and K^ = diag(1, -1) of the adapted basis.
+
+    Every identity is checked on integers, each matrix held as its
+    numerators over one denominator (the form's common denominator, shared
+    by all pairings, left out): ``rows`` are the b_i over one denominator
+    L, ``c`` is C, ``g`` the pairings g(b_i, b_j) and ``w`` the pairings
+    omega(f_j, f_i) and omega(T f_j, T f_i) (transposed, as
+    ``subspace._pairings`` gives them).  Only ``t_f`` builds a ``Fraction``
+    matrix, for the eigenspace work of :func:`check_para_complex`.
     """
 
     scale: Fraction
     basis: HBasisChange
     d_val: Fraction
     comp: Subspace
-    t_f: Mat | None = None  # T on the basis p1'(b_j) of F
-    g_f: Mat | None = None  # g_F there, the Gram matrix of the b_j
+    rows: list | None = None
+    c: tuple | None = None
+    g: tuple | None = None
+    w: tuple | None = None
     sig: SignatureTriple = SignatureTriple(0, 0, 0)
-    w_f: Mat | None = None  # omega on F
-    w_t: Mat | None = None  # omega(T., T.) on F
     omega_route: bool = False
     gram_partner: bool = False
     totally: bool = False  # Hermitian, pure and omega-conformal
+
+    def t_f(self) -> Mat:
+        """T = (-D/q) C^T on the basis p1'(b_j) of F; -D/q = -scale / D."""
+        num, den = self.c
+        return Mat._of(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
+            -self.scale / self.d_val
+        )
+
+
+def _same(a: list, da: int, b: list, db: int) -> bool:
+    """Whether the integer matrices a / da and b / db are equal."""
+    return all(x * db == y * da for r, t in zip(a, b) for x, y in zip(r, t))
+
+
+def _full_rank(rows: list, k: int) -> bool:
+    """Whether k integer rows of length k are independent: ``rank_mod`` proves
+    it, and ``int_rank`` decides what it leaves open."""
+    return rank_mod(rows, k) == k or int_rank(rows, k) == k
 
 
 def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
@@ -317,12 +351,14 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     if comp.dim == 0:
         return _PurePart(scale, basis, d_val, comp)
     k, half = comp.dim, comp.ambient // 2
-    rows = comp.int_basis()
+    ell = lcm(*(e for _, e in comp.int_basis()))  # U''s rows over one denominator
+    rows = [([x * (ell // e) for x in V], ell) for V, e in comp.int_basis()]
     moved = [a.act_int(*b) for b in rows]
-    c_rows = [([W[p] for p in comp.pivots], e) for W, e in moved]
+    c_num = [[W[p] for p in comp.pivots] for W, _ in moved]
+    c_den = moved[0][1]  # b_j has 1 at p_j and 0 at every other pivot
     # sum_j c_ij b_j is A b_i exactly when A b_i lies in U', and A, which
     # preserves U0, preserves U = U0 (+) U' exactly when it preserves U'
-    if any(comp.combine_int(*c) != _lowest_terms(*m) for c, m in zip(c_rows, moved)):
+    if any(comp.combine_int(c, c_den) != _lowest_terms(*m) for c, m in zip(c_num, moved)):
         raise ValueError("witness does not stabilize the subspace")
     # the row identity D p1'(A b_i) + q p2'(b_i) = 0, over the integers
     adapted = [basis.to_basis_int(*b) for b in rows]
@@ -330,19 +366,21 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     for (V, e), (W, f) in zip(adapted, (basis.to_basis_int(*m) for m in moved)):
         if any(s * e * x + t * f * y for x, y in zip(W[:half], V[half:])):
             raise AssertionError(f"the pure part is not the graph of T for a {kind} witness")
-    t_f = Mat._of(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
-    if t_f @ t_f != Mat.scalar(k, -scale):
+    # T^2 = -(D^2/q) Id is C C = -q Id, as T is (-D/q) C^T
+    ident = [[-qa.numerator * (i == j) for j in range(k)] for i in range(k)]
+    if not _same(_int_matmul(c_num, list(zip(*c_num))), c_den * c_den, ident, qa.denominator):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
-    xs = [(V[:half], e) for V, e in adapted]  # p1'(b_i), a basis of F
-    ys = [(V[half:], e) for V, e in adapted]  # p2'(b_i) = T p1'(b_i)
-    c_om = _form_matrix(ms._omega_form, ys, xs)  # omega(T f_i, f_j)
-    g_f = gram(ms, comp)
-    if -(c_om + c_om.T) != g_f:
+    xs = [V[:half] for V, _ in adapted]  # p1'(b_i), a basis of F
+    ys = [V[half:] for V, _ in adapted]  # p2'(b_i) = T p1'(b_i)
+    w_den = adapted[0][1] ** 2
+    g_num = _pairings(ms._metric_form, [B for B, _ in rows], [B for B, _ in rows])
+    # the pullback metric -(omega(T f_i, f_j) + omega(T f_j, f_i)) is g_F
+    r = _pairings(ms._omega_form, xs, ys)  # omega(f_i, T f_j) at [j][i]
+    if not _same([[x + y for x, y in zip(*p)] for p in zip(r, zip(*r))], w_den, g_num, ell * ell):
         raise AssertionError("pullback metric disagrees with the metric on the pure part")
     sig = signature(ms, comp)
-    w_f = _form_matrix(ms._omega_form, xs, skew=True)
-    w_t = _form_matrix(ms._omega_form, ys, skew=True)
-    omega_route = w_t == w_f.scale(scale) and w_f.det() != 0
+    w_f, w_t = _pairings(ms._omega_form, xs, xs), _pairings(ms._omega_form, ys, ys)
+    omega_route = _same(w_t, scale.numerator, w_f, scale.denominator) and _full_rank(w_f, k)
     partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
     k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
     gram_partner = image_orthogonal(ms, partner, u)
@@ -352,8 +390,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
         raise AssertionError(f"totally-{kind} routes disagree")
     totally = hermitian_full and u0.is_zero() and omega_route
     return _PurePart(
-        scale, basis, d_val, comp, t_f, g_f, sig, w_f, w_t,
-        omega_route, gram_partner, totally,
+        scale, basis, d_val, comp, rows, (c_num, c_den), (g_num, ell * ell),
+        (w_f, w_t, w_den), sig, omega_route, gram_partner, totally,
     )
 
 
@@ -376,21 +414,29 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
 
     On top of the shared pure-part pass (:func:`_pure_part`): the signature
     has type (2p, 2s, 2q), and the scaled Kaehler identity agrees along
-    three routes.
+    three routes, on integer numerators: g(A b_i, b_j), -(g_F T)(q/D) =
+    -g_F C^T and -(D omega + (q/D) omega(T., T.)) on F.
     """
     qa = a.q()
     if qa <= 0:
         raise ValueError("complex check needs a witness with positive q")
     pp = _pure_part(ms, u, a)
-    if pp.t_f is not None:
+    if pp.comp.dim:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
         # g(A b_i, b_j) on the rows of U', which are the graph vectors
-        rows = pp.comp.int_basis()
-        k_amb = _form_matrix(ms._metric_form, [a.act_int(*b) for b in rows], rows)
-        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
-        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
-        if not (k_amb == k_gf == k_form):
+        moved = [a.act_int(*b) for b in pp.rows]
+        k_amb = _pairings(ms._metric_form, [B for B, _ in pp.rows], [W for W, _ in moved])
+        d_amb = moved[0][1] * pp.rows[0][1]
+        (g_num, g_den), (c_num, c_den), (w_f, w_t, w_den) = pp.g, pp.c, pp.w
+        k_gf = [[-x for x in r] for r in _int_matmul(g_num, c_num)]
+        # over D = dn / dd and q = qn / qd, and transposed as w is
+        (dn, dd), (qn, qd) = pp.d_val.as_integer_ratio(), qa.as_integer_ratio()
+        k_form = [[dn * dn * qd * x + qn * dd * dd * y for x, y in zip(*p)] for p in zip(w_f, w_t)]
+        if not (
+            _same(k_amb, d_amb, k_gf, g_den * c_den)
+            and _same(k_amb, d_amb, k_form, dn * dd * qd * w_den)
+        ):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
         a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
@@ -429,13 +475,13 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         raise ValueError("para-complex check needs a witness with negative q")
     pp = _pure_part(ms, u, a)
     nu = -pp.scale
-    comp, t_f, d_val, sig = pp.comp, pp.t_f, pp.d_val, pp.sig
-    if t_f is None:
+    comp, d_val, sig = pp.comp, pp.d_val, pp.sig
+    if comp.dim == 0:
         return ParaComplexReport(
             a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
-    k = comp.dim
+    k, t_f = comp.dim, pp.t_f()
     tr = t_f.trace()
     if tr == 0:
         if k % 2:
@@ -983,7 +1029,7 @@ def oracle_check(
     )
     vecs = u.basis
     # every pair (x, y) of basis rows, each row cleared once, not mirrored
-    cleared = [_int_row(x) for x in vecs]
+    cleared = u.int_basis()
     pairwise = _form_matrix(ms._metric_form, cleared, cleared)
     sig = SignatureTriple(*symmetric_signature(pairwise))
     check("signature", sig.as_tuple() == report.signature.as_tuple())

@@ -48,6 +48,19 @@ P30 and M127 are the module's two fixed moduli.  The Krylov vectors
 ``Mat``: the instance keeps the result, and
 :func:`pqh.polyq.poly_eval_matrix` reads it to prove a zero.
 
+:func:`symmetric_signature` is the one kernel that is not Gauss-Jordan:
+it clears a symmetric matrix by one positive common denominator, which
+keeps its inertia, and eliminates by congruence on integers.  With pivot
+d, the rest becomes |d| a_kl - sign(d) a_ki a_il, a positive multiple of
+the Schur complement, so the pivot counts with the sign of d; the rest is
+then divided by the gcd of its entries.  That leaves the primitive part
+of the block that fraction-free elimination (E. H. Bareiss, Math. Comp.
+22, 1968) divides out exactly by the previous pivot, so no entry is
+longer than a Bareiss minor, and a Gram matrix, whose Schur complements
+share large factors, keeps far shorter entries than those minors.  The
+congruence step for a zero remaining diagonal adds one row (column)
+outside the pivots to another, an integer unimodular change.
+
 The tensor-structured matrices of the model (the metric omega^H (x) omega^E,
 an operator A (x) Id_E) are laid out by one constructor, :meth:`Mat.kron`.
 """
@@ -622,35 +635,48 @@ def _faddeev_charpoly(B):
 
 
 def symmetric_signature(M: Mat):
-    """Sylvester inertia (p, s, q) of a symmetric matrix, by exact congruence.
+    """Sylvester inertia (p, s, q) of a symmetric matrix, by exact congruence
+    on integers.
 
-    One pivot rule: pivot on the first nonzero remaining diagonal entry.
-    When every remaining diagonal entry is zero but some a_ij is not, add
-    row j to row i and column j to column i, a congruence that makes
-    a_ii = 2 a_ij, and pivot at i.  The Schur update touches only the pairs
-    (k, l), k <= l, whose pivot-row entries are nonzero, and mirrors each.
+    The matrix is cleared once (:func:`_int_rows`); its common denominator
+    is positive, so the integer matrix has the same inertia.  Each step
+    removes one pivot row and column.  One pivot rule: the first nonzero
+    remaining diagonal entry d.  When every remaining diagonal entry is
+    zero but some a_ij is not, add row j to row i and column j to column i,
+    a unimodular congruence that makes a_ii = 2 a_ij, and pivot at i.  The
+    rest becomes |d| a_kl - sign(d) a_ki a_il, which is |d| times the Schur
+    complement: a positive multiple, so it keeps the inertia of the rest,
+    and the pivot counts with the sign of d.  The rest is then divided by
+    the gcd of its entries, an exact division that leaves the primitive
+    part of the Bareiss block (d a_kl - a_ki a_il) / prev, so no entry is
+    longer than the minor Bareiss would hold.
     """
-    if not M.is_symmetric():
+    if M.nrows != M.ncols:
         raise ValueError("signature of non-symmetric matrix")
-    a = [list(r) for r in M.rows]
-    idx = list(range(M.nrows))
+    a, _ = _int_rows(M.rows)
+    if a != [list(c) for c in zip(*a)]:
+        raise ValueError("signature of non-symmetric matrix")
     pos = neg = 0
-    while idx:
-        i = next((k for k in idx if a[k][k]), None)
+    while a:
+        i = next((k for k, r in enumerate(a) if r[k]), None)
         if i is None:
-            i, j = next(((k, l) for k in idx for l in idx if a[k][l]), (None, None))
+            i, j = next(((k, l) for k, r in enumerate(a) for l, x in enumerate(r) if x), (None, None))
             if i is None:
                 break
-            for k in idx:
-                a[i][k] += a[j][k]
-            for k in idx:
-                a[k][i] += a[k][j]
-        idx.remove(i)
-        r, d = a[i], a[i][i]
-        pos, neg = pos + (d > 0), neg + (d < 0)
-        nz = [k for k in idx if r[k]]
-        for x, k in enumerate(nz):
-            c, ak = r[k] / d, a[k]
-            for l in nz[x:]:
-                ak[l] = a[l][k] = ak[l] - c * r[l]
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for r in a:
+                r[i] += r[j]
+        r = a.pop(i)
+        d = r.pop(i)
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+            d, r = -d, [-x for x in r]
+        rest = []
+        for row in a:
+            f = row.pop(i)
+            rest.append([d * x - f * y for x, y in zip(row, r)])
+        g = gcd(*(x for row in rest for x in row))
+        a = [[x // g for x in row] for row in rest] if g > 1 else rest
     return (pos, M.nrows - pos - neg, neg)

@@ -39,7 +39,8 @@ A (x) Id_E are read through their factors only.
 An :class:`HBasisChange` s rewrites standard coordinate rows in s
 (``to_basis_int``); graph rows and twists apply s itself to integer rows
 with :func:`_h_act_int`, and ``conjugate`` gives the operator s m s^-1
-with the stored inverse.
+from the stored entries of s: det s = 1, so s^-1 is the adjugate, and
+the product is one 2x2 integer product, with no ``Mat`` built.
 
 The split-quaternions enter only as values: :class:`ParaQuaternion` holds
 the four parts of a Hermitian product, and reads its norm and imaginary
@@ -200,14 +201,6 @@ OP_J = Operator(0, 1, 0)
 OP_K = Operator(0, 0, 1)
 
 
-def operator_from_mat2(m: Mat) -> Operator:
-    """Inverse of :meth:`Operator.mat2`; m must be traceless."""
-    if m.shape != (2, 2) or m.rows[0][0] + m.rows[1][1] != 0:
-        raise ValueError("operator matrix must be traceless 2x2")
-    (_, b), (c, d) = m.rows
-    return Operator((c - b) / 2, (b + c) / 2, d)
-
-
 @dataclass(frozen=True)
 class HBasisChange:
     """A symplectic basis change of H; columns are the new basis vectors.
@@ -253,8 +246,21 @@ class HBasisChange:
     def conjugate(self, m: Mat) -> Operator:
         """The operator s m s^-1 for a traceless 2x2 matrix m given in this
         basis of H: the endomorphism with matrix m here, in standard
-        coordinates."""
-        return operator_from_mat2(self.mat @ m @ self._inv)
+        coordinates.
+
+        With s = S / e stored cleared and det s = 1, s^-1 = adj(S) / e, so
+        for m = (x, y; z, -x) cleared over dm the product is
+        S m adj(S) / (e^2 dm), read off entry by entry in integers."""
+        if m.shape != (2, 2) or m.rows[0][0] + m.rows[1][1] != 0:
+            raise ValueError("operator matrix must be traceless 2x2")
+        (x, y), (z, _) = m.rows
+        (x, y, z), dm = _int_row((x, y, z))
+        (a, b, c, d), e = self._from
+        r01 = a * a * y - b * b * z - 2 * a * b * x
+        r10 = d * d * z - c * c * y + 2 * c * d * x
+        r11 = a * c * y - b * d * z - (a * d + b * c) * x
+        den = e * e * dm
+        return Operator(Fraction(r10 - r01, 2 * den), Fraction(r01 + r10, 2 * den), Fraction(r11, den))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from pqh.classify import (
     OracleFinding,
     KindWitnesses,
     ParaComplexReport,
+    PQReport,
     _isotropic_point,
     _positive_point,
     adapted_basis,
@@ -28,7 +29,7 @@ from pqh.classify import (
 )
 from pqh.generate import random_sl2
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
-from pqh.linalg import rank_mod, symmetric_signature, vec_add
+from pqh.linalg import rank_mod, vec_add
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError
 from pqh.model import _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
@@ -39,6 +40,7 @@ from pqh.subspace import (
     _form_matrix,
     decomposable_subspace,
     direct_sum_is,
+    gram,
     h_fiber,
     image,
     image_orthogonal,
@@ -997,3 +999,186 @@ def nilpotent_real_part(u: Subspace, a: Operator) -> Subspace:
     sel = [e2_proj.pivots.index(p) for p in e2prime.pivots]
     real_rows = from_basis(basis, (t_mat.rows[i] + e2_proj.basis[i] for i in sel))
     return Subspace.span(real_rows, u.ambient)
+
+
+# Formerly pqh.model.operator_from_mat2; ``HBasisChange.conjugate`` now reads
+# the operator off an integer product.
+def operator_from_mat2(m: Mat) -> Operator:
+    """Inverse of :meth:`Operator.mat2`; m must be traceless."""
+    if m.shape != (2, 2) or m.rows[0][0] + m.rows[1][1] != 0:
+        raise ValueError("operator matrix must be traceless 2x2")
+    (_, b), (c, d) = m.rows
+    return Operator((c - b) / 2, (b + c) / 2, d)
+
+
+# Formerly pqh.model.HBasisChange.conjugate, the product s m s^-1 of Mats.
+def conjugate(s: HBasisChange, m: Mat) -> Operator:
+    """The operator s m s^-1 for a traceless 2x2 matrix m given in this
+    basis of H: the endomorphism with matrix m here, in standard
+    coordinates."""
+    return operator_from_mat2(s.mat @ m @ s._inv)
+
+
+# Formerly pqh.linalg.symmetric_signature, the congruence on Fraction entries.
+def symmetric_signature(M: Mat):
+    """Sylvester inertia (p, s, q) of a symmetric matrix, by exact congruence.
+
+    One pivot rule: pivot on the first nonzero remaining diagonal entry.
+    When every remaining diagonal entry is zero but some a_ij is not, add
+    row j to row i and column j to column i, a congruence that makes
+    a_ii = 2 a_ij, and pivot at i.  The Schur update touches only the pairs
+    (k, l), k <= l, whose pivot-row entries are nonzero, and mirrors each.
+    """
+    if not M.is_symmetric():
+        raise ValueError("signature of non-symmetric matrix")
+    a = [list(r) for r in M.rows]
+    idx = list(range(M.nrows))
+    pos = neg = 0
+    while idx:
+        i = next((k for k in idx if a[k][k]), None)
+        if i is None:
+            i, j = next(((k, l) for k in idx for l in idx if a[k][l]), (None, None))
+            if i is None:
+                break
+            for k in idx:
+                a[i][k] += a[j][k]
+            for k in idx:
+                a[k][i] += a[k][j]
+        idx.remove(i)
+        r, d = a[i], a[i][i]
+        pos, neg = pos + (d > 0), neg + (d < 0)
+        nz = [k for k in idx if r[k]]
+        for x, k in enumerate(nz):
+            c, ak = r[k] / d, a[k]
+            for l in nz[x:]:
+                ak[l] = a[l][k] = ak[l] - c * r[l]
+    return (pos, M.nrows - pos - neg, neg)
+
+
+# Formerly pqh.classify.is_para_quaternionic, with the block Gram identity on
+# Fraction Mats.
+def is_para_quaternionic_mat(ms: ModelSpace, u: Subspace) -> PQReport:
+    """U = H (x) E' test, with the Hermitian sub-flag and the exact block
+    Gram identity for the split U = h1 (x) E' + h2 (x) E'."""
+    e_prime = p1(u)
+    pq = product_subspace(e_prime)
+    is_pq = u == pq
+    hermitian = False
+    gram_ok = True
+    if is_pq:
+        omega_r = restrict_omega(ms, e_prime)
+        hermitian = omega_r.det() != 0
+        # the rows (e, 0), then (0, e), over the basis of E': Id_2 (x) E'
+        split = pq.int_basis()
+        gram_ok = _form_matrix(ms._metric_form, split, split) == OMEGA_H.kron(omega_r)
+    return PQReport(is_pq, e_prime, hermitian, gram_ok)
+
+
+# Formerly pqh.classify._PurePart and _pure_part, which checked T^2, the
+# pullback metric and the omega route on Fraction Mats.
+@dataclass(frozen=True)
+class PurePartMat:
+    """The structure-theorem pass that a complex (q > 0) and a para-complex
+    (q < 0) witness share; only the sign of q tells them apart.
+
+    On U''s canonical rows b_i, with pivots p_i, A b_i = sum_j c_ij b_j for
+    c_ij = (A b_i)[p_j].  A acts as [[0, -q/D], [D, 0]] in the adapted basis,
+    so p2'(b_i) = (-D/q) sum_j c_ij p1'(b_j): U' is the graph of T, with
+    matrix (-D/q) C^T on the basis p1'(b_j) of F.  With ``scale`` = D^2 / q,
+    T^2 = -scale Id, and T is omega-conformal (omega(T., T.) = scale omega)
+    exactly when U is orthogonal to its images under the partner
+    (0, q/D^2; 1, 0) and K^ = diag(1, -1) of the adapted basis.
+    """
+
+    scale: Fraction
+    basis: HBasisChange
+    d_val: Fraction
+    comp: Subspace
+    t_f: Mat | None = None  # T on the basis p1'(b_j) of F
+    g_f: Mat | None = None  # g_F there, the Gram matrix of the b_j
+    sig: SignatureTriple = SignatureTriple(0, 0, 0)
+    w_f: Mat | None = None  # omega on F
+    w_t: Mat | None = None  # omega(T., T.) on F
+    omega_route: bool = False
+    gram_partner: bool = False
+    totally: bool = False  # Hermitian, pure and omega-conformal
+
+
+def pure_part_mat(ms: ModelSpace, u: Subspace, a: Operator) -> PurePartMat:
+    """The pass for an invertible witness A of U, on U' of :func:`pq_split`:
+    U = U0 (+) U' as U contains H (x) E0, and A preserves H (x) C."""
+    qa = a.q()
+    kind = "complex" if qa > 0 else "para-complex"
+    u0, _e0, comp = pq_split(u)
+    basis, d_val = adapted_basis(a)
+    scale = d_val * d_val / qa
+    if comp.dim == 0:
+        return PurePartMat(scale, basis, d_val, comp)
+    k, half = comp.dim, comp.ambient // 2
+    rows = comp.int_basis()
+    moved = [a.act_int(*b) for b in rows]
+    c_rows = [([W[p] for p in comp.pivots], e) for W, e in moved]
+    # sum_j c_ij b_j is A b_i exactly when A b_i lies in U', and A, which
+    # preserves U0, preserves U = U0 (+) U' exactly when it preserves U'
+    if any(comp.combine_int(*c) != _lowest_terms(*m) for c, m in zip(c_rows, moved)):
+        raise ValueError("witness does not stabilize the subspace")
+    # the row identity D p1'(A b_i) + q p2'(b_i) = 0, over the integers
+    adapted = [basis.to_basis_int(*b) for b in rows]
+    s, t = d_val.numerator * qa.denominator, qa.numerator * d_val.denominator
+    for (V, e), (W, f) in zip(adapted, (basis.to_basis_int(*m) for m in moved)):
+        if any(s * e * x + t * f * y for x, y in zip(W[:half], V[half:])):
+            raise AssertionError(f"the pure part is not the graph of T for a {kind} witness")
+    t_f = Mat._of(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
+    if t_f @ t_f != Mat.scalar(k, -scale):
+        raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
+    xs = [(V[:half], e) for V, e in adapted]  # p1'(b_i), a basis of F
+    ys = [(V[half:], e) for V, e in adapted]  # p2'(b_i) = T p1'(b_i)
+    c_om = _form_matrix(ms._omega_form, ys, xs)  # omega(T f_i, f_j)
+    g_f = gram(ms, comp)
+    if -(c_om + c_om.T) != g_f:
+        raise AssertionError("pullback metric disagrees with the metric on the pure part")
+    sig = signature(ms, comp)
+    w_f = _form_matrix(ms._omega_form, xs, skew=True)
+    w_t = _form_matrix(ms._omega_form, ys, skew=True)
+    omega_route = w_t == w_f.scale(scale) and w_f.det() != 0
+    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
+    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    gram_partner = image_orthogonal(ms, partner, u)
+    gram_k = image_orthogonal(ms, k_hat, u)
+    hermitian_full = signature(ms, u).s == 0
+    if u0.is_zero() and hermitian_full and not (omega_route == gram_partner == gram_k):
+        raise AssertionError(f"totally-{kind} routes disagree")
+    totally = hermitian_full and u0.is_zero() and omega_route
+    return PurePartMat(
+        scale, basis, d_val, comp, t_f, g_f, sig, w_f, w_t,
+        omega_route, gram_partner, totally,
+    )
+
+
+# Formerly pqh.classify.check_complex, with its Kaehler routes on the Fraction
+# Mats of the pass above.
+def check_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
+    """Verify the structure theorem for a complex-type witness.
+
+    On top of the shared pure-part pass (:func:`_pure_part`): the signature
+    has type (2p, 2s, 2q), and the scaled Kaehler identity agrees along
+    three routes.
+    """
+    qa = a.q()
+    if qa <= 0:
+        raise ValueError("complex check needs a witness with positive q")
+    pp = pure_part_mat(ms, u, a)
+    if pp.t_f is not None:
+        if any(x % 2 for x in pp.sig.as_tuple()):
+            raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
+        # g(A b_i, b_j) on the rows of U', which are the graph vectors
+        rows = pp.comp.int_basis()
+        k_amb = _form_matrix(ms._metric_form, [a.act_int(*b) for b in rows], rows)
+        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
+        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
+        if not (k_amb == k_gf == k_form):
+            raise AssertionError("Kaehler identity routes disagree")
+    return ComplexReport(
+        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
+        pp.omega_route, pp.gram_partner, pp.totally,
+    )

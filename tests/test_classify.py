@@ -85,7 +85,7 @@ class TestStabilizer:
         st = stabilizer(decomposable_subspace((1, 0), ep))
         a, b = (Operator(*row) for row in st.mat.rows)
         bracket = a.mat2() @ b.mat2() - b.mat2() @ a.mat2()
-        from pqh.model import operator_from_mat2
+        from reference import operator_from_mat2
 
         assert in_stabilizer(st, operator_from_mat2(bracket))
 

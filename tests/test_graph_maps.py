@@ -17,14 +17,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
-from reference import from_basis
+from reference import from_basis, operator_from_mat2
 from reference import invariant_core as f_cap_tf_invariant_core
 from test_model import h_basis_changes
 
 from pqh.classify import operator_in_basis
 from pqh.generate import KINDS, generate, twist_h
 from pqh.linalg import F0, Mat, _int_row, frac_row
-from pqh.model import MAT_I, MAT_J, MAT_K, HBasisChange, Operator, operator_from_mat2
+from pqh.model import MAT_I, MAT_J, MAT_K, HBasisChange, Operator
 from pqh.rng import Rng
 from pqh.subspace import Subspace, p1
 from pqh.uft import UFTForm, graph_form, graph_over, injectivize, invariant_core, pq_split

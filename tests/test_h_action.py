@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
-from reference import from_basis
+from reference import from_basis, operator_from_mat2
 from test_graph_cuts import eigen_forms, twisted_graph_forms
 from test_graph_maps import graph_forms
 from test_model import h_basis_changes, model_spaces, operators, vectors
@@ -26,7 +26,6 @@ from test_uft import ref_pencil_change
 
 from pqh.linalg import F0, F1, Mat, _int_row
 from pqh.model import MAT_I, MAT_J, MAT_K, OP_I, OP_J, OP_K, HBasisChange, Operator, ParaQuaternion
-from pqh.model import operator_from_mat2
 from pqh.subspace import Subspace
 from pqh.uft import UFTForm, injectivize, to_uft
 

@@ -20,13 +20,12 @@ from pqh.model import (
     Operator,
     ParaQuaternion,
     StructureError,
-    operator_from_mat2,
     standard_symplectic,
     standardize,
     tensor,
 )
 from pqh.rng import Rng
-from reference import assemble, metric, omega_eval, recover_omega_e
+from reference import assemble, metric, omega_eval, operator_from_mat2, recover_omega_e
 
 
 class TestModelSpace:

@@ -188,12 +188,17 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
             if wit is None:
                 continue
             pp = _pure_part(ms, u, wit)
-            if pp.t_f is not None:
-                # the pass reads F in the basis of U''s h1' parts
+            if pp.comp.dim:
+                # the pass reads F in the basis of U''s h1' parts, and keeps
+                # omega(T., T.) there and g_F as integer numerators over the
+                # form's denominator and its own (omega transposed)
                 form = to_uft(pp.comp, pp.basis)
                 p = pure_part_coordinates(pp, form)
-                assert pp.w_t == p @ pure_part_w_t(ms, form) @ p.T
-                assert pp.g_f == p @ ref_induced_g_f(ms, form) @ p.T
+                den = ms._omega_form[1]
+                w_t = Mat([[Fraction(x, den * pp.w[2]) for x in r] for r in pp.w[1]]).T
+                g_f = Mat([[Fraction(x, den * pp.g[1]) for x in r] for r in pp.g[0]])
+                assert w_t == p @ pure_part_w_t(ms, form) @ p.T
+                assert g_f == p @ ref_induced_g_f(ms, form) @ p.T
         pcr = rep.para_complex_report
         if pcr is not None and pcr.eigen_presentation is not None:
             _dir1, lift1, _dir2, lift2 = pcr.eigen_presentation

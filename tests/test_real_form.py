@@ -137,12 +137,12 @@ def test_t_on_f_is_t_on_the_subspace_f():
         wits = kind_witnesses(stabilizer(u))
         for a in (wits.complex, wits.para_complex):
             part = _pure_part(ms, u, a) if a is not None else None
-            if part is not None and part.t_f is not None:
+            if part is not None and part.comp.dim:
                 # the pass's T, read off the witness on U''s rows, is the
                 # graph form's T on F in the basis of U''s h1' parts
                 form = to_uft(part.comp, part.basis)
                 p = pure_part_coordinates(part, form)
-                assert p.T @ part.t_f == form.t_on_subspace(form.f_space) @ p.T
+                assert p.T @ part.t_f() == form.t_on_subspace(form.f_space) @ p.T
                 pure_parts += 1
         form = graph_form(u)
         if form is not None:
