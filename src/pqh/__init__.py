@@ -39,7 +39,6 @@ from .subspace import (
     SignatureTriple,
     Subspace,
     decomposable_subspace,
-    gram,
     h_fiber,
     image,
     maximal_pq,

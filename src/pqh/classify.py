@@ -10,15 +10,16 @@ a rational square.
 The stabilizer is a ``Subspace`` of Q^3 (:func:`stabilizer`).  Basis rows
 are combined only by ``Subspace.combine_int``: the witnesses, the
 first-space part of ``_split_along``, and the para-complex eigen-rows, one
-:meth:`Subspace.kernel_in` cut of U' by the columns of T -+ lam Id.
+:meth:`Subspace.kernel_in` cut of U' by the columns of C^T -+ rho Id.
 
 A complex (q > 0) and a para-complex (q < 0) witness obey one structure
 theorem in which only the sign of q differs, so both checks run one
 shared pass over the pure part (:func:`_pure_part`), which eliminates
-nothing: T is read off the witness on U''s canonical rows, and the
-para-complex eigenspaces are kernels of T -+ D / sqrt(-q) on the same
-coordinates.  Each check then adds only what is particular to its sign;
-a report holds U' and its adapted basis.
+nothing: T = (-D/q) C^T is read off the witness on U''s canonical rows
+as the integer coefficient rows C, and the para-complex eigenspaces are
+kernels of C^T -+ sqrt(-q) on the same coordinates.  Each check then
+adds only what is particular to its sign; a report holds U' and its
+adapted basis.
 
 The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
 complement of U0 = H (x) E0 that every witness preserving U preserves.
@@ -30,21 +31,24 @@ A stabilizer witness A with 0 != AU <= U (an invertible one, or a
 nilpotent one of degree 2) already refutes AU ^ U = 0, so ``classify``
 runs the real test only when the stabilizer holds neither.
 
-Every identity that evaluates g or omega^E on pairs of rows is one
-integer pairing matrix; no 4n x 4n matrix is built.  The metric
-identities run on its numerators (``subspace._pairings``), compared over
-their row denominators with no ``Fraction`` built: the block Gram of
-:func:`is_para_quaternionic`, T^2 = -(D^2/q) Id (as C C = -q Id), the
-pullback metric and the omega route of the pure part, and the three
-Kaehler routes of :func:`check_complex`.  The cross-eigenspace rank of
-:func:`check_para_complex` and the omega and Gram matrices of
-:func:`check_totally_real` are ``Fraction`` matrices
-(``subspace._form_matrix``).
+Every value of g or omega^E on pairs of rows is an integer numerator
+(``subspace._pairings``), and no 4n x 4n matrix and no ``Fraction``
+matrix of a form is built.  The verdicts are taken on the numerators:
+zero tests, ranks, and equalities compared over the row denominators
+(:func:`_same`).  That covers the block Gram of :func:`is_para_quaternionic`,
+T^2 = -(D^2/q) Id (as C C = -q Id), the pullback metric and the omega
+route of the pure part, the three Kaehler routes of
+:func:`check_complex`, the cross-eigenspace rank of
+:func:`check_para_complex`, the omega conditions, the skewness of T and
+the metric identity of :func:`check_totally_real`, the ``p2_symplectic``
+rank of :func:`check_nilpotent` and the binary form q of
+:func:`kind_witnesses`.
 
-The oracle reads U's integer rows (``Subspace.int_basis``) for its
-pairwise Gram, and
-reads neither ``subspace.gram`` nor the signature memo; it pairs J^ of
-those rows with them for ``totally-complex-gram``, with no image J^U.
+The oracle pairs U's integer rows (``Subspace.int_basis``) for its
+pairwise Gram and passes the numerators to
+``linalg.symmetric_signature``, with no read of the signature memo; it
+pairs J^ of those rows with them for ``totally-complex-gram``, a zero
+test on the numerators with no image J^U.
 It checks a witness's square identity on its 2x2 matrix: (A (x) Id_E)^2
 + q Id_V is (A^2 + q Id_H) (x) Id_E, which vanishes exactly when
 A^2 + q Id_H does.
@@ -79,8 +83,8 @@ from math import lcm
 from operator import mul
 
 from .generate import random_sl2_draws
-from .linalg import F0, F1, Mat, _int_matmul, _int_row, _lowest_terms, frac_row, int_kernel
-from .linalg import int_rank, int_rref, rank_mod, symmetric_signature
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows, _lowest_terms, frac_row
+from .linalg import int_kernel, int_rank, int_rref, rank_mod, symmetric_signature
 from .model import (
     OP_I,
     OP_J,
@@ -98,7 +102,6 @@ from .rng import Rng
 from .subspace import (
     SignatureTriple,
     Subspace,
-    _form_matrix,
     _pairings,
     decomposable_subspace,
     direct_sum_is,
@@ -110,7 +113,6 @@ from .subspace import (
     omega_kernel_in,
     p1,
     product_subspace,
-    restrict_omega,
     signature,
     span_of,
 )
@@ -134,7 +136,7 @@ from .uft import (
 
 
 # q(A) = alpha^2 - beta^2 - gamma^2 on (alpha, beta, gamma), by the nonzero
-# entries of its polar form, as ``subspace._form_matrix`` takes a form
+# entries of its polar form, as ``subspace._pairings`` takes a form
 _Q_FORM = (((0, 0, 1), (1, 1, -1), (2, 2, -1)), 1)
 
 
@@ -192,20 +194,23 @@ def _isotropic_point(a, b, c):
 def kind_witnesses(stab: Subspace) -> KindWitnesses:
     """The witnesses of the stabilizer ``stab`` (a subspace of Q^3).
 
-    q on its basis rows is one pairing matrix of their integer rows, and a
-    witness is the combination (:meth:`Subspace.combine_int`) of the rows at
-    a point of that binary form with the wanted sign; the rows are
-    independent, so a nonzero point gives a nonzero witness."""
+    q on its basis rows b_i = B_i / d_i is N_ij / (d_i d_j) for the pairing
+    numerators N of their integer rows, and a witness is the combination
+    (:meth:`Subspace.combine_int`) of the rows at a point of that binary
+    form with the wanted sign; the rows are independent, so a nonzero
+    point gives a nonzero witness."""
     if stab.dim == 0:
         return KindWitnesses(None, None, None)
     if stab.dim == 3:
         return KindWitnesses(Operator(1, 0, 0), Operator(0, 0, 1), Operator(1, 1, 0))
-    qm = _form_matrix(_Q_FORM, stab.int_basis())
+    basis = stab.int_basis()
+    num = _pairings(_Q_FORM, [B for B, _ in basis], [B for B, _ in basis])
+    ds = [d for _, d in basis]
     if stab.dim == 1:
-        a = qm.rows[0][0]
+        a = Fraction(num[0][0], ds[0] * ds[0])
         points = [(F1,) if ok else None for ok in (a > 0, a < 0, a == 0)]
     else:
-        a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
+        a, b, c = (Fraction(num[i][j], ds[i] * ds[j]) for i, j in ((0, 0), (0, 1), (1, 1)))
         points = [_positive_point(a, b, c), _positive_point(-a, -b, -c), _isotropic_point(a, b, c)]
     return KindWitnesses(
         *(pt and Operator(*frac_row(*stab.combine_int(*_int_row(pt)))) for pt in points)
@@ -304,8 +309,8 @@ class _PurePart:
     by all pairings, left out): ``rows`` are the b_i over one denominator
     L, ``c`` is C, ``g`` the pairings g(b_i, b_j) and ``w`` the pairings
     omega(f_j, f_i) and omega(T f_j, T f_i) (transposed, as
-    ``subspace._pairings`` gives them).  Only ``t_f`` builds a ``Fraction``
-    matrix, for the eigenspace work of :func:`check_para_complex`.
+    ``subspace._pairings`` gives them).  :func:`check_para_complex` reads
+    T's trace and eigenspaces off ``c`` as well.
     """
 
     scale: Fraction
@@ -321,13 +326,6 @@ class _PurePart:
     gram_partner: bool = False
     totally: bool = False  # Hermitian, pure and omega-conformal
 
-    def t_f(self) -> Mat:
-        """T = (-D/q) C^T on the basis p1'(b_j) of F; -D/q = -scale / D."""
-        num, den = self.c
-        return Mat._of(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
-            -self.scale / self.d_val
-        )
-
 
 def _same(a: list, da: int, b: list, db: int) -> bool:
     """Whether the integer matrices a / da and b / db are equal."""
@@ -338,6 +336,12 @@ def _full_rank(rows: list, k: int) -> bool:
     """Whether k integer rows of length k are independent: ``rank_mod`` proves
     it, and ``int_rank`` decides what it leaves open."""
     return rank_mod(rows, k) == k or int_rank(rows, k) == k
+
+
+def _one_denominator(rows: list) -> tuple:
+    """``(ints, d)`` rows as integer rows over their one lcm L, and L."""
+    ell = lcm(*(d for _, d in rows))
+    return [[x * (ell // d) for x in V] for V, d in rows], ell
 
 
 def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
@@ -351,8 +355,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     if comp.dim == 0:
         return _PurePart(scale, basis, d_val, comp)
     k, half = comp.dim, comp.ambient // 2
-    ell = lcm(*(e for _, e in comp.int_basis()))  # U''s rows over one denominator
-    rows = [([x * (ell // e) for x in V], ell) for V, e in comp.int_basis()]
+    ints, ell = _one_denominator(comp.int_basis())  # U''s rows over one denominator
+    rows = [(V, ell) for V in ints]
     moved = [a.act_int(*b) for b in rows]
     c_num = [[W[p] for p in comp.pivots] for W, _ in moved]
     c_den = moved[0][1]  # b_j has 1 at p_j and 0 at every other pivot
@@ -481,8 +485,9 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
             a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
-    k, t_f = comp.dim, pp.t_f()
-    tr = t_f.trace()
+    # T = (-D/q) C^T = (-scale/D) C^T on the basis p1'(b_j) of F
+    k, (c_num, c_den) = comp.dim, pp.c
+    tr = -pp.scale / d_val * Fraction(sum(c_num[i][i] for i in range(k)), c_den)
     if tr == 0:
         if k % 2:
             raise AssertionError("traceless para-complex part of odd dimension")
@@ -512,12 +517,16 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
     family = None
     if rho is not None:
         lam_plus = d_val / rho
-        # T x = lam x (C^T x = +-rho x) on the coordinates x of v = sum_j x_j b_j
-        # makes v = (h1' + lam h2') (x) p1'(v), by the row identity
-        vs1, vs2 = eigen = [
-            comp.kernel_in([_int_row(c) for c in shifted.cols]).int_basis()
-            for shifted in (t_f - Mat.scalar(k, lam_plus), t_f + Mat.scalar(k, lam_plus))
+        # T -+ lam_plus Id = (-D/q) (C^T -+ rho Id), as lam_plus / (-D/q) =
+        # -q / rho = rho; column i of C^T -+ rho Id is row i of C -+ rho e_i,
+        # times c_den and rho's denominator.  T x = lam x on the coordinates
+        # x of v = sum_j x_j b_j makes v = (h1' + lam h2') (x) p1'(v)
+        rn, rd = rho.numerator, rho.denominator
+        shifts = [
+            [[rd * x - s * (i == j) for j, x in enumerate(r)] for i, r in enumerate(c_num)]
+            for s in (rn * c_den, -rn * c_den)
         ]
+        vs1, vs2 = eigen = [comp.kernel_in([(r, 1) for r in rows]).int_basis() for rows in shifts]
         half = comp.ambient // 2
         lift1, lift2 = (
             Subspace._echelon([pp.basis.to_basis_int(*v)[0][:half] for v in vs], half) for vs in eigen
@@ -530,11 +539,13 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         eigen_pres = (dir1, lift1, dir2, lift2)
         # cross-check m as the rank of the Gram pairing between eigenspaces,
         # whatever their bases (0 when one of them is empty)
-        if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+        cross = _pairings(ms._metric_form, [V for V, _ in vs1], [V for V, _ in vs2])
+        if int_rank(cross, len(vs1)) != sig.p:
             raise AssertionError("cross-eigenspace rank disagrees with signature")
-        # the witness family a I + a J +- K when the pure part sits in one eigenspace
-        for lam in (lam_plus, -lam_plus):
-            if t_f == Mat.scalar(k, lam):
+        # the witness family a I + a J +- K when the pure part sits in one
+        # eigenspace: T = lam Id is C^T = +-rho Id, a zero shifted matrix
+        for lam, rows in zip((lam_plus, -lam_plus), shifts):
+            if not any(map(any, rows)):
                 n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
                 n_op = pp.basis.conjugate(n_ad)
                 if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
@@ -631,7 +642,8 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise AssertionError("nilpotent decomposition does not recompose")
     if real_part.dim and not is_real(graph_form(real_part)):
         raise AssertionError("nilpotent residue is not a real subspace")
-    p2_sympl = e2_proj.dim > 0 and restrict_omega(ms, e2_proj).det() != 0
+    e2_num = [V for V, _ in e2s]
+    p2_sympl = e2_proj.dim > 0 and _full_rank(_pairings(ms._omega_form, e2_num, e2_num), len(e2_num))
     nondeg = e1p.dim > 0 and omega_kernel_in(ms, e2_proj, e1p).is_zero()
     if nondeg and signature(ms, u).s != 0:
         raise AssertionError(
@@ -676,11 +688,15 @@ def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRea
         raise ValueError("totally-real check needs a nondegenerate subspace")
     e1 = form.f_space
     e2 = form.t_image()
-    o1 = restrict_omega(ms, e1).is_zero()
-    o2 = restrict_omega(ms, e2).is_zero()
-    # omega(f_i, T f_j) over the basis f_i of E1
-    c = _form_matrix(ms._omega_form, e1.int_basis(), [_int_row(t) for t in form.t_map.cols])
-    skew = c.is_symmetric()  # omega(e, Te') = -omega(Te, e') for all pairs
+    # on integer numerators, the basis f_i of E1 over one denominator and
+    # the T f_j, which span E2, over another: omega on E1 and on E2, and
+    # omega(f_i, T f_j) at [j][i]
+    fs, f_den = _one_denominator(e1.int_basis())
+    ts, t_den = _int_rows(form.t_map.cols)
+    o1 = not any(map(any, _pairings(ms._omega_form, fs, fs)))
+    o2 = not any(map(any, _pairings(ms._omega_form, ts, ts)))
+    c = _pairings(ms._omega_form, fs, ts)
+    skew = c == [list(r) for r in zip(*c)]  # omega(e, Te') = -omega(Te, e') for all pairs
     routes = tuple(image_orthogonal(ms, op, u) for op in (OP_I, OP_J, OP_K))
     conditions = o1 and o2 and skew
     if conditions != all(routes):
@@ -688,9 +704,9 @@ def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRea
     if conditions:
         if not e1.intersect(e2).is_zero():
             raise AssertionError("totally real forces E1 ^ E2 = 0")
-        vs = form.graph_rows()
-        gm = _form_matrix(ms._metric_form, vs, vs)
-        if gm != c.scale(2):
+        vs, v_den = _one_denominator(form.graph_rows())
+        gm = _pairings(ms._metric_form, vs, vs)
+        if not _same(gm, v_den * v_den, [[2 * x for x in r] for r in c], f_den * t_den):
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
         if u.dim > ms.n:
             raise AssertionError("totally real exceeds the quarter-dimension bound")
@@ -1030,8 +1046,8 @@ def oracle_check(
     vecs = u.basis
     # every pair (x, y) of basis rows, each row cleared once, not mirrored
     cleared = u.int_basis()
-    pairwise = _form_matrix(ms._metric_form, cleared, cleared)
-    sig = SignatureTriple(*symmetric_signature(pairwise))
+    basis = [V for V, _ in cleared]
+    sig = SignatureTriple(*symmetric_signature(_pairings(ms._metric_form, basis, basis)))
     check("signature", sig.as_tuple() == report.signature.as_tuple())
     check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
     for kind, wit in (
@@ -1119,16 +1135,16 @@ def oracle_check(
     if report.complex_report and not report.flags.para_quaternionic:
         cr = report.complex_report
         # the anticommuting para-complex partner J^ in the adapted basis, and
-        # J^ of U's rows: J^U _|_ U when g(J^x, y) = 0 for all of them
+        # J^ of U's rows: J^U _|_ U when every numerator g(J^x, y) vanishes
         jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
-        moved = [jhat.act_int(*r) for r in cleared]
+        moved = [jhat.act_int(V, 1)[0] for V in basis]
         check(
             "totally-complex-gram",
             report.flags.totally_complex
             == (
                 report.flags.hermitian
                 and u0.is_zero()
-                and _form_matrix(ms._metric_form, moved, cleared).is_zero()
+                and not any(map(any, _pairings(ms._metric_form, moved, basis)))
             ),
         )
     # pure complex: any operator not proportional to the witness moves U off itself

@@ -49,11 +49,14 @@ P30 and M127 are the module's two fixed moduli.  The Krylov vectors
 :func:`pqh.polyq.poly_eval_matrix` reads it to prove a zero.
 
 :func:`symmetric_signature` is the one kernel that is not Gauss-Jordan:
-it clears a symmetric matrix by one positive common denominator, which
-keeps its inertia, and eliminates by congruence on integers.  With pivot
+it takes a symmetric matrix as square integer rows, the pairing
+numerators of :mod:`pqh.subspace`, and eliminates by congruence on
+integers; it builds no ``Mat`` and no ``Fraction``.  With pivot
 d, the rest becomes |d| a_kl - sign(d) a_ki a_il, a positive multiple of
-the Schur complement, so the pivot counts with the sign of d; the rest is
-then divided by the gcd of its entries.  That leaves the primitive part
+the Schur complement, so the pivot counts with the sign of d.  Before
+each pivot the matrix is divided by the gcd of its entries: first the
+input, whose rows carry the factors d_i of their denominators, then each
+rest.  That leaves the primitive part
 of the block that fraction-free elimination (E. H. Bareiss, Math. Comp.
 22, 1968) divides out exactly by the previous pivot, so no entry is
 longer than a Bareiss minor, and a Gram matrix, whose Schur complements
@@ -85,10 +88,6 @@ def vec_sub(u, v):
 
 def vec_scale(c, u):
     return tuple(c * a for a in u)
-
-
-def vec_is_zero(u):
-    return all(a == 0 for a in u)
 
 
 def _int_row(r):
@@ -416,12 +415,6 @@ class Mat:
     def mul_vec(self, v):
         return (self @ Mat.from_cols((v,))).col(0)
 
-    def is_zero(self):
-        return all(vec_is_zero(r) for r in self.rows)
-
-    def is_symmetric(self):
-        return self.shape[0] == self.shape[1] and self == self.T
-
     def is_skew(self):
         return self.shape[0] == self.shape[1] and self == -self.T
 
@@ -483,11 +476,6 @@ class Mat:
         for i, p in enumerate(pivots):
             x[p] = R.rows[i][self._ncols]
         return tuple(x)
-
-    def trace(self):
-        if self.nrows != self._ncols:
-            raise ValueError("trace of non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), F0)
 
     def charpoly(self):
         """Monic characteristic polynomial det(xI - A), coefficients low to high.
@@ -634,30 +622,35 @@ def _faddeev_charpoly(B):
     return coeffs[::-1]
 
 
-def symmetric_signature(M: Mat):
-    """Sylvester inertia (p, s, q) of a symmetric matrix, by exact congruence
-    on integers.
+def symmetric_signature(rows):
+    """Sylvester inertia (p, s, q) of the symmetric matrix given by its
+    square integer rows, by exact congruence on integers.
 
-    The matrix is cleared once (:func:`_int_rows`); its common denominator
-    is positive, so the integer matrix has the same inertia.  Each step
-    removes one pivot row and column.  One pivot rule: the first nonzero
-    remaining diagonal entry d.  When every remaining diagonal entry is
-    zero but some a_ij is not, add row j to row i and column j to column i,
-    a unimodular congruence that makes a_ii = 2 a_ij, and pivot at i.  The
-    rest becomes |d| a_kl - sign(d) a_ki a_il, which is |d| times the Schur
-    complement: a positive multiple, so it keeps the inertia of the rest,
-    and the pivot counts with the sign of d.  The rest is then divided by
-    the gcd of its entries, an exact division that leaves the primitive
-    part of the Bareiss block (d a_kl - a_ki a_il) / prev, so no entry is
-    longer than the minor Bareiss would hold.
+    Callers pass the pairing numerators of a form on integer rows (see
+    :func:`pqh.subspace.signature`): D N D up to a positive constant for
+    D = diag(d_i) > 0, so by Sylvester the same inertia as the rational
+    matrix.  Each step removes one pivot row and column.  One pivot rule:
+    the first nonzero remaining diagonal entry d.  When every remaining
+    diagonal entry is zero but some a_ij is not, add row j to row i and
+    column j to column i, a unimodular congruence that makes a_ii = 2 a_ij,
+    and pivot at i.  The rest becomes |d| a_kl - sign(d) a_ki a_il, which
+    is |d| times the Schur complement: a positive multiple, so it keeps the
+    inertia of the rest, and the pivot counts with the sign of d.  Before
+    each pivot the matrix is divided by the gcd of its entries, an exact
+    division: on the input it removes the common factors that the row
+    denominators leave in pairing numerators, and on each rest it leaves
+    the primitive part of the Bareiss block (d a_kl - a_ki a_il) / prev,
+    so no entry is longer than the minor Bareiss would hold.
     """
-    if M.nrows != M.ncols:
-        raise ValueError("signature of non-symmetric matrix")
-    a, _ = _int_rows(M.rows)
-    if a != [list(c) for c in zip(*a)]:
+    n = len(rows)
+    a = [list(r) for r in rows]
+    if any(len(r) != n for r in a) or a != [list(c) for c in zip(*a)]:
         raise ValueError("signature of non-symmetric matrix")
     pos = neg = 0
     while a:
+        g = gcd(*(x for r in a for x in r))
+        if g > 1:
+            a = [[x // g for x in r] for r in a]
         i = next((k for k, r in enumerate(a) if r[k]), None)
         if i is None:
             i, j = next(((k, l) for k, r in enumerate(a) for l, x in enumerate(r) if x), (None, None))
@@ -677,6 +670,5 @@ def symmetric_signature(M: Mat):
         for row in a:
             f = row.pop(i)
             rest.append([d * x - f * y for x, y in zip(row, r)])
-        g = gcd(*(x for row in rest for x in row))
-        a = [[x // g for x in row] for row in rest] if g > 1 else rest
-    return (pos, M.nrows - pos - neg, neg)
+        a = rest
+    return (pos, n - pos - neg, neg)

@@ -29,9 +29,9 @@ A :class:`ModelSpace` keeps omega^E once, as its nonzero entries
 (i, j, w_ij) over one common denominator, and lays g = omega^H (x) omega^E
 out from the same entries.  :func:`_pairing` sums w_ij a_i b_j over those
 entries only: 2n products for the standard omega^E, where a loop over the
-matrix rows made 4n^2.  :func:`_form_image` gives the row w b, so a
-pairing matrix of many rows (``subspace._form_matrix``) costs one such
-row per column and one dot product per entry.
+matrix rows made 4n^2.  :func:`_form_image` gives the row w b, so the
+pairings of many rows (``subspace._pairings``) cost one such row per
+column and one dot product per entry.
 
 No matrix on V is built: the metric omega^H (x) omega^E and an operator
 A (x) Id_E are read through their factors only.

@@ -18,8 +18,8 @@ from the rows when it is first read, where a value leaves this layer;
 its rows, ``basis``, are coordinate rows of V, which
 ``ModelSpace.hermitian_product`` takes as they are.
 
-Everything (sums, intersections, complements, Gram matrices,
-signatures) is computed with zero tolerance.  The sum of several
+Everything (sums, intersections, complements, pairings, signatures) is
+computed with zero tolerance.  The sum of several
 subspaces is one elimination of all their rows (:func:`span_of`), which
 also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
 one routine that combines basis rows, apart from the one ``Mat`` product
@@ -27,23 +27,22 @@ of ``uft.UFTForm.t_rows`` (the home of ``Mat.__matmul__`` on
 decompose-graph in ``bench/tracing.py``); the graphs that ``generate``
 and form 2's E0 part build take each T f_j from it (``uft._map_graph``).
 
-Every matrix of values of g or omega^E on rows is one pairing matrix,
-:func:`_form_matrix`: two lists of ``(ints, d)`` rows paired through
-the nonzero entries of the form (``ModelSpace._metric_form`` or
-``_omega_form``), with w y built once per column row and each entry's
-``Fraction`` built once.  With one list it is the Gram matrix of a
-symmetric (:func:`gram`) or skew (:func:`restrict_omega`) form, each
-entry above the diagonal mirrored.  ``classify`` and ``uft`` build their
-pairings of graph rows, T-columns and eigen-rows with it, and the
-oracle its pairwise Gram.  :func:`is_orthogonal`, ``image_orthogonal``
-and :func:`omega_kernel_in` read the bare numerators (:func:`_pairings`).
+Every value of g or omega^E on rows is an integer numerator,
+:func:`_pairings`: the rows' numerators paired through the nonzero
+entries of the form (``ModelSpace._metric_form`` or ``_omega_form``),
+with w y built once per column row.  Scaling a row by a positive integer
+changes none of what the program reads off a form: zero tests, ranks,
+equalities over the row denominators, and the inertia of
+:func:`signature`, which passes the metric numerators of U's rows to
+``linalg.symmetric_signature``.  ``classify`` pairs graph rows,
+T-columns and eigen-rows the same way, and the oracle takes its pairwise
+Gram from it; no ``Fraction`` matrix of a form is built.
 
 Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
 row as ``(ints, d)`` and returns one, so an integer operator action
 (``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
-where a rational value leaves the core: ``mat`` and the entries of a
-Gram matrix.  ``contains_vector`` tests the core's numerators for zero
-and builds none.
+where a rational value leaves the core, in ``mat``.  ``contains_vector``
+tests the core's numerators for zero and builds none.
 
 Every subspace cut out by a linear condition is one call of
 :meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
@@ -53,8 +52,8 @@ its basis rows b_i, whose images sum c_i y_i lie in a target subspace
 :func:`h_fiber` the columns of ``[aI; bI]`` reduced modulo U,
 :func:`omega_kernel_in` the omega pairings, ``uft.graph_over`` the h1
 components of a graph's rows into a subspace of F,
-``classify.check_para_complex`` the columns of T -+ lam Id (a rational
-eigenspace), and the U' of ``uft.pq_split`` is U ^ (H (x) C) for the
+``classify.check_para_complex`` the columns of C^T -+ rho Id (a rational
+eigenspace of T), and the U' of ``uft.pq_split`` is U ^ (H (x) C) for the
 complement C of E0.  The relations come from :func:`_relations`, which
 holds the module's one certificate: the rank mod p of integer rows
 (``linalg.rank_mod``, a lower bound on the rank over Q).  A full rank
@@ -88,12 +87,11 @@ medians of 10 runs).  There are no module-level caches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
 
-from .linalg import F0, Mat, _entry, _int_row, _lowest_terms, frac_row
+from .linalg import Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
 from .model import ModelSpace, Operator, _form_image
 
@@ -414,38 +412,17 @@ def _pairings(form, xs: list, ys: list) -> list:
     return [[sum(map(mul, x, wy)) for x in xs] for wy in (_form_image(w, y) for y in ys)]
 
 
-def _form_matrix(form, rows: list, cols: list | None = None, skew: bool = False) -> Mat:
-    """The matrix (w(x_i, y_j)) of a bilinear form given as ``(entries,
-    den)`` on rows x_i and columns y_j given as ``(ints, d)``: each entry is
-    the numerator x^T w y over ``den * dx * dy``, built as a ``Fraction``
-    once.  With no ``cols`` the form is taken as symmetric (skew with
-    ``skew``) on ``rows`` against themselves: each entry on and above (with
-    ``skew``, above) the diagonal is computed and mirrored."""
-    w, den = form
-    mirror = cols is None
-    cols = rows if mirror else cols
-    out = [[F0] * len(cols) for _ in rows]
-    for j, (ys, dy) in enumerate(cols):
-        wy = _form_image(w, ys)
-        for i in range(j + 1 - skew) if mirror else range(len(rows)):
-            xs, dx = rows[i]
-            num = sum(map(mul, xs, wy))
-            if num:
-                out[i][j] = x = Fraction(num, den * dx * dy)
-                if mirror:
-                    out[j][i] = -x if skew else x
-    return Mat._of(tuple(map(tuple, out)), len(cols))
-
-
-def gram(ms: ModelSpace, u: Subspace) -> Mat:
-    """Gram matrix of the metric on the canonical basis of U."""
-    return _form_matrix(ms._metric_form, u._rows)
-
-
 def signature(ms: ModelSpace, u: Subspace) -> SignatureTriple:
-    return u.memo(
-        ("signature", ms), lambda: SignatureTriple(*symmetric_signature(gram(ms, u)))
-    )
+    """The inertia of g on U, read off the metric numerators of U's integer
+    basis rows (:func:`_pairings`): they are D G D times the form's
+    denominator, for the Gram matrix G and D = diag(d_i) > 0, so by
+    Sylvester they have G's inertia."""
+
+    def compute():
+        basis = [V for V, _ in u._rows]
+        return SignatureTriple(*symmetric_signature(_pairings(ms._metric_form, basis, basis)))
+
+    return u.memo(("signature", ms), compute)
 
 
 def is_orthogonal(ms: ModelSpace, u: Subspace, w: Subspace) -> bool:
@@ -514,8 +491,3 @@ def omega_kernel_in(ms: ModelSpace, a_sub: Subspace, b_sub: Subspace) -> Subspac
     """
     pairs = _pairings(ms._omega_form, [A for A, _ in a_sub._rows], [B for B, _ in b_sub._rows])
     return b_sub.kernel_in([(row, D) for row, (_, D) in zip(pairs, b_sub._rows)])
-
-
-def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:
-    """Matrix of omega^E restricted to the canonical basis of a subspace of E."""
-    return _form_matrix(ms._omega_form, e_sub._rows, skew=True)

@@ -3,10 +3,10 @@ from fractions import Fraction
 import pytest
 
 from pqh.generate import random_invertible, random_sl2, twist_h
-from pqh.linalg import F0, F1, Mat, _int_row, frac_row, vec_add
+from pqh.linalg import F0, F1, Mat, _int_row, _int_rows, frac_row, vec_add
 from pqh.model import HBasisChange, ModelSpace, tensor
 from pqh.rng import Rng
-from pqh.subspace import Subspace, product_subspace
+from pqh.subspace import Subspace, _pairings, product_subspace
 from pqh.uft import UFTForm
 
 
@@ -35,6 +35,23 @@ def graph_subspace(n, pairs):
     """Span of h1 (x) f + h2 (x) g for the given (f, g) coordinate pairs."""
     rows = [vec_add(tensor((1, 0), f), tensor((0, 1), g)) for f, g in pairs]
     return Subspace.span(rows, 4 * n)
+
+
+def cleared_rows(m: Mat) -> list:
+    """The integer rows of d m for the lcm d of m's denominators, the input
+    ``linalg.symmetric_signature`` takes; d > 0 keeps m's inertia."""
+    return _int_rows(m.rows)[0]
+
+
+def pairing_values(form, rows: list, cols: list) -> Mat:
+    """The matrix (w(x_i, y_j)) of a form ``(entries, den)`` on rows x_i and
+    columns y_j given as ``(ints, d)``, read off the numerators of
+    ``subspace._pairings``: the one at [j][i] over den * dx * dy."""
+    num = _pairings(form, [V for V, _ in rows], [V for V, _ in cols])
+    return Mat(
+        [[Fraction(num[j][i], form[1] * dx * dy) for j, (_, dy) in enumerate(cols)] for i, (_, dx) in enumerate(rows)],
+        ncols=len(cols),
+    )
 
 
 def to_basis(s, rows):

@@ -21,26 +21,27 @@ from pqh.classify import (
     KindWitnesses,
     ParaComplexReport,
     PQReport,
+    TotallyRealReport,
+    _Q_FORM,
     _isotropic_point,
     _positive_point,
     adapted_basis,
     adapted_nilpotent_basis,
     operator_preserves,
 )
+from pqh.classify import _pure_part as package_pure_part
 from pqh.generate import random_sl2
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
 from pqh.linalg import rank_mod, vec_add
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError
-from pqh.model import _h_act_int, _pairing, _rational_row, tensor
+from pqh.model import _form_image, _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
     Subspace,
-    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
-    gram,
     h_fiber,
     image,
     image_orthogonal,
@@ -48,7 +49,6 @@ from pqh.subspace import (
     maximal_pq,
     p1,
     product_subspace,
-    restrict_omega,
     signature,
     span_of,
 )
@@ -691,7 +691,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
             False, False, False,
         ), None
     k = form.dim
-    tr = t_f.trace()
+    tr = mat_trace(t_f)
     if tr == 0:
         if k % 2:
             raise AssertionError("traceless para-complex part of odd dimension")
@@ -860,7 +860,7 @@ def oracle_check(
             == (
                 report.flags.hermitian
                 and u0.is_zero()
-                and _form_matrix(ms._metric_form, moved, cleared).is_zero()
+                and mat_is_zero(_form_matrix(ms._metric_form, moved, cleared))
             ),
         )
     # pure complex: any operator not proportional to the witness moves U off itself
@@ -1029,7 +1029,7 @@ def symmetric_signature(M: Mat):
     a_ii = 2 a_ij, and pivot at i.  The Schur update touches only the pairs
     (k, l), k <= l, whose pivot-row entries are nonzero, and mirrors each.
     """
-    if not M.is_symmetric():
+    if not mat_is_symmetric(M):
         raise ValueError("signature of non-symmetric matrix")
     a = [list(r) for r in M.rows]
     idx = list(range(M.nrows))
@@ -1182,3 +1182,220 @@ def check_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport
         a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     )
+
+
+# Formerly pqh.linalg.vec_is_zero.
+def vec_is_zero(u):
+    return all(a == 0 for a in u)
+
+
+# Formerly pqh.linalg.Mat.is_zero.
+def mat_is_zero(self):
+    return all(vec_is_zero(r) for r in self.rows)
+
+
+# Formerly pqh.linalg.Mat.is_symmetric.
+def mat_is_symmetric(self):
+    return self.shape[0] == self.shape[1] and self == self.T
+
+
+# Formerly pqh.linalg.Mat.trace.
+def mat_trace(self):
+    if self.nrows != self._ncols:
+        raise ValueError("trace of non-square matrix")
+    return sum((self.rows[i][i] for i in range(self.nrows)), F0)
+
+
+# Formerly pqh.subspace._form_matrix, the pairing matrix of Fraction entries.
+def _form_matrix(form, rows: list, cols: list | None = None, skew: bool = False) -> Mat:
+    """The matrix (w(x_i, y_j)) of a bilinear form given as ``(entries,
+    den)`` on rows x_i and columns y_j given as ``(ints, d)``: each entry is
+    the numerator x^T w y over ``den * dx * dy``, built as a ``Fraction``
+    once.  With no ``cols`` the form is taken as symmetric (skew with
+    ``skew``) on ``rows`` against themselves: each entry on and above (with
+    ``skew``, above) the diagonal is computed and mirrored."""
+    w, den = form
+    mirror = cols is None
+    cols = rows if mirror else cols
+    out = [[F0] * len(cols) for _ in rows]
+    for j, (ys, dy) in enumerate(cols):
+        wy = _form_image(w, ys)
+        for i in range(j + 1 - skew) if mirror else range(len(rows)):
+            xs, dx = rows[i]
+            num = sum(map(mul, xs, wy))
+            if num:
+                out[i][j] = x = Fraction(num, den * dx * dy)
+                if mirror:
+                    out[j][i] = -x if skew else x
+    return Mat._of(tuple(map(tuple, out)), len(cols))
+
+
+# Formerly pqh.subspace.gram.
+def gram(ms: ModelSpace, u: Subspace) -> Mat:
+    """Gram matrix of the metric on the canonical basis of U."""
+    return _form_matrix(ms._metric_form, u._rows)
+
+
+# Formerly pqh.subspace.restrict_omega.
+def restrict_omega(ms: ModelSpace, e_sub: Subspace) -> Mat:
+    """Matrix of omega^E restricted to the canonical basis of a subspace of E."""
+    return _form_matrix(ms._omega_form, e_sub._rows, skew=True)
+
+
+# Formerly pqh.subspace.signature, on the Gram matrix and the Fraction loop
+# above; the memo is left out, so that a call computes.
+def signature_mat(ms: ModelSpace, u: Subspace) -> SignatureTriple:
+    return SignatureTriple(*symmetric_signature(gram(ms, u)))
+
+
+# Formerly pqh.classify._PurePart.t_f, for the pass of pqh.classify._pure_part.
+def pure_part_t_f(self) -> Mat:
+    """T = (-D/q) C^T on the basis p1'(b_j) of F; -D/q = -scale / D."""
+    num, den = self.c
+    return Mat._of(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
+        -self.scale / self.d_val
+    )
+
+
+# Formerly pqh.classify.kind_witnesses, on the Fraction pairing matrix of q.
+def kind_witnesses_mat(stab: Subspace) -> KindWitnesses:
+    """The witnesses of the stabilizer ``stab`` (a subspace of Q^3).
+
+    q on its basis rows is one pairing matrix of their integer rows, and a
+    witness is the combination (:meth:`Subspace.combine_int`) of the rows at
+    a point of that binary form with the wanted sign; the rows are
+    independent, so a nonzero point gives a nonzero witness."""
+    if stab.dim == 0:
+        return KindWitnesses(None, None, None)
+    if stab.dim == 3:
+        return KindWitnesses(Operator(1, 0, 0), Operator(0, 0, 1), Operator(1, 1, 0))
+    qm = _form_matrix(_Q_FORM, stab.int_basis())
+    if stab.dim == 1:
+        a = qm.rows[0][0]
+        points = [(F1,) if ok else None for ok in (a > 0, a < 0, a == 0)]
+    else:
+        a, b, c = qm.rows[0][0], qm.rows[0][1], qm.rows[1][1]
+        points = [_positive_point(a, b, c), _positive_point(-a, -b, -c), _isotropic_point(a, b, c)]
+    return KindWitnesses(
+        *(pt and Operator(*frac_row(*stab.combine_int(*_int_row(pt)))) for pt in points)
+    )
+
+
+# Formerly pqh.classify.check_para_complex, with its eigenspace work on the
+# Fraction matrix of T and the cross-eigenspace rank on a Fraction pairing
+# matrix; it runs on the package pass.
+def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexReport:
+    """Verify the weakly para-complex structure theorem for a witness with
+    q(A) < 0.  On top of the shared pure-part pass (:func:`_pure_part`):
+    eigenspace dimensions by the exact trace test, the neutral signature
+    claim, and the eigenspace presentation and witness family when |q| is
+    a square."""
+    qa = a.q()
+    if qa >= 0:
+        raise ValueError("para-complex check needs a witness with negative q")
+    pp = package_pure_part(ms, u, a)
+    nu = -pp.scale
+    comp, d_val, sig = pp.comp, pp.d_val, pp.sig
+    if comp.dim == 0:
+        return ParaComplexReport(
+            a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
+            False, False, False,
+        )
+    k, t_f = comp.dim, pure_part_t_f(pp)
+    tr = mat_trace(t_f)
+    if tr == 0:
+        if k % 2:
+            raise AssertionError("traceless para-complex part of odd dimension")
+        d_plus = d_minus = k // 2
+    else:
+        ratio = is_rational_square(tr * tr / nu)
+        if ratio is None or ratio.denominator != 1:
+            raise AssertionError("trace test failed to give an integer split")
+        # tr(T) = lam_plus (d+ - d-) with lam_plus = D / sqrt(|q|), so the
+        # split is signed by tr relative to the sign of D
+        r_signed = int(ratio) if (tr > 0) == (d_val > 0) else -int(ratio)
+        if (k + r_signed) % 2:
+            raise AssertionError("trace split has wrong parity")
+        d_plus = (k + r_signed) // 2
+        d_minus = (k - r_signed) // 2
+    strict = d_plus == d_minus
+    if sig.p != sig.q:
+        raise AssertionError("para-complex signature is not of type (m, k-2m, m)")
+    hermitian_pure = sig.s == 0
+    if not strict and hermitian_pure:
+        raise AssertionError("weakly-not-para-complex part must be degenerate")
+    if hermitian_pure and sig.as_tuple() != (k // 2, 0, k // 2):
+        raise AssertionError("Hermitian para-complex part must be neutral")
+    # eigenspace data over Q when rho = sqrt(|q|) is rational
+    rho = is_rational_square(-qa)
+    eigen_pres = None
+    family = None
+    if rho is not None:
+        lam_plus = d_val / rho
+        # T x = lam x (C^T x = +-rho x) on the coordinates x of v = sum_j x_j b_j
+        # makes v = (h1' + lam h2') (x) p1'(v), by the row identity
+        vs1, vs2 = eigen = [
+            comp.kernel_in([_int_row(c) for c in shifted.cols]).int_basis()
+            for shifted in (t_f - Mat.scalar(k, lam_plus), t_f + Mat.scalar(k, lam_plus))
+        ]
+        half = comp.ambient // 2
+        lift1, lift2 = (
+            Subspace._echelon([pp.basis.to_basis_int(*v)[0][:half] for v in vs], half) for vs in eigen
+        )
+        # d+ + d- = k, so matching dimensions are the recomposition U' = the
+        # two eigenspaces, which are independent for distinct eigenvalues
+        if lift1.dim != d_plus or lift2.dim != d_minus:
+            raise AssertionError("rational eigenspace dimensions disagree with trace test")
+        dir1, dir2 = line_direction(pp.basis, lam_plus), line_direction(pp.basis, -lam_plus)
+        eigen_pres = (dir1, lift1, dir2, lift2)
+        # cross-check m as the rank of the Gram pairing between eigenspaces,
+        # whatever their bases (0 when one of them is empty)
+        if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+            raise AssertionError("cross-eigenspace rank disagrees with signature")
+        # the witness family a I + a J +- K when the pure part sits in one eigenspace
+        for lam in (lam_plus, -lam_plus):
+            if t_f == Mat.scalar(k, lam):
+                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
+                n_op = pp.basis.conjugate(n_ad)
+                if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
+                    raise AssertionError("witness family member fails invariance")
+                family = (a, n_op)
+                break
+    return ParaComplexReport(
+        a, qa, nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
+        sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
+        pp.totally and strict,
+    )
+
+
+# Formerly pqh.classify.check_totally_real, on Fraction pairing matrices.
+def check_totally_real_mat(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRealReport:
+    """For a real nondegenerate U with graph form ``form``: the omega
+    conditions on E1 = p1(U), E2 = TE1 and the skewness of T,
+    cross-validated against the direct Gram tests IU _|_ U, JU _|_ U, KU _|_ U.
+
+    The caller has proved ``is_real(form)`` (:func:`classify` calls this
+    only after it); it is not tested again here."""
+    if signature(ms, u).s != 0:
+        raise ValueError("totally-real check needs a nondegenerate subspace")
+    e1 = form.f_space
+    e2 = form.t_image()
+    o1 = mat_is_zero(restrict_omega(ms, e1))
+    o2 = mat_is_zero(restrict_omega(ms, e2))
+    # omega(f_i, T f_j) over the basis f_i of E1
+    c = _form_matrix(ms._omega_form, e1.int_basis(), [_int_row(t) for t in form.t_map.cols])
+    skew = mat_is_symmetric(c)  # omega(e, Te') = -omega(Te, e') for all pairs
+    routes = tuple(image_orthogonal(ms, op, u) for op in (OP_I, OP_J, OP_K))
+    conditions = o1 and o2 and skew
+    if conditions != all(routes):
+        raise AssertionError("totally-real routes disagree")
+    if conditions:
+        if not e1.intersect(e2).is_zero():
+            raise AssertionError("totally real forces E1 ^ E2 = 0")
+        vs = form.graph_rows()
+        gm = _form_matrix(ms._metric_form, vs, vs)
+        if gm != c.scale(2):
+            raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
+        if u.dim > ms.n:
+            raise AssertionError("totally real exceeds the quarter-dimension bound")
+    return TotallyRealReport(conditions, o1, o2, skew, routes)

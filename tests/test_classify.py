@@ -29,7 +29,6 @@ from pqh.polyq import is_rational_square
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
-    _form_matrix,
     decomposable_subspace,
     direct_sum_is,
     product_subspace,
@@ -37,7 +36,7 @@ from pqh.subspace import (
 )
 from pqh.uft import graph_form, to_uft
 from reference import QuadExt, assemble, maximal_invariant_subspace, metric
-from reference import para_complex_eigenvectors
+from reference import _form_matrix, para_complex_eigenvectors
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]
 REFL = [((1, 0), (1, 0)), ((0, 1), (0, -1))]

@@ -42,11 +42,10 @@ from pqh.subspace import (
     maximal_pq,
     omega_kernel_in,
     product_subspace,
-    restrict_omega,
     signature,
 )
 from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
-from reference import from_basis
+from reference import from_basis, restrict_omega
 
 # -- reference copies ---------------------------------------------------------
 

@@ -15,10 +15,11 @@ import pytest
 import test_cli
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from conftest import congruent_instance, dense_congruence, hand_built_instance, to_basis
+from conftest import congruent_instance, dense_congruence, hand_built_instance, pairing_values, to_basis
 from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
+from reference import mat_is_zero
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, generate, random_sl2, twist_h
@@ -28,7 +29,6 @@ from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
     decomposable_subspace,
-    gram,
     h2_fiber,
     h_fiber,
     image,
@@ -36,7 +36,6 @@ from pqh.subspace import (
     maximal_pq,
     p1,
     product_subspace,
-    restrict_omega,
     span_of,
 )
 from pqh.uft import TransversalityError, to_uft
@@ -169,7 +168,7 @@ def ref_restrict_omega(ms, e_sub):
 
 
 def ref_is_orthogonal(ms, u, w):
-    return (u.mat @ OMEGA_H.kron(ms.omega) @ w.mat.T).is_zero()
+    return mat_is_zero(u.mat @ OMEGA_H.kron(ms.omega) @ w.mat.T)
 
 
 def ref_complement_in(u, larger):
@@ -377,7 +376,7 @@ def test_to_uft_matches_reference(data):
 def test_gram_and_is_orthogonal_match_reference(data):
     ms = data.draw(model_spaces())
     u, w = data.draw(spaces(4 * ms.n)), data.draw(spaces(4 * ms.n))
-    assert gram(ms, u) == ref_gram(ms, u)
+    assert pairing_values(ms._metric_form, u.int_basis(), u.int_basis()) == ref_gram(ms, u)
     assert is_orthogonal(ms, u, w) == ref_is_orthogonal(ms, u, w)
     a = data.draw(operators())
     moved = image(a, u)
@@ -389,7 +388,8 @@ def test_gram_and_is_orthogonal_match_reference(data):
 def test_restrict_omega_matches_reference(data):
     ms = data.draw(model_spaces())
     e_sub = data.draw(spaces(2 * ms.n))
-    assert restrict_omega(ms, e_sub) == ref_restrict_omega(ms, e_sub)
+    rows = e_sub.int_basis()
+    assert pairing_values(ms._omega_form, rows, rows) == ref_restrict_omega(ms, e_sub)
 
 
 def test_pairings_on_isotropic_and_orthogonal_spaces():
@@ -399,10 +399,12 @@ def test_pairings_on_isotropic_and_orthogonal_spaces():
     e1 = Subspace.span([(1, 0, 0, 0), (0, 0, 1, 0)], 4)
     e2 = Subspace.span([(0, 0, 1, 0)], 4)
     h1e = decomposable_subspace((1, 0), Subspace.full(4))
-    assert gram(ms, h1e).is_zero() and is_orthogonal(ms, h1e, h1e)
+    rows = h1e.int_basis()
+    assert mat_is_zero(pairing_values(ms._metric_form, rows, rows)) and is_orthogonal(ms, h1e, h1e)
     assert is_orthogonal(ms, decomposable_subspace((1, 0), e1), decomposable_subspace((0, 1), e2))
-    assert restrict_omega(ms, e1) == ref_restrict_omega(ms, e1)
-    assert not restrict_omega(ms, Subspace.full(4)).is_zero()
+    assert pairing_values(ms._omega_form, e1.int_basis(), e1.int_basis()) == ref_restrict_omega(ms, e1)
+    full = Subspace.full(4).int_basis()
+    assert not mat_is_zero(pairing_values(ms._omega_form, full, full))
 
 
 # -- one helper for combining basis rows ------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from conftest import hand_built_instance
+from conftest import cleared_rows, hand_built_instance
 from test_graph_maps import bits100
 from test_linalg import bits500, huge_entries, matrices, ref_charpoly, ref_matmul, small_entries
 
@@ -44,7 +44,6 @@ from pqh.linalg import (
     int_rank,
     rank_mod,
     symmetric_signature,
-    vec_is_zero,
 )
 from pqh.model import (
     MAT_I,
@@ -71,7 +70,7 @@ from pqh.subspace import (
     product_subspace,
 )
 from pqh.uft import decompose_form1, decompose_form2
-from reference import maximal_invariant_subspace, metric, sqrt_of
+from reference import mat_is_zero, maximal_invariant_subspace, metric, sqrt_of, vec_is_zero
 from reference import oracle_check as ref_oracle
 
 # -- reference copies ---------------------------------------------------------
@@ -189,7 +188,7 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
     )
     vecs = u.basis
     pairwise = Mat([[metric(ms, x, y) for y in vecs] for x in vecs], ncols=u.dim)
-    sig = SignatureTriple(*symmetric_signature(pairwise))
+    sig = SignatureTriple(*symmetric_signature(cleared_rows(pairwise)))
     check("signature", sig.as_tuple() == report.signature.as_tuple())
     check("hermitian-flag", report.flags.hermitian == (sig.s == 0))
     dim_e = ms.dim_e
@@ -563,7 +562,7 @@ def test_multiples_of_the_charpoly_match_fraction_horner(n, data):
     p = poly_mul(a.charpoly(), r)
     got = poly_eval_matrix(p, a)
     assert got == ref_poly_eval_matrix(p, a)
-    assert got.is_zero() and got.shape == a.shape
+    assert mat_is_zero(got) and got.shape == a.shape
 
 
 def test_a_derogatory_charpoly_is_left_to_paterson_stockmeyer(products):
@@ -655,7 +654,7 @@ def test_zeros_chi_does_not_divide_and_nonzero_answers_take_paterson_stockmeyer(
     a = cyclic_matrix(Rng(8), 4)
     p = tuple(Rng(9).rationals(5)) + (F1,)
     got = poly_eval_matrix(p, a)
-    assert got == ref_poly_eval_matrix(p, a) and not got.is_zero()
+    assert got == ref_poly_eval_matrix(p, a) and not mat_is_zero(got)
     assert products[0] > 0
 
 

@@ -1,9 +1,13 @@
 """The Sylvester signature and classify's metric identities in integers,
 against the ``Fraction`` code they replaced.
 
-``linalg.symmetric_signature`` clears the matrix once and eliminates by
-congruence on integers, dividing each remaining block by its content;
-``tests/reference.py`` keeps the congruence loop on ``Fraction`` entries.  ``classify._pure_part`` checks T^2, the pullback
+``linalg.symmetric_signature`` takes square integer rows and eliminates
+by congruence on integers, dividing the matrix by its content before
+each pivot;
+``tests/reference.py`` keeps the congruence loop on ``Fraction`` entries.
+The kernel gets the matrix cleared, and also scaled to D N D for positive
+D = diag(d_i), the shape of the pairing numerators of rows over their
+denominators d_i.  ``classify._pure_part`` checks T^2, the pullback
 metric and the omega route on integer numerators, ``check_complex`` its
 Kaehler routes and ``is_para_quaternionic`` its block Gram identity; the
 reference copies check the same identities on ``Fraction`` matrices, and
@@ -19,8 +23,9 @@ from importlib import import_module
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import hand_built_instance
+from conftest import cleared_rows, hand_built_instance
 from reference import check_complex_mat, conjugate, is_para_quaternionic_mat, pure_part_mat
+from reference import pure_part_t_f
 from reference import symmetric_signature as ref_signature
 from test_congruence import block_grams, congruent_diagonals, huge_symmetric, rank_deficient
 from test_congruence import zero_diagonals
@@ -98,10 +103,15 @@ def many_denominators(draw):
         congruent_diagonals().map(lambda c: c[0]),
         rank_deficient().map(lambda c: c[0]),
         block_grams().map(lambda c: c[0]),
-    )
+    ),
+    st.data(),
 )
-def test_signature_matches_the_fraction_loop(m):
-    assert symmetric_signature(m) == ref_signature(m)
+def test_signature_matches_the_fraction_loop(m, data):
+    rows = cleared_rows(m)
+    assert symmetric_signature(rows) == ref_signature(m)
+    ds = data.draw(st.lists(st.integers(1, 2**40), min_size=m.nrows, max_size=m.nrows))
+    scaled = [[di * x * dj for x, dj in zip(r, ds)] for r, di in zip(rows, ds)]
+    assert symmetric_signature(scaled) == ref_signature(m)
 
 
 @REF
@@ -113,11 +123,14 @@ def test_non_symmetric_input_raises(n, data):
     if i == j:
         j = (i + 1) % n
     rows[i][j] += 1
-    for kernel in (symmetric_signature, ref_signature):
-        with pytest.raises(ValueError):
-            kernel(Mat(rows))
     with pytest.raises(ValueError):
-        symmetric_signature(Mat([[1, 2, 3]]))
+        symmetric_signature(rows)
+    with pytest.raises(ValueError):
+        ref_signature(Mat(rows))
+    # non-square: a row, n rows of n + 1, and a ragged square
+    for bad in ([[1, 2, 3]], [r + [0] for r in rows], rows[:-1] + [rows[-1][:-1]]):
+        with pytest.raises(ValueError):
+            symmetric_signature(bad)
 
 
 # -- conjugation --------------------------------------------------------------------
@@ -147,7 +160,7 @@ def _same_pass(ms, u):
         new, old = _pure_part(ms, u, a), pure_part_mat(ms, u, a)
         for f in ("scale", "basis", "d_val", "comp", "sig", "omega_route", "gram_partner", "totally"):
             assert getattr(new, f) == getattr(old, f), f
-        assert (new.t_f() if new.comp.dim else None) == old.t_f
+        assert (pure_part_t_f(new) if new.comp.dim else None) == old.t_f
         if a.q() > 0:
             assert check_complex(ms, u, a) == check_complex_mat(ms, u, a)
         passes += new.comp.dim > 0
@@ -254,7 +267,7 @@ def test_forged_block_gram_raises():
 
 
 def test_pass_fields_are_integer_data():
-    # no Fraction matrix is kept on the pass: t_f is built when read
+    # no Fraction matrix is kept on the pass
     ms, u = ModelSpace.standard(2), _totally_complex(2)
     pp = _pure_part(ms, u, kind_witnesses(stabilizer(u)).complex)
     assert not any(isinstance(getattr(pp, f.name), Mat) for f in fields(pp))

@@ -34,7 +34,8 @@ from pqh.polyq import (
 from pqh.rng import Rng
 from pqh.subspace import Subspace
 from pqh.uft import graph_form, injectivize, invariant_core, pq_split
-from reference import QuadExt, sqrt_of
+from conftest import cleared_rows
+from reference import QuadExt, mat_is_zero, mat_trace, sqrt_of
 
 
 def rand_mat(rng, r, c):
@@ -68,7 +69,7 @@ def ref_charpoly(A):
     M = Mat.identity(n)
     for k in range(1, n + 1):
         AM = ref_matmul(A, M)
-        c = -AM.trace() / k
+        c = -mat_trace(AM) / k
         coeffs.append(c)
         M = AM + Mat.identity(n).scale(c)
     return tuple(reversed(coeffs))
@@ -399,7 +400,7 @@ class TestMat:
             m = rand_mat(rng, 3, 3)
             cp = m.charpoly()
             assert cp[-1] == 1
-            assert poly_eval_matrix(cp, m).is_zero()
+            assert mat_is_zero(poly_eval_matrix(cp, m))
             assert cp[0] == (-1) ** 3 * m.det()
 
     @given(products())
@@ -430,7 +431,7 @@ class TestMat:
         cp = a.charpoly()
         assert cp == ref_charpoly(a)
         assert all(type(c) is Fraction for c in cp)
-        assert poly_eval_matrix(cp, a).is_zero()
+        assert mat_is_zero(poly_eval_matrix(cp, a))
 
     def test_charpoly_nilpotent_jordan_block(self):
         for n in range(1, 13):
@@ -762,31 +763,31 @@ def test_charpoly_trace_check_raises(monkeypatch):
 class TestSignature:
     def test_diagonal(self):
         m = Mat(((2, 0, 0), (0, 0, 0), (0, 0, -3)))
-        assert symmetric_signature(m) == (1, 1, 1)
+        assert symmetric_signature(cleared_rows(m)) == (1, 1, 1)
 
     def test_hyperbolic_split(self):
         # zero diagonal, off-diagonal pair gives (1, 0, 1)
         m = Mat(((0, 1), (1, 0)))
-        assert symmetric_signature(m) == (1, 0, 1)
+        assert symmetric_signature(cleared_rows(m)) == (1, 0, 1)
 
     def test_mixed(self):
         m = Mat(((0, 1, 0), (1, 0, 0), (0, 0, 5)))
-        assert symmetric_signature(m) == (2, 0, 1)
+        assert symmetric_signature(cleared_rows(m)) == (2, 0, 1)
 
     def test_congruence_invariance(self):
         rng = Rng(9)
         for _ in range(40):
             m = rand_mat(rng, 4, 4)
             sym = m + m.T
-            sig = symmetric_signature(sym)
+            sig = symmetric_signature(cleared_rows(sym))
             p = rand_mat(rng, 4, 4)
             if p.det() == 0:
                 continue
-            assert symmetric_signature(p.T @ sym @ p) == sig
+            assert symmetric_signature(cleared_rows(p.T @ sym @ p)) == sig
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(ValueError):
-            symmetric_signature(Mat(((0, 1), (2, 0))))
+            symmetric_signature([[0, 1], [2, 0]])
 
 
 class TestPoly:

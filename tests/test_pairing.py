@@ -2,8 +2,9 @@
 they replaced, and classification under a dense omega^E.
 
 ``ModelSpace`` keeps omega^E (and g = omega^H (x) omega^E, laid out from
-it) as its nonzero entries, and ``subspace._form_matrix`` builds every
-pairing matrix of integer rows.  Each reference in ``tests/reference.py``
+it) as its nonzero entries, and ``subspace._pairings`` gives the
+numerators of every pairing of integer rows; ``conftest.pairing_values``
+puts them over their denominators.  Each reference in ``tests/reference.py``
 is the earlier code: the row loop of ``_pairing`` and the triple products
 with ``OMEGA_H.kron(omega)`` or ``omega`` that ``classify`` and ``uft`` used.
 They are compared on the standard omega^E and on a dense congruent
@@ -22,13 +23,14 @@ from operator import mul
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import congruent_instance, dense_congruence, pure_part_coordinates
+from conftest import congruent_instance, dense_congruence, pairing_values, pure_part_coordinates
 from reference import (
     block_gram,
     cross_eigenspace_gram,
     graph_gram,
     induced_g_f as ref_induced_g_f,
     kaehler_ambient,
+    mat_is_zero,
     pairing_rows,
     pure_part_w_t,
     totally_real_c,
@@ -41,13 +43,11 @@ from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, ModelSpace, Operator, _form_ima
 from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
-    _form_matrix,
     _pairings,
     image_orthogonal,
     is_orthogonal,
     omega_kernel_in,
     p1,
-    restrict_omega,
 )
 from pqh.uft import graph_form, graph_over, pq_split, to_uft
 
@@ -116,14 +116,14 @@ def test_pairing_matches_the_row_loop(data):
 
 @REF
 @given(st.data())
-def test_form_matrix_matches_the_fraction_product(data):
+def test_pairings_match_the_fraction_product(data):
     ms = data.draw(models())
     g = OMEGA_H.kron(ms.omega)
     for form, w, length in ((ms._omega_form, ms.omega, ms.dim_e), (ms._metric_form, g, ms.dim_v)):
         xs, ys = data.draw(row_sets(length)), data.draw(row_sets(length))
-        assert _form_matrix(form, cleared(xs), cleared(ys)) == product(xs, w, ys, length)
-        skew = form is ms._omega_form
-        assert _form_matrix(form, cleared(xs), skew=skew) == product(xs, w, xs, length)
+        # the numerators over den * d_x * d_y
+        assert pairing_values(form, cleared(xs), cleared(ys)) == product(xs, w, ys, length)
+        assert pairing_values(form, cleared(xs), cleared(xs)) == product(xs, w, xs, length)
         x_ints, y_ints = ([V for V, _ in cleared(r)] for r in (xs, ys))
         assert _pairings(form, x_ints, y_ints) == [[_pairing(form[0], x, y) for x in x_ints] for y in y_ints]
 
@@ -135,15 +135,15 @@ def test_orthogonality_and_omega_kernel_match_the_fraction_products(data):
     g = OMEGA_H.kron(ms.omega)
     u = Subspace.span(data.draw(row_sets(ms.dim_v)), ms.dim_v)
     w = Subspace.span(data.draw(row_sets(ms.dim_v)), ms.dim_v)
-    assert is_orthogonal(ms, u, w) == product(u.basis, g, w.basis, ms.dim_v).is_zero()
+    assert is_orthogonal(ms, u, w) == mat_is_zero(product(u.basis, g, w.basis, ms.dim_v))
     for a in (OP_I, OP_J, OP_K, Operator(Fraction(3, 7), -2, 5)):
         ambient = u.mat @ a.mat2().kron(Mat.identity(ms.dim_e)).T @ g @ u.mat.T
-        assert image_orthogonal(ms, a, u) == ambient.is_zero()
+        assert image_orthogonal(ms, a, u) == mat_is_zero(ambient)
     e_a = Subspace.span(data.draw(row_sets(ms.dim_e)), ms.dim_e)
     e_b = Subspace.span(data.draw(row_sets(ms.dim_e)), ms.dim_e)
     kernel = omega_kernel_in(ms, e_a, e_b)
     assert e_b.contains(kernel)
-    assert product(e_a.basis, ms.omega, kernel.basis, ms.dim_e).is_zero()
+    assert mat_is_zero(product(e_a.basis, ms.omega, kernel.basis, ms.dim_e))
     if e_a.dim:
         assert kernel.dim == e_b.dim - product(e_a.basis, ms.omega, e_b.basis, ms.dim_e).rank()
 
@@ -169,20 +169,21 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
         if form is not None:
             t_cols = [_int_row(t) for t in form.t_map.cols]
             vs = form.graph_rows()
-            c = _form_matrix(ms._omega_form, t_cols, form.f_space.int_basis())
+            c = pairing_values(ms._omega_form, t_cols, form.f_space.int_basis())
             assert -(c + c.T) == ref_induced_g_f(ms, form)
             # _pure_part's w_t, check_totally_real's c and gm
-            assert _form_matrix(ms._omega_form, t_cols, t_cols) == pure_part_w_t(ms, form)
-            assert _form_matrix(ms._omega_form, form.f_space.int_basis(), t_cols) == totally_real_c(ms, form)
-            assert _form_matrix(ms._metric_form, vs, vs) == graph_gram(ms, form)
+            assert pairing_values(ms._omega_form, t_cols, t_cols) == pure_part_w_t(ms, form)
+            assert pairing_values(ms._omega_form, form.f_space.int_basis(), t_cols) == totally_real_c(ms, form)
+            assert pairing_values(ms._metric_form, vs, vs) == graph_gram(ms, form)
             # check_complex's k_amb, for any operator
             for a in (OP_I, OP_K, Operator(2, Fraction(-1, 3), 1)):
                 moved = [a.act_int(*v) for v in vs]
-                assert _form_matrix(ms._metric_form, moved, vs) == kaehler_ambient(ms, form, a)
+                assert pairing_values(ms._metric_form, moved, vs) == kaehler_ambient(ms, form, a)
         pqr = is_para_quaternionic(ms, u)
         if pqr.is_pq:
             assert pqr.gram_block_ok
-            assert block_gram(ms, p1(u)) == OMEGA_H.kron(restrict_omega(ms, p1(u)))
+            e_rows = p1(u).int_basis()
+            assert block_gram(ms, p1(u)) == OMEGA_H.kron(pairing_values(ms._omega_form, e_rows, e_rows))
         rep = classify(ms, u)
         for wit in (rep.witnesses.complex, rep.witnesses.para_complex):
             if wit is None:
@@ -204,7 +205,7 @@ def test_every_site_matches_its_fraction_product(kind, n, seed):
             _dir1, lift1, _dir2, lift2 = pcr.eigen_presentation
             comp = pq_split(u)[2]
             g1, g2 = (graph_over(comp, pcr.basis, lift) for lift in (lift1, lift2))
-            new = _form_matrix(ms._metric_form, g1.int_basis(), g2.int_basis())
+            new = pairing_values(ms._metric_form, g1.int_basis(), g2.int_basis())
             assert new == cross_eigenspace_gram(ms, g1, g2)
 
 

@@ -31,6 +31,7 @@ from pqh.uft import (
 )
 from conftest import hand_built_instance, pure_part_coordinates
 from reference import is_real as ref_is_real
+from reference import pure_part_t_f
 
 # the modules, not the functions ``pqh`` exports under the same names
 CLASSIFY = import_module("pqh.classify")
@@ -142,7 +143,7 @@ def test_t_on_f_is_t_on_the_subspace_f():
                 # graph form's T on F in the basis of U''s h1' parts
                 form = to_uft(part.comp, part.basis)
                 p = pure_part_coordinates(part, form)
-                assert p.T @ part.t_f() == form.t_on_subspace(form.f_space) @ p.T
+                assert p.T @ pure_part_t_f(part) == form.t_on_subspace(form.f_space) @ p.T
                 pure_parts += 1
         form = graph_form(u)
         if form is not None:

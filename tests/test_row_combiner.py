@@ -1,8 +1,8 @@
 """The stabilizer is a ``Subspace`` of Q^3, and ``classify`` combines basis
 rows only with ``Subspace.combine_int``.
 
-``kind_witnesses`` reads q on the stabilizer's integer rows as one
-``subspace._form_matrix`` pairing and combines the rows at a point of
+``kind_witnesses`` reads q on the stabilizer's integer rows as
+``subspace._pairings`` numerators over d_i d_j and combines the rows at a point of
 that binary form with ``combine_int``; ``_split_along`` builds its
 first-space part the same way.  ``reference.kind_witnesses`` and
 ``reference._split_along`` are the code before, which combined rows by
@@ -19,6 +19,7 @@ from itertools import product
 
 from conftest import congruent_instance, dense_congruence, hand_built_instance, random_sl2
 from reference import Stabilizer as RefStabilizer
+from reference import _form_matrix
 from reference import _split_along as ref_split_along
 from reference import kind_witnesses as ref_kind_witnesses
 from reference import stabilizer as ref_stabilizer
@@ -35,7 +36,7 @@ from pqh.generate import KINDS, generate, random_invertible, twist_h
 from pqh.linalg import Mat
 from pqh.model import HBasisChange, ModelSpace
 from pqh.rng import Rng
-from pqh.subspace import Subspace, _form_matrix, decomposable_subspace
+from pqh.subspace import Subspace, decomposable_subspace
 from pqh.uft import UFTForm
 
 CLASSIFY = import_module("pqh.classify")

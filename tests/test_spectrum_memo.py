@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from test_graph_maps import bits100, entry_kinds, graph_forms, low_rank, small_entries
 from test_graph_spectrum import block_matrices, conjugated, spectral_forms, subspaces_with_lines
 from test_model import h_basis_changes, huge_entries, model_spaces, operators
+from reference import mat_is_zero
 
 import pqh.uft
 from pqh.classify import classify, generic_decompose
@@ -167,7 +168,7 @@ def ref_invariant_core(u):
 def ref_image_orthogonal(ms, a, u):
     """``image_orthogonal`` as one rational Gram product."""
     au = Mat._of(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
-    return (au @ OMEGA_H.kron(ms.omega) @ u.mat.T).is_zero()
+    return mat_is_zero(au @ OMEGA_H.kron(ms.omega) @ u.mat.T)
 
 
 # -- helpers ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graph_subspace, random_sl2, unit
+from conftest import graph_subspace, pairing_values, random_sl2, unit
 from reference import metric, omega_eval
 from pqh.linalg import Mat, _int_row, frac_row, vec_add
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, tensor
@@ -13,14 +13,12 @@ from pqh.rng import Rng
 from pqh.subspace import (
     Subspace,
     decomposable_subspace,
-    gram,
     h_fiber,
     image,
     is_orthogonal,
     maximal_pq,
     omega_kernel_in,
     product_subspace,
-    restrict_omega,
     signature,
 )
 
@@ -227,7 +225,8 @@ class TestFibersAndKernels:
 
     def test_restrict_omega(self, ms2):
         ep = Subspace.span([unit(4, 0), unit(4, 1)], 4)
-        assert restrict_omega(ms2, ep) == Mat(((0, 1), (-1, 0)))
+        rows = ep.int_basis()
+        assert pairing_values(ms2._omega_form, rows, rows) == Mat(((0, 1), (-1, 0)))
 
 
 # -- the replaced loop versions, kept as references -------------------------
@@ -373,7 +372,8 @@ class TestAgainstLoopReferences:
     def test_gram_and_is_orthogonal(self, data):
         ms = data.draw(model_spaces())
         u = data.draw(subspaces(ms.dim_v))
-        assert gram(ms, u) == ref_gram(ms, u)
+        rows = u.int_basis()
+        assert pairing_values(ms._metric_form, rows, rows) == ref_gram(ms, u)
         # w inside the orthogonal complement of U, or anywhere
         inside = Subspace((u.mat @ OMEGA_H.kron(ms.omega)).kernel()) if data.draw(st.booleans()) else None
         w = data.draw(subspaces(ms.dim_v, inside=inside))
@@ -385,7 +385,8 @@ class TestAgainstLoopReferences:
     def test_restrict_omega(self, data):
         ms = data.draw(model_spaces())
         e_sub = data.draw(subspaces(ms.dim_e))
-        assert restrict_omega(ms, e_sub) == ref_restrict_omega(ms, e_sub)
+        rows = e_sub.int_basis()
+        assert pairing_values(ms._omega_form, rows, rows) == ref_restrict_omega(ms, e_sub)
 
 
 def test_no_module_level_caches():
