@@ -77,10 +77,10 @@ dim F = dim U and each lies in U.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
+from typing import NamedTuple
 
 from .generate import random_sl2_draws
 from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows, _lowest_terms, frac_row
@@ -155,8 +155,7 @@ def stabilizer(u: Subspace) -> Subspace:
     return Subspace._of(*int_kernel(rows, 3), 3)
 
 
-@dataclass(frozen=True)
-class KindWitnesses:
+class KindWitnesses(NamedTuple):
     """One unnormalized operator per kind present in q restricted to the
     stabilizer: q > 0 complex, q < 0 para-complex, q = 0 (nonzero) nilpotent."""
 
@@ -258,8 +257,7 @@ def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
 # -- para-quaternionic test --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PQReport:
+class PQReport(NamedTuple):
     is_pq: bool
     e_prime: Subspace
     hermitian: bool
@@ -291,8 +289,7 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
 # -- complex and para-complex witnesses ----------------------------------------
 
 
-@dataclass(frozen=True)
-class _PurePart:
+class _PurePart(NamedTuple):
     """The structure-theorem pass that a complex (q > 0) and a para-complex
     (q < 0) witness share; only the sign of q tells them apart.
 
@@ -399,8 +396,7 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     )
 
 
-@dataclass(frozen=True)
-class ComplexReport:
+class ComplexReport(NamedTuple):
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = -scale * Id with scale * q(A) a rational square
@@ -448,8 +444,7 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
     )
 
 
-@dataclass(frozen=True)
-class ParaComplexReport:
+class ParaComplexReport(NamedTuple):
     witness: Operator
     q_value: Fraction
     scale: Fraction  # T^2 = +scale * Id
@@ -562,8 +557,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
 # -- nilpotent witnesses -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NilpotentReport:
+class NilpotentReport(NamedTuple):
     witness: Operator
     degree: int
     basis: HBasisChange
@@ -668,8 +662,7 @@ def is_real(form: UFTForm | None) -> bool:
     return form is not None and invariant_core(injectivize(form))[0].is_zero()
 
 
-@dataclass(frozen=True)
-class TotallyRealReport:
+class TotallyRealReport(NamedTuple):
     totally_real: bool
     omega_e1_zero: bool
     omega_e2_zero: bool
@@ -716,8 +709,7 @@ def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRea
 # -- generic decomposition -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Addend:
+class Addend(NamedTuple):
     """One building block of the generic decomposition.
 
     kind is "complex", "weakly_para_complex" or "irreducible_block"; the
@@ -732,8 +724,7 @@ class Addend:
     poly: tuple | None
 
 
-@dataclass(frozen=True)
-class GenericDecomposition:
+class GenericDecomposition(NamedTuple):
     u0: Subspace
     addends: tuple
     real_addend: Subspace
@@ -824,8 +815,7 @@ def generic_decompose(u: Subspace) -> GenericDecomposition:
 # -- full classification --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(NamedTuple):
     para_quaternionic: bool
     pure: bool
     complex: bool
@@ -840,11 +830,10 @@ class Flags:
     nilpotent_degree: int | None = None
 
     def as_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     n: int
     dim: int
     flags: Flags
@@ -953,8 +942,7 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
 # -- brute-force oracle ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleFinding:
+class OracleFinding(NamedTuple):
     name: str
     ok: bool
     detail: str = ""

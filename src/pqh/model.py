@@ -51,9 +51,8 @@ traceless matrix (-gamma, beta - alpha; alpha + beta, gamma).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linalg import F0, Mat, _entry, _int_row, _int_rows
 from .linalg import vec_add, vec_sub
@@ -71,8 +70,7 @@ MAT_J = Mat(((0, 1), (1, 0)))
 MAT_K = Mat(((-1, 0), (0, 1)))
 
 
-@dataclass(frozen=True)
-class ParaQuaternion:
+class ParaQuaternion(NamedTuple):
     """q0 + q1*i + q2*j + q3*k with -i^2 = j^2 = k^2 = 1 and ij = -ji = k."""
 
     q0: Fraction
@@ -142,23 +140,54 @@ def tensor(h: Sequence, e: Sequence) -> tuple:
     return tuple(a * x for x in e) + tuple(b * x for x in e)
 
 
-@dataclass(frozen=True)
-class Operator:
+class _Frozen:
+    """An immutable value on ``__slots__``: the attributes named in
+    ``_fields`` define it, and alone make its ``==``, hash and repr; the
+    other slots are derived from them when it is built."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+
+class Operator(_Frozen):
     """A = alpha*I + beta*J + gamma*K in the standard admissible basis."""
 
+    __slots__ = ("alpha", "beta", "gamma", "_m", "_act")
+    _fields = ("alpha", "beta", "gamma")
     alpha: Fraction
     beta: Fraction
     gamma: Fraction
 
-    def __post_init__(self):
-        a, b, g = _entry(self.alpha), _entry(self.beta), _entry(self.gamma)
-        object.__setattr__(self, "alpha", a)
-        object.__setattr__(self, "beta", b)
-        object.__setattr__(self, "gamma", g)
+    def __init__(self, alpha, beta, gamma):
+        a, b, g = _entry(alpha), _entry(beta), _entry(gamma)
         # the 2x2 matrix of A on H, row-wise; cleared, it acts on (e, e')
         m = _structure_matrix(a, b, g)
-        object.__setattr__(self, "_m", m)
-        object.__setattr__(self, "_act", _int_row(m))
+        self._set(alpha=a, beta=b, gamma=g, _m=m, _act=_int_row(m))
 
     def q(self) -> Fraction:
         """Conjugation-invariant form q(A) = alpha^2 - beta^2 - gamma^2.
@@ -201,23 +230,24 @@ OP_J = Operator(0, 1, 0)
 OP_K = Operator(0, 0, 1)
 
 
-@dataclass(frozen=True)
-class HBasisChange:
+class HBasisChange(_Frozen):
     """A symplectic basis change of H; columns are the new basis vectors.
     s and s^-1 are kept cleared, row-wise: ``_from`` for the graph rows
     (``uft._graph_row``) and ``_to`` for ``to_basis_int``."""
 
+    __slots__ = ("mat", "_inv", "_from", "_to")
+    _fields = ("mat",)
     mat: Mat
 
-    def __post_init__(self):
-        if self.mat.shape != (2, 2):
+    def __init__(self, mat: Mat):
+        if mat.shape != (2, 2):
             raise StructureError("H basis change must be 2x2")
-        if self.mat.det() != 1:
+        if mat.det() != 1:
             raise StructureError("H basis change must have determinant 1")
-        inv = self.mat.inverse()
-        object.__setattr__(self, "_inv", inv)
-        object.__setattr__(self, "_from", _int_row(sum(self.mat.rows, ())))
-        object.__setattr__(self, "_to", _int_row(sum(inv.rows, ())))
+        inv = mat.inverse()
+        self._set(
+            mat=mat, _inv=inv, _from=_int_row(sum(mat.rows, ())), _to=_int_row(sum(inv.rows, ()))
+        )
 
     @classmethod
     def identity(cls) -> "HBasisChange":
@@ -263,8 +293,7 @@ class HBasisChange:
         return Operator(Fraction(r10 - r01, 2 * den), Fraction(r01 + r10, 2 * den), Fraction(r11, den))
 
 
-@dataclass(frozen=True)
-class ModelSpace:
+class ModelSpace(_Frozen):
     """Dimension parameter n and a symplectic form on E = Q^{2n}.
 
     omega^E is stored once as its nonzero entries (i, j, w_ij), cleared
@@ -272,28 +301,30 @@ class ModelSpace:
     The metric g = omega^H (x) omega^E is laid out from the same entries,
     (i, 2n + j, w_ij) and (2n + i, j, -w_ij), as ``_metric_form`` over the
     same d.  Every pairing sums over the nonzero entries only (2n of them
-    for the standard omega^E).  These are attributes, not fields, so
-    equality and hashing see only n and omega.
+    for the standard omega^E).  Both are derived when the space is built,
+    outside ``_fields``, so equality and hashing see only n and omega.
     """
 
+    __slots__ = ("n", "omega", "_omega_form", "_metric_form")
+    _fields = ("n", "omega")
     n: int
     omega: Mat
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, omega: Mat):
+        if n < 1:
             raise StructureError("n must be a positive integer")
-        if self.omega.shape != (2 * self.n, 2 * self.n):
+        if omega.shape != (2 * n, 2 * n):
             raise StructureError("omega_E must be 2n x 2n")
-        if not self.omega.is_skew():
+        if not omega.is_skew():
             raise StructureError("omega_E must be skew-symmetric")
-        if self.omega.det() == 0:
+        if omega.det() == 0:
             raise StructureError("omega_E must be invertible")
-        rows, d = _int_rows(self.omega.rows)
+        rows, d = _int_rows(omega.rows)
         entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
+        self._set(n=n, omega=omega, _omega_form=(entries, d))
         half = self.dim_e
         g = [(i, half + j, x) for i, j, x in entries] + [(half + i, j, -x) for i, j, x in entries]
-        object.__setattr__(self, "_omega_form", (entries, d))
-        object.__setattr__(self, "_metric_form", (g, d))
+        self._set(_metric_form=(g, d))
 
     @classmethod
     def standard(cls, n: int) -> "ModelSpace":
@@ -338,8 +369,7 @@ class ModelSpace:
 # -- standardization of abstract para-hypercomplex structures -------------
 
 
-@dataclass(frozen=True)
-class Standardization:
+class Standardization(NamedTuple):
     """Basis matrix P with P^-1 X P equal to the standard block structure."""
 
     basis: Mat

@@ -86,18 +86,16 @@ medians of 10 runs).  There are no module-level caches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import Mat, _entry, _int_row, _lowest_terms, frac_row
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
 from .model import ModelSpace, Operator, _form_image
 
 
-@dataclass(frozen=True)
-class SignatureTriple:
+class SignatureTriple(NamedTuple):
     """Sylvester inertia (positive, null, negative) of an induced metric."""
 
     p: int

@@ -45,9 +45,9 @@ is tried for a subspace too large to meet h (x) E in 0
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref
 from .model import HBasisChange, StructureError, _h_act_int
@@ -69,8 +69,7 @@ class TransversalityError(StructureError):
     """The requested basis direction meets the subspace nontrivially."""
 
 
-@dataclass(frozen=True)
-class UFTForm:
+class UFTForm(NamedTuple):
     """A subspace presented as the graph of T: F -> E over h1.
 
     ``t_map`` has one column per canonical basis vector of F, holding
@@ -340,16 +339,14 @@ def subspace_spectrum(u: Subspace):
     return u.memo("spectrum", compute)
 
 
-@dataclass(frozen=True)
-class SpectralLine:
+class SpectralLine(NamedTuple):
     """A decomposable direction [a : b] with its fiber {f : (a h1 + b h2) (x) f in U}."""
 
     direction: tuple
     fiber: Subspace
 
 
-@dataclass(frozen=True)
-class IrreducibleBlock:
+class IrreducibleBlock(NamedTuple):
     """A degree >= 2 irreducible factor of the core characteristic polynomial,
     with the kernel of its evaluation as the attached subspace."""
 
@@ -357,8 +354,7 @@ class IrreducibleBlock:
     fiber: Subspace
 
 
-@dataclass(frozen=True)
-class PencilSpectrum:
+class PencilSpectrum(NamedTuple):
     lines: tuple
     blocks: tuple
 
@@ -391,8 +387,7 @@ def decomposable_spectrum(u: Subspace) -> PencilSpectrum:
 # -- the two decomposition normal forms -------------------------------------
 
 
-@dataclass(frozen=True)
-class DecomposablePiece:
+class DecomposablePiece(NamedTuple):
     """A summand h (x) F' of purely decomposable vectors."""
 
     direction: tuple
@@ -402,15 +397,13 @@ class DecomposablePiece:
         return decomposable_subspace(self.direction, self.e_space)
 
 
-@dataclass(frozen=True)
-class Form1:
+class Form1(NamedTuple):
     piece: DecomposablePiece | None
     graph: UFTForm
     graph_space: Subspace  # the subspace ``graph`` spans
 
 
-@dataclass(frozen=True)
-class Form2:
+class Form2(NamedTuple):
     pieces: tuple
     graph: UFTForm
 

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 
@@ -656,7 +655,7 @@ class TestOracle:
     def test_forced_real_flag_refuted(self, ms1):
         u = graph_subspace(1, ROT)
         rep = classify(ms1, u)
-        wrong = replace(rep, flags=replace(rep.flags, real=True))
+        wrong = rep._replace(flags=rep.flags._replace(real=True))
         findings = oracle_check(ms1, wrong, u)
         bad = {f.name for f in findings if not f.ok}
         assert "real-vs-stabilizer" in bad  # witness I is in the stabilizer
@@ -706,10 +705,9 @@ class TestOracle:
         u = Subspace.span(self.MIXED, 8)
         rep = classify(ms2, u)
         assert rep.u0.dim == 2 and rep.witnesses.complex is None
-        forged = replace(
-            rep,
-            flags=replace(rep.flags, pure=True, complex=True, para_quaternionic=False),
-            witnesses=replace(rep.witnesses, complex=OP_I),
+        forged = rep._replace(
+            flags=rep.flags._replace(pure=True, complex=True, para_quaternionic=False),
+            witnesses=rep.witnesses._replace(complex=OP_I),
         )
         findings = {f.name: f for f in oracle_check(ms2, forged, u)}
         assert not findings["pure-complex-moves-off"].ok

@@ -25,7 +25,8 @@ from test_model import h_basis_changes, model_spaces, operators, vectors
 from test_uft import ref_pencil_change
 
 from pqh.linalg import F0, F1, Mat, _int_row
-from pqh.model import MAT_I, MAT_J, MAT_K, OP_I, OP_J, OP_K, HBasisChange, Operator, ParaQuaternion
+from pqh.model import MAT_I, MAT_J, MAT_K, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
+from pqh.model import ParaQuaternion
 from pqh.subspace import Subspace
 from pqh.uft import UFTForm, injectivize, to_uft
 
@@ -171,6 +172,16 @@ def test_the_stored_matrices_are_not_fields():
     assert a == Operator(1, Fraction(1, 2), 3) and hash(a) == hash(Operator(1, Fraction(1, 2), 3))
     assert s == HBasisChange(s.mat) and hash(s) == hash(HBasisChange(s.mat))
     assert repr(s) == f"HBasisChange(mat={s.mat!r})"
+    # equality, hash and repr read the fields only: overwriting the derived
+    # attributes of an equal copy changes none of them
+    ms = ModelSpace.standard(2)
+    assert repr(ms) == f"ModelSpace(n=2, omega={ms.omega!r})"
+    for value, derived in ((a, ("_m", "_act")), (ms, ("_omega_form", "_metric_form"))):
+        twin = type(value)(*(getattr(value, f) for f in value._fields))
+        for name in derived:
+            assert name not in value._fields
+            object.__setattr__(twin, name, None)
+        assert twin == value and hash(twin) == hash(value) and repr(twin) == repr(value)
 
 
 # -- a basis change: to_uft of the span over the composed basis -----------------

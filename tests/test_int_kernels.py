@@ -10,7 +10,6 @@ and large-coefficient inputs too.
 
 import sys
 import zlib
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -778,16 +777,16 @@ def forged_pure_complex(report):
     ``pure-complex-moves-off`` search runs on every U that is not
     para-quaternionic, and names a ``B=...`` wherever U's stabilizer is
     more than a line (on the decomposable kind, among others)."""
-    flags = replace(report.flags, complex=True, pure=True)
-    witnesses = replace(report.witnesses, complex=report.witnesses.complex or OP_I)
-    return replace(report, flags=flags, witnesses=witnesses)
+    flags = report.flags._replace(complex=True, pure=True)
+    witnesses = report.witnesses._replace(complex=report.witnesses.complex or OP_I)
+    return report._replace(flags=flags, witnesses=witnesses)
 
 
 def forged_not_pq(report):
     """The report with ``para_quaternionic`` off, which gates the oracle's
     ``totally-complex-gram`` (and its pure-complex search) on every report
     with a complex part."""
-    return replace(report, flags=replace(report.flags, para_quaternionic=False))
+    return report._replace(flags=report.flags._replace(para_quaternionic=False))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -812,10 +811,10 @@ def flipped_reports(report):
     the report's witness, or takes I when it has none."""
     out = [report]
     for flag in ("real", "complex", "pure", "totally_real"):
-        flags = replace(report.flags, **{flag: not getattr(report.flags, flag)})
-        forged = replace(report, flags=flags)
+        flags = report.flags._replace(**{flag: not getattr(report.flags, flag)})
+        forged = report._replace(flags=flags)
         if flags.complex and report.witnesses.complex is None:
-            forged = replace(forged, witnesses=replace(report.witnesses, complex=OP_I))
+            forged = forged._replace(witnesses=report.witnesses._replace(complex=OP_I))
         out.append(forged)
     return out
 
@@ -865,7 +864,7 @@ def test_real_search_on_chosen_draws():
         ms = ModelSpace.standard(n)
         rep = classify(ms, u)
         if forge:
-            rep = replace(rep, flags=replace(rep.flags, real=True))
+            rep = rep._replace(flags=rep.flags._replace(real=True))
         got = findings(oracle_check(ms, rep, u, seed=seed))
         assert got == findings(ref_oracle(ms, rep, u, seed=seed))
         real = {name: (ok, detail) for name, ok, detail in got}["real-no-sampled-violation"]
@@ -890,7 +889,7 @@ def test_sampled_checks_build_no_basis_change(monkeypatch):
 
         return wrapped
 
-    monkeypatch.setattr(HBasisChange, "__post_init__", spy("basis", HBasisChange.__post_init__))
+    monkeypatch.setattr(HBasisChange, "__init__", spy("basis", HBasisChange.__init__))
     monkeypatch.setattr(
         ModelSpace, "hermitian_product", spy("product", ModelSpace.hermitian_product)
     )
@@ -908,6 +907,6 @@ def test_sampled_checks_build_no_basis_change(monkeypatch):
         if kind == "real":
             with_search = calls["contains"]
             calls["contains"] = 0
-            off = replace(report, flags=replace(report.flags, real=False))
+            off = report._replace(flags=report.flags._replace(real=False))
             oracle_check(ms, off, u)
             assert calls["contains"] == with_search

@@ -14,7 +14,6 @@ of the integer route ``operator_preserves`` that ``classify`` uses.
 """
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -170,7 +169,7 @@ def test_forged_witness_fails_invariance(kind, candidates):
     name = f"{kind}-witness-invariance"
     assert {f.name: f.ok for f in oracle_check(ms, report, u)}[name]
     wrong = next(a for a in candidates if not operator_preserves(a, u))
-    forged = replace(report, witnesses=replace(report.witnesses, **{kind: wrong}))
+    forged = report._replace(witnesses=report.witnesses._replace(**{kind: wrong}))
     findings = {f.name: f.ok for f in oracle_check(ms, forged, u)}
     assert findings[name] is False
 

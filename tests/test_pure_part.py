@@ -11,7 +11,6 @@ graph form over the adapted basis (``reference.pure_form``) is compared
 too.
 """
 
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -236,7 +235,7 @@ def assert_same_reports(ms, u, a):
                 check(ms, u, a)
             continue
         got = check(ms, u, a)
-        for name in [f.name for f in fields(expected)]:
+        for name in expected._fields:
             assert getattr(got, name) == getattr(expected, name), name
         assert pure_form(got) == pure_form(expected), "pure_form"
 

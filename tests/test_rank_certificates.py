@@ -10,7 +10,6 @@ inputs that are full rank over Q but not mod p, where the exact fallback
 has to give the answer.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -287,9 +286,9 @@ def test_pure_complex_moves_off_falls_back_when_the_certificate_fails():
     ms = ModelSpace.standard(1)
     u = product_subspace(Subspace.span([(1, 2)], 2))
     report = classify(ms, u)
-    flags = replace(report.flags, complex=True, pure=True, para_quaternionic=False)
-    witnesses = replace(report.witnesses, complex=OP_I)
-    forged = replace(report, flags=flags, witnesses=witnesses)
+    flags = report.flags._replace(complex=True, pure=True, para_quaternionic=False)
+    witnesses = report.witnesses._replace(complex=OP_I)
+    forged = report._replace(flags=flags, witnesses=witnesses)
     bad = {f.name for f in oracle_check(ms, forged, u) if not f.ok}
     assert "pure-complex-moves-off" in bad
 

@@ -23,7 +23,6 @@ import contextlib
 import io
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from test_tracing_table import _load
@@ -197,7 +196,7 @@ def _forged_real_flag():
     para-quaternionic U reported real is moved into itself by every draw."""
     ms, u = ModelSpace.standard(1), generate(Rng(1), 1, "para_quaternionic")
     report = classify(ms, u)
-    forged = replace(report, flags=replace(report.flags, real=True))
+    forged = report._replace(flags=report.flags._replace(real=True))
     found = {f.name: f for f in oracle_check(ms, forged, u)}
     assert not found["real-no-sampled-violation"].ok
     assert found["real-no-sampled-violation"].detail.startswith("witness ")

@@ -8,17 +8,19 @@ for a pure U and never for another, ``decompose_form2`` runs form 1 only
 when U' has no graph form, T on F is read off ``t_map`` as
 ``t_on_subspace`` reads it (and off the witness by the pure-part pass, in
 another basis of F), and the oracle's pairing route to
-``totally-complex-gram`` refutes a forged flag.
+``totally-complex-gram`` refutes a forged flag, also where J^U _|_ U fails
+on the pairs with one basis row only.
 """
 
-from dataclasses import replace
 from importlib import import_module
 
-from pqh.classify import _pure_part, classify, is_real, kind_witnesses, oracle_check, stabilizer
+from pqh.classify import ComplexReport, _pure_part, adapted_basis, classify, is_real
+from pqh.classify import kind_witnesses, oracle_check, stabilizer
 from pqh.generate import KINDS, generate, random_sl2, random_subspace, twist_h
-from pqh.model import ModelSpace
+from pqh.linalg import F0, F1, Mat
+from pqh.model import OP_I, OP_J, ModelSpace
 from pqh.rng import Rng
-from pqh.subspace import maximal_pq
+from pqh.subspace import Subspace, maximal_pq
 from pqh.uft import (
     decompose_form1,
     decompose_form2,
@@ -165,6 +167,26 @@ def test_forged_totally_complex_flag_is_refuted():
         assert rep.flags.totally_complex == (kind == "totally_complex")
         findings = {f.name: f for f in oracle_check(ms, rep, u)}
         assert findings["totally-complex-gram"].ok
-        forged = replace(rep, flags=replace(rep.flags, totally_complex=not rep.flags.totally_complex))
+        forged = rep._replace(flags=rep.flags._replace(totally_complex=not rep.flags.totally_complex))
         findings = {f.name: f for f in oracle_check(ms, forged, u)}
         assert not findings["totally-complex-gram"].ok
+
+
+def test_totally_complex_gram_sees_a_failure_on_one_row():
+    # at n = 1, U = span((1, 0, 0, -1), e2, e3) is Hermitian and pure, and
+    # g(x, J y) on its basis rows vanishes except on the pairs with the first
+    # row.  A report with the witness I (adapted basis the identity, scale 1,
+    # so J^ = J) is refuted when it claims U totally complex, and only then
+    ms = ModelSpace.standard(1)
+    u = Subspace.span([(1, 0, 0, -1), (0, 1, 0, 0), (0, 0, 1, 0)], 4)
+    gj = [[-ms.hermitian_product(x, y).q2 for y in u.basis] for x in u.basis]
+    assert gj[1][2] == gj[2][1] == 0 and gj[0][1] and gj[0][2]
+    rep = classify(ms, u)
+    assert rep.flags.hermitian and rep.u0.is_zero() and not rep.flags.para_quaternionic
+    basis, d = adapted_basis(OP_I)
+    cr = ComplexReport(OP_I, OP_I.q(), d * d / OP_I.q(), basis, u, True, rep.signature, True, True, True)
+    assert basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0)))) == OP_J
+    for claim in (False, True):
+        forged = rep._replace(flags=rep.flags._replace(totally_complex=claim), complex_report=cr)
+        findings = {f.name: f for f in oracle_check(ms, forged, u)}
+        assert findings["totally-complex-gram"].ok == (not claim)

@@ -11,7 +11,6 @@ it gave: ``Rng.rational``, ``ModelSpace._metric_int`` on the twisted rows,
 ``is_real(graph_form(u))``.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 from importlib import import_module
 
@@ -241,11 +240,11 @@ def forged_forms(form: UFTForm):
     row, and over another H-basis."""
     cols = list(form.t_map.cols)
     cols[-1] = tuple(x + 1 for x in cols[-1])
-    yield replace(form, t_map=Mat.from_cols(cols, nrows=form.dim_e))
+    yield form._replace(t_map=Mat.from_cols(cols, nrows=form.dim_e))
     f = form.f_space
     short = Subspace._of(f.int_basis()[:-1], f.pivots[:-1], f.ambient)
     yield UFTForm(form.h_basis, short, Mat.from_cols(form.t_map.cols[:-1], nrows=form.dim_e))
-    yield replace(form, h_basis=form.h_basis.compose(random_sl2(Rng(5))))
+    yield form._replace(h_basis=form.h_basis.compose(random_sl2(Rng(5))))
 
 
 def round_trip(findings):
@@ -266,7 +265,7 @@ def test_forged_graph_forms_fail_the_round_trip(kind):
             assert round_trip(oracle_check(ms, report, u, seed=seed))
             for form in forged_forms(report.uft):
                 assert form.span() != u
-                rep = replace(report, uft=form)
+                rep = report._replace(uft=form)
                 got = oracle_check(ms, rep, u, seed=seed)
                 assert not round_trip(got)
                 assert [(f.name, f.ok, f.detail) for f in got] == [
