@@ -19,7 +19,7 @@ nothing: T = (-D/q) C^T is read off the witness on U''s canonical rows
 as the integer coefficient rows C, and the para-complex eigenspaces are
 kernels of C^T -+ sqrt(-q) on the same coordinates.  Each check then
 adds only what is particular to its sign; a report holds U' and its
-adapted basis.
+adapted basis, not the witness: the caller holds it, and with it q.
 
 The pure part is the U' = U ^ (H (x) C) of :func:`uft.pq_split`, a
 complement of U0 = H (x) E0 that every witness preserving U preserves.
@@ -258,8 +258,9 @@ def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
 
 
 class PQReport(NamedTuple):
+    """U = H (x) E' for E' = p1(U), and then whether omega^E is nondegenerate on E'."""
+
     is_pq: bool
-    e_prime: Subspace
     hermitian: bool
     gram_block_ok: bool
 
@@ -283,7 +284,7 @@ def is_para_quaternionic(ms: ModelSpace, u: Subspace) -> PQReport:
         split = [V for V, _ in pq.int_basis()]
         blocks = [[0] * len(w) + [-x for x in r] for r in w] + [r + [0] * len(w) for r in w]
         gram_ok = _pairings(ms._metric_form, split, split) == blocks
-    return PQReport(is_pq, e_prime, hermitian, gram_ok)
+    return PQReport(is_pq, hermitian, gram_ok)
 
 
 # -- complex and para-complex witnesses ----------------------------------------
@@ -304,10 +305,12 @@ class _PurePart(NamedTuple):
     Every identity is checked on integers, each matrix held as its
     numerators over one denominator (the form's common denominator, shared
     by all pairings, left out): ``rows`` are the b_i over one denominator
-    L, ``c`` is C, ``g`` the pairings g(b_i, b_j) and ``w`` the pairings
-    omega(f_j, f_i) and omega(T f_j, T f_i) (transposed, as
-    ``subspace._pairings`` gives them).  :func:`check_para_complex` reads
-    T's trace and eigenspaces off ``c`` as well.
+    L, ``moved`` the A b_i as ``Operator.act_int`` gives them (read again
+    by :func:`check_complex`), ``c`` is C, ``g`` the pairings g(b_i, b_j)
+    and ``w`` the pairings omega(f_j, f_i) and omega(T f_j, T f_i)
+    (transposed, as ``subspace._pairings`` gives them).
+    :func:`check_para_complex` reads T's trace and eigenspaces off ``c``
+    as well.
     """
 
     scale: Fraction
@@ -315,6 +318,7 @@ class _PurePart(NamedTuple):
     d_val: Fraction
     comp: Subspace
     rows: list | None = None
+    moved: list | None = None
     c: tuple | None = None
     g: tuple | None = None
     w: tuple | None = None
@@ -391,14 +395,12 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
         raise AssertionError(f"totally-{kind} routes disagree")
     totally = hermitian_full and u0.is_zero() and omega_route
     return _PurePart(
-        scale, basis, d_val, comp, rows, (c_num, c_den), (g_num, ell * ell),
+        scale, basis, d_val, comp, rows, moved, (c_num, c_den), (g_num, ell * ell),
         (w_f, w_t, w_den), sig, omega_route, gram_partner, totally,
     )
 
 
 class ComplexReport(NamedTuple):
-    witness: Operator
-    q_value: Fraction
     scale: Fraction  # T^2 = -scale * Id with scale * q(A) a rational square
     basis: HBasisChange
     pure_part: Subspace  # U'
@@ -425,9 +427,8 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
         if any(x % 2 for x in pp.sig.as_tuple()):
             raise AssertionError("complex signature is not of type (2p, 2s, 2q)")
         # g(A b_i, b_j) on the rows of U', which are the graph vectors
-        moved = [a.act_int(*b) for b in pp.rows]
-        k_amb = _pairings(ms._metric_form, [B for B, _ in pp.rows], [W for W, _ in moved])
-        d_amb = moved[0][1] * pp.rows[0][1]
+        k_amb = _pairings(ms._metric_form, [B for B, _ in pp.rows], [W for W, _ in pp.moved])
+        d_amb = pp.moved[0][1] * pp.rows[0][1]
         (g_num, g_den), (c_num, c_den), (w_f, w_t, w_den) = pp.g, pp.c, pp.w
         k_gf = [[-x for x in r] for r in _int_matmul(g_num, c_num)]
         # over D = dn / dd and q = qn / qd, and transposed as w is
@@ -439,14 +440,12 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport:
         ):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
-        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
+        pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     )
 
 
 class ParaComplexReport(NamedTuple):
-    witness: Operator
-    q_value: Fraction
     scale: Fraction  # T^2 = +scale * Id
     basis: HBasisChange
     pure_part: Subspace  # U'
@@ -477,7 +476,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
     comp, d_val, sig = pp.comp, pp.d_val, pp.sig
     if comp.dim == 0:
         return ParaComplexReport(
-            a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
+            nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
     # T = (-D/q) C^T = (-scale/D) C^T on the basis p1'(b_j) of F
@@ -548,7 +547,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
                 family = (a, n_op)
                 break
     return ParaComplexReport(
-        a, qa, nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
+        nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     )
@@ -558,9 +557,9 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
 
 
 class NilpotentReport(NamedTuple):
-    witness: Operator
+    """The decomposition of U for the caller's witness A; h1 spans ker A."""
+
     degree: int
-    basis: HBasisChange
     pq_part: Subspace
     decomposable_piece: DecomposablePiece
     real_part: Subspace
@@ -643,7 +642,7 @@ def check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentReport
         raise AssertionError(
             "trivial omega(p2 x fiber) kernel must force a nondegenerate metric"
         )
-    return NilpotentReport(a, degree, basis, pq_part, piece, real_part, p2_sympl, nondeg)
+    return NilpotentReport(degree, pq_part, piece, real_part, p2_sympl, nondeg)
 
 
 # -- real and totally real -----------------------------------------------------
@@ -908,6 +907,9 @@ def classify(ms: ModelSpace, u: Subspace) -> ClassificationReport:
         raise AssertionError("para-quaternionic characterizations disagree")
     if not pqr.gram_block_ok:
         raise AssertionError("para-quaternionic Gram block identity failed")
+    # H (x) E' is Hermitian exactly when omega^E is nondegenerate on E'
+    if pqr.is_pq and pqr.hermitian != hermitian:
+        raise AssertionError("para-quaternionic Hermitian sub-flag disagrees with the signature")
     pure = u0.is_zero()
     crep = check_complex(ms, u, wits.complex) if wits.complex else None
     pcrep = check_para_complex(ms, u, wits.para_complex) if wits.para_complex else None

@@ -2,7 +2,8 @@
 
 One schema: a JSON object with n, omega_E (2n x 2n entries), vectors
 (rows of length 4n in the fixed coordinate order) and an optional
-h_basis.  All entries are exact rationals written as "p" or "p/q" with
+h_basis, which :func:`parse_instance` reads and :func:`emit_instance`
+never writes.  All entries are exact rationals written as "p" or "p/q" with
 q > 0; decimal notation is rejected.  Emission is canonical (sorted
 keys, lowest-terms strings), so identical data gives identical bytes.
 """
@@ -124,14 +125,12 @@ def load_instance(path: str):
     return parse_instance(read_text(path))
 
 
-def emit_instance(ms: ModelSpace, u: Subspace, h_basis=None) -> str:
+def emit_instance(ms: ModelSpace, u: Subspace) -> str:
     data = {
         "n": ms.n,
         "omega_E": format_matrix(ms.omega),
         "vectors": format_matrix(u.mat),
     }
-    if h_basis is not None:
-        data["h_basis"] = format_matrix(h_basis.mat)
     return canonical_json(data)
 
 

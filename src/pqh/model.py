@@ -232,10 +232,11 @@ OP_K = Operator(0, 0, 1)
 
 class HBasisChange(_Frozen):
     """A symplectic basis change of H; columns are the new basis vectors.
-    s and s^-1 are kept cleared, row-wise: ``_from`` for the graph rows
-    (``uft._graph_row``) and ``_to`` for ``to_basis_int``."""
+    It holds s as ``mat`` and, cleared row-wise, s and s^-1: ``_from`` for
+    the graph rows (``uft._graph_row``) and ``_to`` for ``to_basis_int``.
+    s^-1 is kept only cleared; ``mat.inverse()`` gives it as a ``Mat``."""
 
-    __slots__ = ("mat", "_inv", "_from", "_to")
+    __slots__ = ("mat", "_from", "_to")
     _fields = ("mat",)
     mat: Mat
 
@@ -245,9 +246,7 @@ class HBasisChange(_Frozen):
         if mat.det() != 1:
             raise StructureError("H basis change must have determinant 1")
         inv = mat.inverse()
-        self._set(
-            mat=mat, _inv=inv, _from=_int_row(sum(mat.rows, ())), _to=_int_row(sum(inv.rows, ()))
-        )
+        self._set(mat=mat, _from=_int_row(sum(mat.rows, ())), _to=_int_row(sum(inv.rows, ())))
 
     @classmethod
     def identity(cls) -> "HBasisChange":

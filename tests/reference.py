@@ -520,6 +520,11 @@ def graph_rows(form: UFTForm, w: Subspace) -> Mat:
     return Mat._of(tuple(from_basis(form.h_basis, rows)), 2 * form.dim_e)
 
 
+# Formerly pqh.uft.UFTForm.t_is_injective.
+def t_is_injective(form: UFTForm) -> bool:
+    return form.f_space.kernel_in([_int_row(c) for c in form.t_map.cols]).is_zero()
+
+
 # Formerly pqh.uft.UFTForm.graph_basis.
 def graph_basis(form: UFTForm) -> Mat:
     """The graph vectors over the canonical basis of F, in its order."""
@@ -666,7 +671,7 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
         if not (k_amb == k_gf == k_form):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
-        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
+        pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     ), pp.form
 
@@ -687,7 +692,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
     form, t_f, d_val, sig = pp.form, pp.t_f, pp.d_val, pp.sig
     if form is None:
         return ParaComplexReport(
-            a, qa, nu, pp.basis, pp.comp, 0, 0, True, True, sig, 0, None, None,
+            nu, pp.basis, pp.comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         ), None
     k = form.dim
@@ -754,7 +759,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
                 family = (a, n_op)
                 break
     return ParaComplexReport(
-        a, qa, nu, pp.basis, pp.comp, d_plus, d_minus, strict, hermitian_pure, sig,
+        nu, pp.basis, pp.comp, d_plus, d_minus, strict, hermitian_pure, sig,
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     ), form
@@ -1016,7 +1021,7 @@ def conjugate(s: HBasisChange, m: Mat) -> Operator:
     """The operator s m s^-1 for a traceless 2x2 matrix m given in this
     basis of H: the endomorphism with matrix m here, in standard
     coordinates."""
-    return operator_from_mat2(s.mat @ m @ s._inv)
+    return operator_from_mat2(s.mat @ m @ s.mat.inverse())
 
 
 # Formerly pqh.linalg.symmetric_signature, the congruence on Fraction entries.
@@ -1071,7 +1076,7 @@ def is_para_quaternionic_mat(ms: ModelSpace, u: Subspace) -> PQReport:
         # the rows (e, 0), then (0, e), over the basis of E': Id_2 (x) E'
         split = pq.int_basis()
         gram_ok = _form_matrix(ms._metric_form, split, split) == OMEGA_H.kron(omega_r)
-    return PQReport(is_pq, e_prime, hermitian, gram_ok)
+    return PQReport(is_pq, hermitian, gram_ok)
 
 
 # Formerly pqh.classify._PurePart and _pure_part, which checked T^2, the
@@ -1179,7 +1184,7 @@ def check_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport
         if not (k_amb == k_gf == k_form):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
-        a, qa, pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
+        pp.scale, pp.basis, pp.comp, pp.sig.s == 0, pp.sig,
         pp.omega_route, pp.gram_partner, pp.totally,
     )
 
@@ -1298,7 +1303,7 @@ def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComp
     comp, d_val, sig = pp.comp, pp.d_val, pp.sig
     if comp.dim == 0:
         return ParaComplexReport(
-            a, qa, nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
+            nu, pp.basis, comp, 0, 0, True, True, sig, 0, None, None,
             False, False, False,
         )
     k, t_f = comp.dim, pure_part_t_f(pp)
@@ -1362,7 +1367,7 @@ def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComp
                 family = (a, n_op)
                 break
     return ParaComplexReport(
-        a, qa, nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
+        nu, pp.basis, comp, d_plus, d_minus, strict, hermitian_pure, sig,
         sig.p, eigen_pres, family, pp.omega_route, pp.gram_partner,
         pp.totally and strict,
     )

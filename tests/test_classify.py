@@ -151,6 +151,24 @@ class TestParaQuaternionic:
         assert rep2.is_pq and not rep2.hermitian
         assert signature(ms2, w).as_tuple() == (0, 2, 0)
 
+    @pytest.mark.parametrize("e_rows", [[(1, 0)], [(1, 0), (0, 1)]], ids=["degenerate", "hermitian"])
+    def test_flipped_hermitian_sub_flag_raises(self, ms1, e_rows, monkeypatch):
+        # classify compares the sub-flag with the signature of U itself
+        classify_mod = import_module("pqh.classify")
+        pq_test = classify_mod.is_para_quaternionic
+        u = product_subspace(Subspace.span(e_rows, 2))
+        rep = pq_test(ms1, u)
+        assert rep.is_pq and rep.hermitian == (len(e_rows) == 2)
+        classify(ms1, u)
+
+        def flipped(*args):
+            out = pq_test(*args)
+            return out._replace(hermitian=not out.hermitian)
+
+        monkeypatch.setattr(classify_mod, "is_para_quaternionic", flipped)
+        with pytest.raises(AssertionError, match="Hermitian sub-flag"):
+            classify(ms1, u)
+
     def test_graph_subspace_is_never_pq(self, ms1):
         assert not is_para_quaternionic(ms1, graph_subspace(1, ROT)).is_pq
 
@@ -181,7 +199,7 @@ class TestCheckComplex:
         assert rep.scale == mu
         from pqh.polyq import is_rational_square
 
-        assert is_rational_square(rep.scale * rep.q_value) is not None
+        assert is_rational_square(rep.scale * a.q()) is not None
         full = classify(ms1, u)
         assert full.flags.complex
 
@@ -206,22 +224,17 @@ class TestCheckComplex:
         assert full.flags.complex and not full.flags.pure
 
     def test_forged_kahler_route_raises(self, ms1, monkeypatch):
-        # the ambient route applies the witness to U''s rows through
-        # Operator.act_int once the pure-part pass is done; doubling it from
-        # then on forges that route's pairing alone (the pass itself would
-        # reject a doubled witness by its row identity)
+        # the ambient route pairs U''s rows with the witness's images of
+        # them, which the pure-part pass hands over as ``moved``; doubling
+        # those images once the pass is done forges that route's pairing
+        # alone (the pass itself would reject a doubled witness by its row
+        # identity)
         classify_mod = import_module("pqh.classify")
-        act_int = Operator.act_int
         pure_part = classify_mod._pure_part
-
-        def doubled(self, xs, dx):
-            ys, d = act_int(self, xs, dx)
-            return [2 * y for y in ys], d
 
         def then_double(*args):
             out = pure_part(*args)
-            monkeypatch.setattr(Operator, "act_int", doubled)
-            return out
+            return out._replace(moved=[([2 * y for y in ys], d) for ys, d in out.moved])
 
         monkeypatch.setattr(classify_mod, "_pure_part", then_double)
         with pytest.raises(AssertionError, match="Kaehler"):

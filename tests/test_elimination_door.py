@@ -129,9 +129,7 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
         raise AssertionError(
             "trivial omega(p2 x fiber) kernel must force a nondegenerate metric"
         )
-    return NilpotentReport(
-        a, degree, basis, pq_part, piece, real_part, p2_sympl, nondeg
-    )
+    return NilpotentReport(degree, pq_part, piece, real_part, p2_sympl, nondeg)
 
 
 # -- the one door ---------------------------------------------------------------

@@ -58,7 +58,7 @@ def ref_check_complex(ms, u, a):
     mu = d_val * d_val / qa
     if comp.dim == 0:
         sig0 = SignatureTriple(0, 0, 0)
-        return ComplexReport(a, qa, mu, basis, comp, True, sig0, False, False, False)
+        return ComplexReport(mu, basis, comp, True, sig0, False, False, False)
     form = to_uft(comp, basis)
     ok = True
     tf_cols = []
@@ -105,7 +105,7 @@ def ref_check_complex(ms, u, a):
         if not (omega_pres == gram_j == gram_k):
             raise AssertionError("totally-complex routes disagree")
     return ComplexReport(
-        a, qa, mu, basis, comp, hermitian_pure, sig_pure, omega_pres, gram_j, totally,
+        mu, basis, comp, hermitian_pure, sig_pure, omega_pres, gram_j, totally,
     )
 
 
@@ -122,7 +122,7 @@ def ref_check_para_complex(ms, u, a):
     if comp.dim == 0:
         sig0 = SignatureTriple(0, 0, 0)
         return ParaComplexReport(
-            a, qa, nu, basis, comp, 0, 0, True, True, sig0, 0, None, None,
+            nu, basis, comp, 0, 0, True, True, sig0, 0, None, None,
             False, False, False,
         )
     form = to_uft(comp, basis)
@@ -216,7 +216,7 @@ def ref_check_para_complex(ms, u, a):
         if not (omega_skew == gram_i == gram_k):
             raise AssertionError("totally-para-complex routes disagree")
     return ParaComplexReport(
-        a, qa, nu, basis, comp, d_plus, d_minus, strict, hermitian_pure,
+        nu, basis, comp, d_plus, d_minus, strict, hermitian_pure,
         sig_pure, m_value, eigen_pres, family, omega_skew, gram_i, totally,
     )
 

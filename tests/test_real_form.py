@@ -184,7 +184,7 @@ def test_totally_complex_gram_sees_a_failure_on_one_row():
     rep = classify(ms, u)
     assert rep.flags.hermitian and rep.u0.is_zero() and not rep.flags.para_quaternionic
     basis, d = adapted_basis(OP_I)
-    cr = ComplexReport(OP_I, OP_I.q(), d * d / OP_I.q(), basis, u, True, rep.signature, True, True, True)
+    cr = ComplexReport(d * d / OP_I.q(), basis, u, True, rep.signature, True, True, True)
     assert basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0)))) == OP_J
     for claim in (False, True):
         forged = rep._replace(flags=rep.flags._replace(totally_complex=claim), complex_report=cr)
