@@ -49,9 +49,9 @@ def _load(path):
 
 
 # The largest n that ``gen`` and ``oracle`` accept, checked before any
-# matrix of size n exists.  At n = 32 the slowest instance to generate
-# already takes minutes (README, "Command line"); far past it a run ends in
-# a MemoryError.
+# matrix of size n exists; far past it a run ends in a MemoryError.  ``gen``
+# takes seconds at n = 32 (README, "Command line"), so a higher bound waits
+# on a measurement of ``oracle --n``'s classify and oracle check.
 MAX_N = 32
 
 

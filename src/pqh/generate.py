@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, vec_add
+from .linalg import F0, F1, Mat, _int_row, int_rref, vec_add
 from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, _h_act_int, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
-from .uft import _map_graph
+from .uft import _graph_row, _map_graph
 
 KINDS = (
     "generic",
@@ -70,6 +70,26 @@ def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving):
     one elimination of U's integer rows moved by s."""
     return Subspace._echelon([_h_act_int(s._from, V, D)[0] for V, D in u.int_basis()], u.ambient)
+
+
+def _conjugated_graph(f_sub: Subspace, p: Mat, pr: Mat, s: HBasisChange) -> Subspace:
+    """``twist_h(_map_graph(f_sub, f_sub, P R P^-1), s)`` for ``pr`` = P R,
+    with no P^-1 and no elimination in standard coordinates."""
+    # s commutes with B (+) B for F's reduced basis B, so U is (B (+) B) W
+    # for W spanned by the rows s (P e_j, P R e_j); B (+) B takes W's reduced
+    # rows to U's, pivot i < k to B's pivot p_i and k + i to 2n + p_i
+    k, dim_e = f_sub.dim, f_sub.ambient
+    rows = [_h_act_int(s._from, *_int_row(a + b))[0] for a, b in zip(p.cols, pr.cols)]
+    reduced, pivots = int_rref(rows, 2 * k)
+    identity = HBasisChange.identity()
+    graph = [
+        _graph_row(identity, f_sub.combine_int(V[:k], d), f_sub.combine_int(V[k:], d))
+        for V, d in reduced
+    ]
+    b_pivots = f_sub.pivots
+    return Subspace._of(
+        graph, [b_pivots[q] if q < k else dim_e + b_pivots[q - k] for q in pivots], 2 * dim_e
+    )
 
 
 def _block_rotation(k: int) -> Mat:
@@ -141,10 +161,9 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
                 vec = vec_add(vec, tensor((1, 0), img))
             rows.append(vec)
         return Subspace.span(rows, dim_v)
-    # the graph kinds: T f_j = sum_i local[i][j] g_i over the bases of F and G
     if kind in ("complex", "para_complex", "weakly_para_complex"):
         k = dim if dim is not None else 2 * (1 + rng.below(n))
-        f_sub = g_sub = random_subspace(rng, dim_e, k)
+        f_sub = random_subspace(rng, dim_e, k)
         p = random_invertible(rng, k)
         if kind == "complex":
             base = _block_rotation(k)
@@ -155,8 +174,9 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
             if 2 * plus == k:
                 plus = k  # force unequal eigenspace dimensions
             base = _reflection(k, min(plus, k))
-        local = p @ base @ p.inverse()
-    elif kind in ("totally_complex", "totally_para_complex"):
+        return _conjugated_graph(f_sub, p, p @ base, random_sl2(rng))
+    # the other graph kinds: T f_j = sum_i local[i][j] g_i over the bases of F and G
+    if kind in ("totally_complex", "totally_para_complex"):
         m = dim // 2 if dim is not None else 1 + rng.below(n)
         pairs = sorted(rng_sample_pairs(rng, n, m))
         f_sub = g_sub = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)

@@ -40,7 +40,7 @@ elimination stays on the interpreter's small-int paths.
 ``Mat.charpoly`` reads the characteristic polynomial of the integer
 matrix d*A off the Krylov vectors of e_0: one LU factorization modulo
 the Mersenne prime M127 = 2^127 - 1 and Dixon lifting (J. D. Dixon,
-Numer. Math. 40, 1982) up to a bound on the coefficients, again a proof
+Numer. Math. 40, 1982) until the residual is exactly zero, again a proof
 rather than an estimate.  When those vectors are dependent mod M127
 (always so for a derogatory matrix), Faddeev-LeVerrier runs instead.
 P30 and M127 are the module's two fixed moduli.  The Krylov vectors
@@ -492,12 +492,13 @@ class Mat:
         polynomial, and b is the unique solution of W b = -w_n.  Every
         eigenvalue is at most rho = max_i sum_j |B_ij| in absolute value,
         so |b_k| <= C(n, k) rho^(n-k).  One LU factorization of W mod p and
-        Dixon lifting give b mod p^K, one p-adic digit a step; once
-        p^K > 2 max_k C(n, k) rho^k the symmetric residues are b itself.
-        No rational reconstruction and no probability enter, and the
-        result is checked against a_(n-1) = -tr A.  When W is singular mod
-        p (e_0 is not cyclic, as for a derogatory A, or p divides det W),
-        Faddeev-LeVerrier (:func:`_faddeev_charpoly`) runs instead.  The
+        Dixon lifting give b one balanced p-adic digit a step, up to the
+        first zero residual, which proves W b = -w_n; one still nonzero past
+        p^K > 2 max_k C(n, k) rho^k raises.  No rational reconstruction and
+        no probability enter, and the result is checked against
+        a_(n-1) = -tr A.  When W is singular mod p (e_0 is not cyclic, as
+        for a derogatory A, or p divides det W), Faddeev-LeVerrier
+        (:func:`_faddeev_charpoly`) runs instead.  The
         first call keeps the result on the instance (``Mat`` is immutable)
         and later calls return it.
         """
@@ -529,8 +530,8 @@ def _krylov_charpoly(B):
     high, from the Krylov vectors of e_0 (see :meth:`Mat.charpoly`); None
     when they are dependent mod ``M127``.
 
-    Each Dixon step solves W y = r mod p for the residual r, adds y p^k to
-    the solution and divides r - W y by p, exactly since W y = r mod p.
+    Each Dixon step solves W y = r mod p for the residual r, adds the
+    balanced digit y p^k to b and divides r - W y by p, exactly.
     """
     n = len(B)
     if n == 0:
@@ -542,16 +543,19 @@ def _krylov_charpoly(B):
         return None
     rho = max(sum(map(abs, r)) for r in B)
     bound = 2 * max(comb(n, k) * rho**k for k in range(n + 1))
+    half = M127 >> 1
     r = [-x for x in W[n]]
     b = [0] * n
     pk = 1
-    while pk <= bound:
-        y = _lu_solve_mod(lu, r, M127)
-        r = [(ri - sum(map(mul, row, y))) // M127 for ri, row in zip(r, rows)]
+    while any(r):  # W b + p^k r = -w_n, so r = 0 proves W b = -w_n
+        if pk > bound:
+            raise AssertionError("Krylov charpoly exceeds its coefficient bound")
+        y = [x - M127 if x > half else x for x in _lu_solve_mod(lu, r, M127)]
+        r, rems = zip(*(divmod(ri - sum(map(mul, row, y)), M127) for ri, row in zip(r, rows)))
+        if any(rems):
+            raise AssertionError("inexact Dixon step in the Krylov charpoly")
         b = [bi + yi * pk for bi, yi in zip(b, y)]
         pk *= M127
-    half = pk >> 1
-    b = [bi - pk if bi > half else bi for bi in b]
     if b[-1] != -sum(B[i][i] for i in range(n)):
         raise AssertionError("Krylov charpoly fails the trace check")
     return (*b, 1)

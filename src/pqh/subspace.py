@@ -19,13 +19,14 @@ its rows, ``basis``, are coordinate rows of V, which
 ``ModelSpace.hermitian_product`` takes as they are.
 
 Everything (sums, intersections, complements, pairings, signatures) is
-computed with zero tolerance.  The sum of several
-subspaces is one elimination of all their rows (:func:`span_of`), which
-also serves the direct-sum test.  :meth:`Subspace.combine_int` is the
-one routine that combines basis rows, apart from the one ``Mat`` product
-of ``uft.UFTForm.t_rows`` (the home of ``Mat.__matmul__`` on
-decompose-graph in ``bench/tracing.py``); the graphs that ``generate``
-and form 2's E0 part build take each T f_j from it (``uft._map_graph``).
+computed with zero tolerance.  The sum of several subspaces is one
+elimination of all their rows (:func:`span_of`), which the direct-sum
+test takes only when ``rank_mod`` falls short.
+:meth:`Subspace.combine_int` is the one routine that combines basis
+rows, apart from the one ``Mat`` product of ``uft.UFTForm.t_rows`` (the
+home of ``Mat.__matmul__`` on decompose-graph in ``bench/tracing.py``);
+the graphs that ``generate`` and form 2's E0 part build take each T f_j
+from it.
 
 Every value of g or omega^E on rows is an integer numerator,
 :func:`_pairings`: the rows' numerators paired through the nonzero
@@ -290,12 +291,14 @@ class Subspace:
         """Canonical complement of self inside larger (self must be inside)."""
         if not larger.contains(self):
             raise ValueError("complement_in needs a containing subspace")
-        # the rows of larger, in order, that leave the span of self and the
-        # rows before them: the pivot columns of [self; larger]^T past self
-        # (scaling a column keeps them).  Some rows of a reduced basis are
-        # a reduced basis, so no elimination follows.
-        stacked = [V for V, _ in self._rows + larger._rows]
-        keep = [p - self.dim for p in int_rref(zip(*stacked), len(stacked))[1] if p >= self.dim]
+        # row i of larger leaves the span of self and the rows before it
+        # unless a vector of self has its last coordinate in larger's basis
+        # (self's rows at larger's pivots) at i: the pivots of those rows,
+        # reversed.  Some rows of a reduced basis are a reduced basis.
+        last = larger.dim - 1
+        coords = [[V[p] for p in reversed(larger.pivots)] for V, _ in self._rows]
+        dropped = {last - q for q in int_rref(coords, larger.dim)[1]}
+        keep = [i for i in range(larger.dim) if i not in dropped]
         return Subspace._of(
             [larger._rows[i] for i in keep], [larger.pivots[i] for i in keep], self.ambient
         )
@@ -350,7 +353,12 @@ def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
 
 def direct_sum_is(whole: Subspace, parts: Sequence[Subspace]) -> bool:
     """Exact check that the parts are independent and span the whole."""
-    return sum(p.dim for p in parts) == whole.dim and span_of(parts, whole.ambient) == whole
+    # the dimensions add up and each part lies in the whole; then a full
+    # rank mod p of their rows, or else their span, shows them independent
+    if sum(p.dim for p in parts) != whole.dim or not all(map(whole.contains, parts)):
+        return False
+    rows = [V for p in parts for V, _ in p._rows]
+    return rank_mod(rows, whole.ambient) == len(rows) or span_of(parts, whole.ambient) == whole
 
 
 # -- operations tied to the model structure --------------------------------

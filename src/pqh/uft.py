@@ -9,10 +9,13 @@ two direct-sum normal forms.
 
 T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
 subspace W of F by one product with ``t_map``, and the graph rows are
-integer rows (:meth:`UFTForm.graph_rows`), so a span is one elimination.
+integer rows (:meth:`UFTForm.graph_rows`).  Over the standard basis of H
+they are the canonical basis of the span, so :meth:`UFTForm.span`
+eliminates only over another basis.
 Every graph row is :func:`_graph_row` of two ``(ints, d)`` halves, and a
-graph given by a local map (:func:`_map_graph`: ``generate``'s kinds, form
-2's E0 part) takes each T f_j as one ``Subspace.combine_int``.
+graph given by a local map (:func:`_map_graph`: ``generate``'s totally
+complex and real kinds, form 2's E0 part) takes each T f_j as one
+``Subspace.combine_int``.
 The direction searches read the fiber of h2 off U's pivots
 (``subspace.h2_fiber``); when it is zero, U's rows are (f | Tf) over
 F = p1(U) and :func:`to_uft` over the standard basis eliminates nothing.
@@ -89,7 +92,12 @@ class UFTForm(NamedTuple):
         return self.f_space.ambient
 
     def span(self) -> Subspace:
-        return Subspace._echelon([V for V, _ in self.graph_rows()], 2 * self.dim_e)
+        rows = self.graph_rows()
+        # over the standard basis of H the rows (f_j | T f_j) are already
+        # reduced, with F's pivots, as to_uft reads them off
+        if self.h_basis.mat == Mat.identity(2):
+            return Subspace._of(rows, self.f_space.pivots, 2 * self.dim_e)
+        return Subspace._echelon([V for V, _ in rows], 2 * self.dim_e)
 
     def graph_rows(self) -> list:
         """The graph vectors h1 (x) f + h2 (x) Tf over the canonical basis f

@@ -30,7 +30,8 @@ from pqh.classify import (
     operator_preserves,
 )
 from pqh.classify import _pure_part as package_pure_part
-from pqh.generate import random_sl2
+from pqh.generate import _block_rotation, _reflection, check_dim, random_invertible, random_sl2
+from pqh.generate import random_subspace
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
 from pqh.linalg import rank_mod, vec_add
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError
@@ -52,7 +53,7 @@ from pqh.subspace import (
     signature,
     span_of,
 )
-from pqh.uft import TransversalityError, UFTForm, _no_rational_eigenvalue_map, graph_over
+from pqh.uft import TransversalityError, UFTForm, _graph_row, _no_rational_eigenvalue_map, graph_over
 from pqh.uft import line_direction, poly_fiber, pq_split
 from pqh.uft import to_uft as package_to_uft
 
@@ -1404,3 +1405,70 @@ def check_totally_real_mat(ms: ModelSpace, u: Subspace, form: UFTForm) -> Totall
         if u.dim > ms.n:
             raise AssertionError("totally real exceeds the quarter-dimension bound")
     return TotallyRealReport(conditions, o1, o2, skew, routes)
+
+
+# Formerly pqh.subspace.direct_sum_is, which spanned the parts every time.
+def direct_sum_is_by_span(whole: Subspace, parts) -> bool:
+    """Exact check that the parts are independent and span the whole."""
+    return sum(p.dim for p in parts) == whole.dim and span_of(parts, whole.ambient) == whole
+
+
+# Formerly pqh.subspace.Subspace.complement_in, on the transpose of the
+# stacked rows of self and larger.
+def complement_in(self: Subspace, larger: Subspace) -> Subspace:
+    """Canonical complement of self inside larger (self must be inside)."""
+    if not larger.contains(self):
+        raise ValueError("complement_in needs a containing subspace")
+    # the rows of larger, in order, that leave the span of self and the
+    # rows before them: the pivot columns of [self; larger]^T past self
+    # (scaling a column keeps them).  Some rows of a reduced basis are
+    # a reduced basis, so no elimination follows.
+    stacked = [V for V, _ in self._rows + larger._rows]
+    keep = [p - self.dim for p in int_rref(zip(*stacked), len(stacked))[1] if p >= self.dim]
+    return Subspace._of(
+        [larger._rows[i] for i in keep], [larger.pivots[i] for i in keep], self.ambient
+    )
+
+
+# Formerly pqh.uft._map_graph (it stays there for the other kinds).
+def map_graph(f_space: Subspace, g_space: Subspace, local: Mat) -> Subspace:
+    """The graph over h1 = (1, 0) of the map T f_j = sum_i local[i][j] g_i,
+    for the canonical basis rows f_j of F and g_i of G: each T f_j is one
+    :meth:`Subspace.combine_int` of G's rows, and the span one elimination."""
+    identity = HBasisChange.identity()
+    rows = [
+        _graph_row(identity, f, g_space.combine_int(*_int_row(c)))[0]
+        for f, c in zip(f_space.int_basis(), local.cols)
+    ]
+    return Subspace._echelon(rows, 2 * f_space.ambient)
+
+
+# Formerly pqh.generate.twist_h on integer rows (it stays there for the
+# other kinds).
+def twist_h_rows(u: Subspace, s: HBasisChange) -> Subspace:
+    """Apply an SL(H) coordinate change to every vector (flag-preserving):
+    one elimination of U's integer rows moved by s."""
+    return Subspace._echelon([_h_act_int(s._from, V, D)[0] for V, D in u.int_basis()], u.ambient)
+
+
+# Formerly the complex, para_complex and weakly_para_complex branch of
+# pqh.generate.generate: the graph of P R P^-1 in standard coordinates,
+# then twisted.
+def generate_conjugated_graph(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
+    dim_e = 2 * n
+    if dim is not None:
+        check_dim(n, kind, dim)
+    k = dim if dim is not None else 2 * (1 + rng.below(n))
+    f_sub = g_sub = random_subspace(rng, dim_e, k)
+    p = random_invertible(rng, k)
+    if kind == "complex":
+        base = _block_rotation(k)
+    elif kind == "para_complex":
+        base = _reflection(k, k // 2)
+    else:
+        plus = 1 + rng.below(k - 1) if k > 1 else 1
+        if 2 * plus == k:
+            plus = k  # force unequal eigenspace dimensions
+        base = _reflection(k, min(plus, k))
+    local = p @ base @ p.inverse()
+    return twist_h_rows(map_graph(f_sub, g_sub, local), random_sl2(rng))

@@ -1,7 +1,8 @@
 """Graphs are built from integer rows, with no ``Mat`` product of basis rows.
 
-``generate``'s graph kinds and form 2's E0 part build the graph of a
-local map with ``uft._map_graph`` (each T f_j one ``combine_int``),
+``generate``'s totally complex and real kinds and form 2's E0 part build
+the graph of a local map with ``uft._map_graph`` (each T f_j one
+``combine_int``), the complex kinds build it in F's coordinates,
 ``generate.twist_h`` moves U's integer rows by s, ``_eigenfree_inside``
 sums integer rows, and ``check_nilpotent``'s real part is the
 ``_graph_row`` rows h1' (x) T~e + h2' (x) e.  The ``reference`` copies are
@@ -52,9 +53,10 @@ def spy_map_graph(monkeypatch, module, seen):
 
 
 def test_generate_graphs_and_twists_match_the_mat_reference(monkeypatch):
-    graphs, twists = [], []
+    graphs, twists, conjugated = [], [], []
     spy_map_graph(monkeypatch, GENERATE, graphs)
     real_twist = GENERATE.twist_h
+    real_conjugated = GENERATE._conjugated_graph
 
     def spy_twist(u, s):
         got = real_twist(u, s)
@@ -62,19 +64,30 @@ def test_generate_graphs_and_twists_match_the_mat_reference(monkeypatch):
         twists.append(got)
         return got
 
+    def spy_conjugated(f_sub, p, pr, s):
+        # the twisted graph of the local map P R P^-1, built as before
+        got = real_conjugated(f_sub, p, pr, s)
+        graph = ref.generate_graph(f_sub, f_sub.mat.T @ (pr @ p.inverse()))
+        assert got == ref.twist_h(graph, s)
+        conjugated.append(got)
+        return got
+
     monkeypatch.setattr(GENERATE, "twist_h", spy_twist)
+    monkeypatch.setattr(GENERATE, "_conjugated_graph", spy_conjugated)
     for kind in KINDS:
         for n in range(1, 5):
             for seed in range(8):
                 generate(Rng(seed), n, kind)
-    # seven graph kinds, each built once and twisted once per instance
-    assert len(graphs) == len(twists) == 7 * 4 * 8
+    # four graph kinds built by _map_graph and twisted once per instance,
+    # and three built and twisted in F's coordinates
+    assert len(graphs) == len(twists) == 4 * 4 * 8
+    assert len(conjugated) == 3 * 4 * 8
     assert any(f != g for f, g, _ in graphs)
 
 
 def test_generate_multiplies_no_basis_rows(monkeypatch):
-    """Only the local conjugation p base p^-1 of the complex kinds is a
-    ``Mat`` product; the totally and real kinds run none."""
+    """Only P R of the complex kinds is a ``Mat`` product; the totally and
+    real kinds run none."""
     calls = []
     matmul = Mat.__matmul__
 
@@ -87,7 +100,7 @@ def test_generate_multiplies_no_basis_rows(monkeypatch):
         for seed in range(4):
             calls.clear()
             generate(Rng(seed), 3, kind)
-            expected = 2 if kind in ("complex", "para_complex", "weakly_para_complex") else 0
+            expected = 1 if kind in ("complex", "para_complex", "weakly_para_complex") else 0
             assert len(calls) == expected, kind
 
 
