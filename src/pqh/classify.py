@@ -251,7 +251,8 @@ def adapted_nilpotent_basis(a: Operator) -> HBasisChange:
 def operator_in_basis(basis: HBasisChange, alpha, beta, gamma) -> Operator:
     """The operator with the given coordinates relative to the admissible
     triple attached to `basis`, expressed in standard coordinates."""
-    return basis.conjugate(Operator(alpha, beta, gamma).mat2())
+    # the matrix of alpha I + beta J + gamma K is (-gamma, beta - alpha; alpha + beta, gamma)
+    return basis.conjugate(-gamma, beta - alpha, alpha + beta)
 
 
 # -- para-quaternionic test --------------------------------------------------
@@ -386,8 +387,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     sig = signature(ms, comp)
     w_f, w_t = _pairings(ms._omega_form, xs, xs), _pairings(ms._omega_form, ys, ys)
     omega_route = _same(w_t, scale.numerator, w_f, scale.denominator) and _full_rank(w_f, k)
-    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
-    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    partner = basis.conjugate(F0, 1 / scale, F1)
+    k_hat = basis.conjugate(F1, F0, F0)
     gram_partner = image_orthogonal(ms, partner, u)
     gram_k = image_orthogonal(ms, k_hat, u)
     hermitian_full = signature(ms, u).s == 0
@@ -540,8 +541,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComplexR
         # eigenspace: T = lam Id is C^T = +-rho Id, a zero shifted matrix
         for lam, rows in zip((lam_plus, -lam_plus), shifts):
             if not any(map(any, rows)):
-                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = pp.basis.conjugate(n_ad)
+                n_op = pp.basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
                     raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
@@ -1052,11 +1052,13 @@ def oracle_check(
             all(u.contains_vector(wit.apply_coords(x)) for x in u.basis),
         )
         # (A (x) Id_E)^2 + q Id_V = (A^2 + q Id_H) (x) Id_E: the identity on
-        # V holds exactly when it holds on the 2x2 matrix of A
-        amat = wit.mat2()
+        # V holds exactly when it holds on the 2x2 matrix (m0, m1; m2, m3) of A
+        m0, m1, m2, m3 = wit._m
+        minus_q = -wit.q()
         check(
             f"{kind}-witness-square-identity",
-            amat @ amat == Mat.scalar(2, -wit.q()),
+            (m0 * m0 + m1 * m2, m1 * (m0 + m3), m2 * (m0 + m3), m2 * m1 + m3 * m3)
+            == (minus_q, 0, 0, minus_q),
         )
         sign_ok = {
             "complex": wit.q() > 0,
@@ -1126,7 +1128,7 @@ def oracle_check(
         cr = report.complex_report
         # the anticommuting para-complex partner J^ in the adapted basis, and
         # J^ of U's rows: J^U _|_ U when every numerator g(J^x, y) vanishes
-        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
+        jhat = cr.basis.conjugate(F0, 1 / cr.scale, F1)
         moved = [jhat.act_int(V, 1)[0] for V in basis]
         check(
             "totally-complex-gram",

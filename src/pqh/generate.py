@@ -2,19 +2,25 @@
 
 Kinds are built constructively from the structure theorems (e.g. a
 complex instance is the graph of a conjugated block rotation, which
-squares to -Id), then optionally twisted through a random unimodular
-change of the H basis, which preserves every classification flag.
+squares to -Id).  Every graph kind is twisted through a random
+unimodular change of the H basis, which preserves every classification
+flag, and is built by one ``uft.graph_in``: the graph of T on a subspace
+S of E, given as plain-int rows over S's basis.  The complex kinds take
+S = F and the rows (P e_j | P R e_j) for the random P of T = P R P^-1,
+where P R is a signed permutation of P's columns; the totally complex
+and para-complex kinds take the unit rows of the picked coordinate
+pairs, and the (totally) real kinds those of the first 2k coordinates.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import F0, F1, Mat, _int_row, int_rref, vec_add
-from .model import MAT_I, MAT_K, HBasisChange, ModelSpace, _h_act_int, tensor
+from .linalg import F0, Mat, _int_row, _int_rows, vec_add
+from .model import HBasisChange, ModelSpace, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
-from .uft import _graph_row, _map_graph
+from .uft import graph_in
 
 KINDS = (
     "generic",
@@ -66,60 +72,37 @@ def random_sl2(rng: Rng) -> HBasisChange:
     return HBasisChange(Mat(((a, b), (c, (1 + b * c) / a))))
 
 
-def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
-    """Apply an SL(H) coordinate change to every vector (flag-preserving):
-    one elimination of U's integer rows moved by s."""
-    return Subspace._echelon([_h_act_int(s._from, V, D)[0] for V, D in u.int_basis()], u.ambient)
-
-
-def _conjugated_graph(f_sub: Subspace, p: Mat, pr: Mat, s: HBasisChange) -> Subspace:
-    """``twist_h(_map_graph(f_sub, f_sub, P R P^-1), s)`` for ``pr`` = P R,
-    with no P^-1 and no elimination in standard coordinates."""
-    # s commutes with B (+) B for F's reduced basis B, so U is (B (+) B) W
-    # for W spanned by the rows s (P e_j, P R e_j); B (+) B takes W's reduced
-    # rows to U's, pivot i < k to B's pivot p_i and k + i to 2n + p_i
-    k, dim_e = f_sub.dim, f_sub.ambient
-    rows = [_h_act_int(s._from, *_int_row(a + b))[0] for a, b in zip(p.cols, pr.cols)]
-    reduced, pivots = int_rref(rows, 2 * k)
-    identity = HBasisChange.identity()
-    graph = [
-        _graph_row(identity, f_sub.combine_int(V[:k], d), f_sub.combine_int(V[k:], d))
-        for V, d in reduced
-    ]
-    b_pivots = f_sub.pivots
-    return Subspace._of(
-        graph, [b_pivots[q] if q < k else dim_e + b_pivots[q - k] for q in pivots], 2 * dim_e
-    )
-
-
-def _block_rotation(k: int) -> Mat:
-    return Mat.identity(k // 2).kron(MAT_I)
-
-
-def _reflection(k: int, plus: int) -> Mat:
-    rows = [[F0] * k for _ in range(k)]
-    for i in range(k):
-        rows[i][i] = F1 if i < plus else -F1
-    return Mat(rows)
+def _signed_rows(cols: list, partner, signs) -> list:
+    """The plain-int rows (P e_j | P R e_j), cleared over one denominator,
+    for the columns P e_j of P and the signed permutation
+    R e_j = signs[j] e_partner[j]: P R is P with its columns permuted and
+    negated, so no product is taken."""
+    ints, _ = _int_rows(cols)
+    return [c + [sg * x for x in ints[q]] for c, q, sg in zip(ints, partner, signs)]
 
 
 def check_dim(n: int, kind: str, dim: int) -> None:
     """Raise ``ValueError`` unless :func:`generate` can build ``kind`` with ``dim``.
 
-    Graph and decomposable kinds are at most 2n-dimensional; a complex
-    graph has even dimension, the other graphs at least 1, and the totally
-    complex and para-complex kinds are built from whole 2-planes.  A
-    para-quaternionic instance H (x) E' has even dimension, 0 included; the
-    nilpotent and (totally) real kinds clip ``dim`` to what they can build.
+    Graph and decomposable kinds are at most 2n-dimensional.  A complex
+    graph has even dimension, and so has a strict para-complex one, whose
+    eigenspaces d+ = d- are equal; the weakly para-complex graph has at
+    least 1, and the totally complex and para-complex kinds are built from
+    whole 2-planes.  A para-quaternionic instance H (x) E' has even
+    dimension, 0 included.  The nilpotent kind needs dim >= 1, since the
+    zero subspace has no nilpotent witness; it and the (totally) real
+    kinds clip ``dim`` to what they can build.
     """
-    if kind in ("complex", "totally_complex", "totally_para_complex"):
+    if kind in ("complex", "para_complex", "totally_complex", "totally_para_complex"):
         dims = range(2, 2 * n + 1, 2)
-    elif kind in ("para_complex", "weakly_para_complex"):
+    elif kind == "weakly_para_complex":
         dims = range(1, 2 * n + 1)
     elif kind == "decomposable":
         dims = range(2 * n + 1)
     elif kind == "para_quaternionic":
         dims = range(0, 4 * n + 1, 2)
+    elif kind == "nilpotent":
+        dims = range(1, 4 * n + 1)
     else:
         dims = range(4 * n + 1)
     if dim not in dims:
@@ -161,26 +144,32 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
                 vec = vec_add(vec, tensor((1, 0), img))
             rows.append(vec)
         return Subspace.span(rows, dim_v)
+    # the graph kinds: T on a subspace S of E, given over S's basis
     if kind in ("complex", "para_complex", "weakly_para_complex"):
+        # T = P R P^-1 for a block rotation or a reflection R, so over F's
+        # basis the graph vectors are (P e_j | P R e_j)
         k = dim if dim is not None else 2 * (1 + rng.below(n))
-        f_sub = random_subspace(rng, dim_e, k)
-        p = random_invertible(rng, k)
+        space = random_subspace(rng, dim_e, k)
+        cols = random_invertible(rng, k).cols
         if kind == "complex":
-            base = _block_rotation(k)
-        elif kind == "para_complex":
-            base = _reflection(k, k // 2)
+            rows = _signed_rows(cols, [j ^ 1 for j in range(k)], [(-1) ** j for j in range(k)])
         else:
-            plus = 1 + rng.below(k - 1) if k > 1 else 1
-            if 2 * plus == k:
-                plus = k  # force unequal eigenspace dimensions
-            base = _reflection(k, min(plus, k))
-        return _conjugated_graph(f_sub, p, p @ base, random_sl2(rng))
-    # the other graph kinds: T f_j = sum_i local[i][j] g_i over the bases of F and G
-    if kind in ("totally_complex", "totally_para_complex"):
+            plus = k // 2
+            if kind == "weakly_para_complex":
+                plus = 1 + rng.below(k - 1) if k > 1 else 1
+                if 2 * plus == k:
+                    plus = k  # force unequal eigenspace dimensions
+            rows = _signed_rows(cols, range(k), [1 if j < plus else -1 for j in range(k)])
+    elif kind in ("totally_complex", "totally_para_complex"):
+        # on the picked coordinate pairs, T is the block rotation or
+        # diag(1, -1), with its +1 eigenspace on the odd slots
         m = dim // 2 if dim is not None else 1 + rng.below(n)
         pairs = sorted(rng_sample_pairs(rng, n, m))
-        f_sub = g_sub = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)
-        local = _block_rotation(2 * m) if kind == "totally_complex" else _tpc_blocks(2 * m)
+        space = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)
+        k = 2 * m
+        cols = [[int(i == j) for i in range(k)] for j in range(k)]
+        partner = [j ^ 1 for j in range(k)] if kind == "totally_complex" else range(k)
+        rows = _signed_rows(cols, partner, [(-1) ** j for j in range(k)])
     elif kind in ("real", "totally_real"):
         k = min(dim if dim is not None else 1 + rng.below(n), n)
         if kind == "real":
@@ -195,15 +184,19 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
                 if local.det() != 0:
                     break
             f_cols, g_cols = range(0, 2 * k, 2), range(1, 2 * k, 2)
-        f_sub, g_sub = Subspace._unit_rows(f_cols, dim_e), Subspace._unit_rows(g_cols, dim_e)
+        # S is the first 2k coordinates; T takes the j-th F slot to column
+        # j of local on the G slots
+        space = Subspace._unit_rows(range(2 * k), dim_e)
+        rows = []
+        for f, c in zip(f_cols, local.cols):
+            x, y = [0] * (2 * k), [F0] * (2 * k)
+            x[f] = 1
+            for g, v in zip(g_cols, c):
+                y[g] = v
+            rows.append(_int_row(x + y)[0])
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return twist_h(_map_graph(f_sub, g_sub, local), random_sl2(rng))
-
-
-def _tpc_blocks(k: int) -> Mat:
-    """T with T^2 = Id, +1 eigenspace on odd slots, -1 on even slots."""
-    return Mat.identity(k // 2).kron(-MAT_K)
+    return graph_in(space, rows, random_sl2(rng))
 
 
 def rng_sample_pairs(rng: Rng, n: int, m: int):

@@ -22,8 +22,8 @@ pivots in a prefix of the columns, which is how :mod:`pqh.uft` reads a
 graph off its rows.  ``Mat.rref`` (and so ``inverse`` and ``solve``) is
 the ``Fraction`` view of :func:`int_rref`, and ``Mat.kernel`` that of
 :func:`int_kernel`.  ``Mat.det`` clears each row and reads the last
-pivot of :func:`_bareiss`; ``rank`` and :func:`int_rank` build no
-``Fraction`` either.
+pivot of :func:`_bareiss`, and :func:`int_rank` builds no ``Fraction``
+either.
 
 :func:`rank_mod` is the rank of integer rows modulo the prime
 p = 2^30 - 35 = 1073741789, the largest prime below 2^30, a certificate
@@ -437,9 +437,6 @@ class Mat:
         """
         basis, pivots = int_rref([_int_row(r)[0] for r in self.rows], self._ncols)
         return Mat._of(tuple(frac_row(*r) for r in basis), self._ncols), pivots
-
-    def rank(self):
-        return int_rank([_int_row(r)[0] for r in self.rows], self._ncols)
 
     def kernel(self):
         """Canonical (RREF) basis of {x : A x = 0}, rows of the result

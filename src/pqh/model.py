@@ -37,10 +37,12 @@ No matrix on V is built: the metric omega^H (x) omega^E and an operator
 A (x) Id_E are read through their factors only.
 
 An :class:`HBasisChange` s rewrites standard coordinate rows in s
-(``to_basis_int``); graph rows and twists apply s itself to integer rows
-with :func:`_h_act_int`, and ``conjugate`` gives the operator s m s^-1
-from the stored entries of s: det s = 1, so s^-1 is the adjugate, and
-the product is one 2x2 integer product, with no ``Mat`` built.
+(``to_basis_int``); graph rows apply s itself to integer rows with
+:func:`_h_act_int`, and ``conjugate`` gives the operator s m s^-1 from
+the stored entries of s and the three entries (x, y, z) of a traceless
+m = (x, y; z, -x), so m is traceless by construction: det s = 1, so s^-1
+is the adjugate, and the product is one 2x2 integer product, with no
+``Mat`` built.
 
 The split-quaternions enter only as values: :class:`ParaQuaternion` holds
 the four parts of a Hermitian product, and reads its norm and imaginary
@@ -272,17 +274,14 @@ class HBasisChange(_Frozen):
         as ``(ints, d)``: its two E-components (comp1, comp2), concatenated."""
         return _h_act_int(self._to, xs, dx)
 
-    def conjugate(self, m: Mat) -> Operator:
-        """The operator s m s^-1 for a traceless 2x2 matrix m given in this
-        basis of H: the endomorphism with matrix m here, in standard
-        coordinates.
+    def conjugate(self, x, y, z) -> Operator:
+        """The operator s m s^-1 for the traceless 2x2 matrix m = (x, y; z, -x)
+        given in this basis of H: the endomorphism with matrix m here, in
+        standard coordinates.
 
         With s = S / e stored cleared and det s = 1, s^-1 = adj(S) / e, so
-        for m = (x, y; z, -x) cleared over dm the product is
-        S m adj(S) / (e^2 dm), read off entry by entry in integers."""
-        if m.shape != (2, 2) or m.rows[0][0] + m.rows[1][1] != 0:
-            raise ValueError("operator matrix must be traceless 2x2")
-        (x, y), (z, _) = m.rows
+        for (x, y, z) cleared over dm the product is S m adj(S) / (e^2 dm),
+        read off entry by entry in integers."""
         (x, y, z), dm = _int_row((x, y, z))
         (a, b, c, d), e = self._from
         r01 = a * a * y - b * b * z - 2 * a * b * x

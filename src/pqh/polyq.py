@@ -304,26 +304,14 @@ def factor(p):
 
 
 def minimal_polynomial(A: Mat):
-    """Monic minimal polynomial of a square rational matrix, factored.
-
-    Returns ((q, e), ...): each monic irreducible factor q of the
-    characteristic polynomial, in :func:`factor` order, with its exponent
-    e in the minimal polynomial (the product of the q^e); ``()`` for the
-    empty matrix, whose minimal polynomial is 1.
+    """The monic irreducible factors of the minimal polynomial of a square
+    rational matrix, in :func:`factor` order: those of its characteristic
+    polynomial, which has the same roots.  ``()`` for the empty matrix,
+    whose minimal polynomial is 1.
     """
     if A.nrows == 0:
         return ()
-    _, factors = factor(A.charpoly())
-    out = []
-    for q, mult in factors:
-        e = 1
-        while e < mult:
-            Pe = poly_eval_matrix(poly_pow(q, e), A)
-            if A.nrows - Pe.rank() == mult * poly_deg(q):
-                break
-            e += 1
-        out.append((q, e))
-    return tuple(out)
+    return tuple(q for q, _mult in factor(A.charpoly())[1])
 
 
 def is_rational_square(x: Fraction):

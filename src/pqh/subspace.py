@@ -25,8 +25,8 @@ test takes only when ``rank_mod`` falls short.
 :meth:`Subspace.combine_int` is the one routine that combines basis
 rows, apart from the one ``Mat`` product of ``uft.UFTForm.t_rows`` (the
 home of ``Mat.__matmul__`` on decompose-graph in ``bench/tracing.py``);
-the graphs that ``generate`` and form 2's E0 part build take each T f_j
-from it.
+``uft.graph_in``, which builds the graphs of ``generate`` and form 2's
+E0 part, carries each reduced row to V with two of its calls.
 
 Every value of g or omega^E on rows is an integer numerator,
 :func:`_pairings`: the rows' numerators paired through the nonzero

@@ -12,10 +12,11 @@ subspace W of F by one product with ``t_map``, and the graph rows are
 integer rows (:meth:`UFTForm.graph_rows`).  Over the standard basis of H
 they are the canonical basis of the span, so :meth:`UFTForm.span`
 eliminates only over another basis.
-Every graph row is :func:`_graph_row` of two ``(ints, d)`` halves, and a
-graph given by a local map (:func:`_map_graph`: ``generate``'s totally
-complex and real kinds, form 2's E0 part) takes each T f_j as one
-``Subspace.combine_int``.
+Every graph row is :func:`_graph_row` of two ``(ints, d)`` halves.  A
+graph given over the basis of a subspace S of E (:func:`graph_in`: every
+graph kind of ``generate``, twisted by s in SL(H), and form 2's E0 part)
+is one elimination of width 2 dim S, whose reduced rows two
+``Subspace.combine_int`` carry to V with no elimination there.
 The direction searches read the fiber of h2 off U's pivots
 (``subspace.h2_fiber``); when it is zero, U's rows are (f | Tf) over
 F = p1(U) and :func:`to_uft` over the standard basis eliminates nothing.
@@ -138,16 +139,28 @@ def _graph_row(h_basis: HBasisChange, x: tuple, y: tuple) -> tuple:
     return _h_act_int(h_basis._from, [a * (m // d) for a in V] + [b * (m // e) for b in W], m)
 
 
-def _map_graph(f_space: Subspace, g_space: Subspace, local: Mat) -> Subspace:
-    """The graph over h1 = (1, 0) of the map T f_j = sum_i local[i][j] g_i,
-    for the canonical basis rows f_j of F and g_i of G: each T f_j is one
-    :meth:`Subspace.combine_int` of G's rows, and the span one elimination."""
+def graph_in(space: Subspace, rows: list, s: HBasisChange) -> Subspace:
+    """The span of the graph vectors s (h1 (x) x + h2 (x) y), for a
+    subspace S of E with canonical basis B and one plain-int row x + y
+    per vector: the coordinates of x and y over B.
+
+    s acts on H only, so it commutes with B (+) B, and the span is
+    (B (+) B) W for W spanned by the rows s (x | y): one elimination of
+    width 2 dim S.  B is reduced, so B (+) B takes W's reduced rows to
+    reduced rows, pivot q < dim S to B's pivot p_q and dim S + q to
+    dim E + p_q, and each is two :meth:`Subspace.combine_int`.
+    """
+    k, dim_e = space.dim, space.ambient
+    reduced, pivots = int_rref([_h_act_int(s._from, r, 1)[0] for r in rows], 2 * k)
     identity = HBasisChange.identity()
-    rows = [
-        _graph_row(identity, f, g_space.combine_int(*_int_row(c)))[0]
-        for f, c in zip(f_space.int_basis(), local.cols)
+    graph = [
+        _graph_row(identity, space.combine_int(V[:k], d), space.combine_int(V[k:], d))
+        for V, d in reduced
     ]
-    return Subspace._echelon(rows, 2 * f_space.ambient)
+    b_pivots = space.pivots
+    return Subspace._of(
+        graph, [b_pivots[q] if q < k else dim_e + b_pivots[q - k] for q in pivots], 2 * dim_e
+    )
 
 
 def find_transversal_direction(u: Subspace):
@@ -325,7 +338,7 @@ def graph_spectrum(form: UFTForm):
     """
     inj = injectivize(form)
     core, t_core = invariant_core(inj)
-    parts = tuple((q, poly_fiber(core, t_core, q)) for q, _e in minimal_polynomial(t_core))
+    parts = tuple((q, poly_fiber(core, t_core, q)) for q in minimal_polynomial(t_core))
     return inj, parts
 
 
@@ -581,7 +594,11 @@ def decompose_form2(u: Subspace) -> Form2:
             pieces.append(DecomposablePiece(nd, e0))
         used_dirs.extend(fresh)
         if e0.dim > 1:
-            tilde = tilde.sum(_map_graph(e0, e0, _no_rational_eigenvalue_map(e0.dim)))
+            # row j of the graph is (e_j | column j of the map) over E0's basis
+            t0 = _no_rational_eigenvalue_map(e0.dim)
+            unit = Mat.identity(e0.dim).cols
+            rows = [list(map(int, e + c)) for e, c in zip(unit, t0.cols)]
+            tilde = tilde.sum(graph_in(e0, rows, HBasisChange.identity()))
     residue = subspace_spectrum(tilde)
     if residue is None:
         raise AssertionError("form 2 residue is not a graph subspace")

@@ -1,8 +1,9 @@
 from fractions import Fraction
 
 import pytest
+from reference import twist_h_rows
 
-from pqh.generate import random_invertible, random_sl2, twist_h
+from pqh.generate import random_invertible, random_sl2
 from pqh.linalg import F0, F1, Mat, _int_row, _int_rows, frac_row, vec_add
 from pqh.model import HBasisChange, ModelSpace, tensor
 from pqh.rng import Rng
@@ -104,7 +105,7 @@ def hand_built_instance(seed: int):
     diag = Mat([[signs[i] if i == j else F0 for j in range(k)] for i in range(k)])
     t_local = q @ diag @ q.inverse()
     graph = UFTForm(HBasisChange.identity(), f_sub, f_sub.mat.T @ t_local).span()
-    return n, twist_h(product_subspace(e0).sum(graph), random_sl2(rng))
+    return n, twist_h_rows(product_subspace(e0).sum(graph), random_sl2(rng))
 
 
 def pure_part_coordinates(part, form: UFTForm) -> Mat:

@@ -30,11 +30,11 @@ from pqh.classify import (
     operator_preserves,
 )
 from pqh.classify import _pure_part as package_pure_part
-from pqh.generate import _block_rotation, _reflection, check_dim, random_invertible, random_sl2
-from pqh.generate import random_subspace
+from pqh.generate import check_dim, random_invertible, random_sl2, random_subspace, rng_sample_pairs
 from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
 from pqh.linalg import rank_mod, vec_add
-from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, StructureError
+from pqh.model import MAT_I, MAT_K, OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
+from pqh.model import StructureError
 from pqh.model import _form_image, _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, poly_eval_matrix
 from pqh.rng import Rng
@@ -502,7 +502,8 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     return UFTForm(basis, *graph)
 
 
-# Formerly pqh.uft._graph_of (it stays there for the other bases).
+# Formerly pqh.uft._graph_of, which pqh.uft keeps for the bases other than
+# the standard one.
 def _graph_of(rows, dim_e: int):
     """(F, T) for the graph spanned by the plain-int rows (f | Tf), or None
     when their F parts are dependent."""
@@ -633,8 +634,8 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     t_cols = [_int_row(c) for c in form.t_map.cols]
     w_t = _form_matrix(ms._omega_form, t_cols, t_cols)
     omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
-    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
-    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    partner = basis.conjugate(F0, 1 / scale, F1)
+    k_hat = basis.conjugate(F1, F0, F0)
     gram_partner = image_orthogonal(ms, partner, u)
     gram_k = image_orthogonal(ms, k_hat, u)
     hermitian_full = signature(ms, u).s == 0
@@ -744,15 +745,14 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
         # (the rank does not depend on the bases of the two eigen-graphs)
         if lift1.dim and lift2.dim:
             vs1, vs2 = (graph_over(pp.comp, form.h_basis, lift).int_basis() for lift in (lift1, lift2))
-            if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+            if mat_rank(_form_matrix(ms._metric_form, vs1, vs2)) != sig.p:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif sig.p != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
         # the witness family a I + a J +- K when the pure part sits in one eigenspace
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.scalar(k, lam):
-                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = pp.basis.conjugate(n_ad)
+                n_op = pp.basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 for t in (0, 1, 2):
                     member = a + n_op.scale(t)
                     if not operator_preserves(member, pp.comp):
@@ -858,7 +858,7 @@ def oracle_check(
         cr = report.complex_report
         # the anticommuting para-complex partner J^ in the adapted basis, and
         # J^ of U's rows: J^U _|_ U when g(J^x, y) = 0 for all of them
-        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
+        jhat = cr.basis.conjugate(F0, 1 / cr.scale, F1)
         moved = [jhat.act_int(*r) for r in cleared]
         check(
             "totally-complex-gram",
@@ -1147,8 +1147,8 @@ def pure_part_mat(ms: ModelSpace, u: Subspace, a: Operator) -> PurePartMat:
     w_f = _form_matrix(ms._omega_form, xs, skew=True)
     w_t = _form_matrix(ms._omega_form, ys, skew=True)
     omega_route = w_t == w_f.scale(scale) and w_f.det() != 0
-    partner = basis.conjugate(Mat(((F0, 1 / scale), (F1, F0))))
-    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    partner = basis.conjugate(F0, 1 / scale, F1)
+    k_hat = basis.conjugate(F1, F0, F0)
     gram_partner = image_orthogonal(ms, partner, u)
     gram_k = image_orthogonal(ms, k_hat, u)
     hermitian_full = signature(ms, u).s == 0
@@ -1356,13 +1356,12 @@ def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComp
         eigen_pres = (dir1, lift1, dir2, lift2)
         # cross-check m as the rank of the Gram pairing between eigenspaces,
         # whatever their bases (0 when one of them is empty)
-        if _form_matrix(ms._metric_form, vs1, vs2).rank() != sig.p:
+        if mat_rank(_form_matrix(ms._metric_form, vs1, vs2)) != sig.p:
             raise AssertionError("cross-eigenspace rank disagrees with signature")
         # the witness family a I + a J +- K when the pure part sits in one eigenspace
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.scalar(k, lam):
-                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = pp.basis.conjugate(n_ad)
+                n_op = pp.basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
                     raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
@@ -1430,7 +1429,7 @@ def complement_in(self: Subspace, larger: Subspace) -> Subspace:
     )
 
 
-# Formerly pqh.uft._map_graph (it stays there for the other kinds).
+# Formerly pqh.uft._map_graph.
 def map_graph(f_space: Subspace, g_space: Subspace, local: Mat) -> Subspace:
     """The graph over h1 = (1, 0) of the map T f_j = sum_i local[i][j] g_i,
     for the canonical basis rows f_j of F and g_i of G: each T f_j is one
@@ -1443,32 +1442,84 @@ def map_graph(f_space: Subspace, g_space: Subspace, local: Mat) -> Subspace:
     return Subspace._echelon(rows, 2 * f_space.ambient)
 
 
-# Formerly pqh.generate.twist_h on integer rows (it stays there for the
-# other kinds).
+# Formerly pqh.generate.twist_h, on integer rows.
 def twist_h_rows(u: Subspace, s: HBasisChange) -> Subspace:
     """Apply an SL(H) coordinate change to every vector (flag-preserving):
     one elimination of U's integer rows moved by s."""
     return Subspace._echelon([_h_act_int(s._from, V, D)[0] for V, D in u.int_basis()], u.ambient)
 
 
-# Formerly the complex, para_complex and weakly_para_complex branch of
-# pqh.generate.generate: the graph of P R P^-1 in standard coordinates,
-# then twisted.
-def generate_conjugated_graph(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
+# Formerly pqh.generate._block_rotation, _reflection and _tpc_blocks.
+def _block_rotation(k: int) -> Mat:
+    return Mat.identity(k // 2).kron(MAT_I)
+
+
+def _reflection(k: int, plus: int) -> Mat:
+    rows = [[F0] * k for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = F1 if i < plus else -F1
+    return Mat(rows)
+
+
+def _tpc_blocks(k: int) -> Mat:
+    """T with T^2 = Id, +1 eigenspace on odd slots, -1 on even slots."""
+    return Mat.identity(k // 2).kron(-MAT_K)
+
+
+# Formerly the graph kinds of pqh.generate.generate: the graph of a local
+# map in standard coordinates (for the complex kinds P R P^-1), then twisted.
+def generate_map_graph(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
     dim_e = 2 * n
     if dim is not None:
         check_dim(n, kind, dim)
-    k = dim if dim is not None else 2 * (1 + rng.below(n))
-    f_sub = g_sub = random_subspace(rng, dim_e, k)
-    p = random_invertible(rng, k)
-    if kind == "complex":
-        base = _block_rotation(k)
-    elif kind == "para_complex":
-        base = _reflection(k, k // 2)
+    if kind in ("complex", "para_complex", "weakly_para_complex"):
+        k = dim if dim is not None else 2 * (1 + rng.below(n))
+        f_sub = g_sub = random_subspace(rng, dim_e, k)
+        p = random_invertible(rng, k)
+        if kind == "complex":
+            base = _block_rotation(k)
+        elif kind == "para_complex":
+            base = _reflection(k, k // 2)
+        else:
+            plus = 1 + rng.below(k - 1) if k > 1 else 1
+            if 2 * plus == k:
+                plus = k  # force unequal eigenspace dimensions
+            base = _reflection(k, min(plus, k))
+        local = p @ base @ p.inverse()
+    elif kind in ("totally_complex", "totally_para_complex"):
+        m = dim // 2 if dim is not None else 1 + rng.below(n)
+        pairs = sorted(rng_sample_pairs(rng, n, m))
+        f_sub = g_sub = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)
+        local = _block_rotation(2 * m) if kind == "totally_complex" else _tpc_blocks(2 * m)
+    elif kind in ("real", "totally_real"):
+        k = min(dim if dim is not None else 1 + rng.below(n), n)
+        if kind == "real":
+            # F on the first k coordinates, TF inside a disjoint block
+            local = random_invertible(rng, k)
+            f_cols, g_cols = range(k), range(k, 2 * k)
+        else:
+            # E1 on odd slots, E2 on even slots, symmetric invertible pairing
+            while True:
+                b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
+                local = b + b.T
+                if local.det() != 0:
+                    break
+            f_cols, g_cols = range(0, 2 * k, 2), range(1, 2 * k, 2)
+        f_sub, g_sub = Subspace._unit_rows(f_cols, dim_e), Subspace._unit_rows(g_cols, dim_e)
     else:
-        plus = 1 + rng.below(k - 1) if k > 1 else 1
-        if 2 * plus == k:
-            plus = k  # force unequal eigenspace dimensions
-        base = _reflection(k, min(plus, k))
-    local = p @ base @ p.inverse()
+        raise ValueError(f"not a graph kind: {kind!r}")
     return twist_h_rows(map_graph(f_sub, g_sub, local), random_sl2(rng))
+
+
+# Formerly pqh.linalg.Mat.rank.
+def mat_rank(m: Mat) -> int:
+    return int_rank([_int_row(r)[0] for r in m.rows], m.ncols)
+
+
+def traceless_entries(m: Mat) -> tuple:
+    """The entries (x, y, z) of a traceless 2x2 matrix m = (x, y; z, -x), as
+    ``HBasisChange.conjugate`` takes them."""
+    (x, y), (z, w) = m.rows
+    if x + w != 0:
+        raise ValueError("operator matrix must be traceless 2x2")
+    return x, y, z

@@ -20,7 +20,7 @@ from pqh.classify import (
     oracle_check,
     stabilizer,
 )
-from pqh.generate import KINDS, generate, twist_h
+from pqh.generate import KINDS, generate
 from pqh.instances import report_to_dict
 from pqh.linalg import Mat, _int_row, frac_row, int_rank, vec_add
 from pqh.model import ModelSpace, OP_I, OP_J, OP_K, Operator, tensor
@@ -34,7 +34,7 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import graph_form, to_uft
-from reference import QuadExt, assemble, maximal_invariant_subspace, metric
+from reference import QuadExt, assemble, maximal_invariant_subspace, metric, twist_h_rows
 from reference import _form_matrix, para_complex_eigenvectors
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]
@@ -520,13 +520,13 @@ class TestRealAndTotallyReal:
             assert not all(rep.gram_routes)
 
     def test_real_core_criterion_basis_independent(self, ms2):
-        from pqh.generate import generate, twist_h
+        from pqh.generate import generate
 
         rng = Rng(66)
         for seed in range(20):
             u = generate(Rng(seed), 2, "real")
             assert is_real(graph_form(u))
-            assert is_real(graph_form(twist_h(u, random_sl2(rng))))
+            assert is_real(graph_form(twist_h_rows(u, random_sl2(rng))))
 
     def test_dim_bounds(self, ms2):
         from pqh.generate import generate
@@ -763,7 +763,7 @@ def three_ways(n, u, seed):
     ``random_sl2(Rng(9000 + seed))``, and its copy under Id_H (x) P^-1 in
     the model with omega' = P^T omega P, P dense from ``Rng(7000 + seed)``."""
     ms = ModelSpace.standard(n)
-    twisted = twist_h(u, random_sl2(Rng(9000 + seed)))
+    twisted = twist_h_rows(u, random_sl2(Rng(9000 + seed)))
     p = dense_congruence(n, Rng(7000 + seed).rationals(4 * n * n))
     return (ms, u), (ms, twisted), congruent_instance(ms, u, p)
 
@@ -788,7 +788,7 @@ class TestStructureGroupInvariance:
     def test_flags_invariant_under_twists(self):
         # unimodular H-side coordinate changes normalize the structure
         # algebra and preserve the metric, so every flag must survive
-        from pqh.generate import KINDS, generate, standard_model, twist_h
+        from pqh.generate import KINDS, generate, standard_model
 
         for seed in range(12):
             n = 1 + seed % 3
@@ -797,7 +797,7 @@ class TestStructureGroupInvariance:
             for kind in KINDS:
                 u = generate(Rng(seed * 71 + 3), n, kind)
                 rep = classify(ms, u)
-                rep2 = classify(ms, twist_h(u, random_sl2(rng)))
+                rep2 = classify(ms, twist_h_rows(u, random_sl2(rng)))
                 assert rep.flags == rep2.flags
                 assert rep.signature == rep2.signature
 

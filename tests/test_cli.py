@@ -8,9 +8,12 @@ from pathlib import Path
 import pytest
 
 import pqh
+from pqh.classify import classify
 from pqh.cli import MAX_N, main
-from pqh.generate import KINDS
+from pqh.generate import KINDS, check_dim, generate
 from pqh.linalg import Mat
+from pqh.model import ModelSpace
+from pqh.rng import Rng
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -188,6 +191,8 @@ class TestContract:
             ("gen", "--kind", "para_quaternionic", "--dim", "3"),
             ("gen", "--kind", "totally_complex", "--dim", "3"),
             ("gen", "--kind", "totally_para_complex", "--dim", "3"),
+            ("gen", "--kind", "para_complex", "--dim", "3"),
+            ("gen", "--kind", "nilpotent", "--dim", "0"),
         ],
     )
     def test_bad_dim_exit_2(self, capsys, argv):
@@ -195,6 +200,24 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_every_accepted_dim_carries_its_kind_flag(self):
+        """``gen --dim`` builds what it names: ``classify`` reports the
+        kind's flag on every (kind, dim) that ``check_dim`` accepts, at
+        n = 1-2, seed 0 (generic and decomposable have no flag)."""
+        built = 0
+        for n in (1, 2):
+            ms = ModelSpace.standard(n)
+            for kind in KINDS:
+                for dim in range(4 * n + 1):
+                    try:
+                        check_dim(n, kind, dim)
+                    except ValueError:
+                        continue
+                    flags = classify(ms, generate(Rng(0), n, kind, dim)).flags
+                    assert getattr(flags, kind, True), (n, kind, dim)
+                    built += 1
+        assert built == 88
 
     def test_gen_para_quaternionic_dim_0_is_empty(self, capsys):
         code, out, err = run_cli(
@@ -508,9 +531,8 @@ class TestGolden:
 def test_oracle_all_kinds_100_seeds():
     """Library-level version of the oracle CLI invariant: every generated
     kind passes the full cross-check for 100 seeds at n <= 3."""
-    from pqh.classify import classify, oracle_check
-    from pqh.generate import generate, standard_model
-    from pqh.rng import Rng
+    from pqh.classify import oracle_check
+    from pqh.generate import standard_model
 
     for seed in range(100):
         n = 1 + seed % 3

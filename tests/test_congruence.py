@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from test_graph_maps import bits100, entry_kinds, low_rank, small_entries
 from test_graph_spectrum import any_forms, subspaces_with_lines
 from conftest import cleared_rows
-from reference import mat_is_symmetric
+from reference import mat_is_symmetric, mat_rank
 from test_model import huge_entries
 
 from pqh.generate import KINDS, generate
@@ -184,7 +184,7 @@ def block_grams(draw):
     top = Mat.scalar(p, 0).hstack(w)
     bottom = w.T.hstack(Mat.scalar(q, 0))
     m = Mat._of(top.rows + bottom.rows, top.ncols)
-    r = w.rank()
+    r = mat_rank(w)
     return m, (r, p + q - 2 * r, r)
 
 

@@ -29,7 +29,7 @@ from pqh.classify import (
     operator_preserves,
     stabilizer,
 )
-from pqh.generate import generate, random_sl2, twist_h
+from pqh.generate import generate, random_sl2
 from pqh.linalg import Mat, _bareiss, _int_row, _lowest_terms, frac_row
 from pqh.model import HBasisChange, ModelSpace, Operator, tensor
 from pqh.rng import Rng
@@ -44,7 +44,7 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
-from reference import from_basis, restrict_omega
+from reference import from_basis, restrict_omega, twist_h_rows
 
 # -- reference copies ---------------------------------------------------------
 
@@ -204,7 +204,7 @@ def test_check_nilpotent_matches_reference_on_generated_instances():
             ms = ModelSpace.standard(n)
             for seed in range(6):
                 u = generate(Rng(seed), n, kind)
-                for v in (u, twist_h(u, random_sl2(Rng(1000 + seed)))):
+                for v in (u, twist_h_rows(u, random_sl2(Rng(1000 + seed)))):
                     pair = nilpotent_report_pair(ms, v)
                     if pair is not None:
                         assert_same_report(*pair)
@@ -219,7 +219,7 @@ def test_check_nilpotent_matches_reference_when_e2prime_skips_a_row():
     z = [0] * 4
     u = Subspace.span([e[0] + z, z + e[0], e[1] + z, e[2] + e[1]], 8)
     ms = ModelSpace.standard(2)
-    for v in (u, twist_h(u, random_sl2(Rng(3)))):
+    for v in (u, twist_h_rows(u, random_sl2(Rng(3)))):
         got, ref = nilpotent_report_pair(ms, v)
         assert_same_report(got, ref)
         assert (got.pq_part.dim, got.real_part.dim) == (2, 1)
@@ -237,7 +237,7 @@ def big_nilpotent_instances(draw):
     assume(p.det() != 0)
     v = Subspace(u.mat @ Mat.identity(2).kron(p))
     if draw(st.booleans()):
-        v = twist_h(v, draw(h_basis_changes()))
+        v = twist_h_rows(v, draw(h_basis_changes()))
     return ModelSpace.standard(n), v
 
 

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import graph_rows, t_is_injective
+from reference import graph_rows, t_is_injective, twist_h_rows
 from test_graph_maps import bits100, dense, entry_kinds, graph_forms, small_entries, subspaces_of
 from test_kernel_in import split_instances
 from test_rank_certificates import model_subspaces
 
-from pqh.generate import random_sl2, twist_h
+from pqh.generate import random_sl2
 from pqh.linalg import F0, F1, Mat, _int_row, frac_row
 from pqh.model import HBasisChange
 from pqh.rng import Rng
@@ -191,7 +191,8 @@ def test_form2_of_a_graph_without_rational_eigenvalues_builds_no_span(monkeypatc
     # decomposable vector, so form 2 has no pieces and its residue is U
     n = 2
     t_map = _no_rational_eigenvalue_map(2 * n)
-    u = twist_h(UFTForm(HBasisChange.identity(), Subspace.full(2 * n), t_map).span(), random_sl2(Rng(5)))
+    graph = UFTForm(HBasisChange.identity(), Subspace.full(2 * n), t_map).span()
+    u = twist_h_rows(graph, random_sl2(Rng(5)))
     calls = []
     span = UFTForm.span
 

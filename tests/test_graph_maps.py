@@ -17,12 +17,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
-from reference import from_basis, operator_from_mat2
+from reference import from_basis, operator_from_mat2, traceless_entries, twist_h_rows
 from reference import invariant_core as f_cap_tf_invariant_core
 from test_model import h_basis_changes
 
 from pqh.classify import operator_in_basis
-from pqh.generate import KINDS, generate, twist_h
+from pqh.generate import KINDS, generate
 from pqh.linalg import F0, Mat, _int_row, frac_row
 from pqh.model import MAT_I, MAT_J, MAT_K, HBasisChange, Operator
 from pqh.rng import Rng
@@ -247,7 +247,7 @@ def test_to_basis_and_from_basis_match_block_products(data):
     ref1, ref2 = ref_p1p2(u, s)
     assert p1(Subspace.span(comps, 2 * half)) == ref1
     assert p1(Subspace.span(swapped, 2 * half)) == ref2
-    assert twist_h(u, s) == Subspace(u.mat @ _blocks(s.mat, half))
+    assert twist_h_rows(u, s) == Subspace(u.mat @ _blocks(s.mat, half))
 
 
 def test_to_basis_accepts_int_rows():
@@ -268,6 +268,7 @@ def test_conjugate_matches_inverse_by_elimination(data):
     entries = data.draw(entry_kinds)
     a, b, c = (data.draw(entries) for _ in range(3))
     m = Mat(((a, b), (c, -a)))
-    assert s.conjugate(m) == ref_conjugate(s, m)
-    assert all(s.conjugate(x) == ref_conjugate(s, x) for x in (MAT_I, MAT_J, MAT_K))
+    assert s.conjugate(*traceless_entries(m)) == ref_conjugate(s, m)
+    for x in (MAT_I, MAT_J, MAT_K):
+        assert s.conjugate(*traceless_entries(x)) == ref_conjugate(s, x)
     assert operator_in_basis(s, a, b, c) == ref_conjugate(s, Operator(a, b, c).mat2())

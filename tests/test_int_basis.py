@@ -19,10 +19,10 @@ from conftest import congruent_instance, dense_congruence, hand_built_instance, 
 from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
-from reference import mat_is_zero
+from reference import mat_is_zero, twist_h_rows
 
 from pqh.classify import classify, oracle_check
-from pqh.generate import KINDS, generate, random_sl2, twist_h
+from pqh.generate import KINDS, generate, random_sl2
 from pqh.linalg import F0, F1, P30, Mat, _int_row, int_kernel, int_rref
 from pqh.model import OMEGA_H, HBasisChange, ModelSpace
 from pqh.rng import Rng
@@ -461,7 +461,7 @@ def large_model_subspaces(draw):
 @given(large_model_subspaces(), st.integers(0, 999))
 def test_maximal_pq_of_large_subspaces_matches_reference(u, seed):
     assume(u.dim > u.ambient // 2)
-    for v in (u, twist_h(u, random_sl2(Rng(seed)))):
+    for v in (u, twist_h_rows(u, random_sl2(Rng(seed)))):
         assert maximal_pq(v) == ref_maximal_pq(v)
 
 
@@ -504,7 +504,7 @@ def test_maximal_pq_where_the_certificate_cannot_apply():
     for dim in (10, 11):
         for seed in range(3):
             u = generate(Rng(seed), 3, "generic", dim)
-            twisted = twist_h(u, random_sl2(Rng(9000 + seed)))
+            twisted = twist_h_rows(u, random_sl2(Rng(9000 + seed)))
             p = dense_congruence(3, Rng(7000 + seed).rationals(36))
             _ms, moved = congruent_instance(ModelSpace.standard(3), u, p)
             for v in (u, twisted, moved):

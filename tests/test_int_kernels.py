@@ -71,6 +71,7 @@ from pqh.subspace import (
 from pqh.uft import decompose_form1, decompose_form2
 from reference import mat_is_zero, maximal_invariant_subspace, metric, sqrt_of, vec_is_zero
 from reference import oracle_check as ref_oracle
+from reference import traceless_entries
 
 # -- reference copies ---------------------------------------------------------
 
@@ -112,7 +113,7 @@ def ref_hermitian_product(ms, x, y, basis=None):
     if basis is None:
         i, j, k = OP_I, OP_J, OP_K
     else:
-        i, j, k = (basis.conjugate(m) for m in (MAT_I, MAT_J, MAT_K))
+        i, j, k = (basis.conjugate(*traceless_entries(m)) for m in (MAT_I, MAT_J, MAT_K))
     return ParaQuaternion(
         metric(ms, x, y),
         metric(ms, x, ref_apply(i, y)),
@@ -236,7 +237,7 @@ def ref_oracle_check(ms, report, u, seed=0, samples=25):
             )
     if report.complex_report and not report.flags.para_quaternionic:
         cr = report.complex_report
-        jhat = cr.basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0))))
+        jhat = cr.basis.conjugate(F0, 1 / cr.scale, F1)
         check(
             "totally-complex-gram",
             report.flags.totally_complex
@@ -766,7 +767,7 @@ def test_the_decompose_graph_request_runs_no_matrix_power(products, monkeypatch)
 def test_int_rank_matches_rref(nrows, ncols, data):
     a = data.draw(matrices(nrows, ncols, huge_entries | small_entries))
     rows = [_int_row(r)[0] for r in a.rows]
-    assert int_rank(rows, ncols) == a.rref()[0].nrows == a.rank()
+    assert int_rank(rows, ncols) == a.rref()[0].nrows
 
 
 # -- the oracle --------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Graphs are built from integer rows, with no ``Mat`` product of basis rows.
 
-``generate``'s totally complex and real kinds and form 2's E0 part build
-the graph of a local map with ``uft._map_graph`` (each T f_j one
-``combine_int``), the complex kinds build it in F's coordinates,
-``generate.twist_h`` moves U's integer rows by s, ``_eigenfree_inside``
-sums integer rows, and ``check_nilpotent``'s real part is the
-``_graph_row`` rows h1' (x) T~e + h2' (x) e.  The ``reference`` copies are
-the code before, which built T as F^T t by a ``Mat`` product, or spanned
+Every graph kind of ``generate``, twisted by s in SL(H), and form 2's E0
+part are one ``uft.graph_in``: the graph of T on a subspace S of E, given
+as plain-int rows over S's canonical basis, eliminated in S's
+coordinates.  ``_eigenfree_inside`` sums integer rows, and
+``check_nilpotent``'s real part is the ``_graph_row`` rows
+h1' (x) T~e + h2' (x) e.  The ``reference`` copies are ``Mat`` products
+of the rows with S's basis, then a ``Fraction`` twist, or the code
+before, which built T as F^T t by a ``Mat`` product, or spanned
 ``Fraction`` rows; the canonical subspaces must be equal:
 
 - ``generate`` on every kind at n = 1-4, seeds 0-7;
@@ -24,7 +25,7 @@ import reference as ref
 from conftest import random_sl2
 
 from pqh.classify import check_nilpotent, classify
-from pqh.generate import KINDS, generate, random_invertible, random_subspace, twist_h
+from pqh.generate import KINDS, generate, random_invertible, random_subspace
 from pqh.instances import load_instance
 from pqh.linalg import Mat
 from pqh.model import ModelSpace
@@ -37,57 +38,43 @@ UFT = import_module("pqh.uft")
 DATA = Path(__file__).parent / "data"
 
 
-def spy_map_graph(monkeypatch, module, seen):
-    """Wrap ``_map_graph`` as ``module`` reads it: every graph must equal
-    the reference built from T = G^T t, and F and G must be canonical."""
-    real = UFT._map_graph
+def spy_graph_in(monkeypatch, module, seen):
+    """Wrap ``graph_in`` as ``module`` reads it: S must be canonical, each
+    row plain ints of length 2 dim S, and the graph must equal the span of
+    the vectors (x B | y B) for S's basis B, by ``Mat`` products, twisted
+    by s through ``Fraction`` rows."""
+    real = UFT.graph_in
 
-    def spy(f_space, g_space, local):
-        got = real(f_space, g_space, local)
-        assert f_space == Subspace(f_space.mat) and g_space == Subspace(g_space.mat)
-        assert got == ref.generate_graph(f_space, g_space.mat.T @ local)
-        seen.append((f_space, g_space, got))
+    def spy(space, rows, s):
+        got = real(space, rows, s)
+        k, basis = space.dim, space.mat
+        assert space == Subspace(space.mat)
+        assert all(len(r) == 2 * k and all(type(x) is int for x in r) for r in rows)
+        xs, ys = (Mat([r[a : a + k] for r in rows], ncols=k) @ basis for a in (0, k))
+        graph = Subspace.span([x + y for x, y in zip(xs.rows, ys.rows)], 2 * space.ambient)
+        assert got == ref.twist_h(graph, s)
+        seen.append((space, got))
         return got
 
-    monkeypatch.setattr(module, "_map_graph", spy)
+    monkeypatch.setattr(module, "graph_in", spy)
 
 
 def test_generate_graphs_and_twists_match_the_mat_reference(monkeypatch):
-    graphs, twists, conjugated = [], [], []
-    spy_map_graph(monkeypatch, GENERATE, graphs)
-    real_twist = GENERATE.twist_h
-    real_conjugated = GENERATE._conjugated_graph
-
-    def spy_twist(u, s):
-        got = real_twist(u, s)
-        assert got == ref.twist_h(u, s)
-        twists.append(got)
-        return got
-
-    def spy_conjugated(f_sub, p, pr, s):
-        # the twisted graph of the local map P R P^-1, built as before
-        got = real_conjugated(f_sub, p, pr, s)
-        graph = ref.generate_graph(f_sub, f_sub.mat.T @ (pr @ p.inverse()))
-        assert got == ref.twist_h(graph, s)
-        conjugated.append(got)
-        return got
-
-    monkeypatch.setattr(GENERATE, "twist_h", spy_twist)
-    monkeypatch.setattr(GENERATE, "_conjugated_graph", spy_conjugated)
+    graphs = []
+    spy_graph_in(monkeypatch, GENERATE, graphs)
     for kind in KINDS:
         for n in range(1, 5):
             for seed in range(8):
                 generate(Rng(seed), n, kind)
-    # four graph kinds built by _map_graph and twisted once per instance,
-    # and three built and twisted in F's coordinates
-    assert len(graphs) == len(twists) == 4 * 4 * 8
-    assert len(conjugated) == 3 * 4 * 8
-    assert any(f != g for f, g, _ in graphs)
+    # the seven graph kinds, each built and twisted by one call
+    assert len(graphs) == 7 * 4 * 8
+    assert any(space != Subspace._unit_rows(space.pivots, space.ambient) for space, _ in graphs)
+    assert any(got.dim < got.ambient // 2 for _, got in graphs)
 
 
 def test_generate_multiplies_no_basis_rows(monkeypatch):
-    """Only P R of the complex kinds is a ``Mat`` product; the totally and
-    real kinds run none."""
+    """No graph kind runs a ``Mat`` product: P R of the complex kinds is a
+    signed permutation of P's columns."""
     calls = []
     matmul = Mat.__matmul__
 
@@ -100,8 +87,7 @@ def test_generate_multiplies_no_basis_rows(monkeypatch):
         for seed in range(4):
             calls.clear()
             generate(Rng(seed), 3, kind)
-            expected = 1 if kind in ("complex", "para_complex", "weakly_para_complex") else 0
-            assert len(calls) == expected, kind
+            assert len(calls) == 0, kind
 
 
 def with_u0_instances():
@@ -121,7 +107,7 @@ def with_u0_instances():
 
 def test_form2_e0_graph_matches_the_mat_reference(monkeypatch):
     graphs = []
-    spy_map_graph(monkeypatch, UFT, graphs)
+    spy_graph_in(monkeypatch, UFT, graphs)
     e0_dims = set()
     for u in with_u0_instances():
         u0, e0, _ = pq_split(u)
@@ -129,8 +115,8 @@ def test_form2_e0_graph_matches_the_mat_reference(monkeypatch):
         graphs.clear()
         decompose_form2(u)
         if e0.dim > 1:
-            ((f_space, g_space, got),) = graphs
-            assert f_space == g_space == e0 and got == ref.form2_e0_graph(e0)
+            ((space, got),) = graphs
+            assert space == e0 and got == ref.form2_e0_graph(e0)
         else:
             assert graphs == []
         e0_dims.add(e0.dim)
@@ -170,7 +156,7 @@ def test_nilpotent_real_part_matches_the_from_basis_reference():
         ms = ModelSpace.standard(n)
         for seed in range(8):
             u = generate(Rng(seed), n, "nilpotent")
-            for v in (u, twist_h(u, random_sl2(Rng(300 + seed)))):
+            for v in (u, ref.twist_h_rows(u, random_sl2(Rng(300 + seed)))):
                 a = classify(ms, v).witnesses.nilpotent
                 if a is None:
                     continue

@@ -24,17 +24,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import cleared_rows, hand_built_instance
 from reference import check_complex_mat, conjugate, is_para_quaternionic_mat, pure_part_mat
-from reference import pure_part_t_f
+from reference import pure_part_t_f, traceless_entries, twist_h_rows
 from reference import symmetric_signature as ref_signature
 from test_congruence import block_grams, congruent_diagonals, huge_symmetric, rank_deficient
 from test_congruence import zero_diagonals
 from test_graph_maps import h_basis_changes
 
 from pqh.classify import _pure_part, check_complex, classify, is_para_quaternionic
-from pqh.classify import kind_witnesses, stabilizer
-from pqh.generate import KINDS, generate, random_sl2, twist_h
+from pqh.classify import kind_witnesses, oracle_check, stabilizer
+from pqh.generate import KINDS, generate, random_sl2
 from pqh.linalg import Mat, symmetric_signature
-from pqh.model import MAT_I, MAT_J, MAT_K, ModelSpace
+from pqh.model import MAT_I, MAT_J, MAT_K, ModelSpace, Operator
 from pqh.rng import Rng
 
 CLASSIFY = import_module("pqh.classify")
@@ -139,10 +139,29 @@ def test_non_symmetric_input_raises(n, data):
 @given(h_basis_changes(), st.fractions(-50, 50, max_denominator=30), st.data())
 def test_conjugate_matches_the_mat_product(s, x, data):
     y, z = (data.draw(st.fractions(-50, 50, max_denominator=30)) for _ in range(2))
-    for m in (Mat(((x, y), (z, -x))), MAT_I, MAT_J, MAT_K):
-        assert s.conjugate(m) == conjugate(s, m)
-    with pytest.raises(ValueError):
-        s.conjugate(Mat(((x + 1, y), (z, -x))))
+    # m = (x, y; z, -x) is traceless by construction
+    assert s.conjugate(x, y, z) == conjugate(s, Mat(((x, y), (z, -x))))
+    for m in (MAT_I, MAT_J, MAT_K):
+        assert s.conjugate(*traceless_entries(m)) == conjugate(s, m)
+
+
+@pytest.mark.parametrize("entry", range(4))
+def test_witness_square_identity_reads_the_four_entries(entry):
+    # a witness whose stored matrix is off by one in one entry: the oracle's
+    # finding on the four entries agrees with the Mat square against -q Id
+    ms, u = ModelSpace.standard(1), _totally_complex(1)
+    report = classify(ms, u)
+    wit = report.witnesses.complex
+    forged = Operator(wit.alpha, wit.beta, wit.gamma)
+    m = list(wit._m)
+    m[entry] += 1
+    object.__setattr__(forged, "_m", tuple(m))
+    witnesses = report.witnesses._replace(complex=forged)
+    found = {f.name: f.ok for f in oracle_check(ms, report._replace(witnesses=witnesses), u)}
+    amat = Mat((m[:2], m[2:]))
+    assert found["complex-witness-square-identity"] == (amat @ amat == Mat.scalar(2, -wit.q()))
+    assert found["complex-witness-square-identity"] is False
+    assert {f.name: f.ok for f in oracle_check(ms, report, u)}["complex-witness-square-identity"]
 
 
 # -- the identities of the pure part, the Kaehler routes and the block Gram ----------
@@ -174,7 +193,7 @@ def test_identities_match_the_fraction_copies_on_generated_kinds(kind):
         for seed in range(8):
             u = generate(Rng(seed), n, kind)
             passes += _same_pass(ms, u)
-            passes += _same_pass(ms, twist_h(u, random_sl2(Rng(300 + seed))))
+            passes += _same_pass(ms, twist_h_rows(u, random_sl2(Rng(300 + seed))))
     witnessed = {"complex", "totally_complex", "para_complex", "weakly_para_complex", "totally_para_complex"}
     assert passes or kind not in witnessed
 

@@ -24,6 +24,7 @@ import pytest
 from conftest import congruent_instance, dense_congruence, hand_built_instance
 from reference import check_para_complex_mat, check_totally_real_mat, kind_witnesses_mat
 from reference import oracle_check as ref_oracle_check
+from reference import twist_h_rows
 from reference import signature_mat
 from test_elimination_door import assert_same_report, ref_check_nilpotent
 
@@ -35,7 +36,7 @@ from pqh.classify import (
     kind_witnesses,
     oracle_check,
 )
-from pqh.generate import KINDS, generate, random_sl2, twist_h
+from pqh.generate import KINDS, generate, random_sl2
 from pqh.linalg import Mat
 from pqh.model import ModelSpace
 from pqh.rng import Rng
@@ -86,7 +87,7 @@ def _instances(kind: str):
         for seed in range(8):
             u = generate(Rng(seed), n, kind)
             yield ms, u, seed
-            yield ms, twist_h(u, random_sl2(Rng(300 + seed))), seed
+            yield ms, twist_h_rows(u, random_sl2(Rng(300 + seed))), seed
             p = dense_congruence(n, Rng(1000 + seed).rationals(4 * n * n))
             yield (*congruent_instance(ms, u, p), seed)
 
@@ -134,7 +135,7 @@ def test_signature_builds_no_mat(monkeypatch):
             p = dense_congruence(n, Rng(2000 + n).rationals(4 * n * n))
             cases += [(ms, u), congruent_instance(ms, u, p)]
     # fresh instances, so that the memo is empty when the spy is on
-    cases = [(ms, twist_h(u, random_sl2(Rng(7)))) for ms, u in cases]
+    cases = [(ms, twist_h_rows(u, random_sl2(Rng(7)))) for ms, u in cases]
     expected = [signature_mat(ms, u) for ms, u in cases]
     built = []
     init, of = Mat.__init__, Mat._of.__func__

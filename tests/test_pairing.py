@@ -31,6 +31,7 @@ from reference import (
     induced_g_f as ref_induced_g_f,
     kaehler_ambient,
     mat_is_zero,
+    mat_rank,
     pairing_rows,
     pure_part_w_t,
     totally_real_c,
@@ -145,7 +146,7 @@ def test_orthogonality_and_omega_kernel_match_the_fraction_products(data):
     assert e_b.contains(kernel)
     assert mat_is_zero(product(e_a.basis, ms.omega, kernel.basis, ms.dim_e))
     if e_a.dim:
-        assert kernel.dim == e_b.dim - product(e_a.basis, ms.omega, e_b.basis, ms.dim_e).rank()
+        assert kernel.dim == e_b.dim - mat_rank(product(e_a.basis, ms.omega, e_b.basis, ms.dim_e))
 
 
 # -- the rewritten sites ----------------------------------------------------------

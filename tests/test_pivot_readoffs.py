@@ -30,12 +30,13 @@ from reference import (
     stabilizer as ref_stabilizer,
     to_uft as ref_to_uft,
 )
+from reference import twist_h_rows
 from test_model import h_basis_changes
 
 import pqh.subspace
 import pqh.uft
 from pqh.classify import stabilizer
-from pqh.generate import KINDS, generate, random_sl2, twist_h
+from pqh.generate import KINDS, generate, random_sl2
 from pqh.linalg import frac_row
 from pqh.model import HBasisChange, ModelSpace, Operator
 from pqh.rng import Rng
@@ -112,7 +113,7 @@ def test_generated_kinds_twists_and_congruent_copies(kind):
         std = ModelSpace.standard(n)
         for seed in range(6):
             u = generate(Rng(seed), n, kind)
-            twisted = twist_h(u, random_sl2(Rng(9000 + seed)))
+            twisted = twist_h_rows(u, random_sl2(Rng(9000 + seed)))
             p = dense_congruence(n, Rng(7000 + seed).rationals(4 * n * n))
             _ms, moved = congruent_instance(std, u, p)
             for v in (u, twisted, moved):
@@ -124,7 +125,7 @@ def test_hand_built_family():
         _n, u = hand_built_instance(seed)
         assert 0 < maximal_pq(u).dim < u.dim
         assert_readoffs_match(u)
-        assert_readoffs_match(twist_h(u, random_sl2(Rng(9000 + seed))))
+        assert_readoffs_match(twist_h_rows(u, random_sl2(Rng(9000 + seed))))
 
 
 # -- random subspaces, with and without rows in h2 (x) E --------------------------------
@@ -258,7 +259,7 @@ def sweep_cases():
         us += [generate(Rng(seed), n, "generic", dim) for dim in range(2 * n + 1, 4 * n) for seed in range(3)]
         for seed, u in enumerate(us):
             yield u
-            yield twist_h(u, random_sl2(Rng(9000 + seed)))
+            yield twist_h_rows(u, random_sl2(Rng(9000 + seed)))
     for seed in range(1000, 1200):
         yield hand_built_instance(seed)[1]
 

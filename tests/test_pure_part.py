@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import cleared_rows
-from reference import assemble, graph_basis, graph_rows, induced_g_f, mat_trace, pure_form, restrict_omega
+from reference import assemble, graph_basis, graph_rows, induced_g_f, mat_rank, mat_trace, pure_form
+from reference import restrict_omega
 from test_pure_complement import ref_invariant_pure_complement
 
 from pqh.classify import (
@@ -95,8 +96,8 @@ def ref_check_complex(ms, u, a):
     omega_pres = (
         restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(mu)
     )
-    j_hat = basis.conjugate(Mat(((F0, qa / (d_val * d_val)), (F1, F0))))
-    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    j_hat = basis.conjugate(F0, qa / (d_val * d_val), F1)
+    k_hat = basis.conjugate(F1, F0, F0)
     gram_j = is_orthogonal(ms, image(j_hat, u), u)
     gram_k = is_orthogonal(ms, image(k_hat, u), u)
     hermitian_full = signature(ms, u).s == 0
@@ -186,14 +187,13 @@ def ref_check_para_complex(ms, u, a):
         eigen_pres = (dir1, lift1, dir2, lift2)
         if lift1.dim and lift2.dim:
             vs1, vs2 = Subspace(graph_rows(form, lift1)).mat, Subspace(graph_rows(form, lift2)).mat
-            if (vs1 @ OMEGA_H.kron(ms.omega) @ vs2.T).rank() != m_value:
+            if mat_rank(vs1 @ OMEGA_H.kron(ms.omega) @ vs2.T) != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.identity(k).scale(lam):
-                n_ad = Mat(((F1, qa * lam / (d_val * d_val)), (lam, -F1)))
-                n_op = basis.conjugate(n_ad)
+                n_op = basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 for t in (0, 1, 2):
                     member = a + n_op.scale(t)
                     if not operator_preserves(member, comp):
@@ -206,8 +206,8 @@ def ref_check_para_complex(ms, u, a):
     omega_skew = (
         restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(-nu)
     )
-    i_hat = basis.conjugate(Mat(((F0, qa / (d_val * d_val)), (F1, F0))))
-    k_hat = basis.conjugate(Mat(((F1, F0), (F0, -F1))))
+    i_hat = basis.conjugate(F0, qa / (d_val * d_val), F1)
+    k_hat = basis.conjugate(F1, F0, F0)
     gram_i = is_orthogonal(ms, image(i_hat, u), u)
     gram_k = is_orthogonal(ms, image(k_hat, u), u)
     hermitian_full = signature(ms, u).s == 0

@@ -79,7 +79,7 @@ def ref_t_image(form):
 
 
 def ref_t_is_injective(form):
-    return form.t_map.rank() == form.dim
+    return int_rank([_int_row(c)[0] for c in form.t_map.cols], form.dim_e) == form.dim
 
 
 def ref_invariant_core(form):

@@ -14,10 +14,11 @@ on the pairs with one basis row only.
 
 from importlib import import_module
 
+
 from pqh.classify import ComplexReport, _pure_part, adapted_basis, classify, is_real
 from pqh.classify import kind_witnesses, oracle_check, stabilizer
-from pqh.generate import KINDS, generate, random_sl2, random_subspace, twist_h
-from pqh.linalg import F0, F1, Mat
+from pqh.generate import KINDS, generate, random_sl2, random_subspace
+from pqh.linalg import F0, F1
 from pqh.model import OP_I, OP_J, ModelSpace
 from pqh.rng import Rng
 from pqh.subspace import Subspace, maximal_pq
@@ -33,6 +34,7 @@ from pqh.uft import (
 )
 from conftest import hand_built_instance, pure_part_coordinates
 from reference import is_real as ref_is_real
+from reference import twist_h_rows
 from reference import pure_part_t_f
 
 # the modules, not the functions ``pqh`` exports under the same names
@@ -59,7 +61,7 @@ def test_real_test_matches_the_memoized_predicate_on_generated_kinds():
     real = 0
     for n, u in generated():
         assert_same_real(u)
-        assert_same_real(twist_h(u, random_sl2(Rng(100 + n))))
+        assert_same_real(twist_h_rows(u, random_sl2(Rng(100 + n))))
         real += is_real(graph_form(u))
     assert real
 
@@ -185,7 +187,7 @@ def test_totally_complex_gram_sees_a_failure_on_one_row():
     assert rep.flags.hermitian and rep.u0.is_zero() and not rep.flags.para_quaternionic
     basis, d = adapted_basis(OP_I)
     cr = ComplexReport(d * d / OP_I.q(), basis, u, True, rep.signature, True, True, True)
-    assert basis.conjugate(Mat(((F0, 1 / cr.scale), (F1, F0)))) == OP_J
+    assert basis.conjugate(F0, 1 / cr.scale, F1) == OP_J
     for claim in (False, True):
         forged = rep._replace(flags=rep.flags._replace(totally_complex=claim), complex_report=cr)
         findings = {f.name: f for f in oracle_check(ms, forged, u)}

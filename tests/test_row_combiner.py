@@ -19,6 +19,7 @@ from itertools import product
 
 from conftest import congruent_instance, dense_congruence, hand_built_instance, random_sl2
 from reference import Stabilizer as RefStabilizer
+from reference import twist_h_rows
 from reference import _form_matrix
 from reference import _split_along as ref_split_along
 from reference import kind_witnesses as ref_kind_witnesses
@@ -33,7 +34,7 @@ from pqh.classify import (
     kind_witnesses,
     stabilizer,
 )
-from pqh.generate import KINDS, generate, random_invertible, twist_h
+from pqh.generate import KINDS, generate, random_invertible
 from pqh.linalg import Mat
 from pqh.model import HBasisChange, ModelSpace
 from pqh.rng import Rng
@@ -48,7 +49,7 @@ def variants(n, u, seed):
     dense-omega^E congruent model."""
     ms = ModelSpace.standard(n)
     yield ms, u
-    yield ms, twist_h(u, random_sl2(Rng(9000 + seed)))
+    yield ms, twist_h_rows(u, random_sl2(Rng(9000 + seed)))
     yield congruent_instance(ms, u, dense_congruence(n, Rng(7000 + seed).rationals(4 * n * n)))
 
 

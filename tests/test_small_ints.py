@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import dense_congruence, hand_built_instance
 from reference import oracle_check as ref_oracle
+from reference import twist_h_rows
 from reference import reduce_int_loop
 
 from pqh.classify import (
@@ -29,7 +30,7 @@ from pqh.classify import (
     is_real,
     oracle_check,
 )
-from pqh.generate import KINDS, generate, random_sl2, random_sl2_draws, twist_h
+from pqh.generate import KINDS, generate, random_sl2, random_sl2_draws
 from pqh.linalg import Mat, _int_row, frac_row
 from pqh.model import OP_I, OP_J, OP_K, ModelSpace, _h_act_int
 from pqh.rng import Rng
@@ -181,7 +182,7 @@ def shortcut_cases():
             for seed in range(3):
                 u = generate(Rng(seed), n, kind)
                 yield n, u
-                yield n, twist_h(u, random_sl2(Rng(9000 + seed)))
+                yield n, twist_h_rows(u, random_sl2(Rng(9000 + seed)))
 
 
 @pytest.mark.parametrize("family", ["kinds", "hand_built"])

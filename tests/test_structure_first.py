@@ -6,8 +6,8 @@ they replaced.
   proves them independent; only a shortfall spans the parts.
 - ``Subspace.complement_in`` reads the rows it drops off one elimination
   of self's rows in larger's coordinates, with the columns reversed.
-- ``generate`` builds and twists the complex, para-complex and weakly
-  para-complex graphs in F's coordinates.
+- ``generate`` builds and twists every graph kind in the coordinates of
+  a subspace S of E, by one ``uft.graph_in``.
 - ``UFTForm.span`` over the standard basis of H reads the graph rows as
   the canonical basis.
 - ``linalg._krylov_charpoly`` lifts balanced digits until the residual is
@@ -21,16 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import complement_in as ref_complement_in
-from reference import direct_sum_is_by_span, generate_conjugated_graph
-from test_rank_certificates import big, int_rows
+from reference import twist_h_rows
+from reference import direct_sum_is_by_span, generate_map_graph, map_graph
+from reference import twist_h as ref_twist_h
+from test_model import h_basis_changes
+from test_rank_certificates import big, int_rows, small
 
 import pqh.linalg
 import pqh.subspace
-from pqh.generate import KINDS, generate, random_sl2, twist_h
-from pqh.linalg import M127, _faddeev_charpoly, _krylov_charpoly
+from pqh.generate import KINDS, check_dim, generate, random_sl2
+from pqh.linalg import M127, Mat, _faddeev_charpoly, _krylov_charpoly
 from pqh.rng import Rng
 from pqh.subspace import Subspace, direct_sum_is, span_of
-from pqh.uft import UFTForm, graph_form, injectivize
+from pqh.uft import UFTForm, graph_form, graph_in, injectivize
 
 SETTINGS = settings(max_examples=60, deadline=None)
 bits500 = st.integers(-(1 << 500), 1 << 500)
@@ -167,28 +170,95 @@ def test_complement_in_refuses_a_subspace_outside():
 
 # -- generate ------------------------------------------------------------------
 
-CONJUGATED = ("complex", "para_complex", "weakly_para_complex")
+GRAPH_KINDS = (
+    "complex",
+    "para_complex",
+    "weakly_para_complex",
+    "totally_complex",
+    "totally_para_complex",
+    "real",
+    "totally_real",
+)
 
 
-@pytest.mark.parametrize("kind", CONJUGATED)
+def accepted_dims(n, kind):
+    dims = []
+    for dim in range(4 * n + 1):
+        try:
+            check_dim(n, kind, dim)
+        except ValueError:
+            continue
+        dims.append(dim)
+    return dims
+
+
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
 @pytest.mark.parametrize("n", range(1, 7))
 def test_generate_matches_the_map_graph_then_twist_route(kind, n):
     for seed in range(16):
-        assert same(generate(Rng(seed), n, kind), generate_conjugated_graph(Rng(seed), n, kind))
-    dims = (2 * n,) if kind == "complex" else (1, 2 * n)
-    for dim in dims:
+        assert same(generate(Rng(seed), n, kind), generate_map_graph(Rng(seed), n, kind))
+    dims = accepted_dims(n, kind)
+    for dim in (dims[0], dims[-1]):
         for seed in range(4):
             new = generate(Rng(seed), n, kind, dim)
-            assert new.dim == dim
-            assert same(new, generate_conjugated_graph(Rng(seed), n, kind, dim))
+            # the (totally) real kinds clip dim to n
+            assert new.dim == (min(dim, n) if "real" in kind else dim)
+            assert same(new, generate_map_graph(Rng(seed), n, kind, dim))
 
 
-@pytest.mark.parametrize("kind", CONJUGATED)
+@pytest.mark.parametrize("kind", GRAPH_KINDS)
 def test_generate_leaves_the_stream_where_it_was(kind):
     rng, ref = Rng(9), Rng(9)
     generate(rng, 3, kind)
-    generate_conjugated_graph(ref, 3, kind)
+    generate_map_graph(ref, 3, kind)
     assert rng.below(1 << 60) == ref.below(1 << 60)
+
+
+# -- graph_in -----------------------------------------------------------------
+
+
+@st.composite
+def graph_spaces(draw):
+    """A subspace S of E: zero, the whole of E, unit rows, or the span of
+    dense, rank-deficient or 100-bit integer rows."""
+    dim_e = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(("zero", "full", "unit", "dense")))
+    if shape == "zero":
+        return Subspace.zero(dim_e)
+    if shape == "full":
+        return Subspace.full(dim_e)
+    if shape == "unit":
+        return Subspace._unit_rows(sorted(draw(st.sets(st.integers(0, dim_e - 1)))), dim_e)
+    nrows = draw(st.integers(1, dim_e))
+    rows = draw(int_rows(nrows, dim_e, draw(st.sampled_from((small, big)))))
+    return Subspace._echelon(rows, dim_e)
+
+
+@SETTINGS
+@given(graph_spaces(), h_basis_changes(), st.data())
+def test_graph_in_matches_the_map_graph_then_twist_route(space, s, data):
+    # T on S's basis rows b_j is column j of local, so row j is (e_j | local e_j)
+    k = space.dim
+    entries = data.draw(st.sampled_from((small, big)))
+    local = [data.draw(st.lists(entries, min_size=k, max_size=k)) for _ in range(k)]
+    rows = [[int(i == j) for i in range(k)] + list(c) for j, c in enumerate(zip(*local))]
+    got = graph_in(space, rows, s)
+    assert same(got, twist_h_rows(map_graph(space, space, Mat(local, ncols=k)), s))
+    assert got.dim == k
+
+
+@SETTINGS
+@given(graph_spaces(), h_basis_changes(), st.data())
+def test_graph_in_spans_any_rows_over_the_basis(space, s, data):
+    # rows of any count, dependent ones included, against Fraction rows
+    # (x B | y B) for S's basis B, twisted by s
+    k = space.dim
+    m = data.draw(st.integers(0, 2 * k + 1))
+    rows = data.draw(int_rows(m, 2 * k, data.draw(st.sampled_from((small, big)))))
+    xs, ys = (Mat([r[a : a + k] for r in rows], ncols=k) @ space.mat for a in (0, k))
+    vectors = [x + y for x, y in zip(xs.rows, ys.rows)]
+    expected = ref_twist_h(Subspace.span(vectors, 2 * space.ambient), s)
+    assert same(graph_in(space, rows, s), expected)
 
 
 # -- UFTForm.span --------------------------------------------------------------
@@ -216,7 +286,7 @@ def test_span_reads_off_or_eliminates_as_the_graph_rows_give(n):
                 assert same(f.span(), echelon_span(f))
             assert same(form.span(), u)
             if form.h_basis.mat.rows == ((1, 0), (0, 1)):
-                assert same(twisted.span(), twist_h(u, s))
+                assert same(twisted.span(), twist_h_rows(u, s))
     assert routes["read"] and routes["eliminate"]
 
 

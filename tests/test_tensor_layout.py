@@ -17,13 +17,7 @@ from pqh.classify import (
     is_para_quaternionic,
     is_real,
 )
-from pqh.generate import (
-    _block_rotation,
-    _tpc_blocks,
-    generate,
-    random_invertible,
-    random_subspace,
-)
+from pqh.generate import generate, random_invertible, random_subspace
 from pqh.linalg import F0, F1, Mat
 from pqh.model import (
     MAT_I,
@@ -149,29 +143,11 @@ def ref_decomposable_subspace(h, e_sub):
     return Subspace.span([tensor(h, f) for f in e_sub.mat.rows], 2 * e_sub.ambient)
 
 
-def ref_block_rotation(k):
-    rows = [[F0] * k for _ in range(k)]
-    for i in range(0, k, 2):
-        rows[i][i + 1] = -F1
-        rows[i + 1][i] = F1
-    return Mat(rows)
-
-
-def ref_tpc_blocks(k):
-    rows = [[F0] * k for _ in range(k)]
-    for i in range(0, k, 2):
-        rows[i][i] = F1
-        rows[i + 1][i + 1] = -F1
-    return Mat(rows)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_layouts_match_the_replaced_loops(n):
     rng = Rng(100 + n)
     dim_e = 2 * n
     assert standard_symplectic(dim_e) == ref_standard_symplectic(dim_e)
-    assert _block_rotation(dim_e) == ref_block_rotation(dim_e)
-    assert _tpc_blocks(dim_e) == ref_tpc_blocks(dim_e)
     for op in (Operator(1, 0, 0), Operator(0, 1, 0), Operator(0, 0, 1), Operator(0, 0, 0)):
         assert op.mat2().kron(Mat.identity(dim_e)) == ref_as_matrix(op, dim_e)
     for _ in range(10):

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import graph_subspace, random_sl2
-from reference import assemble, induced_g_f, mat_is_zero, metric, t_is_injective
+from reference import assemble, induced_g_f, mat_is_zero, mat_rank, metric, t_is_injective
 from pqh.generate import generate
 from pqh.linalg import Mat, _int_row, vec_add
 from pqh.model import HBasisChange, StructureError, tensor
@@ -202,7 +202,7 @@ class TestInjectivize:
             if h is None:
                 continue
             inj = injectivize(to_uft(u, transversal_basis(h)))
-            assert inj.t_map.rank() == inj.dim
+            assert mat_rank(inj.t_map) == inj.dim
             assert inj.span() == u
             done += 1
 

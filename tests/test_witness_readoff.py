@@ -26,11 +26,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import congruent_instance, dense_congruence, hand_built_instance, random_sl2
 from reference import check_complex as ref_check_complex
+from reference import twist_h_rows
 from reference import check_para_complex as ref_check_para_complex
 from reference import pure_form
 
 from pqh.classify import check_complex, check_para_complex, classify, kind_witnesses, stabilizer
-from pqh.generate import KINDS, generate, twist_h
+from pqh.generate import KINDS, generate
 from pqh.model import OP_I, OP_K, ModelSpace
 from pqh.rng import Rng
 
@@ -70,7 +71,7 @@ def cases(draw, source):
     variant = draw(st.sampled_from(["as built", "twist", "congruent"]))
     seed = draw(st.integers(0, 99))
     if variant == "twist":
-        u = twist_h(u, random_sl2(Rng(9000 + seed)))
+        u = twist_h_rows(u, random_sl2(Rng(9000 + seed)))
     elif variant == "congruent":
         ms, u = congruent_instance(ms, u, dense_congruence(n, Rng(7000 + seed).rationals(4 * n * n)))
     wits = kind_witnesses(stabilizer(u))
