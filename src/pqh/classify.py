@@ -49,9 +49,10 @@ pairwise Gram and passes the numerators to
 ``linalg.symmetric_signature``, with no read of the signature memo; it
 pairs J^ of those rows with them for ``totally-complex-gram``, a zero
 test on the numerators with no image J^U.
-It checks a witness's square identity on its 2x2 matrix: (A (x) Id_E)^2
-+ q Id_V is (A^2 + q Id_H) (x) Id_E, which vanishes exactly when
-A^2 + q Id_H does.
+It checks a witness's square identity on the cleared 2x2 table M / dm
+that every integer check acts with (``Operator.act_int``):
+(A (x) Id_E)^2 + q Id_V is (A^2 + q Id_H) (x) Id_E, which vanishes
+exactly when M^2 = -q dm^2 Id.
 Its samples are integer draws (``Rng.rational_int``, the draws of
 ``Rng.rational`` left as num / den), cleared to positive multiples of the
 rational values, and an ``Operator`` is built only for a finding's
@@ -70,9 +71,9 @@ g(s^-1 x, A s^-1 y) is (M P N^T)_12 - (M P N^T)_21 with M = adj(s)
 cleared from the draws and N = A M (:func:`_twisted_products`), so no
 row is moved and no :class:`~pqh.model.HBasisChange` is built.
 ``uft-round-trip`` checks the reported graph form by containment: the
-rows h1 (x) f_j + h2 (x) T f_j over F's canonical basis, T f_j read off
-column j of ``t_map``, are independent, so they span U exactly when
-dim F = dim U and each lies in U.
+rows h1 (x) f_j + h2 (x) T f_j over F's canonical basis, T f_j the
+integer row j of ``t_cols``, are independent, so they span U exactly
+when dim F = dim U and each lies in U.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ from operator import mul
 from typing import NamedTuple
 
 from .generate import random_sl2_draws
-from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows, _lowest_terms, frac_row
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _lowest_terms, _one_denominator, frac_row
 from .linalg import int_kernel, int_rank, int_rref, rank_mod, symmetric_signature
 from .model import (
     OP_I,
@@ -338,12 +339,6 @@ def _full_rank(rows: list, k: int) -> bool:
     """Whether k integer rows of length k are independent: ``rank_mod`` proves
     it, and ``int_rank`` decides what it leaves open."""
     return rank_mod(rows, k) == k or int_rank(rows, k) == k
-
-
-def _one_denominator(rows: list) -> tuple:
-    """``(ints, d)`` rows as integer rows over their one lcm L, and L."""
-    ell = lcm(*(d for _, d in rows))
-    return [[x * (ell // d) for x in V] for V, d in rows], ell
 
 
 def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
@@ -684,7 +679,7 @@ def check_totally_real(ms: ModelSpace, u: Subspace, form: UFTForm) -> TotallyRea
     # the T f_j, which span E2, over another: omega on E1 and on E2, and
     # omega(f_i, T f_j) at [j][i]
     fs, f_den = _one_denominator(e1.int_basis())
-    ts, t_den = _int_rows(form.t_map.cols)
+    ts, t_den = _one_denominator(form.t_cols.int_rows())
     o1 = not any(map(any, _pairings(ms._omega_form, fs, fs)))
     o2 = not any(map(any, _pairings(ms._omega_form, ts, ts)))
     c = _pairings(ms._omega_form, fs, ts)
@@ -1052,9 +1047,10 @@ def oracle_check(
             all(u.contains_vector(wit.apply_coords(x)) for x in u.basis),
         )
         # (A (x) Id_E)^2 + q Id_V = (A^2 + q Id_H) (x) Id_E: the identity on
-        # V holds exactly when it holds on the 2x2 matrix (m0, m1; m2, m3) of A
-        m0, m1, m2, m3 = wit._m
-        minus_q = -wit.q()
+        # V holds exactly when it holds on the 2x2 matrix of A, which every
+        # integer check acts with as M / dm (``act_int``): M^2 = -q dm^2 Id
+        (m0, m1, m2, m3), dm = wit._act
+        minus_q = -wit.q() * dm * dm
         check(
             f"{kind}-witness-square-identity",
             (m0 * m0 + m1 * m2, m1 * (m0 + m3), m2 * (m0 + m3), m2 * m1 + m3 * m3)
@@ -1209,8 +1205,8 @@ def oracle_check(
             "uft-round-trip",
             form.dim == u.dim
             and all(
-                u.contains_int(*_graph_row(form.h_basis, f, _int_row(tf)))
-                for f, tf in zip(form.f_space.int_basis(), form.t_map.cols)
+                u.contains_int(*_graph_row(form.h_basis, f, tf))
+                for f, tf in zip(form.f_space.int_basis(), form.t_cols.int_rows())
             ),
         )
     check("dim-bound-real", not report.flags.real or u.dim <= 2 * ms.n)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import F0, Mat, _int_row, _int_rows, vec_add
+from .linalg import F0, Mat, _int_row, _one_denominator, vec_add
 from .model import HBasisChange, ModelSpace, tensor
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
@@ -74,10 +74,10 @@ def random_sl2(rng: Rng) -> HBasisChange:
 
 def _signed_rows(cols: list, partner, signs) -> list:
     """The plain-int rows (P e_j | P R e_j), cleared over one denominator,
-    for the columns P e_j of P and the signed permutation
+    for the columns P e_j of P as ``(ints, d)`` and the signed permutation
     R e_j = signs[j] e_partner[j]: P R is P with its columns permuted and
     negated, so no product is taken."""
-    ints, _ = _int_rows(cols)
+    ints, _ = _one_denominator(cols)
     return [c + [sg * x for x in ints[q]] for c, q, sg in zip(ints, partner, signs)]
 
 
@@ -150,7 +150,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         # basis the graph vectors are (P e_j | P R e_j)
         k = dim if dim is not None else 2 * (1 + rng.below(n))
         space = random_subspace(rng, dim_e, k)
-        cols = random_invertible(rng, k).cols
+        cols = random_invertible(rng, k).T.int_rows()
         if kind == "complex":
             rows = _signed_rows(cols, [j ^ 1 for j in range(k)], [(-1) ** j for j in range(k)])
         else:
@@ -167,7 +167,7 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         pairs = sorted(rng_sample_pairs(rng, n, m))
         space = Subspace._unit_rows([j for p in pairs for j in (2 * p, 2 * p + 1)], dim_e)
         k = 2 * m
-        cols = [[int(i == j) for i in range(k)] for j in range(k)]
+        cols = [([int(i == j) for i in range(k)], 1) for j in range(k)]
         partner = [j ^ 1 for j in range(k)] if kind == "totally_complex" else range(k)
         rows = _signed_rows(cols, partner, [(-1) ** j for j in range(k)])
     elif kind in ("real", "totally_real"):

@@ -1,16 +1,26 @@
 """Exact dense linear algebra over Q.
 
-All matrices are immutable tuples of row tuples of ``fractions.Fraction``.
-``Mat(rows)`` turns ints into ``Fraction`` values and raises ``TypeError``
-on any other entry (a float, an element of Q(sqrt c), a string, ``None``),
-so there is no floating point anywhere and a built ``Mat`` is rational.
-Operations on built matrices return ``Fraction`` entries only, and build
-their results through the trusted constructor ``Mat._of`` with no second
-check.
+A ``Mat`` is an immutable matrix of rationals held as :mod:`pqh.subspace`
+holds a basis: one integer row ``(ints, d)`` per row, the value
+``ints[j] / d`` in lowest terms (d > 0, gcd(ints, d) = 1), which is what
+:func:`_int_row` gives for the rational row and what
+:meth:`Mat.int_rows` returns.  Equal matrices have equal integer rows,
+so ``==`` and ``hash`` read them.  ``Mat(rows)`` turns ints into
+``Fraction`` values and raises ``TypeError`` on any other entry (a
+float, an element of Q(sqrt c), a string, ``None``), so there is no
+floating point anywhere and a built ``Mat`` is rational; it clears each
+row once.  The ``Fraction`` rows (``rows``, ``cols``, ``col``) are a
+view, built the first time they are read and kept: by printing, by the
+tests, and by the callers that still work in ``Fraction`` values.  Every
+operation reads the integer rows and builds its result with the trusted
+constructor :meth:`Mat.of_ints`, with no check and no ``Fraction``, so
+no result is cleared again by the next operation; ``det`` and ``solve``
+build their rational answers from integers.  A product combines the rows of the right factor with
+the integer entries of each left row (:func:`_combine_rows`, the one
+routine that combines basis rows, ``Subspace.combine_int`` included),
+and the transpose reads each column over its own denominator.
 
-Work runs on plain Python integers and builds each output ``Fraction``
-once: products (and so ``mul_vec``) and ``charpoly`` clear denominators,
-and every elimination is the one fraction-free Gauss-Jordan loop
+Every elimination is the one fraction-free Gauss-Jordan loop
 :func:`_bareiss` on integer rows, which no other module runs.  Its
 reduced forms leave this module through two kernels that stay in
 integers end to end and build no ``Fraction``: :func:`int_rref` gives
@@ -20,10 +30,10 @@ gives the reduced kernel basis in the same form, by one pass with the
 columns in reverse order.  A ``width`` below the row length puts the
 pivots in a prefix of the columns, which is how :mod:`pqh.uft` reads a
 graph off its rows.  ``Mat.rref`` (and so ``inverse`` and ``solve``) is
-the ``Fraction`` view of :func:`int_rref`, and ``Mat.kernel`` that of
-:func:`int_kernel`.  ``Mat.det`` clears each row and reads the last
-pivot of :func:`_bareiss`, and :func:`int_rank` builds no ``Fraction``
-either.
+the ``Mat`` of :func:`int_rref`'s rows, and ``Mat.kernel`` that of
+:func:`int_kernel`'s.  ``Mat.det`` reads the last pivot of
+:func:`_bareiss` on the numerators and divides by the row denominators,
+and :func:`int_rank` builds no ``Fraction`` either.
 
 :func:`rank_mod` is the rank of integer rows modulo the prime
 p = 2^30 - 35 = 1073741789, the largest prime below 2^30, a certificate
@@ -86,10 +96,6 @@ def vec_sub(u, v):
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, u):
-    return tuple(c * a for a in u)
-
-
 def _int_row(r):
     """Clear the denominators of one rational (or int) row.
 
@@ -100,12 +106,6 @@ def _int_row(r):
     if d == 1:
         return [x.numerator for x in r], 1
     return [x.numerator * (d // x.denominator) for x in r], d
-
-
-def _int_rows(rows):
-    """Clear the denominators of rational rows by one common lcm ``d``."""
-    d = lcm(*(x.denominator for r in rows for x in r))
-    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
 
 
 def _int_matmul(A, Bcols):
@@ -265,17 +265,36 @@ def _entry(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
-class Mat:
-    """Immutable dense matrix with rational entries."""
+def _one_denominator(rows) -> tuple:
+    """``(ints, d)`` rows as plain-int rows over their one lcm L, and L."""
+    ell = lcm(*(d for _, d in rows))
+    return [[x * (ell // d) for x in V] for V, d in rows], ell
 
-    __slots__ = ("rows", "_ncols", "_hash", "_charpoly")
+
+def _combine_rows(rows, cs, dc, width) -> tuple:
+    """The combination sum (cs[i] / dc) r_i of ``(ints, d)`` rows r_i of
+    length ``width``, for integer coefficients, as ``(ints, d)`` in lowest
+    terms.  Only the rows with a nonzero coefficient are read."""
+    e = lcm(*(d for c, (_, d) in zip(cs, rows) if c))
+    out = [0] * width
+    for c, (R, d) in zip(cs, rows):
+        if c:
+            f = c * (e // d)
+            out = [x + f * y for x, y in zip(out, R)]
+    return _lowest_terms(out, dc * e)
+
+
+class Mat:
+    """Immutable dense matrix with rational entries, held as integer rows."""
+
+    __slots__ = ("_ints", "_rows", "_ncols", "_hash", "_charpoly")
 
     def __init__(self, rows, ncols=None):
         self._hash = self._charpoly = None
-        self.rows = tuple(tuple(_entry(x) for x in r) for r in rows)
-        if self.rows:
-            self._ncols = len(self.rows[0])
-            if any(len(r) != self._ncols for r in self.rows):
+        self._rows = tuple(tuple(_entry(x) for x in r) for r in rows)
+        if self._rows:
+            self._ncols = len(self._rows[0])
+            if any(len(r) != self._ncols for r in self._rows):
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != self._ncols:
                 raise ValueError("ncols mismatch")
@@ -283,27 +302,27 @@ class Mat:
             if ncols is None:
                 raise ValueError("empty matrix needs an explicit ncols")
             self._ncols = ncols
+        self._ints = list(map(_int_row, self._rows))
 
     @classmethod
-    def _of(cls, rows, ncols):
-        """Trusted constructor, no checks: ``rows`` is a tuple of
-        ``ncols``-long tuples of ``Fraction`` values."""
+    def of_ints(cls, rows, ncols):
+        """Trusted constructor, no checks and no ``Fraction``: ``rows`` are
+        ``ncols``-long ``(ints, d)`` rows in lowest terms, ``ints`` a list
+        (:func:`_lowest_terms`)."""
         m = cls.__new__(cls)
-        m.rows, m._ncols, m._hash, m._charpoly = rows, ncols, None, None
+        m._ints, m._rows, m._ncols, m._hash, m._charpoly = list(rows), None, ncols, None, None
         return m
 
     @classmethod
     def identity(cls, n):
-        return cls._of(
-            tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)), n
-        )
+        return cls.of_ints([([int(i == j) for j in range(n)], 1) for i in range(n)], n)
 
     @classmethod
     def scalar(cls, n, c):
         """c times the n x n identity."""
         c = _entry(c)
-        rows = tuple(tuple(c if i == j else F0 for j in range(n)) for i in range(n))
-        return cls._of(rows, n)
+        p, q = c.numerator, c.denominator
+        return cls.of_ints([([p if i == j else 0 for j in range(n)], q) for i in range(n)], n)
 
     @classmethod
     def from_cols(cls, cols, nrows=None):
@@ -316,9 +335,21 @@ class Mat:
             raise ValueError("columns must all have nrows entries")
         return cls(tuple(zip(*cols)) if cols else ((),) * nrows, ncols=len(cols))
 
+    def int_rows(self) -> list:
+        """The rows as ``(ints, d)`` in lowest terms, what :func:`_int_row`
+        gives for each ``Fraction`` row; read them, never change them."""
+        return self._ints
+
+    @property
+    def rows(self) -> tuple:
+        """The rows as tuples of ``Fraction``, built once when first read."""
+        if self._rows is None:
+            self._rows = tuple(frac_row(V, d) for V, d in self._ints)
+        return self._rows
+
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._ints)
 
     @property
     def ncols(self):
@@ -326,7 +357,7 @@ class Mat:
 
     @property
     def shape(self):
-        return (len(self.rows), self._ncols)
+        return (len(self._ints), self._ncols)
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)
@@ -337,80 +368,66 @@ class Mat:
 
     @property
     def T(self):
-        if not self.rows:
-            return Mat._of(((),) * self._ncols, 0)
-        return Mat._of(tuple(zip(*self.rows)), len(self.rows))
+        # each column over the lcm of the denominators of its nonzero entries
+        ds = [d for _, d in self._ints]
+        rows = []
+        for col in zip(*self._numerators()) if ds else [()] * self._ncols:
+            ell = lcm(*(d for x, d in zip(col, ds) if x))
+            rows.append(_lowest_terms([x * (ell // d) for x, d in zip(col, ds)], ell))
+        return Mat.of_ints(rows, len(ds))
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Mat)
-            and self._ncols == other._ncols
-            and self.rows == other.rows
-        )
+        # rows in lowest terms are equal exactly when their values are
+        return isinstance(other, Mat) and self._ncols == other._ncols and self._ints == other._ints
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rows, self._ncols))
+            self._hash = hash((tuple((tuple(V), d) for V, d in self._ints), self._ncols))
         return self._hash
 
     def __repr__(self):
         return f"Mat({list(map(list, self.rows))!r})"
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return Mat._of(
-            tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
-        )
+        rows = []
+        for pair in zip(self._ints, other._ints):
+            (A, B), m = _one_denominator(pair)
+            rows.append(_lowest_terms([x + sign * y for x, y in zip(A, B)], m))
+        return Mat.of_ints(rows, self._ncols)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return Mat._of(
-            tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
-        )
+        return self._add(other, -1)
 
     def __neg__(self):
-        return self.scale(-F1)
+        return self.scale(-1)
 
     def scale(self, c):
         c = _entry(c)
-        return Mat._of(tuple(vec_scale(c, r) for r in self.rows), self._ncols)
+        p, q = c.numerator, c.denominator
+        rows = [_lowest_terms([p * x for x in V], q * d) for V, d in self._ints]
+        return Mat.of_ints(rows, self._ncols)
 
     def __matmul__(self, other):
         if self._ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        # Each left row and each right column over its own denominator:
-        # entry (i, j) is P[i][j] / (d_i * e_j).  A common denominator for
-        # the right factor would do, but with many distinct large
-        # denominators its lcm makes the integers far longer.
-        left = [_int_row(r) for r in self.rows]
-        right = [_int_row(c) for c in other.cols]
-        P = _int_matmul([a for a, _ in left], [b for b, _ in right])
-        return Mat._of(
-            tuple(
-                tuple(Fraction(x, da * db) if x else F0 for x, (_, db) in zip(row, right))
-                for row, (_, da) in zip(P, left)
-            ),
-            other.ncols,
-        )
+        # row i of the product combines the rows of ``other`` with the
+        # entries of row i of ``self``, each row over its own denominator
+        rows, width = other._ints, other.ncols
+        return Mat.of_ints([_combine_rows(rows, V, d, width) for V, d in self._ints], width)
 
     def kron(self, other):
-        """Kronecker product: block (i, j) is ``self[i][j] * other``.  Only
-        products of two nonzero entries are formed; a factor 1 reuses the other."""
-        q = other._ncols
-        width = self._ncols * q
-        other_nz = [[(j, b) for j, b in enumerate(s) if b] for s in other.rows]
-        rows = []
-        for r in self.rows:
-            nz = [(i * q, a) for i, a in enumerate(r) if a]
-            for s in other_nz:
-                row = [F0] * width
-                for off, a in nz:
-                    for j, b in s:
-                        row[off + j] = b if a == 1 else a if b == 1 else a * b
-                rows.append(tuple(row))
-        return Mat._of(tuple(rows), width)
+        """Kronecker product: block (i, j) is ``self[i][j] * other``."""
+        rows = [
+            _lowest_terms([a * b for a in A for b in B], da * db)
+            for A, da in self._ints
+            for B, db in other._ints
+        ]
+        return Mat.of_ints(rows, self._ncols * other._ncols)
 
     def mul_vec(self, v):
         return (self @ Mat.from_cols((v,))).col(0)
@@ -421,12 +438,19 @@ class Mat:
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row mismatch")
-        return Mat._of(
-            tuple(a + b for a, b in zip(self.rows, other.rows)),
-            self._ncols + other._ncols,
-        )
+        # each prime power of the common denominator divides one side's d,
+        # whose numerators it does not all divide, so the rows stay in
+        # lowest terms
+        rows = []
+        for pair in zip(self._ints, other._ints):
+            (A, B), m = _one_denominator(pair)
+            rows.append((A + B, m))
+        return Mat.of_ints(rows, self._ncols + other._ncols)
 
     # -- elimination ------------------------------------------------------
+
+    def _numerators(self):
+        return [V for V, _ in self._ints]
 
     def rref(self):
         """Reduced row echelon form.
@@ -435,43 +459,41 @@ class Mat:
         pivots is the tuple of pivot column indices.  The result is the
         unique canonical basis of the row space (:func:`int_rref`).
         """
-        basis, pivots = int_rref([_int_row(r)[0] for r in self.rows], self._ncols)
-        return Mat._of(tuple(frac_row(*r) for r in basis), self._ncols), pivots
+        basis, pivots = int_rref(self._numerators(), self._ncols)
+        return Mat.of_ints(basis, self._ncols), pivots
 
     def kernel(self):
         """Canonical (RREF) basis of {x : A x = 0}, rows of the result
         (:func:`int_kernel`)."""
-        basis, _ = int_kernel([_int_row(r)[0] for r in self.rows], self._ncols)
-        return Mat._of(tuple(frac_row(*r) for r in basis), self._ncols)
+        return Mat.of_ints(int_kernel(self._numerators(), self._ncols)[0], self._ncols)
 
     def det(self):
         n = self.nrows
         if n != self._ncols:
             raise ValueError("determinant of non-square matrix")
-        # _bareiss gives det of the rows cleared one by one; undo their scales
-        rows = [_int_row(r) for r in self.rows]
-        pivots, _, det = _bareiss([V for V, _ in rows], n)
-        return Fraction(det, prod(d for _, d in rows)) if len(pivots) == n else F0
+        # _bareiss gives det of the numerator rows; undo their scales
+        pivots, _, det = _bareiss(self._numerators(), n)
+        return Fraction(det, prod(d for _, d in self._ints)) if len(pivots) == n else F0
 
     def inverse(self):
         n = self.nrows
         if n != self._ncols:
             raise ValueError("inverse of non-square matrix")
-        aug = self.hstack(Mat.identity(n))
-        R, pivots = aug.rref()
+        R, pivots = self.hstack(Mat.identity(n)).rref()
         if pivots[:n] != tuple(range(n)):
             raise ValueError("matrix is singular")
-        return Mat._of(tuple(r[n:] for r in R.rows), n)
+        return Mat.of_ints([_lowest_terms(V[n:], d) for V, d in R._ints], n)
 
     def solve(self, b):
         """One solution x of A x = b, or None if inconsistent."""
-        aug = self.hstack(Mat.from_cols((b,), nrows=self.nrows))
-        R, pivots = aug.rref()
-        if self._ncols in pivots:
+        nc = self._ncols
+        R, pivots = self.hstack(Mat.from_cols((b,), nrows=self.nrows)).rref()
+        if nc in pivots:
             return None
-        x = [F0] * self._ncols
-        for i, p in enumerate(pivots):
-            x[p] = R.rows[i][self._ncols]
+        x = [F0] * nc
+        for p, (V, d) in zip(pivots, R._ints):
+            if V[nc]:
+                x[p] = Fraction(V[nc], d)
         return tuple(x)
 
     def charpoly(self):
@@ -503,7 +525,7 @@ class Mat:
             n = self.nrows
             if n != self._ncols:
                 raise ValueError("charpoly of non-square matrix")
-            B, d = _int_rows(self.rows)
+            B, d = _one_denominator(self._ints)
             b = _krylov_charpoly(B) or _faddeev_charpoly(B)
             self._charpoly = tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(b))
         return self._charpoly

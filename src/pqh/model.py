@@ -56,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .linalg import F0, Mat, _entry, _int_row, _int_rows
+from .linalg import F0, Mat, _entry, _int_row, _one_denominator
 from .linalg import vec_add, vec_sub
 
 
@@ -232,6 +232,14 @@ OP_J = Operator(0, 1, 0)
 OP_K = Operator(0, 0, 1)
 
 
+def _flat(m: Mat) -> tuple:
+    """The 2x2 matrix m read row-wise over one denominator, as ``(ints, d)``
+    in lowest terms: the concatenation of two rows in lowest terms over
+    the lcm of their denominators is."""
+    (top, bottom), d = _one_denominator(m.int_rows())
+    return top + bottom, d
+
+
 class HBasisChange(_Frozen):
     """A symplectic basis change of H; columns are the new basis vectors.
     It holds s as ``mat`` and, cleared row-wise, s and s^-1: ``_from`` for
@@ -247,8 +255,7 @@ class HBasisChange(_Frozen):
             raise StructureError("H basis change must be 2x2")
         if mat.det() != 1:
             raise StructureError("H basis change must have determinant 1")
-        inv = mat.inverse()
-        self._set(mat=mat, _from=_int_row(sum(mat.rows, ())), _to=_int_row(sum(inv.rows, ())))
+        self._set(mat=mat, _from=_flat(mat), _to=_flat(mat.inverse()))
 
     @classmethod
     def identity(cls) -> "HBasisChange":
@@ -317,7 +324,7 @@ class ModelSpace(_Frozen):
             raise StructureError("omega_E must be skew-symmetric")
         if omega.det() == 0:
             raise StructureError("omega_E must be invertible")
-        rows, d = _int_rows(omega.rows)
+        rows, d = _one_denominator(omega.int_rows())
         entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
         self._set(n=n, omega=omega, _omega_form=(entries, d))
         half = self.dim_e

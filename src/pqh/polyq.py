@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import isqrt
 from operator import mul
 
-from .linalg import F0, F1, Mat, _int_matmul, _int_row, _int_rows
+from .linalg import F0, F1, Mat, _int_matmul, _int_row, _lowest_terms, _one_denominator
 
 ZERO = ()
 ONE = (F1,)
@@ -102,13 +102,13 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
 
     With B = d*A (d the lcm of A's denominators) and e*p = c (e the lcm of
     p's denominators), N = sum_k g_k B^k with g_k = c_k d^(m-k) is
-    e d^m p(A), m the degree of p; each output ``Fraction`` is built once
-    from N.  The powers B, ..., B^s for s = isqrt(m) are formed once, and
-    N is evaluated by Horner's rule in B^s over chunks of s coefficients,
-    each chunk a combination of those powers; the top chunk takes up to
-    s + 1.  That is s - 1 matrix products for the powers and ceil(m / s) - 1
-    for the Horner steps, about 2 sqrt(m) in place of Horner's m, and none
-    for degree <= 1.
+    e d^m p(A), m the degree of p, and the result holds N's rows over
+    e d^m in lowest terms, with no ``Fraction`` built.  The powers B, ...,
+    B^s for s = isqrt(m) are formed once, and N is evaluated by Horner's
+    rule in B^s over chunks of s coefficients, each chunk a combination of
+    those powers; the top chunk takes up to s + 1.  That is s - 1 matrix
+    products for the powers and ceil(m / s) - 1 for the Horner steps, about
+    2 sqrt(m) in place of Horner's m, and none for degree <= 1.
 
     When m >= n >= 1 (A is n x n) and chi_A divides p, p(A) = 0 by
     Cayley-Hamilton (see the module docstring) and the zero matrix is
@@ -120,7 +120,7 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
     m = len(p) - 1
     if not p or (0 < n <= m and not poly_rem(p, A.charpoly())):
         return Mat.scalar(n, 0)
-    B, d = _int_rows(A.rows)
+    B, d = _one_denominator(A.int_rows())
     c, e = _int_row(p)
     g = [ck * d ** (m - k) for k, ck in enumerate(c)]
     s = max(1, isqrt(m))
@@ -150,7 +150,7 @@ def poly_eval_matrix(p, A: Mat) -> Mat:
         C = chunk(j * s, j * s + s - 1)
         N = [[x + y for x, y in zip(r, cr)] for r, cr in zip(_int_matmul(N, Scols), C)]
     den = e * d**m
-    return Mat._of(tuple(tuple(Fraction(x, den) if x else F0 for x in r) for r in N), n)
+    return Mat.of_ints([_lowest_terms(r, den) for r in N], n)
 
 
 def _rem_mod(a, b, q):

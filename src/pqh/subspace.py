@@ -13,20 +13,21 @@ the complements (unit rows, or rows of the larger basis),
 (``uft.to_uft``) and the combined rows of :meth:`Subspace.kernel_in`.
 U's rows with a pivot in h2 (x) E are h2 (x) (its h2 fiber), so U0 =
 H (x) E0 (:func:`maximal_pq`) is one cut of that fiber, and a zero fiber
-gives U0 = 0 with no kernel.  The ``Fraction`` matrix ``mat`` is built
-from the rows when it is first read, where a value leaves this layer;
-its rows, ``basis``, are coordinate rows of V, which
-``ModelSpace.hermitian_product`` takes as they are.
+gives U0 = 0 with no kernel.  The ``Mat`` ``mat`` shares the integer
+rows and is built when it is first read; its ``Fraction`` rows,
+``basis``, are built only where a value leaves this layer, as coordinate
+rows of V, which ``ModelSpace.hermitian_product`` takes as they are.
 
 Everything (sums, intersections, complements, pairings, signatures) is
 computed with zero tolerance.  The sum of several subspaces is one
 elimination of all their rows (:func:`span_of`), which the direct-sum
 test takes only when ``rank_mod`` falls short.
-:meth:`Subspace.combine_int` is the one routine that combines basis
-rows, apart from the one ``Mat`` product of ``uft.UFTForm.t_rows`` (the
-home of ``Mat.__matmul__`` on decompose-graph in ``bench/tracing.py``);
+Basis rows are combined by one routine, ``linalg._combine_rows``:
+:meth:`Subspace.combine_int` calls it on the canonical rows, and a
+``Mat`` product on the rows of its right factor, so the integer product
+of ``uft.UFTForm.t_rows`` combines T's columns the same way.
 ``uft.graph_in``, which builds the graphs of ``generate`` and form 2's
-E0 part, carries each reduced row to V with two of its calls.
+E0 part, carries each reduced row to V with two ``combine_int`` calls.
 
 Every value of g or omega^E on rows is an integer numerator,
 :func:`_pairings`: the rows' numerators paired through the nonzero
@@ -41,9 +42,11 @@ Gram from it; no ``Fraction`` matrix of a form is built.
 
 Coset reduction is an integer core: :meth:`Subspace.reduce_int` takes a
 row as ``(ints, d)`` and returns one, so an integer operator action
-(``Operator.act_int``) feeds it directly.  ``Fraction``s are built only
-where a rational value leaves the core, in ``mat``.  ``contains_vector``
-tests the core's numerators for zero and builds none.
+(``Operator.act_int``) feeds it directly, and
+:meth:`Subspace.coordinates_int` reads a member's coordinates off it.
+``Fraction``s are built only where a rational value leaves the core, in
+``basis``.  ``contains_vector`` tests the core's numerators for zero and
+builds none.
 
 Every subspace cut out by a linear condition is one call of
 :meth:`Subspace.kernel_in`: the vectors sum c_i b_i of a subspace, over
@@ -91,7 +94,7 @@ from math import lcm
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import Mat, _entry, _int_row, _lowest_terms, frac_row
+from .linalg import Mat, _combine_rows, _entry, _int_row, _lowest_terms
 from .linalg import int_kernel, int_rref, rank_mod, symmetric_signature
 from .model import ModelSpace, Operator, _form_image
 
@@ -111,14 +114,14 @@ class Subspace:
     """A linear subspace of Q^d held by its canonical reduced-echelon basis.
 
     The operations below build their results in canonical form directly;
-    ``Subspace(mat)``, the span of a ``Fraction`` matrix's rows, is the
-    tests' ``Fraction`` reference route, and the package never calls it.
+    ``Subspace(mat)``, the span of a ``Mat``'s rows, is the tests'
+    reference route, and the package never calls it.
     """
 
     __slots__ = ("_rows", "pivots", "ambient", "_memo")
 
     def __init__(self, mat: Mat):
-        self._set(*int_rref([_int_row(r)[0] for r in mat.rows], mat.ncols), mat.ncols)
+        self._set(*int_rref([V for V, _ in mat.int_rows()], mat.ncols), mat.ncols)
 
     def _set(self, rows: list, pivots, ambient: int):
         object.__setattr__(self, "_rows", rows)
@@ -171,10 +174,9 @@ class Subspace:
 
     @property
     def mat(self) -> Mat:
-        """The canonical basis as a ``Fraction`` matrix, built once when read."""
-        return self.memo(
-            "mat", lambda: Mat._of(tuple(frac_row(*r) for r in self._rows), self.ambient)
-        )
+        """The canonical basis as a ``Mat`` on the same integer rows, built
+        once when read; its ``Fraction`` rows wait until they are read."""
+        return self.memo("mat", lambda: Mat.of_ints(self._rows, self.ambient))
 
     @property
     def dim(self) -> int:
@@ -240,12 +242,12 @@ class Subspace:
             raise ValueError("ambient mismatch")
         return all(self.contains_int(V, D) for V, D in other._rows)
 
-    def coordinates_of(self, v: Sequence) -> tuple:
-        """Coefficients of v in the canonical basis; error if v is outside."""
-        coeffs = tuple(v[p] for p in self.pivots)
-        if not self.contains_vector(v):
+    def coordinates_int(self, V: list, D: int) -> tuple:
+        """Coefficients of the row V/D in the canonical basis, as ``(ints, d)``
+        in lowest terms: its entries at the pivots.  Error if it is outside."""
+        if not self.contains_int(V, D):
             raise ValueError("vector is not in the subspace")
-        return coeffs
+        return _lowest_terms([V[p] for p in self.pivots], D)
 
     # -- lattice operations ------------------------------------------------
 
@@ -306,13 +308,7 @@ class Subspace:
     def combine_int(self, cs: Sequence, dc: int = 1) -> tuple:
         """The combination sum (cs[i] / dc) b_i of the basis rows b_i, for
         integer coefficients, as ``(ints, d)`` in lowest terms."""
-        e = lcm(*(d for c, (_, d) in zip(cs, self._rows) if c))
-        out = [0] * self.ambient
-        for c, (R, d) in zip(cs, self._rows):
-            if c:
-                f = c * (e // d)
-                out = [x + f * y for x, y in zip(out, R)]
-        return _lowest_terms(out, dc * e)
+        return _combine_rows(self._rows, cs, dc, self.ambient)
 
 
 def _relations(rows: list, target: Subspace | None) -> Subspace:

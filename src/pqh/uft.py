@@ -7,11 +7,18 @@ finds transversal directions, converts to and from graph form, makes T
 injective, computes the decomposable-vector spectrum, and produces the
 two direct-sum normal forms.
 
-T acts on whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a
-subspace W of F by one product with ``t_map``, and the graph rows are
-integer rows (:meth:`UFTForm.graph_rows`).  Over the standard basis of H
-they are the canonical basis of the span, so :meth:`UFTForm.span`
-eliminates only over another basis.
+A graph form keeps T as integers from :func:`to_uft` to the
+characteristic polynomial: ``UFTForm.t_cols`` holds T f_j for each
+canonical basis vector f_j of F as one ``(ints, d)`` row of a ``Mat``,
+read off U's rows (or ``_graph_of``'s reduced rows) with no
+``Fraction``, and ``t_map``, T as a ``Fraction`` matrix, is built only
+when something reads it (the ``uft`` command prints it).  T acts on
+whole bases: :meth:`UFTForm.t_rows` maps the basis rows of a subspace W
+of F by one integer ``Mat`` product of their coordinates with
+``t_cols``, and the graph rows are integer rows
+(:meth:`UFTForm.graph_rows`).  Over the standard basis of H they are
+the canonical basis of the span, so :meth:`UFTForm.span` eliminates only
+over another basis.
 Every graph row is :func:`_graph_row` of two ``(ints, d)`` halves.  A
 graph given over the basis of a subspace S of E (:func:`graph_in`: every
 graph kind of ``generate``, twisted by s in SL(H), and form 2's E0 part)
@@ -40,9 +47,9 @@ generic decomposition all read it there.
 
 The zero fiber that ends :func:`injectivize`'s search is the kernel of
 the new T, so T's injectivity is not tested again; ``t_image`` is the
-span of T's columns.  ``invariant_core``
+span of ``t_cols``' rows.  ``invariant_core``
 starts its fixpoint at F, since its callers' T is injective, and when
-TF lies in F reads T on W* = F off the rows of ``t_map``.  No direction
+TF lies in F reads T on W* = F off ``t_cols`` at F's pivots.  No direction
 is tried for a subspace too large to meet h (x) E in 0
 (:func:`find_transversal_direction`).
 """
@@ -53,7 +60,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .linalg import F0, F1, Mat, _int_row, _lowest_terms, frac_row, int_rref
+from .linalg import F0, F1, Mat, _lowest_terms, int_rref
 from .model import HBasisChange, StructureError, _h_act_int
 from .polyq import minimal_polynomial, poly_deg, poly_eval_matrix
 from .subspace import (
@@ -76,13 +83,20 @@ class TransversalityError(StructureError):
 class UFTForm(NamedTuple):
     """A subspace presented as the graph of T: F -> E over h1.
 
-    It holds a symplectic basis (h1, h2) of H, F, and ``t_map``, with one
-    column per canonical basis vector of F holding its image in E.
+    It holds a symplectic basis (h1, h2) of H, F, and ``t_cols``, whose
+    row j is T f_j for the j-th canonical basis vector f_j of F, as an
+    integer row ``(ints, d)``; ``t_map`` is T as a matrix, with those
+    rows as its columns.
     """
 
     h_basis: HBasisChange
     f_space: Subspace
-    t_map: Mat  # shape (dim E, dim F)
+    t_cols: Mat  # shape (dim F, dim E): the columns of T
+
+    @property
+    def t_map(self) -> Mat:
+        """T as a matrix of shape (dim E, dim F), built when read."""
+        return self.t_cols.T
 
     @property
     def dim(self) -> int:
@@ -105,29 +119,33 @@ class UFTForm(NamedTuple):
         of F, in its order, as ``(ints, d)`` rows in standard coordinates;
         the ``classify`` pairings read them as they are.
 
-        Tf is column f of ``t_map``, but it comes from :meth:`t_rows`: its
-        ``Mat`` product is the only ``Mat.__matmul__`` call on
+        Tf is row f of ``t_cols``, but it comes from :meth:`t_rows`, whose
+        integer ``Mat`` product is the only ``Mat.__matmul__`` call on
         decompose-graph, where ``bench/tracing.py`` homes it.
         """
-        tfs = map(_int_row, self.t_rows(self.f_space).rows)
+        tfs = self.t_rows(self.f_space).int_rows()
         return [_graph_row(self.h_basis, f, tf) for f, tf in zip(self.f_space.int_basis(), tfs)]
 
     def t_rows(self, w: Subspace) -> Mat:
         """T on the basis rows of a subspace W of F, one image per row.
 
         A row of F has its coordinates in the canonical basis of F at F's
-        pivots, so the images are one product with ``t_map``.
+        pivots, so the images are one integer product with ``t_cols``.
         """
-        coords = [self.f_space.coordinates_of(r) for r in w.mat.rows]
-        return Mat(coords, ncols=self.dim) @ self.t_map.T
+        coords = [self.f_space.coordinates_int(V, d) for V, d in w.int_basis()]
+        return Mat.of_ints(coords, self.dim) @ self.t_cols
 
     def t_on_subspace(self, w: Subspace) -> Mat:
         """Matrix of T restricted to an invariant subspace W of F, in the
         canonical basis of W."""
-        return Mat.from_cols(map(w.coordinates_of, self.t_rows(w).rows), nrows=w.dim)
+        cols = [w.coordinates_int(V, d) for V, d in self.t_rows(w).int_rows()]
+        return Mat.of_ints(cols, w.dim).T
 
     def t_image(self) -> Subspace:
-        return Subspace.span(self.t_map.cols, self.dim_e)
+        # the span of T's columns, the rows of t_cols: this is the one call
+        # of ``Subspace.span`` on classify-sweep, where bench/tracing.py
+        # homes it, so it reads their Fraction view
+        return Subspace.span(self.t_cols.rows, self.dim_e)
 
 
 def _graph_row(h_basis: HBasisChange, x: tuple, y: tuple) -> tuple:
@@ -212,14 +230,15 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
     canonical basis of F.  Over the standard basis, with no pivot of U in
     h2 (x) E, U's canonical rows already are (f_j | T f_j): F is
-    :func:`~pqh.subspace.p1` and column j of T the second half of row j.
+    :func:`~pqh.subspace.p1` and column j of T, row j of ``t_cols``, the
+    second half of row j, in lowest terms.
     Any other basis rewrites the rows and eliminates them (``_graph_of``).
     """
     dim_e = u.ambient // 2
     f_space = p1(u)
     if f_space.dim == u.dim and basis.mat == Mat.identity(2):
-        t_map = Mat.from_cols([frac_row(V[dim_e:], D) for V, D in u.int_basis()], nrows=dim_e)
-        return UFTForm(basis, f_space, t_map)
+        t_cols = Mat.of_ints([_lowest_terms(V[dim_e:], D) for V, D in u.int_basis()], dim_e)
+        return UFTForm(basis, f_space, t_cols)
     graph = _graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], dim_e)
     if graph is None:
         raise TransversalityError(
@@ -241,7 +260,7 @@ def _graph_of(rows, dim_e: int):
     if len(pivots) != len(rows):
         return None
     f_space = Subspace._of([_lowest_terms(V[:dim_e], d) for V, d in reduced], pivots, dim_e)
-    return f_space, Mat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
+    return f_space, Mat.of_ints([_lowest_terms(V[dim_e:], d) for V, d in reduced], dim_e)
 
 
 def injectivize(u: UFTForm) -> UFTForm:
@@ -256,10 +275,13 @@ def injectivize(u: UFTForm) -> UFTForm:
     The shear keeps F, since h1 (x) f + h2 (x) Tf = h1' (x) f + h2 (x) (T - s)f,
     so the rows Tf_i - s f_i are the columns of the new T.
     """
-    dim_e = u.dim_e
-    rows = [_int_row(f + tf) for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
+    # each f_i and T f_i over the lcm of their two denominators
+    rows = []
+    for (V, d), (W, e) in zip(u.f_space.int_basis(), u.t_cols.int_rows()):
+        m = lcm(d, e)
+        rows.append(([x * (m // d) for x in V], [y * (m // e) for y in W], m))
     for s in range(u.dim + 2):
-        images = [([y - s * x for x, y in zip(V[:dim_e], V[dim_e:])], D) for V, D in rows]
+        images = [([y - s * x for x, y in zip(V, W)], m) for V, W, m in rows]
         if u.f_space.kernel_in(images).is_zero():
             break
     else:
@@ -267,8 +289,8 @@ def injectivize(u: UFTForm) -> UFTForm:
     if s == 0:
         return u
     shear = HBasisChange.from_columns((F1, Fraction(s)), (F0, F1))
-    t_map = Mat.from_cols([frac_row(V, D) for V, D in images], nrows=dim_e)
-    return UFTForm(u.h_basis.compose(shear), u.f_space, t_map)
+    t_cols = Mat.of_ints([_lowest_terms(V, m) for V, m in images], u.dim_e)
+    return UFTForm(u.h_basis.compose(shear), u.f_space, t_cols)
 
 
 def _std_direction(basis: HBasisChange, coeffs) -> tuple:
@@ -301,7 +323,7 @@ def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
     reading chi_T off ``t_w``, where ``minimal_polynomial`` left it.  An
     irreducible factor of full degree is such a case; its fiber is W.
     """
-    return w.kernel_in([_int_row(c) for c in poly_eval_matrix(poly, t_w).cols])
+    return w.kernel_in(poly_eval_matrix(poly, t_w).T.int_rows())
 
 
 def invariant_core(u: UFTForm):
@@ -310,19 +332,21 @@ def invariant_core(u: UFTForm):
 
     W* is the fixpoint of W0 = F, W_{k+1} = {w in W_k : Tw in W_k}: every
     T-invariant subspace of F lies in each W_k.  When F = E or W1 = F, TF
-    lies in F, so W* = F and T on W* is read off the rows of ``t_map``.
+    lies in F, so W* = F and T on W* is read off ``t_cols`` at F's pivots.
     """
     w = u.f_space
     while 0 < w.dim < u.dim_e:
-        # T on the canonical basis of F is the columns of t_map
-        images = u.t_map.cols if w is u.f_space else u.t_rows(w).rows
-        w_new = w.kernel_in([_int_row(r) for r in images], w)
+        # T on the canonical basis of F is the rows of t_cols
+        images = u.t_cols if w is u.f_space else u.t_rows(w)
+        w_new = w.kernel_in(images.int_rows(), w)
         if w_new == w:
             break
         w = w_new
     if w.dim < u.dim:
         return w, u.t_on_subspace(w)
-    return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), w.dim)  # T f_j at F's pivots
+    # column j is T f_j at F's pivots
+    cols = [_lowest_terms([V[p] for p in w.pivots], d) for V, d in u.t_cols.int_rows()]
+    return w, Mat.of_ints(cols, w.dim).T
 
 
 def graph_spectrum(form: UFTForm):

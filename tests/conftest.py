@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from reference import twist_h_rows
+from reference import _int_rows, coordinates_of, twist_h_rows
 
 from pqh.generate import random_invertible, random_sl2
-from pqh.linalg import F0, F1, Mat, _int_row, _int_rows, frac_row, vec_add
+from pqh.linalg import F0, F1, Mat, _int_row, frac_row, vec_add
 from pqh.model import HBasisChange, ModelSpace, tensor
 from pqh.rng import Rng
 from pqh.subspace import Subspace, _pairings, product_subspace
@@ -104,7 +104,7 @@ def hand_built_instance(seed: int):
     signs = [F1 if rng.below(2) else -F1 for _ in range(k)]
     diag = Mat([[signs[i] if i == j else F0 for j in range(k)] for i in range(k)])
     t_local = q @ diag @ q.inverse()
-    graph = UFTForm(HBasisChange.identity(), f_sub, f_sub.mat.T @ t_local).span()
+    graph = UFTForm(HBasisChange.identity(), f_sub, t_local.T @ f_sub.mat).span()
     return n, twist_h_rows(product_subspace(e0).sum(graph), random_sl2(rng))
 
 
@@ -116,4 +116,4 @@ def pure_part_coordinates(part, form: UFTForm) -> Mat:
     P G P^T, and a map M read in the pass's basis satisfies
     P^T M = M_F P^T for its matrix M_F in the canonical basis."""
     h1_parts = [r[: form.dim_e] for r in to_basis(part.basis, part.comp.basis)]
-    return Mat([form.f_space.coordinates_of(x) for x in h1_parts], ncols=form.dim)
+    return Mat([coordinates_of(form.f_space, x) for x in h1_parts], ncols=form.dim)

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from pqh.classify import (
     ClassificationReport,
@@ -31,12 +31,13 @@ from pqh.classify import (
 )
 from pqh.classify import _pure_part as package_pure_part
 from pqh.generate import check_dim, random_invertible, random_sl2, random_subspace, rng_sample_pairs
-from pqh.linalg import F0, F1, Mat, _entry, _int_row, _lowest_terms, frac_row, int_rank, int_rref
-from pqh.linalg import rank_mod, vec_add
+from pqh.linalg import F0, F1, Mat, _bareiss, _entry, _int_matmul, _int_row, _lowest_terms
+from pqh.linalg import _faddeev_charpoly, _krylov_charpoly, frac_row, int_kernel, int_rank, int_rref
+from pqh.linalg import rank_mod, vec_add, vec_sub
 from pqh.model import MAT_I, MAT_K, OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
 from pqh.model import StructureError
 from pqh.model import _form_image, _h_act_int, _pairing, _rational_row, tensor
-from pqh.polyq import is_rational_square, poly_eval_matrix
+from pqh.polyq import is_rational_square, minimal_polynomial, poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
@@ -253,7 +254,7 @@ def invariant_core(u):
     if w.dim == u.dim:
         # TF = F: column j of T on F is T f_j, whose coordinates in the
         # canonical basis of F are its entries at F's pivots
-        return w, Mat._of(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
+        return w, Mat(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
     while w.dim:
         w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
         if w_new == w:
@@ -487,7 +488,8 @@ def minimal_fiber_direction(u: Subspace):
     return best, best_fiber
 
 
-# Formerly pqh.uft.to_uft, which eliminated the rows for every basis.
+# Formerly pqh.uft.to_uft, which eliminated the rows for every basis; the
+# form now keeps T's columns as the rows of ``t_cols``.
 def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
     """Present U as a graph over the h1 component of the given basis.
 
@@ -499,7 +501,8 @@ def to_uft(u: Subspace, basis: HBasisChange) -> UFTForm:
         raise TransversalityError(
             "the h2 direction of the basis meets the subspace"
         )
-    return UFTForm(basis, *graph)
+    f_space, t_map = graph
+    return UFTForm(basis, f_space, t_map.T)
 
 
 # Formerly pqh.uft._graph_of, which pqh.uft keeps for the bases other than
@@ -519,7 +522,7 @@ def graph_rows(form: UFTForm, w: Subspace) -> Mat:
     """The graph vectors h1 (x) f + h2 (x) Tf over the basis rows f of
     a subspace W of F, in standard coordinates."""
     rows = [f + tf for f, tf in zip(w.mat.rows, form.t_rows(w).rows)]
-    return Mat._of(tuple(from_basis(form.h_basis, rows)), 2 * form.dim_e)
+    return Mat(tuple(from_basis(form.h_basis, rows)), 2 * form.dim_e)
 
 
 # Formerly pqh.uft.UFTForm.t_is_injective.
@@ -942,7 +945,7 @@ def oracle_check(
 # product (``f_sub.mat.T @ t_local``, ``Mat(eye[k : 2 * k], ncols=dim_e).T @ b``).
 def generate_graph(f_sub: Subspace, t_cols: Mat) -> Subspace:
     """The graph of T over h1 = (1, 0); column j of t_cols is T of row j of F."""
-    return UFTForm(HBasisChange.identity(), f_sub, t_cols).span()
+    return UFTForm(HBasisChange.identity(), f_sub, t_cols.T).span()
 
 
 # Formerly pqh.generate.twist_h.
@@ -954,7 +957,7 @@ def twist_h(u: Subspace, s: HBasisChange) -> Subspace:
 # Formerly the E0 graph of pqh.uft.decompose_form2.
 def form2_e0_graph(e0: Subspace) -> Subspace:
     t0 = _no_rational_eigenvalue_map(e0.dim)
-    return UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span()
+    return UFTForm(HBasisChange.identity(), e0, t0.T @ e0.mat).span()
 
 
 # Formerly pqh.uft._eigenfree_inside, which spanned Fraction rows.
@@ -1134,7 +1137,7 @@ def pure_part_mat(ms: ModelSpace, u: Subspace, a: Operator) -> PurePartMat:
     for (V, e), (W, f) in zip(adapted, (basis.to_basis_int(*m) for m in moved)):
         if any(s * e * x + t * f * y for x, y in zip(W[:half], V[half:])):
             raise AssertionError(f"the pure part is not the graph of T for a {kind} witness")
-    t_f = Mat._of(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
+    t_f = Mat(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
     if t_f @ t_f != Mat.scalar(k, -scale):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
     xs = [(V[:half], e) for V, e in adapted]  # p1'(b_i), a basis of F
@@ -1233,7 +1236,7 @@ def _form_matrix(form, rows: list, cols: list | None = None, skew: bool = False)
                 out[i][j] = x = Fraction(num, den * dx * dy)
                 if mirror:
                     out[j][i] = -x if skew else x
-    return Mat._of(tuple(map(tuple, out)), len(cols))
+    return Mat(tuple(map(tuple, out)), len(cols))
 
 
 # Formerly pqh.subspace.gram.
@@ -1258,7 +1261,7 @@ def signature_mat(ms: ModelSpace, u: Subspace) -> SignatureTriple:
 def pure_part_t_f(self) -> Mat:
     """T = (-D/q) C^T on the basis p1'(b_j) of F; -D/q = -scale / D."""
     num, den = self.c
-    return Mat._of(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
+    return Mat(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
         -self.scale / self.d_val
     )
 
@@ -1523,3 +1526,426 @@ def traceless_entries(m: Mat) -> tuple:
     if x + w != 0:
         raise ValueError("operator matrix must be traceless 2x2")
     return x, y, z
+
+
+# Formerly pqh.subspace.Subspace.coordinates_of; pqh reads coordinates as
+# integer rows (``Subspace.coordinates_int``).
+def coordinates_of(u: Subspace, v) -> tuple:
+    """Coefficients of v in the canonical basis; error if v is outside."""
+    coeffs = tuple(v[p] for p in u.pivots)
+    if not u.contains_vector(v):
+        raise ValueError("vector is not in the subspace")
+    return coeffs
+
+
+# Formerly pqh.linalg._int_rows, the clearing of ``Fraction`` rows that
+# ``Mat.charpoly``, ``poly_eval_matrix`` and ``ModelSpace`` ran; they read
+# a matrix's integer rows now.
+def _int_rows(rows):
+    """Clear the denominators of rational rows by one common lcm ``d``."""
+    d = lcm(*(x.denominator for r in rows for x in r))
+    return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+# Formerly pqh.linalg.Mat, which held its rows as ``Fraction`` tuples and
+# cleared them again in every kernel; pqh.linalg.Mat now holds integer rows.
+# ``FracMat`` is that class with its name changed, and ``vec_scale`` the
+# helper its ``scale`` read.
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
+
+
+class FracMat:
+    """Immutable dense matrix with rational entries."""
+
+    __slots__ = ("rows", "_ncols", "_hash", "_charpoly")
+
+    def __init__(self, rows, ncols=None):
+        self._hash = self._charpoly = None
+        self.rows = tuple(tuple(_entry(x) for x in r) for r in rows)
+        if self.rows:
+            self._ncols = len(self.rows[0])
+            if any(len(r) != self._ncols for r in self.rows):
+                raise ValueError("ragged rows")
+            if ncols is not None and ncols != self._ncols:
+                raise ValueError("ncols mismatch")
+        else:
+            if ncols is None:
+                raise ValueError("empty matrix needs an explicit ncols")
+            self._ncols = ncols
+
+    @classmethod
+    def _of(cls, rows, ncols):
+        """Trusted constructor, no checks: ``rows`` is a tuple of
+        ``ncols``-long tuples of ``Fraction`` values."""
+        m = cls.__new__(cls)
+        m.rows, m._ncols, m._hash, m._charpoly = rows, ncols, None, None
+        return m
+
+    @classmethod
+    def identity(cls, n):
+        return cls._of(
+            tuple(tuple(F1 if i == j else F0 for j in range(n)) for i in range(n)), n
+        )
+
+    @classmethod
+    def scalar(cls, n, c):
+        """c times the n x n identity."""
+        c = _entry(c)
+        rows = tuple(tuple(c if i == j else F0 for j in range(n)) for i in range(n))
+        return cls._of(rows, n)
+
+    @classmethod
+    def from_cols(cls, cols, nrows=None):
+        cols = tuple(tuple(c) for c in cols)
+        if nrows is None:
+            if not cols:
+                raise ValueError("empty column list needs nrows")
+            nrows = len(cols[0])
+        if any(len(c) != nrows for c in cols):
+            raise ValueError("columns must all have nrows entries")
+        return cls(tuple(zip(*cols)) if cols else ((),) * nrows, ncols=len(cols))
+
+    @property
+    def nrows(self):
+        return len(self.rows)
+
+    @property
+    def ncols(self):
+        return self._ncols
+
+    @property
+    def shape(self):
+        return (len(self.rows), self._ncols)
+
+    def col(self, j):
+        return tuple(r[j] for r in self.rows)
+
+    @property
+    def cols(self):
+        return tuple(self.col(j) for j in range(self._ncols))
+
+    @property
+    def T(self):
+        if not self.rows:
+            return FracMat._of(((),) * self._ncols, 0)
+        return FracMat._of(tuple(zip(*self.rows)), len(self.rows))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, FracMat)
+            and self._ncols == other._ncols
+            and self.rows == other.rows
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self.rows, self._ncols))
+        return self._hash
+
+    def __repr__(self):
+        return f"FracMat({list(map(list, self.rows))!r})"
+
+    def __add__(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        return FracMat._of(
+            tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
+        )
+
+    def __sub__(self, other):
+        if self.shape != other.shape:
+            raise ValueError("shape mismatch")
+        return FracMat._of(
+            tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)), self._ncols
+        )
+
+    def __neg__(self):
+        return self.scale(-F1)
+
+    def scale(self, c):
+        c = _entry(c)
+        return FracMat._of(tuple(vec_scale(c, r) for r in self.rows), self._ncols)
+
+    def __matmul__(self, other):
+        if self._ncols != other.nrows:
+            raise ValueError("shape mismatch in product")
+        # Each left row and each right column over its own denominator:
+        # entry (i, j) is P[i][j] / (d_i * e_j).  A common denominator for
+        # the right factor would do, but with many distinct large
+        # denominators its lcm makes the integers far longer.
+        left = [_int_row(r) for r in self.rows]
+        right = [_int_row(c) for c in other.cols]
+        P = _int_matmul([a for a, _ in left], [b for b, _ in right])
+        return FracMat._of(
+            tuple(
+                tuple(Fraction(x, da * db) if x else F0 for x, (_, db) in zip(row, right))
+                for row, (_, da) in zip(P, left)
+            ),
+            other.ncols,
+        )
+
+    def kron(self, other):
+        """Kronecker product: block (i, j) is ``self[i][j] * other``.  Only
+        products of two nonzero entries are formed; a factor 1 reuses the other."""
+        q = other._ncols
+        width = self._ncols * q
+        other_nz = [[(j, b) for j, b in enumerate(s) if b] for s in other.rows]
+        rows = []
+        for r in self.rows:
+            nz = [(i * q, a) for i, a in enumerate(r) if a]
+            for s in other_nz:
+                row = [F0] * width
+                for off, a in nz:
+                    for j, b in s:
+                        row[off + j] = b if a == 1 else a if b == 1 else a * b
+                rows.append(tuple(row))
+        return FracMat._of(tuple(rows), width)
+
+    def mul_vec(self, v):
+        return (self @ FracMat.from_cols((v,))).col(0)
+
+    def is_skew(self):
+        return self.shape[0] == self.shape[1] and self == -self.T
+
+    def hstack(self, other):
+        if self.nrows != other.nrows:
+            raise ValueError("row mismatch")
+        return FracMat._of(
+            tuple(a + b for a, b in zip(self.rows, other.rows)),
+            self._ncols + other._ncols,
+        )
+
+    # -- elimination ------------------------------------------------------
+
+    def rref(self):
+        """Reduced row echelon form.
+
+        Returns ``(R, pivots)`` where R keeps only the nonzero rows and
+        pivots is the tuple of pivot column indices.  The result is the
+        unique canonical basis of the row space (:func:`int_rref`).
+        """
+        basis, pivots = int_rref([_int_row(r)[0] for r in self.rows], self._ncols)
+        return FracMat._of(tuple(frac_row(*r) for r in basis), self._ncols), pivots
+
+    def kernel(self):
+        """Canonical (RREF) basis of {x : A x = 0}, rows of the result
+        (:func:`int_kernel`)."""
+        basis, _ = int_kernel([_int_row(r)[0] for r in self.rows], self._ncols)
+        return FracMat._of(tuple(frac_row(*r) for r in basis), self._ncols)
+
+    def det(self):
+        n = self.nrows
+        if n != self._ncols:
+            raise ValueError("determinant of non-square matrix")
+        # _bareiss gives det of the rows cleared one by one; undo their scales
+        rows = [_int_row(r) for r in self.rows]
+        pivots, _, det = _bareiss([V for V, _ in rows], n)
+        return Fraction(det, prod(d for _, d in rows)) if len(pivots) == n else F0
+
+    def inverse(self):
+        n = self.nrows
+        if n != self._ncols:
+            raise ValueError("inverse of non-square matrix")
+        aug = self.hstack(FracMat.identity(n))
+        R, pivots = aug.rref()
+        if pivots[:n] != tuple(range(n)):
+            raise ValueError("matrix is singular")
+        return FracMat._of(tuple(r[n:] for r in R.rows), n)
+
+    def solve(self, b):
+        """One solution x of A x = b, or None if inconsistent."""
+        aug = self.hstack(FracMat.from_cols((b,), nrows=self.nrows))
+        R, pivots = aug.rref()
+        if self._ncols in pivots:
+            return None
+        x = [F0] * self._ncols
+        for i, p in enumerate(pivots):
+            x[p] = R.rows[i][self._ncols]
+        return tuple(x)
+
+    def charpoly(self):
+        """Monic characteristic polynomial det(xI - A), coefficients low to high.
+
+        Rational entries only.  Both paths work on the integer matrix
+        B = d*A, d the lcm of the denominators: B has an integer
+        characteristic polynomial x^n + b_(n-1) x^(n-1) + ... + b_0, and
+        the coefficient of x^k for A is a_k = b_k / d^(n-k).
+
+        The Krylov path (:func:`_krylov_charpoly`) takes w_k = B^k e_0 and
+        W = [w_0 ... w_(n-1)] (columns).  If W is nonsingular modulo the
+        prime p = ``M127``, then det W != 0, so e_0 is a cyclic vector of
+        B: its annihilator has degree n and is the characteristic
+        polynomial, and b is the unique solution of W b = -w_n.  Every
+        eigenvalue is at most rho = max_i sum_j |B_ij| in absolute value,
+        so |b_k| <= C(n, k) rho^(n-k).  One LU factorization of W mod p and
+        Dixon lifting give b one balanced p-adic digit a step, up to the
+        first zero residual, which proves W b = -w_n; one still nonzero past
+        p^K > 2 max_k C(n, k) rho^k raises.  No rational reconstruction and
+        no probability enter, and the result is checked against
+        a_(n-1) = -tr A.  When W is singular mod p (e_0 is not cyclic, as
+        for a derogatory A, or p divides det W), Faddeev-LeVerrier
+        (:func:`_faddeev_charpoly`) runs instead.  The
+        first call keeps the result on the instance (``FracMat`` is immutable)
+        and later calls return it.
+        """
+        if self._charpoly is None:
+            n = self.nrows
+            if n != self._ncols:
+                raise ValueError("charpoly of non-square matrix")
+            B, d = _int_rows(self.rows)
+            b = _krylov_charpoly(B) or _faddeev_charpoly(B)
+            self._charpoly = tuple(Fraction(c, d ** (n - k)) for k, c in enumerate(b))
+        return self._charpoly
+
+
+# Formerly pqh.uft.UFTForm, with T as a ``Fraction`` matrix ``t_map`` (the
+# class renamed, and ``Mat`` read as ``FracMat``): its t_rows, graph_rows,
+# t_on_subspace and t_image.
+class FracUFTForm(NamedTuple):
+    """A subspace presented as the graph of T: F -> E over h1.
+
+    It holds a symplectic basis (h1, h2) of H, F, and ``t_map``, with one
+    column per canonical basis vector of F holding its image in E.
+    """
+
+    h_basis: HBasisChange
+    f_space: Subspace
+    t_map: FracMat  # shape (dim E, dim F)
+
+    @property
+    def dim(self) -> int:
+        return self.f_space.dim
+
+    @property
+    def dim_e(self) -> int:
+        return self.f_space.ambient
+
+    def graph_rows(self) -> list:
+        """The graph vectors h1 (x) f + h2 (x) Tf over the canonical basis f
+        of F, in its order, as ``(ints, d)`` rows in standard coordinates;
+        the ``classify`` pairings read them as they are.
+
+        Tf is column f of ``t_map``, but it comes from :meth:`t_rows`: its
+        ``Mat`` product is the only ``Mat.__matmul__`` call on
+        decompose-graph, where ``bench/tracing.py`` homes it.
+        """
+        tfs = map(_int_row, self.t_rows(self.f_space).rows)
+        return [_graph_row(self.h_basis, f, tf) for f, tf in zip(self.f_space.int_basis(), tfs)]
+
+    def t_rows(self, w: Subspace) -> FracMat:
+        """T on the basis rows of a subspace W of F, one image per row.
+
+        A row of F has its coordinates in the canonical basis of F at F's
+        pivots, so the images are one product with ``t_map``.
+        """
+        coords = [coordinates_of(self.f_space, r) for r in w.mat.rows]
+        return FracMat(coords, ncols=self.dim) @ self.t_map.T
+
+    def t_on_subspace(self, w: Subspace) -> FracMat:
+        """Matrix of T restricted to an invariant subspace W of F, in the
+        canonical basis of W."""
+        return FracMat.from_cols((coordinates_of(w, r) for r in self.t_rows(w).rows), nrows=w.dim)
+
+    def t_image(self) -> Subspace:
+        return Subspace.span(self.t_map.cols, self.dim_e)
+
+
+# Formerly pqh.uft.to_uft, with T read off as ``Fraction`` columns.
+def frac_to_uft(u: Subspace, basis: HBasisChange) -> FracUFTForm:
+    """Present U as a graph over the h1 component of the given basis.
+
+    Requires (h2 (x) E) ^ U = 0; then F = p1(U) and T is read off the
+    canonical basis of F.  Over the standard basis, with no pivot of U in
+    h2 (x) E, U's canonical rows already are (f_j | T f_j): F is
+    :func:`~pqh.subspace.p1` and column j of T the second half of row j.
+    Any other basis rewrites the rows and eliminates them (``_graph_of``).
+    """
+    dim_e = u.ambient // 2
+    f_space = p1(u)
+    if f_space.dim == u.dim and basis.mat == Mat.identity(2):
+        t_map = FracMat.from_cols([frac_row(V[dim_e:], D) for V, D in u.int_basis()], nrows=dim_e)
+        return FracUFTForm(basis, f_space, t_map)
+    graph = frac_graph_of([basis.to_basis_int(V, D)[0] for V, D in u.int_basis()], dim_e)
+    if graph is None:
+        raise TransversalityError(
+            "the h2 direction of the basis meets the subspace"
+        )
+    return FracUFTForm(basis, *graph)
+
+
+# Formerly pqh.uft._graph_of, with T as ``Fraction`` columns.
+def frac_graph_of(rows, dim_e: int):
+    """(F, T) for the graph spanned by the plain-int rows (f | Tf), or None
+    when their F parts are dependent.
+
+    The elimination pivots only among the F coordinates and the T columns
+    follow along, so the F rows come out as the canonical basis of F (in
+    lowest terms, with no second elimination).  Scaling an input row
+    leaves the result alone.
+    """
+    reduced, pivots = int_rref(rows, dim_e)
+    if len(pivots) != len(rows):
+        return None
+    f_space = Subspace._of([_lowest_terms(V[:dim_e], d) for V, d in reduced], pivots, dim_e)
+    return f_space, FracMat.from_cols([frac_row(V[dim_e:], d) for V, d in reduced], nrows=dim_e)
+
+
+# Formerly pqh.uft.injectivize, which cleared F's rows and T's columns again.
+def frac_injectivize(u: FracUFTForm) -> FracUFTForm:
+    """An equivalent graph form whose T is injective.
+
+    h1 is moved to the first h1 + s h2, s = 0, 1, ..., dim F + 1, whose
+    fiber {f in F : Tf = s f} is zero: the fibers of distinct s are
+    independent eigenspaces of T on F, so at most dim F of them are
+    nonzero.  h2 stays, since h2 (x) E meets a graph over h1 only in 0.
+    Each fiber is one :meth:`Subspace.kernel_in` of the rows Tf_i - s f_i
+    over the canonical basis f_i of F, and s = 0 returns the form itself.
+    The shear keeps F, since h1 (x) f + h2 (x) Tf = h1' (x) f + h2 (x) (T - s)f,
+    so the rows Tf_i - s f_i are the columns of the new T.
+    """
+    dim_e = u.dim_e
+    rows = [_int_row(f + tf) for f, tf in zip(u.f_space.mat.rows, u.t_map.cols)]
+    for s in range(u.dim + 2):
+        images = [([y - s * x for x, y in zip(V[:dim_e], V[dim_e:])], D) for V, D in rows]
+        if u.f_space.kernel_in(images).is_zero():
+            break
+    else:
+        raise AssertionError("injective presentation search failed")
+    if s == 0:
+        return u
+    shear = HBasisChange.from_columns((F1, Fraction(s)), (F0, F1))
+    t_map = FracMat.from_cols([frac_row(V, D) for V, D in images], nrows=dim_e)
+    return FracUFTForm(u.h_basis.compose(shear), u.f_space, t_map)
+
+
+# Formerly pqh.uft.invariant_core, on a ``Fraction`` T.
+def frac_invariant_core(u: FracUFTForm):
+    """Largest T-invariant subspace W* of F, for injective T, and T
+    restricted to it.
+
+    W* is the fixpoint of W0 = F, W_{k+1} = {w in W_k : Tw in W_k}: every
+    T-invariant subspace of F lies in each W_k.  When F = E or W1 = F, TF
+    lies in F, so W* = F and T on W* is read off the rows of ``t_map``.
+    """
+    w = u.f_space
+    while 0 < w.dim < u.dim_e:
+        # T on the canonical basis of F is the columns of t_map
+        images = u.t_map.cols if w is u.f_space else u.t_rows(w).rows
+        w_new = w.kernel_in([_int_row(r) for r in images], w)
+        if w_new == w:
+            break
+        w = w_new
+    if w.dim < u.dim:
+        return w, u.t_on_subspace(w)
+    return w, FracMat._of(tuple(u.t_map.rows[p] for p in w.pivots), w.dim)  # T f_j at F's pivots
+
+
+def frac_graph_spectrum(form: FracUFTForm):
+    """``uft.graph_spectrum`` over the copies above: the injective form,
+    its core, T on the core, and ``(q, ker q(T))`` for each factor q of
+    the minimal polynomial, the kernels by the package's ``poly_fiber``."""
+    inj = frac_injectivize(form)
+    core, t_core = frac_invariant_core(inj)
+    parts = tuple((q, poly_fiber(core, Mat(t_core.rows, ncols=t_core.ncols), q)) for q in minimal_polynomial(t_core))
+    return inj, core, t_core, parts

@@ -183,7 +183,7 @@ def block_grams(draw):
     w = draw(low_rank(p, q, entries))
     top = Mat.scalar(p, 0).hstack(w)
     bottom = w.T.hstack(Mat.scalar(q, 0))
-    m = Mat._of(top.rows + bottom.rows, top.ncols)
+    m = Mat(top.rows + bottom.rows, top.ncols)
     r = mat_rank(w)
     return m, (r, p + q - 2 * r, r)
 

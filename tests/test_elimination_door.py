@@ -44,7 +44,7 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
-from reference import from_basis, restrict_omega, twist_h_rows
+from reference import coordinates_of, from_basis, restrict_omega, twist_h_rows
 
 # -- reference copies ---------------------------------------------------------
 
@@ -114,7 +114,7 @@ def ref_check_nilpotent(ms: ModelSpace, u: Subspace, a: Operator) -> NilpotentRe
     if pq_part != maximal_pq(u):
         raise AssertionError("nilpotent kernel part disagrees with the maximal part")
     piece = DecomposablePiece(normalize_direction(basis.h1), e1pp)
-    e2_coords = Mat([e2_proj.coordinates_of(e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
+    e2_coords = Mat([coordinates_of(e2_proj, e2) for e2 in e2prime.mat.rows], ncols=e2_proj.dim)
     real_rows = from_basis(
         basis, [img + e2 for img, e2 in zip((e2_coords @ t_mat).rows, e2prime.mat.rows)]
     )
@@ -161,10 +161,10 @@ def assert_same_graph(got, ref):
     if ref is None:
         assert got is None
         return
-    (f_space, t_map), (ref_f, ref_t) = got, ref
+    (f_space, t_cols), (ref_f, ref_t) = got, ref
     assert f_space == ref_f and f_space.pivots == ref_f.pivots
     assert f_space.int_basis() == ref_f.int_basis()
-    assert t_map == ref_t
+    assert t_cols == ref_t.T  # the package keeps T's columns as rows
 
 
 @given(graph_rows())

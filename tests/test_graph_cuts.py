@@ -119,7 +119,7 @@ def eigen_forms(draw):
     f_space = Subspace(draw(dense(m, dim_e, entries)))
     m = f_space.dim
     if m == 0:
-        return UFTForm(draw(bases), f_space, Mat(((),) * dim_e, ncols=0))
+        return UFTForm(draw(bases), f_space, Mat((), ncols=dim_e))
     d = [draw(st.integers(0, m)) for _ in range(m)]
     diag = Mat([[d[i] if i == j else 0 for j in range(m)] for i in range(m)], ncols=m)
     # unit lower times unit upper triangular: always invertible
@@ -127,7 +127,7 @@ def eigen_forms(draw):
     up = [[F1 if i == j else (draw(entries) if j > i else F0) for j in range(m)] for i in range(m)]
     p = Mat(low, ncols=m) @ Mat(up, ncols=m)
     t_on_f = p @ diag @ p.inverse()
-    return UFTForm(draw(bases), f_space, f_space.mat.T @ t_on_f)
+    return UFTForm(draw(bases), f_space, t_on_f.T @ f_space.mat)
 
 
 @st.composite
@@ -135,7 +135,7 @@ def twisted_graph_forms(draw):
     """The graph forms of ``test_graph_maps`` with the basis redrawn as the
     identity or a ``random_sl2`` change, and their entry strategy."""
     form, entries = draw(graph_forms())
-    return UFTForm(draw(bases), form.f_space, form.t_map), entries
+    return UFTForm(draw(bases), form.f_space, form.t_cols), entries
 
 
 # -- graph_over ------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_form2_of_a_graph_without_rational_eigenvalues_builds_no_span(monkeypatc
     # decomposable vector, so form 2 has no pieces and its residue is U
     n = 2
     t_map = _no_rational_eigenvalue_map(2 * n)
-    graph = UFTForm(HBasisChange.identity(), Subspace.full(2 * n), t_map).span()
+    graph = UFTForm(HBasisChange.identity(), Subspace.full(2 * n), t_map.T).span()
     u = twist_h_rows(graph, random_sl2(Rng(5)))
     calls = []
     span = UFTForm.span

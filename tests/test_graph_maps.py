@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
-from reference import from_basis, operator_from_mat2, traceless_entries, twist_h_rows
+from reference import coordinates_of, from_basis, operator_from_mat2, traceless_entries, twist_h_rows
 from reference import invariant_core as f_cap_tf_invariant_core
 from test_model import h_basis_changes
 
@@ -34,11 +34,11 @@ from pqh.uft import UFTForm, graph_form, graph_over, injectivize, invariant_core
 
 def ref_apply_t(form, f):
     """The deleted ``UFTForm.apply_t``: T of one vector of F."""
-    return form.t_map.mul_vec(form.f_space.coordinates_of(f))
+    return form.t_map.mul_vec(coordinates_of(form.f_space, f))
 
 
 def ref_t_on_subspace(form, w):
-    cols = [w.coordinates_of(ref_apply_t(form, row)) for row in w.mat.rows]
+    cols = [coordinates_of(w, ref_apply_t(form, row)) for row in w.mat.rows]
     return Mat.from_cols(cols, nrows=w.dim)
 
 
@@ -62,7 +62,7 @@ def _blocks(m, half):
     (p, q), (r, t) = m.rows
     top = Mat.scalar(half, p).hstack(Mat.scalar(half, r))
     bottom = Mat.scalar(half, q).hstack(Mat.scalar(half, t))
-    return Mat._of(top.rows + bottom.rows, top.ncols)
+    return Mat(top.rows + bottom.rows, top.ncols)
 
 
 def ref_from_basis(s, rows, half):
@@ -143,7 +143,7 @@ def graph_forms(draw):
     else:
         t_map = draw(low_rank(dim_e, m, entries))
     basis = draw(h_basis_changes()) if draw(st.booleans()) else HBasisChange.identity()
-    return UFTForm(basis, f_space, t_map), entries
+    return UFTForm(basis, f_space, t_map.T), entries
 
 
 REF = settings(max_examples=80, deadline=None)
@@ -196,7 +196,7 @@ def test_invariant_core_shrinks_over_several_steps():
     e = Mat.identity(6).rows
     f_space = Subspace.span([e[0], e[1], e[2], e[4]], 6)
     t_map = Mat.from_cols([e[1], e[2], e[3], tuple(2 * x for x in e[4])], nrows=6)
-    form = UFTForm(HBasisChange(Mat(((1, 2), (0, 1)))), f_space, t_map)
+    form = UFTForm(HBasisChange(Mat(((1, 2), (0, 1)))), f_space, t_map.T)
     core, t_core = invariant_core(form)
     assert (core, t_core) == ref_invariant_core(form)
     assert core == Subspace.span([e[4]], 6) and t_core == Mat(((2,),))

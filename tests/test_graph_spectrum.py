@@ -180,7 +180,7 @@ def spectral_forms(draw):
     if draw(st.integers(0, 2)) == 0:
         t_map = t_map + draw(low_rank(dim_e, m, entries))
     basis = draw(h_basis_changes()) if draw(st.booleans()) else HBasisChange.identity()
-    return UFTForm(basis, f_space, t_map)
+    return UFTForm(basis, f_space, t_map.T)
 
 
 any_forms = st.one_of(spectral_forms(), graph_forms().map(lambda fe: fe[0]))
@@ -254,7 +254,7 @@ def test_graph_spectrum_matches_the_old_pipeline(form):
 def test_graph_spectrum_of_a_jordan_block_and_a_quadratic():
     # T = J_2(1) (+) companion(x^2 + 1) on F = E = Q^4, over the standard basis
     t = Mat(((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 0, -1), (0, 0, 1, 0)))
-    form = UFTForm(HBasisChange.identity(), Subspace.full(4), t)
+    form = UFTForm(HBasisChange.identity(), Subspace.full(4), t.T)
     inj, parts = graph_spectrum(form)
     assert inj == form
     e = Mat.identity(4).rows
@@ -282,7 +282,7 @@ def test_injectivize_matches_the_old_two_loop_search(form):
 def test_injectivize_skips_decomposable_candidates():
     # T = diag(0, 1) over E = Q^2: h1 and h1 + h2 carry decomposable
     # vectors, so h1 moves to h1 + 2 h2
-    form = UFTForm(HBasisChange.identity(), Subspace.full(2), Mat(((0, 0), (0, 1))))
+    form = UFTForm(HBasisChange.identity(), Subspace.full(2), Mat(((0, 0), (0, 1))).T)
     out = injectivize(form)
     assert out.h_basis == HBasisChange.from_columns((1, 2), (0, 1))
     assert out == ref_injectivize(form)

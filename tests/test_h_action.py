@@ -84,7 +84,7 @@ def ref_uft_change_basis(u: UFTForm, s: HBasisChange) -> UFTForm:
     a, b = p.rows[0][0], p.rows[1][0]
     c, d = p.rows[0][1], p.rows[1][1]
     f_new, t_new = ref_pencil_change(u.f_space, u.t_map, a, b, c, d)
-    return UFTForm(new_basis, f_new, t_new)
+    return UFTForm(new_basis, f_new, t_new.T)
 
 
 def ref_injectivize(u: UFTForm) -> UFTForm:

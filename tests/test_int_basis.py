@@ -80,7 +80,7 @@ def ref_span(rows, ambient):
 
 
 def ref_sum(u, w):
-    return canon(Mat._of(u.mat.rows + w.mat.rows, u.mat.ncols))
+    return canon(Mat(u.mat.rows + w.mat.rows, u.mat.ncols))
 
 
 def ref_span_of(parts, ambient):
@@ -95,7 +95,7 @@ def ref_relations(rows, target):
         rows = [target.reduce_int(V, D) for V, D in rows]
     live = [j for j in range(width) if any(V[j] for V, _ in rows)]
     cols = [tuple(Fraction(V[j], D) if V[j] else F0 for j in live) for V, D in rows]
-    return ref_kernel(Mat._of(tuple(zip(*cols)), len(cols)))
+    return ref_kernel(Mat(tuple(zip(*cols)), len(cols)))
 
 
 def ref_kernel_in(w, images, target=None):
@@ -172,7 +172,7 @@ def ref_is_orthogonal(ms, u, w):
 
 
 def ref_complement_in(u, larger):
-    _, pivots = Mat._of(u.mat.rows + larger.mat.rows, u.mat.ncols).T.rref()
+    _, pivots = Mat(u.mat.rows + larger.mat.rows, u.mat.ncols).T.rref()
     return canon(Mat([larger.mat.rows[p - u.dim] for p in pivots if p >= u.dim], ncols=u.ambient))
 
 

@@ -37,7 +37,6 @@ from pqh.linalg import (
     P30,
     Mat,
     _int_row,
-    _int_rows,
     _krylov_rows,
     frac_row,
     int_rank,
@@ -71,7 +70,7 @@ from pqh.subspace import (
 from pqh.uft import decompose_form1, decompose_form2
 from reference import mat_is_zero, maximal_invariant_subspace, metric, sqrt_of, vec_is_zero
 from reference import oracle_check as ref_oracle
-from reference import traceless_entries
+from reference import _int_rows, traceless_entries
 
 # -- reference copies ---------------------------------------------------------
 
@@ -139,7 +138,7 @@ def ref_h_fiber(u, h):
     if a == 0 and b == 0:
         raise ValueError("direction must be nonzero")
     eye = Mat.identity(u.ambient // 2)
-    return ref_preimage_by(u, Mat._of(eye.scale(a).rows + eye.scale(b).rows, eye.ncols))
+    return ref_preimage_by(u, Mat(eye.scale(a).rows + eye.scale(b).rows, eye.ncols))
 
 
 def ref_poly_eval_matrix(p, A):
@@ -688,7 +687,7 @@ def test_the_charpoly_slot_is_invisible_and_not_inherited():
     h = hash(a)
     cp = a.charpoly()
     assert b._charpoly is None and a == b and hash(a) == h == hash(b)
-    derived = (a.T, a.scale(2), a @ a, Mat._of(a.rows, 3))
+    derived = (a.T, a.scale(2), a @ a, Mat(a.rows, 3))
     assert all(m._charpoly is None for m in derived)
     assert derived[0].charpoly() == derived[3].charpoly() == cp
 

@@ -147,19 +147,21 @@ def test_conjugate_matches_the_mat_product(s, x, data):
 
 @pytest.mark.parametrize("entry", range(4))
 def test_witness_square_identity_reads_the_four_entries(entry):
-    # a witness whose stored matrix is off by one in one entry: the oracle's
-    # finding on the four entries agrees with the Mat square against -q Id
+    # a witness whose cleared action table is off by one in one entry: the
+    # oracle's finding on the four entries agrees with the Mat square of
+    # the table against -q dm^2 Id
     ms, u = ModelSpace.standard(1), _totally_complex(1)
     report = classify(ms, u)
     wit = report.witnesses.complex
     forged = Operator(wit.alpha, wit.beta, wit.gamma)
-    m = list(wit._m)
+    m, dm = wit._act
+    m = list(m)
     m[entry] += 1
-    object.__setattr__(forged, "_m", tuple(m))
+    object.__setattr__(forged, "_act", (m, dm))
     witnesses = report.witnesses._replace(complex=forged)
     found = {f.name: f.ok for f in oracle_check(ms, report._replace(witnesses=witnesses), u)}
     amat = Mat((m[:2], m[2:]))
-    assert found["complex-witness-square-identity"] == (amat @ amat == Mat.scalar(2, -wit.q()))
+    assert found["complex-witness-square-identity"] == (amat @ amat == Mat.scalar(2, -wit.q() * dm * dm))
     assert found["complex-witness-square-identity"] is False
     assert {f.name: f.ok for f in oracle_check(ms, report, u)}["complex-witness-square-identity"]
 

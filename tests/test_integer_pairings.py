@@ -138,18 +138,18 @@ def test_signature_builds_no_mat(monkeypatch):
     cases = [(ms, twist_h_rows(u, random_sl2(Rng(7)))) for ms, u in cases]
     expected = [signature_mat(ms, u) for ms, u in cases]
     built = []
-    init, of = Mat.__init__, Mat._of.__func__
+    init, of = Mat.__init__, Mat.of_ints.__func__
 
     def spy_init(self, *args, **kwargs):
         built.append("Mat")
         init(self, *args, **kwargs)
 
     def spy_of(cls, *args):
-        built.append("Mat._of")
+        built.append("Mat.of_ints")
         return of(cls, *args)
 
     monkeypatch.setattr(Mat, "__init__", spy_init)
-    monkeypatch.setattr(Mat, "_of", classmethod(spy_of))
+    monkeypatch.setattr(Mat, "of_ints", classmethod(spy_of))
     got = [signature(ms, u) for ms, u in cases]
     monkeypatch.undo()
     assert built == []

@@ -18,7 +18,6 @@ from pqh.linalg import (
     _bareiss,
     _faddeev_charpoly,
     _int_row,
-    _int_rows,
     _krylov_charpoly,
     frac_row,
     int_rref,
@@ -35,7 +34,7 @@ from pqh.rng import Rng
 from pqh.subspace import Subspace
 from pqh.uft import graph_form, injectivize, invariant_core, pq_split
 from conftest import cleared_rows
-from reference import QuadExt, mat_is_zero, mat_rank, mat_trace, sqrt_of
+from reference import QuadExt, _int_rows, mat_is_zero, mat_rank, mat_trace, sqrt_of
 
 
 def rand_mat(rng, r, c):
@@ -221,7 +220,7 @@ def _eliminate(rows, width):
 
 def elim_rref(self):
     R, pivots, _ = _eliminate(self.rows, self._ncols)
-    return Mat._of(tuple(R), self._ncols), pivots
+    return Mat(tuple(R), self._ncols), pivots
 
 
 def elim_det(self):
@@ -240,7 +239,7 @@ def elim_inverse(self):
     R, pivots = elim_rref(aug)
     if pivots[:n] != tuple(range(n)):
         raise ValueError("matrix is singular")
-    return Mat._of(tuple(r[n:] for r in R.rows), n)
+    return Mat(tuple(r[n:] for r in R.rows), n)
 
 
 def elim_solve(self, b):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cleared_rows, random_sl2, to_basis
-from pqh.linalg import F0, Mat, _int_row, symmetric_signature, vec_add, vec_scale
+from pqh.linalg import F0, Mat, _int_row, symmetric_signature, vec_add
 from pqh.model import (
     MAT_I,
     MAT_J,
@@ -26,7 +26,7 @@ from pqh.model import (
 )
 from pqh.rng import Rng
 from reference import assemble, metric, omega_eval, operator_from_mat2, recover_omega_e, vec_is_zero
-from reference import traceless_entries
+from reference import traceless_entries, vec_scale
 
 
 class TestModelSpace:

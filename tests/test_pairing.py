@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from conftest import congruent_instance, dense_congruence, pairing_values, pure_part_coordinates
 from reference import (
+    _int_rows,
     block_gram,
     cross_eigenspace_gram,
     graph_gram,
@@ -39,7 +40,7 @@ from reference import (
 
 from pqh.classify import _pure_part, classify, is_para_quaternionic, oracle_check
 from pqh.generate import KINDS, generate
-from pqh.linalg import Mat, _int_row, _int_rows
+from pqh.linalg import Mat, _int_row
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, ModelSpace, Operator, _form_image, _pairing
 from pqh.rng import Rng
 from pqh.subspace import (

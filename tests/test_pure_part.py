@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 from conftest import cleared_rows
 from reference import assemble, graph_basis, graph_rows, induced_g_f, mat_rank, mat_trace, pure_form
-from reference import restrict_omega
+from reference import coordinates_of, restrict_omega
 from test_pure_complement import ref_invariant_pure_complement
 
 from pqh.classify import (
@@ -68,11 +68,11 @@ def ref_check_complex(ms, u, a):
         if not form.f_space.contains_vector(tf):
             ok = False
             break
-        ttf = form.t_map.mul_vec(form.f_space.coordinates_of(tf))
+        ttf = form.t_map.mul_vec(coordinates_of(form.f_space, tf))
         if ttf != tuple(-mu * x for x in f):
             ok = False
             break
-        tf_cols.append(form.f_space.coordinates_of(tf))
+        tf_cols.append(coordinates_of(form.f_space, tf))
     if not ok:
         raise AssertionError("complex structure identity T^2 = -mu Id failed")
     t_f = Mat.from_cols(tf_cols, nrows=form.dim)
@@ -132,10 +132,10 @@ def ref_check_para_complex(ms, u, a):
         tf = form.t_map.col(j)
         if not form.f_space.contains_vector(tf):
             raise AssertionError("T does not preserve F for a para-complex witness")
-        ttf = form.t_map.mul_vec(form.f_space.coordinates_of(tf))
+        ttf = form.t_map.mul_vec(coordinates_of(form.f_space, tf))
         if ttf != tuple(nu * x for x in f):
             raise AssertionError("para-complex identity T^2 = nu Id failed")
-        tf_cols.append(form.f_space.coordinates_of(tf))
+        tf_cols.append(coordinates_of(form.f_space, tf))
     t_f = Mat.from_cols(tf_cols, nrows=form.dim)
     k = form.dim
     tr = mat_trace(t_f)

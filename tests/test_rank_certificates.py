@@ -43,7 +43,7 @@ def ref_intersect(a, b):
     """``Subspace.intersect`` before its certificate."""
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(a.ambient)
-    combos = Mat._of(a.mat.rows + b.mat.rows, a.mat.ncols).T.kernel()
+    combos = Mat(a.mat.rows + b.mat.rows, a.mat.ncols).T.kernel()
     coeffs = Mat(tuple(c[: a.dim] for c in combos.rows), ncols=a.dim)
     return Subspace(coeffs @ a.mat)
 
@@ -163,7 +163,7 @@ def graph_forms(draw):
         t_map = (coeffs @ f.mat).T
     else:
         t_map = Mat(draw(int_rows(dim_e, f.dim)), ncols=f.dim) if f.dim else Mat(((),) * dim_e, ncols=0)
-    return UFTForm(HBasisChange.identity(), f, t_map)
+    return UFTForm(HBasisChange.identity(), f, t_map.T)
 
 
 # -- rank_mod itself -----------------------------------------------------------------
@@ -313,4 +313,4 @@ def test_preimage_falls_back_on_a_pivot_divisible_by_p():
     zero = Subspace.zero(2)
     preimage = Subspace.full(2).kernel_in([_int_row(c) for c in m.cols], zero)
     assert preimage == zero == ref_preimage_by(zero, m)
-    assert t_is_injective(UFTForm(HBasisChange.identity(), Subspace.full(2), m))
+    assert t_is_injective(UFTForm(HBasisChange.identity(), Subspace.full(2), m.T))

@@ -136,7 +136,7 @@ def test_split_along_on_random_direct_sums():
 def test_t_image_of_a_square_injective_map_is_all_of_e():
     rng = Rng(5)
     for dim_e in (2, 4, 6):
-        form = UFTForm(HBasisChange.identity(), Subspace.full(dim_e), random_invertible(rng, dim_e))
+        form = UFTForm(HBasisChange.identity(), Subspace.full(dim_e), random_invertible(rng, dim_e).T)
         assert t_is_injective(form)
         assert form.t_image() == Subspace.full(dim_e)
 

@@ -241,10 +241,10 @@ def forged_forms(form: UFTForm):
     row, and over another H-basis."""
     cols = list(form.t_map.cols)
     cols[-1] = tuple(x + 1 for x in cols[-1])
-    yield form._replace(t_map=Mat.from_cols(cols, nrows=form.dim_e))
+    yield form._replace(t_cols=Mat(cols, ncols=form.dim_e))
     f = form.f_space
     short = Subspace._of(f.int_basis()[:-1], f.pivots[:-1], f.ambient)
-    yield UFTForm(form.h_basis, short, Mat.from_cols(form.t_map.cols[:-1], nrows=form.dim_e))
+    yield UFTForm(form.h_basis, short, Mat(form.t_map.cols[:-1], ncols=form.dim_e))
     yield form._replace(h_basis=form.h_basis.compose(random_sl2(Rng(5))))
 
 

@@ -137,7 +137,7 @@ def ref_decompose_form2(u):
         used_dirs.extend(fresh)
         if e0.dim > 1:
             t0 = _no_rational_eigenvalue_map(e0.dim)
-            graph_parts.append(UFTForm(HBasisChange.identity(), e0, e0.mat.T @ t0).span())
+            graph_parts.append(UFTForm(HBasisChange.identity(), e0, t0.T @ e0.mat).span())
     tilde = span_of(graph_parts, dim_v)
     graph = graph_form(tilde)
     if graph is None:
@@ -167,7 +167,7 @@ def ref_invariant_core(u):
 
 def ref_image_orthogonal(ms, a, u):
     """``image_orthogonal`` as one rational Gram product."""
-    au = Mat._of(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
+    au = Mat(tuple(a.apply_coords(r) for r in u.mat.rows), u.ambient)
     return mat_is_zero(au @ OMEGA_H.kron(ms.omega) @ u.mat.T)
 
 
@@ -360,7 +360,7 @@ def bijective_forms(draw):
     else:
         t_f = draw(low_rank(m, m, entries))
     basis = draw(h_basis_changes()) if draw(st.booleans()) else HBasisChange.identity()
-    return UFTForm(basis, f_space, f_space.mat.T @ t_f)
+    return UFTForm(basis, f_space, t_f.T @ f_space.mat)
 
 
 @settings(max_examples=80, deadline=None)

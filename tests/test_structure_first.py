@@ -279,7 +279,7 @@ def test_span_reads_off_or_eliminates_as_the_graph_rows_give(n):
                 continue
             s = random_sl2(Rng(100 + seed))
             # the same F and T over a twisted basis of H span the twist
-            twisted = UFTForm(s, form.f_space, form.t_map)
+            twisted = UFTForm(s, form.f_space, form.t_cols)
             for f in (form, injectivize(form), twisted):
                 identity = f.h_basis.mat.rows == ((1, 0), (0, 1))
                 routes["read" if identity else "eliminate"] += 1

@@ -130,7 +130,7 @@ def ref_standard_blocks(pairs):
 def ref_metric_matrix(omega):
     z = Mat.scalar(omega.nrows, 0)
     top, bottom = z.hstack(omega), (-omega).hstack(z)
-    return Mat._of(top.rows + bottom.rows, top.ncols)
+    return Mat(top.rows + bottom.rows, top.ncols)
 
 
 def ref_product_subspace(e_sub):
@@ -178,7 +178,7 @@ def test_zero_subspace_values(n):
     """The values the removed zero-subspace branches returned."""
     ms = ModelSpace.standard(n)
     zero, e_zero = Subspace.zero(4 * n), Subspace.zero(2 * n)
-    empty = UFTForm(HBasisChange.identity(), e_zero, Mat(((),) * (2 * n), ncols=0))
+    empty = UFTForm(HBasisChange.identity(), e_zero, Mat((), ncols=2 * n))
     assert decompose_form1(zero) == Form1(None, empty, zero)
     assert decompose_form2(zero) == Form2((), empty)
     assert decomposable_spectrum(zero) == PencilSpectrum((), ())

@@ -51,7 +51,8 @@ def ref_pencil_change(f_space: Subspace, t_map: Mat, a, b, c, d):
     graph = _graph_of(stacked, f_space.ambient)
     if graph is None:
         raise ValueError("pencil value a Id + c T is not injective on F")
-    return graph
+    f_new, t_cols = graph
+    return f_new, t_cols.T
 
 
 def random_subspace(rng, ambient, dim):
