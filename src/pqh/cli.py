@@ -60,9 +60,10 @@ def _check_n(n):
         raise InstanceError(f"n must be an integer from 1 to {MAX_N}")
 
 
-def _print_subspace(label, u, out):
-    out.append(f"{label}: dim {u.dim}")
-    for row in u.mat.rows:
+def _print_rows(header, m, out):
+    """The line ``header``, then one "  [a, b, ...]" line per row of m."""
+    out.append(header)
+    for row in m.rows:
         out.append("  [" + ", ".join(format_rational(x) for x in row) + "]")
 
 
@@ -95,7 +96,7 @@ def cmd_classify(args) -> int:
                 f" beta={format_rational(op.beta)} gamma={format_rational(op.gamma)}"
                 f" q={format_rational(op.q())}"
             )
-    _print_subspace("maximal para-quaternionic part", report.u0, out)
+    _print_rows(f"maximal para-quaternionic part: dim {report.u0.dim}", report.u0.mat, out)
     if report.uft is not None:
         out.append(
             "graph presentation: dim F = "
@@ -139,7 +140,7 @@ def cmd_uft(args) -> int:
     else:
         out = []
         out.append(f"basis of H (columns): {data['h_basis']}")
-        _print_subspace("F", form.f_space, out)
+        _print_rows(f"F: dim {form.f_space.dim}", form.f_space.mat, out)
         out.append(f"T (columns are images): {data['T']}")
         print("\n".join(out))
     return 0
@@ -171,10 +172,9 @@ def cmd_standardize(args) -> int:
             )
         )
     else:
-        print(f"irreducible 2-dimensional summands: {std.pairs}")
-        print("intertwining basis (columns):")
-        for row in std.basis.rows:
-            print("  [" + ", ".join(format_rational(x) for x in row) + "]")
+        out = [f"irreducible 2-dimensional summands: {std.pairs}"]
+        _print_rows("intertwining basis (columns):", std.basis, out)
+        print("\n".join(out))
     return 0
 
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import F0, Mat, _int_row, _one_denominator, vec_add
-from .model import HBasisChange, ModelSpace, tensor
+from .linalg import F0, Mat, _int_row, _one_denominator
+from .model import HBasisChange, ModelSpace
 from .rng import Rng
 from .subspace import Subspace, decomposable_subspace, product_subspace
 from .uft import graph_in
@@ -134,16 +134,18 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         k1 = min(k1, dim_e - 1)
         e1p = random_subspace(rng, dim_e, k1)
         k2 = rng.below(k1 + 1)
-        rows = [tensor((1, 0), f) for f in e1p.mat.rows]
-        comp = e1p.complement()
-        for i in range(k2):
-            e2 = e1p.mat.rows[i]
-            img = comp.mat.rows[rng.below(comp.dim)] if comp.dim else None
-            vec = tensor((0, 1), e2)
-            if img is not None:
-                vec = vec_add(vec, tensor((1, 0), img))
-            rows.append(vec)
-        return Subspace.span(rows, dim_v)
+        # h1 (x) f for f in E1', and h1 (x) e_q + h2 (x) e for the first k2
+        # rows e of E1' with e_q a random unit row of its complement: the
+        # plain-int rows (F | 0) and (d e_q | E) for e = E / d
+        basis = e1p.int_basis()
+        free = e1p.complement().pivots
+        rows = [V + [0] * dim_e for V, _ in basis]
+        for V, d in basis[:k2]:
+            x = [0] * dim_e
+            if free:
+                x[free[rng.below(len(free))]] = d
+            rows.append(x + V)
+        return Subspace._echelon(rows, dim_v)
     # the graph kinds: T on a subspace S of E, given over S's basis
     if kind in ("complex", "para_complex", "weakly_para_complex"):
         # T = P R P^-1 for a block rotation or a reflection R, so over F's
@@ -179,8 +181,8 @@ def generate(rng: Rng, n: int, kind: str, dim: int | None = None) -> Subspace:
         else:
             # E1 on odd slots, E2 on even slots, symmetric invertible pairing
             while True:
-                b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
-                local = b + b.T
+                b = [rng.rationals(k) for _ in range(k)]
+                local = Mat([[x + y for x, y in zip(r, c)] for r, c in zip(b, zip(*b))], ncols=k)
                 if local.det() != 0:
                     break
             f_cols, g_cols = range(0, 2 * k, 2), range(1, 2 * k, 2)

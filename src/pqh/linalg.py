@@ -11,11 +11,16 @@ float, an element of Q(sqrt c), a string, ``None``), so there is no
 floating point anywhere and a built ``Mat`` is rational; it clears each
 row once.  The ``Fraction`` rows (``rows``, ``cols``, ``col``) are a
 view, built the first time they are read and kept: by printing, by the
-tests, and by the callers that still work in ``Fraction`` values.  Every
-operation reads the integer rows and builds its result with the trusted
-constructor :meth:`Mat.of_ints`, with no check and no ``Fraction``, so
-no result is cleared again by the next operation; ``det`` and ``solve``
-build their rational answers from integers.  A product combines the rows of the right factor with
+tests, and by the callers that still work in ``Fraction`` values.
+``Mat`` has no element-wise arithmetic (no sum, difference or scalar
+multiple): its operations are the product, the transpose, ``kron``,
+``hstack``, the eliminations (``rref``, ``kernel``, ``det``, ``inverse``,
+``solve``) and ``charpoly``, and code that adds or scales rows does so
+on their integers.  Every operation reads the integer rows and builds
+its result with the trusted constructor :meth:`Mat.of_ints`, with no
+check and no ``Fraction``, so no result is cleared again by the next
+operation; ``det`` and ``solve`` build their rational answers from
+integers.  A product combines the rows of the right factor with
 the integer entries of each left row (:func:`_combine_rows`, the one
 routine that combines basis rows, ``Subspace.combine_int`` included),
 and the transpose reads each column over its own denominator.
@@ -86,14 +91,6 @@ from operator import mul
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def _int_row(r):
@@ -388,30 +385,6 @@ class Mat:
     def __repr__(self):
         return f"Mat({list(map(list, self.rows))!r})"
 
-    def _add(self, other, sign):
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        rows = []
-        for pair in zip(self._ints, other._ints):
-            (A, B), m = _one_denominator(pair)
-            rows.append(_lowest_terms([x + sign * y for x, y in zip(A, B)], m))
-        return Mat.of_ints(rows, self._ncols)
-
-    def __add__(self, other):
-        return self._add(other, 1)
-
-    def __sub__(self, other):
-        return self._add(other, -1)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, c):
-        c = _entry(c)
-        p, q = c.numerator, c.denominator
-        rows = [_lowest_terms([p * x for x in V], q * d) for V, d in self._ints]
-        return Mat.of_ints(rows, self._ncols)
-
     def __matmul__(self, other):
         if self._ncols != other.nrows:
             raise ValueError("shape mismatch in product")
@@ -428,12 +401,6 @@ class Mat:
             for B, db in other._ints
         ]
         return Mat.of_ints(rows, self._ncols * other._ncols)
-
-    def mul_vec(self, v):
-        return (self @ Mat.from_cols((v,))).col(0)
-
-    def is_skew(self):
-        return self.shape[0] == self.shape[1] and self == -self.T
 
     def hstack(self, other):
         if self.nrows != other.nrows:

@@ -49,15 +49,21 @@ the four parts of a Hermitian product, and reads its norm and imaginary
 part.  The standard triple is the literal matrices ``MAT_I``, ``MAT_J``,
 ``MAT_K`` on Q^2, and an operator alpha*I + beta*J + gamma*K is the
 traceless matrix (-gamma, beta - alpha; alpha + beta, gamma).
+
+:func:`standardize` checks only the unit and product relations of an
+abstract triple, by ``Mat`` products: they imply every anticommutation.
+It reads V+ = ker(J - Id) by :func:`~pqh.linalg.int_kernel` and builds
+the columns e -+ Ke on integer rows; that they form a basis intertwining
+the triple is a cross-check (``AssertionError``), not an input check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple, Sequence
 
-from .linalg import F0, Mat, _entry, _int_row, _one_denominator
-from .linalg import vec_add, vec_sub
+from .linalg import F0, Mat, _entry, _int_row, _one_denominator, frac_row, int_kernel
 
 
 class StructureError(ValueError):
@@ -217,15 +223,6 @@ class Operator(_Frozen):
         """:meth:`apply_coords` on the integer row xs / dx, as ``(ints, d)``."""
         return _h_act_int(self._act, xs, dx)
 
-    def scale(self, c) -> "Operator":
-        c = _entry(c)
-        return Operator(c * self.alpha, c * self.beta, c * self.gamma)
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(
-            self.alpha + other.alpha, self.beta + other.beta, self.gamma + other.gamma
-        )
-
 
 OP_I = Operator(1, 0, 0)
 OP_J = Operator(0, 1, 0)
@@ -320,11 +317,11 @@ class ModelSpace(_Frozen):
             raise StructureError("n must be a positive integer")
         if omega.shape != (2 * n, 2 * n):
             raise StructureError("omega_E must be 2n x 2n")
-        if not omega.is_skew():
+        rows, d = _one_denominator(omega.int_rows())
+        if rows != [[-x for x in c] for c in zip(*rows)]:
             raise StructureError("omega_E must be skew-symmetric")
         if omega.det() == 0:
             raise StructureError("omega_E must be invertible")
-        rows, d = _one_denominator(omega.int_rows())
         entries = [(i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row) if x]
         self._set(n=n, omega=omega, _omega_form=(entries, d))
         half = self.dim_e
@@ -384,43 +381,38 @@ class Standardization(NamedTuple):
 def standardize(i_mat: Mat, j_mat: Mat, k_mat: Mat) -> Standardization:
     """Find a basis in which an abstract triple becomes the standard one.
 
-    The triple must satisfy -I^2 = J^2 = K^2 = Id, IJ = K and pairwise
-    anticommutation exactly.  The +1 eigenspace of J is paired with its
-    K-image; tie-breaking uses the lexicographically smallest reduced
-    echelon eigenbasis, so the output is deterministic.
+    The triple must satisfy -I^2 = J^2 = K^2 = Id and IJ = K exactly.
+    These force pairwise anticommutation (K^2 = IJIJ = Id gives JI = -IJ),
+    so K swaps the eigenspaces V+ and V- of J, which are halves of V.
+    Each vector e of the reduced echelon basis of V+ gives the columns
+    e - Ke and e + Ke, on which the triple is the standard one, so the
+    output is deterministic.  The relations imply that these columns are a
+    basis and intertwine the triple, so a failure of either cross-check is
+    an ``AssertionError``, not a fault of the input.
     """
     d = i_mat.nrows
     if i_mat.shape != (d, d) or j_mat.shape != (d, d) or k_mat.shape != (d, d):
         raise StructureError("structure matrices must be square of equal size")
     one = Mat.identity(d)
-    if (i_mat @ i_mat) != -one or (j_mat @ j_mat) != one or (k_mat @ k_mat) != one:
+    if i_mat @ i_mat != Mat.scalar(d, -1) or j_mat @ j_mat != one or k_mat @ k_mat != one:
         raise StructureError("unit relations violated")
     if (i_mat @ j_mat) != k_mat:
         raise StructureError("product relation I J = K violated")
-    if (
-        i_mat @ j_mat != -(j_mat @ i_mat)
-        or j_mat @ k_mat != -(k_mat @ j_mat)
-        or i_mat @ k_mat != -(k_mat @ i_mat)
-    ):
-        raise StructureError("anticommutation relations violated")
-    plus = (j_mat - one).kernel()
-    minus = (j_mat + one).kernel()
-    if plus.nrows != minus.nrows or plus.nrows + minus.nrows != d:
-        raise StructureError("J eigenspaces do not split V in halves")
+    # V+ = ker(J - Id) and K e, on the rows of J and K over one denominator
+    jn, dj = _one_denominator(j_mat.int_rows())
+    shifted = [[x - dj * (i == j) for j, x in enumerate(r)] for i, r in enumerate(jn)]
+    plus, _ = int_kernel(shifted, d)
+    kn, dk = _one_denominator(k_mat.int_rows())
     cols = []
-    for e_plus in plus.rows:
-        ke = k_mat.mul_vec(e_plus)
-        cols.append(vec_sub(e_plus, ke))
-        cols.append(vec_add(e_plus, ke))
+    for E, de in plus:
+        ke = [sum(map(mul, r, E)) for r in kn]  # dk de K e
+        cols.append(frac_row([dk * x - y for x, y in zip(E, ke)], dk * de))
+        cols.append(frac_row([dk * x + y for x, y in zip(E, ke)], dk * de))
     basis = Mat.from_cols(cols)
     if basis.det() == 0:
-        raise StructureError("eigenbasis pairing is degenerate")
+        raise AssertionError("eigenbasis pairing is degenerate")
     pairs = Mat.identity(d // 2)
-    binv = basis.inverse()
-    if (
-        binv @ i_mat @ basis != pairs.kron(MAT_I)
-        or binv @ j_mat @ basis != pairs.kron(MAT_J)
-        or binv @ k_mat @ basis != pairs.kron(MAT_K)
-    ):
-        raise StructureError("standardization failed to intertwine the triple")
+    for x_mat, block in ((i_mat, MAT_I), (j_mat, MAT_J), (k_mat, MAT_K)):
+        if x_mat @ basis != basis @ pairs.kron(block):
+            raise AssertionError("standardization failed to intertwine the triple")
     return Standardization(basis, d // 2)

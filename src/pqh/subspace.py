@@ -114,14 +114,10 @@ class Subspace:
     """A linear subspace of Q^d held by its canonical reduced-echelon basis.
 
     The operations below build their results in canonical form directly;
-    ``Subspace(mat)``, the span of a ``Mat``'s rows, is the tests'
-    reference route, and the package never calls it.
+    :meth:`span` is the span of rational rows.
     """
 
     __slots__ = ("_rows", "pivots", "ambient", "_memo")
-
-    def __init__(self, mat: Mat):
-        self._set(*int_rref([V for V, _ in mat.int_rows()], mat.ncols), mat.ncols)
 
     def _set(self, rows: list, pivots, ambient: int):
         object.__setattr__(self, "_rows", rows)

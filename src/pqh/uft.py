@@ -49,7 +49,10 @@ The zero fiber that ends :func:`injectivize`'s search is the kernel of
 the new T, so T's injectivity is not tested again; ``t_image`` is the
 span of ``t_cols``' rows.  ``invariant_core``
 starts its fixpoint at F, since its callers' T is injective, and when
-TF lies in F reads T on W* = F off ``t_cols`` at F's pivots.  No direction
+TF lies in F reads T on W* = F off ``t_cols`` at F's pivots.  T on W* is
+held by its image rows, the transpose of its matrix: the characteristic
+polynomial is the same, and the rows of q(T^T) are the columns of q(T),
+which ``poly_fiber`` reads, so no transpose is taken.  No direction
 is tried for a subspace too large to meet h (x) E in 0
 (:func:`find_transversal_direction`).
 """
@@ -136,10 +139,10 @@ class UFTForm(NamedTuple):
         return Mat.of_ints(coords, self.dim) @ self.t_cols
 
     def t_on_subspace(self, w: Subspace) -> Mat:
-        """Matrix of T restricted to an invariant subspace W of F, in the
-        canonical basis of W."""
-        cols = [w.coordinates_int(V, d) for V, d in self.t_rows(w).int_rows()]
-        return Mat.of_ints(cols, w.dim).T
+        """T restricted to an invariant subspace W of F by its image rows:
+        row j holds the coordinates of T w_j in the canonical basis w of W,
+        so this is the transpose of T's matrix, with the same spectrum."""
+        return Mat.of_ints([w.coordinates_int(V, d) for V, d in self.t_rows(w).int_rows()], w.dim)
 
     def t_image(self) -> Subspace:
         # the span of T's columns, the rows of t_cols: this is the one call
@@ -316,19 +319,21 @@ def line_direction(basis: HBasisChange, lam) -> tuple:
 
 
 def poly_fiber(w: Subspace, t_w: Mat, poly) -> Subspace:
-    """ker poly(T) inside W, for T given by its matrix on the basis of W.
+    """ker poly(T) inside W, for T given by its image rows on the basis of
+    W (:meth:`UFTForm.t_on_subspace`): poly(T^T) = poly(T)^T, whose rows
+    are the columns of poly(T), the images of W's basis.
 
     When deg poly >= dim W and chi_T divides poly, ``poly_eval_matrix``
     returns poly(T) = 0 by Cayley-Hamilton (see :mod:`pqh.polyq`),
     reading chi_T off ``t_w``, where ``minimal_polynomial`` left it.  An
     irreducible factor of full degree is such a case; its fiber is W.
     """
-    return w.kernel_in(poly_eval_matrix(poly, t_w).T.int_rows())
+    return w.kernel_in(poly_eval_matrix(poly, t_w).int_rows())
 
 
 def invariant_core(u: UFTForm):
     """Largest T-invariant subspace W* of F, for injective T, and T
-    restricted to it.
+    restricted to it by its image rows (:meth:`UFTForm.t_on_subspace`).
 
     W* is the fixpoint of W0 = F, W_{k+1} = {w in W_k : Tw in W_k}: every
     T-invariant subspace of F lies in each W_k.  When F = E or W1 = F, TF
@@ -344,9 +349,9 @@ def invariant_core(u: UFTForm):
         w = w_new
     if w.dim < u.dim:
         return w, u.t_on_subspace(w)
-    # column j is T f_j at F's pivots
-    cols = [_lowest_terms([V[p] for p in w.pivots], d) for V, d in u.t_cols.int_rows()]
-    return w, Mat.of_ints(cols, w.dim).T
+    # row j is T f_j at F's pivots
+    images = [_lowest_terms([V[p] for p in w.pivots], d) for V, d in u.t_cols.int_rows()]
+    return w, Mat.of_ints(images, w.dim)
 
 
 def graph_spectrum(form: UFTForm):

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from reference import _int_rows, coordinates_of, twist_h_rows
+from reference import _int_rows, coordinates_of, twist_h_rows, vec_add
 
 from pqh.generate import random_invertible, random_sl2
-from pqh.linalg import F0, F1, Mat, _int_row, frac_row, vec_add
+from pqh.linalg import F0, F1, Mat, _int_row, frac_row
 from pqh.model import HBasisChange, ModelSpace, tensor
 from pqh.rng import Rng
 from pqh.subspace import Subspace, _pairings, product_subspace

@@ -32,10 +32,11 @@ from pqh.classify import (
 from pqh.classify import _pure_part as package_pure_part
 from pqh.generate import check_dim, random_invertible, random_sl2, random_subspace, rng_sample_pairs
 from pqh.linalg import F0, F1, Mat, _bareiss, _entry, _int_matmul, _int_row, _lowest_terms
+from pqh.linalg import _one_denominator
 from pqh.linalg import _faddeev_charpoly, _krylov_charpoly, frac_row, int_kernel, int_rank, int_rref
-from pqh.linalg import rank_mod, vec_add, vec_sub
+from pqh.linalg import rank_mod
 from pqh.model import MAT_I, MAT_K, OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator
-from pqh.model import StructureError
+from pqh.model import MAT_J, Standardization, StructureError
 from pqh.model import _form_image, _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, minimal_polynomial, poly_eval_matrix
 from pqh.rng import Rng
@@ -183,7 +184,7 @@ def recover_omega_e(
     if results[0] != results[1] or results[0] != results[2]:
         raise StructureError("metric is not Hermitian: pair-independence fails")
     omega = results[0]
-    if not omega.is_skew() or omega.det() == 0:
+    if not mat_is_skew(omega) or omega.det() == 0:
         raise StructureError("recovered form is not symplectic")
     return omega
 
@@ -205,7 +206,7 @@ def para_complex_eigenvectors(report: ParaComplexReport):
     form = pure_form(report)
     if form is None:
         raise ValueError("no pure part to analyze")
-    t_f = form.t_on_subspace(form.f_space)
+    t_f = form.t_on_subspace(form.f_space).T  # t_on_subspace gives T's transpose
     nu = report.scale
     root = is_rational_square(nu)
     if root is not None:
@@ -254,7 +255,9 @@ def invariant_core(u):
     if w.dim == u.dim:
         # TF = F: column j of T on F is T f_j, whose coordinates in the
         # canonical basis of F are its entries at F's pivots
-        return w, Mat(tuple(u.t_map.rows[p] for p in w.pivots), u.dim)
+        # (transposed: pqh.uft.invariant_core gives T by its image rows,
+        # as t_on_subspace below does)
+        return w, Mat(tuple(u.t_map.rows[p] for p in w.pivots), u.dim).T
     while w.dim:
         w_new = w.kernel_in([_int_row(r) for r in u.t_rows(w).rows], w)
         if w_new == w:
@@ -370,7 +373,7 @@ def stabilizer(u: Subspace) -> Subspace:
         d = lcm(*(e for _, e in parts))
         ri, rj, rk = ([x * (d // e) for x in v] for v, e in parts)
         rows.extend(filter(any, zip(ri, rj, rk)))
-    return Subspace(Mat(rows, ncols=3).kernel())
+    return mat_span(Mat(rows, ncols=3).kernel())
 
 
 # Formerly pqh.classify.Stabilizer, the stabilizer's Fraction basis, which
@@ -538,7 +541,7 @@ def graph_basis(form: UFTForm) -> Mat:
 
 # Formerly pqh.uft.UFTForm.span.
 def graph_span(form: UFTForm) -> Subspace:
-    return Subspace(graph_basis(form))
+    return mat_span(graph_basis(form))
 
 
 # Formerly w_t of pqh.classify._pure_part.
@@ -576,7 +579,7 @@ def induced_g_f(ms, u):
     canonical basis of F."""
     b = u.f_space.mat.T  # columns are the basis of F
     c = u.t_map.T @ ms.omega @ b
-    return -(c + c.T)
+    return mat_neg(mat_add(c, c.T))
 
 
 # Formerly pqh.classify._PurePart, the pass that presented U' as a graph
@@ -626,7 +629,7 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     form = to_uft(comp, basis)
     if not all(form.f_space.contains_vector(tf) for tf in form.t_map.cols):
         raise AssertionError(f"T does not preserve F for a {kind} witness")
-    t_f = form.t_on_subspace(form.f_space)
+    t_f = form.t_on_subspace(form.f_space).T  # t_on_subspace gives T's transpose
     if t_f @ t_f != Mat.scalar(form.dim, -scale):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
     g_f = induced_g_f(ms, form)
@@ -636,7 +639,7 @@ def _pure_part(ms: ModelSpace, u: Subspace, a: Operator) -> _PurePart:
     w_f = restrict_omega(ms, form.f_space)
     t_cols = [_int_row(c) for c in form.t_map.cols]
     w_t = _form_matrix(ms._omega_form, t_cols, t_cols)
-    omega_route = w_f.det() != 0 and w_t == w_f.scale(scale)
+    omega_route = w_f.det() != 0 and w_t == mat_scale(w_f, scale)
     partner = basis.conjugate(F0, 1 / scale, F1)
     k_hat = basis.conjugate(F1, F0, F0)
     gram_partner = image_orthogonal(ms, partner, u)
@@ -671,8 +674,8 @@ def check_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
         # g(A v_i, v_j) on the graph vectors v_i
         vs = pp.form.graph_rows()
         k_amb = _form_matrix(ms._metric_form, [a.act_int(*v) for v in vs], vs)
-        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
-        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
+        k_gf = mat_scale(pp.g_f @ pp.t_f, qa / pp.d_val)
+        k_form = mat_scale(mat_add(mat_scale(pp.w_f, pp.d_val), mat_scale(pp.w_t, qa / pp.d_val)), -F1)
         if not (k_amb == k_gf == k_form):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
@@ -731,8 +734,9 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
     family = None
     if rho is not None:
         lam_plus = d_val / rho
-        lift1 = poly_fiber(form.f_space, t_f, (-lam_plus, F1))
-        lift2 = poly_fiber(form.f_space, t_f, (lam_plus, F1))
+        # poly_fiber reads T by its image rows, T's transpose
+        lift1 = poly_fiber(form.f_space, t_f.T, (-lam_plus, F1))
+        lift2 = poly_fiber(form.f_space, t_f.T, (lam_plus, F1))
         if lift1.dim != d_plus or lift2.dim != d_minus:
             raise AssertionError("rational eigenspace dimensions disagree with trace test")
         dir1 = line_direction(form.h_basis, lam_plus)
@@ -757,7 +761,7 @@ def check_para_complex(ms: ModelSpace, u: Subspace, a: Operator) -> tuple:
             if t_f == Mat.scalar(k, lam):
                 n_op = pp.basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 for t in (0, 1, 2):
-                    member = a + n_op.scale(t)
+                    member = op_add(a, op_scale(n_op, t))
                     if not operator_preserves(member, pp.comp):
                         raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
@@ -1137,19 +1141,19 @@ def pure_part_mat(ms: ModelSpace, u: Subspace, a: Operator) -> PurePartMat:
     for (V, e), (W, f) in zip(adapted, (basis.to_basis_int(*m) for m in moved)):
         if any(s * e * x + t * f * y for x, y in zip(W[:half], V[half:])):
             raise AssertionError(f"the pure part is not the graph of T for a {kind} witness")
-    t_f = Mat(tuple(frac_row(*r) for r in c_rows), k).T.scale(-d_val / qa)
+    t_f = mat_scale(Mat(tuple(frac_row(*r) for r in c_rows), k).T, -d_val / qa)
     if t_f @ t_f != Mat.scalar(k, -scale):
         raise AssertionError(f"{kind} structure identity T^2 = -(D^2/q) Id failed")
     xs = [(V[:half], e) for V, e in adapted]  # p1'(b_i), a basis of F
     ys = [(V[half:], e) for V, e in adapted]  # p2'(b_i) = T p1'(b_i)
     c_om = _form_matrix(ms._omega_form, ys, xs)  # omega(T f_i, f_j)
     g_f = gram(ms, comp)
-    if -(c_om + c_om.T) != g_f:
+    if mat_neg(mat_add(c_om, c_om.T)) != g_f:
         raise AssertionError("pullback metric disagrees with the metric on the pure part")
     sig = signature(ms, comp)
     w_f = _form_matrix(ms._omega_form, xs, skew=True)
     w_t = _form_matrix(ms._omega_form, ys, skew=True)
-    omega_route = w_t == w_f.scale(scale) and w_f.det() != 0
+    omega_route = w_t == mat_scale(w_f, scale) and w_f.det() != 0
     partner = basis.conjugate(F0, 1 / scale, F1)
     k_hat = basis.conjugate(F1, F0, F0)
     gram_partner = image_orthogonal(ms, partner, u)
@@ -1183,8 +1187,8 @@ def check_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ComplexReport
         # g(A b_i, b_j) on the rows of U', which are the graph vectors
         rows = pp.comp.int_basis()
         k_amb = _form_matrix(ms._metric_form, [a.act_int(*b) for b in rows], rows)
-        k_gf = (pp.g_f @ pp.t_f).scale(qa / pp.d_val)
-        k_form = (pp.w_f.scale(pp.d_val) + pp.w_t.scale(qa / pp.d_val)).scale(-F1)
+        k_gf = mat_scale(pp.g_f @ pp.t_f, qa / pp.d_val)
+        k_form = mat_scale(mat_add(mat_scale(pp.w_f, pp.d_val), mat_scale(pp.w_t, qa / pp.d_val)), -F1)
         if not (k_amb == k_gf == k_form):
             raise AssertionError("Kaehler identity routes disagree")
     return ComplexReport(
@@ -1261,8 +1265,8 @@ def signature_mat(ms: ModelSpace, u: Subspace) -> SignatureTriple:
 def pure_part_t_f(self) -> Mat:
     """T = (-D/q) C^T on the basis p1'(b_j) of F; -D/q = -scale / D."""
     num, den = self.c
-    return Mat(tuple(frac_row(r, den) for r in zip(*num)), len(num)).scale(
-        -self.scale / self.d_val
+    return mat_scale(
+        Mat(tuple(frac_row(r, den) for r in zip(*num)), len(num)), -self.scale / self.d_val
     )
 
 
@@ -1345,7 +1349,7 @@ def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComp
         # makes v = (h1' + lam h2') (x) p1'(v), by the row identity
         vs1, vs2 = eigen = [
             comp.kernel_in([_int_row(c) for c in shifted.cols]).int_basis()
-            for shifted in (t_f - Mat.scalar(k, lam_plus), t_f + Mat.scalar(k, lam_plus))
+            for shifted in (mat_sub(t_f, Mat.scalar(k, lam_plus)), mat_add(t_f, Mat.scalar(k, lam_plus)))
         ]
         half = comp.ambient // 2
         lift1, lift2 = (
@@ -1365,7 +1369,7 @@ def check_para_complex_mat(ms: ModelSpace, u: Subspace, a: Operator) -> ParaComp
         for lam in (lam_plus, -lam_plus):
             if t_f == Mat.scalar(k, lam):
                 n_op = pp.basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
-                if not all(operator_preserves(a + n_op.scale(t), comp) for t in (0, 1, 2)):
+                if not all(operator_preserves(op_add(a, op_scale(n_op, t)), comp) for t in (0, 1, 2)):
                     raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
                 break
@@ -1402,7 +1406,7 @@ def check_totally_real_mat(ms: ModelSpace, u: Subspace, form: UFTForm) -> Totall
             raise AssertionError("totally real forces E1 ^ E2 = 0")
         vs = form.graph_rows()
         gm = _form_matrix(ms._metric_form, vs, vs)
-        if gm != c.scale(2):
+        if gm != mat_scale(c, 2):
             raise AssertionError("totally-real metric identity 2 omega(e, Te') failed")
         if u.dim > ms.n:
             raise AssertionError("totally real exceeds the quarter-dimension bound")
@@ -1466,7 +1470,7 @@ def _reflection(k: int, plus: int) -> Mat:
 
 def _tpc_blocks(k: int) -> Mat:
     """T with T^2 = Id, +1 eigenspace on odd slots, -1 on even slots."""
-    return Mat.identity(k // 2).kron(-MAT_K)
+    return Mat.identity(k // 2).kron(mat_neg(MAT_K))
 
 
 # Formerly the graph kinds of pqh.generate.generate: the graph of a local
@@ -1504,7 +1508,7 @@ def generate_map_graph(rng: Rng, n: int, kind: str, dim: int | None = None) -> S
             # E1 on odd slots, E2 on even slots, symmetric invertible pairing
             while True:
                 b = Mat([rng.rationals(k) for _ in range(k)], ncols=k)
-                local = b + b.T
+                local = mat_add(b, b.T)
                 if local.det() != 0:
                     break
             f_cols, g_cols = range(0, 2 * k, 2), range(1, 2 * k, 2)
@@ -1545,6 +1549,69 @@ def _int_rows(rows):
     """Clear the denominators of rational rows by one common lcm ``d``."""
     d = lcm(*(x.denominator for r in rows for x in r))
     return [[x.numerator * (d // x.denominator) for x in r] for r in rows], d
+
+
+# Formerly pqh.linalg.Mat._add, __add__, __sub__, __neg__, scale, mul_vec and
+# is_skew, as functions of a Mat: pqh.linalg.Mat has no element-wise
+# arithmetic.
+def mat_add(self, other, sign=1):
+    if self.shape != other.shape:
+        raise ValueError("shape mismatch")
+    rows = []
+    for pair in zip(self.int_rows(), other.int_rows()):
+        (A, B), m = _one_denominator(pair)
+        rows.append(_lowest_terms([x + sign * y for x, y in zip(A, B)], m))
+    return Mat.of_ints(rows, self.ncols)
+
+
+def mat_sub(self, other):
+    return mat_add(self, other, -1)
+
+
+def mat_neg(self):
+    return mat_scale(self, -1)
+
+
+def mat_scale(self, c):
+    c = _entry(c)
+    p, q = c.numerator, c.denominator
+    rows = [_lowest_terms([p * x for x in V], q * d) for V, d in self.int_rows()]
+    return Mat.of_ints(rows, self.ncols)
+
+
+def mat_mul_vec(self, v):
+    return (self @ Mat.from_cols((v,))).col(0)
+
+
+def mat_is_skew(self):
+    return self.shape[0] == self.shape[1] and self == mat_neg(self.T)
+
+
+# Formerly pqh.model.Operator.scale and __add__.
+def op_scale(self, c) -> Operator:
+    c = _entry(c)
+    return Operator(c * self.alpha, c * self.beta, c * self.gamma)
+
+
+def op_add(self, other: Operator) -> Operator:
+    return Operator(
+        self.alpha + other.alpha, self.beta + other.beta, self.gamma + other.gamma
+    )
+
+
+# Formerly pqh.subspace.Subspace.__init__, the span of a Mat's rows.
+def mat_span(mat: Mat) -> Subspace:
+    return Subspace.span(mat.rows, mat.ncols)
+
+
+# Formerly pqh.linalg.vec_add and vec_sub, which FracMat's sum and difference
+# read; pqh.linalg.Mat has no element-wise arithmetic.
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def vec_sub(u, v):
+    return tuple(a - b for a, b in zip(u, v))
 
 
 # Formerly pqh.linalg.Mat, which held its rows as ``Fraction`` tuples and
@@ -1947,5 +2014,59 @@ def frac_graph_spectrum(form: FracUFTForm):
     the minimal polynomial, the kernels by the package's ``poly_fiber``."""
     inj = frac_injectivize(form)
     core, t_core = frac_invariant_core(inj)
-    parts = tuple((q, poly_fiber(core, Mat(t_core.rows, ncols=t_core.ncols), q)) for q in minimal_polynomial(t_core))
+    # the package's poly_fiber reads T by its image rows, T's transpose
+    t_rows = Mat(t_core.T.rows, ncols=t_core.nrows)
+    parts = tuple((q, poly_fiber(core, t_rows, q)) for q in minimal_polynomial(t_core))
     return inj, core, t_core, parts
+
+
+# Formerly pqh.model.standardize, which checked the anticommutations and the
+# halves of J's eigenspaces that the unit and product relations imply, and
+# raised StructureError for the two checks only a program fault can fail
+# (``Mat`` read as ``FracMat``, the type of its arguments and of the basis).
+FRAC_I, FRAC_J, FRAC_K = (FracMat(m.rows) for m in (MAT_I, MAT_J, MAT_K))
+
+
+def frac_standardize(i_mat: FracMat, j_mat: FracMat, k_mat: FracMat) -> Standardization:
+    """Find a basis in which an abstract triple becomes the standard one.
+
+    The triple must satisfy -I^2 = J^2 = K^2 = Id, IJ = K and pairwise
+    anticommutation exactly.  The +1 eigenspace of J is paired with its
+    K-image; tie-breaking uses the lexicographically smallest reduced
+    echelon eigenbasis, so the output is deterministic.
+    """
+    d = i_mat.nrows
+    if i_mat.shape != (d, d) or j_mat.shape != (d, d) or k_mat.shape != (d, d):
+        raise StructureError("structure matrices must be square of equal size")
+    one = FracMat.identity(d)
+    if (i_mat @ i_mat) != -one or (j_mat @ j_mat) != one or (k_mat @ k_mat) != one:
+        raise StructureError("unit relations violated")
+    if (i_mat @ j_mat) != k_mat:
+        raise StructureError("product relation I J = K violated")
+    if (
+        i_mat @ j_mat != -(j_mat @ i_mat)
+        or j_mat @ k_mat != -(k_mat @ j_mat)
+        or i_mat @ k_mat != -(k_mat @ i_mat)
+    ):
+        raise StructureError("anticommutation relations violated")
+    plus = (j_mat - one).kernel()
+    minus = (j_mat + one).kernel()
+    if plus.nrows != minus.nrows or plus.nrows + minus.nrows != d:
+        raise StructureError("J eigenspaces do not split V in halves")
+    cols = []
+    for e_plus in plus.rows:
+        ke = k_mat.mul_vec(e_plus)
+        cols.append(vec_sub(e_plus, ke))
+        cols.append(vec_add(e_plus, ke))
+    basis = FracMat.from_cols(cols)
+    if basis.det() == 0:
+        raise StructureError("eigenbasis pairing is degenerate")
+    pairs = FracMat.identity(d // 2)
+    binv = basis.inverse()
+    if (
+        binv @ i_mat @ basis != pairs.kron(FRAC_I)
+        or binv @ j_mat @ basis != pairs.kron(FRAC_J)
+        or binv @ k_mat @ basis != pairs.kron(FRAC_K)
+    ):
+        raise StructureError("standardization failed to intertwine the triple")
+    return Standardization(basis, d // 2)

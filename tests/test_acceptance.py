@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import cleared_rows, graph_subspace, random_sl2
-from reference import assemble, induced_g_f, metric, omega_eval, restrict_omega
+from reference import assemble, induced_g_f, mat_neg, mat_scale, metric, omega_eval, restrict_omega
 from pqh.classify import (
     check_totally_real,
     classify,
@@ -66,16 +66,16 @@ def test_criterion_01_algebra_conformance():
         i_m = OP_I.mat2().kron(Mat.identity(dim))
         j_m = OP_J.mat2().kron(Mat.identity(dim))
         k_m = OP_K.mat2().kron(Mat.identity(dim))
-        assert i_m @ i_m == -eye
+        assert i_m @ i_m == mat_neg(eye)
         assert j_m @ j_m == eye
         assert k_m @ k_m == eye
         assert i_m @ j_m == k_m
-        assert i_m @ j_m == -(j_m @ i_m)
-        assert j_m @ k_m == -(k_m @ j_m)
-        assert i_m @ k_m == -(k_m @ i_m)
+        assert i_m @ j_m == mat_neg(j_m @ i_m)
+        assert j_m @ k_m == mat_neg(k_m @ j_m)
+        assert i_m @ k_m == mat_neg(k_m @ i_m)
         g = OMEGA_H.kron(ModelSpace.standard(n).omega)
         for m in (i_m, j_m, k_m):
-            assert (m.T @ g) == -(g @ m)  # g(AX, Y) = -g(X, AY)
+            assert (m.T @ g) == mat_neg(g @ m)  # g(AX, Y) = -g(X, AY)
     assert time.monotonic() - t0 < 1.0
     _pass(1, "standard structure relations and g-skewness, n = 1..4, < 1 s")
 
@@ -145,7 +145,7 @@ def test_criterion_04_complex_theorem_round_trip():
         w_t = form.t_map.T @ ms.omega @ form.t_map
         route_omega = (
             restrict_omega(ms, form.f_space).det() != 0
-            and w_t == w_f.scale(cr.scale)
+            and w_t == mat_scale(w_f, cr.scale)
         )
         assert route_omega == cr.omega_preserved
         assert cr.gram_orthogonal == route_omega or not rep.flags.hermitian
@@ -205,7 +205,7 @@ def test_criterion_06_real_and_totally_real():
         for j, f in enumerate(form.f_space.mat.rows)
     ]
     gm = Mat([[metric(ms2, x, y) for y in vs] for x in vs], ncols=form.dim)
-    assert gm == c.scale(2)  # Gram equals 2 omega(e, Te')
+    assert gm == mat_scale(c, 2)  # Gram equals 2 omega(e, Te')
     # curated: real but not totally real (omega nonzero on E1)
     rnt = graph_subspace(2, [((1, 0, 0, 0), (0, 0, 1, 0)), ((0, 1, 0, 0), (0, 0, 0, 1))])
     rep2 = classify(ms2, rnt)

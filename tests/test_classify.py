@@ -22,7 +22,7 @@ from pqh.classify import (
 )
 from pqh.generate import KINDS, generate
 from pqh.instances import report_to_dict
-from pqh.linalg import Mat, _int_row, frac_row, int_rank, vec_add
+from pqh.linalg import Mat, _int_row, frac_row, int_rank
 from pqh.model import ModelSpace, OP_I, OP_J, OP_K, Operator, tensor
 from pqh.polyq import is_rational_square
 from pqh.rng import Rng
@@ -34,8 +34,8 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import graph_form, to_uft
-from reference import QuadExt, assemble, maximal_invariant_subspace, metric, twist_h_rows
-from reference import _form_matrix, para_complex_eigenvectors
+from reference import QuadExt, assemble, maximal_invariant_subspace, metric, twist_h_rows, mat_span
+from reference import _form_matrix, para_complex_eigenvectors, vec_add
 
 ROT = [((1, 0), (0, 1)), ((0, 1), (-1, 0))]
 REFL = [((1, 0), (1, 0)), ((0, 1), (0, -1))]
@@ -82,8 +82,9 @@ class TestStabilizer:
         ep = Subspace.span([(1, 0), (0, 1)], 2)
         st = stabilizer(decomposable_subspace((1, 0), ep))
         a, b = (Operator(*row) for row in st.mat.rows)
-        bracket = a.mat2() @ b.mat2() - b.mat2() @ a.mat2()
-        from reference import operator_from_mat2
+        from reference import mat_sub, operator_from_mat2
+
+        bracket = mat_sub(a.mat2() @ b.mat2(), b.mat2() @ a.mat2())
 
         assert in_stabilizer(st, operator_from_mat2(bracket))
 
@@ -386,7 +387,7 @@ def test_nonsquare_eigenvectors_from_cyclic_basis(t):
     assert lam * lam == nu
     assert len(plus) == len(minus) == pc.d_plus == pc.d_minus == n
     form = to_uft(pc.pure_part, pc.basis)
-    t_f = form.t_on_subspace(form.f_space)
+    t_f = form.t_on_subspace(form.f_space).T  # T, from its image rows
     for rows, ev in ((plus, lam), (minus, -lam)):
         for v in rows:
             assert quad_apply(t_f, v) == tuple(ev * x for x in v)
@@ -546,7 +547,7 @@ class TestMaximalInvariant:
             # {x : A x in U}: the kernel of the columns of A reduced modulo U
             free = [j for j in range(u.ambient) if j not in set(u.pivots)]
             cols = [tuple(frac_row(*u.reduce_int(*_int_row(c)))[j] for j in free) for c in a.mat2().kron(Mat.identity(4)).cols]
-            return Subspace(Mat.from_cols(cols, nrows=len(free)).kernel())
+            return mat_span(Mat.from_cols(cols, nrows=len(free)).kernel())
 
         rng = Rng(67)
         for _ in range(40):

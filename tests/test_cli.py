@@ -421,6 +421,15 @@ class TestCommands:
         code, _, _ = run_cli(capsys, "standardize", str(path))
         assert code == 3
 
+    def test_standardize_cross_check_failure_exits_4(self, monkeypatch, capsys):
+        # a valid triple cannot fail X B = B blocks, so a failure is a fault
+        # of the program, not of the input: force one by swapping the
+        # standard J block for K
+        monkeypatch.setattr(pqh.model, "MAT_J", pqh.model.MAT_K)
+        code, out, err = run_cli(capsys, "standardize", str(DATA / "structure_r4.json"))
+        assert code == 4 and out == ""
+        assert err == "cross-check violation: standardization failed to intertwine the triple\n"
+
     def test_decompose_modes(self, totally_real_instance, capsys):
         for mode in ("generic", "form1", "form2", "nilpotent"):
             code, out, _ = run_cli(

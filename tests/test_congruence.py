@@ -19,13 +19,13 @@ from hypothesis import strategies as st
 from test_graph_maps import bits100, entry_kinds, low_rank, small_entries
 from test_graph_spectrum import any_forms, subspaces_with_lines
 from conftest import cleared_rows
-from reference import mat_is_symmetric, mat_rank
+from reference import mat_is_symmetric, mat_rank, mat_span
 from test_model import huge_entries
 
 from pqh.generate import KINDS, generate
 from pqh.linalg import F0, F1, Mat, symmetric_signature
 from pqh.rng import Rng
-from pqh.subspace import Subspace, h_fiber
+from pqh.subspace import h_fiber
 from pqh.uft import find_transversal_direction, minimal_fiber_direction
 
 # -- the replaced code, kept as references -------------------------------------
@@ -256,7 +256,7 @@ def test_direction_searches_on_every_kind_match_the_old_ones(kind):
 def random_subspaces(draw):
     entries = draw(entry_kinds)
     ambient = 4 * draw(st.integers(1, 3))
-    return Subspace(draw(low_rank(draw(st.integers(0, ambient)), ambient, entries)))
+    return mat_span(draw(low_rank(draw(st.integers(0, ambient)), ambient, entries)))
 
 
 @REF

@@ -44,7 +44,7 @@ from pqh.subspace import (
     signature,
 )
 from pqh.uft import DecomposablePiece, _graph_of, graph_form, normalize_direction
-from reference import coordinates_of, from_basis, restrict_omega, twist_h_rows
+from reference import coordinates_of, from_basis, restrict_omega, twist_h_rows, mat_span
 
 # -- reference copies ---------------------------------------------------------
 
@@ -235,7 +235,7 @@ def big_nilpotent_instances(draw):
     row = st.lists(big, min_size=2 * n, max_size=2 * n)
     p = Mat(draw(st.lists(row, min_size=2 * n, max_size=2 * n)))
     assume(p.det() != 0)
-    v = Subspace(u.mat @ Mat.identity(2).kron(p))
+    v = mat_span(u.mat @ Mat.identity(2).kron(p))
     if draw(st.booleans()):
         v = twist_h_rows(v, draw(h_basis_changes()))
     return ModelSpace.standard(n), v

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import graph_rows, t_is_injective, twist_h_rows
+from reference import graph_rows, t_is_injective, twist_h_rows, mat_span
 from test_graph_maps import bits100, dense, entry_kinds, graph_forms, small_entries, subspaces_of
 from test_kernel_in import split_instances
 from test_rank_certificates import model_subspaces
@@ -40,7 +40,7 @@ from pqh.uft import (
 
 def ref_graph_over(form, sub):
     """The graph over a subspace of F, rebuilt from its graph rows."""
-    return Subspace(graph_rows(form, sub))
+    return mat_span(graph_rows(form, sub))
 
 
 def clean_complement(u, u0, e0):
@@ -116,7 +116,7 @@ def eigen_forms(draw):
     entries = draw(entry_kinds)
     dim_e = 2 * draw(st.integers(1, 3))
     m = draw(st.integers(1, dim_e))
-    f_space = Subspace(draw(dense(m, dim_e, entries)))
+    f_space = mat_span(draw(dense(m, dim_e, entries)))
     m = f_space.dim
     if m == 0:
         return UFTForm(draw(bases), f_space, Mat((), ncols=dim_e))

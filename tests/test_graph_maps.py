@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from conftest import to_basis
 from reference import coordinates_of, from_basis, operator_from_mat2, traceless_entries, twist_h_rows
+from reference import mat_mul_vec, mat_span
 from reference import invariant_core as f_cap_tf_invariant_core
 from test_model import h_basis_changes
 
@@ -34,12 +35,13 @@ from pqh.uft import UFTForm, graph_form, graph_over, injectivize, invariant_core
 
 def ref_apply_t(form, f):
     """The deleted ``UFTForm.apply_t``: T of one vector of F."""
-    return form.t_map.mul_vec(coordinates_of(form.f_space, f))
+    return mat_mul_vec(form.t_map, coordinates_of(form.f_space, f))
 
 
 def ref_t_on_subspace(form, w):
-    cols = [coordinates_of(w, ref_apply_t(form, row)) for row in w.mat.rows]
-    return Mat.from_cols(cols, nrows=w.dim)
+    # T by its image rows, the transpose of its matrix, as t_on_subspace gives it
+    images = [coordinates_of(w, ref_apply_t(form, row)) for row in w.mat.rows]
+    return Mat(images, ncols=w.dim)
 
 
 def ref_invariant_core(form):
@@ -49,7 +51,7 @@ def ref_invariant_core(form):
         pivset = set(w.pivots)
         free = [j for j in range(w.ambient) if j not in pivset]
         qrows = [tuple(frac_row(*w.reduce_int(*_int_row(img)))[j] for j in free) for img in images]
-        w_new = Subspace(Mat(qrows, ncols=len(free)).T.kernel() @ w.mat)
+        w_new = mat_span(Mat(qrows, ncols=len(free)).T.kernel() @ w.mat)
         if w_new == w:
             break
         w = w_new
@@ -126,7 +128,7 @@ def subspaces_of(draw, space, entries):
     """A subspace of ``space`` spanned by up to dim + 1 combinations of its
     basis, so often rank-deficient, sometimes zero."""
     k = draw(st.integers(0, space.dim + 1))
-    return Subspace(draw(low_rank(k, space.dim, entries)) @ space.mat)
+    return mat_span(draw(low_rank(k, space.dim, entries)) @ space.mat)
 
 
 @st.composite
@@ -136,7 +138,7 @@ def graph_forms(draw):
     dependent rows."""
     entries = draw(entry_kinds)
     dim_e = 2 * draw(st.integers(1, 3))
-    f_space = Subspace(draw(low_rank(draw(st.integers(0, dim_e)), dim_e, entries)))
+    f_space = mat_span(draw(low_rank(draw(st.integers(0, dim_e)), dim_e, entries)))
     m = f_space.dim
     if draw(st.booleans()):
         t_map = f_space.mat.T @ draw(low_rank(m, m, entries))
@@ -222,7 +224,7 @@ def test_graph_over_and_graph_basis_match_per_row_reference(data):
     sub = data.draw(subspaces_of(form.f_space, entries))
     assert graph_over(form.span(), form.h_basis, sub) == ref_graph_over(form, sub)
     assert tuple(frac_row(*r) for r in form.graph_rows()) == ref_graph_basis(form).rows
-    assert form.span() == Subspace(ref_graph_basis(form))
+    assert form.span() == mat_span(ref_graph_basis(form))
 
 
 # -- the H-basis rewrite ---------------------------------------------------------
@@ -241,13 +243,13 @@ def test_to_basis_and_from_basis_match_block_products(data):
     assert back == ref_from_basis(s, rows, half)
     assert all(type(x) is Fraction for r in to + back for x in r)
     assert from_basis(s, to) == list(rows)
-    u = Subspace(mat)
+    u = mat_span(mat)
     comps = to_basis(s, u.mat.rows)
     swapped = [c[half:] + c[:half] for c in comps]
     ref1, ref2 = ref_p1p2(u, s)
     assert p1(Subspace.span(comps, 2 * half)) == ref1
     assert p1(Subspace.span(swapped, 2 * half)) == ref2
-    assert twist_h_rows(u, s) == Subspace(u.mat @ _blocks(s.mat, half))
+    assert twist_h_rows(u, s) == mat_span(u.mat @ _blocks(s.mat, half))
 
 
 def test_to_basis_accepts_int_rows():

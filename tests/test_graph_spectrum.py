@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import t_is_injective
+from reference import mat_add, mat_span, t_is_injective
 from test_graph_maps import entry_kinds, graph_forms, low_rank
 from test_model import h_basis_changes, huge_entries
 
@@ -171,14 +171,14 @@ def spectral_forms(draw):
     entries = draw(entry_kinds)
     dim_e = 2 * draw(st.integers(1, 3))
     m = draw(st.integers(1, dim_e))
-    f_space = Subspace(draw(low_rank(m, dim_e, entries)))
+    f_space = mat_span(draw(low_rank(m, dim_e, entries)))
     if f_space.dim == 0:
         f_space = Subspace.full(dim_e)
     m = f_space.dim
     t_f = draw(conjugated(draw(block_matrices(m)), entries))
     t_map = f_space.mat.T @ t_f
     if draw(st.integers(0, 2)) == 0:
-        t_map = t_map + draw(low_rank(dim_e, m, entries))
+        t_map = mat_add(t_map, draw(low_rank(dim_e, m, entries)))
     basis = draw(h_basis_changes()) if draw(st.booleans()) else HBasisChange.identity()
     return UFTForm(basis, f_space, t_map.T)
 
@@ -196,11 +196,11 @@ def subspaces_with_lines(draw):
     parts = [
         decomposable_subspace(
             draw(st.sampled_from(directions)),
-            Subspace(draw(low_rank(draw(st.integers(1, 2)), dim_e, entries))),
+            mat_span(draw(low_rank(draw(st.integers(1, 2)), dim_e, entries))),
         )
         for _ in range(draw(st.integers(1, 3)))
     ]
-    parts.append(Subspace(draw(low_rank(draw(st.integers(0, 3)), 2 * dim_e, entries))))
+    parts.append(mat_span(draw(low_rank(draw(st.integers(0, 3)), 2 * dim_e, entries))))
     return span_of(parts, 2 * dim_e)
 
 

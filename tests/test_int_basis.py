@@ -19,7 +19,7 @@ from conftest import congruent_instance, dense_congruence, hand_built_instance, 
 from test_linalg import _eliminate
 from test_model import h_basis_changes, model_spaces, operators
 from test_rank_certificates import SETTINGS, big, int_rows, ref_maximal_pq
-from reference import mat_is_zero, twist_h_rows
+from reference import mat_is_zero, twist_h_rows, mat_span
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, generate, random_sl2
@@ -243,7 +243,7 @@ def test_span_and_equality_match_fraction_matrices(data):
     assert is_basis(u, ref_span(rows_u, ambient))
     assert u.int_basis() == [_int_row(r) for r in u.mat.rows]
     assert all(isinstance(V, list) for V, _ in u.int_basis())
-    assert u == Subspace(Mat(rows_u, ncols=ambient))
+    assert u == mat_span(Mat(rows_u, ncols=ambient))
     # the same space from other spanning rows: sums of pairs, scaled by 7
     rows_w = [tuple(7 * (x + y) for x, y in zip(r, s)) for r, s in zip(rows_u, rows_u[1:])]
     for rows in (rows_w, rows_w + rows_u[:1], rows_u[::-1]):

@@ -48,7 +48,7 @@ def spy_graph_in(monkeypatch, module, seen):
     def spy(space, rows, s):
         got = real(space, rows, s)
         k, basis = space.dim, space.mat
-        assert space == Subspace(space.mat)
+        assert space == ref.mat_span(space.mat)
         assert all(len(r) == 2 * k and all(type(x) is int for x in r) for r in rows)
         xs, ys = (Mat([r[a : a + k] for r in rows], ncols=k) @ basis for a in (0, k))
         graph = Subspace.span([x + y for x, y in zip(xs.rows, ys.rows)], 2 * space.ambient)

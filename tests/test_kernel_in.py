@@ -34,7 +34,7 @@ from pqh.polyq import poly_eval_matrix
 from pqh.rng import Rng
 from pqh.subspace import Subspace, direct_sum_is, omega_kernel_in, product_subspace
 from pqh.uft import poly_fiber, pq_split
-from reference import maximal_invariant_subspace
+from reference import mat_add, mat_span, mat_sub, maximal_invariant_subspace
 
 # -- reference copies ---------------------------------------------------------
 
@@ -47,13 +47,13 @@ def ref_kernel_in(w, images, target):
         rows += list(target.mat.rows)
     combos = Mat(rows, ncols=len(images[0][0])).T.kernel()
     coeffs = Mat(tuple(c[: w.dim] for c in combos.rows), ncols=w.dim)
-    return Subspace(coeffs @ w.mat)
+    return mat_span(coeffs @ w.mat)
 
 
 def ref_omega_kernel_in(ms, a_sub, b_sub):
     if a_sub.dim == 0:
         return b_sub
-    return ref_intersect(b_sub, Subspace((a_sub.mat @ ms.omega).kernel()))
+    return ref_intersect(b_sub, mat_span((a_sub.mat @ ms.omega).kernel()))
 
 
 def ref_maximal_invariant_subspace(a, u):
@@ -61,7 +61,7 @@ def ref_maximal_invariant_subspace(a, u):
 
 
 def ref_poly_fiber(w, t_w, poly):
-    return Subspace(poly_eval_matrix(poly, t_w).kernel() @ w.mat)
+    return mat_span(poly_eval_matrix(poly, t_w).kernel() @ w.mat)
 
 
 def ref_eigen_split(a, u, u0, root):
@@ -70,14 +70,14 @@ def ref_eigen_split(a, u, u0, root):
     amat = a.mat2().kron(Mat.identity(u.ambient // 2))
     parts = []
     for sign in (root, -root):
-        vs = Subspace((amat - Mat.scalar(u.ambient, sign)).kernel())
+        vs = mat_span(mat_sub(amat, Mat.scalar(u.ambient, sign)).kernel())
         parts.append(ref_intersect(u0, vs).complement_in(ref_intersect(u, vs)))
     return parts[0].sum(parts[1])
 
 
 def ref_nilpotent_e0(e2_proj, t_mat):
     """``check_nilpotent``'s E0: the relations among the rows of T~."""
-    return Subspace(t_mat.T.kernel() @ e2_proj.mat)
+    return mat_span(t_mat.T.kernel() @ e2_proj.mat)
 
 
 # -- the primitive itself ------------------------------------------------------------
@@ -124,12 +124,13 @@ def test_poly_fiber_matches_reference(data):
     lam = data.draw(big)
     # T = lam Id + N with N often rank-deficient, so ker (T - lam) is often nonzero
     n_part = Mat(data.draw(int_rows(k, k)), ncols=k) if k else Mat.scalar(0, 0)
-    t_w = n_part + Mat.scalar(k, lam)
+    t_w = mat_add(n_part, Mat.scalar(k, lam))
     poly = data.draw(
         st.sampled_from([(-lam, F1), (lam, F1), (0, F1)])
         | st.tuples(big, big, st.just(1))
     )
-    assert poly_fiber(w, t_w, poly) == ref_poly_fiber(w, t_w, poly)
+    # poly_fiber reads T by its image rows, the transpose of its matrix
+    assert poly_fiber(w, t_w.T, poly) == ref_poly_fiber(w, t_w, poly)
 
 
 @st.composite

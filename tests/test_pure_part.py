@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from conftest import cleared_rows
 from reference import assemble, graph_basis, graph_rows, induced_g_f, mat_rank, mat_trace, pure_form
+from reference import mat_add, mat_mul_vec, mat_scale, mat_span, op_add, op_scale
 from reference import coordinates_of, restrict_omega
 from test_pure_complement import ref_invariant_pure_complement
 
@@ -68,7 +69,7 @@ def ref_check_complex(ms, u, a):
         if not form.f_space.contains_vector(tf):
             ok = False
             break
-        ttf = form.t_map.mul_vec(coordinates_of(form.f_space, tf))
+        ttf = mat_mul_vec(form.t_map, coordinates_of(form.f_space, tf))
         if ttf != tuple(-mu * x for x in f):
             ok = False
             break
@@ -89,12 +90,12 @@ def ref_check_complex(ms, u, a):
     w_t = te.T @ ms.omega @ te
     vs = graph_basis(form)
     k_amb = vs @ a.mat2().kron(Mat.identity(ms.dim_e)).T @ OMEGA_H.kron(ms.omega) @ vs.T
-    k_gf = (g_f @ t_f).scale(qa / d_val)
-    k_form = (w_f.scale(d_val) + w_t.scale(qa / d_val)).scale(-F1)
+    k_gf = mat_scale(g_f @ t_f, qa / d_val)
+    k_form = mat_scale(mat_add(mat_scale(w_f, d_val), mat_scale(w_t, qa / d_val)), -F1)
     if not (k_amb == k_gf == k_form):
         raise AssertionError("Kaehler identity routes disagree")
     omega_pres = (
-        restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(mu)
+        restrict_omega(ms, form.f_space).det() != 0 and w_t == mat_scale(w_f, mu)
     )
     j_hat = basis.conjugate(F0, qa / (d_val * d_val), F1)
     k_hat = basis.conjugate(F1, F0, F0)
@@ -132,7 +133,7 @@ def ref_check_para_complex(ms, u, a):
         tf = form.t_map.col(j)
         if not form.f_space.contains_vector(tf):
             raise AssertionError("T does not preserve F for a para-complex witness")
-        ttf = form.t_map.mul_vec(coordinates_of(form.f_space, tf))
+        ttf = mat_mul_vec(form.t_map, coordinates_of(form.f_space, tf))
         if ttf != tuple(nu * x for x in f):
             raise AssertionError("para-complex identity T^2 = nu Id failed")
         tf_cols.append(coordinates_of(form.f_space, tf))
@@ -172,8 +173,8 @@ def ref_check_para_complex(ms, u, a):
         lam_plus = d_val / rho
         e1 = poly_eval_matrix((-lam_plus, F1), t_f).kernel()
         e2 = poly_eval_matrix((lam_plus, F1), t_f).kernel()
-        lift1 = Subspace(e1 @ form.f_space.mat)
-        lift2 = Subspace(e2 @ form.f_space.mat)
+        lift1 = mat_span(e1 @ form.f_space.mat)
+        lift2 = mat_span(e2 @ form.f_space.mat)
         if lift1.dim != d_plus or lift2.dim != d_minus:
             raise AssertionError("rational eigenspace dimensions disagree with trace test")
         dir1 = normalize_direction(_std_direction(form.h_basis, (F1, lam_plus)))
@@ -186,16 +187,16 @@ def ref_check_para_complex(ms, u, a):
             raise AssertionError("eigenspace presentation does not recompose")
         eigen_pres = (dir1, lift1, dir2, lift2)
         if lift1.dim and lift2.dim:
-            vs1, vs2 = Subspace(graph_rows(form, lift1)).mat, Subspace(graph_rows(form, lift2)).mat
+            vs1, vs2 = mat_span(graph_rows(form, lift1)).mat, mat_span(graph_rows(form, lift2)).mat
             if mat_rank(vs1 @ OMEGA_H.kron(ms.omega) @ vs2.T) != m_value:
                 raise AssertionError("cross-eigenspace rank disagrees with signature")
         elif m_value != 0:
             raise AssertionError("empty eigenspace but nonzero metric rank")
         for lam in (lam_plus, -lam_plus):
-            if t_f == Mat.identity(k).scale(lam):
+            if t_f == mat_scale(Mat.identity(k), lam):
                 n_op = basis.conjugate(F1, qa * lam / (d_val * d_val), lam)
                 for t in (0, 1, 2):
-                    member = a + n_op.scale(t)
+                    member = op_add(a, op_scale(n_op, t))
                     if not operator_preserves(member, comp):
                         raise AssertionError("witness family member fails invariance")
                 family = (a, n_op)
@@ -204,7 +205,7 @@ def ref_check_para_complex(ms, u, a):
     w_f = b_mat.T @ ms.omega @ b_mat
     w_t = form.t_map.T @ ms.omega @ form.t_map
     omega_skew = (
-        restrict_omega(ms, form.f_space).det() != 0 and w_t == w_f.scale(-nu)
+        restrict_omega(ms, form.f_space).det() != 0 and w_t == mat_scale(w_f, -nu)
     )
     i_hat = basis.conjugate(F0, qa / (d_val * d_val), F1)
     k_hat = basis.conjugate(F1, F0, F0)
@@ -252,7 +253,7 @@ def test_generated_witnesses_match_reference(kind):
                     continue
                 # rescaling flips the sign of D and changes q by a square
                 for c in (F1, Fraction(-3, 2)):
-                    assert_same_reports(ms, u, a.scale(c))
+                    assert_same_reports(ms, u, op_scale(a, c))
 
 
 def _adapted_graph(n, a):
@@ -285,7 +286,7 @@ def test_explicit_witnesses_match_reference(a):
         if a.q() > 0:
             assert pure_form(check_complex(ModelSpace.standard(n), u, a)).dim == 2 * n
         assert_same_reports(ModelSpace.standard(n), u, a)
-        assert_same_reports(ModelSpace.standard(n), u, a.scale(-2))
+        assert_same_reports(ModelSpace.standard(n), u, op_scale(a, -2))
 
 
 def test_nonsquare_para_complex_graph_matches_reference(ms1):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import t_is_injective
+from reference import t_is_injective, mat_span
 
 from pqh.classify import classify, oracle_check
 from pqh.generate import KINDS, check_dim, generate
@@ -45,7 +45,7 @@ def ref_intersect(a, b):
         return Subspace.zero(a.ambient)
     combos = Mat(a.mat.rows + b.mat.rows, a.mat.ncols).T.kernel()
     coeffs = Mat(tuple(c[: a.dim] for c in combos.rows), ncols=a.dim)
-    return Subspace(coeffs @ a.mat)
+    return mat_span(coeffs @ a.mat)
 
 
 def ref_preimage_by(u, m):
@@ -55,7 +55,7 @@ def ref_preimage_by(u, m):
     pivset = set(u.pivots)
     free = [j for j in range(u.ambient) if j not in pivset]
     qcols = [tuple(frac_row(*u.reduce_int(*_int_row(c)))[j] for j in free) for c in m.cols]
-    return Subspace(Mat.from_cols(qcols, nrows=len(free)).kernel())
+    return mat_span(Mat.from_cols(qcols, nrows=len(free)).kernel())
 
 
 def ref_h_fiber(u, h):
@@ -86,7 +86,7 @@ def ref_invariant_core(form):
     """``invariant_core`` before the W0 = F stop, on the reference kernels."""
     w = ref_intersect(form.f_space, ref_t_image(form))
     while not w.is_zero():
-        w_new = Subspace(ref_preimage_by(w, form.t_rows(w).T).mat @ w.mat)
+        w_new = mat_span(ref_preimage_by(w, form.t_rows(w).T).mat @ w.mat)
         if w_new == w:
             break
         w = w_new

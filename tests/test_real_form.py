@@ -147,7 +147,7 @@ def test_t_on_f_is_t_on_the_subspace_f():
                 # graph form's T on F in the basis of U''s h1' parts
                 form = to_uft(part.comp, part.basis)
                 p = pure_part_coordinates(part, form)
-                assert p.T @ pure_part_t_f(part) == form.t_on_subspace(form.f_space) @ p.T
+                assert p.T @ pure_part_t_f(part) == form.t_on_subspace(form.f_space).T @ p.T
                 pure_parts += 1
         form = graph_form(u)
         if form is not None:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from test_graph_maps import bits100, entry_kinds, graph_forms, low_rank, small_entries
 from test_graph_spectrum import block_matrices, conjugated, spectral_forms, subspaces_with_lines
 from test_model import h_basis_changes, huge_entries, model_spaces, operators
-from reference import mat_is_zero
+from reference import mat_is_zero, mat_span
 
 import pqh.uft
 from pqh.classify import classify, generic_decompose
@@ -191,7 +191,7 @@ def outcome(fn, u):
 
 def fresh(u):
     """An equal instance with an empty memo."""
-    return Subspace(u.mat)
+    return mat_span(u.mat)
 
 
 def small_instances():
@@ -324,7 +324,7 @@ def pq_plus_graphs(draw):
     """H (x) E0 plus the graph of a spectral form, so U0 != 0 whenever E0 is."""
     form = draw(spectral_forms())
     dim_e = form.dim_e
-    e0 = Subspace(draw(low_rank(draw(st.integers(1, 2)), dim_e, draw(entry_kinds))))
+    e0 = mat_span(draw(low_rank(draw(st.integers(1, 2)), dim_e, draw(entry_kinds))))
     return span_of([product_subspace(e0), form.span()], 2 * dim_e)
 
 
@@ -352,7 +352,7 @@ def bijective_forms(draw):
     a rank-deficiently spanned F, or any matrix (then often TF != F)."""
     entries = draw(st.sampled_from([small_entries, bits100, huge_entries]))
     dim_e = 2 * draw(st.integers(1, 3))
-    f_space = Subspace(draw(low_rank(draw(st.integers(0, dim_e + 1)), dim_e, entries)))
+    f_space = mat_span(draw(low_rank(draw(st.integers(0, dim_e + 1)), dim_e, entries)))
     m = f_space.dim
     if m and draw(st.booleans()):
         blocks = draw(block_matrices(m, eigenvalues=(1, 2, -1), quadratics=True))
@@ -377,7 +377,7 @@ def test_image_orthogonal_matches_the_gram_product(data):
     ms = data.draw(model_spaces())
     ambient = 4 * ms.n
     entries = data.draw(st.sampled_from([small_entries, huge_entries]))
-    u = Subspace(data.draw(low_rank(data.draw(st.integers(0, 2 * ms.n + 1)), ambient, entries)))
+    u = mat_span(data.draw(low_rank(data.draw(st.integers(0, 2 * ms.n + 1)), ambient, entries)))
     op = data.draw(operators())
     assert image_orthogonal(ms, op, u) == ref_image_orthogonal(ms, op, u)
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graph_subspace, pairing_values, random_sl2, unit
-from reference import metric, omega_eval, twist_h_rows
-from pqh.linalg import Mat, _int_row, frac_row, vec_add
+from reference import mat_neg, mat_span, metric, omega_eval, twist_h_rows, vec_add
+from pqh.linalg import Mat, _int_row, frac_row
 from pqh.model import OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, ModelSpace, Operator, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -162,18 +162,18 @@ class TestGramSignature:
 class TestOrthoComplement:
     def test_full_and_zero(self, ms1):
         g = OMEGA_H.kron(ms1.omega)
-        assert Subspace((Subspace.full(4).mat @ g).kernel()).is_zero()
-        assert Subspace((Subspace.zero(4).mat @ g).kernel()) == Subspace.full(4)
+        assert mat_span((Subspace.full(4).mat @ g).kernel()).is_zero()
+        assert mat_span((Subspace.zero(4).mat @ g).kernel()) == Subspace.full(4)
 
     def test_isotropic_line_inside_complement(self, ms1):
         u = Subspace.span([tensor((1, 0), (1, 0))], 4)
-        assert Subspace((u.mat @ OMEGA_H.kron(ms1.omega)).kernel()).contains(u)
+        assert mat_span((u.mat @ OMEGA_H.kron(ms1.omega)).kernel()).contains(u)
 
     def test_dimension_random(self, ms2):
         rng = Rng(37)
         for _ in range(100):
             u = random_subspace(rng, 8, 1 + rng.below(8))
-            assert Subspace((u.mat @ OMEGA_H.kron(ms2.omega)).kernel()).dim == 8 - u.dim
+            assert mat_span((u.mat @ OMEGA_H.kron(ms2.omega)).kernel()).dim == 8 - u.dim
 
 
 class TestMaximalPQ:
@@ -265,7 +265,7 @@ def ref_h_fiber(u, h):
         e[r] = Fraction(1)
         red = frac_row(*u.reduce_int(*_int_row(tensor((a, b), e))))
         rows.append(tuple(red[j] for j in free))
-    return Subspace(Mat(rows, ncols=len(free)).T.kernel())
+    return mat_span(Mat(rows, ncols=len(free)).T.kernel())
 
 
 def ref_gram(ms, u):
@@ -371,7 +371,7 @@ class TestAgainstLoopReferences:
         rows = u.int_basis()
         assert pairing_values(ms._metric_form, rows, rows) == ref_gram(ms, u)
         # w inside the orthogonal complement of U, or anywhere
-        inside = Subspace((u.mat @ OMEGA_H.kron(ms.omega)).kernel()) if data.draw(st.booleans()) else None
+        inside = mat_span((u.mat @ OMEGA_H.kron(ms.omega)).kernel()) if data.draw(st.booleans()) else None
         w = data.draw(subspaces(ms.dim_v, inside=inside))
         assert is_orthogonal(ms, u, w) == ref_is_orthogonal(ms, u, w)
         assert is_orthogonal(ms, w, u) == ref_is_orthogonal(ms, w, u)
@@ -404,7 +404,7 @@ class TestMemo:
     def test_signature_keyed_by_model_space(self, ms1):
         # g(x, x) = 2 omega(e1, e2) for x = h1 (x) e1 + h2 (x) e2
         u = Subspace.span([vec_add(tensor((1, 0), (1, 0)), tensor((0, 1), (0, 1)))], 4)
-        flipped = ModelSpace(1, ms1.omega.scale(-1))
+        flipped = ModelSpace(1, mat_neg(ms1.omega))
         assert signature(ms1, u).as_tuple() == (1, 0, 0)
         assert signature(flipped, u).as_tuple() == (0, 0, 1)
         assert signature(ms1, u).as_tuple() == (1, 0, 0)

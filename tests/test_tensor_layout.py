@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import mat_neg, mat_span
 
 from pqh.classify import (
     GenericDecomposition,
@@ -129,7 +130,7 @@ def ref_standard_blocks(pairs):
 
 def ref_metric_matrix(omega):
     z = Mat.scalar(omega.nrows, 0)
-    top, bottom = z.hstack(omega), (-omega).hstack(z)
+    top, bottom = z.hstack(omega), mat_neg(omega).hstack(z)
     return Mat(top.rows + bottom.rows, top.ncols)
 
 
@@ -188,7 +189,7 @@ def test_zero_subspace_values(n):
     )
     assert generic_decompose(zero) == GenericDecomposition(zero, (), zero)
     assert is_para_quaternionic(ms, zero) == PQReport(True, True, True)
-    assert Subspace((zero.mat @ OMEGA_H.kron(ms.omega)).kernel()) == Subspace.full(4 * n)
+    assert mat_span((zero.mat @ OMEGA_H.kron(ms.omega)).kernel()) == Subspace.full(4 * n)
     # zero parts leave the direct-sum test as it was without them
     u = generate(Rng(n), n, "generic")
     assert direct_sum_is(u, [zero, u, zero])

@@ -4,8 +4,9 @@ import pytest
 
 from conftest import graph_subspace, random_sl2
 from reference import assemble, induced_g_f, mat_is_zero, mat_rank, metric, t_is_injective
+from reference import mat_neg, vec_add
 from pqh.generate import generate
-from pqh.linalg import Mat, _int_row, vec_add
+from pqh.linalg import Mat, _int_row
 from pqh.model import HBasisChange, StructureError, tensor
 from pqh.rng import Rng
 from pqh.subspace import (
@@ -151,7 +152,7 @@ class TestBasisChange:
         form = to_uft(u, HBasisChange.identity())
         swapped = to_uft(form.span(), form.h_basis.compose(HBasisChange(Mat(((0, -1), (1, 0))))))
         t = Mat(((0, -1), (1, 0)))
-        assert swapped.t_map == t.inverse().scale(-1)
+        assert swapped.t_map == mat_neg(t.inverse())
         assert swapped.span() == u
 
     def test_span_preserved_random(self):

@@ -28,7 +28,7 @@ from conftest import congruent_instance, dense_congruence, hand_built_instance, 
 from reference import check_complex as ref_check_complex
 from reference import twist_h_rows
 from reference import check_para_complex as ref_check_para_complex
-from reference import pure_form
+from reference import op_scale, pure_form
 
 from pqh.classify import check_complex, check_para_complex, classify, kind_witnesses, stabilizer
 from pqh.generate import KINDS, generate
@@ -77,7 +77,7 @@ def cases(draw, source):
     wits = kind_witnesses(stabilizer(u))
     found = [w for w in (wits.complex, wits.para_complex) if w is not None]
     a = draw(st.sampled_from(found or [OP_I, OP_K]))
-    return ms, u, a.scale(draw(st.sampled_from(SCALES)))
+    return ms, u, op_scale(a, draw(st.sampled_from(SCALES)))
 
 
 @pytest.mark.parametrize("source", KINDS + ("hand_built",))
