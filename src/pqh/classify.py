@@ -754,9 +754,10 @@ def _decompose_pure(u_pure: Subspace):
     which is itself a pure weakly para-complex addend."""
     if u_pure.dim == 0:  # the usual last residue; skips the graph search
         return [], Subspace.zero(u_pure.ambient)
-    spectrum = subspace_spectrum(u_pure)
+    fibers = []
+    spectrum = subspace_spectrum(u_pure, fibers)
     if spectrum is None:
-        hmin, fib = minimal_fiber_direction(u_pure)
+        hmin, fib = minimal_fiber_direction(u_pure, fibers)
         piece = decomposable_subspace(hmin, fib)
         witness = operator_in_basis(
             _direction_completion(normalize_direction(hmin)), 0, 0, 1
@@ -791,7 +792,11 @@ def _decompose_pure(u_pure: Subspace):
         if witness is not None and not operator_preserves(witness, graph):
             raise AssertionError("constructed addend witness fails invariance")
         addends.append(Addend(kind, graph, witness, tuple(poly)))
-    residual_f = span_of(kernels, form.dim_e).complement_in(form.f_space)
+    spanned = span_of(kernels, form.dim_e)
+    if spanned.dim == form.dim:
+        # U is a graph over h1', so no nonzero vector of U has h1' part 0
+        return addends, Subspace.zero(u_pure.ambient)
+    residual_f = spanned.complement_in(form.f_space)
     # the residue is a graph subspace: an empty spectrum returns it as real
     sub_addends, sub_real = _decompose_pure(graph_over(u_pure, form.h_basis, residual_f))
     return addends + sub_addends, sub_real

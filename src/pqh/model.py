@@ -408,7 +408,7 @@ def standardize(i_mat: Mat, j_mat: Mat, k_mat: Mat) -> Standardization:
         ke = [sum(map(mul, r, E)) for r in kn]  # dk de K e
         cols.append(frac_row([dk * x - y for x, y in zip(E, ke)], dk * de))
         cols.append(frac_row([dk * x + y for x, y in zip(E, ke)], dk * de))
-    basis = Mat.from_cols(cols)
+    basis = Mat.from_cols(cols, nrows=d)
     if basis.det() == 0:
         raise AssertionError("eigenbasis pairing is degenerate")
     pairs = Mat.identity(d // 2)

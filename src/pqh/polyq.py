@@ -282,7 +282,7 @@ def factor(p):
     degree >= 1 every returned number is a ``Fraction``, int input
     included.  A p proved irreducible by its patterns modulo small primes
     is returned as (lc, [(p / lc, 1)]) without sympy; every other p is
-    factored by sympy.
+    factored by sympy, whose answer must multiply back to p.
     """
     p = poly_trim(p)
     if not p:
@@ -290,11 +290,11 @@ def factor(p):
     if poly_deg(p) == 0:
         return p[0], []
     if _proved_irreducible(p):
+        # lc * (p / lc) = p is all that recomposing one factor would check
         lead = Fraction(p[-1])
-        out = [(tuple(x / lead for x in p), 1)]
-    else:
-        lead, out = _factor_sympy(p)
-    # exact cross-check: the factorization must multiply back to p
+        return lead, [(tuple(x / lead for x in p), 1)]
+    lead, out = _factor_sympy(p)
+    # exact cross-check: sympy's factorization must multiply back to p
     prod = (lead,)
     for fac, mult in out:
         prod = poly_mul(prod, poly_pow(fac, mult))

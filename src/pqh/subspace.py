@@ -22,6 +22,12 @@ Everything (sums, intersections, complements, pairings, signatures) is
 computed with zero tolerance.  The sum of several subspaces is one
 elimination of all their rows (:func:`span_of`), which the direct-sum
 test takes only when ``rank_mod`` falls short.
+Where the dimensions, or the equality of canonical rows, already fix an
+answer, it is returned with no elimination, coset reduction or rank
+certificate: the sum of one part is that part; :func:`direct_sum_is`
+drops the zero parts, and a single remaining part is a decomposition
+exactly when its rows are the whole's; and :meth:`Subspace.kernel_in` on
+all-zero images is the subspace itself.
 Basis rows are combined by one routine, ``linalg._combine_rows``:
 :meth:`Subspace.combine_int` calls it on the canonical rows, and a
 ``Mat`` product on the rows of its right factor, so the integer product
@@ -265,13 +271,18 @@ class Subspace:
         """{sum c_i b_i : sum c_i images[i] in target} over the basis rows
         b_i, for one image per row given as ``(ints, d)``; no target is 0.
 
-        The coefficients are :func:`_relations`; when this subspace is the
-        whole space they are the answer itself.  Otherwise each relation
-        row is combined (:meth:`combine_int`): a reduced row c with pivot k
-        gives a row with pivot ``pivots[k]``, equal to 0 at the pivots of
-        the other rows, so the combinations are in reduced form as built.
+        A zero subspace, a full target or all-zero images (every
+        coefficient vector is then a relation) return this subspace with no
+        elimination.  Otherwise the coefficients are :func:`_relations`;
+        when this subspace is the whole space they are the answer itself,
+        and else each relation row is combined (:meth:`combine_int`): a
+        reduced row c with pivot k gives a row with pivot ``pivots[k]``,
+        equal to 0 at the pivots of the other rows, so the combinations are
+        in reduced form as built.
         """
         if self.dim == 0 or (target is not None and target.dim == target.ambient):
+            return self
+        if not any(any(V) for V, _ in images):
             return self
         rel = _relations(images, target)
         if self.dim == self.ambient:
@@ -337,14 +348,24 @@ def _relations(rows: list, target: Subspace | None) -> Subspace:
 
 
 def span_of(parts: Sequence[Subspace], ambient: int) -> Subspace:
-    """The sum of several subspaces, by one elimination of all their rows."""
+    """The sum of several subspaces, by one elimination of all their rows;
+    the sum of one part is that part."""
     if any(p.ambient != ambient for p in parts):
         raise ValueError("ambient mismatch")
+    if len(parts) == 1:
+        return parts[0]
     return Subspace._echelon([V for p in parts for V, _ in p._rows], ambient)
 
 
 def direct_sum_is(whole: Subspace, parts: Sequence[Subspace]) -> bool:
     """Exact check that the parts are independent and span the whole."""
+    if any(p.ambient != whole.ambient for p in parts):
+        raise ValueError("ambient mismatch")
+    # zero parts add nothing, and one part is the whole exactly when their
+    # canonical rows agree
+    parts = [p for p in parts if p.dim]
+    if len(parts) == 1:
+        return parts[0] == whole
     # the dimensions add up and each part lies in the whole; then a full
     # rank mod p of their rows, or else their span, shows them independent
     if sum(p.dim for p in parts) != whole.dim or not all(map(whole.contains, parts)):

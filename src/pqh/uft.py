@@ -27,6 +27,9 @@ is one elimination of width 2 dim S, whose reduced rows two
 The direction searches read the fiber of h2 off U's pivots
 (``subspace.h2_fiber``); when it is zero, U's rows are (f | Tf) over
 F = p1(U) and :func:`to_uft` over the standard basis eliminates nothing.
+The fibers of a failed transversal search are handed to form 1's sweep
+(:func:`minimal_fiber_direction`) by the decompositions that run both,
+so none is taken twice and none is kept on U.
 Each piece of a graph is one :meth:`Subspace.kernel_in` cut of the
 subspace U the caller holds: :func:`graph_over` takes the h1 components
 of U's rows into a subspace of F, the U' of :func:`pq_split` is
@@ -35,7 +38,11 @@ decompositions and by ``classify._pure_part``), and each fiber
 {f in F : Tf = s f} that :func:`injectivize` tries is the kernel of the
 rows Tf - s f.  Those rows are also the answer: the shear
 h1 -> h1 + s h2 keeps F and takes T to T - s Id, so no graph is
-eliminated again.
+eliminated again.  With the lattice layer's shortcuts (``subspace``),
+a generic graph, whose core has one irreducible factor with kernel F,
+splits into U alone with no elimination past the spectral pass:
+``poly_fiber``'s Cayley-Hamilton zero is all-zero images, and the generic
+and form-2 decompositions recompose U from one part equal to U.
 
 The spectrum of a graph form is :func:`graph_spectrum`: injectivize,
 take the invariant core W*, factor the minimal polynomial of T on W*
@@ -184,7 +191,7 @@ def graph_in(space: Subspace, rows: list, s: HBasisChange) -> Subspace:
     )
 
 
-def find_transversal_direction(u: Subspace):
+def find_transversal_direction(u: Subspace, fibers: list | None = None):
     """A direction h with (h (x) E) ^ U = 0, or None when every direction
     meets U (then U is not a graph subspace in any basis).
 
@@ -195,13 +202,17 @@ def find_transversal_direction(u: Subspace):
     dim E = ambient / 2, so it meets every U of larger dimension and no
     candidate is tried then.  The fiber of t = 0, h2 itself, is read off
     U's pivots (:func:`~pqh.subspace.h2_fiber`); only t >= 1 runs
-    :func:`~pqh.subspace.h_fiber`.
+    :func:`~pqh.subspace.h_fiber`.  A list ``fibers`` receives the
+    fibers taken, in the order of t.
     """
     if u.dim > u.ambient // 2:
         return None
     for t in range(u.dim + 1):
         h = (Fraction(t), F1)
-        if _fiber(u, h).is_zero():
+        fib = _fiber(u, h)
+        if fibers is not None:
+            fibers.append(fib)
+        if fib.is_zero():
             return h
     return None
 
@@ -211,9 +222,10 @@ def _fiber(u: Subspace, h) -> Subspace:
     return h2_fiber(u) if h[0] == 0 else h_fiber(u, h)
 
 
-def graph_form(u: Subspace) -> UFTForm | None:
-    """U as a graph over the first transversal direction, or None."""
-    h = find_transversal_direction(u)
+def graph_form(u: Subspace, fibers: list | None = None) -> UFTForm | None:
+    """U as a graph over the first transversal direction, or None; a list
+    ``fibers`` receives the fibers of the search."""
+    h = find_transversal_direction(u, fibers)
     return None if h is None else to_uft(u, transversal_basis(h))
 
 
@@ -371,13 +383,15 @@ def graph_spectrum(form: UFTForm):
     return inj, parts
 
 
-def subspace_spectrum(u: Subspace):
+def subspace_spectrum(u: Subspace, fibers: list | None = None):
     """None when U has no graph form, else ``(form, inj, parts)`` with
     ``form = graph_form(u)`` and ``(inj, parts) = graph_spectrum(form)``;
-    computed once per ``Subspace`` instance (:meth:`Subspace.memo`)."""
+    computed once per ``Subspace`` instance (:meth:`Subspace.memo`).  The
+    call that computes it appends the search's fibers to a list
+    ``fibers``; a later call leaves the list as it is."""
 
     def compute():
-        form = graph_form(u)
+        form = graph_form(u, fibers)
         return None if form is None else (form, *graph_spectrum(form))
 
     return u.memo("spectrum", compute)
@@ -452,7 +466,7 @@ class Form2(NamedTuple):
     graph: UFTForm
 
 
-def minimal_fiber_direction(u: Subspace):
+def minimal_fiber_direction(u: Subspace, fibers=()):
     """A direction h whose fiber {e : h (x) e in U} has the smallest
     possible dimension, found by a sweep.
 
@@ -464,7 +478,9 @@ def minimal_fiber_direction(u: Subspace):
     dim U + dim E - dim V = dim U - dim E, so the sweep stops at the first
     candidate that reaches max(0, dim U - dim E): no later one is strictly
     smaller, and the first strict minimum is the one kept.  The fiber of
-    t = 0 is read off U's pivots, as in :func:`find_transversal_direction`.
+    t = 0 is read off U's pivots, as in :func:`find_transversal_direction`,
+    and the first ``len(fibers)`` fibers are those given, the fibers of a
+    failed transversal search of the same U.
     """
     dim_e = u.ambient // 2
     floor = max(0, u.dim - dim_e)
@@ -472,7 +488,7 @@ def minimal_fiber_direction(u: Subspace):
     best_fiber = None
     for t in range(dim_e + u.dim + 2):
         cand = (Fraction(t), F1)
-        fib = _fiber(u, cand)
+        fib = fibers[t] if t < len(fibers) else _fiber(u, cand)
         if best_fiber is None or fib.dim < best_fiber.dim:
             best, best_fiber = cand, fib
             if fib.dim == floor:
@@ -480,16 +496,17 @@ def minimal_fiber_direction(u: Subspace):
     return best, best_fiber
 
 
-def decompose_form1(u: Subspace) -> Form1:
+def decompose_form1(u: Subspace, fibers=()) -> Form1:
     """U = (h (x) F') (+) U^{F'', T''} with the graph part of maximal
     dimension among all graph subspaces of U.
 
     For any direction h, a complement of h (x) fiber(h) inside U meets
     h (x) E trivially, hence is a graph over a basis with h second; its
     dimension is maximal exactly when the fiber of h has minimal
-    dimension, so h is taken generic for the fiber pencil.
+    dimension, so h is taken generic for the fiber pencil.  ``fibers`` are
+    those of a failed transversal search of U, read by the sweep.
     """
-    h, fib = minimal_fiber_direction(u)
+    h, fib = minimal_fiber_direction(u, fibers)
     basis = transversal_basis(h)
     if fib.dim == 0:
         return Form1(None, to_uft(u, basis), u)
@@ -595,14 +612,15 @@ def decompose_form2(u: Subspace) -> Form2:
     decomposable vectors; for graph subspaces the last addend has the
     maximal possible dimension (dim U minus the largest fiber)."""
     u0, e0, u_prime = pq_split(u)
-    spectrum = subspace_spectrum(u_prime)
+    fibers = []
+    spectrum = subspace_spectrum(u_prime, fibers)
     if spectrum is not None:
         # U' is a graph: split it by the spectrum memoized on U'
         pieces, tilde = _form2_graph(u_prime, *spectrum[1:])
     else:
         # U' is pure but no graph: form 1 splits off a minimal-fiber piece
         # first, and its graph part is split into eigen-direction pieces
-        form1 = decompose_form1(u_prime)
+        form1 = decompose_form1(u_prime, fibers)
         pieces, tilde = _form2_graph(form1.graph_space, *graph_spectrum(form1.graph))
         pieces.insert(0, form1.piece)
     used_dirs = [p.direction for p in pieces]

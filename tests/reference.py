@@ -15,6 +15,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from pqh.classify import (
+    Addend,
     ClassificationReport,
     ComplexReport,
     OracleFinding,
@@ -23,10 +24,12 @@ from pqh.classify import (
     PQReport,
     TotallyRealReport,
     _Q_FORM,
+    _direction_completion,
     _isotropic_point,
     _positive_point,
     adapted_basis,
     adapted_nilpotent_basis,
+    operator_in_basis,
     operator_preserves,
 )
 from pqh.classify import _pure_part as package_pure_part
@@ -39,10 +42,12 @@ from pqh.model import MAT_I, MAT_K, OMEGA_H, OP_I, OP_J, OP_K, HBasisChange, Mod
 from pqh.model import MAT_J, Standardization, StructureError
 from pqh.model import _form_image, _h_act_int, _pairing, _rational_row, tensor
 from pqh.polyq import is_rational_square, minimal_polynomial, poly_eval_matrix
+from pqh.polyq import _factor_sympy, _proved_irreducible, poly_deg, poly_mul, poly_pow, poly_trim
 from pqh.rng import Rng
 from pqh.subspace import (
     SignatureTriple,
     Subspace,
+    _relations,
     decomposable_subspace,
     direct_sum_is,
     h_fiber,
@@ -56,7 +61,8 @@ from pqh.subspace import (
     span_of,
 )
 from pqh.uft import TransversalityError, UFTForm, _graph_row, _no_rational_eigenvalue_map, graph_over
-from pqh.uft import line_direction, poly_fiber, pq_split
+from pqh.uft import line_direction, minimal_fiber_direction, normalize_direction, poly_fiber
+from pqh.uft import pq_split, subspace_spectrum
 from pqh.uft import to_uft as package_to_uft
 
 
@@ -2070,3 +2076,115 @@ def frac_standardize(i_mat: FracMat, j_mat: FracMat, k_mat: FracMat) -> Standard
     ):
         raise StructureError("standardization failed to intertwine the triple")
     return Standardization(basis, d // 2)
+
+
+# Formerly pqh.subspace.span_of, which eliminated even a single part.
+def span_of_by_rref(parts, ambient: int) -> Subspace:
+    """The sum of several subspaces, by one elimination of all their rows."""
+    if any(p.ambient != ambient for p in parts):
+        raise ValueError("ambient mismatch")
+    return Subspace._echelon([V for p in parts for V, _ in p._rows], ambient)
+
+
+# Formerly pqh.subspace.direct_sum_is, which certified a single part too.
+def direct_sum_is_by_rank(whole: Subspace, parts) -> bool:
+    """Exact check that the parts are independent and span the whole."""
+    # the dimensions add up and each part lies in the whole; then a full
+    # rank mod p of their rows, or else their span, shows them independent
+    if sum(p.dim for p in parts) != whole.dim or not all(map(whole.contains, parts)):
+        return False
+    rows = [V for p in parts for V, _ in p._rows]
+    return rank_mod(rows, whole.ambient) == len(rows) or span_of_by_rref(parts, whole.ambient) == whole
+
+
+# Formerly pqh.subspace.Subspace.kernel_in, which took relations of zero
+# images too.
+def kernel_in_by_relations(self: Subspace, images: list, target: Subspace | None = None) -> Subspace:
+    """{sum c_i b_i : sum c_i images[i] in target} over the basis rows
+    b_i, for one image per row given as ``(ints, d)``; no target is 0."""
+    if self.dim == 0 or (target is not None and target.dim == target.ambient):
+        return self
+    rel = _relations(images, target)
+    if self.dim == self.ambient:
+        return rel
+    rows = [self.combine_int(c, d) for c, d in rel._rows]
+    return Subspace._of(rows, [self.pivots[k] for k in rel.pivots], self.ambient)
+
+
+# Formerly pqh.polyq.factor, which recomposed a certified irreducible p too.
+def factor_recomposed(p):
+    """Factor p over Q into monic irreducibles, multiplied back to p."""
+    p = poly_trim(p)
+    if not p:
+        raise ValueError("cannot factor the zero polynomial")
+    if poly_deg(p) == 0:
+        return p[0], []
+    if _proved_irreducible(p):
+        lead = Fraction(p[-1])
+        out = [(tuple(x / lead for x in p), 1)]
+    else:
+        lead, out = _factor_sympy(p)
+    # exact cross-check: the factorization must multiply back to p
+    prod = (lead,)
+    for fac, mult in out:
+        prod = poly_mul(prod, poly_pow(fac, mult))
+    if prod != p:
+        raise AssertionError("factorization failed to recompose")
+    return lead, out
+
+
+# Formerly pqh.classify._decompose_pure, which ran the residue pass even
+# when the factor kernels span F.
+def decompose_pure_with_residue(u_pure: Subspace):
+    """Pure-part decomposition: factor kernels of the core minimal
+    polynomial become invariant addends; the residue is certified real or
+    recursively decomposed.
+
+    A pure subspace that is not a graph (every direction carries
+    decomposable vectors) first sheds a minimal-fiber decomposable piece,
+    which is itself a pure weakly para-complex addend."""
+    if u_pure.dim == 0:  # the usual last residue; skips the graph search
+        return [], Subspace.zero(u_pure.ambient)
+    spectrum = subspace_spectrum(u_pure)
+    if spectrum is None:
+        hmin, fib = minimal_fiber_direction(u_pure)
+        piece = decomposable_subspace(hmin, fib)
+        witness = operator_in_basis(
+            _direction_completion(normalize_direction(hmin)), 0, 0, 1
+        )
+        if not operator_preserves(witness, piece):
+            raise AssertionError("decomposable piece witness fails invariance")
+        addend = Addend("weakly_para_complex", piece, witness, None)
+        rest = piece.complement_in(u_pure)
+        sub_addends, sub_real = decompose_pure_with_residue(rest)
+        return [addend] + sub_addends, sub_real
+    _graph, form, parts = spectrum
+    if not parts:
+        return [], u_pure
+    addends = []
+    kernels = []
+    for poly, ker in parts:
+        kernels.append(ker)
+        graph = graph_over(u_pure, form.h_basis, ker)
+        deg = poly_deg(poly)
+        if deg == 1:
+            direction = line_direction(form.h_basis, -poly[0])
+            witness = operator_in_basis(_direction_completion(direction), 0, 0, 1)
+            kind = "weakly_para_complex"
+        elif deg == 2:
+            c0, c1 = poly[0], poly[1]
+            witness = operator_in_basis(form.h_basis, 1 + c0, c0 - 1, c1)
+            disc = c1 * c1 - 4 * c0
+            kind = "complex" if disc < 0 else "weakly_para_complex"
+        else:
+            witness = None
+            kind = "irreducible_block"
+        if witness is not None and not operator_preserves(witness, graph):
+            raise AssertionError("constructed addend witness fails invariance")
+        addends.append(Addend(kind, graph, witness, tuple(poly)))
+    residual_f = span_of_by_rref(kernels, form.dim_e).complement_in(form.f_space)
+    # the residue is a graph subspace: an empty spectrum returns it as real
+    sub_addends, sub_real = decompose_pure_with_residue(
+        graph_over(u_pure, form.h_basis, residual_f)
+    )
+    return addends + sub_addends, sub_real

@@ -116,9 +116,9 @@ def test_classify_builds_one_graph_form_per_pure_instance(monkeypatch):
 def test_form2_runs_form1_only_when_u_prime_has_no_graph_form(monkeypatch):
     calls = []
 
-    def spy(u):
+    def spy(u, *fibers):
         calls.append(u)
-        return decompose_form1(u)
+        return decompose_form1(u, *fibers)
 
     monkeypatch.setattr(UFT, "decompose_form1", spy)
     graphs = non_graphs = 0

@@ -149,8 +149,8 @@ def ref_decompose_form2(u):
     return Form2(tuple(pieces), graph)
 
 
-def unmemoized_spectrum(u):
-    form = graph_form(u)
+def unmemoized_spectrum(u, fibers=None):
+    form = graph_form(u, fibers)
     return None if form is None else (form, *graph_spectrum(form))
 
 

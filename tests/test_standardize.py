@@ -128,3 +128,11 @@ def test_relations_imply_anticommutation(pair, mixed):
     k_m = i_m @ j_m
     if relations_hold(i_m, j_m, k_m):
         assert anticommute(i_m, j_m) and anticommute(j_m, k_m) and anticommute(i_m, k_m)
+
+
+def test_zero_space_gives_an_empty_standardization():
+    """On V = 0 the three 0 x 0 matrices satisfy every relation, and the
+    standardization is the 0 x 0 basis with no pairs."""
+    empty = Mat((), ncols=0)
+    std = standardize(empty, empty, empty)
+    assert std.basis.shape == (0, 0) and std.pairs == 0
